@@ -9,9 +9,9 @@
 //	verc3-report report.json...           summarize each report
 //	verc3-report -validate report.json... schema-check only (quiet)
 //
-// Both report schema versions validate: version 1 (pre-abort) and
-// version 2, whose abort/resume fields (aborted, abort_cause, resumed)
-// the summary surfaces when present.
+// Only the current schema (version 2) validates; a file of any other
+// version is rejected with a message naming it. The summary surfaces the
+// abort/resume fields (aborted, abort_cause, resumed) when present.
 //
 // Exit status is 0 when every report parses and validates, 1 otherwise.
 package main

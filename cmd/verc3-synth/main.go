@@ -47,6 +47,7 @@ import (
 	"verc3/internal/cliutil"
 	"verc3/internal/core"
 	"verc3/internal/mc"
+	"verc3/internal/obs"
 	"verc3/internal/ts"
 	"verc3/internal/zoo"
 )
@@ -134,7 +135,7 @@ func main() {
 		// Route round/solution logs through the telemetry writer: they land
 		// on stderr and never tear the -progress status line (the old
 		// stdout Printf interleaved with summary and sampler output).
-		cfg.Log = func(f string, a ...any) { tel.Logf("· "+f, a...) }
+		cfg.Events = func(ev obs.Event) { tel.Logf("· %s", ev.Text) }
 	}
 
 	ctx, stop := cf.Context("verc3-synth")

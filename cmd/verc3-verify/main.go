@@ -7,8 +7,8 @@
 // Usage:
 //
 //	verc3-verify -system msi-complete [-caches 3] [-symmetry=false] [-states]
-//	             [-liveness] [-dfs] [-workers N] [-shard-bits B] [-no-trace]
-//	             [-no-recycle] [-stats] [-visited flat|map|bitstate|spill]
+//	             [-liveness] [-dfs] [-workers N] [-no-trace] [-stats]
+//	             [-visited flat|map|bitstate|spill]
 //	             [-bitstate-mb N] [-spill-mem-mb N] [-spill-dir DIR]
 //	             [-timeout D] [-checkpoint-dir DIR] [-resume] [-checkpoint-every D]
 //	             [-progress] [-metrics-addr ADDR] [-report FILE]
@@ -63,17 +63,15 @@ import (
 
 func main() {
 	var (
-		system    = flag.String("system", "msi-complete", "system to verify ("+strings.Join(zoo.Names(), ", ")+")")
-		caches    = flag.Int("caches", 0, "MSI cache count (0 = default 3)")
-		symmetry  = flag.Bool("symmetry", true, "enable scalarset symmetry reduction")
-		liveness  = flag.Bool("liveness", false, "after the safety pass, check declared liveness goals with nested DFS (needs an exact visited backend)")
-		states    = flag.Bool("states", false, "print states along the counterexample trace")
-		dfs       = flag.Bool("dfs", false, "use depth-first search (traces not minimal)")
-		maxSt     = flag.Int("max-states", 0, "state cap (0 = unlimited)")
-		workers   = flag.Int("workers", 1, "parallel exploration workers (0 = GOMAXPROCS, <=1 = sequential)")
-		shardBits = flag.Int("shard-bits", 0, "log2 shards of the parallel visited set (0 = default)")
-		noTrace   = flag.Bool("no-trace", false, "skip trace recording (fingerprint-only memory; failures carry no counterexample)")
-		noRecycle = flag.Bool("no-recycle", false, "disable successor recycling (fresh clone per transition; ablation knob)")
+		system   = flag.String("system", "msi-complete", "system to verify ("+strings.Join(zoo.Names(), ", ")+")")
+		caches   = flag.Int("caches", 0, "MSI cache count (0 = default 3)")
+		symmetry = flag.Bool("symmetry", true, "enable scalarset symmetry reduction")
+		liveness = flag.Bool("liveness", false, "after the safety pass, check declared liveness goals with nested DFS (needs an exact visited backend)")
+		states   = flag.Bool("states", false, "print states along the counterexample trace")
+		dfs      = flag.Bool("dfs", false, "use depth-first search (traces not minimal)")
+		maxSt    = flag.Int("max-states", 0, "state cap (0 = unlimited)")
+		workers  = flag.Int("workers", 1, "exploration workers (0 = GOMAXPROCS; 1 is deterministic with minimal counterexamples)")
+		noTrace  = flag.Bool("no-trace", false, "skip trace recording (fingerprint-only memory; failures carry no counterexample)")
 	)
 	cf := cliutil.RegisterCommon()
 	ck := cliutil.RegisterCheckpoint()
@@ -83,7 +81,6 @@ func main() {
 		cliutil.IntFlag{Name: "-caches", Value: int64(*caches)},
 		cliutil.IntFlag{Name: "-max-states", Value: int64(*maxSt)},
 		cliutil.IntFlag{Name: "-workers", Value: int64(*workers)},
-		cliutil.IntFlag{Name: "-shard-bits", Value: int64(*shardBits)},
 	); err != nil {
 		fmt.Fprintln(os.Stderr, "verc3-verify:", err)
 		os.Exit(2)
@@ -157,8 +154,6 @@ func main() {
 		RecordTrace: !*noTrace,
 		MaxStates:   *maxSt,
 		Workers:     *workers,
-		ShardBits:   *shardBits,
-		NoRecycle:   *noRecycle,
 		Liveness:    *liveness,
 	}
 	cf.ApplyMC(&opt, backend)

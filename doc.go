@@ -39,10 +39,12 @@
 //     a deterministic fault injector for tests (planned errors, short
 //     writes, transient glitches per operation), and the shared
 //     transient-retry policy (capped backoff; hard faults never retried).
-//   - internal/mc — the embedded explicit-state model checker: sequential
-//     (deterministic, minimal BFS counterexamples) and level-parallel BFS
-//     drivers over the shared fingerprint keying scheme with per-worker
-//     keyer scratch, three-valued verdicts, deadlock and goal checking,
+//   - internal/mc — the embedded explicit-state model checker: one
+//     exploration kernel over the shared fingerprint keying scheme with
+//     per-worker scratch and counters — one worker is deterministic with
+//     minimal BFS counterexamples, several spread each BFS level over
+//     goroutines, DFS runs the same expansion as a stack — three-valued
+//     verdicts, deadlock and goal checking,
 //     plus an opt-in nested-DFS liveness pass (mc.Options.Liveness) that
 //     checks declared ts.LivenessGoal properties under weak fairness and
 //     reports violations as lasso counterexamples (stem + cycle).
@@ -82,17 +84,18 @@
 // enumerate/fire/key/insert) so profiles split the exploration loop by
 // phase; negative sizing or parallelism values are rejected up front
 // rather than silently clamped) and runnable demos under examples/.
-// cmd/verc3-bench runs the headline exploration benchmarks in-process
-// and writes BENCH_explore.json for CI archival.
+// The repository benchmark lives in bench/ (go run ./bench; declared by
+// BENCHMARK.json): six paper-scale workloads, end to end and layer by
+// layer, whose end-to-end JSON CI archives per commit.
 //
 // # Trace-optional exploration
 //
 // Exploration is memory-lean by default: the frontier carries (state,
-// depth, usage-mask) values directly and releases each state once
-// expanded, so a run without mc.Options.RecordTrace retains only the
-// 8-byte fingerprint per visited state — the regime every synthesis
+// usage-mask) entries directly in level buffers that are recycled as the
+// search advances, so a run without mc.Options.RecordTrace retains only
+// the 8-byte fingerprint per visited state — the regime every synthesis
 // dispatch runs in. Turning RecordTrace on allocates a parent-linked trace
-// node per state, buying replayable (and, sequentially, minimal)
+// node per state, buying replayable (and, with one worker, minimal)
 // counterexamples for O(states) memory. mc.Result.Space reports which
 // price was paid (states, peak frontier, trace nodes, bytes retained);
 // the synthesis engine aggregates it per run and re-checks every reported
@@ -134,7 +137,7 @@
 // implement ts.Recycler draw Fire clones from a sync.Pool of recycled
 // states (overwritten in place via ts.StateCopier.CopyFrom, with
 // owned-storage semantics so pooled states never alias live ones), and
-// both drivers return dead states to the pool: every rejected duplicate,
+// the checker returns dead states to the pool: every rejected duplicate,
 // plus — traceless — each expanded state once its transitions have
 // fired. States that reach trace nodes, counterexamples or the frontier
 // escape the pool forever. ts.TransitionAppender pairs with this:
@@ -174,21 +177,22 @@
 // with true partial statistics and the cancel cause; a definite property
 // violation found first outranks it, and an aborted run never claims
 // goal or liveness results for states it did not visit. Panics in model
-// code are recovered in both drivers and surface as an Aborted verdict
-// carrying the offending state's key and the stack; in synthesis a
+// code are recovered on whichever goroutine ran it and surface as an
+// Aborted verdict carrying the offending state's key and the stack; in
+// synthesis a
 // panicking candidate is counted as a failed candidate (Stats.Panicked)
 // — never a pruning pattern — and the search continues. BFS runs with
 // mc.Options.CheckpointDir snapshot visited + frontier + statistics at
 // level boundaries (atomic rename commit, at most one snapshot kept,
 // save frequency throttled to ~5% overhead) and Resume restores them
-// bit-identically, across drivers and backends. All spill and
+// bit-identically, across worker counts and backends. All spill and
 // checkpoint I/O goes through the internal/faultfs seam: transient
 // faults retry with capped backoff, hard faults go sticky and surface
 // instead of corrupting the run. See DESIGN.md "Failure model".
 //
 // The benchmark harness in bench_test.go regenerates every table and
-// figure of the paper's evaluation plus this repo's ablations (parallel
-// drivers, visited-set keying and backends, trace on/off memory, the
+// figure of the paper's evaluation plus this repo's ablations (worker
+// counts, visited-set keying and backends, trace on/off memory, the
 // keying pipeline); see DESIGN.md for the experiment index and
 // EXPERIMENTS.md for paper-versus-measured results.
 package verc3

@@ -1,7 +1,7 @@
 // Token-ring example: a model written in the lightweight frontend DSL
 // (internal/dsl, the paper's future-work item), with two synthesized
 // actions. The model itself lives in internal/tokenring so the zoo, the
-// cross-driver exploration tests and the command-line tools can reuse it;
+// zoo-wide differential exploration tests and the command-line tools can reuse it;
 // see that package for the protocol description.
 //
 // Run with:

@@ -16,21 +16,21 @@ func TestFirstNegative(t *testing.T) {
 	}
 	if err := FirstNegative(
 		IntFlag{"-workers", 0},
-		IntFlag{"-shard-bits", 8},
+		IntFlag{"-max-states", 8},
 		IntFlag{"-bitstate-mb", 64},
 	); err != nil {
 		t.Errorf("all valid: %v", err)
 	}
 	err := FirstNegative(
 		IntFlag{"-workers", 4},
-		IntFlag{"-shard-bits", -1},
+		IntFlag{"-max-states", -1},
 		IntFlag{"-bitstate-mb", -3},
 	)
 	if err == nil {
-		t.Fatal("negative -shard-bits accepted")
+		t.Fatal("negative -max-states accepted")
 	}
 	msg := err.Error()
-	if !strings.Contains(msg, "-shard-bits") || !strings.Contains(msg, "-1") {
+	if !strings.Contains(msg, "-max-states") || !strings.Contains(msg, "-1") {
 		t.Errorf("error does not name the first offender: %q", msg)
 	}
 	if strings.Contains(msg, "-bitstate-mb") {

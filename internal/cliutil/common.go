@@ -152,7 +152,7 @@ func (c *CommonFlags) Backend() (visited.Kind, error) {
 }
 
 // ApplyMC fills the model-checker options derived from the common block:
-// backend selection and sizing, memory statistics, and driver phase
+// backend selection and sizing, memory statistics, and phase
 // labels (only when a CPU profile is being taken — the labels cost a
 // goroutine-label store per phase switch).
 func (c *CommonFlags) ApplyMC(opt *mc.Options, backend visited.Kind) {

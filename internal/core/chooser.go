@@ -19,8 +19,8 @@ import (
 // model checker fires transitions from several exploration workers against
 // this one chooser, so the usage masks are atomics. The bracketed
 // ResetUsage/Usage protocol is only meaningful when firings are sequential —
-// which the model checker guarantees by falling back to its sequential
-// driver whenever a UsageTracker is installed.
+// which the model checker guarantees by running one worker whenever a
+// UsageTracker is installed.
 type runChooser struct {
 	reg    *registry
 	assign []int

@@ -82,15 +82,15 @@ type Config struct {
 	// budget as extra intra-check workers (see SplitParallelism), but
 	// MCWorkers never adds cross-candidate workers beyond Workers —
 	// Workers=1 keeps its deterministic dispatch order, and MCWorkers<=1
-	// keeps every dispatch on the sequential driver.
+	// keeps every dispatch on one exploration worker.
 	// Cross-candidate parallelism is embarrassingly parallel and should
 	// get the budget first; intra-check parallelism is the lever when
 	// individual state spaces are large. With MCWorkers > 1, holes may be
 	// discovered in a scheduling-dependent order inside a run, so hole
 	// indices (and Solution.Assign vectors) are only stable up to
 	// renaming; compare solutions by hole name. Note
-	// PruneTraceGeneralized installs a usage tracker, which forces each
-	// check back to the sequential driver.
+	// PruneTraceGeneralized installs a usage tracker, which makes each
+	// check run one worker.
 	MCWorkers int
 	// MC carries the base model-checker options (symmetry, state caps,
 	// deadlock checking, search order, MemStats for Stats.Space allocation
@@ -121,16 +121,11 @@ type Config struct {
 	// model-checker dispatches (Stats.Truncated is set). Used to run scaled
 	// versions of experiments whose full runs take hours.
 	MaxEvaluations int64
-	// Log, when non-nil, receives progress lines. It is the string adapter
-	// over the structured event stream: every emitted event carries a
-	// rendered Text line, and Log receives exactly that line — so legacy
-	// consumers keep working unchanged while Events/Obs consumers get the
-	// typed fields.
-	Log func(format string, args ...any)
 	// Events, when non-nil, receives every structured progress event
 	// (round starts, solutions, re-verification drops; see obs.Event).
-	// With Workers > 1 solution events arrive concurrently; the callback
-	// must be safe.
+	// Every event carries a rendered Text line for consumers that only
+	// want to print progress. With Workers > 1 solution events arrive
+	// concurrently; the callback must be safe.
 	Events func(obs.Event)
 	// Obs, when non-nil, aggregates live telemetry for the whole synthesis
 	// run: every model-checker dispatch publishes its exploration counters
@@ -341,7 +336,7 @@ func SynthesizeCtx(ctx context.Context, sys ts.System, cfg Config) (*Result, err
 	if cfg.MCWorkers <= 0 {
 		cfg.MCWorkers = 1
 	}
-	// Thread the collector into every dispatch: the drivers stream their
+	// Thread the collector into every dispatch: the checker streams its
 	// exploration counters into it while the engine publishes the
 	// synthesis-level counters and gauges around them.
 	cfg.MC.Obs = cfg.Obs
@@ -462,13 +457,11 @@ func (e *engine) mergeSpace(s statespace.Stats) {
 // construction renders a human-readable Text line; call sites guard on
 // this so an unobserved run never pays the formatting.
 func (e *engine) observing() bool {
-	return e.cfg.Log != nil || e.cfg.Events != nil || e.cfg.Obs != nil
+	return e.cfg.Events != nil || e.cfg.Obs != nil
 }
 
 // emit fans one structured progress event out to every attached consumer:
-// the collector's event log, the typed Events callback, and the legacy
-// Log adapter (which receives the event's rendered Text line verbatim).
-// With a collector attached the event is stamped on its clock, so the
+// the collector's event log and the typed Events callback. With a collector attached the event is stamped on its clock, so the
 // callback and the retained log carry the same timestamp.
 func (e *engine) emit(ev obs.Event) {
 	if ev.ElapsedNS == 0 {
@@ -479,9 +472,6 @@ func (e *engine) emit(ev obs.Event) {
 	}
 	if e.cfg.Events != nil {
 		e.cfg.Events(ev)
-	}
-	if e.cfg.Log != nil {
-		e.cfg.Log("%s", ev.Text)
 	}
 }
 
@@ -507,7 +497,7 @@ func (e *engine) dispatch(assign []int, mcWorkers int) {
 	opt.Workers = mcWorkers
 	if e.traceGen {
 		// Usage tracking needs sequentially bracketed firings; the model
-		// checker would fall back anyway, but be explicit.
+		// checker would run one worker anyway, but be explicit.
 		opt.Usage = rc
 		opt.Workers = 1
 	}
@@ -707,7 +697,7 @@ func (e *engine) enumerateRound(sizes []int) {
 	// workers, but MCWorkers budget never inflates the cross-candidate
 	// pool — Workers=1 keeps the deterministic dispatch order that
 	// OnEvaluate and the Figure 2 regeneration rely on, and MCWorkers<=1
-	// keeps every dispatch on the sequential driver as documented.
+	// keeps every dispatch on one exploration worker as documented.
 	workers, mcw := e.cfg.Workers, 1
 	if uint64(workers) > total {
 		workers = int(total)

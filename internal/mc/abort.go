@@ -1,16 +1,17 @@
-// Cancellation and panic containment for both exploration drivers.
+// Cancellation and panic containment for the exploration kernel and the
+// liveness phase.
 //
 // A run can be cut short in two ways. Cooperative cancellation: the
-// context threaded through CheckCtx is polled at every BFS level boundary
-// and every cancelPollStride expansions (per worker under the parallel
-// driver), so a -timeout deadline or a SIGINT-driven cancel stops the
-// search within a bounded amount of work. Panic containment: a panic out
-// of model code (Transitions, Fire, an invariant, Key) is recovered at
-// the driver boundary instead of crashing the process. Either way the run
-// returns normally — error-free — with Verdict == Aborted and a non-nil
-// Result.Abort describing why, carrying whatever partial statistics the
-// exploration accumulated (states, transitions, depth, the full Space
-// profile). Reachability goals are deliberately NOT judged on an aborted
+// context threaded through CheckCtx is polled at the start of every BFS
+// level (of every range of one, with several workers) and every
+// cancelPollStride expansions per worker, so a -timeout deadline or a
+// SIGINT-driven cancel stops the search within a bounded amount of work.
+// Panic containment: a panic out of model code (Transitions, Fire, an
+// invariant, Key) is recovered on the goroutine it happened on instead of
+// crashing the process. Either way the run returns normally — error-free —
+// with Verdict == Aborted and a non-nil Result.Abort describing why,
+// carrying whatever partial statistics the exploration accumulated (states,
+// transitions, depth, the full Space profile). Reachability goals are deliberately NOT judged on an aborted
 // run: "goal never witnessed" is only meaningful over the complete space,
 // so an abort can never manufacture a spurious goal failure.
 package mc
@@ -42,7 +43,7 @@ type AbortInfo struct {
 
 // cancelPollStride is the cooperative cancellation cadence: each worker
 // checks its context once per this many expansions, in addition to the
-// unconditional check at every BFS level boundary. At typical expansion
+// unconditional check at the start of every BFS level. At typical expansion
 // rates this bounds cancellation latency to well under a millisecond
 // while keeping the poll amortized to a fraction of a branch per state.
 const cancelPollStride = 1024

@@ -52,21 +52,23 @@ func (c *chain) Transitions(s ts.State) []ts.Transition {
 func (c *chain) Invariants() []ts.Invariant { return nil }
 func (c *chain) Quiescent(ts.State) bool    { return true }
 
-// drivers runs the subtest under both exploration drivers.
-func drivers(t *testing.T, f func(t *testing.T, workers int)) {
+// drivers runs the subtest under each way the kernel walks a frontier: BFS
+// on one worker, BFS on four, and the DFS stack.
+func drivers(t *testing.T, f func(t *testing.T, opt mc.Options)) {
 	t.Helper()
-	t.Run("sequential", func(t *testing.T) { f(t, 1) })
-	t.Run("parallel", func(t *testing.T) { f(t, 4) })
+	t.Run("sequential", func(t *testing.T) { f(t, mc.Options{Workers: 1}) })
+	t.Run("parallel", func(t *testing.T) { f(t, mc.Options{Workers: 4}) })
+	t.Run("dfs", func(t *testing.T) { f(t, mc.Options{Order: mc.DFS}) })
 }
 
 // TestPreCancelledContextAborts: a context that is dead before the run
-// starts must abort before any expansion, under both drivers, with the
+// starts must abort before any expansion, under every walk, with the
 // cancel cause surfaced.
 func TestPreCancelledContextAborts(t *testing.T) {
-	drivers(t, func(t *testing.T, workers int) {
+	drivers(t, func(t *testing.T, opt mc.Options) {
 		ctx, cancel := context.WithCancelCause(context.Background())
 		cancel(errors.New("pre-cancelled"))
-		res, err := mc.CheckCtx(ctx, newChain(100000), mc.Options{Workers: workers})
+		res, err := mc.CheckCtx(ctx, newChain(100000), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +87,7 @@ func TestPreCancelledContextAborts(t *testing.T) {
 // TestCancelMidRunKeepsPartialStats: cancelling from inside model code
 // stops the run within the poll bound and preserves the partial counters.
 func TestCancelMidRunKeepsPartialStats(t *testing.T) {
-	drivers(t, func(t *testing.T, workers int) {
+	drivers(t, func(t *testing.T, opt mc.Options) {
 		ctx, cancel := context.WithCancelCause(context.Background())
 		sys := newChain(100000)
 		sys.hook = func(v int) {
@@ -93,7 +95,7 @@ func TestCancelMidRunKeepsPartialStats(t *testing.T) {
 				cancel(errors.New("deep enough"))
 			}
 		}
-		res, err := mc.CheckCtx(ctx, sys, mc.Options{Workers: workers})
+		res, err := mc.CheckCtx(ctx, sys, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,12 +132,12 @@ func TestDeadlineAborts(t *testing.T) {
 
 // TestPanicContainment: a panic out of model code must not crash the
 // process; it aborts the run carrying the offending state's key and a
-// stack trace, under both drivers.
+// stack trace, under every walk.
 func TestPanicContainment(t *testing.T) {
-	drivers(t, func(t *testing.T, workers int) {
+	drivers(t, func(t *testing.T, opt mc.Options) {
 		sys := newChain(1000)
 		sys.panicAt = 50
-		res, err := mc.CheckCtx(context.Background(), sys, mc.Options{Workers: workers})
+		res, err := mc.CheckCtx(context.Background(), sys, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,15 +157,15 @@ func TestPanicContainment(t *testing.T) {
 }
 
 // TestFailureOutranksCancellation: an invariant violation found before the
-// abort is the more informative verdict and must win, under both drivers.
+// abort is the more informative verdict and must win, under every walk.
 func TestFailureOutranksCancellation(t *testing.T) {
-	drivers(t, func(t *testing.T, workers int) {
+	drivers(t, func(t *testing.T, opt mc.Options) {
 		ctx, cancel := context.WithCancelCause(context.Background())
 		cancel(errors.New("too late"))
 		// A bad initial state: the failure is recorded during admission,
 		// before the first cancellation poll can abort.
 		g := &toy.Graph{SysName: "badinit", Init: []int{0}, Nodes: []toy.Node{{Bad: true}}}
-		res, err := mc.CheckCtx(ctx, g, mc.Options{Workers: workers})
+		res, err := mc.CheckCtx(ctx, g, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,13 +289,13 @@ func TestAbortedVerdictString(t *testing.T) {
 	}
 }
 
-// TestCancellationStorm hammers cancellation timing under both drivers:
+// TestCancellationStorm hammers cancellation timing under every walk:
 // the cancel lands at a different point of the run each iteration, and
 // every outcome must be a clean Success or Aborted — never an error, a
 // deadlock, or a torn result. Run under -race this doubles as the data
 // race check on the abort publication paths.
 func TestCancellationStorm(t *testing.T) {
-	drivers(t, func(t *testing.T, workers int) {
+	drivers(t, func(t *testing.T, opt mc.Options) {
 		// Cancelled parallel levels must not strand workers: whatever the
 		// storm below does, the goroutine count has to come back down.
 		before := runtime.NumGoroutine()
@@ -318,7 +320,7 @@ func TestCancellationStorm(t *testing.T) {
 					cancel(errors.New("storm"))
 				}
 			}
-			res, err := mc.CheckCtx(ctx, sys, mc.Options{Workers: workers})
+			res, err := mc.CheckCtx(ctx, sys, opt)
 			if err != nil {
 				t.Fatalf("iter %d: %v", i, err)
 			}

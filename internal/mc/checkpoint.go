@@ -1,7 +1,7 @@
 // Level-boundary checkpoint/resume.
 //
-// With Options.CheckpointDir set, both BFS drivers snapshot the run at
-// BFS level boundaries — the one point where the exploration state is
+// With Options.CheckpointDir set, a BFS run is snapshotted at level
+// boundaries — the one point where the exploration state is
 // small and closed: the visited set is a bag of fingerprints, the
 // frontier is exactly the next level's states, and no state is "half
 // expanded". Boundaries are save *opportunities*, not obligations: the
@@ -29,7 +29,7 @@
 // restored — after which exploration proceeds exactly as if it had never
 // stopped. The crash-resume harness pins verdict, state, transition and
 // depth counts bit-identical between interrupted and uninterrupted runs,
-// across drivers and across the flat and spill backends.
+// across worker counts and across the flat and spill backends.
 //
 // All checkpoint I/O goes through the faultfs seam (Options.FS):
 // transient faults are retried with capped backoff (surfaced as
@@ -69,9 +69,9 @@ const (
 // ckptMeta is the checkpoint's meta.json: the identity block (a resume
 // refuses a checkpoint whose keying-relevant options differ — the
 // fingerprints would not be comparable) plus the run statistics restored
-// on resume. Worker count and driver are deliberately NOT identity: both
-// drivers share the keying scheme, so a checkpoint taken by one resumes
-// under the other.
+// on resume. The worker count is deliberately NOT identity: every width
+// shares the keying scheme, so a checkpoint taken at one resumes at
+// another.
 type ckptMeta struct {
 	Version    int    `json:"version"`
 	System     string `json:"system"`
@@ -108,9 +108,8 @@ type checkpointer struct {
 	lastSave time.Time
 	lastCost time.Duration
 
-	buf    []byte    // write batching scratch
-	enc    []byte    // per-state AppendKey scratch
-	loaded *ckptMeta // meta of the checkpoint load() restored, if any
+	buf []byte // write batching scratch
+	enc []byte // per-state AppendKey scratch
 }
 
 const (
@@ -439,7 +438,6 @@ func (cp *checkpointer) load(store visited.Store) (*ckptMeta, []ts.State, error)
 		return nil, nil, fmt.Errorf("mc: checkpoint %s: frontier.bin holds %d states, meta says %d",
 			path, len(states), meta.FrontierLen)
 	}
-	cp.loaded = meta
 	cp.o.Event(obs.Event{
 		Kind:   obs.EventResume,
 		Depth:  meta.Depth,
@@ -534,119 +532,54 @@ func (cp *checkpointer) readAt(f faultfs.File, p []byte, off int64) (n int, eof 
 	return n, eof, err
 }
 
-// --- Driver glue -------------------------------------------------------
+// --- Kernel glue -------------------------------------------------------
 
-// resumeSeq seeds the sequential driver from the newest checkpoint; false
-// when resume is off or no checkpoint exists (fresh start).
-func (c *checker) resumeSeq() (bool, error) {
-	if c.ckpt == nil || !c.opt.Resume {
+// resume seeds w's output — the first level — from the newest committed
+// checkpoint; false when resume is off or no checkpoint exists (fresh
+// start). The restored level's depth makes the next boundary fire at
+// meta.Depth+1 exactly as it would have in the uninterrupted run.
+func (e *explorer) resume(w *worker) (bool, error) {
+	if e.ckpt == nil || !e.opt.Resume {
 		return false, nil
 	}
-	meta, states, err := c.ckpt.load(c.visited)
+	meta, states, err := e.ckpt.load(e.visited)
 	if err != nil || meta == nil {
 		return false, err
 	}
-	c.admitted = c.visited.Len()
-	c.res.Stats.FiredTransitions = meta.Fired
-	c.res.Stats.WildcardAborts = meta.WildcardAborts
-	c.res.Stats.MaxDepth = meta.MaxDepth
-	c.res.WildcardHit = meta.WildcardHit
-	for i := range c.goalHit {
-		if i < len(meta.GoalHit) {
-			c.goalHit[i] = meta.GoalHit[i]
-		}
-	}
-	c.resumePeak = meta.PeakFrontier
-	for _, s := range states {
-		c.frontier.PushBack(item{state: s, depth: meta.Depth})
+	e.res.Resumed = true
+	e.admitted = e.visited.Len()
+	e.res.Stats.FiredTransitions = meta.Fired
+	e.res.Stats.WildcardAborts = meta.WildcardAborts
+	e.res.Stats.MaxDepth = meta.MaxDepth
+	copy(e.goalHit, meta.GoalHit)
+	e.peak = meta.PeakFrontier
+	e.depth = meta.Depth
+	w.out = make([]item, len(states))
+	for i, s := range states {
+		w.out[i] = item{state: s}
 	}
 	return true, nil
 }
 
-// resumeDepth is the restored frontier's depth — the resumed loop's level
-// watermark, so the next boundary fires at meta.Depth+1 exactly as it
-// would have in the uninterrupted run.
-func (c *checker) resumeDepth() int { return c.ckpt.loaded.Depth }
-
-// checkpointSeq snapshots the sequential driver at a level boundary. The
-// popped item — the new level's first state, already off the queue — is
-// saved first so the resumed queue pops it first too.
-func (c *checker) checkpointSeq(popped item) error {
-	if c.ckpt == nil || !c.ckpt.due() {
+// checkpoint snapshots the run between levels, when the throttle says a
+// save is due: level is the freshly completed frontier, at e.depth.
+func (e *explorer) checkpoint(level []item) error {
+	if e.ckpt == nil || !e.ckpt.due() {
 		return nil
 	}
-	meta := c.ckpt.meta0
-	meta.Depth = popped.depth
-	meta.Fired = c.res.Stats.FiredTransitions
-	meta.WildcardAborts = c.res.Stats.WildcardAborts
-	meta.MaxDepth = c.res.Stats.MaxDepth
-	meta.WildcardHit = c.res.WildcardHit
-	meta.GoalHit = append([]bool(nil), c.goalHit...)
-	meta.PeakFrontier = max(c.frontier.Peak(), c.resumePeak)
-	meta.FrontierLen = 1 + c.frontier.Len()
-	meta.VisitedLen = c.visited.Len()
-	return c.ckpt.save(meta, func(yield func(ts.State) error) error {
-		if err := yield(popped.state); err != nil {
-			return err
-		}
-		return c.frontier.Each(func(it item) error { return yield(it.state) })
-	})
-}
-
-// resumePar seeds the parallel driver from the newest checkpoint,
-// returning the restored frontier (nil for a fresh start) and its depth.
-func (c *pchecker) resumePar() (int, []pitem, error) {
-	if c.ckpt == nil || !c.opt.Resume {
-		return 0, nil, nil
-	}
-	meta, states, err := c.ckpt.load(c.visited)
-	if err != nil || meta == nil {
-		return 0, nil, err
-	}
-	if c.opt.MaxStates > 0 {
-		c.admitted.Store(int64(c.visited.Len()))
-	}
-	c.fired.Store(int64(meta.Fired))
-	c.aborts.Store(int64(meta.WildcardAborts))
-	c.maxDepth.Store(int64(meta.MaxDepth))
-	c.wildcard.Store(meta.WildcardHit)
-	for i := range c.goalHit {
-		if i < len(meta.GoalHit) && meta.GoalHit[i] {
-			c.goalHit[i].Store(true)
-		}
-	}
-	c.peak = meta.PeakFrontier
-	items := make([]pitem, len(states))
-	for i, s := range states {
-		items[i] = pitem{state: s, depth: meta.Depth}
-	}
-	return meta.Depth, items, nil
-}
-
-// checkpointPar snapshots the parallel driver between levels: next is the
-// freshly completed frontier, all at the given depth. An empty next is
-// skipped — the run is about to finish, and a zero-frontier checkpoint
-// buys nothing.
-func (c *pchecker) checkpointPar(depth int, next []pitem) error {
-	if c.ckpt == nil || len(next) == 0 || !c.ckpt.due() {
-		return nil
-	}
-	meta := c.ckpt.meta0
-	meta.Depth = depth
-	meta.Fired = int(c.fired.Load())
-	meta.WildcardAborts = int(c.aborts.Load())
-	meta.MaxDepth = int(c.maxDepth.Load())
-	meta.WildcardHit = c.wildcard.Load()
-	meta.GoalHit = make([]bool, len(c.goalHit))
-	for i := range c.goalHit {
-		meta.GoalHit[i] = c.goalHit[i].Load()
-	}
-	meta.PeakFrontier = c.peak
-	meta.FrontierLen = len(next)
-	meta.VisitedLen = c.visited.Len()
-	return c.ckpt.save(meta, func(yield func(ts.State) error) error {
-		for i := range next {
-			if err := yield(next[i].state); err != nil {
+	meta := e.ckpt.meta0
+	meta.Depth = e.depth
+	meta.Fired = e.res.Stats.FiredTransitions
+	meta.WildcardAborts = e.res.Stats.WildcardAborts
+	meta.MaxDepth = e.res.Stats.MaxDepth
+	meta.WildcardHit = e.res.WildcardHit
+	meta.GoalHit = append([]bool(nil), e.goalHit...)
+	meta.PeakFrontier = e.peak
+	meta.FrontierLen = len(level)
+	meta.VisitedLen = e.visited.Len()
+	return e.ckpt.save(meta, func(yield func(ts.State) error) error {
+		for i := range level {
+			if err := yield(level[i].state); err != nil {
 				return err
 			}
 		}

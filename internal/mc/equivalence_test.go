@@ -149,6 +149,55 @@ func TestZooEquivalenceVisitedBackends(t *testing.T) {
 	}
 }
 
+// TestZooEquivalenceDFS puts search order on the differential axis: DFS
+// runs the same expand as BFS, as a stack instead of levels, so on every
+// zoo entry that BFS explores completely and passes, DFS must report the
+// same verdict, state count and transition count — on the flat table and
+// through the spill tier, which DFS never tells about level boundaries and
+// which must therefore bound its run files by itself. (Depth is order-
+// dependent and failing or wildcard-cut entries stop at order-dependent
+// points, so neither is compared.)
+func TestZooEquivalenceDFS(t *testing.T) {
+	for _, name := range zoo.Names() {
+		t.Run(name, func(t *testing.T) {
+			run := func(order mc.SearchOrder, backend visited.Kind) *mc.Result {
+				sys, err := zoo.Get(name, zoo.Params{Caches: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := mc.Check(sys, mc.Options{
+					Symmetry: true,
+					Env:      ts.NewEnv(wildcardChooser{}), // complete models never call Choose
+					Order:    order,
+					Visited:  backend,
+					SpillMem: 1, // floor: force flushes on even tiny spaces
+					SpillDir: t.TempDir(),
+				})
+				if err != nil {
+					t.Fatalf("order=%v visited=%v: %v", order, backend, err)
+				}
+				return res
+			}
+			base := run(mc.BFS, visited.Flat)
+			if base.Verdict != mc.Success {
+				t.Skipf("BFS verdict %v: not a complete passing entry", base.Verdict)
+			}
+			for _, backend := range []visited.Kind{visited.Flat, visited.Spill} {
+				res := run(mc.DFS, backend)
+				if res.Verdict != base.Verdict {
+					t.Errorf("dfs visited=%v: verdict %v, want %v", backend, res.Verdict, base.Verdict)
+				}
+				if res.Stats.VisitedStates != base.Stats.VisitedStates {
+					t.Errorf("dfs visited=%v: states %d, want %d", backend, res.Stats.VisitedStates, base.Stats.VisitedStates)
+				}
+				if res.Stats.FiredTransitions != base.Stats.FiredTransitions {
+					t.Errorf("dfs visited=%v: transitions %d, want %d", backend, res.Stats.FiredTransitions, base.Stats.FiredTransitions)
+				}
+			}
+		})
+	}
+}
+
 // TestFlatVisitedBytesReduction pins the tentpole's headline number: on
 // msi-complete, the flat backend's measured visited-set footprint must be
 // at least 30% below the map backend's under the parallel driver (whose

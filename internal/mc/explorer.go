@@ -1,0 +1,597 @@
+package mc
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"sync"
+	"unsafe"
+
+	"verc3/internal/obs"
+	"verc3/internal/statespace"
+	"verc3/internal/ts"
+	"verc3/internal/visited"
+)
+
+// item is one frontier entry: the state itself with the hole-usage mask
+// accumulated along its path. This is the trace-optional representation —
+// with RecordTrace off the item is everything the checker holds for a
+// state; with it on, node additionally points into the parent-linked trace
+// store, whose parent chains keep every ancestor alive (the inherent memory
+// cost of counterexamples). Depth is not stored per entry: every entry of a
+// BFS level shares it, and DFS keeps a side stack (see explorer.depth).
+type item struct {
+	state ts.State
+	node  *statespace.TraceNode[ts.State] // nil unless RecordTrace
+	mask  uint64
+}
+
+// worker is one exploration worker's private scratch and tallies. Nothing
+// in it is shared: the keyer and transition buffer keep the keying and
+// enumeration hot paths allocation- and lock-free, and the counters are
+// plain integers that explorer.sum folds into the Result while no worker is
+// running (level boundaries and the end of the run). The struct is padded
+// so neighbouring workers' per-transition counter writes never false-share.
+//
+// The recycling side needs no free-list here: the models pool through
+// sync.Pool, whose per-P private caches already give each worker goroutine
+// a lock-free local free-list.
+type worker struct {
+	key keyer
+	trs []ts.Transition
+	// ow stages this worker's telemetry counters (nil when Options.Obs is
+	// unset; every method no-ops on nil).
+	ow *obs.Worker
+	// out collects the fresh successors this worker admitted: its share of
+	// the next BFS level, or the whole DFS stack.
+	out []item
+	// cur is the state being expanded, so a contained panic can report it.
+	cur ts.State
+	// poll counts expansions toward the next cooperative cancellation check.
+	poll int
+
+	// Tallies since the last sum. admitted feeds the MaxStates probe,
+	// goalHit is this worker's view of the witnessed reachability goals.
+	fired, aborts, admitted, maxDepth int
+	recycled                          uint64
+	goalHit                           []bool
+	_                                 [64]byte
+}
+
+// minFrontierCap is a frontier buffer's first capacity. Synthesis runs tens
+// of thousands of ~75-state checks whose widest level is mostly 12–24
+// entries, so the buffers start small: on the synth-large benchmark
+// workload 16 allocates 1,412 MB in total, 8 (regrowing) 1,432 MB, 32
+// 1,449 MB and 64 1,560 MB.
+const minFrontierCap = 16
+
+// push appends it to the worker's output, doubling the buffer when full.
+// append's own growth drops toward 1.25× for large slices and would
+// reallocate a wide level about five times over; doubling keeps a run's
+// frontier allocation within 2× of its peak.
+func (w *worker) push(it item) {
+	if len(w.out) == cap(w.out) {
+		w.out = grow(w.out, 1)
+	}
+	w.out = append(w.out, it)
+}
+
+// grow returns buf with room for n more items.
+func grow(buf []item, n int) []item {
+	if len(buf)+n <= cap(buf) {
+		return buf
+	}
+	grown := make([]item, len(buf), max(2*cap(buf), len(buf)+n, minFrontierCap))
+	copy(grown, buf)
+	return grown
+}
+
+// explorer is the safety exploration kernel: one expand / checkState / fail
+// / admit path shared by every configuration. What varies is only how many
+// workers walk the frontier (len(workers), from Options.Workers) and in
+// which order (Options.Order): breadth-first runs level by level, each
+// level spread over the workers — a single worker expands it inline on the
+// caller's goroutine, in item order, touching no atomics — and depth-first
+// runs worker 0's output buffer as a stack.
+//
+// Successors dedupe through the visited set, whose TryInsert doubles as the
+// expansion-ownership claim: every backend admits at most one of any set of
+// racing inserts of a fingerprint, so every admitted state is checked and
+// expanded exactly once and the counts are exact at any width.
+type explorer struct {
+	sys    ts.System
+	opt    Options
+	ctx    context.Context
+	invs   []ts.Invariant
+	goals  []ts.ReachGoal
+	quies  ts.QuiescentReporter
+	lc     lifecycle
+	ckpt   *checkpointer
+	labels *phaseLabels
+
+	visited visited.Store
+	traces  *statespace.TraceStore[ts.State]
+	workers []worker
+	// level is the BFS level being expanded and depth the search depth of
+	// the entries being expanded — the level's, or under DFS the popped
+	// entry's. Both are read-only while workers run.
+	level []item
+	depth int
+
+	// Run totals, folded from the workers' tallies by sum. admitted mirrors
+	// visited.Len() so the MaxStates probe never touches the store (Len can
+	// be a sweep for some backends); peak is the PeakFrontier high-water
+	// mark (see statespace.Stats).
+	admitted int
+	recycled uint64
+	peak     int
+	goalHit  []bool
+
+	// mu guards the first-wins stop records in res — Failure, Abort, CapHit
+	// — which racing workers may report in the same level. They are rare
+	// events, never on the expansion path.
+	mu  sync.Mutex
+	res Result
+}
+
+// explore runs the safety pass of Check.
+func explore(ctx context.Context, sys ts.System, opt Options) (*Result, error) {
+	n := 1
+	// DFS is an ordered traversal and usage tracking brackets each firing
+	// with ResetUsage/Usage on one tracker, so both need a single worker.
+	if opt.Order == BFS && opt.Usage == nil && opt.Workers > 1 {
+		n = opt.Workers
+	}
+	e := &explorer{
+		sys:     sys,
+		opt:     opt,
+		ctx:     ctx,
+		invs:    sys.Invariants(),
+		lc:      newLifecycle(sys, opt),
+		labels:  newPhaseLabels(opt),
+		traces:  statespace.NewTraceStore[ts.State](opt.RecordTrace),
+		workers: make([]worker, n),
+	}
+	if n == 1 {
+		e.visited = visited.New(visitedConfig(opt))
+	} else {
+		e.visited = visited.NewConcurrent(visitedConfig(opt))
+	}
+	if gr, ok := sys.(ts.GoalReporter); ok {
+		e.goals = gr.Goals()
+	}
+	e.quies, _ = sys.(ts.QuiescentReporter)
+	canon := newCanon(sys, opt)
+	// One backing array for the goal flags: the run's merged view first,
+	// then each worker's own.
+	g := len(e.goals)
+	hits := make([]bool, (n+1)*g)
+	e.goalHit, hits = hits[:g:g], hits[g:]
+	for i := range e.workers {
+		w := &e.workers[i]
+		w.key = keyer{canon: canon, legacy: opt.StringKeys}
+		w.ow = opt.Obs.NewWorker()
+		w.goalHit, hits = hits[:g:g], hits[g:]
+	}
+	var err error
+	if e.ckpt, err = newCheckpointer(sys, opt, e.visited); err != nil {
+		closeStore(e.visited)
+		return nil, err
+	}
+	opt.Obs.SetGauge(obs.GMaxStates, uint64(opt.MaxStates))
+	err = e.run()
+	e.labels.clear()
+	e.finish()
+	if cerr := closeStore(e.visited); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &e.res, nil
+}
+
+// run seeds the frontier and walks it in the selected order. Every way a
+// run can end early — violation, cancellation, contained panic, state cap
+// — is recorded in res by the time run returns; finish settles the verdict.
+func (e *explorer) run() error {
+	w := &e.workers[0]
+	resumed, err := e.resume(w)
+	if err != nil {
+		return err
+	}
+	if !resumed {
+		if stop, err := e.seed(w); stop || err != nil {
+			return err
+		}
+	}
+	if e.opt.Order == DFS {
+		_, err = e.dfs(w)
+		return err
+	}
+	return e.bfs()
+}
+
+// seed admits and checks the initial states into w's output.
+func (e *explorer) seed(w *worker) (stop bool, err error) {
+	defer e.contain(w, &stop)
+	inits := e.sys.Initial()
+	if len(inits) == 0 {
+		return true, fmt.Errorf("mc: system %q has no initial states", e.sys.Name())
+	}
+	for _, s := range inits {
+		w.cur = s
+		if !e.admit(w, s, nil) {
+			continue
+		}
+		it := item{state: s, node: e.traces.Add(s, "", nil)}
+		if e.checkState(w, it) {
+			return true, nil
+		}
+		w.push(it)
+	}
+	return false, nil
+}
+
+// bfs is the level-synchronous walk. Between levels no worker is running,
+// so that is where tallies are summed, level-aware backends reorganize
+// (spill merges its run files), telemetry is published and the
+// checkpointer snapshots.
+func (e *explorer) bfs() error {
+	level := e.gather(nil)
+	for len(level) > 0 {
+		stop, err := e.expandLevel(level)
+		level = e.gather(level)
+		if stop || err != nil || len(level) == 0 {
+			return err
+		}
+		e.depth++
+		if err := e.endLevel(len(level)); err != nil {
+			return err
+		}
+		if err := e.checkpoint(level); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// gather sums the workers' tallies and collects their outputs into the next
+// level. Worker 0's buffer becomes the level and the finished level's
+// buffer (done) becomes worker 0's next output, so a single worker just
+// swaps two buffers that are recycled for the whole run; further workers'
+// outputs are appended behind. The finished level stays in its buffer while
+// the next one fills, so the frontier high-water mark is their coexistence,
+// not either level alone. With several workers the order within a level
+// depends on scheduling; the level structure keeps BFS depth semantics
+// regardless.
+func (e *explorer) gather(done []item) []item {
+	e.sum()
+	w0 := &e.workers[0]
+	next := w0.out
+	w0.out = done[:0]
+	for i := 1; i < len(e.workers); i++ {
+		w := &e.workers[i]
+		next = append(grow(next, len(w.out)), w.out...)
+		w.out = w.out[:0]
+	}
+	e.peak = max(e.peak, len(done)+len(next))
+	return next
+}
+
+// expandLevel spreads one level over the workers; a single worker (or a
+// single-item level) runs inline on the calling goroutine.
+func (e *explorer) expandLevel(level []item) (stop bool, err error) {
+	e.level = level
+	if n := min(len(e.workers), len(level)); n > 1 {
+		return statespace.ExpandLevel(n, len(level), e.span)
+	}
+	return e.span(0, 0, len(level))
+}
+
+// span expands level[lo:hi] in order on worker wi. Each range starts with
+// an unconditional cancellation poll: an already-expired context aborts
+// before any expansion, a deadline cannot slip past a whole level however
+// small the levels are, and a wide level split over several workers cannot
+// leave every one of them short of expand's stride.
+func (e *explorer) span(wi, lo, hi int) (stop bool, err error) {
+	w := &e.workers[wi]
+	defer e.contain(w, &stop)
+	if e.cancelled() {
+		return true, nil
+	}
+	for _, it := range e.level[lo:hi] {
+		if stop, err := e.expand(w, it); stop || err != nil {
+			return true, err
+		}
+	}
+	return false, nil
+}
+
+// dfs runs w's output as a stack, with the entries' depths on a side stack.
+// DFS has no levels: level-aware backends rely on their own housekeeping,
+// cancellation — past the first poll — on expand's stride, and
+// PeakFrontier is the stack's high-water mark.
+func (e *explorer) dfs(w *worker) (stop bool, err error) {
+	defer e.contain(w, &stop)
+	if e.cancelled() {
+		return true, nil
+	}
+	e.peak = len(w.out)
+	depths := make([]int, len(w.out))
+	for n := len(w.out) - 1; n >= 0; n = len(w.out) - 1 {
+		it := w.out[n]
+		e.depth = depths[n]
+		w.out, depths = w.out[:n], depths[:n]
+		stop, err := e.expand(w, it)
+		for len(depths) < len(w.out) {
+			depths = append(depths, e.depth+1)
+		}
+		e.peak = max(e.peak, len(w.out))
+		if stop || err != nil {
+			return true, err
+		}
+	}
+	return false, nil
+}
+
+// contain is deferred by every function that calls into model code
+// (Transitions, Fire, an invariant, Key): a panic out of the model is
+// converted into an abort carrying the offending state's key and the
+// panicking stack instead of crashing the process, and *stop is raised so
+// the other workers drain. It must be the deferred function itself for
+// recover to see the panic, and a worker goroutine's panic cannot cross
+// into its parent — hence per function, not once per run.
+func (e *explorer) contain(w *worker, stop *bool) {
+	if p := recover(); p != nil {
+		e.abort(panicAbort(p, w.cur))
+		*stop = true
+	}
+}
+
+// abort records why the run was cut short; the first cause wins (racing
+// workers observing the same cancel, a second panicking worker).
+func (e *explorer) abort(info *AbortInfo) {
+	e.mu.Lock()
+	if e.res.Abort == nil {
+		e.res.Abort = info
+	}
+	e.mu.Unlock()
+}
+
+// cancelled polls the context, recording the abort when it is done.
+func (e *explorer) cancelled() bool {
+	if e.ctx.Err() == nil {
+		return false
+	}
+	e.abort(cancelAbort(e.ctx))
+	return true
+}
+
+// fail records the first property violation; later ones (racing workers in
+// the same level) are dropped, so the reported trace is always a single
+// consistent parent chain. n is the failing state's trace node (nil with
+// traces off).
+func (e *explorer) fail(kind FailKind, name string, n *statespace.TraceNode[ts.State], mask uint64) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.res.Failure != nil {
+		return
+	}
+	fi := &FailureInfo{Kind: kind, Name: name, UsageMask: mask}
+	if n != nil {
+		fi.Trace = tracePath(n)
+	}
+	e.res.Failure = fi
+}
+
+// admit claims expansion ownership of s through w's keyer scratch and
+// reports whether s is fresh. Rejected duplicates are recycled on the spot:
+// a duplicate was never traced and never emitted, so only the calling
+// worker can still reach it — the unconditionally safe recycle point, valid
+// with traces on or off.
+func (e *explorer) admit(w *worker, s ts.State, sw *obs.Stopwatch) bool {
+	e.labels.key()
+	sw.Mark()
+	fp := w.key.fingerprint(s)
+	sw.Lap(obs.PhaseKey)
+	e.labels.insert()
+	fresh := e.visited.TryInsert(fp)
+	sw.Lap(obs.PhaseInsert)
+	if !fresh {
+		w.ow.Inc(obs.CDuplicates)
+		e.recycle(w, s)
+		return false
+	}
+	w.ow.Inc(obs.CStates)
+	w.admitted++
+	return true
+}
+
+// recycle hands a dead state back to the system's pool. The caller must own
+// s outright: nothing — trace node, frontier entry, failure info — may
+// still dereference it (see the ts package's ownership rules).
+func (e *explorer) recycle(w *worker, s ts.State) {
+	if e.lc.recycler != nil {
+		e.lc.recycler.Recycle(s)
+		w.recycled++
+		w.ow.Inc(obs.CRecycled)
+	}
+}
+
+// checkState runs invariants and goal predicates on a freshly admitted
+// state; it reports whether exploration should stop (violation recorded).
+func (e *explorer) checkState(w *worker, it item) bool {
+	for _, inv := range e.invs {
+		if !inv.Holds(it.state) {
+			e.fail(FailInvariant, inv.Name, it.node, it.mask)
+			return true
+		}
+	}
+	for gi := range e.goals {
+		if !w.goalHit[gi] && e.goals[gi].Holds(it.state) {
+			w.goalHit[gi] = true
+		}
+	}
+	return false
+}
+
+// expand fires all transitions of frontier entry it on worker w, pushing
+// fresh successors onto w's output. stop reports that the run should end:
+// violation, cancellation or state cap (each recorded in res), or err.
+func (e *explorer) expand(w *worker, it item) (stop bool, err error) {
+	if w.poll++; w.poll >= cancelPollStride {
+		w.poll = 0
+		if e.cancelled() {
+			return true, nil
+		}
+	}
+	// The probe adds this worker's own admissions to the total as of the
+	// last level boundary: exact with one worker; several workers may each
+	// notice the cap up to one level late.
+	if e.opt.MaxStates > 0 && e.admitted+w.admitted > e.opt.MaxStates {
+		e.mu.Lock()
+		e.res.CapHit = true
+		e.mu.Unlock()
+		return true, nil
+	}
+	w.cur = it.state
+	sw := w.ow.BeginExpansion() // nil on unsampled expansions; Stopwatch is nil-safe
+	defer sw.Done()
+	e.labels.enumerate()
+	sw.Mark()
+	var trs []ts.Transition
+	if e.lc.appender != nil {
+		w.trs = e.lc.appender.AppendTransitions(w.trs[:0], it.state)
+		trs = w.trs
+	} else {
+		trs = e.sys.Transitions(it.state)
+	}
+	sw.Lap(obs.PhaseEnumerate)
+	usage := e.opt.Usage
+	succs, blocked := 0, 0
+	for _, tr := range trs {
+		if usage != nil {
+			usage.ResetUsage()
+		}
+		e.labels.fire()
+		sw.Mark()
+		next, ferr := tr.Fire(e.opt.Env)
+		sw.Lap(obs.PhaseFire)
+		if ferr != nil {
+			if errors.Is(ferr, ts.ErrWildcard) {
+				w.aborts++
+				w.ow.Inc(obs.CAborts)
+				blocked++
+				continue
+			}
+			return true, fmt.Errorf("mc: transition %q from state %q: %w", tr.Name, it.state.Key(), ferr)
+		}
+		w.fired++
+		w.ow.Inc(obs.CTransitions)
+		succs++
+		mask := it.mask
+		if usage != nil {
+			mask |= usage.Usage()
+		}
+		if !e.admit(w, next, sw) {
+			continue
+		}
+		child := item{state: next, node: e.traces.Add(next, tr.Name, it.node), mask: mask}
+		w.maxDepth = max(w.maxDepth, e.depth+1)
+		if e.checkState(w, child) {
+			return true, nil
+		}
+		w.push(child)
+	}
+	if succs == 0 && !e.opt.NoDeadlock && blocked == 0 {
+		// With blocked > 0 all outgoing behaviour hides behind wildcards:
+		// not provably a deadlock; the Unknown verdict (WildcardHit) covers
+		// it, and the expansion completes normally below.
+		if e.quies == nil || !e.quies.Quiescent(it.state) {
+			e.fail(FailDeadlock, "deadlock", it.node, it.mask)
+			return true, nil
+		}
+	}
+	// Normal completion. In traceless mode the expanded state is dead: no
+	// trace node references it, its frontier entry is never read again (the
+	// level buffer's copy of the pointer is not dereferenced), and the fired
+	// closures are gone — so its storage returns to the pool from the worker
+	// that owned its expansion. With traces on it is retained by its trace
+	// node and must escape the pool forever.
+	if !e.opt.RecordTrace {
+		e.recycle(w, it.state)
+	}
+	return false, nil
+}
+
+// sum folds every worker's tallies into the run totals and refreshes each
+// worker's view of the witnessed goals. Called only while no worker runs.
+func (e *explorer) sum() {
+	st := &e.res.Stats
+	for i := range e.workers {
+		w := &e.workers[i]
+		st.FiredTransitions += w.fired
+		st.WildcardAborts += w.aborts
+		st.MaxDepth = max(st.MaxDepth, w.maxDepth)
+		e.admitted += w.admitted
+		e.recycled += w.recycled
+		w.fired, w.aborts, w.admitted, w.recycled = 0, 0, 0, 0
+		for gi, hit := range w.goalHit {
+			e.goalHit[gi] = e.goalHit[gi] || hit
+		}
+	}
+	for i := range e.workers {
+		copy(e.workers[i].goalHit, e.goalHit)
+	}
+	e.res.WildcardHit = st.WildcardAborts > 0
+}
+
+// finish assembles the Result. Every worker has joined, so summing their
+// tallies and flushing their staged telemetry from this goroutine is safe
+// even when the run stopped mid-level; the partial counts stay visible
+// whatever the verdict.
+func (e *explorer) finish() {
+	e.sum()
+	e.publish(0)
+	res := &e.res
+	res.Stats.VisitedStates = e.visited.Len()
+	res.Space.Transitions = res.Stats.FiredTransitions
+	res.Space.PeakFrontier = e.peak
+	res.Space.TraceNodes = e.traces.Nodes()
+	e.lc.finishPool(&res.Space, e.recycled)
+	vs := e.visited.Stats()
+	res.Space.States = vs.States
+	res.Space.VisitedBytes = vs.Bytes
+	res.Space.Backend = vs.Backend
+	res.Space.Inexact = !vs.Exact
+	res.Space.OmissionProb = vs.OmissionProb
+	res.Space.SpilledBytes = vs.SpilledBytes
+	res.Space.SpillRuns = vs.SpillRuns
+	res.Exact = vs.Exact
+	res.Space.SetRetained(unsafe.Sizeof(item{}), e.traces.NodeBytes())
+	switch {
+	case res.Failure != nil:
+		// A violation found before the abort is the more informative
+		// verdict and wins.
+		res.Verdict, res.Abort = Failure, nil
+	case res.Abort != nil:
+		// Reachability goals are not judged on an aborted run, and an abort
+		// outranks the wildcard/cap downgrades.
+		res.Verdict = Aborted
+	case res.WildcardHit || res.CapHit:
+		res.Verdict = Unknown
+	default:
+		// Complete exploration: reachability goals are decidable now.
+		res.Verdict = Success
+		for gi, hit := range e.goalHit {
+			if !hit {
+				// A goal failure is a property of the entire explored
+				// space; conservatively mark every hole as involved.
+				res.Verdict = Failure
+				res.Failure = &FailureInfo{Kind: FailGoal, Name: e.goals[gi].Name, UsageMask: ^uint64(0)}
+				break
+			}
+		}
+	}
+}

@@ -37,7 +37,7 @@
 //
 // The search stores only 64-bit fingerprints of product states — the
 // system state's binary encoding (ts.KeyAppender, same pipeline as the
-// safety drivers; Options.StringKeys falls back to hashing Key()) extended
+// safety kernel; Options.StringKeys falls back to hashing Key()) extended
 // with the monitor and copy bytes — in two visited.Store instances (the
 // blue "done" set and the red "confirmed cycle-free" set), plus a cyan
 // map for the states on the outer DFS stack. Lossy backends are rejected
@@ -192,7 +192,7 @@ func (l *liveChecker) abort(info *AbortInfo) {
 }
 
 // pollCancel is the nested-DFS cancellation probe, sharing the safety
-// drivers' stride; it reports whether the search should stop, having
+// kernel's stride; it reports whether the search should stop, having
 // recorded the abort.
 func (l *liveChecker) pollCancel() bool {
 	if l.res.Verdict == Aborted {

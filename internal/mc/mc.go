@@ -8,7 +8,7 @@
 //
 // # Keying scheme and visited-set backends
 //
-// Both exploration drivers share one keying scheme (internal/statespace): a
+// Every exploration shares one keying scheme (internal/statespace): a
 // state's canonical encoding — its ts.KeyAppender binary encoding appended
 // into per-worker scratch (canonicalized over all agent permutations when
 // Options.Symmetry is on, see internal/symmetry), falling back to the
@@ -16,23 +16,23 @@
 // 64-bit FNV-1a fingerprint, and only the fingerprint is stored. On the
 // appender path nothing per-state is allocated to key a state: the
 // encoding lands in a reusable buffer and the fingerprint comes straight
-// off it (statespace.OfBytes). Because the sequential and parallel drivers
-// dedupe through the same fingerprints, complete explorations report
-// identical reachable-state counts under both; Options.StringKeys forces
-// the legacy string path for differential testing.
+// off it (statespace.OfBytes). Because every worker count and search order
+// dedupes through the same fingerprints, complete explorations report
+// identical reachable-state counts under all of them; Options.StringKeys
+// forces the legacy string path for differential testing.
 //
 // Where the fingerprints live is pluggable (Options.Visited, package
 // internal/visited): a Robin Hood open-addressing table (the default), Go
 // maps (the original backend), a disk-spilling two-level store that keeps
 // RAM near Options.SpillMem while sorted fingerprint runs hold the bulk
-// on disk (merged at every BFS level boundary by both drivers), or a
+// on disk (merged at every BFS level boundary), or a
 // SPIN-style bitstate array with a fixed memory budget
 // (Options.BitstateMB). The exact backends are interchangeable
 // bit-for-bit; bitstate can omit states, so Result.Exact reports false
 // and Result.Space carries its omission-probability estimate. TryInsert
-// doubles as the parallel driver's expansion-ownership claim and every
-// backend admits exactly one of any set of racing inserts, so state and
-// transition counts are exact for the explored space under all backends.
+// doubles as the expansion-ownership claim and every backend admits
+// exactly one of any set of racing inserts, so state and transition counts
+// are exact for the explored space under all backends at any worker count.
 //
 // # Trace-optional exploration
 //
@@ -47,17 +47,39 @@
 // rebuilt from the parent chain. Result.Space profiles whichever regime ran
 // (states, transitions, peak frontier, trace nodes, bytes retained).
 //
-// # Drivers, Workers and ShardBits
+// # One kernel, Workers and Order
 //
-// Options.Workers selects the driver. Workers <= 1 runs the sequential
-// driver: deterministic BFS/DFS order and minimal BFS counterexamples — the
-// property the paper's candidate pruning relies on, since a minimal trace
-// of a faulty protocol rarely exercises every hole, so its failure
-// generalizes to every candidate sharing the trace's hole subset. Workers >
-// 1 runs the level-synchronous parallel BFS driver: each frontier level is
-// spread over the worker pool and successors dedupe through a sharded
-// visited set with 2^Options.ShardBits lock-striped shards. DFS order and
-// usage tracking force the sequential driver.
+// One kernel (explorer, in explorer.go) runs every safety exploration: one
+// expand — enumerate, fire, key, admit, check, recycle, with the usage-mask
+// bracket and the deadlock test — one checkState and fail, one abort path
+// for cancellation, contained model panics and the state cap, one
+// checkpoint/resume pair and one telemetry boundary. Two things vary.
+//
+// Options.Workers is how many workers walk a BFS level. Each owns a scratch
+// struct — fingerprinting buffer, transition buffer, telemetry stage, the
+// successors it admitted, and plain counters for transitions fired,
+// wildcard aborts, admissions, recycles, depth reached and goals witnessed
+// — so nothing on the expansion path is shared but the visited set. The
+// counters are summed into the Result between levels and at the end of the
+// run, when no worker is running; that is also where level-aware backends
+// reorganize, telemetry is published and checkpoints are taken. One worker
+// expands each level inline on the caller's goroutine, in frontier order,
+// over a store without locks: the run is deterministic and its BFS
+// counterexamples are minimal — the property the paper's candidate pruning
+// relies on, since a minimal trace of a faulty protocol rarely exercises
+// every hole, so its failure generalizes to every candidate sharing the
+// trace's hole subset. Several workers claim chunks of the level from a
+// shared cursor (statespace.ExpandLevel) and dedupe through a lock-striped
+// store; their counts and verdicts are the same, their counterexamples are
+// valid replays but not necessarily minimal, and the first violation
+// recorded wins.
+//
+// Options.Order is how the frontier is walked. BFS goes level by level, the
+// workers' outputs becoming the next level, from two buffers that are
+// recycled for the whole run. DFS runs one worker's output as a stack over
+// the same expand. DFS order and usage tracking (Options.Usage: one tracker
+// brackets one firing at a time) always run one worker, whatever Workers
+// says.
 //
 // # Verdicts
 //
@@ -76,19 +98,17 @@
 // FailLiveness failures carry a stem-plus-cycle trace (FailureInfo.
 // CycleStart) whose replay closes a real cycle. The phase shares the
 // fingerprint pipeline, visited backends (exact only; see
-// ErrLivenessInexact) and successor recycling with the safety drivers, and
+// ErrLivenessInexact) and successor recycling with the safety kernel, and
 // reports its own counters in Result.Space (LiveStates, RedStates,
 // CycleLen). See liveness.go.
 package mc
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"runtime"
 	"time"
-	"unsafe"
 
 	"verc3/internal/faultfs"
 	"verc3/internal/obs"
@@ -283,7 +303,10 @@ type Options struct {
 	// NoDeadlock disables deadlock detection.
 	NoDeadlock bool
 	// MaxStates caps the number of visited states (0 = unlimited). Hitting
-	// the cap downgrades a would-be success to Unknown.
+	// the cap downgrades a would-be success to Unknown. One worker stops at
+	// the first expansion past the cap; several workers each count their
+	// own admissions on top of the total at the last level boundary, so
+	// they may overshoot by up to one level.
 	MaxStates int
 	// RecordTrace allocates a parent-linked trace-store node per discovered
 	// state so failures carry a replayable counterexample. Costs O(states)
@@ -292,24 +315,18 @@ type Options struct {
 	RecordTrace bool
 	// Order selects BFS (default) or DFS.
 	Order SearchOrder
-	// Workers selects the exploration driver. Values <= 1 run the
-	// deterministic sequential driver; values > 1 run the level-synchronous
-	// parallel BFS driver (internal/statespace) with that many goroutines
-	// over a sharded visited set. Parallel exploration requires the system's
-	// Transitions/Fire — and any Chooser behind Env — to be safe for
-	// concurrent use (complete models and internal/core's chooser are).
-	// Runs that need strictly sequential semantics fall back automatically:
-	// DFS order and usage tracking (Options.Usage) both force Workers = 1.
-	// Parallel counterexample traces are valid replays but, unlike
-	// sequential BFS traces, are not guaranteed minimal; reachable-state
-	// counts of complete explorations are identical across drivers because
-	// both dedupe by the same canonical-key fingerprint.
+	// Workers is the number of workers that expand each BFS level; values
+	// <= 1 mean one. One worker runs inline on the caller's goroutine and is
+	// deterministic, with minimal BFS counterexamples. More spread every
+	// level over that many goroutines and dedupe through a lock-striped
+	// visited set, which requires the system's Transitions/Fire — and any
+	// Chooser behind Env — to be safe for concurrent use (complete models
+	// and internal/core's chooser are). Their counterexample traces are
+	// valid replays but not guaranteed minimal; verdicts and the counts of
+	// complete explorations are identical at every width because all dedupe
+	// by the same canonical-key fingerprint. DFS order and usage tracking
+	// (Options.Usage) always run one worker.
 	Workers int
-	// ShardBits is log2 of the parallel visited set's shard (map backend)
-	// or stripe (flat backend) count; 0 selects the backend default
-	// (visited.DefaultShardBits / visited.DefaultFlatStripeBits). Ignored
-	// by the sequential driver and by the bitstate backend.
-	ShardBits int
 	// Visited selects the visited-set storage backend (internal/visited).
 	// The zero value is visited.Flat, the open-addressing table; Map is
 	// the original Go-map backend (exact, interchangeable with Flat);
@@ -379,7 +396,7 @@ type Options struct {
 	// per expansion) even when the system can append into the checker's
 	// per-worker scratch. For differential testing and the E15 ablation.
 	FreshTransitions bool
-	// ProfileLabels wraps the drivers' inner-loop phases (enumerate / fire
+	// ProfileLabels wraps the kernel's inner-loop phases (enumerate / fire
 	// / key / insert) in runtime/pprof goroutine labels so -cpuprofile
 	// output attributes hot-path time by phase. Costs one label switch per
 	// phase transition; leave it off except when profiling (the cmd/ tools
@@ -408,61 +425,7 @@ type Options struct {
 	Obs *obs.Collector
 }
 
-// item is one frontier entry of the sequential driver: the state itself
-// with its BFS depth and the accumulated hole-usage mask. This is the
-// trace-optional representation — with RecordTrace off the item is
-// everything the checker holds for a state (and it is dropped once the
-// state is expanded); with it on, node additionally points into the
-// parent-linked trace store.
-type item struct {
-	state ts.State
-	node  *statespace.TraceNode[ts.State] // nil unless RecordTrace
-	depth int
-	mask  uint64
-}
-
-type checker struct {
-	sys   ts.System
-	opt   Options
-	ctx   context.Context
-	canon *symmetry.Canonicalizer
-	key   keyer
-	invs  []ts.Invariant
-	goals []ts.ReachGoal
-	quies ts.QuiescentReporter
-	lc    lifecycle
-	ckpt  *checkpointer
-	// pollN counts expansions toward the next cooperative cancellation
-	// check; cur is the state currently being expanded, so a recovered
-	// panic can report which state blew up.
-	pollN int
-	cur   ts.State
-	// resumePeak carries a resumed run's checkpointed frontier high-water
-	// mark, merged with the live queue's own peak at the end.
-	resumePeak int
-	// trsBuf is the transition scratch: on the ts.TransitionAppender path it
-	// is truncated and refilled per expansion, so steady-state enumeration
-	// allocates nothing.
-	trsBuf   []ts.Transition
-	recycled uint64
-	labels   *phaseLabels
-	// ow is the telemetry staging worker (nil when Options.Obs is unset;
-	// every method no-ops on nil, mirroring the labels idiom).
-	ow *obs.Worker
-
-	visited  visited.Store
-	traces   *statespace.TraceStore[ts.State]
-	frontier statespace.Queue[item]
-	goalHit  []bool
-	// admitted mirrors visited.Len() as a plain monotonic counter so the
-	// MaxStates cap probe never touches the store on the expansion path
-	// (Len can be a sweep for some backends).
-	admitted int
-
-	res Result
-}
-
-// lifecycle is a driver's handle on the successor lifecycle protocol: the
+// lifecycle is a run's handle on the successor lifecycle protocol: the
 // system's recycler accepting dead states (nil when the system does not pool
 // or Options.NoRecycle), the appender enumeration path (nil when absent or
 // Options.FreshTransitions forces plain Transitions), and the pool-traffic
@@ -502,27 +465,6 @@ func (lc *lifecycle) finishPool(space *statespace.Stats, recycled uint64) {
 	}
 }
 
-// recycle hands a dead state back to the system's pool. The caller must own
-// s outright: nothing — trace node, frontier entry, failure info — may still
-// reference it (see the ts package's ownership rules).
-func (c *checker) recycle(s ts.State) {
-	if c.lc.recycler != nil {
-		c.lc.recycler.Recycle(s)
-		c.recycled++
-		c.ow.Inc(obs.CRecycled)
-	}
-}
-
-// enumerate lists the transitions enabled in s, through the appender path
-// into the reusable scratch when the system supports it.
-func (c *checker) enumerate(s ts.State) []ts.Transition {
-	if c.lc.appender != nil {
-		c.trsBuf = c.lc.appender.AppendTransitions(c.trsBuf[:0], s)
-		return c.trsBuf
-	}
-	return c.sys.Transitions(s)
-}
-
 // Check explores the reachable state space of sys under opt. It is
 // CheckCtx with a background context: never cancelled, no deadline.
 //
@@ -560,21 +502,15 @@ func CheckCtx(ctx context.Context, sys ts.System, opt Options) (*Result, error) 
 	return res, nil
 }
 
-// check dispatches to the selected exploration driver, then — under
-// Options.Liveness — runs the nested-DFS liveness phase on the safety
-// pass's non-failing result. An aborted safety pass skips the liveness
-// phase: its product search is rooted in the same (now incomplete) space.
+// check runs the safety pass, then — under Options.Liveness — the
+// nested-DFS liveness phase on its non-failing result. An aborted safety
+// pass skips the liveness phase: its product search is rooted in the same
+// (now incomplete) space.
 func check(ctx context.Context, sys ts.System, opt Options) (*Result, error) {
 	if opt.Liveness && !opt.Visited.Exact() {
 		return nil, fmt.Errorf("mc: visited backend %q is lossy; %w", opt.Visited, ErrLivenessInexact)
 	}
-	var res *Result
-	var err error
-	if useParallel(opt) {
-		res, err = checkParallel(ctx, sys, opt)
-	} else {
-		res, err = checkSequential(ctx, sys, opt)
-	}
+	res, err := explore(ctx, sys, opt)
 	if err != nil || !opt.Liveness || res.Verdict == Failure || res.Verdict == Aborted {
 		return res, err
 	}
@@ -584,105 +520,12 @@ func check(ctx context.Context, sys ts.System, opt Options) (*Result, error) {
 	return res, nil
 }
 
-// checkSequential runs the deterministic sequential driver.
-func checkSequential(ctx context.Context, sys ts.System, opt Options) (*Result, error) {
-	c := &checker{
-		sys:     sys,
-		opt:     opt,
-		ctx:     ctx,
-		lc:      newLifecycle(sys, opt),
-		labels:  newPhaseLabels(opt),
-		visited: visited.New(visitedConfig(opt)),
-		traces:  statespace.NewTraceStore[ts.State](opt.RecordTrace),
-	}
-	c.invs = sys.Invariants()
-	if gr, ok := sys.(ts.GoalReporter); ok {
-		c.goals = gr.Goals()
-		c.goalHit = make([]bool, len(c.goals))
-	}
-	if qr, ok := sys.(ts.QuiescentReporter); ok {
-		c.quies = qr
-	}
-	c.canon = newCanon(sys, opt)
-	c.key = newKeyer(c.canon, opt)
-	var err error
-	if c.ckpt, err = newCheckpointer(sys, opt, c.visited); err != nil {
-		closeStore(c.visited)
-		return nil, err
-	}
-	c.obsStart()
-	err = c.runSafe()
-	c.labels.clear()
-	c.obsFinish(c.res.Stats.MaxDepth)
-	if err == nil {
-		c.res.Space.Transitions = c.res.Stats.FiredTransitions
-		c.res.Space.PeakFrontier = max(c.frontier.Peak(), c.resumePeak)
-		c.res.Space.TraceNodes = c.traces.Nodes()
-		c.lc.finishPool(&c.res.Space, c.recycled)
-		fillSpace(&c.res, c.visited, unsafe.Sizeof(item{}), c.traces.NodeBytes())
-	}
-	if cerr := closeStore(c.visited); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &c.res, nil
-}
-
-// runSafe is run with panic containment: a panic out of model code is
-// converted into an Aborted verdict carrying the offending state's key
-// and the panicking stack, instead of crashing the process.
-func (c *checker) runSafe() (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			c.abort(panicAbort(p, c.cur))
-			err = nil
-		}
-	}()
-	return c.run()
-}
-
-// abort records why the run was cut short and settles the verdict: a
-// failure found before the abort still wins; otherwise the verdict is
-// Aborted with the partial statistics visible so far.
-func (c *checker) abort(info *AbortInfo) {
-	if c.res.Verdict == Failure {
-		return
-	}
-	c.res.Abort = info
-	c.res.Verdict = Aborted
-	c.res.Stats.VisitedStates = c.visited.Len()
-}
-
-// pollCancel is the sequential driver's cooperative cancellation probe:
-// cheap enough for the expansion loop (one counter increment amortizing a
-// ctx.Err() load), unconditional at level boundaries (force). It reports
-// whether the run should stop, having recorded the abort.
-func (c *checker) pollCancel(force bool) bool {
-	if c.res.Abort != nil {
-		return true
-	}
-	if !force {
-		if c.pollN++; c.pollN < cancelPollStride {
-			return false
-		}
-		c.pollN = 0
-	}
-	if c.ctx.Err() != nil {
-		c.abort(cancelAbort(c.ctx))
-		return true
-	}
-	return false
-}
-
 // visitedConfig maps checker options onto the storage layer's config,
 // threading the fault-injection seam and the retry telemetry hook through
 // to the spill backend.
 func visitedConfig(opt Options) visited.Config {
 	return visited.Config{
 		Kind:       opt.Visited,
-		ShardBits:  opt.ShardBits,
 		BitstateMB: opt.BitstateMB,
 		SpillMem:   opt.SpillMem,
 		SpillDir:   opt.SpillDir,
@@ -691,47 +534,14 @@ func visitedConfig(opt Options) visited.Config {
 	}
 }
 
-// endLevel notifies level-aware backends (visited.LevelMarker) of a BFS
-// level boundary; the spill backend merges its run files here. A non-nil
-// error aborts the exploration — the store's answers are no longer
-// trustworthy.
-func endLevel(store visited.Store) error {
-	if lm, ok := store.(visited.LevelMarker); ok {
-		return lm.EndLevel()
-	}
-	return nil
-}
-
 // closeStore releases backends that own external resources (the spill
 // backend's run files). The returned error is the store's first I/O
-// failure, so even drivers that hit no level boundary surface it.
+// failure, so even runs that hit no level boundary surface it.
 func closeStore(store visited.Store) error {
 	if c, ok := store.(io.Closer); ok {
 		return c.Close()
 	}
 	return nil
-}
-
-// fillSpace folds the visited-set backend's self-report into the result's
-// memory profile and computes the retained-bytes figure.
-func fillSpace(res *Result, store visited.Store, itemBytes, nodeBytes uintptr) {
-	vs := store.Stats()
-	res.Space.States = vs.States
-	res.Space.VisitedBytes = vs.Bytes
-	res.Space.Backend = vs.Backend
-	res.Space.Inexact = !vs.Exact
-	res.Space.OmissionProb = vs.OmissionProb
-	res.Space.SpilledBytes = vs.SpilledBytes
-	res.Space.SpillRuns = vs.SpillRuns
-	res.Exact = vs.Exact
-	res.Space.SetRetained(itemBytes, nodeBytes)
-}
-
-// useParallel reports whether opt selects the parallel driver. DFS is
-// inherently an ordered traversal and usage tracking brackets each firing
-// with ResetUsage/Usage on one tracker, so both force the sequential path.
-func useParallel(opt Options) bool {
-	return opt.Workers > 1 && opt.Order == BFS && opt.Usage == nil
 }
 
 // newCanon builds the symmetry canonicalizer when enabled and applicable.
@@ -755,10 +565,9 @@ func anyPermutable(sys ts.System) (ts.Permutable, bool) {
 }
 
 // keyer is the per-worker fingerprinting scratch: the canonicalizer handle
-// plus a reusable encoding buffer for the no-symmetry appender path. Both
-// drivers thread one keyer per worker through enqueue/expand — never
-// shared, never locked — so the traceless synthesis regime fingerprints
-// without allocating at all. The zero value (nil canon) keys without
+// plus a reusable encoding buffer for the no-symmetry appender path. Every
+// worker owns one — never shared, never locked — so the traceless
+// synthesis regime fingerprints without allocating at all. The zero value (nil canon) keys without
 // symmetry reduction.
 type keyer struct {
 	canon  *symmetry.Canonicalizer
@@ -767,8 +576,8 @@ type keyer struct {
 }
 
 // fingerprint returns the 64-bit fingerprint of s's canonical encoding —
-// the keying scheme shared by both exploration drivers (which is what
-// makes their reachable-state counts comparable). The hot path appends s's
+// the keying scheme shared by every run (which is what makes reachable-
+// state counts comparable across widths and orders). The hot path appends s's
 // binary encoding into the keyer's reusable buffer (or the canonicalizer's
 // pooled scratch under symmetry) and hashes it in place; states without
 // ts.KeyAppender, and runs forcing Options.StringKeys, fall back to
@@ -790,11 +599,6 @@ func (k *keyer) fingerprint(s ts.State) statespace.Fingerprint {
 	return statespace.OfString(s.Key())
 }
 
-// newKeyer builds a worker's fingerprinting scratch.
-func newKeyer(canon *symmetry.Canonicalizer, opt Options) keyer {
-	return keyer{canon: canon, legacy: opt.StringKeys}
-}
-
 // tracePath converts a trace-store parent chain into initial→violation
 // counterexample steps.
 func tracePath(n *statespace.TraceNode[ts.State]) []TraceStep {
@@ -804,214 +608,6 @@ func tracePath(n *statespace.TraceNode[ts.State]) []TraceStep {
 		out[i] = TraceStep{Rule: link.Rule, State: link.State}
 	}
 	return out
-}
-
-// enqueue registers s if unseen and returns its frontier item and whether
-// it was fresh. The trace store allocates a node only under RecordTrace.
-// Rejected duplicates are recycled: they were never traced and never
-// enqueued, so the system may reuse their storage immediately — the
-// unconditionally safe recycle point, valid with traces on or off.
-func (c *checker) enqueue(s ts.State, parent *statespace.TraceNode[ts.State], rule string, depth int, mask uint64, sw *obs.Stopwatch) (item, bool) {
-	c.labels.key()
-	sw.Mark()
-	fp := c.key.fingerprint(s)
-	sw.Lap(obs.PhaseKey)
-	c.labels.insert()
-	fresh := c.visited.TryInsert(fp)
-	sw.Lap(obs.PhaseInsert)
-	if !fresh {
-		c.ow.Inc(obs.CDuplicates)
-		c.recycle(s)
-		return item{}, false
-	}
-	c.ow.Inc(obs.CStates)
-	c.admitted++
-	it := item{state: s, node: c.traces.Add(s, rule, parent), depth: depth, mask: mask}
-	if depth > c.res.Stats.MaxDepth {
-		c.res.Stats.MaxDepth = depth
-	}
-	return it, true
-}
-
-// checkState runs invariants and goal predicates on a freshly discovered
-// state; it reports whether exploration should stop (violation found).
-func (c *checker) checkState(it item) bool {
-	for _, inv := range c.invs {
-		if !inv.Holds(it.state) {
-			c.fail(FailInvariant, inv.Name, it.node, it.mask)
-			return true
-		}
-	}
-	for gi := range c.goals {
-		if !c.goalHit[gi] && c.goals[gi].Holds(it.state) {
-			c.goalHit[gi] = true
-		}
-	}
-	return false
-}
-
-// fail records a property violation; n is the failing state's trace node
-// (nil with traces off, or for goal failures, which have no single trace).
-func (c *checker) fail(kind FailKind, name string, n *statespace.TraceNode[ts.State], mask uint64) {
-	c.res.Verdict = Failure
-	c.res.Stats.VisitedStates = c.visited.Len()
-	fi := &FailureInfo{Kind: kind, Name: name, UsageMask: mask}
-	if n != nil {
-		fi.Trace = tracePath(n)
-	}
-	c.res.Failure = fi
-}
-
-func (c *checker) run() error {
-	lastDepth := 0
-	resumed, err := c.resumeSeq()
-	if err != nil {
-		return err
-	}
-	if resumed {
-		c.res.Resumed = true
-		lastDepth = c.resumeDepth()
-	} else {
-		inits := c.sys.Initial()
-		if len(inits) == 0 {
-			return fmt.Errorf("mc: system %q has no initial states", c.sys.Name())
-		}
-		for _, s := range inits {
-			if it, fresh := c.enqueue(s, nil, "", 0, 0, nil); fresh {
-				if c.checkState(it) {
-					return nil
-				}
-				c.frontier.PushBack(it)
-			}
-		}
-	}
-
-	// An already-expired context (a deadline shorter than setup, a
-	// pre-cancelled run) aborts before any expansion, regardless of stride.
-	if c.pollCancel(true) {
-		return nil
-	}
-	for c.frontier.Len() > 0 {
-		var it item
-		if c.opt.Order == DFS {
-			it, _ = c.frontier.PopBack()
-		} else {
-			it, _ = c.frontier.PopFront()
-			// BFS pops in depth order, so a depth increase is a level
-			// boundary; level-aware backends reorganize here (DFS has no
-			// levels and relies on the backend's own housekeeping). The
-			// checkpointer snapshots here too — the popped item is the
-			// new level's first state and rejoins the saved frontier —
-			// and cancellation is always checked, so a deadline cannot
-			// slip past a whole level.
-			if it.depth > lastDepth {
-				lastDepth = it.depth
-				if err := c.endLevelObs(lastDepth); err != nil {
-					return err
-				}
-				if err := c.checkpointSeq(it); err != nil {
-					return err
-				}
-				if c.pollCancel(true) {
-					return nil
-				}
-			}
-		}
-		if c.pollCancel(false) {
-			return nil
-		}
-		if c.opt.MaxStates > 0 && c.admitted > c.opt.MaxStates {
-			c.res.CapHit = true
-			break
-		}
-		if done, err := c.expand(it); done || err != nil {
-			return err
-		}
-	}
-
-	if c.res.Verdict == Failure || c.res.Verdict == Aborted {
-		return nil
-	}
-	c.res.Stats.VisitedStates = c.visited.Len()
-	if c.res.WildcardHit || c.res.CapHit {
-		c.res.Verdict = Unknown
-		return nil
-	}
-	// Complete exploration: reachability goals are decidable now.
-	for gi := range c.goals {
-		if !c.goalHit[gi] {
-			// A goal failure is a property of the entire explored space;
-			// conservatively mark every hole as involved.
-			c.fail(FailGoal, c.goals[gi].Name, nil, ^uint64(0))
-			return nil
-		}
-	}
-	c.res.Verdict = Success
-	return nil
-}
-
-// expand fires all transitions of frontier entry it. It reports done=true
-// when a violation stops the search.
-func (c *checker) expand(it item) (done bool, err error) {
-	c.cur = it.state            // panic containment reports this state's key
-	sw := c.ow.BeginExpansion() // nil on unsampled expansions; Stopwatch is nil-safe
-	defer sw.Done()
-	c.labels.enumerate()
-	sw.Mark()
-	trs := c.enumerate(it.state)
-	sw.Lap(obs.PhaseEnumerate)
-	succs := 0
-	blocked := 0
-	for _, tr := range trs {
-		if c.opt.Usage != nil {
-			c.opt.Usage.ResetUsage()
-		}
-		c.labels.fire()
-		sw.Mark()
-		next, ferr := tr.Fire(c.opt.Env)
-		sw.Lap(obs.PhaseFire)
-		if ferr != nil {
-			if errors.Is(ferr, ts.ErrWildcard) {
-				c.res.WildcardHit = true
-				c.res.Stats.WildcardAborts++
-				c.ow.Inc(obs.CAborts)
-				blocked++
-				continue
-			}
-			return false, fmt.Errorf("mc: transition %q from state %q: %w", tr.Name, it.state.Key(), ferr)
-		}
-		c.res.Stats.FiredTransitions++
-		c.ow.Inc(obs.CTransitions)
-		succs++
-		mask := it.mask
-		if c.opt.Usage != nil {
-			mask |= c.opt.Usage.Usage()
-		}
-		if child, fresh := c.enqueue(next, it.node, tr.Name, it.depth+1, mask, sw); fresh {
-			if c.checkState(child) {
-				return true, nil
-			}
-			c.frontier.PushBack(child)
-		}
-	}
-	if succs == 0 && !c.opt.NoDeadlock && blocked == 0 {
-		// With blocked > 0 all outgoing behaviour hides behind wildcards:
-		// not provably a deadlock; the Unknown verdict (WildcardHit) covers
-		// it, and the expansion completes normally below.
-		if c.quies == nil || !c.quies.Quiescent(it.state) {
-			c.fail(FailDeadlock, "deadlock", it.node, it.mask)
-			return true, nil
-		}
-	}
-	// Normal completion. In traceless mode nothing outlives the expansion —
-	// no trace node was ever allocated for it.state, its frontier entry was
-	// popped, and the fired closures are dead — so the expanded state itself
-	// returns to the pool. With traces on it is retained by its trace node
-	// and must escape the pool forever.
-	if !c.opt.RecordTrace {
-		c.recycle(it.state)
-	}
-	return false, nil
 }
 
 // VisitedStates re-explores sys and returns the number of reachable states;

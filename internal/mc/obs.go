@@ -4,110 +4,58 @@ import (
 	"time"
 
 	"verc3/internal/obs"
-	"verc3/internal/ts"
 	"verc3/internal/visited"
 )
 
-// This file is the drivers' glue onto internal/obs. Counters ride the
+// This file is the kernel's glue onto internal/obs. Counters ride the
 // per-worker staging path (obs.Worker) inside the expansion hot loops in
-// mc.go / parallel.go / liveness.go; everything coarser — gauges, the
-// snapshot timeline, the level-merge phase timing — funnels through the
-// level-boundary helpers here so both drivers publish identically.
+// explorer.go / liveness.go; everything coarser — gauges, the snapshot
+// timeline, the level-merge phase timing — funnels through the two
+// helpers here, so every width publishes identically.
 
-// obsLevelGauges publishes the BFS-level gauges (depth, frontier size,
-// visited-set footprint, spill and pool traffic) and appends a timeline
-// mark. Called with all workers freshly flushed so the mark's counters
-// are exact at the boundary. store.Stats() is a few loads per backend —
-// fine per level, far too hot per state.
-func obsLevelGauges(o *obs.Collector, store visited.Store, lc *lifecycle, depth, frontier int) {
+// endLevel is the BFS level boundary: level-aware backends
+// (visited.LevelMarker) reorganize — the spill backend merges its run files
+// here, timed under the level_merge phase — and the level's telemetry is
+// published; frontier is the size of the level about to be expanded. A
+// non-nil error aborts the exploration: the store's answers are no longer
+// trustworthy.
+func (e *explorer) endLevel(frontier int) error {
+	var err error
+	if lm, ok := e.visited.(visited.LevelMarker); ok {
+		t0 := time.Now()
+		err = lm.EndLevel()
+		e.opt.Obs.ObservePhase(obs.PhaseLevelMerge, time.Since(t0))
+	}
+	e.publish(frontier)
+	return err
+}
+
+// publish flushes every worker's staged counters, republishes the gauges —
+// depth, frontier size, visited-set footprint, spill and pool traffic — and
+// appends a timeline mark, so a snapshot taken at a level boundary or after
+// the run is exact however the run ended. Called only while no worker is
+// running, after sum. store.Stats() is a few loads per backend — fine per
+// level, far too hot per state. The pool figures are gauges, not counters:
+// the underlying ts.PoolReporter totals are per-system and shared across
+// concurrent synthesis dispatches (see obs.GPoolHits).
+func (e *explorer) publish(frontier int) {
+	o := e.opt.Obs
 	if o == nil {
 		return
 	}
-	o.SetGauge(obs.GDepth, uint64(depth))
+	for i := range e.workers {
+		e.workers[i].ow.Flush()
+	}
+	o.SetGauge(obs.GDepth, uint64(e.res.Stats.MaxDepth))
 	o.SetGauge(obs.GFrontier, uint64(frontier))
-	vs := store.Stats()
+	vs := e.visited.Stats()
 	o.SetGauge(obs.GVisitedBytes, uint64(vs.Bytes))
 	o.SetGauge(obs.GSpilledBytes, uint64(vs.SpilledBytes))
 	o.SetGauge(obs.GSpillRuns, uint64(vs.SpillRuns))
-	obsPoolGauges(o, &lc.pool, lc.hits0, lc.misses0)
+	if e.lc.pool != nil {
+		h, m := e.lc.pool.PoolStats()
+		o.SetGauge(obs.GPoolHits, h-e.lc.hits0)
+		o.SetGauge(obs.GPoolMisses, m-e.lc.misses0)
+	}
 	o.MarkTimeline()
-}
-
-// obsPoolGauges publishes the run's successor-pool traffic delta. Gauges,
-// not counters: the underlying ts.PoolReporter totals are per-system and
-// shared across concurrent synthesis dispatches (see obs.GPoolHits).
-func obsPoolGauges(o *obs.Collector, pool *ts.PoolReporter, hits0, misses0 uint64) {
-	if o == nil || *pool == nil {
-		return
-	}
-	h, m := (*pool).PoolStats()
-	o.SetGauge(obs.GPoolHits, h-hits0)
-	o.SetGauge(obs.GPoolMisses, m-misses0)
-}
-
-// endLevelObs is the sequential driver's instrumented level boundary:
-// flush the staged counters, run the backend's level housekeeping under
-// the level_merge phase clock, then publish the level gauges and mark
-// the timeline. Collapses to plain endLevel when telemetry is off.
-func (c *checker) endLevelObs(depth int) error {
-	o := c.opt.Obs
-	if o == nil {
-		return endLevel(c.visited)
-	}
-	c.ow.Flush()
-	t0 := time.Now()
-	err := endLevel(c.visited)
-	o.ObservePhase(obs.PhaseLevelMerge, time.Since(t0))
-	obsLevelGauges(o, c.visited, &c.lc, depth, c.frontier.Len())
-	return err
-}
-
-// endLevelObs is the parallel driver's instrumented level boundary. All
-// ExpandLevel workers have joined (WaitGroup happens-before), so the main
-// goroutine may flush every worker's staged counters before the gauges
-// and timeline mark are published.
-func (c *pchecker) endLevelObs(nextLen int) error {
-	o := c.opt.Obs
-	if o == nil {
-		return endLevel(c.visited)
-	}
-	for i := range c.workers {
-		c.workers[i].ow.Flush()
-	}
-	t0 := time.Now()
-	err := endLevel(c.visited)
-	o.ObservePhase(obs.PhaseLevelMerge, time.Since(t0))
-	obsLevelGauges(o, c.visited, &c.lc, int(c.maxDepth.Load()), nextLen)
-	return err
-}
-
-// obsFinish (parallel) flushes every worker and republishes the final
-// gauges; called from finish once all workers have joined.
-func (c *pchecker) obsFinish() {
-	o := c.opt.Obs
-	if o == nil {
-		return
-	}
-	for i := range c.workers {
-		c.workers[i].ow.Flush()
-	}
-	obsLevelGauges(o, c.visited, &c.lc, int(c.maxDepth.Load()), 0)
-}
-
-// obsStart binds the sequential checker to the run's collector and
-// publishes the run-scoped cap gauge.
-func (c *checker) obsStart() {
-	c.ow = c.opt.Obs.NewWorker()
-	c.opt.Obs.SetGauge(obs.GMaxStates, uint64(c.opt.MaxStates))
-}
-
-// obsFinish flushes the staged counters and republishes the end-of-run
-// gauges, so the post-run snapshot (and the report's final entry) is
-// exact regardless of how the run ended — success, failure, cap, error.
-func (c *checker) obsFinish(depth int) {
-	if c.opt.Obs == nil {
-		return
-	}
-	c.ow.Flush()
-	obsLevelGauges(c.opt.Obs, c.visited, &c.lc, depth, c.frontier.Len())
 }

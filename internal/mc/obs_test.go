@@ -119,8 +119,16 @@ func TestZooObsLivenessCounters(t *testing.T) {
 // TestObsTimelineLevelMarks pins the -report timeline guarantee: on
 // msi-complete-4 (depth 37) the level-boundary marks alone must leave well
 // over five snapshots, with monotone counters, even when no sampler runs.
+// Every width publishes through the one boundary helper, so the marks
+// themselves must agree across worker counts: same number of them, and at
+// each the same depth and frontier gauges and — a BFS level being the same
+// set of states in whatever order it was expanded — the same state and
+// transition counters. (The sequential driver used to publish its frontier
+// gauge one short, after popping the new level's first entry.)
 func TestObsTimelineLevelMarks(t *testing.T) {
-	for _, workers := range []int{1, 8} {
+	type mark struct{ depth, frontier, states, transitions uint64 }
+	var base []mark
+	for _, workers := range []int{1, 4, 8} {
 		sys, err := zoo.Get("msi-complete-4", zoo.Params{})
 		if err != nil {
 			t.Fatal(err)
@@ -141,6 +149,29 @@ func TestObsTimelineLevelMarks(t *testing.T) {
 		r.Finish(col)
 		if err := r.Validate(); err != nil {
 			t.Errorf("workers=%d: report validation: %v", workers, err)
+		}
+		marks := make([]mark, len(tl))
+		for i, s := range tl {
+			marks[i] = mark{s.Gauges[obs.GDepth], s.Gauges[obs.GFrontier], s.Counters[obs.CStates], s.Counters[obs.CTransitions]}
+		}
+		// One mark per boundary between the 38 levels, plus the final one.
+		if want := res.Stats.MaxDepth + 1; len(marks) != want {
+			t.Errorf("workers=%d: %d marks, want %d", workers, len(marks), want)
+		}
+		if last := marks[len(marks)-1]; last.frontier != 0 || last.states != uint64(res.Stats.VisitedStates) {
+			t.Errorf("workers=%d: final mark %+v, want frontier 0 and %d states", workers, last, res.Stats.VisitedStates)
+		}
+		if base == nil {
+			base = marks
+			continue
+		}
+		if len(marks) != len(base) {
+			t.Fatalf("workers=%d: %d marks, one worker left %d", workers, len(marks), len(base))
+		}
+		for i := range marks {
+			if marks[i] != base[i] {
+				t.Errorf("workers=%d: mark %d = %+v, one worker published %+v", workers, i, marks[i], base[i])
+			}
 		}
 	}
 }

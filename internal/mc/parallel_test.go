@@ -292,24 +292,13 @@ func TestParallelDFSFallsBackToSequential(t *testing.T) {
 	}
 }
 
-// TestShardBitsOption smoke-tests a non-default shard count.
-func TestShardBitsOption(t *testing.T) {
-	res, err := mc.Check(line(50, false), mc.Options{Workers: 4, ShardBits: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.VisitedStates != 50 {
-		t.Fatalf("states = %d, want 50", res.Stats.VisitedStates)
-	}
-}
-
 // TestParallelPeakFrontierHighWater is the regression test for the
-// parallel driver's frontier accounting: during a level expansion the
-// whole current level is still alive while the next level accumulates, so
-// the high-water mark is the largest cur+next coexistence — not, as
-// previously reported, the largest single level. The graph below has
-// levels of sizes 1, 2, 4: the true peak is 2+4 = 6, while the buggy
-// largest-level figure was 4.
+// frontier accounting: during a level expansion the whole current level is
+// still held in its buffer while the next level accumulates, so the
+// high-water mark is the largest cur+next coexistence — not, as once
+// reported, the largest single level. The graph below has levels of sizes
+// 1, 2, 4: the true peak is 2+4 = 6, while the buggy largest-level figure
+// was 4.
 func TestParallelPeakFrontierHighWater(t *testing.T) {
 	//        0
 	//      /   \
@@ -322,26 +311,85 @@ func TestParallelPeakFrontierHighWater(t *testing.T) {
 		{Plain: []int{5, 6}},
 		{}, {}, {}, {},
 	}}
-	res, err := mc.Check(g, mc.Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
+	// One definition at every width. The sequential half used to expect 4:
+	// the old sequential driver's ring released each entry as it was
+	// popped. The kernel walks BFS level by level from two recycled
+	// buffers, so a single worker retains exactly what several do.
+	for _, workers := range []int{4, 1} {
+		res, err := mc.Check(g, mc.Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Verdict != mc.Success || res.Stats.VisitedStates != 7 {
+			t.Fatalf("workers=%d: got %v / %d states", workers, res.Verdict, res.Stats.VisitedStates)
+		}
+		if res.Space.PeakFrontier != 6 {
+			t.Errorf("workers=%d: PeakFrontier = %d, want 6 (level 2 held + level 3 emitted)", workers, res.Space.PeakFrontier)
+		}
 	}
-	if res.Verdict != mc.Success || res.Stats.VisitedStates != 7 {
-		t.Fatalf("got %v / %d states", res.Verdict, res.Stats.VisitedStates)
-	}
-	if res.Space.PeakFrontier != 6 {
-		t.Errorf("parallel PeakFrontier = %d, want 6 (level 2 alive + level 3 emitted)", res.Space.PeakFrontier)
-	}
+}
 
-	// The sequential queue releases each entry as it is expanded, so its
-	// high-water mark on the same graph is lower (4): the drivers' peaks
-	// measure the same thing — frontier entries alive at once — under
-	// genuinely different retention behaviour.
-	seq, err := mc.Check(g, mc.Options{})
-	if err != nil {
-		t.Fatal(err)
+// maskChooser resolves every hole to its first action and tracks usage the
+// way internal/core's chooser does: holes maps a hole name to its bit. It
+// is deliberately not safe for concurrent use — one tracker brackets one
+// firing at a time — which is why usage tracking needs a single worker.
+type maskChooser struct {
+	holes map[string]uint
+	used  uint64
+}
+
+func (c *maskChooser) Choose(hole string, _ []string) (int, error) {
+	c.used |= 1 << c.holes[hole]
+	return 0, nil
+}
+func (c *maskChooser) ResetUsage()   { c.used = 0 }
+func (c *maskChooser) Usage() uint64 { return c.used }
+
+// TestUsageTrackingRunsOneWorker pins the other derivation beside DFS: a
+// UsageTracker makes Workers irrelevant, so a Workers: 4 run must report
+// exactly what Workers: 1 does — counts, the usage mask of the error path,
+// and the minimal BFS counterexample the pruning optimization relies on.
+// The bad node is two steps away through hole A and three through hole B:
+// the minimal trace consults A only. (Under -race a run that did spread a
+// tracked exploration over workers would also trip the detector here.)
+func TestUsageTrackingRunsOneWorker(t *testing.T) {
+	build := func() *toy.Graph {
+		return &toy.Graph{SysName: "two-holes", Init: []int{0}, Nodes: []toy.Node{
+			{Plain: []int{1, 2}},
+			{Hole: "A", Acts: []string{"x"}, To: []int{3}},
+			{Hole: "B", Acts: []string{"y"}, To: []int{4}},
+			{Bad: true},
+			{Plain: []int{3}},
+		}}
 	}
-	if seq.Space.PeakFrontier != 4 {
-		t.Errorf("sequential PeakFrontier = %d, want 4", seq.Space.PeakFrontier)
+	run := func(workers int) *mc.Result {
+		ch := &maskChooser{holes: map[string]uint{"A": 0, "B": 1}}
+		res, err := mc.Check(build(), mc.Options{Workers: workers, RecordTrace: true, Env: ts.NewEnv(ch), Usage: ch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Verdict != mc.Failure || res.Failure.Kind != mc.FailInvariant {
+			t.Fatalf("workers=%d: got %v / %+v, want invariant failure", workers, res.Verdict, res.Failure)
+		}
+		return res
+	}
+	one, four := run(1), run(4)
+	if one.Failure.UsageMask != 0b01 {
+		t.Errorf("usage mask = %b, want hole A only", one.Failure.UsageMask)
+	}
+	if len(one.Failure.Trace) != 3 {
+		t.Errorf("trace has %d steps, want the minimal 3", len(one.Failure.Trace))
+	}
+	if four.Stats != one.Stats || four.Failure.UsageMask != one.Failure.UsageMask ||
+		four.Space.PeakFrontier != one.Space.PeakFrontier || len(four.Failure.Trace) != len(one.Failure.Trace) {
+		t.Fatalf("workers=4: %+v mask %b, %d steps; workers=1: %+v mask %b, %d steps",
+			four.Stats, four.Failure.UsageMask, len(four.Failure.Trace),
+			one.Stats, one.Failure.UsageMask, len(one.Failure.Trace))
+	}
+	for i, step := range four.Failure.Trace {
+		if step.Rule != one.Failure.Trace[i].Rule || step.State.Key() != one.Failure.Trace[i].State.Key() {
+			t.Errorf("trace step %d: %q/%q, workers=1 has %q/%q", i,
+				step.Rule, step.State.Key(), one.Failure.Trace[i].Rule, one.Failure.Trace[i].State.Key())
+		}
 	}
 }

@@ -121,7 +121,7 @@ func (hs HistogramSnapshot) MeanNS() float64 {
 
 // Stopwatch accumulates one sampled expansion's per-phase durations and
 // files them into the collector's histograms on Done. The zero value and
-// nil receivers are inert, so drivers thread a possibly-nil *Stopwatch
+// nil receivers are inert, so callers thread a possibly-nil *Stopwatch
 // straight through the hot path:
 //
 //	sw := worker.BeginExpansion() // nil on unsampled expansions

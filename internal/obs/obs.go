@@ -1,5 +1,5 @@
-// Package obs is the live-telemetry layer of VerC3: both exploration
-// drivers, the nested-DFS liveness pass and the synthesis engine publish
+// Package obs is the live-telemetry layer of VerC3: the exploration
+// kernel, the nested-DFS liveness pass and the synthesis engine publish
 // counters, gauges, phase timings and progress events into a Collector,
 // and readers — the CLIs' -progress renderer, the -metrics-addr HTTP
 // endpoint, the -report run report, and (later) the verc3d daemon — pull
@@ -51,7 +51,7 @@ import (
 )
 
 // Counter enumerates the monotone event counters. The exploration group
-// (CStates … CRed) is published by the mc drivers and equals the run's
+// (CStates … CRed) is published by the mc kernel and equals the run's
 // statespace.Stats at every flush point; the synthesis group (CEvaluated
 // … CSolutions) is published by the core engine once per dispatch.
 type Counter int
@@ -200,7 +200,7 @@ type Collector struct {
 }
 
 // New builds a Collector. The slot pool is sized to the machine (two per
-// processor, at least eight): enough that a parallel driver's workers
+// processor, at least eight): enough that a multi-worker run's workers
 // rarely share a slot, small enough that Snapshot's sweep stays cheap.
 func New() *Collector {
 	n := 2 * runtime.GOMAXPROCS(0)
@@ -289,7 +289,7 @@ func (c *Collector) Snapshot() Snapshot {
 }
 
 // MarkTimeline appends the current snapshot to the run trajectory. The
-// drivers mark every BFS level boundary and the sampler marks every tick;
+// checker marks every BFS level boundary and the sampler marks every tick;
 // when the ring fills, every other entry is dropped and the stride
 // doubles, keeping the trajectory bounded and evenly spaced.
 func (c *Collector) MarkTimeline() {

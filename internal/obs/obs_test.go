@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http/httptest"
 	"path/filepath"
@@ -400,9 +401,11 @@ func TestReportWriteReadValidate(t *testing.T) {
 
 	// Corrupt variants must be rejected.
 	bad := *r
-	bad.Version = ReportVersion + 1
-	if err := bad.Validate(); err == nil {
-		t.Error("version mismatch accepted")
+	for _, v := range []int{ReportVersion + 1, 1} { // a future schema, and the retired v1
+		bad.Version = v
+		if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", v)) {
+			t.Errorf("version %d: err = %v, want a rejection naming the version", v, err)
+		}
 	}
 	bad = *r
 	bad.Verdict = ""

@@ -15,12 +15,9 @@ import (
 // downstream tooling (EXPERIMENTS.md regeneration, the CI artifact check,
 // the future verc3d job store) fails loudly instead of reading garbage.
 // Version 2 added the abort/resume fields (Aborted, AbortCause, Resumed)
-// and the failure-model event kinds; version-1 reports — which simply
-// lack them — are still accepted by Validate.
+// and the failure-model event kinds; no binary has written version 1 since,
+// and Validate no longer accepts it.
 const ReportVersion = 2
-
-// minReportVersion is the oldest schema Validate still accepts.
-const minReportVersion = 1
 
 // Report is the machine-readable end-of-run record written by the CLIs'
 // -report flag: environment, effective options, verdict, the full
@@ -77,7 +74,7 @@ func NewReport(tool, system string) *Report {
 
 // Finish folds the collector's end state into the report: elapsed time,
 // final snapshot, timeline, phase histograms and events. Callers flush
-// all workers first (the drivers do, at run end), so Final is exact.
+// all workers first (the checker does, at run end), so Final is exact.
 func (r *Report) Finish(c *Collector) {
 	r.ElapsedNS = c.Elapsed().Nanoseconds()
 	r.Final = c.Snapshot()
@@ -121,8 +118,8 @@ func ReadReport(path string) (*Report, error) {
 // dominates the last timeline entry, known phase names, and internally
 // consistent histograms (count equals the bucket sum).
 func (r *Report) Validate() error {
-	if r.Version < minReportVersion || r.Version > ReportVersion {
-		return fmt.Errorf("report version %d, want %d..%d", r.Version, minReportVersion, ReportVersion)
+	if r.Version != ReportVersion {
+		return fmt.Errorf("report version %d, want %d", r.Version, ReportVersion)
 	}
 	if r.Tool == "" {
 		return fmt.Errorf("report has no tool")

@@ -5,111 +5,72 @@ import (
 	"sync/atomic"
 )
 
-// ExpandLevel fans one breadth-first level out over a pool of workers.
+// ExpandLevel fans one breadth-first level of n items out over a pool of
+// workers.
 //
-// expand is called once per item; successors belonging to the next level
-// are handed to emit, which appends to a worker-local slice (no locking on
-// the emission path). worker is the index of the executing worker in
-// [0, workers): it is stable for the goroutine making the call, so callers
-// hang per-worker scratch (key buffers, canonicalization state) off it
-// instead of sharing or locking. expand returns stop=true to end
-// exploration early (property violation, state cap) or a non-nil error to
-// abort the whole search; either ends the level without processing the
-// remaining items.
+// The level is cut into index ranges and expand is called once per range
+// [lo, hi); the caller owns the items and whatever the expansion emits.
+// worker is the index of the executing worker in [0, workers): it is stable
+// for the goroutine making the call, so callers hang per-worker scratch
+// (key buffers, output slices, counters) off it instead of sharing or
+// locking. expand returns stop=true to end exploration early (property
+// violation, state cap) or a non-nil error to abort the whole search;
+// either ends the level without handing out the remaining ranges — ranges
+// other workers already hold run to their end.
 //
-// ExpandLevel returns the concatenated next level, whether a stop was
-// requested, and the first error observed. The order of the returned items
-// depends on work scheduling and is NOT deterministic across runs — the
-// level-synchronous structure guarantees BFS depth semantics regardless.
+// ExpandLevel reports whether a stop was requested, and the first error
+// observed. Which worker gets which range depends on scheduling and is NOT
+// deterministic across runs — the level-synchronous structure guarantees
+// BFS depth semantics regardless.
 //
-// workers <= 1 (or a single-item level) runs inline on the calling
-// goroutine, in item order (worker index 0), with zero scheduling overhead.
-func ExpandLevel[T any](workers int, level []T, expand func(worker int, item T, emit func(T)) (stop bool, err error)) (next []T, stopped bool, err error) {
-	if workers > len(level) {
-		workers = len(level)
+// workers <= 1 (or a single-item level) is one inline call expand(0, 0, n)
+// on the calling goroutine, with zero scheduling overhead.
+func ExpandLevel(workers, n int, expand func(worker, lo, hi int) (stop bool, err error)) (stopped bool, err error) {
+	if workers > n {
+		workers = n
 	}
 	if workers <= 1 {
-		emit := func(t T) { next = append(next, t) }
-		for _, it := range level {
-			stop, err := expand(0, it, emit)
-			if err != nil {
-				return nil, true, err
-			}
-			if stop {
-				return next, true, nil
-			}
+		if n == 0 {
+			return false, nil
 		}
-		return next, false, nil
+		stop, err := expand(0, 0, n)
+		return stop || err != nil, err
 	}
 
 	// Workers claim fixed-size chunks of the level via an atomic cursor:
 	// cheap, cache-friendly, and self-balancing when some states have far
 	// more successors than others.
-	chunk := len(level) / (workers * 8)
-	if chunk < 1 {
-		chunk = 1
-	}
-	if chunk > 256 {
-		chunk = 256
-	}
+	chunk := min(max(n/(workers*8), 1), 256)
 	var (
 		cursor   atomic.Int64
 		stopFlag atomic.Bool
-		errOnce  atomic.Pointer[errBox]
-		locals   = make([][]T, workers)
+		errOnce  atomic.Pointer[error]
 		wg       sync.WaitGroup
 	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			// Accumulate in a goroutine-local slice and publish it once on
-			// exit: appending through locals[w] directly would read-modify-
-			// write neighbouring slice headers' cache lines on every emitted
-			// state (false sharing on the hottest path).
-			var buf []T
-			defer func() { locals[w] = buf }()
-			emit := func(t T) { buf = append(buf, t) }
 			for !stopFlag.Load() {
-				hi := cursor.Add(int64(chunk))
-				lo := hi - int64(chunk)
-				if lo >= int64(len(level)) {
+				hi := int(cursor.Add(int64(chunk)))
+				lo := hi - chunk
+				if lo >= n {
 					return
 				}
-				if hi > int64(len(level)) {
-					hi = int64(len(level))
+				stop, err := expand(w, lo, min(hi, n))
+				if err != nil {
+					errOnce.CompareAndSwap(nil, &err)
 				}
-				for i := lo; i < hi; i++ {
-					if stopFlag.Load() {
-						return
-					}
-					stop, err := expand(w, level[i], emit)
-					if err != nil {
-						errOnce.CompareAndSwap(nil, &errBox{err})
-						stopFlag.Store(true)
-						return
-					}
-					if stop {
-						stopFlag.Store(true)
-						return
-					}
+				if stop || err != nil {
+					stopFlag.Store(true)
+					return
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	if eb := errOnce.Load(); eb != nil {
-		return nil, true, eb.err
+	if ep := errOnce.Load(); ep != nil {
+		return true, *ep
 	}
-	total := 0
-	for _, l := range locals {
-		total += len(l)
-	}
-	next = make([]T, 0, total)
-	for _, l := range locals {
-		next = append(next, l...)
-	}
-	return next, stopFlag.Load(), nil
+	return stopFlag.Load(), nil
 }
-
-type errBox struct{ err error }

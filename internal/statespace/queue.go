@@ -1,8 +1,10 @@
 package statespace
 
-// Queue is a growable ring buffer used as the sequential exploration
-// frontier: PushBack + PopFront is FIFO (breadth-first order), PushBack +
-// PopBack is LIFO (depth-first order). Every pop zeroes the vacated slot,
+// Queue is a growable ring buffer for exploration frontiers: PushBack +
+// PopFront is FIFO (breadth-first order), PushBack + PopBack is LIFO
+// (depth-first order). The checker's own kernel walks level buffers
+// instead (internal/mc); the benchmark's independent reference walk
+// (bench/walk.go) runs on this queue. Every pop zeroes the vacated slot,
 // so popped elements become collectible immediately — with trace recording
 // off this is what bounds retained exploration memory to the frontier
 // high-water mark instead of the whole state space (the previous
@@ -67,8 +69,7 @@ func (q *Queue[T]) PopBack() (v T, ok bool) {
 
 // Each calls f on every queued element in FIFO order (front to back)
 // without consuming the queue. A non-nil error from f stops the walk and
-// is returned. Checkpointing uses it to snapshot the frontier in the exact
-// order a resumed run will re-pop it.
+// is returned.
 func (q *Queue[T]) Each(f func(v T) error) error {
 	for i := 0; i < q.n; i++ {
 		if err := f(q.buf[(q.head+i)%len(q.buf)]); err != nil {

@@ -1,8 +1,9 @@
 // Package statespace provides the exploration substrate of VerC3's
-// embedded model checker: 64-bit state fingerprints, a ring-buffer
-// frontier queue, a level-synchronous work distributor for parallel
-// breadth-first search, an optional parent-linked trace store, and a
-// memory profile (Stats) of an exploration run. The visited-set storage
+// embedded model checker: 64-bit state fingerprints, a level-synchronous
+// work distributor for breadth-first search over several workers, an
+// optional parent-linked trace store, a memory profile (Stats) of an
+// exploration run, and a ring-buffer queue (the frontier of the
+// benchmark's independent reference walk, bench/walk.go). The visited-set storage
 // itself is pluggable and lives in the sibling package internal/visited
 // (map, flat open-addressing, and SPIN-style bitstate backends), all keyed
 // by this package's Fingerprint.
@@ -17,10 +18,10 @@
 // set to 8 bytes of payload per state; Hasher additionally supports
 // fingerprinting content that arrives in pieces without concatenating it.
 //
-// Exploration is trace-optional. The frontier (Queue sequentially, the
-// levels of ExpandLevel in parallel) carries states directly and releases
-// them as they are expanded, so with counterexample recording off nothing
-// per-state outlives its expansion except the 8-byte fingerprint — the
+// Exploration is trace-optional. The frontier carries states directly and
+// each level's buffer is recycled for the level after next, so with
+// counterexample recording off nothing per-state outlives the level after
+// its own except the 8-byte fingerprint — the
 // memory regime of SPIN's and TLC's fingerprint-only modes. Only when the
 // caller wants replayable counterexamples does TraceStore allocate one
 // parent-linked TraceNode per discovered state, restoring the O(states)
@@ -37,9 +38,9 @@
 // the traceless search cannot smuggle a wrong candidate into the results.
 package statespace
 
-// Fingerprint is the 64-bit FNV-1a hash of a state's canonical key. Both
-// the sequential and the parallel exploration drivers key their visited
-// sets by Fingerprint, so they dedupe — and therefore count — states
+// Fingerprint is the 64-bit FNV-1a hash of a state's canonical key. Every
+// exploration keys its visited set by Fingerprint, whatever its worker
+// count or search order, so all dedupe — and therefore count — states
 // identically.
 type Fingerprint uint64
 

@@ -10,19 +10,21 @@ const FingerprintBytes = 8
 
 // Stats is the memory-oriented profile of one exploration run, the number
 // that the trace-optional representation exists to shrink. It is filled by
-// both exploration drivers and aggregated across synthesis dispatches by
-// the engine; the cmd/ tools print it behind their -stats flag.
+// every exploration and aggregated across synthesis dispatches by the
+// engine; the cmd/ tools print it behind their -stats flag.
 type Stats struct {
 	// States is the number of distinct states in the visited set.
 	States int `json:"states"`
 	// Transitions is the number of successful transition firings.
 	Transitions int `json:"transitions"`
-	// PeakFrontier is the frontier high-water mark: the largest queue
-	// length (sequential driver) or, for the parallel driver, the largest
-	// current-level + emitted-next-level coexistence during a level
-	// expansion — the true number of frontier entries alive at once, not
-	// just the largest single level. With trace recording off it bounds
-	// the number of states alive at once.
+	// PeakFrontier is the frontier high-water mark: the largest number of
+	// frontier entries the checker held at once. There is one definition,
+	// the one the kernel actually retains. Under BFS a level stays in its
+	// buffer while it is expanded (entries are not released one by one), so
+	// the mark is the largest coexistence of a level and the next level it
+	// emitted — at any worker count, one included — not the largest single
+	// level. Under DFS it is the stack's greatest height. With trace
+	// recording off it bounds the number of states alive at once.
 	PeakFrontier int `json:"peak_frontier"`
 	// TraceNodes is the number of parent-linked trace-store nodes retained.
 	// Always 0 with trace recording off — the acceptance criterion of the
@@ -30,8 +32,9 @@ type Stats struct {
 	TraceNodes int `json:"trace_nodes"`
 	// BytesRetained is the structural estimate of exploration memory at its
 	// peak: the visited set (VisitedBytes when the backend measured it,
-	// States×FingerprintBytes otherwise), the frontier high-water mark, and
-	// the trace store. It deliberately counts only checker-owned structures
+	// States×FingerprintBytes otherwise), PeakFrontier entries of the
+	// frontier — a level and its successors together, as the checker holds
+	// them — and the trace store. It deliberately counts only checker-owned structures
 	// (not what model states themselves point to), so trace-on versus
 	// trace-off runs of the same system are directly comparable.
 	BytesRetained int64 `json:"bytes_retained"`
@@ -96,7 +99,8 @@ type Stats struct {
 }
 
 // SetRetained computes BytesRetained from the structural counters, given
-// the caller's frontier-item and trace-node footprints. The visited set
+// the caller's frontier-entry and trace-node footprints: PeakFrontier
+// entries are charged, by PeakFrontier's one definition. The visited set
 // contributes its measured backend footprint (VisitedBytes) when one was
 // recorded, else the 8-bytes-per-state floor.
 func (s *Stats) SetRetained(itemBytes, nodeBytes uintptr) {

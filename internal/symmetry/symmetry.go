@@ -87,9 +87,9 @@ func Invert(perm []int) []int {
 // Canonicalizer computes canonical state keys and fingerprints. It caches
 // the permutation set for the scalarset size it was built with.
 //
-// A Canonicalizer is safe for concurrent use: the parallel exploration
-// driver (internal/mc with Options.Workers > 1) shares one canonicalizer
-// across all workers. The permutation tables are immutable after
+// A Canonicalizer is safe for concurrent use: a multi-worker exploration
+// (internal/mc with Options.Workers > 1) shares one canonicalizer across
+// all workers. The permutation tables are immutable after
 // construction; the only mutable state is a sync.Pool of per-worker
 // scratch (one reusable permuted clone plus two key buffers), which
 // Fingerprint checks out for the duration of a call, so workers never

@@ -187,7 +187,7 @@ type StateCopier interface {
 // Initial or Fire, and nothing — trace node, frontier entry, scratch,
 // pending transition closure — may still reference it. After Recycle the
 // state's storage may be overwritten at any time. Recycle must be safe for
-// concurrent use (the parallel driver recycles from every worker; a
+// concurrent use (a multi-worker run recycles from every worker; a
 // sync.Pool's per-P free-lists give each worker a private list).
 type Recycler interface {
 	Recycle(s State)

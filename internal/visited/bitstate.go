@@ -30,8 +30,8 @@ import (
 // never-seen fingerprint is dropped iff all K of its bits were already set
 // by other fingerprints.
 //
-// All operations are lock-free atomics, so one implementation serves both
-// the sequential and the parallel driver.
+// All operations are lock-free atomics, so one implementation serves one
+// exploration worker or many.
 type bitstate struct {
 	words    []uint64 // accessed atomically
 	nbits    uint64

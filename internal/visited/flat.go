@@ -216,23 +216,21 @@ type stripe struct {
 	_  [64 - 8 - unsafe.Sizeof(flatTable{})]byte
 }
 
-// stripedFlat is the concurrent Flat variant for the parallel driver: the
+// stripedFlat is the concurrent Flat variant for multi-worker runs: the
 // fingerprint's low bits select an independent flatTable guarded by its own
 // mutex, so probing and growth never cross a stripe boundary and the
 // critical section is a handful of word comparisons.
 type stripedFlat struct {
 	stripes []stripe
-	mask    uint64
 	count   atomic.Int64
 }
 
-func newStripedFlat(stripeBits int) *stripedFlat {
-	n := 1 << uint(clampBits(stripeBits, DefaultFlatStripeBits))
-	return &stripedFlat{stripes: make([]stripe, n), mask: uint64(n - 1)}
+func newStripedFlat() *stripedFlat {
+	return &stripedFlat{stripes: make([]stripe, flatStripes)}
 }
 
 func (s *stripedFlat) TryInsert(fp statespace.Fingerprint) bool {
-	st := &s.stripes[uint64(fp)&s.mask]
+	st := &s.stripes[uint64(fp)&(flatStripes-1)]
 	st.mu.Lock()
 	fresh := st.t.tryInsert(uint64(fp), flatMinStripeSlots)
 	st.mu.Unlock()
@@ -295,6 +293,3 @@ func (s *stripedFlat) DumpFingerprints(yield func(fp statespace.Fingerprint) err
 	}
 	return nil
 }
-
-// Stripes reports the stripe count (a power of two).
-func (s *stripedFlat) Stripes() int { return len(s.stripes) }

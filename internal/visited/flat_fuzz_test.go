@@ -27,7 +27,7 @@ func FuzzFlatVsMapOracle(f *testing.F) {
 	f.Add(seed)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		flat := New(Config{Kind: Flat})
-		striped := NewConcurrent(Config{Kind: Flat, ShardBits: 1})
+		striped := NewConcurrent(Config{Kind: Flat})
 		oracle := make(map[statespace.Fingerprint]bool)
 		for len(data) > 0 {
 			var word [8]byte

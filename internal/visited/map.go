@@ -80,13 +80,11 @@ type shard struct {
 // only the single shard lock selected by the fingerprint's low bits.
 type shardedMap struct {
 	shards []shard
-	mask   uint64
 	count  atomic.Int64
 }
 
-func newShardedMap(shardBits int) *shardedMap {
-	n := 1 << uint(clampBits(shardBits, DefaultShardBits))
-	s := &shardedMap{shards: make([]shard, n), mask: uint64(n - 1)}
+func newShardedMap() *shardedMap {
+	s := &shardedMap{shards: make([]shard, mapShards)}
 	for i := range s.shards {
 		s.shards[i].m = make(map[statespace.Fingerprint]struct{})
 	}
@@ -94,7 +92,7 @@ func newShardedMap(shardBits int) *shardedMap {
 }
 
 func (s *shardedMap) shard(fp statespace.Fingerprint) *shard {
-	return &s.shards[uint64(fp)&s.mask]
+	return &s.shards[uint64(fp)&(mapShards-1)]
 }
 
 func (s *shardedMap) TryInsert(fp statespace.Fingerprint) bool {
@@ -153,6 +151,3 @@ func (s *shardedMap) DumpFingerprints(yield func(fp statespace.Fingerprint) erro
 	}
 	return nil
 }
-
-// Shards reports the shard count (a power of two).
-func (s *shardedMap) Shards() int { return len(s.shards) }

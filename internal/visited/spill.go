@@ -21,8 +21,7 @@ const (
 	DefaultSpillMem = 64 << 20
 	// spillStripes is the fixed stripe count of the in-RAM tier. Spill's
 	// hot path is bounded by disk probes, not lock contention, so a small
-	// fixed count keeps the budget arithmetic simple (Config.ShardBits is
-	// ignored).
+	// count keeps the budget arithmetic simple.
 	spillStripes = 8
 	// spillFenceStride is the fingerprint count per indexed run block: one
 	// in-RAM fence per 2KiB of run file, so a membership probe costs one
@@ -30,7 +29,7 @@ const (
 	spillFenceStride = 256
 	// spillMaxRuns caps the live run count between level boundaries: a
 	// budget-triggered flush that would exceed it merges first, bounding
-	// the per-probe ReadAt count even for drivers that never report level
+	// the per-probe ReadAt count even for runs that never report level
 	// boundaries (DFS).
 	spillMaxRuns = 8
 )
@@ -234,7 +233,7 @@ func (s *spill) fail(err error) {
 
 // Err returns the first I/O failure, if any. After a failure the backend
 // stops spilling and keeps everything in RAM — still exact, no longer
-// budget-bounded — and the exploration drivers surface the error.
+// budget-bounded — and the checker surfaces the error.
 func (s *spill) Err() error {
 	if p := s.errv.Load(); p != nil {
 		return *p
@@ -487,7 +486,7 @@ func (s *spill) EndLevel() error {
 }
 
 // Close removes every run file and the backend's temp directory. It
-// returns the first I/O failure of the run's lifetime, so drivers that
+// returns the first I/O failure of the run's lifetime, so runs that
 // never hit a level boundary (DFS) still surface spill errors.
 func (s *spill) Close() error {
 	s.mu.Lock()

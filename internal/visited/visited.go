@@ -1,5 +1,5 @@
 // Package visited provides the pluggable visited-set storage layer of the
-// model checker: every exploration driver deduplicates states through a
+// model checker: every exploration deduplicates states through a
 // Store keyed by 64-bit statespace.Fingerprints, and the backend behind the
 // Store decides the memory/exactness trade of the whole run.
 //
@@ -37,9 +37,9 @@
 // fingerprint is a property of the keying scheme (see package statespace),
 // not the store.
 //
-// Stores come in two flavours: New builds a single-goroutine store for the
-// sequential exploration driver (no locks on the insert path), and
-// NewConcurrent builds a goroutine-safe store for the parallel driver
+// Stores come in two flavours: New builds a single-goroutine store for
+// one-worker explorations (no locks on the insert path), and
+// NewConcurrent builds a goroutine-safe store for multi-worker ones
 // (lock-striped for Map and Flat, lock-free atomics for Bitstate, a
 // read-write structural lock over striped tables for Spill). Every
 // backend's TryInsert is an exact expansion-ownership claim under its
@@ -109,18 +109,14 @@ func ParseKind(s string) (Kind, error) {
 }
 
 const (
-	// DefaultShardBits is the shard-count exponent of the concurrent Map
-	// backend when Config.ShardBits <= 0: 2⁸ = 256 shards keeps the
-	// expected queue depth per shard lock near zero even with dozens of
-	// exploration workers.
-	DefaultShardBits = 8
-	// DefaultFlatStripeBits is the stripe-count exponent of the concurrent
-	// Flat backend: its critical sections are a handful of probes, so 2⁶ =
-	// 64 stripes suffice and keep the small-run footprint low.
-	DefaultFlatStripeBits = 6
-	// MaxShardBits caps shard/stripe counts at 2¹⁶; beyond that the fixed
-	// per-shard overhead dominates memory for no additional concurrency.
-	MaxShardBits = 16
+	// mapShards is the shard count of the concurrent Map backend: 256
+	// shards keep the expected queue depth per shard lock near zero even
+	// with dozens of exploration workers.
+	mapShards = 256
+	// flatStripes is the stripe count of the concurrent Flat backend: its
+	// critical sections are a handful of probes, so 64 stripes suffice and
+	// keep the small-run footprint low.
+	flatStripes = 64
 	// DefaultBitstateMB is the Bitstate bit-array budget when
 	// Config.BitstateMB <= 0.
 	DefaultBitstateMB = 64
@@ -136,11 +132,6 @@ const (
 type Config struct {
 	// Kind is the backend (zero value = Flat).
 	Kind Kind
-	// ShardBits is log2 of the shard (Map) or stripe (Flat) count of the
-	// concurrent variants; <= 0 selects the backend default, values above
-	// MaxShardBits are clamped. Ignored by New, by Bitstate, and by Spill
-	// (whose stripe count is fixed — see spillStripes).
-	ShardBits int
 	// BitstateMB is the Bitstate bit-array budget in MiB (<= 0 =
 	// DefaultBitstateMB). The array is allocated once and never grows.
 	BitstateMB int
@@ -197,7 +188,7 @@ type Stats struct {
 	SpillRuns int
 }
 
-// Store is the visited-set contract shared by both exploration drivers.
+// Store is the visited-set contract shared by every exploration.
 // TryInsert is the only hot-path method; the rest are end-of-run hooks.
 type Store interface {
 	// TryInsert admits fp and reports whether it was absent — i.e. the
@@ -218,7 +209,7 @@ type Store interface {
 }
 
 // LevelMarker is implemented by backends that reorganize storage at BFS
-// level boundaries: the exploration drivers call EndLevel between levels,
+// level boundaries: the checker calls EndLevel between BFS levels,
 // and Spill uses it to merge its run files down to one. A non-nil error
 // aborts the exploration (the store's answers can no longer be trusted).
 // Backends without level-boundary work simply don't implement it.
@@ -236,7 +227,7 @@ type Dumper interface {
 	DumpFingerprints(yield func(fp statespace.Fingerprint) error) error
 }
 
-// New builds a single-goroutine store: the sequential driver's insert path
+// New builds a single-goroutine store: a one-worker run's insert path
 // stays lock-free. The returned store must not be used concurrently
 // (except Bitstate and Spill, which are always goroutine-safe).
 func New(cfg Config) Store {
@@ -252,27 +243,16 @@ func New(cfg Config) Store {
 	}
 }
 
-// NewConcurrent builds a goroutine-safe store for the parallel driver.
+// NewConcurrent builds a goroutine-safe store for multi-worker runs.
 func NewConcurrent(cfg Config) Store {
 	switch cfg.Kind {
 	case Map:
-		return newShardedMap(cfg.ShardBits)
+		return newShardedMap()
 	case Bitstate:
 		return newBitstate(cfg)
 	case Spill:
 		return newSpill(cfg)
 	default:
-		return newStripedFlat(cfg.ShardBits)
+		return newStripedFlat()
 	}
-}
-
-// clampBits normalizes a shard/stripe exponent.
-func clampBits(bits, def int) int {
-	if bits <= 0 {
-		bits = def
-	}
-	if bits > MaxShardBits {
-		bits = MaxShardBits
-	}
-	return bits
 }

@@ -112,7 +112,7 @@ func TestFlatZeroFingerprint(t *testing.T) {
 func TestFlatMatchesMapOracle(t *testing.T) {
 	stores := map[string]Store{
 		"flat":    New(Config{Kind: Flat}),
-		"striped": NewConcurrent(Config{Kind: Flat, ShardBits: 2}),
+		"striped": NewConcurrent(Config{Kind: Flat}),
 	}
 	for name, s := range stores {
 		oracle := make(map[statespace.Fingerprint]bool)
@@ -215,26 +215,9 @@ func TestStripePadding(t *testing.T) {
 		t.Errorf("shard size %d is not a multiple of a cache line", sz)
 	}
 	// An empty striped store's footprint is exactly its stripe array.
-	s := newStripedFlat(3)
-	if want := int64(8 * unsafe.Sizeof(stripe{})); s.Bytes() != want {
+	s := newStripedFlat()
+	if want := int64(flatStripes * unsafe.Sizeof(stripe{})); s.Bytes() != want {
 		t.Errorf("empty stripedFlat Bytes = %d, want %d", s.Bytes(), want)
-	}
-}
-
-// TestShardStripeClamping checks the defaulting/clamping of the concurrent
-// variants' shard and stripe exponents.
-func TestShardStripeClamping(t *testing.T) {
-	if got := newShardedMap(0).Shards(); got != 1<<DefaultShardBits {
-		t.Errorf("default map shards = %d", got)
-	}
-	if got := newShardedMap(40).Shards(); got != 1<<MaxShardBits {
-		t.Errorf("oversized map shards = %d", got)
-	}
-	if got := newStripedFlat(-1).Stripes(); got != 1<<DefaultFlatStripeBits {
-		t.Errorf("default flat stripes = %d", got)
-	}
-	if got := newStripedFlat(3).Stripes(); got != 8 {
-		t.Errorf("flat stripes(3) = %d", got)
 	}
 }
 
@@ -250,7 +233,7 @@ func TestShardStripeClamping(t *testing.T) {
 // times holds 32·2^g slots). Run with -race while inserts hammer the
 // table.
 func TestStripedFlatStatsSinglePass(t *testing.T) {
-	s := newStripedFlat(2) // 4 stripes: every stripe grows repeatedly
+	s := newStripedFlat() // ~1k inserts per stripe: every stripe grows repeatedly
 	const n = 1 << 16
 	done := make(chan struct{})
 	go func() {
@@ -367,8 +350,8 @@ func TestConcurrentExactBackends(t *testing.T) {
 		keys    = 20000
 	)
 	for name, s := range map[string]Store{
-		"striped-flat": NewConcurrent(Config{Kind: Flat, ShardBits: 4}),
-		"sharded-map":  NewConcurrent(Config{Kind: Map, ShardBits: 4}),
+		"striped-flat": NewConcurrent(Config{Kind: Flat}),
+		"sharded-map":  NewConcurrent(Config{Kind: Map}),
 		// The tiny budget forces the spill backend through flushes and
 		// merges mid-race, so the claim also covers disk-resident lookups.
 		"spill": NewConcurrent(Config{Kind: Spill, SpillMem: 8 << 10, SpillDir: t.TempDir()}),
