@@ -437,10 +437,12 @@ func BenchmarkVisitedSpillParallel(b *testing.B) { visitedBench(b, visited.Spill
 // hashed with OfString (the pre-E14 scheme, kept behind Options.StringKeys)
 // against ts.KeyAppender binary encodings hashed straight off a reusable
 // buffer with OfBytes. BenchmarkCanonicalize* additionally covers the
-// symmetry canonicalizer, whose scratch-state rework (one pooled permuted
-// clone + two key buffers instead of N!−1 deep clones and strings per
-// state) is the headline win: BenchmarkCanonicalize must report 0
-// allocs/op. All rows land in the CI benchstat artifact via -benchmem.
+// symmetry canonicalizer: its scratch state (one pooled permuted clone +
+// two key buffers instead of a deep clone and a string per permutation)
+// keeps BenchmarkCanonicalize at 0 allocs/op, and its tie-class
+// enumeration (E19) makes the cost of a call follow the state's ties, not
+// N! — the perms/op column. All rows land in the CI benchstat artifact via
+// -benchmem.
 
 // fingerprintBenchState builds a mid-transaction 4-cache MSI state with
 // in-flight messages — representative per-state keying work.
@@ -498,16 +500,63 @@ func BenchmarkCanonicalizeString(b *testing.B) {
 	}
 }
 
-// BenchmarkCanonicalize is the scratch-state path: the same 24
-// permutations through one pooled reusable clone and two key buffers.
-// The acceptance bar is 0 allocs/op.
+// permCounter counts the encodings one Fingerprint call compares: the state
+// as it stands when the first arrangement is the identity, a permuted copy
+// for every other arrangement.
+type permCounter struct {
+	*msi.State
+	tried *int
+}
+
+func (c permCounter) AppendKey(dst []byte) []byte {
+	*c.tried++
+	return c.State.AppendKey(dst)
+}
+
+func (c permCounter) PermuteInto(dst ts.State, perm []int) {
+	*c.tried++
+	c.State.PermuteInto(dst, perm)
+}
+
+// BenchmarkCanonicalize is the scratch-state path at 4 and 5 caches, on
+// the three shapes that bound a call's cost: all caches distinct (one
+// arrangement — fingerprintBenchState at 4), some tied (2!·2!), and all
+// tied in I (the worst case, still all N!). perms/op is the number of
+// encodings compared per call; it is what the time per call follows, and
+// its mean over a walk (3.75 at 5 caches, EXPERIMENTS.md E19) is what the
+// verify-sym workload pays. The acceptance bar stays 0 allocs/op.
 func BenchmarkCanonicalize(b *testing.B) {
-	s := fingerprintBenchState()
-	canon := symmetry.NewCanonicalizer(len(s.Caches))
-	canon.Fingerprint(s) // warm the pooled scratch
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		fingerprintSink = canon.Fingerprint(s)
+	m, isd, sh, imad := msi.Cache{St: msi.CacheM, Data: 1}, msi.Cache{St: msi.CacheISD}, msi.Cache{St: msi.CacheS, Data: 1}, msi.Cache{St: msi.CacheIMAD, Acks: 1}
+	for _, row := range []struct {
+		name   string
+		caches []msi.Cache
+	}{
+		{"distinct-4", []msi.Cache{m, isd, sh, imad}},
+		{"tied-4", []msi.Cache{sh, {}, sh, {}}},
+		{"all-tied-4", make([]msi.Cache, 4)},
+		{"distinct-5", []msi.Cache{m, isd, sh, imad, {}}},
+		{"tied-5", []msi.Cache{sh, {}, sh, isd, {}}},
+		{"all-tied-5", make([]msi.Cache, 5)},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			s := fingerprintBenchState()
+			dir := len(row.caches)
+			s.Caches = row.caches
+			s.Net = network.New(
+				network.Msg{Type: msi.MsgFwdGetS, Src: dir, Dst: 0, Req: 1, Val: 0},
+				network.Msg{Type: msi.MsgData, Src: dir, Dst: 3, Req: -1, Cnt: 1, Val: 1},
+				network.Msg{Type: msi.MsgInv, Src: dir, Dst: 2, Req: 3, Val: 0},
+			)
+			canon := symmetry.NewCanonicalizer(len(s.Caches))
+			tried := 0
+			canon.Fingerprint(permCounter{s, &tried}) // also warms the pooled scratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fingerprintSink = canon.Fingerprint(s)
+			}
+			b.ReportMetric(float64(tried), "perms/op")
+		})
 	}
 }
 

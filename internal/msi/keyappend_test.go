@@ -11,6 +11,7 @@ import (
 
 	"verc3/internal/msi"
 	"verc3/internal/network"
+	"verc3/internal/statespace"
 	"verc3/internal/symmetry"
 	"verc3/internal/ts"
 )
@@ -93,6 +94,57 @@ func FuzzAppendKeyInjective(f *testing.F) {
 	})
 }
 
+// FuzzCompareAgents fuzzes the two halves of the ts.AgentComparer contract
+// on randomized states (negative Acks, out-of-range owners and raw message
+// strings included). Equivariance: renaming the caches renames the answer,
+// CompareAgents(π·s, π(i), π(j)) has the sign of CompareAgents(s, i, j).
+// Leading block: the fingerprint the canonicalizer reaches by sorting the
+// caches and permuting within ties is the fingerprint of the smallest
+// encoding over all 3! permutations, computed here the long way. The
+// generator's raw sharer byte is cut to the three caches there are: Permute
+// drops sharer bits that name no cache, so on such a state it is not a
+// renaming at all (the identity permutation already changes it).
+func FuzzCompareAgents(f *testing.F) {
+	f.Add([]byte{}, uint8(1))
+	f.Add([]byte{1, 2, 3, 1, 2, 3, 4, 5, 6}, uint8(4))
+	f.Add([]byte{2, 1, 6, 2, 1, 0, 2, 1, 6, 3, 4, 2, 0xa5}, uint8(3))
+	f.Add([]byte("some longer seed input with message bytes"), uint8(5))
+	perms := symmetry.Permutations(3)
+	canon := symmetry.NewCanonicalizer(3)
+	sign := func(v int) int {
+		switch {
+		case v < 0:
+			return -1
+		case v > 0:
+			return 1
+		}
+		return 0
+	}
+	f.Fuzz(func(t *testing.T, data []byte, pick uint8) {
+		s := stateFromBytes(data)
+		s.Dir.Sharers &= 0b111
+		perm := perms[int(pick)%len(perms)]
+		ps := s.Permute(perm).(*msi.State)
+		for i := range s.Caches {
+			for j := range s.Caches {
+				if got, want := sign(ps.CompareAgents(perm[i], perm[j])), sign(s.CompareAgents(i, j)); got != want {
+					t.Fatalf("perm %v: CompareAgents(π·s, π(%d), π(%d)) = %d, CompareAgents(s, %d, %d) = %d\n s: %s",
+						perm, i, j, got, i, j, want, s)
+				}
+			}
+		}
+		var min []byte
+		for _, p := range perms {
+			if enc := s.Permute(p).(*msi.State).AppendKey(nil); min == nil || bytes.Compare(enc, min) < 0 {
+				min = enc
+			}
+		}
+		if got, want := canon.Fingerprint(s), statespace.OfBytes(min); got != want {
+			t.Fatalf("sorted search fingerprints %x, all 3! permutations give %x\n s: %s", got, want, s)
+		}
+	})
+}
+
 // TestAppendKeySensitivity flips each field of a baseline state in turn
 // and checks the encoding moves — the direct probe for a field omitted
 // from AppendKey but present in Key.
@@ -117,9 +169,13 @@ func TestAppendKeySensitivity(t *testing.T) {
 		"dir mem":     func(s *msi.State) { s.Dir.Mem = 0 },
 		"ghost":       func(s *msi.State) { s.Ghost = 0 },
 		"err":         func(s *msi.State) { s.Err = "boom" },
-		"msg type":    func(s *msi.State) { s.Net = network.New(network.Msg{Type: msi.MsgInv, Src: 0, Dst: 1, Req: -1, Cnt: 2, Val: 1}) },
-		"msg cnt":     func(s *msi.State) { s.Net = network.New(network.Msg{Type: msi.MsgData, Src: 0, Dst: 1, Req: -1, Cnt: 1, Val: 1}) },
-		"msg extra":   func(s *msi.State) { s.Net = s.Net.Send(network.Msg{Type: msi.MsgAck, Src: 1, Dst: 3, Req: -1}) },
+		"msg type": func(s *msi.State) {
+			s.Net = network.New(network.Msg{Type: msi.MsgInv, Src: 0, Dst: 1, Req: -1, Cnt: 2, Val: 1})
+		},
+		"msg cnt": func(s *msi.State) {
+			s.Net = network.New(network.Msg{Type: msi.MsgData, Src: 0, Dst: 1, Req: -1, Cnt: 1, Val: 1})
+		},
+		"msg extra": func(s *msi.State) { s.Net = s.Net.Send(network.Msg{Type: msi.MsgAck, Src: 1, Dst: 3, Req: -1}) },
 	}
 	for name, mutate := range mutations {
 		s := base()

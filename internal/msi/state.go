@@ -125,8 +125,8 @@ type Dir struct {
 	Mem int8
 }
 
-// State is the global protocol state. It implements ts.State and
-// ts.Permutable.
+// State is the global protocol state. It implements ts.State,
+// ts.Permutable / ts.InPlacePermuter and ts.AgentComparer.
 type State struct {
 	Caches []Cache
 	Dir    Dir
@@ -160,7 +160,8 @@ func (s *State) Key() string {
 // int8-ranged field, cache count prefixed), the network as its
 // count-prefixed message encoding, and the error string length-prefixed —
 // all self-delimiting, so the encoding is injective on field values
-// wherever Key is injective.
+// wherever Key is injective. The cache triples come first, in cache order:
+// CompareAgents depends on that.
 func (s *State) AppendKey(dst []byte) []byte {
 	dst = append(dst, byte(len(s.Caches)))
 	for _, c := range s.Caches {
@@ -264,6 +265,23 @@ func (s *State) Permute(perm []int) ts.State {
 	return cp
 }
 
+// CompareAgents implements ts.AgentComparer: caches compare by their
+// (St, Data, Acks) triple, byte for byte as AppendKey emits it. The triples
+// are the encoding's leading block — only the permutation-invariant cache
+// count precedes them — so the smallest encoding always has them sorted,
+// and everything that names a cache (directory owner / pending / sharers,
+// message endpoints) is left to the full-encoding comparison among ties.
+func (s *State) CompareAgents(i, j int) int {
+	a, b := s.Caches[i], s.Caches[j]
+	if a.St != b.St {
+		return int(byte(a.St)) - int(byte(b.St))
+	}
+	if a.Data != b.Data {
+		return int(byte(a.Data)) - int(byte(b.Data))
+	}
+	return int(byte(a.Acks)) - int(byte(b.Acks))
+}
+
 // Scratch implements ts.InPlacePermuter: a fully private deep copy usable
 // as a PermuteInto destination. Clone is not enough here — it shares the
 // network's message slice under the Net's immutable value semantics, and
@@ -280,8 +298,8 @@ func (s *State) Scratch() ts.State {
 
 // PermuteInto implements ts.InPlacePermuter: Permute's result written into
 // dst — a *State from Scratch — reusing its cache array and network
-// message storage, so the symmetry canonicalizer's N!−1 permutations per
-// state allocate nothing in steady state.
+// message storage, so the permutations the symmetry canonicalizer tries
+// per state allocate nothing in steady state.
 func (s *State) PermuteInto(dst ts.State, perm []int) {
 	d := dst.(*State)
 	n := len(s.Caches)

@@ -111,6 +111,23 @@ func (s *State) PermuteInto(dst ts.State, perm []int) {
 	}
 }
 
+// CompareAgents implements ts.AgentComparer: processes compare by PC, then
+// flag. AppendKey is column-major — both PCs, then both flags, and only
+// then Turn, the one field that names a process — so the smallest encoding
+// has the PCs in order and, where they tie, the flags.
+func (s *State) CompareAgents(i, j int) int {
+	if s.PCs[i] != s.PCs[j] {
+		return int(s.PCs[i]) - int(s.PCs[j])
+	}
+	switch {
+	case s.Flag[i] == s.Flag[j]:
+		return 0
+	case s.Flag[j]:
+		return -1
+	}
+	return 1
+}
+
 // NumAgents implements ts.Permutable.
 func (s *State) NumAgents() int { return 2 }
 

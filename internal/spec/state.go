@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"math/bits"
 	"strconv"
 	"strings"
 
@@ -16,9 +17,9 @@ type layout struct {
 	n         int // processes
 	symmetric bool
 
-	vars   []varInfo
-	byName map[string]*varInfo
-	enums  [][]string // enum value-name tables
+	vars     []varInfo
+	byName   map[string]*varInfo
+	enums    [][]string // enum value-name tables
 	enumVals map[string]enumVal
 
 	slots int
@@ -31,6 +32,14 @@ type layout struct {
 	// pidSlots lists the slots holding pid values (scalar pid variables and
 	// pid array cells) — the values symmetry permutations must rename.
 	pidSlots []int
+
+	// cmpOffs lists the first slots of the per-process arrays that
+	// symState.CompareAgents compares, in layout order: the arrays declared
+	// before the first pid-typed variable. A pid value is renamed by a
+	// permutation, so it is not agent-local data, and once one has been
+	// encoded the smallest encoding no longer has to keep a later array
+	// sorted.
+	cmpOffs []int
 }
 
 type enumVal struct {
@@ -52,9 +61,14 @@ type varInfo struct {
 // finalize assigns slots and builds the encoding tables after vars are set.
 func (l *layout) finalize() {
 	l.byName = make(map[string]*varInfo, len(l.vars))
+	pidSeen := false
 	for vi := range l.vars {
 		v := &l.vars[vi]
 		v.off = l.slots
+		pidSeen = pidSeen || v.k == kPid
+		if v.array && !pidSeen {
+			l.cmpOffs = append(l.cmpOffs, v.off)
+		}
 		width := 1
 		if v.array {
 			width = l.n
@@ -196,9 +210,10 @@ func (s *specState) renderVal(v *varInfo, val int32) string {
 // symState is the state of a model declared symmetric: it adds the
 // ts.Permutable / ts.InPlacePermuter capabilities over the declared
 // per-process arrays (slots permuted) and pid-typed variables (values
-// renamed). A separate concrete type — rather than a flag on specState —
-// because interface satisfaction is static: non-symmetric models must not
-// offer Permute at all.
+// renamed), and ts.AgentComparer over the leading arrays. A separate
+// concrete type — rather than a flag on specState — because interface
+// satisfaction is static: non-symmetric models must not offer Permute at
+// all.
 type symState struct{ specState }
 
 // Clone implements ts.State, preserving the concrete type (the dsl builder
@@ -211,6 +226,29 @@ func (s *symState) Clone() ts.State {
 
 // NumAgents implements ts.Permutable.
 func (s *symState) NumAgents() int { return s.lay.n }
+
+// CompareAgents implements ts.AgentComparer: processes compare by their
+// cells of the layout's leading non-pid arrays (layout.cmpOffs), array by
+// array — AppendKey is column-major — and cell by cell in the byte order
+// AppendKey emits, which for a 4-byte little-endian slot is not numeric
+// order.
+func (s *symState) CompareAgents(i, j int) int {
+	for _, off := range s.lay.cmpOffs {
+		a, b := uint32(s.vals[off+i]-s.lay.slotLo[off]), uint32(s.vals[off+j]-s.lay.slotLo[off])
+		if s.lay.slotW[off] == 1 {
+			a, b = a&0xff, b&0xff
+		} else {
+			a, b = bits.ReverseBytes32(a), bits.ReverseBytes32(b)
+		}
+		if a != b {
+			if a < b {
+				return -1
+			}
+			return 1
+		}
+	}
+	return 0
+}
 
 // Scratch implements ts.InPlacePermuter.
 func (s *symState) Scratch() ts.State { return s.Clone() }

@@ -240,33 +240,48 @@ func TestFingerprintFallsBackToStringKey(t *testing.T) {
 	}
 }
 
-// TestFingerprintZeroAlloc pins the tentpole's scratch-state contract on
-// the real case study: canonicalizing an MSI state with in-flight network
-// messages — the workload that used to deep-clone and re-encode N!−1
-// times per offered state — allocates nothing in steady state. A small
-// tolerance absorbs the GC occasionally reclaiming the sync.Pool scratch.
+// TestFingerprintZeroAlloc pins the scratch-state contract on the real
+// case study: canonicalizing an MSI state with in-flight network messages
+// allocates nothing in steady state, however many arrangements the state's
+// tie classes leave to try — one when all five caches differ, 2!·2! on a
+// mixed state, and all 120 when the five caches are tied in I, the worst
+// case. The arrangement's index slices live in the pooled scratch with the
+// permuted clone and the key buffers. A small tolerance absorbs the GC
+// occasionally reclaiming the sync.Pool scratch.
 func TestFingerprintZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool deliberately drops Puts under -race; steady-state allocs are only meaningful without it")
 	}
-	st := &msi.State{
-		Caches: []msi.Cache{{St: msi.CacheM, Data: 1}, {St: msi.CacheISD}, {St: msi.CacheS, Data: 1}},
-		Dir:    msi.Dir{St: msi.DirM, Owner: 0, Pending: msi.None, Sharers: 0b100, Mem: 1},
-		Net: network.New(
-			network.Msg{Type: msi.MsgGetS, Src: 1, Dst: 3, Req: -1, Val: 0},
-			network.Msg{Type: msi.MsgData, Src: 3, Dst: 2, Req: -1, Cnt: 1, Val: 1},
-		),
-		Ghost: 1,
-	}
-	c := symmetry.NewCanonicalizer(3)
-	want := c.Fingerprint(st) // warm the pooled scratch
-	avg := testing.AllocsPerRun(500, func() {
-		if c.Fingerprint(st) != want {
-			t.Fatal("fingerprint not deterministic")
-		}
-	})
-	if avg > 0.1 {
-		t.Errorf("canonical fingerprint allocates %.3f allocs/op in steady state, want ~0", avg)
+	net := network.New(
+		network.Msg{Type: msi.MsgGetS, Src: 1, Dst: 5, Req: -1, Val: 0},
+		network.Msg{Type: msi.MsgData, Src: 5, Dst: 2, Req: -1, Cnt: 1, Val: 1},
+	)
+	for _, tc := range []struct {
+		name   string
+		caches []msi.Cache
+	}{
+		{"all-distinct", []msi.Cache{{St: msi.CacheM, Data: 1}, {St: msi.CacheISD}, {St: msi.CacheS, Data: 1}, {St: msi.CacheIMAD, Acks: 1}, {}}},
+		{"mixed", []msi.Cache{{St: msi.CacheS, Data: 1}, {St: msi.CacheISD}, {St: msi.CacheS, Data: 1}, {}, {}}},
+		{"all-tied", make([]msi.Cache, 5)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := &msi.State{
+				Caches: tc.caches,
+				Dir:    msi.Dir{St: msi.DirS, Owner: msi.None, Pending: msi.None, Sharers: 0b00101, Mem: 1},
+				Net:    net,
+				Ghost:  1,
+			}
+			c := symmetry.NewCanonicalizer(len(st.Caches))
+			want := c.Fingerprint(st) // warm the pooled scratch
+			avg := testing.AllocsPerRun(500, func() {
+				if c.Fingerprint(st) != want {
+					t.Fatal("fingerprint not deterministic")
+				}
+			})
+			if avg > 0.1 {
+				t.Errorf("canonical fingerprint allocates %.3f allocs/op in steady state, want ~0", avg)
+			}
+		})
 	}
 }
 

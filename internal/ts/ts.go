@@ -20,7 +20,9 @@
 // which is what the exploration hot path fingerprints: no string is ever
 // materialized per visited state. Symmetric states can further implement
 // InPlacePermuter so the symmetry canonicalizer permutes into reusable
-// scratch instead of deep-cloning once per permutation.
+// scratch instead of deep-cloning once per permutation, and AgentComparer
+// so it sorts the agents first and tries only the permutations that keep
+// the sorted order, instead of all N!.
 //
 // # Successor lifecycle
 //
@@ -127,7 +129,10 @@ type KeyDecoder interface {
 // agent identifiers (e.g. cache IDs). Permute returns a copy of the state
 // with every agent index i renamed to perm[i]. The model checker uses this
 // for symmetry reduction: the canonical representative of a state is the
-// permutation with the lexicographically smallest Key.
+// permutation with the lexicographically smallest encoding (AppendKey on
+// the exploration path, Key on the string tier). Which permutations the
+// canonicalizer has to try to find that minimum is narrowed by the
+// optional AgentComparer; without it, it tries all NumAgents()!.
 type Permutable interface {
 	State
 	// NumAgents reports the size of the symmetric scalarset.
@@ -139,9 +144,9 @@ type Permutable interface {
 
 // InPlacePermuter is optionally implemented by Permutable states that can
 // write a permutation into reusable scratch storage instead of allocating a
-// fresh deep copy per permutation. The symmetry canonicalizer visits N!−1
-// non-identity permutations per offered state, so with plain Permute the
-// clone is the dominant allocation of a symmetry-reduced exploration; with
+// fresh deep copy per permutation. The symmetry canonicalizer encodes one
+// permuted copy per permutation it tries, so with plain Permute the clone
+// is the dominant allocation of a symmetry-reduced exploration; with
 // PermuteInto the canonicalizer keeps one scratch state per worker and
 // mutates it in place.
 type InPlacePermuter interface {
@@ -158,6 +163,48 @@ type InPlacePermuter interface {
 	// overwritten. Implementations reuse dst's storage and must not
 	// allocate beyond amortized growth of dst's internal slices.
 	PermuteInto(dst State, perm []int)
+}
+
+// AgentComparer is optionally implemented by Permutable states that also
+// implement KeyAppender, to tell the symmetry canonicalizer which
+// permutations can possibly produce the smallest encoding. CompareAgents
+// orders the agents of the receiver by their agent-local data; the
+// canonicalizer sorts the agents by it and tries only the arrangements
+// that keep them in non-decreasing order — the agents that compare equal
+// (a tie class) are the only ones it still has to try in every order, so
+// the N! encodings per state shrink to the product of the tie classes'
+// factorials. A state without the capability is one tie class of N.
+//
+// The contract has three parts, all about the receiver's AppendKey:
+//
+//   - Preorder: CompareAgents is a total preorder on [0, NumAgents()) —
+//     negative, zero or positive like bytes.Compare, antisymmetric in its
+//     sign and transitive, ties included.
+//   - Equivariance: it reads only data that moves with the agent, so
+//     renaming agents renames the answer. For every permutation perm,
+//     Permute(perm).CompareAgents(perm[i], perm[j]) has the sign of
+//     CompareAgents(i, j). Fields that hold agent identifiers (an owner,
+//     a pid-typed cell) change value under renaming and must not be read.
+//   - Leading block: over all N! permutations, the lexicographically
+//     smallest AppendKey encoding is attained by one that leaves the
+//     agents in non-decreasing CompareAgents order (slot k holds a k-th
+//     smallest agent). This is what keeps fingerprints bit-identical to
+//     trying every permutation. It holds by construction when every byte
+//     of the encoding that precedes the last compared one is either
+//     permutation-invariant or part of a compared fixed-width per-agent
+//     record emitted in slot order, and CompareAgents compares exactly
+//     those records, bytewise, in encoding order: row-major (one record
+//     per agent: compare the records) or column-major (one array per
+//     field: compare field by field in layout order). Anything encoded
+//     after that block — agent identifiers, message multisets — is then
+//     decided among the tied arrangements by comparing full encodings.
+//
+// Comparing fewer leading fields than the encoding has is always allowed
+// (coarser tie classes, more permutations tried, same minimum); comparing
+// a field that an agent-identifier byte precedes is not.
+type AgentComparer interface {
+	// CompareAgents compares agents i and j of the receiver.
+	CompareAgents(i, j int) int
 }
 
 // StateCopier is optionally implemented by states that can overwrite
