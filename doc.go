@@ -14,7 +14,10 @@
 //     ts.FairnessReporter) and synthesis holes (ts.Env.Choose). States key themselves twice over: the
 //     mandatory human-readable Key() string (traces, fallback) and the
 //     optional ts.KeyAppender binary encoding appended into caller-owned
-//     buffers, which is what the exploration hot path hashes.
+//     buffers, which is what the exploration hot path hashes. One
+//     ownership rule covers every copy: a state owns all of its mutable
+//     storage, so Clone, CopyFrom and PermuteInto results can each be
+//     overwritten in place.
 //   - internal/statespace — the exploration substrate: 64-bit FNV-1a state
 //     fingerprints (OfString / allocation-free OfBytes / incremental
 //     Hasher), a ring-buffer frontier queue, a level-synchronous parallel
@@ -31,8 +34,8 @@
 //   - internal/symmetry — scalarset canonicalization (goroutine-safe), used
 //     for symmetry reduction of states implementing ts.Permutable. The
 //     Fingerprint hot path minimizes binary encodings over pooled
-//     scratch — one reusable permuted clone (ts.InPlacePermuter) plus two
-//     key buffers — at zero steady-state allocations, sorting the agents
+//     scratch — one Clone that PermuteInto overwrites per permutation, plus
+//     two key buffers — at zero steady-state allocations, sorting the agents
 //     (ts.AgentComparer) and permuting only within ties instead of
 //     trying all N!; the string Key path remains for traces and the
 //     keying ablation.
@@ -142,10 +145,10 @@
 // The allocations keying left behind were the successors themselves:
 // Fire deep-clones the source once per offered transition, and most
 // clones die as visited-set duplicates microseconds later. Systems that
-// implement ts.Recycler draw Fire clones from a sync.Pool of recycled
-// states (overwritten in place via ts.StateCopier.CopyFrom, with
-// owned-storage semantics so pooled states never alias live ones), and
-// the checker returns dead states to the pool: every rejected duplicate,
+// embed a ts.Pool draw Fire clones from its recycled states (overwritten
+// in place via ts.StateCopier.CopyFrom; the ownership rule is why a
+// pooled state never aliases a live one), and the checker returns dead
+// states to the pool through ts.Recycler: every rejected duplicate,
 // plus — traceless — each expanded state once its transitions have
 // fired. States that reach trace nodes, counterexamples or the frontier
 // escape the pool forever. ts.TransitionAppender pairs with this:

@@ -23,14 +23,15 @@
 // the ts.States the checker sees — so every optional state capability passes
 // straight through: a state type that implements ts.KeyAppender keeps the
 // allocation-free binary fingerprinting path, and one that implements
-// ts.Permutable / ts.InPlacePermuter keeps (scratch-state) symmetry
-// reduction, with no declaration on the Builder (internal/tokenring's ring
-// implements KeyAppender this way).
+// ts.Permutable keeps symmetry reduction, with no declaration on the Builder
+// (internal/tokenring's ring implements KeyAppender this way). What the
+// builder relies on is the ts ownership rule: S.Clone returns an S that
+// shares no mutable storage with its receiver.
 //
 // The successor lifecycle passes through the same way: when S implements
-// ts.StateCopier, built systems implement ts.Recycler — rule actions fire on
-// clones drawn from a pool of recycled states — and ts.PoolReporter; when it
-// does not, Recycle quietly drops states and every clone is fresh. Built
+// ts.StateCopier, rule actions fire on clones drawn from a ts.Pool of
+// recycled states, which Recycle feeds and PoolStats reports; when it does
+// not, Recycle quietly drops states and every clone is fresh. Built
 // systems always implement ts.TransitionAppender; Rule and RuleSet names are
 // formatted once at registration, while Choice names are formatted per
 // expansion (the alternative set is data-dependent and unbounded).
@@ -38,8 +39,6 @@ package dsl
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"verc3/internal/ts"
 )
@@ -63,9 +62,7 @@ type Builder[S Mutable] struct {
 
 	// Successor pool, used only when S implements ts.StateCopier (poolable).
 	poolable bool
-	pool     sync.Pool
-	hits     atomic.Uint64
-	misses   atomic.Uint64
+	pool     ts.Pool[S]
 }
 
 type rule[S Mutable] struct {
@@ -90,13 +87,10 @@ func NewBuilder[S Mutable](name string, initial ...S) *Builder[S] {
 // the CopyFrom reuse path, and asserts the concrete type survives Clone.
 func (b *Builder[S]) clone(s S) S {
 	if b.poolable {
-		if v := b.pool.Get(); v != nil {
-			ns := v.(S)
+		if ns, ok := b.pool.Get(); ok {
 			any(ns).(ts.StateCopier).CopyFrom(s)
-			b.hits.Add(1)
 			return ns
 		}
-		b.misses.Add(1)
 	}
 	c, ok := s.Clone().(S)
 	if !ok {
@@ -105,10 +99,11 @@ func (b *Builder[S]) clone(s S) S {
 	return c
 }
 
-// recycle returns an aborted branch's clone to the pool.
-func (b *Builder[S]) recycle(s S) {
+// recycle hands a dead state — an aborted branch's clone, or one the checker
+// returns — to the pool; a no-op unless S implements ts.StateCopier.
+func (b *Builder[S]) recycle(s ts.State) {
 	if b.poolable {
-		b.pool.Put(s)
+		b.pool.Recycle(s)
 	}
 }
 
@@ -296,19 +291,10 @@ func (x *built[S]) AppendTransitions(dst []ts.Transition, s ts.State) []ts.Trans
 
 // Recycle implements ts.Recycler: a no-op unless S implements
 // ts.StateCopier, in which case s seeds a future rule-firing clone.
-func (x *built[S]) Recycle(s ts.State) {
-	if !x.b.poolable {
-		return
-	}
-	if st, ok := s.(S); ok {
-		x.b.pool.Put(st)
-	}
-}
+func (x *built[S]) Recycle(s ts.State) { x.b.recycle(s) }
 
 // PoolStats implements ts.PoolReporter.
-func (x *built[S]) PoolStats() (hits, misses uint64) {
-	return x.b.hits.Load(), x.b.misses.Load()
-}
+func (x *built[S]) PoolStats() (hits, misses uint64) { return x.b.pool.PoolStats() }
 
 // Invariants implements ts.System.
 func (x *built[S]) Invariants() []ts.Invariant { return x.b.invs }

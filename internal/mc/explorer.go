@@ -391,11 +391,11 @@ func (e *explorer) fail(kind FailKind, name string, n *statespace.TraceNode[ts.S
 // worker can still reach it — the unconditionally safe recycle point, valid
 // with traces on or off.
 func (e *explorer) admit(w *worker, s ts.State, sw *obs.Stopwatch) bool {
-	e.labels.key()
+	e.labels.set(obs.PhaseKey)
 	sw.Mark()
 	fp := w.key.fingerprint(s)
 	sw.Lap(obs.PhaseKey)
-	e.labels.insert()
+	e.labels.set(obs.PhaseInsert)
 	fresh := e.visited.TryInsert(fp)
 	sw.Lap(obs.PhaseInsert)
 	if !fresh {
@@ -458,7 +458,7 @@ func (e *explorer) expand(w *worker, it item) (stop bool, err error) {
 	w.cur = it.state
 	sw := w.ow.BeginExpansion() // nil on unsampled expansions; Stopwatch is nil-safe
 	defer sw.Done()
-	e.labels.enumerate()
+	e.labels.set(obs.PhaseEnumerate)
 	sw.Mark()
 	var trs []ts.Transition
 	if e.lc.appender != nil {
@@ -474,7 +474,7 @@ func (e *explorer) expand(w *worker, it item) (stop bool, err error) {
 		if usage != nil {
 			usage.ResetUsage()
 		}
-		e.labels.fire()
+		e.labels.set(obs.PhaseFire)
 		sw.Mark()
 		next, ferr := tr.Fire(e.opt.Env)
 		sw.Lap(obs.PhaseFire)

@@ -3,62 +3,37 @@ package mc
 import (
 	"context"
 	"runtime/pprof"
+
+	"verc3/internal/obs"
 )
 
-// phaseLabels attributes the exploration inner loop's time to its four
-// phases — enumerate (Transitions/AppendTransitions), fire (successor
-// construction), key (canonical encoding + fingerprint) and insert
-// (visited-set admission) — via runtime/pprof goroutine labels, so a
-// -cpuprofile shows where exploration time actually goes instead of one
-// opaque run/expand frame. The label contexts are built once per run; each
-// phase switch is a single SetGoroutineLabels call on the current worker
-// goroutine. A nil *phaseLabels (Options.ProfileLabels off, the default)
-// makes every phase method a no-op nil-check, keeping the cost out of the
-// unprofiled hot path.
-type phaseLabels struct {
-	enumerateCtx context.Context
-	fireCtx      context.Context
-	keyCtx       context.Context
-	insertCtx    context.Context
-}
+// phaseLabels attributes the exploration inner loop's time to its phases
+// via runtime/pprof goroutine labels, so a -cpuprofile shows where
+// exploration time actually goes instead of one opaque run/expand frame.
+// The phases and their names are obs.Phase's — the "mc-phase" label values
+// are the -report phase names, from the one table. The label contexts are
+// built once per run; each phase switch is a single SetGoroutineLabels call
+// on the current worker goroutine. A nil *phaseLabels
+// (Options.ProfileLabels off, the default) makes set a no-op nil-check,
+// keeping the cost out of the unprofiled hot path.
+type phaseLabels [obs.NumPhases]context.Context
 
 // newPhaseLabels builds the per-run label contexts, or nil when disabled.
 func newPhaseLabels(opt Options) *phaseLabels {
 	if !opt.ProfileLabels {
 		return nil
 	}
-	mk := func(phase string) context.Context {
-		return pprof.WithLabels(context.Background(), pprof.Labels("mc-phase", phase))
+	var l phaseLabels
+	for p := range l {
+		l[p] = pprof.WithLabels(context.Background(), pprof.Labels("mc-phase", obs.Phase(p).String()))
 	}
-	return &phaseLabels{
-		enumerateCtx: mk("enumerate"),
-		fireCtx:      mk("fire"),
-		keyCtx:       mk("key"),
-		insertCtx:    mk("insert"),
-	}
+	return &l
 }
 
-func (l *phaseLabels) enumerate() {
+// set labels the current goroutine as being in phase p.
+func (l *phaseLabels) set(p obs.Phase) {
 	if l != nil {
-		pprof.SetGoroutineLabels(l.enumerateCtx)
-	}
-}
-
-func (l *phaseLabels) fire() {
-	if l != nil {
-		pprof.SetGoroutineLabels(l.fireCtx)
-	}
-}
-
-func (l *phaseLabels) key() {
-	if l != nil {
-		pprof.SetGoroutineLabels(l.keyCtx)
-	}
-}
-
-func (l *phaseLabels) insert() {
-	if l != nil {
-		pprof.SetGoroutineLabels(l.insertCtx)
+		pprof.SetGoroutineLabels(l[p])
 	}
 }
 

@@ -254,13 +254,13 @@ func (l *liveChecker) checkGoal(g ts.LivenessGoal) (failed bool, err error) {
 	for _, s0 := range l.sys.Initial() {
 		// The negated monitor may start in several states (the LeadsTo
 		// automaton can guess the violation begins immediately); each gets
-		// its own product root, and extras copy the system state so every
-		// entry owns its storage (ownedCopy, not Clone — see below).
+		// its own product root, and extras Clone the system state so every
+		// entry owns its storage and can be recycled on its own.
 		first := true
 		for _, q0 := range l.monitorInit(s0) {
 			s := s0
 			if !first {
-				s = ownedCopy(s0)
+				s = s0.Clone()
 			}
 			first = false
 			root := l.product(s, "", q0, l.initCopy(q0, s))
@@ -432,7 +432,7 @@ func (l *liveChecker) expand(f *lframe) ([]lsucc, error) {
 		for i, q := range qlist {
 			s := next
 			if i > 0 {
-				s = ownedCopy(next)
+				s = next.Clone()
 			}
 			succs = append(succs, lsucc{
 				state: s,
@@ -453,20 +453,6 @@ func (l *liveChecker) recycle(s ts.State) {
 	if l.lc.recycler != nil {
 		l.lc.recycler.Recycle(s)
 	}
-}
-
-// ownedCopy duplicates s with storage shared with nobody. Clone is not
-// strong enough here: it may share structure the model treats as immutable
-// (msi's copy-on-write message multiset), and a shared-structure copy that
-// is later recycled lets pooled CopyFrom reuse overwrite storage a live
-// state — possibly one sitting in the counterexample trace — still points
-// into. ts.InPlacePermuter's Scratch gives exactly the no-shared-storage
-// guarantee; states without it must have fully private Clones already.
-func ownedCopy(s ts.State) ts.State {
-	if p, ok := s.(ts.InPlacePermuter); ok {
-		return p.Scratch()
-	}
-	return s.Clone()
 }
 
 // --- Nested DFS --------------------------------------------------------

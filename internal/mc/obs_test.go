@@ -221,7 +221,8 @@ func benchExplore(b *testing.B, telemetry bool) {
 // the full telemetry stack live — collector, 2 ms sampler, non-TTY
 // progress renderer — on the same msi-complete configuration. The staged
 // counters and batched flushes must keep the whole -progress path out of
-// the per-state allocation budget.
+// the per-state allocation budget. Under -race the run still happens, with
+// the sampler racing the workers; only the ceiling is skipped.
 func TestTelemetryAllocRegression(t *testing.T) {
 	sys, err := zoo.Get("msi-complete", zoo.Params{Caches: 3})
 	if err != nil {
@@ -244,7 +245,7 @@ func TestTelemetryAllocRegression(t *testing.T) {
 	}
 	perState := float64(res.Space.Mallocs) / float64(res.Stats.VisitedStates)
 	t.Logf("telemetry on: %.1f mallocs/state over %d states", perState, res.Stats.VisitedStates)
-	if perState > 10 {
+	if perState > 10 && !raceEnabled {
 		t.Errorf("mallocs/state = %.1f with telemetry enabled, want <= 10", perState)
 	}
 }

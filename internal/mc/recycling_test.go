@@ -241,7 +241,8 @@ func TestParallelRecycleStress(t *testing.T) {
 // per visited state. Measured at ~5 when the protocol landed; the bar
 // leaves headroom for runtime noise, not for regressions. The ablation
 // arms are logged so a local run shows what each half of the protocol
-// buys.
+// buys. Under -race only the ceiling is skipped (see raceEnabled): the runs,
+// their verdicts and the pool-engagement check still happen.
 func TestLifecycleAllocRegression(t *testing.T) {
 	run := func(noRecycle, fresh bool) *mc.Result {
 		sys, err := zoo.Get("msi-complete", zoo.Params{Caches: 3})
@@ -274,7 +275,7 @@ func TestLifecycleAllocRegression(t *testing.T) {
 	}
 	t.Logf("full lifecycle: %.1f mallocs/state (pool %d hits / %d misses, %d recycled)",
 		perState, full.Space.PoolHits, full.Space.PoolMisses, full.Space.Recycled)
-	if perState > 10 {
+	if perState > 10 && !raceEnabled {
 		t.Errorf("mallocs/state = %.1f, want <= 10 (successor lifecycle regression)", perState)
 	}
 	if full.Space.PoolHits == 0 || full.Space.Recycled == 0 {

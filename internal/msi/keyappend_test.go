@@ -1,9 +1,10 @@
 package msi_test
 
 // Tests for the binary keying capabilities of the MSI state: AppendKey's
-// agreement with Key, and PermuteInto/Scratch's agreement with Permute —
-// the two contracts the zero-allocation canonical fingerprinting pipeline
-// (internal/symmetry) relies on.
+// agreement with Key, and CompareAgents' contract with AppendKey — what the
+// zero-allocation canonical fingerprinting pipeline (internal/symmetry)
+// relies on. Clone privacy and PermuteInto are covered zoo-wide
+// (internal/symmetry: TestZooCloneIsPrivate, TestZooPermuteIntoRoundTrip).
 
 import (
 	"bytes"
@@ -13,7 +14,6 @@ import (
 	"verc3/internal/network"
 	"verc3/internal/statespace"
 	"verc3/internal/symmetry"
-	"verc3/internal/ts"
 )
 
 // stateFromBytes deterministically decodes an arbitrary byte string into a
@@ -101,9 +101,9 @@ func FuzzAppendKeyInjective(f *testing.F) {
 // Leading block: the fingerprint the canonicalizer reaches by sorting the
 // caches and permuting within ties is the fingerprint of the smallest
 // encoding over all 3! permutations, computed here the long way. The
-// generator's raw sharer byte is cut to the three caches there are: Permute
-// drops sharer bits that name no cache, so on such a state it is not a
-// renaming at all (the identity permutation already changes it).
+// generator's raw sharer byte is cut to the three caches there are:
+// PermuteInto drops sharer bits that name no cache, so on such a state it
+// is not a renaming at all (the identity permutation already changes it).
 func FuzzCompareAgents(f *testing.F) {
 	f.Add([]byte{}, uint8(1))
 	f.Add([]byte{1, 2, 3, 1, 2, 3, 4, 5, 6}, uint8(4))
@@ -124,7 +124,7 @@ func FuzzCompareAgents(f *testing.F) {
 		s := stateFromBytes(data)
 		s.Dir.Sharers &= 0b111
 		perm := perms[int(pick)%len(perms)]
-		ps := s.Permute(perm).(*msi.State)
+		ps := symmetry.Permuted(s, perm).(*msi.State)
 		for i := range s.Caches {
 			for j := range s.Caches {
 				if got, want := sign(ps.CompareAgents(perm[i], perm[j])), sign(s.CompareAgents(i, j)); got != want {
@@ -135,7 +135,7 @@ func FuzzCompareAgents(f *testing.F) {
 		}
 		var min []byte
 		for _, p := range perms {
-			if enc := s.Permute(p).(*msi.State).AppendKey(nil); min == nil || bytes.Compare(enc, min) < 0 {
+			if enc := symmetry.Permuted(s, p).(*msi.State).AppendKey(nil); min == nil || bytes.Compare(enc, min) < 0 {
 				min = enc
 			}
 		}
@@ -175,7 +175,7 @@ func TestAppendKeySensitivity(t *testing.T) {
 		"msg cnt": func(s *msi.State) {
 			s.Net = network.New(network.Msg{Type: msi.MsgData, Src: 0, Dst: 1, Req: -1, Cnt: 1, Val: 1})
 		},
-		"msg extra": func(s *msi.State) { s.Net = s.Net.Send(network.Msg{Type: msi.MsgAck, Src: 1, Dst: 3, Req: -1}) },
+		"msg extra": func(s *msi.State) { s.Net.SendInPlace(network.Msg{Type: msi.MsgAck, Src: 1, Dst: 3, Req: -1}) },
 	}
 	for name, mutate := range mutations {
 		s := base()
@@ -183,54 +183,5 @@ func TestAppendKeySensitivity(t *testing.T) {
 		if bytes.Equal(s.AppendKey(nil), ref) {
 			t.Errorf("%s: mutation not visible in AppendKey", name)
 		}
-	}
-}
-
-// TestPermuteIntoMatchesPermute drives randomized states through every
-// permutation twice — once through the allocating Permute, once through
-// PermuteInto reusing one scratch state across all calls — and requires
-// identical keys and encodings, with the source state untouched.
-func TestPermuteIntoMatchesPermute(t *testing.T) {
-	perms := symmetry.Permutations(3)
-	var scratchState ts.State
-	for seed := 0; seed < 64; seed++ {
-		s := stateFromBytes([]byte{byte(seed), byte(seed * 7), byte(seed * 131), byte(seed * 29),
-			byte(seed * 3), byte(seed * 17), byte(seed * 61), byte(seed * 211), byte(seed * 5)})
-		if scratchState == nil {
-			scratchState = s.Scratch()
-		}
-		before := s.Key()
-		for _, perm := range perms {
-			want := s.Permute(perm)
-			s.PermuteInto(scratchState, perm)
-			if got, w := scratchState.Key(), want.Key(); got != w {
-				t.Fatalf("seed %d perm %v: PermuteInto key %q, Permute key %q", seed, perm, got, w)
-			}
-			gotEnc := scratchState.(ts.KeyAppender).AppendKey(nil)
-			wantEnc := want.(ts.KeyAppender).AppendKey(nil)
-			if !bytes.Equal(gotEnc, wantEnc) {
-				t.Fatalf("seed %d perm %v: encodings diverge", seed, perm)
-			}
-		}
-		if s.Key() != before {
-			t.Fatalf("seed %d: PermuteInto mutated its source (key %q -> %q)", seed, before, s.Key())
-		}
-	}
-}
-
-// TestScratchIsPrivate pins why Scratch exists at all: Clone shares the
-// network's message storage (immutable value semantics), so permuting into
-// a Clone would corrupt the source; permuting into a Scratch must not.
-func TestScratchIsPrivate(t *testing.T) {
-	s := stateFromBytes([]byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 11, 22, 33, 44, 55, 66, 77})
-	if s.Net.Len() == 0 {
-		t.Fatal("test state needs in-flight messages")
-	}
-	before := s.Key()
-	dst := s.Scratch()
-	s.PermuteInto(dst, []int{2, 0, 1})
-	s.PermuteInto(dst, []int{1, 2, 0})
-	if s.Key() != before {
-		t.Fatalf("PermuteInto through Scratch corrupted the source: %q -> %q", before, s.Key())
 	}
 }

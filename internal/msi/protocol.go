@@ -2,8 +2,6 @@ package msi
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"verc3/internal/network"
 	"verc3/internal/ts"
@@ -56,22 +54,19 @@ type Config struct {
 }
 
 // System implements ts.System for the MSI protocol, plus the successor
-// lifecycle extensions (ts.Recycler / ts.TransitionAppender): Fire draws
-// its clones from a recycled-state pool and transition names come from
-// tables precomputed at construction. The protocol tables are immutable
-// after New and the pool is a sync.Pool, so a System remains safe for
-// concurrent synthesis workers.
+// lifecycle extensions (ts.Recycler and ts.PoolReporter through the
+// embedded pool, ts.TransitionAppender): Fire draws its clones from the
+// pool and transition names come from tables precomputed at construction.
+// The protocol tables are immutable after New and the pool is safe for
+// concurrent use, so a System remains safe for concurrent synthesis
+// workers.
 type System struct {
+	ts.Pool[*State]
+
 	cfg   Config
 	dirID int
 	holes map[string]bool // rule IDs synthesized in this variant
 	names nameTables
-
-	// pool holds recycled *State storage (see Recycle); hits/misses count
-	// successor clones served from it vs built fresh, for ts.PoolReporter.
-	pool   sync.Pool
-	hits   atomic.Uint64
-	misses atomic.Uint64
 }
 
 // msgTypes indexes the protocol's message types for the name tables.
@@ -199,34 +194,15 @@ func New(cfg Config) *System {
 	return &System{cfg: cfg, dirID: cfg.Caches, holes: holes, names: buildNames(cfg.Caches, cfg.Fair)}
 }
 
-// succ returns a successor state equal to st, drawing storage from the
-// recycled-state pool when it has any and falling back to a fresh deep
-// copy otherwise. Either way the result owns all of its storage (Scratch
-// semantics, not Clone's shared network), which is what entitles the
-// firing rule to mutate its network in place.
+// succ returns a successor state equal to st, in recycled storage when the
+// pool has any. Either way it owns its network, which is what entitles the
+// firing rule to mutate that in place.
 func (sys *System) succ(st *State) *State {
-	if v := sys.pool.Get(); v != nil {
-		ns := v.(*State)
+	if ns, ok := sys.Get(); ok {
 		ns.CopyFrom(st)
-		sys.hits.Add(1)
 		return ns
 	}
-	sys.misses.Add(1)
-	return st.Scratch().(*State)
-}
-
-// Recycle implements ts.Recycler: s's storage seeds a future Fire clone.
-// The caller must own s outright (see the ts package docs for the
-// ownership rules); states of foreign types are ignored.
-func (sys *System) Recycle(s ts.State) {
-	if st, ok := s.(*State); ok {
-		sys.pool.Put(st)
-	}
-}
-
-// PoolStats implements ts.PoolReporter.
-func (sys *System) PoolStats() (hits, misses uint64) {
-	return sys.hits.Load(), sys.misses.Load()
+	return st.Clone().(*State)
 }
 
 // Name implements ts.System.

@@ -42,6 +42,15 @@ import (
 	"verc3/internal/ts"
 )
 
+// A state that drops one of these loses symmetry reduction or successor
+// recycling silently; fail the build instead.
+var (
+	_ ts.Permutable    = (*State)(nil)
+	_ ts.AgentComparer = (*State)(nil)
+	_ ts.KeyAppender   = (*State)(nil)
+	_ ts.StateCopier   = (*State)(nil)
+)
+
 // CacheState enumerates the 7 cache-controller states (3 stable + 4
 // transient), which is exactly the arity of the cache "next state" hole
 // actions in the paper's action library.
@@ -126,7 +135,7 @@ type Dir struct {
 }
 
 // State is the global protocol state. It implements ts.State,
-// ts.Permutable / ts.InPlacePermuter and ts.AgentComparer.
+// ts.KeyAppender, ts.StateCopier, ts.Permutable and ts.AgentComparer.
 type State struct {
 	Caches []Cache
 	Dir    Dir
@@ -223,26 +232,22 @@ func decodeState(data []byte, wantCaches int) (*State, []byte, error) {
 	return s, data[el:], nil
 }
 
-// Clone implements ts.State.
+// Clone implements ts.State: the copy has its own cache array and its own
+// network storage.
 func (s *State) Clone() ts.State {
-	cp := &State{
+	return &State{
 		Caches: append([]Cache(nil), s.Caches...),
 		Dir:    s.Dir,
-		Net:    s.Net, // immutable value semantics
+		Net:    s.Net.Copy(),
 		Ghost:  s.Ghost,
 		Err:    s.Err,
 	}
-	return cp
 }
 
-// CopyFrom implements ts.StateCopier: overwrite the receiver with src,
-// reusing the receiver's cache array and network message storage. The
-// result owns all of its storage like Scratch — not like Clone, which
-// shares the network slice — because a recycled successor's network is
-// about to be mutated in place by the firing rule (SendInPlace /
-// RemoveInPlace). Fire keeps every successor on this owned-storage
-// footing, so one cache array and one message buffer recirculate through
-// arbitrarily many recycle/CopyFrom cycles.
+// CopyFrom implements ts.StateCopier: Clone into the receiver's own cache
+// array and network message storage, so one of each recirculates through
+// arbitrarily many recycle/CopyFrom cycles while the firing rules mutate
+// the network in place (SendInPlace / RemoveInPlace).
 func (s *State) CopyFrom(src ts.State) {
 	o := src.(*State)
 	s.Caches = append(s.Caches[:0], o.Caches...)
@@ -254,16 +259,6 @@ func (s *State) CopyFrom(src ts.State) {
 
 // NumAgents implements ts.Permutable.
 func (s *State) NumAgents() int { return len(s.Caches) }
-
-// Permute implements ts.Permutable: cache i is renamed to perm[i]
-// everywhere an agent index occurs (cache array slot, directory owner /
-// pending / sharers, message Src/Dst/Req). It is PermuteInto against a
-// fresh destination, so the renaming logic lives in exactly one place.
-func (s *State) Permute(perm []int) ts.State {
-	cp := s.Scratch()
-	s.PermuteInto(cp, perm)
-	return cp
-}
 
 // CompareAgents implements ts.AgentComparer: caches compare by their
 // (St, Data, Acks) triple, byte for byte as AppendKey emits it. The triples
@@ -282,24 +277,11 @@ func (s *State) CompareAgents(i, j int) int {
 	return int(byte(a.Acks)) - int(byte(b.Acks))
 }
 
-// Scratch implements ts.InPlacePermuter: a fully private deep copy usable
-// as a PermuteInto destination. Clone is not enough here — it shares the
-// network's message slice under the Net's immutable value semantics, and
-// PermuteInto overwrites that slice in place.
-func (s *State) Scratch() ts.State {
-	return &State{
-		Caches: append([]Cache(nil), s.Caches...),
-		Dir:    s.Dir,
-		Net:    s.Net.Copy(),
-		Ghost:  s.Ghost,
-		Err:    s.Err,
-	}
-}
-
-// PermuteInto implements ts.InPlacePermuter: Permute's result written into
-// dst — a *State from Scratch — reusing its cache array and network
-// message storage, so the permutations the symmetry canonicalizer tries
-// per state allocate nothing in steady state.
+// PermuteInto implements ts.Permutable: cache i is renamed to perm[i]
+// everywhere an agent index occurs (cache array slot, directory owner /
+// pending / sharers, message Src/Dst/Req). dst's cache array and network
+// message storage are reused, so the permutations the symmetry
+// canonicalizer tries per state allocate nothing in steady state.
 func (s *State) PermuteInto(dst ts.State, perm []int) {
 	d := dst.(*State)
 	n := len(s.Caches)

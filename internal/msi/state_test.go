@@ -8,7 +8,6 @@ import (
 	"verc3/internal/msi"
 	"verc3/internal/network"
 	"verc3/internal/symmetry"
-	"verc3/internal/ts"
 )
 
 // randomState builds a structurally plausible random MSI state.
@@ -33,7 +32,7 @@ func randomState(rng *rand.Rand, n int) *msi.State {
 	}
 	types := []string{msi.MsgGetS, msi.MsgGetM, msi.MsgData, msi.MsgInv, msi.MsgInvAck, msi.MsgAck}
 	for k := rng.Intn(5); k > 0; k-- {
-		st.Net = st.Net.Send(network.Msg{
+		st.Net.SendInPlace(network.Msg{
 			Type: types[rng.Intn(len(types))],
 			Src:  rng.Intn(n + 1),
 			Dst:  rng.Intn(n + 1),
@@ -54,15 +53,15 @@ func TestStatePermuteGroupAction(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		st := randomState(rng, n)
 		id := []int{0, 1, 2}
-		if st.Permute(id).Key() != st.Key() {
+		if symmetry.Permuted(st, id).Key() != st.Key() {
 			return false
 		}
 		p := rng.Perm(n)
-		inv := symmetry.Invert(p)
-		if st.Permute(p).(*msi.State).Permute(inv).Key() != st.Key() {
+		there := symmetry.Permuted(st, p).(*msi.State)
+		if symmetry.Permuted(there, symmetry.Invert(p)).Key() != st.Key() {
 			return false
 		}
-		return canon.Key(st.Permute(p)) == canon.Key(st)
+		return canon.Key(there) == canon.Key(st)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -77,7 +76,7 @@ func TestStateCloneIndependence(t *testing.T) {
 	cp := st.Clone().(*msi.State)
 	cp.Caches[0].St = msi.CacheM
 	cp.Dir.Owner = 0
-	cp.Net = cp.Net.Send(network.Msg{Type: msi.MsgAck, Src: 0, Dst: 3})
+	cp.Net.SendInPlace(network.Msg{Type: msi.MsgAck, Src: 0, Dst: 3})
 	cp.Ghost ^= 1
 	cp.Err = "poked"
 	if st.Key() != key {
@@ -105,7 +104,7 @@ func TestKeyDistinguishesFields(t *testing.T) {
 		"dir-sharers": func(s *msi.State) { s.Dir.Sharers = 2 },
 		"dir-mem":     func(s *msi.State) { s.Dir.Mem = 1 },
 		"ghost":       func(s *msi.State) { s.Ghost = 1 },
-		"net":         func(s *msi.State) { s.Net = s.Net.Send(network.Msg{Type: msi.MsgGetS, Src: 0, Dst: 2}) },
+		"net":         func(s *msi.State) { s.Net.SendInPlace(network.Msg{Type: msi.MsgGetS, Src: 0, Dst: 2}) },
 		"err":         func(s *msi.State) { s.Err = "x" },
 	}
 	ref := base().Key()
@@ -184,5 +183,3 @@ func TestErrStatesAreTerminal(t *testing.T) {
 		t.Errorf("poisoned state has %d transitions", len(got))
 	}
 }
-
-var _ ts.Permutable = (*msi.State)(nil)

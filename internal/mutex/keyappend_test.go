@@ -1,14 +1,13 @@
 package mutex_test
 
-// Tests for the Peterson state's binary keying and scratch permutation.
+// Tests for the Peterson state's binary keying. PermuteInto is covered
+// zoo-wide by internal/symmetry's TestZooPermuteIntoRoundTrip.
 
 import (
 	"bytes"
 	"testing"
 
 	"verc3/internal/mutex"
-	"verc3/internal/symmetry"
-	"verc3/internal/ts"
 )
 
 // states enumerates a representative population of mutex states (all PC
@@ -49,23 +48,5 @@ func TestAppendKeyMatchesKeyPartition(t *testing.T) {
 		}
 		byKey[k] = enc
 		byEnc[string(enc)] = k
-	}
-}
-
-// TestPermuteIntoMatchesPermute checks the scratch path agrees with the
-// allocating Permute for both permutations over the whole population.
-func TestPermuteIntoMatchesPermute(t *testing.T) {
-	var scratch ts.State
-	for _, s := range states() {
-		if scratch == nil {
-			scratch = s.Scratch()
-		}
-		for _, perm := range symmetry.Permutations(2) {
-			want := s.Permute(perm).Key()
-			s.PermuteInto(scratch, perm)
-			if got := scratch.Key(); got != want {
-				t.Fatalf("state %q perm %v: PermuteInto %q, Permute %q", s.Key(), perm, got, want)
-			}
-		}
 	}
 }

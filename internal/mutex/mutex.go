@@ -22,8 +22,6 @@ package mutex
 import (
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"verc3/internal/ts"
 )
@@ -44,7 +42,17 @@ var pcNames = [...]string{"Idle", "SetTurn", "Wait", "Crit"}
 // String returns the program-counter name.
 func (p PC) String() string { return pcNames[p] }
 
-// State is the global state of the two-process system.
+// A state that drops one of these loses symmetry reduction or successor
+// recycling silently; fail the build instead.
+var (
+	_ ts.Permutable    = (*State)(nil)
+	_ ts.AgentComparer = (*State)(nil)
+	_ ts.KeyAppender   = (*State)(nil)
+	_ ts.StateCopier   = (*State)(nil)
+)
+
+// State is the global state of the two-process system: a flat value, so
+// every copy owns all of it.
 type State struct {
 	PCs  [2]PC
 	Flag [2]bool
@@ -88,16 +96,11 @@ func (s *State) Clone() ts.State {
 	return &cp
 }
 
-// CopyFrom implements ts.StateCopier. The state is a flat value, so a plain
-// assignment leaves the receiver sharing nothing.
+// CopyFrom implements ts.StateCopier.
 func (s *State) CopyFrom(src ts.State) { *s = *src.(*State) }
 
-// Scratch implements ts.InPlacePermuter. The state is a flat value — Clone
-// is already fully private.
-func (s *State) Scratch() ts.State { return s.Clone() }
-
-// PermuteInto implements ts.InPlacePermuter: Permute's result written into
-// dst without allocating.
+// PermuteInto implements ts.Permutable: process i is renamed to perm[i] in
+// the PC and flag slots and in Turn.
 func (s *State) PermuteInto(dst ts.State, perm []int) {
 	d := dst.(*State)
 	d.VisitedCrit = s.VisitedCrit
@@ -131,14 +134,6 @@ func (s *State) CompareAgents(i, j int) int {
 // NumAgents implements ts.Permutable.
 func (s *State) NumAgents() int { return 2 }
 
-// Permute implements ts.Permutable: PermuteInto against a fresh
-// destination, so the renaming logic lives in exactly one place.
-func (s *State) Permute(perm []int) ts.State {
-	cp := s.Scratch()
-	s.PermuteInto(cp, perm)
-	return cp
-}
-
 // String renders the state.
 func (s *State) String() string {
 	return fmt.Sprintf("p0:%s(f=%v) p1:%s(f=%v) turn=%d visited=%v",
@@ -146,14 +141,13 @@ func (s *State) String() string {
 }
 
 // System implements ts.System plus the successor lifecycle extensions
-// (ts.Recycler / ts.TransitionAppender). Sketch selects whether the three
-// actions are holes (true) or fixed to Peterson's correct choices (false).
+// (ts.Recycler and ts.PoolReporter through the embedded pool,
+// ts.TransitionAppender). Sketch selects whether the three actions are
+// holes (true) or fixed to Peterson's correct choices (false).
 type System struct {
-	Sketch bool
+	ts.Pool[*State]
 
-	pool   sync.Pool
-	hits   atomic.Uint64
-	misses atomic.Uint64
+	Sketch bool
 }
 
 // Transition names, one per (process, rule): computed once instead of a
@@ -165,30 +159,15 @@ var (
 	nameLeave   = [2]string{"p0: leave critical section", "p1: leave critical section"}
 )
 
-// succ returns a successor equal to st, drawn from the recycled-state pool
-// when possible.
+// succ returns a successor equal to st, in recycled storage when the pool
+// has any.
 func (sys *System) succ(st *State) *State {
-	if v := sys.pool.Get(); v != nil {
-		ns := v.(*State)
+	if ns, ok := sys.Get(); ok {
 		*ns = *st
-		sys.hits.Add(1)
 		return ns
 	}
-	sys.misses.Add(1)
 	cp := *st
 	return &cp
-}
-
-// Recycle implements ts.Recycler.
-func (sys *System) Recycle(s ts.State) {
-	if st, ok := s.(*State); ok {
-		sys.pool.Put(st)
-	}
-}
-
-// PoolStats implements ts.PoolReporter.
-func (sys *System) PoolStats() (hits, misses uint64) {
-	return sys.hits.Load(), sys.misses.Load()
 }
 
 // New returns the mutex system; sketch leaves the three actions as holes.

@@ -1,6 +1,6 @@
 package network_test
 
-// Tests for the network's binary keying and scratch-permutation support.
+// Tests for the network's binary keying and in-place permutation support.
 
 import (
 	"bytes"
@@ -65,9 +65,10 @@ func TestNetAppendKeyCountPrefixed(t *testing.T) {
 	}
 }
 
-// TestNetPermuteIntoMatchesPermute checks the scratch path returns exactly
-// what the allocating Permute returns — same canonical order, same key —
-// while reusing the destination's storage and leaving the source intact.
+// TestNetPermuteIntoMatchesPermute checks PermuteInto against the
+// sort-from-scratch oracle (permuted, network_test.go) — same canonical
+// order, same key — while reusing the destination's storage and leaving the
+// source intact.
 func TestNetPermuteIntoMatchesPermute(t *testing.T) {
 	n := network.New(
 		network.Msg{Type: "Data", Src: 0, Dst: 2, Req: -1, Cnt: 1, Val: 1},
@@ -78,10 +79,10 @@ func TestNetPermuteIntoMatchesPermute(t *testing.T) {
 	before := n.Key()
 	dst := n.Copy()
 	for _, perm := range [][]int{{0, 1, 2}, {1, 0, 2}, {2, 1, 0}, {1, 2, 0}, {2, 0, 1}, {0, 2, 1}} {
-		want := n.Permute(perm, 3)
+		want := permuted(n, perm, 3)
 		n.PermuteInto(&dst, perm, 3)
 		if dst.Key() != want.Key() {
-			t.Fatalf("perm %v: PermuteInto %q, Permute %q", perm, dst.Key(), want.Key())
+			t.Fatalf("perm %v: PermuteInto %q, rebuilt from scratch %q", perm, dst.Key(), want.Key())
 		}
 	}
 	if n.Key() != before {
@@ -101,7 +102,7 @@ func TestNetPermuteIntoGrows(t *testing.T) {
 		network.Msg{Type: "C", Src: 2, Dst: 2, Req: 2},
 	)
 	big.PermuteInto(&dst, []int{2, 0, 1}, 3)
-	if want := big.Permute([]int{2, 0, 1}, 3); dst.Key() != want.Key() {
+	if want := permuted(big, []int{2, 0, 1}, 3); dst.Key() != want.Key() {
 		t.Fatalf("grown scratch: %q, want %q", dst.Key(), want.Key())
 	}
 	// And shrink back down on the next reuse.
@@ -112,8 +113,7 @@ func TestNetPermuteIntoGrows(t *testing.T) {
 }
 
 // TestCopyIsPrivate checks Copy's storage independence: permuting into the
-// copy never disturbs the original (the reason Scratch paths must Copy
-// rather than share under the immutable value semantics).
+// copy never disturbs the original.
 func TestCopyIsPrivate(t *testing.T) {
 	orig := network.New(
 		network.Msg{Type: "Data", Src: 0, Dst: 1, Req: -1, Val: 1},

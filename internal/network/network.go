@@ -4,6 +4,11 @@
 // kept canonically sorted so that network contents encode deterministically
 // into state keys, and agent-valued message fields can be permuted for
 // symmetry reduction.
+//
+// A Net is an owned multiset: each Net value has its message storage to
+// itself, and is changed in place (SendInPlace, RemoveInPlace) or
+// overwritten (CopyInto, PermuteInto) by whoever holds it. Assigning a Net
+// copies only the slice header, so a second holder must be given a Copy.
 package network
 
 import (
@@ -138,9 +143,8 @@ func less(a, b Msg) bool {
 	return a.Val < b.Val
 }
 
-// Net is a canonical multiset of in-flight messages. The zero value is an
-// empty network. Net values are immutable once shared: mutating operations
-// return a fresh Net.
+// Net is a canonical multiset of in-flight messages, owning its storage
+// (see the package comment). The zero value is an empty network.
 type Net struct {
 	msgs []Msg // kept sorted
 }
@@ -155,59 +159,9 @@ func New(msgs ...Msg) Net {
 // Len returns the number of in-flight messages.
 func (n Net) Len() int { return len(n.msgs) }
 
-// Send returns a copy of n with m added.
-func (n Net) Send(m Msg) Net {
-	out := make([]Msg, 0, len(n.msgs)+1)
-	i := 0
-	for ; i < len(n.msgs) && less(n.msgs[i], m); i++ {
-		out = append(out, n.msgs[i])
-	}
-	out = append(out, m)
-	out = append(out, n.msgs[i:]...)
-	return Net{msgs: out}
-}
-
-// Remove returns a copy of n with the message at index i (per Messages
-// order) removed. It panics on out-of-range i.
-func (n Net) Remove(i int) Net {
-	if i < 0 || i >= len(n.msgs) {
-		panic("network: Remove index out of range")
-	}
-	out := make([]Msg, 0, len(n.msgs)-1)
-	out = append(out, n.msgs[:i]...)
-	out = append(out, n.msgs[i+1:]...)
-	return Net{msgs: out}
-}
-
-// At returns the message at index i.
-func (n Net) At(i int) Msg { return n.msgs[i] }
-
 // Messages returns the in-flight messages in canonical order. The returned
 // slice must not be mutated.
 func (n Net) Messages() []Msg { return n.msgs }
-
-// ForDst returns the indices of messages addressed to dst, in canonical
-// order. Unordered delivery means each is a separately deliverable event.
-func (n Net) ForDst(dst int) []int {
-	var idx []int
-	for i, m := range n.msgs {
-		if m.Dst == dst {
-			idx = append(idx, i)
-		}
-	}
-	return idx
-}
-
-// Count returns how many in-flight messages satisfy pred.
-func (n Net) Count(pred func(Msg) bool) int {
-	c := 0
-	for _, m := range n.msgs {
-		if pred(m) {
-			c++
-		}
-	}
-	return c
-}
 
 // Any reports whether some in-flight message satisfies pred.
 func (n Net) Any(pred func(Msg) bool) bool {
@@ -243,29 +197,23 @@ func (n Net) AppendKey(dst []byte) []byte {
 	return dst
 }
 
-// Copy returns a Net with private message storage. Net values returned by
-// Send/Remove/Permute may be shared freely (immutable value semantics), but
-// a Net that will be overwritten in place — a PermuteInto destination, or
-// an owned network mutated through SendInPlace/RemoveInPlace — must own
-// its slice, which is what Copy (and CopyInto) establish.
+// Copy returns a Net equal to n with message storage of its own.
 func (n Net) Copy() Net {
 	return Net{msgs: append([]Msg(nil), n.msgs...)}
 }
 
 // CopyInto writes a copy of n into dst, reusing dst's message storage
-// (growing it only when capacity falls short). dst must own its storage;
-// afterwards it still does, so recycled protocol states keep recirculating
-// one message buffer through arbitrarily many CopyInto/SendInPlace cycles.
+// (growing it only when capacity falls short), so recycled protocol states
+// keep recirculating one message buffer through arbitrarily many
+// CopyInto/SendInPlace cycles.
 func (n Net) CopyInto(dst *Net) {
 	dst.msgs = append(dst.msgs[:0], n.msgs...)
 }
 
-// SendInPlace inserts m into n's multiset preserving canonical order,
-// mutating n's own storage. n must own its slice (Copy/CopyInto/PermuteInto
-// lineage) — calling this on a shared Net value corrupts every state
-// holding it. The insertion is a backward shift like PermuteInto's
-// insertion sort: protocol networks hold a handful of messages, and unlike
-// Send nothing is allocated once capacity has grown to the working size.
+// SendInPlace inserts m into n's multiset preserving canonical order. The
+// insertion is a backward shift like PermuteInto's insertion sort: protocol
+// networks hold a handful of messages, and nothing is allocated once
+// capacity has grown to the working size.
 func (n *Net) SendInPlace(m Msg) {
 	n.msgs = append(n.msgs, m)
 	for j := len(n.msgs) - 1; j > 0 && less(n.msgs[j], n.msgs[j-1]); j-- {
@@ -273,9 +221,8 @@ func (n *Net) SendInPlace(m Msg) {
 	}
 }
 
-// RemoveInPlace deletes the message at index i (per Messages order),
-// mutating n's own storage under the same ownership contract as
-// SendInPlace. It panics on out-of-range i.
+// RemoveInPlace deletes the message at index i (per Messages order). It
+// panics on out-of-range i.
 func (n *Net) RemoveInPlace(i int) {
 	if i < 0 || i >= len(n.msgs) {
 		panic("network: RemoveInPlace index out of range")
@@ -283,23 +230,13 @@ func (n *Net) RemoveInPlace(i int) {
 	n.msgs = append(n.msgs[:i], n.msgs[i+1:]...)
 }
 
-// Permute returns a copy of n with every agent index a in [0, numAgents)
-// renamed to perm[a] in Src, Dst and Req (indices outside that range, e.g.
-// the directory, are fixed points), re-canonicalized. It is PermuteInto
-// against a fresh destination, so the renaming logic lives in one place.
-func (n Net) Permute(perm []int, numAgents int) Net {
-	out := Net{msgs: make([]Msg, 0, len(n.msgs))}
-	n.PermuteInto(&out, perm, numAgents)
-	return out
-}
-
-// PermuteInto writes the same result Permute would return into dst,
-// reusing dst's message slice (growing it only when capacity falls short).
-// dst must own its storage — it must originate from Copy (or a prior
-// PermuteInto chain rooted at one), never from a shared Net value, because
-// its backing array is overwritten. The receiver is not modified. Sorting
-// is an in-place insertion sort: protocol networks hold a handful of
-// in-flight messages, and unlike sort.Slice it does not allocate.
+// PermuteInto overwrites dst with n under the renaming of every agent
+// index a in [0, numAgents) to perm[a] in Src, Dst and Req (indices outside
+// that range, e.g. the directory, are fixed points), re-canonicalized. It
+// reuses dst's message slice (growing it only when capacity falls short);
+// dst must not be n itself, and n is not modified. Sorting is an in-place
+// insertion sort: protocol networks hold a handful of in-flight messages,
+// and unlike sort.Slice it does not allocate.
 func (n Net) PermuteInto(dst *Net, perm []int, numAgents int) {
 	out := dst.msgs[:0]
 	for _, m := range n.msgs {

@@ -207,14 +207,22 @@ func (s *specState) renderVal(v *varInfo, val int32) string {
 	return strconv.FormatInt(int64(val), 10)
 }
 
-// symState is the state of a model declared symmetric: it adds the
-// ts.Permutable / ts.InPlacePermuter capabilities over the declared
-// per-process arrays (slots permuted) and pid-typed variables (values
-// renamed), and ts.AgentComparer over the leading arrays. A separate
-// concrete type — rather than a flag on specState — because interface
-// satisfaction is static: non-symmetric models must not offer Permute at
-// all.
+// symState is the state of a model declared symmetric: it adds
+// ts.Permutable over the declared per-process arrays (slots permuted) and
+// pid-typed variables (values renamed), and ts.AgentComparer over the
+// leading arrays. A separate concrete type — rather than a flag on
+// specState — because interface satisfaction is static: non-symmetric
+// models must not offer PermuteInto at all.
 type symState struct{ specState }
+
+// A symState that drops one of these loses symmetry reduction or successor
+// recycling silently; fail the build instead.
+var (
+	_ ts.Permutable    = (*symState)(nil)
+	_ ts.AgentComparer = (*symState)(nil)
+	_ ts.KeyAppender   = (*symState)(nil)
+	_ ts.StateCopier   = (*symState)(nil)
+)
 
 // Clone implements ts.State, preserving the concrete type (the dsl builder
 // asserts Clone's result back to the state type it was built with).
@@ -250,10 +258,7 @@ func (s *symState) CompareAgents(i, j int) int {
 	return 0
 }
 
-// Scratch implements ts.InPlacePermuter.
-func (s *symState) Scratch() ts.State { return s.Clone() }
-
-// PermuteInto implements ts.InPlacePermuter: agent a's array cells move to
+// PermuteInto implements ts.Permutable: agent a's array cells move to
 // perm[a], and pid values v become perm[v] (none stays none).
 func (s *symState) PermuteInto(dst ts.State, perm []int) {
 	d := dst.(specCore).core()
@@ -272,11 +277,4 @@ func (s *symState) PermuteInto(dst ts.State, perm []int) {
 			d.vals[slot] = int32(perm[p])
 		}
 	}
-}
-
-// Permute implements ts.Permutable.
-func (s *symState) Permute(perm []int) ts.State {
-	cp := s.Clone()
-	s.PermuteInto(cp, perm)
-	return cp
 }

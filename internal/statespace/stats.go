@@ -39,7 +39,7 @@ type Stats struct {
 	// trace-off runs of the same system are directly comparable.
 	BytesRetained int64 `json:"bytes_retained"`
 	// VisitedBytes is the visited-set backend's measured storage footprint
-	// (internal/visited Store.Bytes): exact array sizes for the flat and
+	// (internal/visited Store.Stats().Bytes): exact array sizes for the flat and
 	// bitstate backends, a documented geometry model for the map backend.
 	// Unlike the seed's 8-bytes-per-state estimate it includes the ~2×
 	// structural overhead of map storage and the slack of power-of-two

@@ -24,10 +24,10 @@ import (
 )
 
 // exhaustive hides ts.AgentComparer: the embedded interfaces promote every
-// other capability of the wrapped state (its Scratch and PermuteInto work
-// on the unwrapped type), so Fingerprint searches all N! permutations.
+// other capability of the wrapped state (its Clone and PermuteInto work on
+// the unwrapped type), so Fingerprint searches all N! permutations.
 type exhaustive struct {
-	ts.InPlacePermuter
+	ts.Permutable
 	ts.KeyAppender
 }
 
@@ -35,7 +35,7 @@ type exhaustive struct {
 // itself when the first arrangement is the identity, and one permuted copy
 // for every other arrangement.
 type counted struct {
-	ts.InPlacePermuter
+	ts.Permutable
 	ts.KeyAppender
 	ts.AgentComparer
 	tried *int
@@ -48,12 +48,12 @@ func (c counted) AppendKey(dst []byte) []byte {
 
 func (c counted) PermuteInto(dst ts.State, perm []int) {
 	*c.tried++
-	c.InPlacePermuter.PermuteInto(dst, perm)
+	c.Permutable.PermuteInto(dst, perm)
 }
 
 // symmetric is what every symmetric state of the zoo implements.
 type symmetric interface {
-	ts.InPlacePermuter
+	ts.Permutable
 	ts.KeyAppender
 	ts.AgentComparer
 }
@@ -67,16 +67,10 @@ type tieVec struct {
 	owner int
 }
 
-func (v *tieVec) Key() string     { return fmt.Sprint(v.vals, v.owner) }
-func (v *tieVec) Clone() ts.State { return v.Scratch() }
-func (v *tieVec) NumAgents() int  { return len(v.vals) }
-func (v *tieVec) Scratch() ts.State {
+func (v *tieVec) Key() string    { return fmt.Sprint(v.vals, v.owner) }
+func (v *tieVec) NumAgents() int { return len(v.vals) }
+func (v *tieVec) Clone() ts.State {
 	return &tieVec{vals: append([]byte(nil), v.vals...), owner: v.owner}
-}
-func (v *tieVec) Permute(perm []int) ts.State {
-	cp := v.Scratch()
-	v.PermuteInto(cp, perm)
-	return cp
 }
 func (v *tieVec) PermuteInto(dst ts.State, perm []int) {
 	d := dst.(*tieVec)
@@ -119,29 +113,9 @@ func TestFingerprintTriesOnlyTiePermutations(t *testing.T) {
 		if full := c.Fingerprint(exhaustive{s, s}); got != full {
 			t.Fatalf("%v: pruned fingerprint %x, exhaustive %x", s, got, full)
 		}
-		if again := c.Fingerprint(s.Permute(rng.Perm(n))); again != got {
+		if again := c.Fingerprint(symmetry.Permuted(s, rng.Perm(n))); again != got {
 			t.Fatalf("%v: a permuted copy fingerprints %x, the state %x", s, again, got)
 		}
-	}
-}
-
-// stringOnlyCopies has AppendKey itself, but its Permute returns a state
-// without it.
-type stringOnlyCopies struct{ vecState }
-
-func (v *stringOnlyCopies) AppendKey(dst []byte) []byte { return append(dst, v.Key()...) }
-
-// TestFingerprintPermutedCopyWithoutAppender: a ts.Permutable whose
-// permuted copies do not implement ts.KeyAppender used to panic on an
-// unchecked assertion; it takes the string tier instead.
-func TestFingerprintPermutedCopyWithoutAppender(t *testing.T) {
-	c := symmetry.NewCanonicalizer(3)
-	s := &stringOnlyCopies{vecState{vals: []int{2, 0, 1}}}
-	if _, ok := s.Permute([]int{1, 0, 2}).(ts.KeyAppender); ok {
-		t.Fatal("the toy's permuted copies must lack ts.KeyAppender")
-	}
-	if got, want := c.Fingerprint(s), statespace.OfString(c.Key(s)); got != want {
-		t.Errorf("fingerprint %x, want the string tier's %x", got, want)
 	}
 }
 
@@ -180,6 +154,40 @@ const wideSpec = `{
   "quiescent": "true"
 }`
 
+// entry is one model the zoo-wide tests of this package walk.
+type entry struct {
+	name   string
+	sys    func() ts.System
+	sketch bool
+}
+
+func zooEntry(t *testing.T, name string, caches int) entry {
+	return entry{
+		name: fmt.Sprintf("%s/caches=%d", name, caches),
+		sys: func() ts.System {
+			sys, err := zoo.Get(name, zoo.Params{Caches: caches})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sys
+		},
+		sketch: zoo.IsSketch(name),
+	}
+}
+
+func specEntry(t *testing.T, name string, m *spec.Model, err error) entry {
+	if err != nil {
+		t.Fatal(err)
+	}
+	return entry{name: name, sys: m.System, sketch: m.Sketch()}
+}
+
+// specFileEntry loads one of the committed examples/specs models.
+func specFileEntry(t *testing.T, file string) entry {
+	m, err := spec.LoadFile(filepath.Join("../../examples/specs", file))
+	return specEntry(t, "spec/"+file, m, err)
+}
+
 // TestZooEquivalenceCanonicalization explores every symmetric model there
 // is — the zoo at two caches, msi-complete at three to five, the committed
 // symmetric specs and wideSpec — and on every offered successor (not just
@@ -189,46 +197,21 @@ const wideSpec = `{
 // so the walk is known to be the full exploration; it logs the mean number
 // of encodings compared per call, the figure EXPERIMENTS.md E19 quotes.
 func TestZooEquivalenceCanonicalization(t *testing.T) {
-	type entry struct {
-		name   string
-		sys    func() ts.System
-		sketch bool
-	}
 	var entries []entry
-	fromZoo := func(name string, caches int) {
-		entries = append(entries, entry{
-			name: fmt.Sprintf("%s/caches=%d", name, caches),
-			sys: func() ts.System {
-				sys, err := zoo.Get(name, zoo.Params{Caches: caches})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return sys
-			},
-			sketch: zoo.IsSketch(name),
-		})
-	}
 	for _, name := range zoo.Names() {
-		fromZoo(name, 2)
+		entries = append(entries, zooEntry(t, name, 2))
 	}
 	for _, caches := range []int{3, 4, 5} {
 		if caches == 5 && testing.Short() {
 			continue
 		}
-		fromZoo("msi-complete", caches)
-	}
-	fromSpec := func(name string, m *spec.Model, err error) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		entries = append(entries, entry{name: name, sys: m.System, sketch: m.Sketch()})
+		entries = append(entries, zooEntry(t, "msi-complete", caches))
 	}
 	for _, file := range []string{"mutex.json", "mutex-sketch.json"} {
-		m, err := spec.LoadFile(filepath.Join("../../examples/specs", file))
-		fromSpec("spec/"+file, m, err)
+		entries = append(entries, specFileEntry(t, file))
 	}
 	wide, err := spec.Parse([]byte(wideSpec))
-	fromSpec("spec/wide", wide, err)
+	entries = append(entries, specEntry(t, "spec/wide", wide, err))
 
 	covered := 0
 	for _, e := range entries {
@@ -279,7 +262,7 @@ func walkOffered(t *testing.T, sys ts.System, env *ts.Env, capped bool) (states,
 	offer := func(st ts.State) {
 		s, ok := st.(symmetric)
 		if !ok {
-			t.Fatalf("state %T is symmetric but lacks ts.InPlacePermuter, ts.KeyAppender or ts.AgentComparer", st)
+			t.Fatalf("state %T is symmetric but lacks ts.KeyAppender or ts.AgentComparer", st)
 		}
 		n := s.NumAgents()
 		if canon == nil {
@@ -294,7 +277,7 @@ func walkOffered(t *testing.T, sys ts.System, env *ts.Env, capped bool) (states,
 			t.Fatalf("pruned fingerprint %x, exhaustive %x\n state: %v", fp, full, st)
 		}
 		perm := rng.Perm(n)
-		ps := s.Permute(perm).(ts.AgentComparer)
+		ps := symmetry.Permuted(s, perm).(ts.AgentComparer)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if a, b := ps.CompareAgents(perm[i], perm[j]), s.CompareAgents(i, j); (a < 0) != (b < 0) || (a > 0) != (b > 0) {

@@ -35,8 +35,8 @@
 // ts.AgentComparer, which speaks about AppendKey only, and so stays an
 // independent reference for the differential tests). Fingerprint minimizes
 // ts.KeyAppender binary encodings through pooled per-worker scratch (the
-// arrangement being enumerated, one reusable clone mutated in place by
-// ts.InPlacePermuter, two ping-pong key buffers) and hashes the minimum
+// arrangement being enumerated, one reusable Clone overwritten by
+// PermuteInto, two ping-pong key buffers) and hashes the minimum
 // without ever materializing it: the exploration hot path, with zero
 // steady-state allocations.
 package symmetry
@@ -121,12 +121,12 @@ type Canonicalizer struct {
 }
 
 // scratch is the reusable per-call canonicalization state: the arrangement
-// enumerator, a permuted clone mutated in place by ts.InPlacePermuter
-// states, and the two encoding buffers Fingerprint ping-pongs between while
-// tracking the lexicographic minimum.
+// enumerator, the state PermuteInto overwrites once per arrangement, and
+// the two encoding buffers Fingerprint ping-pongs between while tracking
+// the lexicographic minimum.
 type scratch struct {
 	arr  arrangement
-	dst  ts.State // lazily created from InPlacePermuter.Scratch; nil until then
+	dst  ts.State // a Clone of the first state fingerprinted; nil until then
 	cur  []byte
 	best []byte
 }
@@ -231,6 +231,15 @@ func nextPermutation(p []int) bool {
 	return true
 }
 
+// Permuted returns a fresh state equal to s with every agent index i renamed
+// to perm[i]: PermuteInto against a Clone. It is the allocating form the
+// reference tiers below and tests use; Fingerprint reuses one destination.
+func Permuted(s ts.Permutable, perm []int) ts.State {
+	cp := s.Clone()
+	s.PermuteInto(cp, perm)
+	return cp
+}
+
 // Key returns the canonical key of s: the lexicographically smallest Key()
 // over all permutations of s's agents. If s does not implement
 // ts.Permutable, its plain key is returned.
@@ -249,7 +258,7 @@ func (c *Canonicalizer) Key(s ts.State) string {
 	sc.arr.start(nil)
 	best := s.Key()
 	for sc.arr.next() {
-		if k := p.Permute(sc.arr.perm).Key(); k < best {
+		if k := Permuted(p, sc.arr.perm).Key(); k < best {
 			best = k
 		}
 	}
@@ -271,12 +280,9 @@ func (c *Canonicalizer) Key(s ts.State) string {
 // contract makes the minimum over those the minimum over all.
 //
 // In steady state the call allocates nothing: per-call scratch — the
-// arrangement, the permuted clone reused across permutations when s
-// implements ts.InPlacePermuter, the two encoding buffers — is pooled on
-// the canonicalizer. States implementing only ts.Permutable still pay one
-// clone per permutation but keep the buffer reuse; states without
-// ts.KeyAppender, or whose permuted copies lack it, fall back to the
-// string path (OfString ∘ Key).
+// arrangement, the Clone that PermuteInto overwrites, the two encoding
+// buffers — is pooled on the canonicalizer. States without ts.KeyAppender
+// fall back to the string path (OfString ∘ Key).
 func (c *Canonicalizer) Fingerprint(s ts.State) statespace.Fingerprint {
 	a, appends := s.(ts.KeyAppender)
 	if !appends {
@@ -293,30 +299,19 @@ func (c *Canonicalizer) Fingerprint(s ts.State) statespace.Fingerprint {
 	sc := c.get()
 	cmp, _ := s.(ts.AgentComparer)
 	sc.arr.start(cmp)
-	ip, inPlace := s.(ts.InPlacePermuter)
-	var dstAppender ts.KeyAppender // the scratch clone, asserted once
-	if inPlace {
-		if sc.dst == nil {
-			sc.dst = ip.Scratch()
-		}
-		dstAppender = sc.dst.(ts.KeyAppender)
+	if sc.dst == nil {
+		sc.dst = p.Clone()
 	}
+	dstAppender := sc.dst.(ts.KeyAppender) // Clone keeps the concrete type
 	// Only the first arrangement can be the identity (it is whenever the
 	// agents are already in order), and then s encodes as it stands.
 	sorted := Identity(sc.arr.perm)
 	best, cur := sc.best[:0], sc.cur
 	for first := true; first || sc.arr.next(); first = false {
 		pa := a
-		switch {
-		case first && sorted:
-		case inPlace:
-			ip.PermuteInto(sc.dst, sc.arr.perm)
+		if !(first && sorted) {
+			p.PermuteInto(sc.dst, sc.arr.perm)
 			pa = dstAppender
-		default:
-			if pa, ok = p.Permute(sc.arr.perm).(ts.KeyAppender); !ok {
-				c.pool.Put(sc)
-				return statespace.OfString(c.Key(s))
-			}
 		}
 		cur = pa.AppendKey(cur[:0])
 		if first || bytes.Compare(cur, best) < 0 {
@@ -340,7 +335,7 @@ func (c *Canonicalizer) Orbit(s ts.State) int {
 	sc.arr.start(nil)
 	seen := make(map[string]struct{})
 	for more := true; more; more = sc.arr.next() {
-		seen[p.Permute(sc.arr.perm).Key()] = struct{}{}
+		seen[Permuted(p, sc.arr.perm).Key()] = struct{}{}
 	}
 	c.pool.Put(sc)
 	return len(seen)

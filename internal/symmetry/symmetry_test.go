@@ -74,12 +74,11 @@ func (v *vecState) Clone() ts.State {
 	return &vecState{vals: append([]int(nil), v.vals...)}
 }
 func (v *vecState) NumAgents() int { return len(v.vals) }
-func (v *vecState) Permute(perm []int) ts.State {
-	out := make([]int, len(v.vals))
+func (v *vecState) PermuteInto(dst ts.State, perm []int) {
+	d := dst.(*vecState)
 	for i, val := range v.vals {
-		out[perm[i]] = val
+		d.vals[perm[i]] = val
 	}
-	return &vecState{vals: out}
 }
 
 // TestCanonicalKeyInvariance is the crucial soundness property: all states
@@ -91,7 +90,7 @@ func TestCanonicalKeyInvariance(t *testing.T) {
 		s := &vecState{vals: []int{int(a % 3), int(b % 3), int(cc % 3), int(d % 3)}}
 		want := c.Key(s)
 		for _, p := range symmetry.Permutations(4) {
-			if c.Key(s.Permute(p).(*vecState)) != want {
+			if c.Key(symmetry.Permuted(s, p)) != want {
 				return false
 			}
 		}
@@ -141,8 +140,8 @@ func TestNegativePanics(t *testing.T) {
 	symmetry.Permutations(-1)
 }
 
-// appendVecState extends vecState with the binary keying capabilities:
-// ts.KeyAppender plus ts.InPlacePermuter.
+// appendVecState extends vecState with ts.KeyAppender, the binary keying
+// capability.
 type appendVecState struct{ vecState }
 
 func (v *appendVecState) AppendKey(dst []byte) []byte {
@@ -157,20 +156,8 @@ func (v *appendVecState) Clone() ts.State {
 	return &appendVecState{vecState{vals: append([]int(nil), v.vals...)}}
 }
 
-func (v *appendVecState) Permute(perm []int) ts.State {
-	return &appendVecState{*v.vecState.Permute(perm).(*vecState)}
-}
-
-func (v *appendVecState) Scratch() ts.State { return v.Clone() }
-
 func (v *appendVecState) PermuteInto(dst ts.State, perm []int) {
-	d := dst.(*appendVecState)
-	if len(d.vals) != len(v.vals) {
-		d.vals = make([]int, len(v.vals))
-	}
-	for i, val := range v.vals {
-		d.vals[perm[i]] = val
-	}
+	v.vecState.PermuteInto(&dst.(*appendVecState).vecState, perm)
 }
 
 // TestFingerprintOrbitInvariance is the binary-path soundness property:
@@ -186,7 +173,7 @@ func TestFingerprintOrbitInvariance(t *testing.T) {
 		s := &appendVecState{vecState{vals: vals}}
 		want := c.Fingerprint(s)
 		for _, p := range symmetry.Permutations(4) {
-			if got := c.Fingerprint(s.Permute(p).(*appendVecState)); got != want {
+			if got := c.Fingerprint(symmetry.Permuted(s, p)); got != want {
 				t.Fatalf("vals=%v perm=%v: fingerprint %x, want %x", vals, p, got, want)
 			}
 		}
@@ -195,35 +182,6 @@ func TestFingerprintOrbitInvariance(t *testing.T) {
 		}
 		seen[want] = vals
 	}
-}
-
-// TestFingerprintPermutableWithoutInPlace checks the middle tier: a state
-// with AppendKey but only plain Permute still canonicalizes correctly (it
-// pays a clone per permutation, but the result is orbit-invariant).
-func TestFingerprintPermutableWithoutInPlace(t *testing.T) {
-	c := symmetry.NewCanonicalizer(3)
-	s := &permOnlyVecState{vecState{vals: []int{2, 0, 1}}}
-	want := c.Fingerprint(s)
-	for _, p := range symmetry.Permutations(3) {
-		if got := c.Fingerprint(s.Permute(p).(*permOnlyVecState)); got != want {
-			t.Fatalf("perm %v: fingerprint %x, want %x", p, got, want)
-		}
-	}
-}
-
-// permOnlyVecState has an appender but no InPlacePermuter.
-type permOnlyVecState struct{ vecState }
-
-func (v *permOnlyVecState) AppendKey(dst []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(v.vals)))
-	for _, val := range v.vals {
-		dst = binary.AppendVarint(dst, int64(val))
-	}
-	return dst
-}
-
-func (v *permOnlyVecState) Permute(perm []int) ts.State {
-	return &permOnlyVecState{*v.vecState.Permute(perm).(*vecState)}
 }
 
 // TestFingerprintFallsBackToStringKey checks states without ts.KeyAppender
@@ -246,7 +204,7 @@ func TestFingerprintFallsBackToStringKey(t *testing.T) {
 // tie classes leave to try — one when all five caches differ, 2!·2! on a
 // mixed state, and all 120 when the five caches are tied in I, the worst
 // case. The arrangement's index slices live in the pooled scratch with the
-// permuted clone and the key buffers. A small tolerance absorbs the GC
+// PermuteInto destination and the key buffers. A small tolerance absorbs the GC
 // occasionally reclaiming the sync.Pool scratch.
 func TestFingerprintZeroAlloc(t *testing.T) {
 	if raceEnabled {
@@ -268,7 +226,7 @@ func TestFingerprintZeroAlloc(t *testing.T) {
 			st := &msi.State{
 				Caches: tc.caches,
 				Dir:    msi.Dir{St: msi.DirS, Owner: msi.None, Pending: msi.None, Sharers: 0b00101, Mem: 1},
-				Net:    net,
+				Net:    net.Copy(),
 				Ghost:  1,
 			}
 			c := symmetry.NewCanonicalizer(len(st.Caches))
@@ -301,7 +259,7 @@ func TestFingerprintConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				p := perms[(w*7+i)%len(perms)]
-				if got := c.Fingerprint(base.Permute(p).(*appendVecState)); got != want {
+				if got := c.Fingerprint(symmetry.Permuted(base, p)); got != want {
 					t.Errorf("worker %d: fingerprint %x, want %x", w, got, want)
 					return
 				}
@@ -327,7 +285,7 @@ func TestCanonicalizerConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				p := perms[(w*7+i)%len(perms)]
-				if got := c.Key(base.Permute(p)); got != want {
+				if got := c.Key(symmetry.Permuted(base, p)); got != want {
 					t.Errorf("worker %d: Key = %q, want %q", w, got, want)
 					return
 				}

@@ -11,18 +11,30 @@
 //
 // States are explicit: every state must be able to produce a canonical
 // encoding of itself (Key) used by the model checker for visited-set
-// deduplication, and a deep copy (Clone) so rule actions can mutate freely.
+// deduplication, and a private copy (Clone) so rule actions can mutate
+// freely.
 //
 // Keying has two tiers. Key() string is the mandatory, human-readable
 // canonical encoding — it is what counterexample traces show and what the
 // checker falls back to. States that additionally implement KeyAppender
 // provide a compact binary encoding appended into a caller-owned buffer,
 // which is what the exploration hot path fingerprints: no string is ever
-// materialized per visited state. Symmetric states can further implement
-// InPlacePermuter so the symmetry canonicalizer permutes into reusable
-// scratch instead of deep-cloning once per permutation, and AgentComparer
-// so it sorts the agents first and tries only the permutations that keep
-// the sorted order, instead of all N!.
+// materialized per visited state. Symmetric states implement Permutable —
+// the canonicalizer renames one reusable Clone in place, once per
+// permutation it tries — and can further implement AgentComparer so it
+// sorts the agents first and tries only the permutations that keep the
+// sorted order, instead of all N!.
+//
+// # Ownership
+//
+// One rule covers every way a state is copied: a state owns all of its
+// mutable storage. Clone returns a state that shares none with the
+// receiver, StateCopier.CopyFrom and Permutable.PermuteInto leave their
+// destination sharing none with the source, and so any state may be
+// overwritten in place — by a rule action, by the symmetry canonicalizer's
+// scratch, by a pooled successor being reused — without a live state
+// noticing. Only immutable payloads (strings, tables built once at
+// construction) may be shared.
 //
 // # Successor lifecycle
 //
@@ -40,16 +52,18 @@
 //     transitions into a caller-owned buffer with names precomputed at
 //     construction, killing the per-expansion slice and fmt garbage.
 //
-// Ownership rules: every State returned by Initial or Fire is owned by the
+// Pool is the one implementation of the first: a system embeds a
+// Pool[*itsState] to become a Recycler and a PoolReporter, and its Fire
+// draws successors from Pool.Get (CopyFrom on a hit, Clone on a miss).
+//
+// Who may recycle: every State returned by Initial or Fire is owned by the
 // caller, and a caller may hand any such state to Recycle once nothing
 // else can reach it — the model checker does so for rejected duplicate
 // successors (never enqueued, never traced) and, in traceless runs, for
 // each expanded state once its transitions have fired. A state escapes the
 // pool forever when it is retained anywhere: trace nodes, counterexamples
-// and frontier entries are never recycled. Systems that pool must build
-// reused clones so they share no mutable storage with live states (see
-// StateCopier); symmetry scratch is already private (InPlacePermuter
-// Scratch), so pooling never aliases it.
+// and frontier entries are never recycled. The ownership rule above is what
+// makes reuse safe: a recycled state's storage belongs to nobody else.
 //
 // # Properties
 //
@@ -80,8 +94,9 @@ type State interface {
 	// Key returns the canonical encoding of the state. It must be
 	// deterministic and injective on the reachable state space.
 	Key() string
-	// Clone returns a deep copy that shares no mutable structure with the
-	// receiver.
+	// Clone returns a copy of the same concrete type that owns all of its
+	// mutable storage: nothing written to the copy — by a rule action,
+	// CopyFrom or PermuteInto — may be visible through the receiver.
 	Clone() State
 }
 
@@ -126,42 +141,25 @@ type KeyDecoder interface {
 }
 
 // Permutable is implemented by states containing scalarset-like symmetric
-// agent identifiers (e.g. cache IDs). Permute returns a copy of the state
-// with every agent index i renamed to perm[i]. The model checker uses this
-// for symmetry reduction: the canonical representative of a state is the
-// permutation with the lexicographically smallest encoding (AppendKey on
-// the exploration path, Key on the string tier). Which permutations the
-// canonicalizer has to try to find that minimum is narrowed by the
-// optional AgentComparer; without it, it tries all NumAgents()!.
+// agent identifiers (e.g. cache IDs). The model checker uses it for
+// symmetry reduction: the canonical representative of a state is the
+// renaming with the lexicographically smallest encoding (AppendKey on the
+// exploration path, Key on the string tier). The canonicalizer keeps one
+// Clone per worker as scratch and renames into it, so trying a permutation
+// allocates nothing. Which permutations it has to try to find the minimum
+// is narrowed by the optional AgentComparer; without it, it tries all
+// NumAgents()!.
 type Permutable interface {
 	State
 	// NumAgents reports the size of the symmetric scalarset.
 	NumAgents() int
-	// Permute returns a fresh state with agent identities renamed by perm,
-	// which is a bijection on [0, NumAgents()).
-	Permute(perm []int) State
-}
-
-// InPlacePermuter is optionally implemented by Permutable states that can
-// write a permutation into reusable scratch storage instead of allocating a
-// fresh deep copy per permutation. The symmetry canonicalizer encodes one
-// permuted copy per permutation it tries, so with plain Permute the clone
-// is the dominant allocation of a symmetry-reduced exploration; with
-// PermuteInto the canonicalizer keeps one scratch state per worker and
-// mutates it in place.
-type InPlacePermuter interface {
-	Permutable
-	// Scratch returns a fully private deep copy of the receiver for use as
-	// a PermuteInto destination. Unlike Clone — which may share structure
-	// the model treats as immutable (e.g. a copy-on-write message multiset)
-	// — the result must share no storage at all with the receiver, because
-	// PermuteInto overwrites it in place.
-	Scratch() State
-	// PermuteInto writes into dst the same state Permute(perm) would
-	// return. dst must come from Scratch of a state of the same system
-	// (same scalarset size and shape); its previous contents are fully
-	// overwritten. Implementations reuse dst's storage and must not
-	// allocate beyond amortized growth of dst's internal slices.
+	// PermuteInto overwrites dst with the receiver under the renaming of
+	// every agent index i to perm[i], a bijection on [0, NumAgents()). dst
+	// is a Clone of a state of the same system (same scalarset size and
+	// shape) and is never the receiver; its previous contents are fully
+	// overwritten, the receiver is not modified. Implementations reuse
+	// dst's storage and must not allocate beyond amortized growth of dst's
+	// internal slices.
 	PermuteInto(dst State, perm []int)
 }
 
@@ -182,8 +180,8 @@ type InPlacePermuter interface {
 //     sign and transitive, ties included.
 //   - Equivariance: it reads only data that moves with the agent, so
 //     renaming agents renames the answer. For every permutation perm,
-//     Permute(perm).CompareAgents(perm[i], perm[j]) has the sign of
-//     CompareAgents(i, j). Fields that hold agent identifiers (an owner,
+//     the state PermuteInto(·, perm) writes answers
+//     CompareAgents(perm[i], perm[j]) with the sign of CompareAgents(i, j). Fields that hold agent identifiers (an owner,
 //     a pid-typed cell) change value under renaming and must not be read.
 //   - Leading block: over all N! permutations, the lexicographically
 //     smallest AppendKey encoding is attained by one that leaves the
@@ -212,11 +210,9 @@ type AgentComparer interface {
 // the CopyFrom half of the successor-recycling protocol. src must be a
 // state of the same system (same concrete type and shape).
 //
-// CopyFrom is stronger than Clone: the receiver must end up sharing no
-// mutable storage with src or with any other live state, exactly like
-// InPlacePermuter.Scratch, because the receiver is about to be mutated by
-// a rule action while src may still sit on the frontier. (Immutable
-// payloads — strings, never-written shared arrays — may be shared.)
+// CopyFrom is Clone into existing storage: the receiver must end up
+// sharing no mutable storage with src, because it is about to be mutated
+// by a rule action while src may still sit on the frontier.
 type StateCopier interface {
 	State
 	// CopyFrom makes the receiver equal to src, reusing the receiver's
@@ -234,8 +230,8 @@ type StateCopier interface {
 // Initial or Fire, and nothing — trace node, frontier entry, scratch,
 // pending transition closure — may still reference it. After Recycle the
 // state's storage may be overwritten at any time. Recycle must be safe for
-// concurrent use (a multi-worker run recycles from every worker; a
-// sync.Pool's per-P free-lists give each worker a private list).
+// concurrent use (a multi-worker run recycles from every worker). Pool is
+// the implementation every pooling model in this repo uses.
 type Recycler interface {
 	Recycle(s State)
 }

@@ -12,7 +12,7 @@ import (
 // fingerprint are set in a fixed-size bit array, and a fingerprint whose K
 // bits are all already set is reported as visited. Memory never grows past
 // the configured budget; the price is that a never-seen state can collide
-// on all K bits and be silently omitted from the search (Exact() == false).
+// on all K bits and be silently omitted from the search (Stats().Exact == false).
 //
 // The layout is a split-block Bloom filter: one word index is derived per
 // fingerprint and all K bit positions live inside that single 64-bit word,
@@ -133,9 +133,6 @@ func (b *bitstate) TryInsert(fp statespace.Fingerprint) bool {
 // lower bound on the distinct fingerprints offered.
 func (b *bitstate) Len() int { return int(b.admitted.Load()) }
 
-func (b *bitstate) Bytes() int64 { return int64(len(b.words)) * 8 }
-func (b *bitstate) Exact() bool  { return false }
-
 // OmissionProb estimates the probability that probing a never-seen
 // fingerprint reports "already visited" at the current fill: (ones/m)^K,
 // the chance all K positions land on set bits. The split-block layout
@@ -154,7 +151,7 @@ func (b *bitstate) Stats() Stats {
 	return Stats{
 		Backend:      Bitstate.String(),
 		States:       b.Len(),
-		Bytes:        b.Bytes(),
+		Bytes:        int64(len(b.words)) * 8,
 		Exact:        false,
 		BitsSet:      b.ones.Load(),
 		OmissionProb: b.OmissionProb(),

@@ -189,12 +189,10 @@ func (f *flat) TryInsert(fp statespace.Fingerprint) bool {
 	return f.t.tryInsert(uint64(fp), flatInitialSlots)
 }
 
-func (f *flat) Len() int     { return f.t.len() }
-func (f *flat) Bytes() int64 { return f.t.bytes() }
-func (f *flat) Exact() bool  { return true }
+func (f *flat) Len() int { return f.t.len() }
 
 func (f *flat) Stats() Stats {
-	return Stats{Backend: Flat.String(), States: f.Len(), Bytes: f.Bytes(), Exact: true, Grows: f.t.grows}
+	return Stats{Backend: Flat.String(), States: f.Len(), Bytes: f.t.bytes(), Exact: true, Grows: f.t.grows}
 }
 
 // DumpFingerprints implements Dumper: the single-goroutine table is walked
@@ -241,21 +239,6 @@ func (s *stripedFlat) TryInsert(fp statespace.Fingerprint) bool {
 }
 
 func (s *stripedFlat) Len() int { return int(s.count.Load()) }
-
-// Bytes locks each stripe in turn; call it between levels or after the
-// run, not on the insert path.
-func (s *stripedFlat) Bytes() int64 {
-	total := int64(len(s.stripes)) * int64(unsafe.Sizeof(stripe{})) // padded stripe structs
-	for i := range s.stripes {
-		st := &s.stripes[i]
-		st.mu.Lock()
-		total += st.t.bytes()
-		st.mu.Unlock()
-	}
-	return total
-}
-
-func (s *stripedFlat) Exact() bool { return true }
 
 // Stats snapshots every stripe in a single locked pass, so the reported
 // States/Bytes/Grows triple is stripe-consistent: a stripe that grows

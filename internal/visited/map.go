@@ -25,12 +25,10 @@ func (s *mapStore) TryInsert(fp statespace.Fingerprint) bool {
 	return true
 }
 
-func (s *mapStore) Len() int     { return len(s.m) }
-func (s *mapStore) Bytes() int64 { return mapBytes(len(s.m)) }
-func (s *mapStore) Exact() bool  { return true }
+func (s *mapStore) Len() int { return len(s.m) }
 
 func (s *mapStore) Stats() Stats {
-	return Stats{Backend: Map.String(), States: s.Len(), Bytes: s.Bytes(), Exact: true}
+	return Stats{Backend: Map.String(), States: s.Len(), Bytes: mapBytes(len(s.m)), Exact: true}
 }
 
 // DumpFingerprints implements Dumper. Iteration order is the map's
@@ -112,24 +110,18 @@ func (s *shardedMap) TryInsert(fp statespace.Fingerprint) bool {
 // checks.
 func (s *shardedMap) Len() int { return int(s.count.Load()) }
 
-// Bytes sums the per-shard map model plus the shard array itself. It locks
-// each shard in turn; call it between levels or after the run, not on the
-// insert path.
-func (s *shardedMap) Bytes() int64 {
-	total := int64(len(s.shards)) * int64(unsafe.Sizeof(shard{}))
+// Stats sums the per-shard map model plus the shard array itself, locking
+// each shard in turn.
+func (s *shardedMap) Stats() Stats {
+	st := Stats{Backend: Map.String(), States: s.Len(), Exact: true,
+		Bytes: int64(len(s.shards)) * int64(unsafe.Sizeof(shard{}))}
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		total += mapBytes(len(sh.m))
+		st.Bytes += mapBytes(len(sh.m))
 		sh.mu.Unlock()
 	}
-	return total
-}
-
-func (s *shardedMap) Exact() bool { return true }
-
-func (s *shardedMap) Stats() Stats {
-	return Stats{Backend: Map.String(), States: s.Len(), Bytes: s.Bytes(), Exact: true}
+	return st
 }
 
 // DumpFingerprints implements Dumper: each shard is walked under its own

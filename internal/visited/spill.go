@@ -505,14 +505,9 @@ func (s *spill) Close() error {
 
 func (s *spill) Len() int { return int(s.count.Load()) }
 
-// Bytes is the in-RAM footprint: the striped tier plus the fence index.
-// Disk bytes are reported separately (Stats.SpilledBytes) — bounding the
-// former is the whole point of the backend. One snapshot pass (Stats)
-// serves both accessors so the two self-reports cannot drift.
-func (s *spill) Bytes() int64 { return s.Stats().Bytes }
-
-func (s *spill) Exact() bool { return true }
-
+// Stats reports as Bytes the in-RAM footprint: the striped tier plus the
+// fence index. Disk bytes are reported separately (SpilledBytes) — bounding
+// the former is the whole point of the backend.
 func (s *spill) Stats() Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

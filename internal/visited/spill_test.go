@@ -47,7 +47,7 @@ func TestSpillSpillsAndStaysExact(t *testing.T) {
 	// The in-RAM footprint must stay near the budget: tables capped at the
 	// budget plus the stripe structs and the fence index (8 bytes per
 	// 2KiB spilled).
-	if b := s.Bytes(); b > 32<<10 {
+	if b := s.Stats().Bytes; b > 32<<10 {
 		t.Errorf("in-RAM Bytes = %d after 50k inserts, want bounded near the 8KiB budget", b)
 	}
 	if err := s.Close(); err != nil {

@@ -199,12 +199,9 @@ type Store interface {
 	TryInsert(fp statespace.Fingerprint) bool
 	// Len returns the number of fingerprints admitted.
 	Len() int
-	// Bytes returns the measured in-RAM storage footprint (see
-	// Stats.Bytes).
-	Bytes() int64
-	// Exact mirrors Kind.Exact for the backing backend.
-	Exact() bool
-	// Stats returns the full self-report.
+	// Stats returns the full self-report, footprint and exactness included.
+	// It may lock every stripe in turn: call it between levels or after the
+	// run, not on the insert path.
 	Stats() Stats
 }
 

@@ -50,9 +50,6 @@ func TestStoreContract(t *testing.T) {
 				// tier too (n×8 bytes is far beyond 8KiB of RAM).
 				s := mk(Config{Kind: kind, BitstateMB: 1, SpillMem: 8 << 10, SpillDir: t.TempDir()})
 				defer closeIfCloser(t, s)
-				if s.Exact() != kind.Exact() {
-					t.Fatalf("Exact() = %v, want %v", s.Exact(), kind.Exact())
-				}
 				for i := 0; i < n; i++ {
 					if !s.TryInsert(fpOf(i)) {
 						t.Fatalf("first TryInsert(%d) returned false", i)
@@ -64,11 +61,8 @@ func TestStoreContract(t *testing.T) {
 				if s.Len() != n {
 					t.Fatalf("Len = %d, want %d", s.Len(), n)
 				}
-				if s.Bytes() <= 0 {
-					t.Errorf("Bytes = %d", s.Bytes())
-				}
 				st := s.Stats()
-				if st.Backend != kind.String() || st.States != n || st.Bytes != s.Bytes() || st.Exact != kind.Exact() {
+				if st.Backend != kind.String() || st.States != n || st.Bytes <= 0 || st.Exact != kind.Exact() {
 					t.Errorf("Stats = %+v", st)
 				}
 			})
@@ -205,8 +199,8 @@ func TestFlatRobinHoodInvariant(t *testing.T) {
 
 // TestStripePadding pins the cache-line layout of the concurrent
 // variants' striped structs: both must be a whole number of 64-byte lines
-// so neighbouring locks never false-share, and Bytes() must account the
-// full padded struct.
+// so neighbouring locks never false-share, and Stats().Bytes must account
+// the full padded struct.
 func TestStripePadding(t *testing.T) {
 	if sz := unsafe.Sizeof(stripe{}); sz%64 != 0 {
 		t.Errorf("stripe size %d is not a multiple of a cache line", sz)
@@ -216,8 +210,8 @@ func TestStripePadding(t *testing.T) {
 	}
 	// An empty striped store's footprint is exactly its stripe array.
 	s := newStripedFlat()
-	if want := int64(flatStripes * unsafe.Sizeof(stripe{})); s.Bytes() != want {
-		t.Errorf("empty stripedFlat Bytes = %d, want %d", s.Bytes(), want)
+	if got, want := s.Stats().Bytes, int64(flatStripes*unsafe.Sizeof(stripe{})); got != want {
+		t.Errorf("empty stripedFlat Bytes = %d, want %d", got, want)
 	}
 }
 
@@ -272,14 +266,14 @@ func TestStripedFlatStatsSinglePass(t *testing.T) {
 func TestBitstateBudget(t *testing.T) {
 	b := newBitstate(Config{Kind: Bitstate, BitstateMB: 1})
 	want := int64(1 << 20) // 1 MiB of bits = 2²³ bits = 2²⁰ bytes
-	if b.Bytes() != want {
-		t.Fatalf("Bytes = %d, want %d", b.Bytes(), want)
+	if got := b.Stats().Bytes; got != want {
+		t.Fatalf("Bytes = %d, want %d", got, want)
 	}
 	for i := 0; i < 200000; i++ {
 		b.TryInsert(fpOf(i))
 	}
-	if b.Bytes() != want {
-		t.Errorf("Bytes grew to %d", b.Bytes())
+	if got := b.Stats().Bytes; got != want {
+		t.Errorf("Bytes grew to %d", got)
 	}
 	if b.Len() > 200000 {
 		t.Errorf("Len = %d exceeds inserts", b.Len())
