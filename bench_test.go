@@ -601,7 +601,7 @@ func BenchmarkSynthPeterson(b *testing.B) {
 // --- Successor lifecycle ablation (experiment E15) ---
 //
 // The pooled-clone recycling and allocation-free enumeration protocol
-// (ts.Recycler / ts.StateCopier / ts.TransitionAppender) on the complete
+// (ts.Recycler / ts.StateCopier / ts.RuleSystem) on the complete
 // 3-cache MSI exploration, in the synthesis configuration (symmetry on,
 // traceless, flat backend). Options.NoRecycle and Options.FreshTransitions
 // switch each half off independently; allocs/op across the four rows is the

@@ -142,21 +142,41 @@
 //
 // # Successor lifecycle
 //
-// The allocations keying left behind were the successors themselves:
-// Fire deep-clones the source once per offered transition, and most
-// clones die as visited-set duplicates microseconds later. Systems that
-// embed a ts.Pool draw Fire clones from its recycled states (overwritten
-// in place via ts.StateCopier.CopyFrom; the ownership rule is why a
-// pooled state never aliases a live one), and the checker returns dead
-// states to the pool through ts.Recycler: every rejected duplicate,
-// plus — traceless — each expanded state once its transitions have
-// fired. States that reach trace nodes, counterexamples or the frontier
-// escape the pool forever. ts.TransitionAppender pairs with this:
-// enumeration appends into per-worker buffers with names precomputed at
-// construction. Together: 23.7 -> 5.1 mallocs/state on msi-complete
-// (pinned <= 10 by regression test; mc.Options.NoRecycle and
-// FreshTransitions are the ablation knobs, and -stats reports
-// pool hit/miss/recycled counts).
+// The allocations keying left behind were per transition: a Fire closure
+// for every enabled transition of every expanded state, and a deep clone
+// of the source for every one fired, most of which die as visited-set
+// duplicates microseconds later. Both are gone. Models implement
+// ts.RuleSystem: enabled transitions are ts.Rule records — rule id,
+// agent, message index, name index; twelve pointer-free bytes — appended
+// into a buffer the expanding worker owns and fired through one
+// FireRule(src, rule, env) switch, with names looked up in tables built
+// once (per process, for MSI) only when a trace node, an error or a
+// fairness requirement shows one. A record means something only next to
+// the state it was enumerated from, so the kernel fires a state's records
+// before it lets go of the state and never keeps one. Systems that embed
+// a ts.Pool draw successors from its recycled states (overwritten in
+// place via ts.StateCopier.CopyFrom; the ownership rule is why a pooled
+// state never aliases a live one), and the checker returns dead states to
+// the pool through ts.Recycler: every rejected duplicate, plus —
+// traceless — each expanded state once its rules have fired and whatever
+// the frontier still holds when a run ends at a violation. States that
+// reach trace nodes or counterexamples escape the pool forever.
+// Closure-valued ts.System.Transitions remains the minimal API a small
+// model is written against (examples/quickstart); ts.AppendTransitions
+// derives it from the records and ts.Rules drives it as records, which is
+// also what mc.Options.FreshTransitions forces for differential tests.
+//
+// One level up, mc.Session keeps what a check needs beyond its Result —
+// the kernel, its workers' key, rule and frontier buffers, the
+// canonicalizer, the goal flags, the flat visited table (cleared in
+// place; a grown table or another backend is rebuilt) — across checks,
+// and each synthesis worker owns one, with one chooser it points at each
+// candidate. mc.Check is NewSession(...).Check(...): there is one path.
+// Together: 8.4 -> 0.3 mallocs/state on the unreduced 5-cache MSI walk,
+// 375 -> 5 mallocs per synthesis dispatch on MSI-large (pinned <= 1.5 and
+// <= 20 by regression tests; mc.Options.NoRecycle and FreshTransitions
+// are the ablation knobs, and -stats reports pool hit/miss/recycled
+// counts).
 //
 // # Liveness checking
 //

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -98,5 +99,35 @@ func TestMCWorkersMatchesSequentialSynthesis(t *testing.T) {
 		if base[i] != par[i] {
 			t.Errorf("solution %d differs:\nseq: %s\npar: %s", i, base[i], par[i])
 		}
+	}
+}
+
+// TestDispatchAllocs pins what one dispatch allocates, model checker
+// included: MSI-large at one worker — the bench workload synth-large, cut
+// off after 6,000 candidates — must stay at or below 20 mallocs per
+// dispatch. A worker keeps its mc.Session, chooser and environment from
+// candidate to candidate, successors are rule records fired into pooled
+// states, and a failing run hands its frontier back to the pool, so a
+// dispatch is left with its Result, its failure, its initial-state slice
+// and its pruning pattern: about 5, against 375 when every dispatch built
+// its own checker and every transition its own closure.
+func TestDispatchAllocs(t *testing.T) {
+	sys := msi.New(msi.Config{Caches: 2, Variant: msi.Large})
+	cfg := core.Config{Mode: core.ModePrune, MC: mc.Options{Symmetry: true}, MaxEvaluations: 6000}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := core.Synthesize(sys, cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Evaluated != cfg.MaxEvaluations {
+		t.Fatalf("evaluated %d candidates, want %d", res.Stats.Evaluated, cfg.MaxEvaluations)
+	}
+	per := float64(after.Mallocs-before.Mallocs) / float64(res.Stats.Evaluated)
+	t.Logf("%.1f mallocs per dispatch over %d dispatches of %.0f states",
+		per, res.Stats.Evaluated, float64(res.Stats.TotalVisitedStates)/float64(res.Stats.Evaluated))
+	if per > 20 && !raceEnabled {
+		t.Errorf("%.1f mallocs per dispatch, want <= 20", per)
 	}
 }

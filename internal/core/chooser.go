@@ -6,9 +6,10 @@ import (
 	"verc3/internal/ts"
 )
 
-// runChooser resolves holes for one model-checking run. It implements
-// ts.Chooser (hole resolution) and mc.UsageTracker (per-firing usage masks
-// for trace-generalized pruning).
+// runChooser resolves holes for one model-checking run at a time — a
+// synthesis worker keeps one and points it at each candidate with begin. It
+// implements ts.Chooser (hole resolution) and mc.UsageTracker (per-firing
+// usage masks for trace-generalized pruning).
 //
 // assign is the candidate configuration vector for this run, indexed by hole
 // discovery index; holes with index >= len(assign) were discovered after the
@@ -28,6 +29,14 @@ type runChooser struct {
 
 	fireMask atomic.Uint64 // holes consulted since last ResetUsage
 	overflow atomic.Bool   // a hole with index >= 64 was consulted
+}
+
+// begin points the chooser at the next run's candidate. assign is read,
+// never written, and must stay unchanged until the run ends.
+func (rc *runChooser) begin(assign []int) {
+	rc.assign = assign
+	rc.fireMask.Store(0)
+	rc.overflow.Store(false)
 }
 
 // Choose implements ts.Chooser.

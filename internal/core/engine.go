@@ -256,6 +256,9 @@ type engine struct {
 	ctx      context.Context
 	reg      *registry
 	patterns *patternTable
+	// checkers[w] is cross-candidate worker w's dispatch state, made at its
+	// first dispatch and touched by no other worker.
+	checkers []*checker
 
 	evaluated  atomic.Int64
 	skipped    atomic.Int64
@@ -278,6 +281,39 @@ type engine struct {
 }
 
 type errBox struct{ err error }
+
+// checker is what one cross-candidate worker keeps from dispatch to
+// dispatch: a model-checker session — kernel, buffers and visited table
+// reused, see mc.Session — and the chooser that resolves its holes, with
+// the environment wrapping it. A dispatch only points the chooser at its
+// candidate.
+type checker struct {
+	sess      *mc.Session
+	mcWorkers int // the session's Options.Workers
+	rc        runChooser
+	env       *ts.Env
+}
+
+// checker returns worker w's dispatch state for checks of mcWorkers
+// exploration workers, rebuilding it when the round's split changed that
+// width.
+func (e *engine) checker(w, mcWorkers int) *checker {
+	if e.traceGen {
+		// Usage tracking needs sequentially bracketed firings; the model
+		// checker would run one worker anyway, but be explicit.
+		mcWorkers = 1
+	}
+	ck := e.checkers[w]
+	if ck == nil || ck.mcWorkers != mcWorkers {
+		opt := e.cfg.MC
+		opt.Workers = mcWorkers
+		ck = &checker{sess: mc.NewSession(e.sys, opt), mcWorkers: mcWorkers}
+		ck.rc = runChooser{reg: e.reg, naive: e.cfg.Mode == ModeNaive}
+		ck.env = ts.NewEnv(&ck.rc)
+		e.checkers[w] = ck
+	}
+	return ck
+}
 
 // Synthesize completes the holes of the skeleton system sys.
 //
@@ -346,6 +382,7 @@ func SynthesizeCtx(ctx context.Context, sys ts.System, cfg Config) (*Result, err
 		ctx:       ctx,
 		reg:       newRegistry(),
 		patterns:  newPatternTable(),
+		checkers:  make([]*checker, cfg.Workers),
 		solutions: make(map[string]Solution),
 		traceGen:  cfg.Mode == ModePrune && cfg.PruneStyle == PruneTraceGeneralized,
 	}
@@ -487,21 +524,18 @@ func (e *engine) admit() bool {
 	return true
 }
 
-// dispatch model-checks one candidate configuration with mcWorkers
-// intra-check exploration workers (the chooser is safe for concurrent
-// firings; see runChooser).
-func (e *engine) dispatch(assign []int, mcWorkers int) {
-	rc := &runChooser{reg: e.reg, assign: assign, naive: e.cfg.Mode == ModeNaive}
-	opt := e.cfg.MC
-	opt.Env = ts.NewEnv(rc)
-	opt.Workers = mcWorkers
+// dispatch model-checks one candidate configuration on cross-candidate
+// worker w's session, with mcWorkers intra-check exploration workers (the
+// chooser is safe for concurrent firings; see runChooser).
+func (e *engine) dispatch(w int, assign []int, mcWorkers int) {
+	ck := e.checker(w, mcWorkers)
+	rc := &ck.rc
+	rc.begin(assign)
+	var usage mc.UsageTracker
 	if e.traceGen {
-		// Usage tracking needs sequentially bracketed firings; the model
-		// checker would run one worker anyway, but be explicit.
-		opt.Usage = rc
-		opt.Workers = 1
+		usage = rc
 	}
-	res, err := mc.CheckCtx(e.ctx, e.sys, opt)
+	res, err := ck.sess.Check(e.ctx, ck.env, usage)
 	if err != nil {
 		e.fatal.CompareAndSwap(nil, &errBox{err: err})
 		e.stop.Store(true)
@@ -591,10 +625,14 @@ func (e *engine) recordSolution(assign []int, visited int) {
 	e.solMu.Unlock()
 }
 
-// insertPattern memoizes a candidate failure.
+// insertPattern memoizes a candidate failure. An all-ones usage mask — a
+// goal or liveness failure, or a run that consulted a hole past bit 63 —
+// says nothing about which holes mattered, so the candidate is inserted as
+// it stands (Insert keeps no reference to it).
 func (e *engine) insertPattern(assign []int, f *mc.FailureInfo) {
-	pat := append([]int(nil), assign...)
+	pat := assign
 	if e.traceGen && f.UsageMask != ^uint64(0) {
+		pat = append([]int(nil), assign...)
 		for i := range pat {
 			if i < 64 && f.UsageMask&(1<<uint(i)) == 0 {
 				pat[i] = Wildcard
@@ -613,7 +651,7 @@ func (e *engine) runNaive() error {
 		if !e.admit() {
 			return nil
 		}
-		e.dispatch(assign, e.cfg.MCWorkers)
+		e.dispatch(0, assign, e.cfg.MCWorkers)
 		if e.stop.Load() {
 			return nil
 		}
@@ -644,7 +682,7 @@ func (e *engine) runPrune() (rounds int, err error) {
 		if e.cfg.MCWorkers > 1 {
 			_, mcw = SplitParallelism(e.cfg.Workers*e.cfg.MCWorkers, 1)
 		}
-		e.dispatch(nil, mcw)
+		e.dispatch(0, nil, mcw)
 	}
 	e.lastK = -1
 	for !e.stop.Load() {
@@ -706,7 +744,7 @@ func (e *engine) enumerateRound(sizes []int) {
 		workers, mcw = SplitParallelism(e.cfg.Workers*e.cfg.MCWorkers, workers)
 	}
 	if workers <= 1 {
-		e.enumerateRange(0, total, sizes, mcw)
+		e.enumerateRange(0, 0, total, sizes, mcw)
 		return
 	}
 	var cursor atomic.Uint64
@@ -720,7 +758,7 @@ func (e *engine) enumerateRound(sizes []int) {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
 			for !e.stop.Load() {
 				hi := cursor.Add(chunk)
@@ -731,9 +769,9 @@ func (e *engine) enumerateRound(sizes []int) {
 				if hi > total {
 					hi = total
 				}
-				e.enumerateRange(lo, hi, sizes, mcw)
+				e.enumerateRange(w, lo, hi, sizes, mcw)
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
 }
@@ -779,16 +817,16 @@ func (e *engine) enumerateOdometer(sizes []int, mcWorkers int) {
 		if !e.admit() {
 			return
 		}
-		e.dispatch(assign, mcWorkers)
+		e.dispatch(0, assign, mcWorkers)
 		if !incr(assign, sizes) {
 			return
 		}
 	}
 }
 
-// enumerateRange evaluates candidate indices [lo, hi), skipping pruned
-// subtrees.
-func (e *engine) enumerateRange(lo, hi uint64, sizes []int, mcWorkers int) {
+// enumerateRange evaluates candidate indices [lo, hi) as cross-candidate
+// worker w, skipping pruned subtrees.
+func (e *engine) enumerateRange(w int, lo, hi uint64, sizes []int, mcWorkers int) {
 	assign := make([]int, len(sizes))
 	for idx := lo; idx < hi && !e.stop.Load(); {
 		decode(idx, sizes, assign)
@@ -805,7 +843,7 @@ func (e *engine) enumerateRange(lo, hi uint64, sizes []int, mcWorkers int) {
 		if !e.admit() {
 			return
 		}
-		e.dispatch(assign, mcWorkers)
+		e.dispatch(w, assign, mcWorkers)
 		idx++
 	}
 }

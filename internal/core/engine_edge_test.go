@@ -120,8 +120,16 @@ func TestMCStateCapDuringSynthesis(t *testing.T) {
 }
 
 // hostileSystem redeclares a hole with a different arity mid-search: the
-// engine must surface a hard error, not mislabel candidates.
-type hostileSystem struct{ toy.Graph }
+// engine must surface a hard error, not mislabel candidates. It borrows a
+// toy graph's states and properties through a named field, not by embedding
+// it: the graph is a ts.RuleSystem, and promoting its AppendRules/FireRule
+// would have the checker enumerate the graph's rules and bypass the
+// Transitions below (see the ts.RuleSystem docs).
+type hostileSystem struct{ g toy.Graph }
+
+func (h *hostileSystem) Name() string               { return h.g.Name() }
+func (h *hostileSystem) Initial() []ts.State        { return h.g.Initial() }
+func (h *hostileSystem) Invariants() []ts.Invariant { return h.g.Invariants() }
 
 func (h *hostileSystem) Transitions(s ts.State) []ts.Transition {
 	return []ts.Transition{{
@@ -140,16 +148,8 @@ func (h *hostileSystem) Transitions(s ts.State) []ts.Transition {
 	}}
 }
 
-// AppendTransitions keeps the override effective: the embedded toy.Graph
-// implements ts.TransitionAppender, and the checker prefers that path, so a
-// wrapper overriding Transitions must override the appender too (see the
-// ts.TransitionAppender docs).
-func (h *hostileSystem) AppendTransitions(dst []ts.Transition, s ts.State) []ts.Transition {
-	return append(dst, h.Transitions(s)...)
-}
-
 func TestInconsistentHoleArityFails(t *testing.T) {
-	h := &hostileSystem{Graph: toy.Graph{
+	h := &hostileSystem{g: toy.Graph{
 		SysName: "hostile", Init: []int{0, 1},
 		Nodes: []toy.Node{{}, {}},
 	}}

@@ -31,10 +31,14 @@
 // The successor lifecycle passes through the same way: when S implements
 // ts.StateCopier, rule actions fire on clones drawn from a ts.Pool of
 // recycled states, which Recycle feeds and PoolStats reports; when it does
-// not, Recycle quietly drops states and every clone is fresh. Built
-// systems always implement ts.TransitionAppender; Rule and RuleSet names are
-// formatted once at registration, while Choice names are formatted per
-// expansion (the alternative set is data-dependent and unbounded).
+// not, Recycle quietly drops states and every clone is fresh.
+//
+// A Builder's rules are data — a guard, an action and an instance count each
+// — so built systems implement ts.RuleSystem directly: enumeration appends
+// one ts.Rule per enabled instance and firing indexes the rule table, with
+// no closure per transition. Rule and RuleSet names are formatted once at
+// registration; a Choice name is formatted when it is asked for (the
+// alternative set is data-dependent and unbounded).
 package dsl
 
 import (
@@ -54,6 +58,7 @@ type Builder[S Mutable] struct {
 	name    string
 	initial []ts.State
 	rules   []rule[S]
+	names   []string // every Rule and RuleSet instance name; ts.Rule.Name indexes it
 	invs    []ts.Invariant
 	goals   []ts.ReachGoal
 	live    []ts.LivenessGoal
@@ -65,8 +70,20 @@ type Builder[S Mutable] struct {
 	pool     ts.Pool[S]
 }
 
+// rule is one registered guarded command and its instances: a Rule has one,
+// a RuleSet one per parameter in [0, n), a Choice one per alternative
+// enabled(s) lists. A ts.Rule names a rule by its index in Builder.rules
+// (ID) and the instance (Msg).
 type rule[S Mutable] struct {
-	appendTo func(dst []ts.Transition, s S) []ts.Transition
+	n      int
+	guard  func(S, int) bool // nil: always enabled
+	action func(S, int, *ts.Env) error
+	// nameOff is where the n instance names start in Builder.names.
+	nameOff int
+	// enabled and pattern make the rule a Choice: its instances are data,
+	// named by formatting pattern when asked.
+	enabled func(S) []int
+	pattern string
 }
 
 // NewBuilder starts a system with one or more initial states.
@@ -110,24 +127,12 @@ func (b *Builder[S]) recycle(s ts.State) {
 // Rule adds a guarded command: when guard(s) holds, the action may fire on a
 // clone of s. A nil guard is always enabled.
 func (b *Builder[S]) Rule(name string, guard func(S) bool, action func(S, *ts.Env) error) *Builder[S] {
-	b.rules = append(b.rules, rule[S]{
-		appendTo: func(dst []ts.Transition, s S) []ts.Transition {
-			if guard != nil && !guard(s) {
-				return dst
-			}
-			return append(dst, ts.Transition{
-				Name: name,
-				Fire: func(env *ts.Env) (ts.State, error) {
-					ns := b.clone(s)
-					if err := action(ns, env); err != nil {
-						b.recycle(ns)
-						return nil, err
-					}
-					return ns, nil
-				},
-			})
-		},
-	})
+	r := rule[S]{n: 1, nameOff: len(b.names), action: func(s S, _ int, env *ts.Env) error { return action(s, env) }}
+	if guard != nil {
+		r.guard = func(s S, _ int) bool { return guard(s) }
+	}
+	b.names = append(b.names, name)
+	b.rules = append(b.rules, r)
 	return b
 }
 
@@ -135,60 +140,19 @@ func (b *Builder[S]) Rule(name string, guard func(S) bool, action func(S, *ts.En
 // ruleset. The name is a fmt pattern receiving i; instance names are
 // formatted once here, not per expansion.
 func (b *Builder[S]) RuleSet(n int, name string, guard func(S, int) bool, action func(S, int, *ts.Env) error) *Builder[S] {
-	names := make([]string, n)
-	for i := range names {
-		names[i] = fmt.Sprintf(name, i)
+	b.rules = append(b.rules, rule[S]{n: n, nameOff: len(b.names), guard: guard, action: action})
+	for i := 0; i < n; i++ {
+		b.names = append(b.names, fmt.Sprintf(name, i))
 	}
-	b.rules = append(b.rules, rule[S]{
-		appendTo: func(dst []ts.Transition, s S) []ts.Transition {
-			for i := 0; i < n; i++ {
-				if guard != nil && !guard(s, i) {
-					continue
-				}
-				i := i
-				dst = append(dst, ts.Transition{
-					Name: names[i],
-					Fire: func(env *ts.Env) (ts.State, error) {
-						ns := b.clone(s)
-						if err := action(ns, i, env); err != nil {
-							b.recycle(ns)
-							return nil, err
-						}
-						return ns, nil
-					},
-				})
-			}
-			return dst
-		},
-	})
 	return b
 }
 
 // Choice adds a rule that fires once per alternative in [0, k) — a
 // nondeterministic environment action (e.g. "deliver any pending message").
-// enabled(s) returns the live alternatives.
+// enabled(s) returns the live alternatives; name is a fmt pattern receiving
+// the alternative.
 func (b *Builder[S]) Choice(name string, enabled func(S) []int, action func(S, int, *ts.Env) error) *Builder[S] {
-	b.rules = append(b.rules, rule[S]{
-		appendTo: func(dst []ts.Transition, s S) []ts.Transition {
-			// Alternatives are data-dependent, so the name is formatted per
-			// enabled instance — the one Sprintf the builder cannot hoist.
-			for _, alt := range enabled(s) {
-				alt := alt
-				dst = append(dst, ts.Transition{
-					Name: fmt.Sprintf(name, alt),
-					Fire: func(env *ts.Env) (ts.State, error) {
-						ns := b.clone(s)
-						if err := action(ns, alt, env); err != nil {
-							b.recycle(ns)
-							return nil, err
-						}
-						return ns, nil
-					},
-				})
-			}
-			return dst
-		},
-	})
+	b.rules = append(b.rules, rule[S]{enabled: enabled, pattern: name, action: action})
 	return b
 }
 
@@ -275,18 +239,50 @@ func (x *built[S]) Initial() []ts.State {
 	return out
 }
 
-// Transitions implements ts.System.
+// Transitions implements ts.System: the minimal, closure-valued API, through
+// the ts adapter.
 func (x *built[S]) Transitions(s ts.State) []ts.Transition {
-	return x.AppendTransitions(nil, s)
+	return ts.AppendTransitions(x, nil, s)
 }
 
-// AppendTransitions implements ts.TransitionAppender.
-func (x *built[S]) AppendTransitions(dst []ts.Transition, s ts.State) []ts.Transition {
+// AppendRules implements ts.RuleSystem: the rules in registration order,
+// each rule's enabled instances in instance order.
+func (x *built[S]) AppendRules(dst []ts.Rule, s ts.State) []ts.Rule {
 	st := s.(S)
-	for _, r := range x.b.rules {
-		dst = r.appendTo(dst, st)
+	for ri := range x.b.rules {
+		r := &x.b.rules[ri]
+		if r.enabled != nil {
+			for _, alt := range r.enabled(st) {
+				dst = append(dst, ts.Rule{ID: uint16(ri), Msg: int32(alt)})
+			}
+			continue
+		}
+		for i := 0; i < r.n; i++ {
+			if r.guard == nil || r.guard(st, i) {
+				dst = append(dst, ts.Rule{ID: uint16(ri), Msg: int32(i), Name: uint32(r.nameOff + i)})
+			}
+		}
 	}
 	return dst
+}
+
+// RuleName implements ts.RuleSystem.
+func (x *built[S]) RuleName(r ts.Rule) string {
+	if ru := &x.b.rules[r.ID]; ru.enabled != nil {
+		return fmt.Sprintf(ru.pattern, int(r.Msg))
+	}
+	return x.b.names[r.Name]
+}
+
+// FireRule implements ts.RuleSystem: the rule's action runs on a clone of
+// src, which goes straight back to the pool when the action aborts.
+func (x *built[S]) FireRule(src ts.State, r ts.Rule, env *ts.Env) (ts.State, error) {
+	ns := x.b.clone(src.(S))
+	if err := x.b.rules[r.ID].action(ns, int(r.Msg), env); err != nil {
+		x.b.recycle(ns)
+		return nil, err
+	}
+	return ns, nil
 }
 
 // Recycle implements ts.Recycler: a no-op unless S implements

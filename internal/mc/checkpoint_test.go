@@ -411,6 +411,14 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 		if len(rest) > len(data) {
 			t.Fatalf("decoder grew the input: %d leftover of %d", len(rest), len(data))
 		}
+		// Whatever the decoder lets through, a resumed run enumerates: every
+		// message must be of a type the rule and name tables know (the decoder
+		// rejects the rest), whatever else about the state is off.
+		for _, r := range sys.AppendRules(nil, s) {
+			if sys.RuleName(r) == "" {
+				t.Fatalf("rule %+v of decoded state %q has no name", r, s.Key())
+			}
+		}
 		// The decoder tolerates non-canonical input (redundant varints,
 		// out-of-order network messages get re-canonicalized), so raw
 		// hostile bytes need not re-encode identically. What resume

@@ -27,18 +27,23 @@ type item struct {
 }
 
 // worker is one exploration worker's private scratch and tallies. Nothing
-// in it is shared: the keyer and transition buffer keep the keying and
+// in it is shared: the keyer and rule buffer keep the keying and
 // enumeration hot paths allocation- and lock-free, and the counters are
 // plain integers that explorer.sum folds into the Result while no worker is
 // running (level boundaries and the end of the run). The struct is padded
 // so neighbouring workers' per-transition counter writes never false-share.
+// A session keeps its workers, buffers included, from one check to the next.
 //
 // The recycling side needs no free-list here: the models pool through
 // sync.Pool, whose per-P private caches already give each worker goroutine
 // a lock-free local free-list.
 type worker struct {
 	key keyer
-	trs []ts.Transition
+	// rs is the system as this worker enumerates and fires it — the system
+	// itself, or this worker's own ts.Rules adapter — and rules the buffer
+	// it enumerates into, truncated per expansion.
+	rs    ts.RuleSystem
+	rules []ts.Rule
 	// ow stages this worker's telemetry counters (nil when Options.Obs is
 	// unset; every method no-ops on nil).
 	ow *obs.Worker
@@ -58,11 +63,10 @@ type worker struct {
 	_                                 [64]byte
 }
 
-// minFrontierCap is a frontier buffer's first capacity. Synthesis runs tens
-// of thousands of ~75-state checks whose widest level is mostly 12–24
-// entries, so the buffers start small: on the synth-large benchmark
-// workload 16 allocates 1,412 MB in total, 8 (regrowing) 1,432 MB, 32
-// 1,449 MB and 64 1,560 MB.
+// minFrontierCap is a frontier buffer's first capacity. The ~75-state checks
+// of a synthesis run have levels of mostly 12–24 entries, and a one-shot
+// Check pays for its buffers on every call, so they start small; a session
+// grows them once and keeps them.
 const minFrontierCap = 16
 
 // push appends it to the worker's output, doubling the buffer when full.
@@ -98,16 +102,30 @@ func grow(buf []item, n int) []item {
 // expansion-ownership claim: every backend admits at most one of any set of
 // racing inserts of a fingerprint, so every admitted state is checked and
 // expanded exactly once and the counts are exact at any width.
+//
+// An explorer belongs to a Session and serves its checks one after another.
+// The first block of fields is resolved once per session; the second is a
+// check's own and is reset by begin — buffers are truncated and the flat
+// visited table cleared in place, not rebuilt.
 type explorer struct {
-	sys    ts.System
-	opt    Options
-	ctx    context.Context
-	invs   []ts.Invariant
-	goals  []ts.ReachGoal
-	quies  ts.QuiescentReporter
-	lc     lifecycle
-	ckpt   *checkpointer
-	labels *phaseLabels
+	sys      ts.System
+	opt      Options
+	invs     []ts.Invariant
+	goals    []ts.ReachGoal
+	quies    ts.QuiescentReporter
+	recycler ts.Recycler     // nil when the system does not pool, or Options.NoRecycle
+	pool     ts.PoolReporter // nil when the system reports no pool traffic
+	labels   *phaseLabels
+	all      []worker                         // Options.Workers of them; a check runs the first n
+	noTraces *statespace.TraceStore[ts.State] // the disabled store of every traceless check
+
+	ctx   context.Context
+	env   *ts.Env
+	usage UsageTracker
+	ckpt  *checkpointer
+	// hits0 and misses0 are the pool's cumulative counters as the check
+	// began (see Session.Check).
+	hits0, misses0 uint64
 
 	visited visited.Store
 	traces  *statespace.TraceStore[ts.State]
@@ -131,32 +149,27 @@ type explorer struct {
 	// — which racing workers may report in the same level. They are rare
 	// events, never on the expansion path.
 	mu  sync.Mutex
-	res Result
+	res *Result
 }
 
-// explore runs the safety pass of Check.
-func explore(ctx context.Context, sys ts.System, opt Options) (*Result, error) {
+// init resolves what every check of a session shares.
+func (e *explorer) init(sys ts.System, opt Options) {
 	n := 1
-	// DFS is an ordered traversal and usage tracking brackets each firing
-	// with ResetUsage/Usage on one tracker, so both need a single worker.
-	if opt.Order == BFS && opt.Usage == nil && opt.Workers > 1 {
+	if opt.Order == BFS && opt.Workers > 1 {
 		n = opt.Workers
 	}
-	e := &explorer{
-		sys:     sys,
-		opt:     opt,
-		ctx:     ctx,
-		invs:    sys.Invariants(),
-		lc:      newLifecycle(sys, opt),
-		labels:  newPhaseLabels(opt),
-		traces:  statespace.NewTraceStore[ts.State](opt.RecordTrace),
-		workers: make([]worker, n),
+	*e = explorer{
+		sys:      sys,
+		opt:      opt,
+		invs:     sys.Invariants(),
+		labels:   newPhaseLabels(opt),
+		all:      make([]worker, n),
+		noTraces: statespace.NewTraceStore[ts.State](false),
 	}
-	if n == 1 {
-		e.visited = visited.New(visitedConfig(opt))
-	} else {
-		e.visited = visited.NewConcurrent(visitedConfig(opt))
+	if !opt.NoRecycle {
+		e.recycler, _ = sys.(ts.Recycler)
 	}
+	e.pool, _ = sys.(ts.PoolReporter)
 	if gr, ok := sys.(ts.GoalReporter); ok {
 		e.goals = gr.Goals()
 	}
@@ -167,19 +180,65 @@ func explore(ctx context.Context, sys ts.System, opt Options) (*Result, error) {
 	g := len(e.goals)
 	hits := make([]bool, (n+1)*g)
 	e.goalHit, hits = hits[:g:g], hits[g:]
-	for i := range e.workers {
-		w := &e.workers[i]
+	for i := range e.all {
+		w := &e.all[i]
 		w.key = keyer{canon: canon, legacy: opt.StringKeys}
+		w.rs = ts.Rules(sys, opt.FreshTransitions)
 		w.ow = opt.Obs.NewWorker()
 		w.goalHit, hits = hits[:g:g], hits[g:]
 	}
+}
+
+// begin resets the explorer for one check: a fresh Result, emptied buffers
+// and tallies, and an empty visited set — the one of the previous check
+// when its backend can be emptied in place (visited.Resetter), a new one
+// otherwise.
+func (e *explorer) begin(ctx context.Context, env *ts.Env, usage UsageTracker) error {
+	n := len(e.all)
+	// Usage tracking brackets each firing with ResetUsage/Usage on one
+	// tracker, so it needs a single worker (as does DFS: see init).
+	if usage != nil {
+		n = 1
+	}
+	e.ctx, e.env, e.usage = ctx, env, usage
+	e.res = new(Result)
+	e.workers = e.all[:n]
+	e.level, e.depth = e.level[:0], 0
+	e.admitted, e.recycled, e.peak = 0, 0, 0
+	clear(e.goalHit)
+	for i := range e.workers {
+		// The other tallies were zeroed by the last sum of the previous check.
+		w := &e.workers[i]
+		w.out, w.cur, w.poll, w.maxDepth = w.out[:0], nil, 0, 0
+		clear(w.goalHit)
+	}
+	e.traces = e.noTraces
+	if e.opt.RecordTrace {
+		e.traces = statespace.NewTraceStore[ts.State](true)
+	}
+	// Only a single-goroutine store left by a one-worker check is worth
+	// keeping, and only for another one-worker check.
+	if r, ok := e.visited.(visited.Resetter); ok && n == 1 {
+		r.Reset()
+	} else if n == 1 {
+		e.visited = visited.New(visitedConfig(e.opt))
+	} else {
+		e.visited = visited.NewConcurrent(visitedConfig(e.opt))
+	}
 	var err error
-	if e.ckpt, err = newCheckpointer(sys, opt, e.visited); err != nil {
-		closeStore(e.visited)
+	if e.ckpt, err = newCheckpointer(e.sys, e.opt, e.visited); err != nil {
+		_ = closeStore(e.visited) // nothing was inserted; the checkpointer's error is the one to report
+	}
+	return err
+}
+
+// explore runs the safety pass of a check.
+func (e *explorer) explore(ctx context.Context, env *ts.Env, usage UsageTracker) (*Result, error) {
+	if err := e.begin(ctx, env, usage); err != nil {
 		return nil, err
 	}
-	opt.Obs.SetGauge(obs.GMaxStates, uint64(opt.MaxStates))
-	err = e.run()
+	e.opt.Obs.SetGauge(obs.GMaxStates, uint64(e.opt.MaxStates))
+	err := e.run()
 	e.labels.clear()
 	e.finish()
 	if cerr := closeStore(e.visited); err == nil {
@@ -188,7 +247,7 @@ func explore(ctx context.Context, sys ts.System, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &e.res, nil
+	return e.res, nil
 }
 
 // run seeds the frontier and walks it in the selected order. Every way a
@@ -238,18 +297,20 @@ func (e *explorer) seed(w *worker) (stop bool, err error) {
 // (spill merges its run files), telemetry is published and the
 // checkpointer snapshots.
 func (e *explorer) bfs() error {
-	level := e.gather(nil)
-	for len(level) > 0 {
-		stop, err := e.expandLevel(level)
-		level = e.gather(level)
-		if stop || err != nil || len(level) == 0 {
-			return err
+	e.gather()
+	for len(e.level) > 0 {
+		if stop, err := e.expandLevel(); stop || err != nil {
+			return err // finish accounts for what the workers hold
+		}
+		e.gather()
+		if len(e.level) == 0 {
+			return nil
 		}
 		e.depth++
-		if err := e.endLevel(len(level)); err != nil {
+		if err := e.endLevel(len(e.level)); err != nil {
 			return err
 		}
-		if err := e.checkpoint(level); err != nil {
+		if err := e.checkpoint(e.level); err != nil {
 			return err
 		}
 	}
@@ -258,17 +319,17 @@ func (e *explorer) bfs() error {
 
 // gather sums the workers' tallies and collects their outputs into the next
 // level. Worker 0's buffer becomes the level and the finished level's
-// buffer (done) becomes worker 0's next output, so a single worker just
-// swaps two buffers that are recycled for the whole run; further workers'
-// outputs are appended behind. The finished level stays in its buffer while
-// the next one fills, so the frontier high-water mark is their coexistence,
-// not either level alone. With several workers the order within a level
+// buffer becomes worker 0's next output, so a single worker just swaps two
+// buffers that are recycled for the whole session; further workers' outputs
+// are appended behind. The finished level stays in its buffer while the
+// next one fills, so the frontier high-water mark is their coexistence, not
+// either level alone. With several workers the order within a level
 // depends on scheduling; the level structure keeps BFS depth semantics
 // regardless.
-func (e *explorer) gather(done []item) []item {
+func (e *explorer) gather() {
 	e.sum()
 	w0 := &e.workers[0]
-	next := w0.out
+	done, next := e.level, w0.out
 	w0.out = done[:0]
 	for i := 1; i < len(e.workers); i++ {
 		w := &e.workers[i]
@@ -276,17 +337,16 @@ func (e *explorer) gather(done []item) []item {
 		w.out = w.out[:0]
 	}
 	e.peak = max(e.peak, len(done)+len(next))
-	return next
+	e.level = next
 }
 
-// expandLevel spreads one level over the workers; a single worker (or a
+// expandLevel spreads the level over the workers; a single worker (or a
 // single-item level) runs inline on the calling goroutine.
-func (e *explorer) expandLevel(level []item) (stop bool, err error) {
-	e.level = level
-	if n := min(len(e.workers), len(level)); n > 1 {
-		return statespace.ExpandLevel(n, len(level), e.span)
+func (e *explorer) expandLevel() (stop bool, err error) {
+	if n := min(len(e.workers), len(e.level)); n > 1 {
+		return statespace.ExpandLevel(n, len(e.level), e.span)
 	}
-	return e.span(0, 0, len(level))
+	return e.span(0, 0, len(e.level))
 }
 
 // span expands level[lo:hi] in order on worker wi. Each range starts with
@@ -300,10 +360,11 @@ func (e *explorer) span(wi, lo, hi int) (stop bool, err error) {
 	if e.cancelled() {
 		return true, nil
 	}
-	for _, it := range e.level[lo:hi] {
-		if stop, err := e.expand(w, it); stop || err != nil {
+	for i := lo; i < hi; i++ {
+		if stop, err := e.expand(w, e.level[i]); stop || err != nil {
 			return true, err
 		}
+		e.level[i].state = nil // spent: release skips it
 	}
 	return false, nil
 }
@@ -412,8 +473,8 @@ func (e *explorer) admit(w *worker, s ts.State, sw *obs.Stopwatch) bool {
 // s outright: nothing — trace node, frontier entry, failure info — may
 // still dereference it (see the ts package's ownership rules).
 func (e *explorer) recycle(w *worker, s ts.State) {
-	if e.lc.recycler != nil {
-		e.lc.recycler.Recycle(s)
+	if e.recycler != nil {
+		e.recycler.Recycle(s)
 		w.recycled++
 		w.ow.Inc(obs.CRecycled)
 	}
@@ -460,23 +521,17 @@ func (e *explorer) expand(w *worker, it item) (stop bool, err error) {
 	defer sw.Done()
 	e.labels.set(obs.PhaseEnumerate)
 	sw.Mark()
-	var trs []ts.Transition
-	if e.lc.appender != nil {
-		w.trs = e.lc.appender.AppendTransitions(w.trs[:0], it.state)
-		trs = w.trs
-	} else {
-		trs = e.sys.Transitions(it.state)
-	}
+	w.rules = w.rs.AppendRules(w.rules[:0], it.state)
 	sw.Lap(obs.PhaseEnumerate)
-	usage := e.opt.Usage
+	usage := e.usage
 	succs, blocked := 0, 0
-	for _, tr := range trs {
+	for _, r := range w.rules {
 		if usage != nil {
 			usage.ResetUsage()
 		}
 		e.labels.set(obs.PhaseFire)
 		sw.Mark()
-		next, ferr := tr.Fire(e.opt.Env)
+		next, ferr := w.rs.FireRule(it.state, r, e.env)
 		sw.Lap(obs.PhaseFire)
 		if ferr != nil {
 			if errors.Is(ferr, ts.ErrWildcard) {
@@ -485,7 +540,7 @@ func (e *explorer) expand(w *worker, it item) (stop bool, err error) {
 				blocked++
 				continue
 			}
-			return true, fmt.Errorf("mc: transition %q from state %q: %w", tr.Name, it.state.Key(), ferr)
+			return true, fmt.Errorf("mc: transition %q from state %q: %w", w.rs.RuleName(r), it.state.Key(), ferr)
 		}
 		w.fired++
 		w.ow.Inc(obs.CTransitions)
@@ -497,9 +552,17 @@ func (e *explorer) expand(w *worker, it item) (stop bool, err error) {
 		if !e.admit(w, next, sw) {
 			continue
 		}
-		child := item{state: next, node: e.traces.Add(next, tr.Name, it.node), mask: mask}
+		child := item{state: next, mask: mask}
+		if e.opt.RecordTrace {
+			child.node = e.traces.Add(next, w.rs.RuleName(r), it.node)
+		}
 		w.maxDepth = max(w.maxDepth, e.depth+1)
 		if e.checkState(w, child) {
+			// The violating state never reaches the frontier; a traceless
+			// failure does not reference it, so it is dead already.
+			if !e.opt.RecordTrace {
+				e.recycle(w, next)
+			}
 			return true, nil
 		}
 		w.push(child)
@@ -515,10 +578,10 @@ func (e *explorer) expand(w *worker, it item) (stop bool, err error) {
 	}
 	// Normal completion. In traceless mode the expanded state is dead: no
 	// trace node references it, its frontier entry is never read again (the
-	// level buffer's copy of the pointer is not dereferenced), and the fired
-	// closures are gone — so its storage returns to the pool from the worker
-	// that owned its expansion. With traces on it is retained by its trace
-	// node and must escape the pool forever.
+	// level buffer's copy of the pointer is not dereferenced), and its rule
+	// records are never fired again — so its storage returns to the pool from
+	// the worker that owned its expansion. With traces on it is retained by
+	// its trace node and must escape the pool forever.
 	if !e.opt.RecordTrace {
 		e.recycle(w, it.state)
 	}
@@ -547,19 +610,51 @@ func (e *explorer) sum() {
 	e.res.WildcardHit = st.WildcardAborts > 0
 }
 
+// release closes the frontier's books when a run ends, however it ended. A
+// run that stopped mid-level never gathered it: the unexpanded rest of the
+// level and the successors the workers admitted count toward the frontier
+// high-water mark exactly as a gathered level would. And in traceless mode
+// every state those entries hold is owned by the kernel alone — a violation
+// keeps its trace, when it has one, in trace nodes — so they go back to the
+// pool instead of leaking: a synthesis run is mostly checks that end at
+// their first violation, and the next check's first clones are these.
+func (e *explorer) release() {
+	held := len(e.level)
+	for i := range e.workers {
+		held += len(e.workers[i].out)
+	}
+	e.peak = max(e.peak, held)
+	if e.opt.RecordTrace || e.recycler == nil {
+		return
+	}
+	w0 := &e.workers[0]
+	for _, it := range e.level {
+		if it.state != nil {
+			e.recycle(w0, it.state)
+		}
+	}
+	for i := range e.workers {
+		w := &e.workers[i]
+		for _, it := range w.out {
+			e.recycle(w, it.state)
+		}
+	}
+}
+
 // finish assembles the Result. Every worker has joined, so summing their
 // tallies and flushing their staged telemetry from this goroutine is safe
 // even when the run stopped mid-level; the partial counts stay visible
 // whatever the verdict.
 func (e *explorer) finish() {
+	e.release()
 	e.sum()
 	e.publish(0)
-	res := &e.res
+	res := e.res
 	res.Stats.VisitedStates = e.visited.Len()
 	res.Space.Transitions = res.Stats.FiredTransitions
 	res.Space.PeakFrontier = e.peak
 	res.Space.TraceNodes = e.traces.Nodes()
-	e.lc.finishPool(&res.Space, e.recycled)
+	res.Space.Recycled = e.recycled
 	vs := e.visited.Stats()
 	res.Space.States = vs.States
 	res.Space.VisitedBytes = vs.Bytes

@@ -42,9 +42,9 @@
 // blue "done" set and the red "confirmed cycle-free" set), plus a cyan
 // map for the states on the outer DFS stack. Lossy backends are rejected
 // up front (ErrLivenessInexact): a bitstate omission could both hide a
-// real cycle and fabricate a spurious one. Successor states ride the
-// PR 6 recycling protocol: rejected product successors and popped stack
-// states return to the system's pool.
+// real cycle and fabricate a spurious one. Successors are enumerated and
+// fired as ts.Rule records and recycled like the safety kernel's: rejected
+// product successors and popped stack states return to the system's pool.
 //
 // Symmetry reduction is deliberately NOT applied to product keys even when
 // Options.Symmetry is set: liveness predicates are typically per-process
@@ -113,8 +113,16 @@ type liveChecker struct {
 	sys ts.System
 	opt Options
 	ctx context.Context
-	lc  lifecycle
+	env *ts.Env
 	res *Result
+	// rs is the system as records (see ts.Rules), rules the enumeration
+	// buffer, recycler the system's pool (nil: none, or Options.NoRecycle).
+	// names says whether anything will read a successor's transition name:
+	// a recorded lasso, or a fairness requirement's Taken.
+	rs       ts.RuleSystem
+	rules    []ts.Rule
+	recycler ts.Recycler
+	names    bool
 	// pollN counts expansions toward the next cooperative cancellation
 	// check; cur is the product frame's system state currently being
 	// expanded, for panic containment's state-key report.
@@ -131,8 +139,7 @@ type liveChecker struct {
 	rst   []lframe                       // red (inner) stack
 
 	buf      []byte // product-key scratch (appender path)
-	trsBuf   []ts.Transition
-	admitted int // blue insertions, for the MaxStates cap
+	admitted int    // blue insertions, for the MaxStates cap
 	capHit   bool
 	// ow stages the phase's telemetry (nil when Options.Obs is unset):
 	// CBlue/CRed product admissions, plus CAborts, which mirrors
@@ -144,12 +151,13 @@ type liveChecker struct {
 	ow *obs.Worker
 }
 
-// checkLiveness runs the nested-DFS phase over every liveness goal of sys,
-// updating res in place: the first violated goal flips the verdict to
-// Failure with a FailLiveness lasso. Called only after a safety pass that
-// did not fail; a no-op when the system reports no goals.
-func checkLiveness(ctx context.Context, sys ts.System, opt Options, res *Result) error {
-	lr, ok := sys.(ts.LivenessReporter)
+// checkLiveness runs the nested-DFS phase over every liveness goal of e's
+// system, in the context and environment of e's current check, updating
+// res in place: the first violated goal flips the verdict to Failure with
+// a FailLiveness lasso. Called only after a safety pass that did not fail;
+// a no-op when the system reports no goals.
+func checkLiveness(e *explorer, res *Result) error {
+	lr, ok := e.sys.(ts.LivenessReporter)
 	if !ok {
 		return nil
 	}
@@ -157,7 +165,13 @@ func checkLiveness(ctx context.Context, sys ts.System, opt Options, res *Result)
 	if len(goals) == 0 {
 		return nil
 	}
-	l := &liveChecker{sys: sys, opt: opt, ctx: ctx, lc: newLifecycle(sys, opt), res: res, ow: opt.Obs.NewWorker()}
+	ctx := e.ctx
+	l := &liveChecker{
+		sys: e.sys, opt: e.opt, ctx: ctx, env: e.env, res: res,
+		rs:       ts.Rules(e.sys, e.opt.FreshTransitions),
+		recycler: e.recycler,
+		ow:       e.opt.Obs.NewWorker(),
+	}
 	if ctx.Err() != nil {
 		// The deadline expired between the safety pass and this phase.
 		l.abort(cancelAbort(ctx))
@@ -233,6 +247,7 @@ func (l *liveChecker) checkGoal(g ts.LivenessGoal) (failed bool, err error) {
 			l.fair = fr.WeakFairness()
 		}
 	}
+	l.names = l.opt.RecordTrace || len(l.fair) > 0
 	l.blue = visited.New(visitedConfig(l.opt))
 	l.red = visited.New(visitedConfig(l.opt))
 	defer func() {
@@ -404,15 +419,11 @@ func (l *liveChecker) product(s ts.State, rule string, q, c uint8) lframe {
 func (l *liveChecker) expand(f *lframe) ([]lsucc, error) {
 	l.cur = f.state // panic containment reports this state's key
 	l.ow.Tick()
-	if l.lc.appender != nil {
-		l.trsBuf = l.lc.appender.AppendTransitions(l.trsBuf[:0], f.state)
-	} else {
-		l.trsBuf = append(l.trsBuf[:0], l.sys.Transitions(f.state)...)
-	}
+	l.rules = l.rs.AppendRules(l.rules[:0], f.state)
 	var succs []lsucc
 	var qs [2]uint8
-	for _, tr := range l.trsBuf {
-		next, ferr := tr.Fire(l.opt.Env)
+	for _, r := range l.rules {
+		next, ferr := l.rs.FireRule(f.state, r, l.env)
 		if ferr != nil {
 			if errors.Is(ferr, ts.ErrWildcard) {
 				l.res.WildcardHit = true
@@ -421,9 +432,13 @@ func (l *liveChecker) expand(f *lframe) ([]lsucc, error) {
 				continue
 			}
 			return nil, fmt.Errorf("mc: liveness goal %q: transition %q from state %q: %w",
-				l.goal.Name, tr.Name, f.state.Key(), ferr)
+				l.goal.Name, l.rs.RuleName(r), f.state.Key(), ferr)
 		}
-		c := l.nextCopy(f, tr.Name)
+		name := ""
+		if l.names {
+			name = l.rs.RuleName(r)
+		}
+		c := l.nextCopy(f, name)
 		qlist := l.monitorStep(qs[:0], f.q, next)
 		if len(qlist) == 0 {
 			l.recycle(next)
@@ -436,7 +451,7 @@ func (l *liveChecker) expand(f *lframe) ([]lsucc, error) {
 			}
 			succs = append(succs, lsucc{
 				state: s,
-				rule:  tr.Name,
+				rule:  name,
 				fp:    l.fingerprint(s, q, c),
 				q:     q,
 				c:     c,
@@ -450,8 +465,8 @@ func (l *liveChecker) expand(f *lframe) ([]lsucc, error) {
 // recycle hands a dead state back to the system's pool (a no-op when the
 // system does not pool or Options.NoRecycle is set).
 func (l *liveChecker) recycle(s ts.State) {
-	if l.lc.recycler != nil {
-		l.lc.recycler.Recycle(s)
+	if l.recycler != nil {
+		l.recycler.Recycle(s)
 	}
 }
 

@@ -56,7 +56,7 @@
 // checkpoint/resume pair and one telemetry boundary. Two things vary.
 //
 // Options.Workers is how many workers walk a BFS level. Each owns a scratch
-// struct — fingerprinting buffer, transition buffer, telemetry stage, the
+// struct — fingerprinting buffer, rule buffer, telemetry stage, the
 // successors it admitted, and plain counters for transitions fired,
 // wildcard aborts, admissions, recycles, depth reached and goals witnessed
 // — so nothing on the expansion path is shared but the visited set. The
@@ -80,6 +80,23 @@
 // the same expand. DFS order and usage tracking (Options.Usage: one tracker
 // brackets one firing at a time) always run one worker, whatever Workers
 // says.
+//
+// # Sessions
+//
+// The kernel lives in a Session: NewSession resolves what every check of a
+// system under fixed options shares and builds the workers, and each
+// Session.Check resets them — buffers truncated, tallies zeroed, the flat
+// visited table cleared in place — and explores. Check and CheckCtx are a
+// session used once. The synthesis engine gives each of its workers a
+// session of its own, which is where the per-check fixed cost of tens of
+// thousands of small checks goes (see Session).
+//
+// Enabled transitions reach the kernel as ts.Rule records: a worker asks
+// its ts.RuleSystem (the system itself, or ts.Rules' view of a system that
+// only offers closure-valued Transitions) to append the records of the
+// state it expands into its own buffer, fires each through FireRule, and
+// asks RuleName only for a trace node or an error message. Nothing is
+// allocated per transition.
 //
 // # Verdicts
 //
@@ -273,7 +290,10 @@ type UsageTracker interface {
 	// ResetUsage clears the per-firing usage set.
 	ResetUsage()
 	// Usage returns the bitmask of hole indices consulted since the last
-	// ResetUsage. Hole indices >= 64 saturate to bit 63 (conservative).
+	// ResetUsage. A tracker that cannot say — a hole with index >= 64 was
+	// consulted — returns all ones, which every consumer reads as "every
+	// hole may have mattered": the synthesis engine then inserts the failing
+	// candidate as it stands instead of generalizing it.
 	Usage() uint64
 }
 
@@ -293,9 +313,11 @@ const (
 // model with symmetry reduction off, deadlock checking on, no state cap.
 type Options struct {
 	// Env is the execution environment handed to transitions (nil for
-	// complete models).
+	// complete models). Per check: Check and CheckCtx pass it on to
+	// Session.Check, NewSession ignores it.
 	Env *ts.Env
-	// Usage optionally tracks per-firing hole usage (see UsageTracker).
+	// Usage optionally tracks per-firing hole usage (see UsageTracker). Per
+	// check, like Env.
 	Usage UsageTracker
 	// Symmetry enables scalarset symmetry reduction for states implementing
 	// ts.Permutable.
@@ -385,16 +407,16 @@ type Options struct {
 	// the flag exists for differential testing and the E14 keying ablation,
 	// not for production use.
 	StringKeys bool
-	// NoRecycle disables the successor-recycling half of the lifecycle
-	// protocol: the checker never hands states back to a ts.Recycler
-	// system, so every Fire clone is built fresh. Exploration results are
+	// NoRecycle disables successor recycling: the checker never hands states
+	// back to a ts.Recycler system, so every successor is built fresh. Exploration results are
 	// identical either way (the zoo recycling-equivalence test pins this);
 	// the flag exists for differential testing and the E15 ablation.
 	NoRecycle bool
-	// FreshTransitions disables the ts.TransitionAppender enumeration path:
-	// transitions are enumerated through plain Transitions (a fresh slice
-	// per expansion) even when the system can append into the checker's
-	// per-worker scratch. For differential testing and the E15 ablation.
+	// FreshTransitions enumerates through the minimal API even when the
+	// system is a ts.RuleSystem: every expansion calls Transitions (a fresh
+	// slice of closures, which a rule system builds with the ts adapter) and
+	// the kernel drives those through ts.Rules, as it does for a system that
+	// offers nothing else. For differential testing and the E15 ablation.
 	FreshTransitions bool
 	// ProfileLabels wraps the kernel's inner-loop phases (enumerate / fire
 	// / key / insert) in runtime/pprof goroutine labels so -cpuprofile
@@ -425,75 +447,81 @@ type Options struct {
 	Obs *obs.Collector
 }
 
-// lifecycle is a run's handle on the successor lifecycle protocol: the
-// system's recycler accepting dead states (nil when the system does not pool
-// or Options.NoRecycle), the appender enumeration path (nil when absent or
-// Options.FreshTransitions forces plain Transitions), and the pool-traffic
-// baseline so the run reports its own delta of the system's cumulative
-// ts.PoolReporter counters.
-type lifecycle struct {
-	recycler ts.Recycler
-	appender ts.TransitionAppender
-	pool     ts.PoolReporter
-	hits0    uint64
-	misses0  uint64
+// Session checks one system under one set of options, any number of times:
+// the synthesis engine's shape, where tens of thousands of small checks
+// differ only in the candidate the environment's chooser resolves holes to.
+// What a check needs beyond its own Result — the exploration kernel, its
+// workers' key, rule and frontier buffers, the canonicalizer, the goal
+// flags, the flat visited table — is built by NewSession and kept: each
+// Check empties it (the visited table is cleared in place; a backend that
+// cannot be, such as spill, is rebuilt) instead of allocating it again.
+// Reuse is invisible in the results: a session's n-th Check returns what a
+// one-shot Check of the same candidate returns, pool traffic aside, and
+// nothing a later Check overwrites is reachable from an earlier Result.
+//
+// A Session serves one Check at a time; concurrent synthesis workers each
+// own one.
+type Session struct {
+	e explorer
 }
 
-// newLifecycle resolves sys's lifecycle capabilities under opt.
-func newLifecycle(sys ts.System, opt Options) lifecycle {
-	var lc lifecycle
-	if !opt.NoRecycle {
-		lc.recycler, _ = sys.(ts.Recycler)
-	}
-	if !opt.FreshTransitions {
-		lc.appender, _ = sys.(ts.TransitionAppender)
-	}
-	if pr, ok := sys.(ts.PoolReporter); ok {
-		lc.pool = pr
-		lc.hits0, lc.misses0 = pr.PoolStats()
-	}
-	return lc
+// NewSession prepares sys for repeated checking under opt. Options.Env and
+// Options.Usage are ignored: they are per check, and Check takes them.
+func NewSession(sys ts.System, opt Options) *Session {
+	s := new(Session)
+	s.e.init(sys, opt)
+	return s
 }
 
-// finishPool folds the run's pool traffic into the space profile.
-func (lc *lifecycle) finishPool(space *statespace.Stats, recycled uint64) {
-	space.Recycled = recycled
-	if lc.pool != nil {
-		h, m := lc.pool.PoolStats()
-		space.PoolHits = h - lc.hits0
-		space.PoolMisses = m - lc.misses0
-	}
-}
-
-// Check explores the reachable state space of sys under opt. It is
-// CheckCtx with a background context: never cancelled, no deadline.
+// Check explores the reachable state space of the session's system with
+// env as the execution environment handed to transitions (nil for complete
+// models) and usage optionally tracking per-firing hole usage, stopping
+// cooperatively when ctx is cancelled or its deadline passes. A cancelled
+// run is not an error: it returns Verdict == Aborted with a non-nil
+// Result.Abort carrying the cancel cause (context.Cause) and whatever
+// partial statistics the exploration accumulated.
 //
 // The error return is reserved for malformed models (no initial states,
 // transition errors other than ts.ErrWildcard) and I/O failures of the
 // spill and checkpoint layers; property violations — and aborts — are
 // reported in the Result, not as errors.
-func Check(sys ts.System, opt Options) (*Result, error) {
-	return CheckCtx(context.Background(), sys, opt)
-}
-
-// CheckCtx explores the reachable state space of sys under opt, stopping
-// cooperatively when ctx is cancelled or its deadline passes. A cancelled
-// run is not an error: it returns Verdict == Aborted with a non-nil
-// Result.Abort carrying the cancel cause (context.Cause) and whatever
-// partial statistics the exploration accumulated.
-func CheckCtx(ctx context.Context, sys ts.System, opt Options) (*Result, error) {
+func (s *Session) Check(ctx context.Context, env *ts.Env, usage UsageTracker) (*Result, error) {
+	e := &s.e
+	// The pool baseline is the check's first call into the system, so the
+	// run reports its own delta of the system's cumulative counters. It is
+	// asked of the system the session was given — a wrapper's PoolStats
+	// included — not of a pool resolved once.
+	if e.pool != nil {
+		e.hits0, e.misses0 = e.pool.PoolStats()
+	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	if e.opt.Liveness && !e.opt.Visited.Exact() {
+		return nil, fmt.Errorf("mc: visited backend %q is lossy; %w", e.opt.Visited, ErrLivenessInexact)
+	}
 	var before runtime.MemStats
-	if opt.MemStats {
+	if e.opt.MemStats {
 		runtime.ReadMemStats(&before)
 	}
-	res, err := check(ctx, sys, opt)
+	// The safety pass, then — under Options.Liveness — the nested-DFS
+	// liveness phase on its non-failing result. An aborted safety pass skips
+	// the liveness phase: its product search is rooted in the same (now
+	// incomplete) space.
+	res, err := e.explore(ctx, env, usage)
 	if err != nil {
 		return nil, err
 	}
-	if opt.MemStats {
+	if e.opt.Liveness && res.Verdict != Failure && res.Verdict != Aborted {
+		if err := checkLiveness(e, res); err != nil {
+			return nil, err
+		}
+	}
+	if e.pool != nil {
+		h, m := e.pool.PoolStats()
+		res.Space.PoolHits, res.Space.PoolMisses = h-e.hits0, m-e.misses0
+	}
+	if e.opt.MemStats {
 		var after runtime.MemStats
 		runtime.ReadMemStats(&after)
 		res.Space.Mallocs = after.Mallocs - before.Mallocs
@@ -502,22 +530,17 @@ func CheckCtx(ctx context.Context, sys ts.System, opt Options) (*Result, error) 
 	return res, nil
 }
 
-// check runs the safety pass, then — under Options.Liveness — the
-// nested-DFS liveness phase on its non-failing result. An aborted safety
-// pass skips the liveness phase: its product search is rooted in the same
-// (now incomplete) space.
-func check(ctx context.Context, sys ts.System, opt Options) (*Result, error) {
-	if opt.Liveness && !opt.Visited.Exact() {
-		return nil, fmt.Errorf("mc: visited backend %q is lossy; %w", opt.Visited, ErrLivenessInexact)
-	}
-	res, err := explore(ctx, sys, opt)
-	if err != nil || !opt.Liveness || res.Verdict == Failure || res.Verdict == Aborted {
-		return res, err
-	}
-	if lerr := checkLiveness(ctx, sys, opt, res); lerr != nil {
-		return nil, lerr
-	}
-	return res, nil
+// Check explores the reachable state space of sys under opt. It is
+// CheckCtx with a background context: never cancelled, no deadline.
+func Check(sys ts.System, opt Options) (*Result, error) {
+	return CheckCtx(context.Background(), sys, opt)
+}
+
+// CheckCtx is one check of a session made for it: see Session.Check for the
+// contract, with Options.Env and Options.Usage as the check's environment
+// and tracker.
+func CheckCtx(ctx context.Context, sys ts.System, opt Options) (*Result, error) {
+	return NewSession(sys, opt).Check(ctx, opt.Env, opt.Usage)
 }
 
 // visitedConfig maps checker options onto the storage layer's config,
@@ -536,7 +559,8 @@ func visitedConfig(opt Options) visited.Config {
 
 // closeStore releases backends that own external resources (the spill
 // backend's run files). The returned error is the store's first I/O
-// failure, so even runs that hit no level boundary surface it.
+// failure, so even runs that hit no level boundary surface it. A closed
+// store is never a visited.Resetter, so a session does not reuse it.
 func closeStore(store visited.Store) error {
 	if c, ok := store.(io.Closer); ok {
 		return c.Close()

@@ -1,6 +1,7 @@
 package mc_test
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -289,32 +290,35 @@ type nopUsage struct{}
 func (nopUsage) ResetUsage()   {}
 func (nopUsage) Usage() uint64 { return 0 }
 
-// TestCheckFixedAllocs pins the per-call fixed cost of Check the way
+// TestCheckFixedAllocs pins the per-call fixed cost of a check the way
 // TestLifecycleAllocRegression pins the per-state cost: synthesis is tens
 // of thousands of ~75-state checks (bench workload synth-large), so what a
-// call allocates before and after it explores — kernel, worker scratch,
-// visited table, frontier buffers, result — is most of what a dispatch
+// check allocates before and after it explores is most of what a dispatch
 // costs. The system is a ten-state tree explored the way synthesis explores
-// (traceless, usage-tracked, one worker). The ceiling is the count measured
-// at the commit before the single-kernel refactor (fixedAllocsBefore) plus
-// slack for seven more: eight extra allocations per call is about 2% of a
-// synth-large dispatch, the benchmark's regression bound.
+// (traceless, usage-tracked, one worker). A session's steady state is the
+// Result and the model's Initial slice — kernel, worker scratch, visited
+// table and frontier buffers are the session's and are reused — with slack
+// for two more; a one-shot Check builds the session first (20 allocations,
+// 27 before sessions existed) and keeps a ceiling of its own.
 func TestCheckFixedAllocs(t *testing.T) {
 	g := &toy.Graph{SysName: "tree10", Init: []int{0}, Nodes: []toy.Node{
 		{Plain: []int{1, 2, 3}},
 		{Plain: []int{4, 5}}, {Plain: []int{6, 7}}, {Plain: []int{8, 9}},
 		{}, {}, {}, {}, {}, {Goal: true},
 	}}
-	opt := mc.Options{Usage: nopUsage{}}
-	allocs := testing.AllocsPerRun(200, func() {
-		res, err := mc.Check(g, opt)
+	check := func(res *mc.Result, err error) {
 		if err != nil || res.Verdict != mc.Success || res.Stats.VisitedStates != 10 {
 			t.Fatalf("got %v, %v", res, err)
 		}
-	})
-	const fixedAllocsBefore = 25
-	t.Logf("%.0f allocations per call (%d before the single kernel)", allocs, fixedAllocsBefore)
-	if allocs > fixedAllocsBefore+7 {
-		t.Errorf("Check allocates %.0f times per call on a ten-state system, want <= %d", allocs, fixedAllocsBefore+7)
+	}
+	sess := mc.NewSession(g, mc.Options{})
+	steady := testing.AllocsPerRun(200, func() { check(sess.Check(context.Background(), nil, nopUsage{})) })
+	oneShot := testing.AllocsPerRun(200, func() { check(mc.Check(g, mc.Options{Usage: nopUsage{}})) })
+	t.Logf("%.0f allocations per session check, %.0f per one-shot Check", steady, oneShot)
+	if steady > 4 && !raceEnabled {
+		t.Errorf("a session's check allocates %.0f times on a ten-state system, want <= 4", steady)
+	}
+	if oneShot > 24 && !raceEnabled {
+		t.Errorf("a one-shot Check allocates %.0f times on a ten-state system, want <= 24", oneShot)
 	}
 }

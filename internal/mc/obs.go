@@ -52,10 +52,10 @@ func (e *explorer) publish(frontier int) {
 	o.SetGauge(obs.GVisitedBytes, uint64(vs.Bytes))
 	o.SetGauge(obs.GSpilledBytes, uint64(vs.SpilledBytes))
 	o.SetGauge(obs.GSpillRuns, uint64(vs.SpillRuns))
-	if e.lc.pool != nil {
-		h, m := e.lc.pool.PoolStats()
-		o.SetGauge(obs.GPoolHits, h-e.lc.hits0)
-		o.SetGauge(obs.GPoolMisses, m-e.lc.misses0)
+	if e.pool != nil {
+		h, m := e.pool.PoolStats()
+		o.SetGauge(obs.GPoolHits, h-e.hits0)
+		o.SetGauge(obs.GPoolMisses, m-e.misses0)
 	}
 	o.MarkTimeline()
 }

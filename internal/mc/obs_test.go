@@ -217,8 +217,8 @@ func benchExplore(b *testing.B, telemetry bool) {
 	}
 }
 
-// TestTelemetryAllocRegression re-pins PR 6's ≤10 mallocs/state bar with
-// the full telemetry stack live — collector, 2 ms sampler, non-TTY
+// TestTelemetryAllocRegression re-pins TestLifecycleAllocRegression's
+// ≤1.5 mallocs/state bar with the full telemetry stack live — collector, 2 ms sampler, non-TTY
 // progress renderer — on the same msi-complete configuration. The staged
 // counters and batched flushes must keep the whole -progress path out of
 // the per-state allocation budget. Under -race the run still happens, with
@@ -245,7 +245,7 @@ func TestTelemetryAllocRegression(t *testing.T) {
 	}
 	perState := float64(res.Space.Mallocs) / float64(res.Stats.VisitedStates)
 	t.Logf("telemetry on: %.1f mallocs/state over %d states", perState, res.Stats.VisitedStates)
-	if perState > 10 && !raceEnabled {
-		t.Errorf("mallocs/state = %.1f with telemetry enabled, want <= 10", perState)
+	if perState > 1.5 && !raceEnabled {
+		t.Errorf("mallocs/state = %.1f with telemetry enabled, want <= 1.5", perState)
 	}
 }

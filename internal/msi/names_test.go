@@ -1,0 +1,107 @@
+package msi
+
+import (
+	"fmt"
+	"testing"
+
+	"verc3/internal/network"
+	"verc3/internal/ts"
+)
+
+// TestNameTablesMatchFmtForms: the shared name tables are built by
+// concatenation, once per shape; every entry must equal, byte for byte, the
+// fmt form the per-System tables it replaces were built with — golden traces
+// and the Fair variant's fairness requirements match transitions by these
+// strings.
+func TestNameTablesMatchFmtForms(t *testing.T) {
+	for caches := 1; caches <= 8; caches++ {
+		for _, fair := range []bool{false, true} {
+			nt := namesFor(caches, fair)
+			if nt != namesFor(caches, fair) {
+				t.Fatalf("caches=%d fair=%v: table built twice", caches, fair)
+			}
+			seen := 0
+			check := func(idx uint32, want string) {
+				t.Helper()
+				seen++
+				if got := nt.all[idx]; got != want {
+					t.Fatalf("caches=%d fair=%v: name %d = %q, want %q", caches, fair, idx, got, want)
+				}
+			}
+			from := func(j int) string {
+				if j == caches {
+					return "dir"
+				}
+				return fmt.Sprintf("c%d", j)
+			}
+			for i := 0; i < caches; i++ {
+				check(nt.issue(i, nameIssueRead), fmt.Sprintf("c%d: issue read", i))
+				check(nt.issue(i, nameIssueWrite), fmt.Sprintf("c%d: issue write", i))
+				check(nt.issue(i, nameIssueUpgrade), fmt.Sprintf("c%d: issue upgrade", i))
+				check(nt.issue(i, nameStore), fmt.Sprintf("c%d: store", i))
+				for k, mt := range msgTypes {
+					for cs := CacheState(0); cs < numCacheStates; cs++ {
+						check(nt.cacheRecvName(i, msgKind(k), cs), fmt.Sprintf("c%d: recv %s in %s", i, mt, cs))
+						for j := 0; fair && j <= caches; j++ {
+							check(nt.cacheFromName(i, j, msgKind(k), cs), fmt.Sprintf("c%d: recv %s from %s in %s", i, mt, from(j), cs))
+						}
+					}
+				}
+			}
+			for k, mt := range msgTypes {
+				for ds := DirState(0); ds < numDirStates; ds++ {
+					check(nt.dirRecvName(msgKind(k), ds), fmt.Sprintf("dir: recv %s in %s", mt, ds))
+					for j := 0; fair && j < caches; j++ {
+						check(nt.dirFromName(j, msgKind(k), ds), fmt.Sprintf("dir: recv %s from c%d in %s", mt, j, ds))
+					}
+				}
+			}
+			// The blocks tile the table: every entry was reached exactly once.
+			if seen != len(nt.all) {
+				t.Fatalf("caches=%d fair=%v: checked %d names, table holds %d", caches, fair, seen, len(nt.all))
+			}
+		}
+	}
+}
+
+// TestNewAllocatesOnlyTheSystem: New points at the shape's shared tables and
+// formats nothing — the repository benchmark's setup_s is a median of New
+// calls. Two allocations would be the System and one more; there is one.
+func TestNewAllocatesOnlyTheSystem(t *testing.T) {
+	for _, cfg := range []Config{{Caches: 5}, {Caches: 2, Variant: Large}, {Caches: 3, Fair: true}} {
+		New(cfg) // the shape's first New builds its table
+		var sys *System
+		if n := testing.AllocsPerRun(100, func() { sys = New(cfg) }); n > 2 {
+			t.Errorf("%+v: New allocates %.0f times, want <= 2", cfg, n)
+		}
+		if sys.names != namesFor(sys.cfg.Caches, cfg.Fair) {
+			t.Errorf("%+v: New built a table of its own", cfg)
+		}
+	}
+}
+
+// TestUnknownMessageTypeIsRejectedAtDecode: the protocol sends eight message
+// types, and a checkpoint is the only other way a message gets into a
+// state. DecodeKey is where a ninth is refused — an error, never a panic —
+// so enumeration never has to name one.
+func TestUnknownMessageTypeIsRejectedAtDecode(t *testing.T) {
+	sys := New(Config{Caches: 2})
+	s := sys.Initial()[0].(*State)
+	s.Net.SendInPlace(network.Msg{Type: MsgGetS, Src: 0, Dst: 2, Req: None})
+	good := s.AppendKey(nil)
+	if _, rest, err := sys.DecodeKey(good); err != nil || len(rest) != 0 {
+		t.Fatalf("well-formed state: rest %d, err %v", len(rest), err)
+	}
+	s.Net.RemoveInPlace(0)
+	s.Net.SendInPlace(network.Msg{Type: "GetX", Src: 0, Dst: 2, Req: None})
+	if st, _, err := sys.DecodeKey(s.AppendKey(nil)); err == nil {
+		t.Fatalf("decoded a message of type GetX: %v", st)
+	}
+	// A hand-built state holding one is a bug in the caller, and loud.
+	defer func() {
+		if recover() == nil {
+			t.Error("AppendRules named a GetX delivery instead of panicking")
+		}
+	}()
+	sys.AppendRules(nil, ts.State(s))
+}

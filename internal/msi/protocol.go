@@ -2,6 +2,8 @@ package msi
 
 import (
 	"fmt"
+	"strconv"
+	"sync"
 
 	"verc3/internal/network"
 	"verc3/internal/ts"
@@ -53,122 +55,330 @@ type Config struct {
 	Fair bool
 }
 
-// System implements ts.System for the MSI protocol, plus the successor
-// lifecycle extensions (ts.Recycler and ts.PoolReporter through the
-// embedded pool, ts.TransitionAppender): Fire draws its clones from the
-// pool and transition names come from tables precomputed at construction.
-// The protocol tables are immutable after New and the pool is safe for
-// concurrent use, so a System remains safe for concurrent synthesis
-// workers.
+// System implements ts.RuleSystem for the MSI protocol, plus successor
+// pooling (ts.Recycler and ts.PoolReporter through the embedded pool):
+// enabled transitions are ts.Rule records, FireRule draws its clones from
+// the pool, and names come from a table shared by every System of the same
+// shape. The tables are immutable and the pool is safe for concurrent use,
+// so a System remains safe for concurrent synthesis workers.
 type System struct {
 	ts.Pool[*State]
 
-	cfg   Config
-	dirID int
-	holes map[string]bool // rule IDs synthesized in this variant
-	names nameTables
+	cfg     Config
+	dirID   int
+	holes   [numRules]bool // the hole rules this variant leaves to the synthesizer
+	names   *nameTable
+	initial State // what Initial copies; its Caches alias invalidCaches and are never written
 }
 
-// msgTypes indexes the protocol's message types for the name tables.
-var msgTypes = [...]string{MsgGetS, MsgGetM, MsgFwdGetS, MsgFwdGetM, MsgInv, MsgInvAck, MsgData, MsgAck}
+// invalidCaches is every initial state's cache array: all Invalid.
+var invalidCaches [8]Cache
 
-// msgIndex maps a message type to its msgTypes slot (-1 if unknown; the
-// protocol only ever sends the eight types above, so -1 is a fall-back for
-// robustness, not a real path).
-func msgIndex(t string) int {
-	for i, mt := range msgTypes {
-		if mt == t {
-			return i
-		}
+// ruleID is the protocol's rule enum: what ts.Rule.ID holds, what FireRule
+// switches on, and the index of the per-rule tables (System.holes,
+// holeRules).
+type ruleID uint16
+
+const (
+	// Cache-initiated rules; ts.Rule.Agent is the cache.
+	ruleIssueRead ruleID = iota
+	ruleIssueWrite
+	ruleIssueUpgrade
+	ruleStore
+	// Deliveries to a cache, by (cache state, message type); ts.Rule.Agent
+	// is the cache, ts.Rule.Msg the message's index in the network.
+	ruleCacheISDData    // hole rule IS_D/Data
+	ruleCacheWData      // Data while awaiting it for a write (IM_AD, SM_W)
+	ruleCacheWInvAck    // an Inv-Ack that overtook that Data
+	ruleCacheIMAAckLast // hole rule IM_A/InvAck-last: the last Inv-Ack needed
+	ruleCacheIMAInvAck  // any earlier one
+	ruleCacheSMWInv     // hole rule SM_W/Inv
+	ruleCacheSInv
+	ruleCacheMFwdGetS
+	ruleCacheMFwdGetM
+	ruleCacheUnhandled // no handler: a protocol error (Murphi's "unhandled message")
+	// Deliveries to the directory, by (directory state, message type).
+	ruleDirIGetS
+	ruleDirIGetM
+	ruleDirSGetS
+	ruleDirSGetM
+	ruleDirMGetS
+	ruleDirMGetM
+	ruleDirIMAck // hole rule I_M/Ack
+	ruleDirSMAck // hole rule S_M/Ack
+	ruleDirMMAck
+	ruleDirMSData
+	ruleDirUnhandled
+	numRules
+
+	// ruleStall is a classification, never a record: the receiver leaves
+	// the message in the network for now.
+	ruleStall = numRules
+	// firstDirRule splits the delivery rules by receiver.
+	firstDirRule = ruleDirIGetS
+)
+
+// msgKind indexes the protocol's eight message types in the classification
+// and name tables.
+type msgKind int8
+
+const (
+	kGetS msgKind = iota
+	kGetM
+	kFwdGetS
+	kFwdGetM
+	kInv
+	kInvAck
+	kData
+	kAck
+	numMsgKinds
+)
+
+// msgTypes names the kinds, in kind order.
+var msgTypes = [numMsgKinds]string{MsgGetS, MsgGetM, MsgFwdGetS, MsgFwdGetM, MsgInv, MsgInvAck, MsgData, MsgAck}
+
+// kindOf maps a message type to its kind. The protocol sends only the eight
+// types and DecodeKey rejects any other, so an unknown type (-1) can only
+// be a hand-built state's; enumerating it panics.
+func kindOf(t string) msgKind {
+	switch t {
+	case MsgGetS:
+		return kGetS
+	case MsgGetM:
+		return kGetM
+	case MsgFwdGetS:
+		return kFwdGetS
+	case MsgFwdGetM:
+		return kFwdGetM
+	case MsgInv:
+		return kInv
+	case MsgInvAck:
+		return kInvAck
+	case MsgData:
+		return kData
+	case MsgAck:
+		return kAck
 	}
 	return -1
 }
 
-// nameTables holds every transition name the protocol can offer,
-// precomputed at construction: four issue/store names per cache, one
-// delivery name per (cache, message type, cache state), and one per
-// (message type, directory state). With them, steady-state enumeration
-// formats no strings at all.
-type nameTables struct {
-	issueRead    []string
-	issueWrite   []string
-	issueUpgrade []string
-	store        []string
-	cacheRecv    [][len(msgTypes)][numCacheStates]string
-	dirRecv      [len(msgTypes)][numDirStates]string
-	// The Fair variant's delivery names additionally carry the sender
-	// ("c1: recv Data from dir in IS_D"), so per-channel fairness
-	// requirements can recognize a channel's deliveries by rule name. Nil
-	// unless Config.Fair — the plain variants keep their exact historical
-	// names, which the differential suite pins (including the msi-complete
-	// starvation lasso).
-	cacheRecvFrom [][][len(msgTypes)][numCacheStates]string // [dst][src]; src == caches is the directory
-	dirRecvFrom   [][len(msgTypes)][numDirStates]string     // [src]
+// cacheRules and dirRules classify a delivery: the rule that handles a
+// message of a kind at a receiver in a state, ruleStall when the receiver
+// stalls it, the receiver's unhandled rule when nothing does. One entry is
+// refined by data: an Inv-Ack in IM_A is the last one iff one is awaited.
+var cacheRules, dirRules = classify()
+
+func classify() (c [numCacheStates][numMsgKinds]ruleID, d [numDirStates][numMsgKinds]ruleID) {
+	for s := range c {
+		for k := range c[s] {
+			c[s][k] = ruleCacheUnhandled
+		}
+	}
+	c[CacheISD][kData] = ruleCacheISDData
+	c[CacheISD][kInv] = ruleStall // until Data arrives
+	c[CacheIMAD][kData] = ruleCacheWData
+	c[CacheIMAD][kInvAck] = ruleCacheWInvAck
+	c[CacheIMA][kInvAck] = ruleCacheIMAInvAck
+	c[CacheSMW][kData] = ruleCacheWData
+	c[CacheSMW][kInvAck] = ruleCacheWInvAck
+	c[CacheSMW][kInv] = ruleCacheSMWInv
+	c[CacheS][kInv] = ruleCacheSInv
+	c[CacheM][kFwdGetS] = ruleCacheMFwdGetS
+	c[CacheM][kFwdGetM] = ruleCacheMFwdGetM
+
+	for s := range d {
+		for k := range d[s] {
+			d[s][k] = ruleDirUnhandled
+		}
+		if stable := DirState(s) == DirI || DirState(s) == DirS || DirState(s) == DirM; !stable {
+			d[s][kGetS], d[s][kGetM] = ruleStall, ruleStall // serialize: requests wait out transients
+		}
+	}
+	d[DirI][kGetS], d[DirI][kGetM] = ruleDirIGetS, ruleDirIGetM
+	d[DirS][kGetS], d[DirS][kGetM] = ruleDirSGetS, ruleDirSGetM
+	d[DirM][kGetS], d[DirM][kGetM] = ruleDirMGetS, ruleDirMGetM
+	d[DirIM][kAck] = ruleDirIMAck
+	d[DirSM][kAck] = ruleDirSMAck
+	d[DirMM][kAck] = ruleDirMMAck
+	d[DirMS][kData] = ruleDirMSData
+	return c, d
 }
 
-// buildNames precomputes the transition-name tables for a cache count.
-func buildNames(caches int, fair bool) nameTables {
-	nt := nameTables{
-		issueRead:    make([]string, caches),
-		issueWrite:   make([]string, caches),
-		issueUpgrade: make([]string, caches),
-		store:        make([]string, caches),
-		cacheRecv:    make([][len(msgTypes)][numCacheStates]string, caches),
+// Designer action libraries. Their cardinalities (3, 7 / 5, 7, 3) are the
+// paper's: they factor Table I's candidate counts exactly.
+var (
+	cacheRespActions = []string{"none", "ack-dir", "invack-req"}
+	cacheNextActions = cacheStateNames[:]
+	dirRespActions   = []string{"none", "data-pend", "fwdgets-owner", "fwdgetm-owner", "inv-sharers"}
+	dirNextActions   = dirStateNames[:]
+	dirTrackActions  = []string{"none", "owner=pend", "sharer+=pend"}
+)
+
+// Indices into the action libraries, for the fixed rules and the complete
+// protocol's choices at the hole rules.
+const (
+	cRespNone      = 0
+	cRespAckDir    = 1
+	cRespInvAckReq = 2
+
+	dRespNone       = 0
+	dRespDataPend   = 1
+	dRespFwdGetS    = 2
+	dRespFwdGetM    = 3
+	dRespInvSharers = 4
+
+	dTrackNone   = 0
+	dTrackOwner  = 1
+	dTrackSharer = 2
+)
+
+// holeRule describes one rule a variant may leave open: its holes in the
+// order they are consulted — response, next state and, for the directory,
+// tracking — each with its name and action library, and the actions the
+// complete protocol takes there.
+type holeRule struct {
+	names   [3]string
+	libs    [3][]string // libs[2] is nil for cache rules
+	correct [3]int
+}
+
+// holeRules is indexed by ruleID; only the five hole rules have entries.
+var holeRules = [numRules]holeRule{
+	ruleCacheISDData: {
+		names:   [3]string{"c/IS_D/Data/resp", "c/IS_D/Data/next"},
+		libs:    [3][]string{cacheRespActions, cacheNextActions},
+		correct: [3]int{cRespNone, int(CacheS)},
+	},
+	// The race the paper highlights: an upgrading sharer loses to a competing
+	// writer; it must surrender its S copy, Inv-Ack the winner, and fall back
+	// to the I→M path for its own pending GetM.
+	ruleCacheSMWInv: {
+		names:   [3]string{"c/SM_W/Inv/resp", "c/SM_W/Inv/next"},
+		libs:    [3][]string{cacheRespActions, cacheNextActions},
+		correct: [3]int{cRespInvAckReq, int(CacheIMAD)},
+	},
+	ruleCacheIMAAckLast: {
+		names:   [3]string{"c/IM_A/InvAck-last/resp", "c/IM_A/InvAck-last/next"},
+		libs:    [3][]string{cacheRespActions, cacheNextActions},
+		correct: [3]int{cRespAckDir, int(CacheM)},
+	},
+	ruleDirIMAck: {
+		names:   [3]string{"d/I_M/Ack/resp", "d/I_M/Ack/next", "d/I_M/Ack/track"},
+		libs:    [3][]string{dirRespActions, dirNextActions, dirTrackActions},
+		correct: [3]int{dRespNone, int(DirM), dTrackOwner},
+	},
+	ruleDirSMAck: {
+		names:   [3]string{"d/S_M/Ack/resp", "d/S_M/Ack/next", "d/S_M/Ack/track"},
+		libs:    [3][]string{dirRespActions, dirNextActions, dirTrackActions},
+		correct: [3]int{dRespNone, int(DirM), dTrackOwner},
+	},
+}
+
+// nameTable holds every transition name a System of one shape (cache count,
+// Fair) can offer, flat, with the offsets of its blocks: four issue/store
+// names per cache, one delivery name per (cache, message kind, cache state)
+// and one per (message kind, directory state). The Fair variant's delivery
+// names additionally carry the sender ("c1: recv Data from dir in IS_D"),
+// so per-channel fairness requirements can recognize a channel's deliveries
+// by rule name; its table has those blocks too, indexed by sender with
+// caches standing for the directory. The plain variants keep their exact
+// historical names, which the differential suite pins (including the
+// msi-complete starvation lasso). ts.Rule.Name is an index into all.
+type nameTable struct {
+	all                []string
+	caches             int
+	cacheRecv, dirRecv int // block offsets; the issue block starts at 0
+	cacheFrom, dirFrom int // Fair blocks; zero when absent
+}
+
+// Issue-block columns.
+const (
+	nameIssueRead = iota
+	nameIssueWrite
+	nameIssueUpgrade
+	nameStore
+	issueNames
+)
+
+func (nt *nameTable) issue(i, col int) uint32 { return uint32(i*issueNames + col) }
+
+func (nt *nameTable) cacheRecvName(i int, k msgKind, cs CacheState) uint32 {
+	return uint32(nt.cacheRecv + (i*int(numMsgKinds)+int(k))*int(numCacheStates) + int(cs))
+}
+
+func (nt *nameTable) dirRecvName(k msgKind, ds DirState) uint32 {
+	return uint32(nt.dirRecv + int(k)*int(numDirStates) + int(ds))
+}
+
+func (nt *nameTable) cacheFromName(i, src int, k msgKind, cs CacheState) uint32 {
+	return uint32(nt.cacheFrom + ((i*(nt.caches+1)+src)*int(numMsgKinds)+int(k))*int(numCacheStates) + int(cs))
+}
+
+func (nt *nameTable) dirFromName(src int, k msgKind, ds DirState) uint32 {
+	return uint32(nt.dirFrom + (src*int(numMsgKinds)+int(k))*int(numDirStates) + int(ds))
+}
+
+// sharedNames holds the one nameTable per shape, each built on first use:
+// the tables are a pure function of (Caches, Fair) and immutable, so New
+// formats nothing and every System of a shape points at the same table.
+var sharedNames [8][2]struct {
+	once sync.Once
+	nt   *nameTable
+}
+
+func namesFor(caches int, fair bool) *nameTable {
+	f := 0
+	if fair {
+		f = 1
 	}
+	slot := &sharedNames[caches-1][f]
+	slot.once.Do(func() { slot.nt = buildNames(caches, fair) })
+	return slot.nt
+}
+
+// buildNames lays out and renders the name table for a shape.
+func buildNames(caches int, fair bool) *nameTable {
+	const perCache, perDir = int(numMsgKinds) * int(numCacheStates), int(numMsgKinds) * int(numDirStates)
+	nt := &nameTable{caches: caches}
+	nt.cacheRecv = caches * issueNames
+	nt.dirRecv = nt.cacheRecv + caches*perCache
+	size := nt.dirRecv + perDir
+	if fair {
+		nt.cacheFrom = size
+		nt.dirFrom = nt.cacheFrom + caches*(caches+1)*perCache
+		size = nt.dirFrom + caches*perDir
+	}
+	nt.all = make([]string, size)
+	agent := make([]string, caches+1) // "c0".."cN-1", "dir"
 	for i := 0; i < caches; i++ {
-		nt.issueRead[i] = fmt.Sprintf("c%d: issue read", i)
-		nt.issueWrite[i] = fmt.Sprintf("c%d: issue write", i)
-		nt.issueUpgrade[i] = fmt.Sprintf("c%d: issue upgrade", i)
-		nt.store[i] = fmt.Sprintf("c%d: store", i)
-		for t, mt := range msgTypes {
-			for cs := CacheState(0); cs < numCacheStates; cs++ {
-				nt.cacheRecv[i][t][cs] = fmt.Sprintf("c%d: recv %s in %s", i, mt, cs)
-			}
-		}
+		agent[i] = "c" + strconv.Itoa(i)
 	}
-	for t, mt := range msgTypes {
-		for ds := DirState(0); ds < numDirStates; ds++ {
-			nt.dirRecv[t][ds] = fmt.Sprintf("dir: recv %s in %s", mt, ds)
-		}
-	}
-	if !fair {
-		return nt
-	}
-	from := make([]string, caches+1)
-	for j := 0; j < caches; j++ {
-		from[j] = fmt.Sprintf("c%d", j)
-	}
-	from[caches] = "dir"
-	nt.cacheRecvFrom = make([][][len(msgTypes)][numCacheStates]string, caches)
+	agent[caches] = "dir"
 	for i := 0; i < caches; i++ {
-		nt.cacheRecvFrom[i] = make([][len(msgTypes)][numCacheStates]string, caches+1)
-		for j := 0; j <= caches; j++ {
-			for t, mt := range msgTypes {
-				for cs := CacheState(0); cs < numCacheStates; cs++ {
-					nt.cacheRecvFrom[i][j][t][cs] = fmt.Sprintf("c%d: recv %s from %s in %s", i, mt, from[j], cs)
+		nt.all[nt.issue(i, nameIssueRead)] = agent[i] + ": issue read"
+		nt.all[nt.issue(i, nameIssueWrite)] = agent[i] + ": issue write"
+		nt.all[nt.issue(i, nameIssueUpgrade)] = agent[i] + ": issue upgrade"
+		nt.all[nt.issue(i, nameStore)] = agent[i] + ": store"
+	}
+	for k, mt := range msgTypes {
+		k := msgKind(k)
+		for cs := CacheState(0); cs < numCacheStates; cs++ {
+			for i := 0; i < caches; i++ {
+				nt.all[nt.cacheRecvName(i, k, cs)] = agent[i] + ": recv " + mt + " in " + cs.String()
+				for src := 0; fair && src <= caches; src++ {
+					nt.all[nt.cacheFromName(i, src, k, cs)] = agent[i] + ": recv " + mt + " from " + agent[src] + " in " + cs.String()
 				}
 			}
 		}
-	}
-	nt.dirRecvFrom = make([][len(msgTypes)][numDirStates]string, caches)
-	for j := 0; j < caches; j++ {
-		for t, mt := range msgTypes {
-			for ds := DirState(0); ds < numDirStates; ds++ {
-				nt.dirRecvFrom[j][t][ds] = fmt.Sprintf("dir: recv %s from c%d in %s", mt, j, ds)
+		for ds := DirState(0); ds < numDirStates; ds++ {
+			nt.all[nt.dirRecvName(k, ds)] = "dir: recv " + mt + " in " + ds.String()
+			for src := 0; fair && src < caches; src++ {
+				nt.all[nt.dirFromName(src, k, ds)] = "dir: recv " + mt + " from " + agent[src] + " in " + ds.String()
 			}
 		}
 	}
 	return nt
 }
-
-// Rule identifiers for holed transition rules.
-const (
-	ruleCacheISDData = "IS_D/Data"
-	ruleCacheSMWInv  = "SM_W/Inv"
-	ruleCacheIMAAck1 = "IM_A/InvAck-last"
-	ruleDirIMAck     = "I_M/Ack"
-	ruleDirSMAck     = "S_M/Ack"
-)
 
 // New builds an MSI system. Caches defaults to 3.
 func New(cfg Config) *System {
@@ -178,20 +388,18 @@ func New(cfg Config) *System {
 	if cfg.Caches < 1 || cfg.Caches > 8 {
 		panic("msi: Caches must be in 1..8 (sharer bitset)")
 	}
-	holes := map[string]bool{}
-	switch cfg.Variant {
-	case Small:
-		holes[ruleCacheISDData] = true
-		holes[ruleDirIMAck] = true
-		holes[ruleDirSMAck] = true
-	case Large:
-		holes[ruleCacheISDData] = true
-		holes[ruleDirIMAck] = true
-		holes[ruleDirSMAck] = true
-		holes[ruleCacheSMWInv] = true
-		holes[ruleCacheIMAAck1] = true
+	sys := &System{cfg: cfg, dirID: cfg.Caches, names: namesFor(cfg.Caches, cfg.Fair)}
+	sys.initial = State{Caches: invalidCaches[:cfg.Caches], Dir: Dir{St: DirI, Owner: None, Pending: None}}
+	if cfg.Variant == Small || cfg.Variant == Large {
+		sys.holes[ruleCacheISDData] = true
+		sys.holes[ruleDirIMAck] = true
+		sys.holes[ruleDirSMAck] = true
 	}
-	return &System{cfg: cfg, dirID: cfg.Caches, holes: holes, names: buildNames(cfg.Caches, cfg.Fair)}
+	if cfg.Variant == Large {
+		sys.holes[ruleCacheSMWInv] = true
+		sys.holes[ruleCacheIMAAckLast] = true
+	}
+	return sys
 }
 
 // succ returns a successor state equal to st, in recycled storage when the
@@ -230,97 +438,144 @@ func (sys *System) DecodeKey(data []byte) (ts.State, []byte, error) {
 }
 
 // Initial implements ts.System: all caches Invalid, directory Invalid,
-// memory and ghost 0, empty network.
+// memory and ghost 0, empty network — in recycled storage when the pool has
+// any, like every other state the system hands out.
 func (sys *System) Initial() []ts.State {
-	s := &State{
-		Caches: make([]Cache, sys.cfg.Caches),
-		Dir:    Dir{St: DirI, Owner: None, Pending: None},
-	}
-	return []ts.State{s}
+	return []ts.State{sys.succ(&sys.initial)}
 }
 
-// Designer action libraries. Their cardinalities (3, 7 / 5, 7, 3) are the
-// paper's: they factor Table I's candidate counts exactly.
-var (
-	cacheRespActions = []string{"none", "ack-dir", "invack-req"}
-	cacheNextActions = cacheStateNames[:]
-	dirRespActions   = []string{"none", "data-pend", "fwdgets-owner", "fwdgetm-owner", "inv-sharers"}
-	dirNextActions   = dirStateNames[:]
-	dirTrackActions  = []string{"none", "owner=pend", "sharer+=pend"}
-)
-
-// Indices of the correct actions used by the Complete variant's fixed rules.
-const (
-	cRespNone      = 0
-	cRespAckDir    = 1
-	cRespInvAckReq = 2
-	dRespNone      = 0
-	dTrackNone     = 0
-	dTrackOwner    = 1
-)
-
-// Transitions implements ts.System.
+// Transitions implements ts.System: the minimal, closure-valued API, through
+// the ts adapter.
 func (sys *System) Transitions(s ts.State) []ts.Transition {
-	return sys.AppendTransitions(nil, s)
+	return ts.AppendTransitions(sys, nil, s)
 }
 
-// AppendTransitions implements ts.TransitionAppender: Transitions appended
-// into a caller-owned buffer, with every name a table lookup and every
-// Fire clone drawn from the recycled-state pool.
+// AppendTransitions is Transitions appended into a caller-owned buffer: the
+// form the repository benchmark's layer walk enumerates through. The
+// exploration kernel uses AppendRules and FireRule.
 func (sys *System) AppendTransitions(dst []ts.Transition, s ts.State) []ts.Transition {
+	return ts.AppendTransitions(sys, dst, s)
+}
+
+// AppendRules implements ts.RuleSystem: the issue and store rules of every
+// cache, in cache order, then one delivery per in-flight message its
+// receiver does not stall, in network order.
+func (sys *System) AppendRules(dst []ts.Rule, s ts.State) []ts.Rule {
 	st := s.(*State)
 	if st.Err != "" {
 		return dst // poisoned; the no-protocol-error invariant has fired
 	}
+	nt := sys.names
 	for i := range st.Caches {
-		i := i
+		a := int16(i)
 		switch st.Caches[i].St {
 		case CacheI:
 			dst = append(dst,
-				ts.Transition{Name: sys.names.issueRead[i], Fire: func(*ts.Env) (ts.State, error) {
-					ns := sys.succ(st)
-					ns.Net.SendInPlace(network.Msg{Type: MsgGetS, Src: i, Dst: sys.dirID, Req: None})
-					ns.Caches[i].St = CacheISD
-					return ns, nil
-				}},
-				ts.Transition{Name: sys.names.issueWrite[i], Fire: func(*ts.Env) (ts.State, error) {
-					ns := sys.succ(st)
-					ns.Net.SendInPlace(network.Msg{Type: MsgGetM, Src: i, Dst: sys.dirID, Req: None})
-					ns.Caches[i].St = CacheIMAD
-					return ns, nil
-				}},
-			)
+				ts.Rule{ID: uint16(ruleIssueRead), Agent: a, Name: nt.issue(i, nameIssueRead)},
+				ts.Rule{ID: uint16(ruleIssueWrite), Agent: a, Name: nt.issue(i, nameIssueWrite)})
 		case CacheS:
-			dst = append(dst, ts.Transition{Name: sys.names.issueUpgrade[i], Fire: func(*ts.Env) (ts.State, error) {
-				ns := sys.succ(st)
-				ns.Net.SendInPlace(network.Msg{Type: MsgGetM, Src: i, Dst: sys.dirID, Req: None})
-				ns.Caches[i].St = CacheSMW
-				return ns, nil
-			}})
+			dst = append(dst, ts.Rule{ID: uint16(ruleIssueUpgrade), Agent: a, Name: nt.issue(i, nameIssueUpgrade)})
 		case CacheM:
-			dst = append(dst, ts.Transition{Name: sys.names.store[i], Fire: func(*ts.Env) (ts.State, error) {
-				ns := sys.succ(st)
-				sys.store(ns, i)
-				return ns, nil
-			}})
+			dst = append(dst, ts.Rule{ID: uint16(ruleStore), Agent: a, Name: nt.issue(i, nameStore)})
 		}
 	}
-	for mi, m := range st.Net.Messages() {
-		mi, m := mi, m
-		if m.Dst == sys.dirID {
-			if tr, ok := sys.dirDelivery(st, mi, m); ok {
-				dst = append(dst, tr)
-			}
-		} else if m.Dst >= 0 && m.Dst < len(st.Caches) {
-			if tr, ok := sys.cacheDelivery(st, mi, m); ok {
-				dst = append(dst, tr)
-			}
+	msgs := st.Net.Messages()
+	for mi := range msgs {
+		m := &msgs[mi]
+		k := kindOf(m.Type)
+		if k < 0 {
+			panic("msi: message of unknown type " + strconv.Quote(m.Type) + " in the network")
 		}
-		// Messages to invalid destinations (a synthesized response picked a
-		// target that does not exist) just sit in the network; the
-		// handshake invariants flag the stuck transaction.
+		var id ruleID
+		var name uint32
+		switch {
+		case m.Dst == sys.dirID:
+			ds := st.Dir.St
+			if id = dirRules[ds][k]; id == ruleStall {
+				continue
+			}
+			if sys.cfg.Fair && m.Src >= 0 && m.Src < sys.dirID {
+				name = nt.dirFromName(m.Src, k, ds)
+			} else {
+				name = nt.dirRecvName(k, ds)
+			}
+		case m.Dst >= 0 && m.Dst < len(st.Caches):
+			c := st.Caches[m.Dst]
+			if id = cacheRules[c.St][k]; id == ruleStall {
+				continue
+			}
+			if id == ruleCacheIMAInvAck && c.Acks == 1 {
+				id = ruleCacheIMAAckLast
+			}
+			if sys.cfg.Fair && m.Src >= 0 && m.Src <= sys.dirID {
+				name = nt.cacheFromName(m.Dst, m.Src, k, c.St)
+			} else {
+				name = nt.cacheRecvName(m.Dst, k, c.St)
+			}
+		default:
+			// Messages to invalid destinations (a synthesized response picked a
+			// target that does not exist) just sit in the network; the
+			// handshake invariants flag the stuck transaction.
+			continue
+		}
+		dst = append(dst, ts.Rule{ID: uint16(id), Agent: int16(m.Dst), Msg: int32(mi), Name: name})
 	}
 	return dst
+}
+
+// RuleName implements ts.RuleSystem.
+func (sys *System) RuleName(r ts.Rule) string { return sys.names.all[r.Name] }
+
+// FireRule implements ts.RuleSystem. A hole rule resolves its holes before
+// anything is cloned, so a branch aborted at a wildcard never touches the
+// pool; a delivery removes its message, does the data plumbing and runs
+// the receiver's handler against the source state's view of the receiver.
+func (sys *System) FireRule(src ts.State, r ts.Rule, env *ts.Env) (ts.State, error) {
+	st := src.(*State)
+	id, i := ruleID(r.ID), int(r.Agent)
+	acts := holeRules[id].correct
+	if sys.holes[id] {
+		h := &holeRules[id]
+		for k := 0; k < len(h.libs) && h.libs[k] != nil; k++ {
+			a, err := env.Choose(h.names[k], h.libs[k])
+			if err != nil {
+				return nil, err
+			}
+			acts[k] = a
+		}
+	}
+	ns := sys.succ(st)
+	switch id {
+	case ruleIssueRead:
+		ns.Net.SendInPlace(network.Msg{Type: MsgGetS, Src: i, Dst: sys.dirID, Req: None})
+		ns.Caches[i].St = CacheISD
+		return ns, nil
+	case ruleIssueWrite:
+		ns.Net.SendInPlace(network.Msg{Type: MsgGetM, Src: i, Dst: sys.dirID, Req: None})
+		ns.Caches[i].St = CacheIMAD
+		return ns, nil
+	case ruleIssueUpgrade:
+		ns.Net.SendInPlace(network.Msg{Type: MsgGetM, Src: i, Dst: sys.dirID, Req: None})
+		ns.Caches[i].St = CacheSMW
+		return ns, nil
+	case ruleStore:
+		sys.store(ns, i)
+		return ns, nil
+	}
+	m := st.Net.Messages()[r.Msg]
+	ns.Net.RemoveInPlace(int(r.Msg))
+	if id < firstDirRule {
+		if m.Type == MsgData {
+			ns.Caches[i].Data = int8(m.Val) // data delivery plumbing
+		}
+		sys.cacheRecv(ns, st.Caches[i], id, i, m, acts)
+	} else {
+		if m.Type == MsgData {
+			ns.Dir.Mem = int8(m.Val) // writeback plumbing
+		}
+		sys.dirRecv(ns, st.Dir, id, m, acts)
+	}
+	return ns, nil
 }
 
 // store performs cache i's write: the line takes the next value in the tiny
@@ -370,30 +625,30 @@ func (sys *System) applyCacheNext(ns *State, i int, act int) {
 	ns.Caches[i].St = next
 }
 
-// applyDirResp performs a directory response action reacting to m.
-func (sys *System) applyDirResp(ns *State, m network.Msg, act int) {
-	switch dirRespActions[act] {
-	case "none":
-	case "data-pend":
+// applyDirResp performs a directory response action.
+func (sys *System) applyDirResp(ns *State, act int) {
+	switch act {
+	case dRespNone:
+	case dRespDataPend:
 		p := ns.Dir.Pending
 		if p < 0 {
 			ns.Err = "dir-resp:data-pend-without-pending"
 			return
 		}
 		ns.Net.SendInPlace(network.Msg{Type: MsgData, Src: sys.dirID, Dst: int(p), Req: None, Val: int(ns.Dir.Mem)})
-	case "fwdgets-owner":
+	case dRespFwdGetS:
 		if ns.Dir.Owner < 0 || ns.Dir.Pending < 0 {
 			ns.Err = "dir-resp:fwdgets-unset"
 			return
 		}
 		ns.Net.SendInPlace(network.Msg{Type: MsgFwdGetS, Src: sys.dirID, Dst: int(ns.Dir.Owner), Req: int(ns.Dir.Pending)})
-	case "fwdgetm-owner":
+	case dRespFwdGetM:
 		if ns.Dir.Owner < 0 || ns.Dir.Pending < 0 {
 			ns.Err = "dir-resp:fwdgetm-unset"
 			return
 		}
 		ns.Net.SendInPlace(network.Msg{Type: MsgFwdGetM, Src: sys.dirID, Dst: int(ns.Dir.Owner), Req: int(ns.Dir.Pending)})
-	case "inv-sharers":
+	case dRespInvSharers:
 		if ns.Dir.Sharers == 0 {
 			return // vacuous: behaviourally identical to "none"
 		}
@@ -413,12 +668,12 @@ func (sys *System) applyDirResp(ns *State, m network.Msg, act int) {
 
 // applyDirTrack performs a directory tracking action.
 func (sys *System) applyDirTrack(ns *State, act int) {
-	switch dirTrackActions[act] {
-	case "none":
-	case "owner=pend":
+	switch act {
+	case dTrackNone:
+	case dTrackOwner:
 		ns.Dir.Owner = ns.Dir.Pending
 		ns.Dir.Pending = None
-	case "sharer+=pend":
+	case dTrackSharer:
 		if ns.Dir.Pending >= 0 {
 			ns.Dir.Sharers |= 1 << uint(ns.Dir.Pending)
 		}
@@ -438,287 +693,99 @@ func (sys *System) applyDirNext(ns *State, act int) {
 	ns.Dir.St = next
 }
 
-// --- Cache controller ---
-
-// cacheDelivery builds the delivery transition of message m (at network
-// index mi) to cache m.Dst, or ok=false when the cache stalls the message.
-func (sys *System) cacheDelivery(st *State, mi int, m network.Msg) (ts.Transition, bool) {
-	i := m.Dst
-	c := st.Caches[i]
-	var name string
-	if t := msgIndex(m.Type); t >= 0 {
-		if sys.cfg.Fair && m.Src >= 0 && m.Src <= sys.dirID {
-			name = sys.names.cacheRecvFrom[i][m.Src][t][c.St]
+// cacheRecv is the cache controller: cache i handles m — already removed
+// from ns's network — under rule id. c is the cache as the source state had
+// it; acts are a hole rule's resolved actions.
+func (sys *System) cacheRecv(ns *State, c Cache, id ruleID, i int, m network.Msg, acts [3]int) {
+	switch id {
+	case ruleCacheISDData, ruleCacheIMAAckLast, ruleCacheSMWInv:
+		sys.applyCacheResp(ns, i, m, acts[0])
+		sys.applyCacheNext(ns, i, acts[1])
+	case ruleCacheWData:
+		if int(c.Acks) == m.Cnt {
+			// All Inv-Acks (if any) already arrived: complete the write.
+			sys.applyCacheResp(ns, i, m, cRespAckDir)
+			sys.applyCacheNext(ns, i, int(CacheM))
 		} else {
-			name = sys.names.cacheRecv[i][t][c.St]
+			ns.Caches[i].Acks = int8(m.Cnt) - c.Acks // still needed
+			ns.Caches[i].St = CacheIMA
 		}
-	} else {
-		name = fmt.Sprintf("c%d: recv %s in %s", i, m.Type, c.St)
-	}
-
-	fire := func(apply func(ns *State, env *ts.Env) error) ts.Transition {
-		return ts.Transition{Name: name, Fire: func(env *ts.Env) (ts.State, error) {
-			ns := sys.succ(st)
-			ns.Net.RemoveInPlace(mi)
-			if m.Type == MsgData {
-				ns.Caches[i].Data = int8(m.Val) // data delivery plumbing
-			}
-			if err := apply(ns, env); err != nil {
-				// The branch aborted (wildcard hole): ns never escaped, so
-				// its storage can seed the next clone immediately.
-				sys.Recycle(ns)
-				return nil, err
-			}
-			return ns, nil
-		}}
-	}
-	holeRule := func(rule string, correctResp, correctNext int) ts.Transition {
-		return fire(func(ns *State, env *ts.Env) error {
-			resp, next := correctResp, correctNext
-			if sys.holes[rule] {
-				var err error
-				if resp, err = env.Choose("c/"+rule+"/resp", cacheRespActions); err != nil {
-					return err
-				}
-				if next, err = env.Choose("c/"+rule+"/next", cacheNextActions); err != nil {
-					return err
-				}
-			}
-			sys.applyCacheResp(ns, i, m, resp)
-			sys.applyCacheNext(ns, i, next)
-			return nil
-		})
-	}
-
-	switch {
-	case c.St == CacheISD && m.Type == MsgData:
-		return holeRule(ruleCacheISDData, cRespNone, int(CacheS)), true
-	case c.St == CacheISD && m.Type == MsgInv:
-		return ts.Transition{}, false // stall until Data arrives
-	case c.St == CacheIMAD && m.Type == MsgData:
-		return fire(func(ns *State, _ *ts.Env) error {
-			if int(c.Acks) == m.Cnt {
-				// All Inv-Acks (if any) already arrived: complete the write.
-				sys.applyCacheResp(ns, i, m, cRespAckDir)
-				sys.applyCacheNext(ns, i, int(CacheM))
-			} else {
-				ns.Caches[i].Acks = int8(m.Cnt) - c.Acks // still needed
-				ns.Caches[i].St = CacheIMA
-			}
-			return nil
-		}), true
-	case c.St == CacheIMAD && m.Type == MsgInvAck:
-		return fire(func(ns *State, _ *ts.Env) error {
-			ns.Caches[i].Acks++
-			return nil
-		}), true
-	case c.St == CacheIMA && m.Type == MsgInvAck && c.Acks == 1:
-		return holeRule(ruleCacheIMAAck1, cRespAckDir, int(CacheM)), true
-	case c.St == CacheIMA && m.Type == MsgInvAck:
-		return fire(func(ns *State, _ *ts.Env) error {
-			ns.Caches[i].Acks--
-			return nil
-		}), true
-	case c.St == CacheSMW && m.Type == MsgData:
-		return fire(func(ns *State, _ *ts.Env) error {
-			if int(c.Acks) == m.Cnt {
-				sys.applyCacheResp(ns, i, m, cRespAckDir)
-				sys.applyCacheNext(ns, i, int(CacheM))
-			} else {
-				ns.Caches[i].Acks = int8(m.Cnt) - c.Acks
-				ns.Caches[i].St = CacheIMA
-			}
-			return nil
-		}), true
-	case c.St == CacheSMW && m.Type == MsgInvAck:
-		return fire(func(ns *State, _ *ts.Env) error {
-			ns.Caches[i].Acks++
-			return nil
-		}), true
-	case c.St == CacheSMW && m.Type == MsgInv:
-		// The race the paper highlights: an upgrading sharer loses to a
-		// competing writer; it must surrender its S copy, Inv-Ack the
-		// winner, and fall back to the I→M path for its own pending GetM.
-		return holeRule(ruleCacheSMWInv, cRespInvAckReq, int(CacheIMAD)), true
-	case c.St == CacheS && m.Type == MsgInv:
-		return fire(func(ns *State, _ *ts.Env) error {
-			sys.applyCacheResp(ns, i, m, cRespInvAckReq)
-			sys.applyCacheNext(ns, i, int(CacheI))
-			return nil
-		}), true
-	case c.St == CacheM && m.Type == MsgFwdGetS:
-		return fire(func(ns *State, _ *ts.Env) error {
-			// Data to the requester and writeback to the directory.
-			ns.Net.SendInPlace(network.Msg{Type: MsgData, Src: i, Dst: m.Req, Req: None, Val: int(c.Data)})
-			ns.Net.SendInPlace(network.Msg{Type: MsgData, Src: i, Dst: sys.dirID, Req: None, Val: int(c.Data)})
-			sys.applyCacheNext(ns, i, int(CacheS))
-			return nil
-		}), true
-	case c.St == CacheM && m.Type == MsgFwdGetM:
-		return fire(func(ns *State, _ *ts.Env) error {
-			ns.Net.SendInPlace(network.Msg{Type: MsgData, Src: i, Dst: m.Req, Req: None, Val: int(c.Data)})
-			sys.applyCacheNext(ns, i, int(CacheI))
-			return nil
-		}), true
+	case ruleCacheWInvAck:
+		ns.Caches[i].Acks++
+	case ruleCacheIMAInvAck:
+		ns.Caches[i].Acks--
+	case ruleCacheSInv:
+		sys.applyCacheResp(ns, i, m, cRespInvAckReq)
+		sys.applyCacheNext(ns, i, int(CacheI))
+	case ruleCacheMFwdGetS:
+		// Data to the requester and writeback to the directory.
+		ns.Net.SendInPlace(network.Msg{Type: MsgData, Src: i, Dst: m.Req, Req: None, Val: int(c.Data)})
+		ns.Net.SendInPlace(network.Msg{Type: MsgData, Src: i, Dst: sys.dirID, Req: None, Val: int(c.Data)})
+		sys.applyCacheNext(ns, i, int(CacheS))
+	case ruleCacheMFwdGetM:
+		ns.Net.SendInPlace(network.Msg{Type: MsgData, Src: i, Dst: m.Req, Req: None, Val: int(c.Data)})
+		sys.applyCacheNext(ns, i, int(CacheI))
 	default:
-		// No handler: a protocol error (Murphi's "unhandled message").
-		return fire(func(ns *State, _ *ts.Env) error {
-			ns.Err = fmt.Sprintf("cache-%s+%s", c.St, m.Type)
-			return nil
-		}), true
+		ns.Err = "cache-" + c.St.String() + "+" + m.Type
 	}
 }
 
-// --- Directory controller ---
-
-// dirDelivery builds the delivery transition of message m to the directory,
-// or ok=false when the directory stalls the message.
-func (sys *System) dirDelivery(st *State, mi int, m network.Msg) (ts.Transition, bool) {
-	d := st.Dir
-	var name string
-	if t := msgIndex(m.Type); t >= 0 {
-		if sys.cfg.Fair && m.Src >= 0 && m.Src < sys.dirID {
-			name = sys.names.dirRecvFrom[m.Src][t][d.St]
-		} else {
-			name = sys.names.dirRecv[t][d.St]
+// dirRecv is the directory controller: it handles m — already removed from
+// ns's network — under rule id. d is the directory as the source state had
+// it; acts are a hole rule's resolved actions.
+func (sys *System) dirRecv(ns *State, d Dir, id ruleID, m network.Msg, acts [3]int) {
+	switch id {
+	case ruleDirIGetS:
+		ns.Net.SendInPlace(network.Msg{Type: MsgData, Src: sys.dirID, Dst: m.Src, Req: None, Val: int(d.Mem)})
+		ns.Dir.Sharers = 1 << uint(m.Src)
+		ns.Dir.St = DirS
+	case ruleDirIGetM:
+		ns.Net.SendInPlace(network.Msg{Type: MsgData, Src: sys.dirID, Dst: m.Src, Req: None, Val: int(d.Mem)})
+		ns.Dir.Pending = int8(m.Src)
+		ns.Dir.St = DirIM
+	case ruleDirSGetS:
+		ns.Net.SendInPlace(network.Msg{Type: MsgData, Src: sys.dirID, Dst: m.Src, Req: None, Val: int(d.Mem)})
+		ns.Dir.Sharers |= 1 << uint(m.Src)
+	case ruleDirSGetM:
+		cnt := 0
+		for j := range ns.Caches {
+			if ns.Dir.Sharers&(1<<uint(j)) != 0 && j != m.Src {
+				ns.Net.SendInPlace(network.Msg{Type: MsgInv, Src: sys.dirID, Dst: j, Req: m.Src})
+				cnt++
+			}
 		}
-	} else {
-		name = fmt.Sprintf("dir: recv %s in %s", m.Type, d.St)
-	}
-
-	fire := func(apply func(ns *State, env *ts.Env) error) ts.Transition {
-		return ts.Transition{Name: name, Fire: func(env *ts.Env) (ts.State, error) {
-			ns := sys.succ(st)
-			ns.Net.RemoveInPlace(mi)
-			if m.Type == MsgData {
-				ns.Dir.Mem = int8(m.Val) // writeback plumbing
-			}
-			if err := apply(ns, env); err != nil {
-				// Aborted branch (wildcard hole): ns never escaped.
-				sys.Recycle(ns)
-				return nil, err
-			}
-			return ns, nil
-		}}
-	}
-	holeRule := func(rule string, correctResp, correctNext, correctTrack int) ts.Transition {
-		return fire(func(ns *State, env *ts.Env) error {
-			resp, next, track := correctResp, correctNext, correctTrack
-			if sys.holes[rule] {
-				var err error
-				if resp, err = env.Choose("d/"+rule+"/resp", dirRespActions); err != nil {
-					return err
-				}
-				if next, err = env.Choose("d/"+rule+"/next", dirNextActions); err != nil {
-					return err
-				}
-				if track, err = env.Choose("d/"+rule+"/track", dirTrackActions); err != nil {
-					return err
-				}
-			}
-			sys.applyDirResp(ns, m, resp)
-			sys.applyDirTrack(ns, track)
-			sys.applyDirNext(ns, next)
-			return nil
-		})
-	}
-
-	stable := d.St == DirI || d.St == DirS || d.St == DirM
-	switch {
-	case !stable && (m.Type == MsgGetS || m.Type == MsgGetM):
-		return ts.Transition{}, false // serialize: stall requests in transients
-
-	case d.St == DirI && m.Type == MsgGetS:
-		return fire(func(ns *State, _ *ts.Env) error {
-			ns.Net.SendInPlace(network.Msg{Type: MsgData, Src: sys.dirID, Dst: m.Src, Req: None, Val: int(d.Mem)})
-			ns.Dir.Sharers = 1 << uint(m.Src)
-			ns.Dir.St = DirS
-			return nil
-		}), true
-	case d.St == DirI && m.Type == MsgGetM:
-		return fire(func(ns *State, _ *ts.Env) error {
-			ns.Net.SendInPlace(network.Msg{Type: MsgData, Src: sys.dirID, Dst: m.Src, Req: None, Val: int(d.Mem)})
-			ns.Dir.Pending = int8(m.Src)
-			ns.Dir.St = DirIM
-			return nil
-		}), true
-	case d.St == DirS && m.Type == MsgGetS:
-		return fire(func(ns *State, _ *ts.Env) error {
-			ns.Net.SendInPlace(network.Msg{Type: MsgData, Src: sys.dirID, Dst: m.Src, Req: None, Val: int(d.Mem)})
-			ns.Dir.Sharers |= 1 << uint(m.Src)
-			return nil
-		}), true
-	case d.St == DirS && m.Type == MsgGetM:
-		return fire(func(ns *State, _ *ts.Env) error {
-			cnt := 0
-			for j := range ns.Caches {
-				if ns.Dir.Sharers&(1<<uint(j)) != 0 && j != m.Src {
-					ns.Net.SendInPlace(network.Msg{Type: MsgInv, Src: sys.dirID, Dst: j, Req: m.Src})
-					cnt++
-				}
-			}
-			ns.Net.SendInPlace(network.Msg{Type: MsgData, Src: sys.dirID, Dst: m.Src, Req: None, Cnt: cnt, Val: int(d.Mem)})
-			ns.Dir.Sharers = 0
-			ns.Dir.Pending = int8(m.Src)
-			ns.Dir.St = DirSM
-			return nil
-		}), true
-	case d.St == DirM && m.Type == MsgGetS:
-		return fire(func(ns *State, _ *ts.Env) error {
-			ns.Dir.Pending = int8(m.Src)
-			sys.applyDirResp(ns, m, respIndex("fwdgets-owner"))
-			ns.Dir.St = DirMS
-			return nil
-		}), true
-	case d.St == DirM && m.Type == MsgGetM:
-		return fire(func(ns *State, _ *ts.Env) error {
-			ns.Dir.Pending = int8(m.Src)
-			sys.applyDirResp(ns, m, respIndex("fwdgetm-owner"))
-			ns.Dir.St = DirMM
-			return nil
-		}), true
-
-	case d.St == DirIM && m.Type == MsgAck:
-		return holeRule(ruleDirIMAck, dRespNone, int(DirM), dTrackOwner), true
-	case d.St == DirSM && m.Type == MsgAck:
-		return holeRule(ruleDirSMAck, dRespNone, int(DirM), dTrackOwner), true
-	case d.St == DirMM && m.Type == MsgAck:
-		return fire(func(ns *State, _ *ts.Env) error {
-			sys.applyDirTrack(ns, dTrackOwner)
-			sys.applyDirNext(ns, int(DirM))
-			return nil
-		}), true
-	case d.St == DirMS && m.Type == MsgData:
-		return fire(func(ns *State, _ *ts.Env) error {
-			// Writeback from the old owner (Mem updated by plumbing): old
-			// owner and the reader become the sharers. Synthesized
-			// candidates can reach M_S with these unset; flag rather than
-			// corrupt the sharer set.
-			if d.Owner < 0 || d.Pending < 0 {
-				ns.Err = "dir-M_S+Data-unset"
-				return nil
-			}
-			ns.Dir.Sharers = (1 << uint(d.Owner)) | (1 << uint(d.Pending))
-			ns.Dir.Owner = None
-			ns.Dir.Pending = None
-			ns.Dir.St = DirS
-			return nil
-		}), true
-
+		ns.Net.SendInPlace(network.Msg{Type: MsgData, Src: sys.dirID, Dst: m.Src, Req: None, Cnt: cnt, Val: int(d.Mem)})
+		ns.Dir.Sharers = 0
+		ns.Dir.Pending = int8(m.Src)
+		ns.Dir.St = DirSM
+	case ruleDirMGetS:
+		ns.Dir.Pending = int8(m.Src)
+		sys.applyDirResp(ns, dRespFwdGetS)
+		ns.Dir.St = DirMS
+	case ruleDirMGetM:
+		ns.Dir.Pending = int8(m.Src)
+		sys.applyDirResp(ns, dRespFwdGetM)
+		ns.Dir.St = DirMM
+	case ruleDirIMAck, ruleDirSMAck:
+		sys.applyDirResp(ns, acts[0])
+		sys.applyDirTrack(ns, acts[2])
+		sys.applyDirNext(ns, acts[1])
+	case ruleDirMMAck:
+		sys.applyDirTrack(ns, dTrackOwner)
+		sys.applyDirNext(ns, int(DirM))
+	case ruleDirMSData:
+		// Writeback from the old owner (Mem updated by plumbing): old owner
+		// and the reader become the sharers. Synthesized candidates can reach
+		// M_S with these unset; flag rather than corrupt the sharer set.
+		if d.Owner < 0 || d.Pending < 0 {
+			ns.Err = "dir-M_S+Data-unset"
+			return
+		}
+		ns.Dir.Sharers = (1 << uint(d.Owner)) | (1 << uint(d.Pending))
+		ns.Dir.Owner = None
+		ns.Dir.Pending = None
+		ns.Dir.St = DirS
 	default:
-		return fire(func(ns *State, _ *ts.Env) error {
-			ns.Err = fmt.Sprintf("dir-%s+%s", d.St, m.Type)
-			return nil
-		}), true
+		ns.Err = "dir-" + d.St.String() + "+" + m.Type
 	}
-}
-
-// respIndex resolves a directory response action name to its index.
-func respIndex(name string) int {
-	for i, n := range dirRespActions {
-		if n == name {
-			return i
-		}
-	}
-	panic("msi: unknown dir response action " + name)
 }

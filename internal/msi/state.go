@@ -221,6 +221,11 @@ func decodeState(data []byte, wantCaches int) (*State, []byte, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("msi: %w", err)
 	}
+	for _, m := range net.Messages() {
+		if kindOf(m.Type) < 0 {
+			return nil, nil, fmt.Errorf("msi: message of unknown type %q", m.Type)
+		}
+	}
 	s.Net = net
 	data = rest
 	el, n := binary.Uvarint(data)

@@ -140,24 +140,32 @@ func (s *State) String() string {
 		s.PCs[0], s.Flag[0], s.PCs[1], s.Flag[1], s.Turn, s.VisitedCrit)
 }
 
-// System implements ts.System plus the successor lifecycle extensions
-// (ts.Recycler and ts.PoolReporter through the embedded pool,
-// ts.TransitionAppender). Sketch selects whether the three actions are
-// holes (true) or fixed to Peterson's correct choices (false).
+// System implements ts.RuleSystem plus successor pooling (ts.Recycler and
+// ts.PoolReporter through the embedded pool). Sketch selects whether the
+// three actions are holes (true) or fixed to Peterson's correct choices
+// (false).
 type System struct {
 	ts.Pool[*State]
 
 	Sketch bool
 }
 
-// Transition names, one per (process, rule): computed once instead of a
-// fmt.Sprintf per expansion.
-var (
-	nameRequest = [2]string{"p0: request (flag up)", "p1: request (flag up)"}
-	nameTurn    = [2]string{"p0: write turn", "p1: write turn"}
-	nameEnter   = [2]string{"p0: enter critical section", "p1: enter critical section"}
-	nameLeave   = [2]string{"p0: leave critical section", "p1: leave critical section"}
+// The four rules a process can take — ts.Rule.ID — are numbered by the
+// program counter each is taken from.
+const (
+	ruleRequest = uint16(Idle)
+	ruleTurn    = uint16(SetTurn)
+	ruleEnter   = uint16(Wait)
+	ruleLeave   = uint16(Crit)
 )
+
+// ruleNames is indexed by ts.Rule.Name = 2*rule + process.
+var ruleNames = [...]string{
+	"p0: request (flag up)", "p1: request (flag up)",
+	"p0: write turn", "p1: write turn",
+	"p0: enter critical section", "p1: enter critical section",
+	"p0: leave critical section", "p1: leave critical section",
+}
 
 // succ returns a successor equal to st, in recycled storage when the pool
 // has any.
@@ -201,88 +209,78 @@ func (sys *System) choose(env *ts.Env, hole string, acts []string, correct int) 
 	return env.Choose(hole, acts)
 }
 
-// Transitions implements ts.System.
+// Transitions implements ts.System: the minimal, closure-valued API, through
+// the ts adapter.
 func (sys *System) Transitions(s ts.State) []ts.Transition {
-	return sys.AppendTransitions(nil, s)
+	return ts.AppendTransitions(sys, nil, s)
 }
 
-// AppendTransitions implements ts.TransitionAppender: Transitions appended
-// into a caller-owned buffer, with precomputed names and pooled Fire clones.
-// Holes are resolved before cloning, so an aborted (wildcard) branch never
-// touches the pool.
-func (sys *System) AppendTransitions(dst []ts.Transition, s ts.State) []ts.Transition {
+// AppendRules implements ts.RuleSystem: each process offers the rule of its
+// program counter, Wait only when its entry condition holds.
+func (sys *System) AppendRules(dst []ts.Rule, s ts.State) []ts.Rule {
 	st := s.(*State)
 	for me := 0; me < 2; me++ {
-		me := me
-		other := 1 - me
-		switch st.PCs[me] {
-		case Idle:
-			dst = append(dst, ts.Transition{
-				Name: nameRequest[me],
-				Fire: func(*ts.Env) (ts.State, error) {
-					ns := sys.succ(st)
-					ns.Flag[me] = true
-					ns.PCs[me] = SetTurn
-					return ns, nil
-				},
-			})
-		case SetTurn:
-			dst = append(dst, ts.Transition{
-				Name: nameTurn[me],
-				Fire: func(env *ts.Env) (ts.State, error) {
-					a, err := sys.choose(env, "turn-write", turnActions, 0)
-					if err != nil {
-						return nil, err
-					}
-					ns := sys.succ(st)
-					if a == 0 {
-						ns.Turn = int8(other)
-					} else {
-						ns.Turn = int8(me)
-					}
-					ns.PCs[me] = Wait
-					return ns, nil
-				},
-			})
-		case Wait:
-			if !st.Flag[other] || st.Turn == int8(me) {
-				dst = append(dst, ts.Transition{
-					Name: nameEnter[me],
-					Fire: func(*ts.Env) (ts.State, error) {
-						ns := sys.succ(st)
-						ns.PCs[me] = Crit
-						ns.VisitedCrit = true
-						return ns, nil
-					},
-				})
-			}
-		case Crit:
-			dst = append(dst, ts.Transition{
-				Name: nameLeave[me],
-				Fire: func(env *ts.Env) (ts.State, error) {
-					ef, err := sys.choose(env, "exit-flag", exitActions, 0)
-					if err != nil {
-						return nil, err
-					}
-					ac, err := sys.choose(env, "after-crit", afterActions, 0)
-					if err != nil {
-						return nil, err
-					}
-					ns := sys.succ(st)
-					if ef == 0 {
-						ns.Flag[me] = false
-					}
-					if ac == 0 {
-						ns.PCs[me] = Idle
-					} else {
-						ns.PCs[me] = Crit
-					}
-					return ns, nil
-				},
-			})
+		id := uint16(st.PCs[me])
+		if id == ruleEnter && st.Flag[1-me] && st.Turn != int8(me) {
+			continue
 		}
+		dst = append(dst, ts.Rule{ID: id, Agent: int16(me), Name: uint32(2*int(id) + me)})
 	}
 	return dst
+}
+
+// RuleName implements ts.RuleSystem.
+func (sys *System) RuleName(r ts.Rule) string { return ruleNames[r.Name] }
+
+// FireRule implements ts.RuleSystem. Holes are resolved before cloning, so
+// an aborted (wildcard) branch never touches the pool.
+func (sys *System) FireRule(src ts.State, r ts.Rule, env *ts.Env) (ts.State, error) {
+	st := src.(*State)
+	me := int(r.Agent)
+	switch r.ID {
+	case ruleRequest:
+		ns := sys.succ(st)
+		ns.Flag[me] = true
+		ns.PCs[me] = SetTurn
+		return ns, nil
+	case ruleTurn:
+		a, err := sys.choose(env, "turn-write", turnActions, 0)
+		if err != nil {
+			return nil, err
+		}
+		ns := sys.succ(st)
+		if a == 0 {
+			ns.Turn = int8(1 - me)
+		} else {
+			ns.Turn = int8(me)
+		}
+		ns.PCs[me] = Wait
+		return ns, nil
+	case ruleEnter:
+		ns := sys.succ(st)
+		ns.PCs[me] = Crit
+		ns.VisitedCrit = true
+		return ns, nil
+	default: // ruleLeave
+		ef, err := sys.choose(env, "exit-flag", exitActions, 0)
+		if err != nil {
+			return nil, err
+		}
+		ac, err := sys.choose(env, "after-crit", afterActions, 0)
+		if err != nil {
+			return nil, err
+		}
+		ns := sys.succ(st)
+		if ef == 0 {
+			ns.Flag[me] = false
+		}
+		if ac == 0 {
+			ns.PCs[me] = Idle
+		} else {
+			ns.PCs[me] = Crit
+		}
+		return ns, nil
+	}
 }
 
 // Invariants implements ts.System: mutual exclusion.

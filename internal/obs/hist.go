@@ -13,10 +13,9 @@ import (
 type Phase int
 
 const (
-	// PhaseEnumerate is transition enumeration (Transitions or
-	// AppendTransitions).
+	// PhaseEnumerate is transition enumeration (ts.RuleSystem.AppendRules).
 	PhaseEnumerate Phase = iota
-	// PhaseFire is successor construction (Transition.Fire).
+	// PhaseFire is successor construction (ts.RuleSystem.FireRule).
 	PhaseFire
 	// PhaseKey is canonical encoding plus fingerprinting.
 	PhaseKey

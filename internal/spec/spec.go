@@ -12,7 +12,7 @@
 // candidate action sets. Loading validates everything with path-carrying
 // errors (`rules[3].guard: unknown variable "pc2"`); compiled systems ride
 // the full exploration substrate for free — successor recycling,
-// TransitionAppender enumeration, an allocation-free AppendKey over the
+// rule-record enumeration, an allocation-free AppendKey over the
 // typed variable layout, and scalarset symmetry when the spec declares it.
 //
 // The format is versioned by the required top-level "format" field; loaders

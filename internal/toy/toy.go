@@ -37,43 +37,46 @@ type Node struct {
 	Goal bool
 }
 
-// Graph is a toy synthesis problem. It implements ts.System (plus quiescence
-// and goal reporting) and is safe for concurrent use: all state lives in the
-// immutable node table. States are shared immortal values drawn from a table
-// built on first use, so the Graph deliberately does not implement
-// ts.Recycler — there is no per-successor storage to reclaim; it does
-// implement ts.TransitionAppender so enumeration itself allocates nothing.
+// Graph is a toy synthesis problem. It implements ts.RuleSystem (plus
+// quiescence and goal reporting) and is safe for concurrent use: all state
+// lives in the immutable node table. States are shared immortal values drawn
+// from a table built on first use, so the Graph deliberately does not
+// implement ts.Recycler — there is no per-successor storage to reclaim.
 type Graph struct {
 	SysName string
 	Nodes   []Node
 	Init    []int
 
 	// Lazily built lookup tables (see tables): one boxed ts.State per node
-	// so Fire never re-boxes, and every transition name preformatted.
-	once      sync.Once
-	boxed     []ts.State
-	holeNames []string
-	edgeNames [][]string
+	// so FireRule never re-boxes, and every transition name preformatted —
+	// node i's names start at nameOff[i], the hole's (if any) first, then
+	// one per plain edge.
+	once    sync.Once
+	boxed   []ts.State
+	names   []string
+	nameOff []int
 }
+
+// The two rules of a node: ts.Rule.ID.
+const (
+	ruleHole  = iota // resolve the node's hole and follow the chosen edge
+	rulePlain        // follow plain edge ts.Rule.Msg
+)
 
 // tables builds the boxed-state and name tables once per Graph.
 func (g *Graph) tables() {
 	g.once.Do(func() {
 		g.boxed = make([]ts.State, len(g.Nodes))
-		g.holeNames = make([]string, len(g.Nodes))
-		g.edgeNames = make([][]string, len(g.Nodes))
+		g.nameOff = make([]int, len(g.Nodes))
 		for i := range g.Nodes {
 			g.boxed[i] = state{id: i}
+			g.nameOff[i] = len(g.names)
 			n := &g.Nodes[i]
 			if n.Hole != "" {
-				g.holeNames[i] = fmt.Sprintf("n%d:hole %s", i, n.Hole)
+				g.names = append(g.names, fmt.Sprintf("n%d:hole %s", i, n.Hole))
 			}
-			if len(n.Plain) > 0 {
-				names := make([]string, len(n.Plain))
-				for k, succ := range n.Plain {
-					names[k] = fmt.Sprintf("n%d→n%d", i, succ)
-				}
-				g.edgeNames[i] = names
+			for _, succ := range n.Plain {
+				g.names = append(g.names, fmt.Sprintf("n%d→n%d", i, succ))
 			}
 		}
 	})
@@ -116,40 +119,43 @@ func (g *Graph) Initial() []ts.State {
 	return out
 }
 
-// Transitions implements ts.System.
+// Transitions implements ts.System: the minimal, closure-valued API, through
+// the ts adapter.
 func (g *Graph) Transitions(s ts.State) []ts.Transition {
-	return g.AppendTransitions(nil, s)
+	return ts.AppendTransitions(g, nil, s)
 }
 
-// AppendTransitions implements ts.TransitionAppender: Transitions appended
-// into a caller-owned buffer, returning pre-boxed states under preformatted
-// names.
-func (g *Graph) AppendTransitions(dst []ts.Transition, s ts.State) []ts.Transition {
+// AppendRules implements ts.RuleSystem: the node's hole, then its plain
+// edges.
+func (g *Graph) AppendRules(dst []ts.Rule, s ts.State) []ts.Rule {
 	g.tables()
 	id := s.(state).id
 	n := &g.Nodes[id]
+	name := uint32(g.nameOff[id])
 	if n.Hole != "" {
-		hole, acts, to := n.Hole, n.Acts, n.To
-		boxed := g.boxed
-		dst = append(dst, ts.Transition{
-			Name: g.holeNames[id],
-			Fire: func(env *ts.Env) (ts.State, error) {
-				a, err := env.Choose(hole, acts)
-				if err != nil {
-					return nil, err
-				}
-				return boxed[to[a]], nil
-			},
-		})
+		dst = append(dst, ts.Rule{ID: ruleHole, Name: name})
+		name++
 	}
-	for k, succ := range n.Plain {
-		tgt := g.boxed[succ]
-		dst = append(dst, ts.Transition{
-			Name: g.edgeNames[id][k],
-			Fire: func(*ts.Env) (ts.State, error) { return tgt, nil },
-		})
+	for k := range n.Plain {
+		dst = append(dst, ts.Rule{ID: rulePlain, Msg: int32(k), Name: name + uint32(k)})
 	}
 	return dst
+}
+
+// RuleName implements ts.RuleSystem.
+func (g *Graph) RuleName(r ts.Rule) string { return g.names[r.Name] }
+
+// FireRule implements ts.RuleSystem, returning pre-boxed states.
+func (g *Graph) FireRule(src ts.State, r ts.Rule, env *ts.Env) (ts.State, error) {
+	n := &g.Nodes[src.(state).id]
+	if r.ID == rulePlain {
+		return g.boxed[n.Plain[r.Msg]], nil
+	}
+	a, err := env.Choose(n.Hole, n.Acts)
+	if err != nil {
+		return nil, err
+	}
+	return g.boxed[n.To[a]], nil
 }
 
 // Invariants implements ts.System.

@@ -6,9 +6,9 @@ import (
 )
 
 // Pool is the successor pool of a recycling system: dead states of concrete
-// type S wait in it for the next Fire to overwrite them. A system that
-// embeds a Pool implements Recycler and PoolReporter through it; its Fire
-// asks Get for storage and either overwrites what it is handed
+// type S wait in it for the next FireRule to overwrite them. A system that
+// embeds a Pool implements Recycler and PoolReporter through it; its
+// FireRule asks Get for storage and either overwrites what it is handed
 // (StateCopier.CopyFrom) or, on a miss, Clones the source. The free list is
 // a sync.Pool, whose per-P lists give each exploration worker a private
 // one; the zero value is an empty pool, and a Pool must not be copied after

@@ -3,7 +3,9 @@
 // concurrent systems in plain Go.
 //
 // A system is described by implementing the System interface: it supplies a
-// set of initial states and, for every state, the set of enabled transitions.
+// set of initial states and, for every state, the set of enabled transitions
+// (as closures; RuleSystem is the same thing as data, and what the models in
+// this repository implement — see "Successor lifecycle").
 // Transitions fire lazily so that the synthesis layer (internal/core) can
 // interpose "holes" whose actions are chosen by the synthesizer; firing a
 // transition whose hole is still unassigned (a wildcard) aborts just that
@@ -38,32 +40,45 @@
 //
 // # Successor lifecycle
 //
-// The remaining per-state garbage of an exploration is the successors
-// themselves: Fire deep-copies the source state once per offered
-// transition, and in a dense state space most successors are rejected as
-// duplicates the moment they are fingerprinted — the copy was pure waste.
-// Three optional interfaces let systems and the checker close that loop:
+// What an exploration allocates per state is decided here, by two
+// conventions that keep its two kinds of per-transition data out of the
+// heap.
+//
+// Enabled transitions are records, not closures. A RuleSystem appends one
+// Rule — rule id, agent, message index, name index; twelve pointer-free
+// bytes — per enabled transition into a buffer the calling worker owns and
+// truncates per expansion, and fires one through FireRule(src, rule, env).
+// The records belong to that worker and mean something only next to the
+// state they were enumerated from, while it is unmodified: a message index
+// is a position in that state's network. The kernel fires a state's records
+// before it recycles the state and never keeps one. Names are looked up by
+// RuleName, from tables built once, when something shows them. The
+// closure-valued Transitions stays as the minimal API a small model is
+// written against; AppendTransitions derives it from the records, and Rules
+// lets the kernel drive a Transitions-only system as if it had records.
+//
+// Successors come from a pool. FireRule deep-copies the source state once
+// per offered transition, and in a dense state space most successors are
+// rejected as duplicates the moment they are fingerprinted — the copy was
+// pure waste. So:
 //
 //   - Recycler, implemented by the system, accepts a dead state back
-//     (Recycle) so its storage can seed the next Fire clone.
+//     (Recycle) so its storage can seed the next successor.
 //   - StateCopier, implemented by the state, overwrites a recycled state
 //     in place with a new source (the CopyFrom reuse path).
-//   - TransitionAppender, implemented by the system, enumerates
-//     transitions into a caller-owned buffer with names precomputed at
-//     construction, killing the per-expansion slice and fmt garbage.
+//   - Pool is the one implementation of the first: a system embeds a
+//     Pool[*itsState] to become a Recycler and a PoolReporter, and draws
+//     successors from Pool.Get (CopyFrom on a hit, Clone on a miss).
 //
-// Pool is the one implementation of the first: a system embeds a
-// Pool[*itsState] to become a Recycler and a PoolReporter, and its Fire
-// draws successors from Pool.Get (CopyFrom on a hit, Clone on a miss).
-//
-// Who may recycle: every State returned by Initial or Fire is owned by the
-// caller, and a caller may hand any such state to Recycle once nothing
+// Who may recycle: every State returned by Initial or FireRule is owned by
+// the caller, and a caller may hand any such state to Recycle once nothing
 // else can reach it — the model checker does so for rejected duplicate
 // successors (never enqueued, never traced) and, in traceless runs, for
-// each expanded state once its transitions have fired. A state escapes the
-// pool forever when it is retained anywhere: trace nodes, counterexamples
-// and frontier entries are never recycled. The ownership rule above is what
-// makes reuse safe: a recycled state's storage belongs to nobody else.
+// each expanded state once its rules have fired and for whatever the
+// frontier still holds when a run ends early. A state escapes the pool
+// forever when it is retained anywhere: trace nodes and counterexamples are
+// never recycled. The ownership rule above is what makes reuse safe: a
+// recycled state's storage belongs to nobody else.
 //
 // # Properties
 //
@@ -222,13 +237,14 @@ type StateCopier interface {
 
 // Recycler is optionally implemented by systems that pool successor
 // storage: Recycle accepts a state the caller owns outright and no longer
-// needs, and the system's Fire implementations draw their clones from the
-// returned storage (via StateCopier.CopyFrom) instead of allocating fresh
-// deep copies.
+// needs, and the system's FireRule draws its clones from the returned
+// storage (via StateCopier.CopyFrom) instead of allocating fresh deep
+// copies.
 //
 // The caller contract: s must have been obtained from this system's
-// Initial or Fire, and nothing — trace node, frontier entry, scratch,
-// pending transition closure — may still reference it. After Recycle the
+// Initial or FireRule (or a Transition's Fire), and nothing — trace node,
+// frontier entry, scratch, a rule record or transition closure yet to be
+// fired — may still reference it. After Recycle the
 // state's storage may be overwritten at any time. Recycle must be safe for
 // concurrent use (a multi-worker run recycles from every worker). Pool is
 // the implementation every pooling model in this repo uses.
@@ -237,33 +253,122 @@ type Recycler interface {
 }
 
 // PoolReporter is optionally implemented alongside Recycler to expose the
-// successor pool's cumulative traffic for statistics: hits counts Fire
-// clones served from recycled storage, misses counts clones built fresh
+// successor pool's cumulative traffic for statistics: hits counts
+// successors served from recycled storage, misses counts clones built fresh
 // (pool empty — exploration start, or storage still checked out). The
 // checker reports the per-run delta in statespace.Stats.
 type PoolReporter interface {
 	PoolStats() (hits, misses uint64)
 }
 
-// TransitionAppender is optionally implemented by systems whose transition
-// enumeration can append into a caller-owned buffer, exactly like append:
-// the checker keeps one buffer per worker and truncates it per expansion,
-// so steady-state enumeration allocates nothing. Implementations must
-// behave identically to Transitions (same transitions, same order) and
-// precompute transition names at system construction — the per-expansion
-// fmt.Sprintf in a Transitions implementation is the second-largest
-// allocator after the successor clones themselves.
+// Rule is one enabled transition of a state, as data: what a RuleSystem
+// appends per enabled rule instead of a Transition closure. It is
+// fixed-width and pointer-free, so a worker's rule buffer is recycled across
+// expansions without the garbage collector ever looking inside. The fields
+// mean what the system that appended the record says they mean; the kernel
+// only hands records back to that system's FireRule and RuleName.
 //
-// Checkers prefer this path whenever the interface is satisfied, so a
-// wrapper that overrides Transitions while embedding a system implementing
-// TransitionAppender must override AppendTransitions as well — the promoted
-// method would otherwise enumerate the embedded system's transitions and
-// silently bypass the override.
-type TransitionAppender interface {
-	// AppendTransitions appends the transitions enabled in s to dst and
-	// returns the extended slice. It must not retain dst.
-	AppendTransitions(dst []Transition, s State) []Transition
+// A Rule is meaningful only together with the state it was enumerated from,
+// and only while that state is unmodified: Msg in particular indexes into
+// the state (a message's position in the network, an alternative's
+// position in an enabled set), so firing a record against any other state —
+// or the same state after it was mutated or recycled — is a bug.
+type Rule struct {
+	// ID selects the rule: the case FireRule switches on.
+	ID uint16
+	// Agent is the agent (process, cache, ruleset instance) the rule is
+	// instantiated for.
+	Agent int16
+	// Msg is the rule's remaining parameter: the index of the message it
+	// delivers, or of the alternative it takes.
+	Msg int32
+	// Name identifies the transition's name to RuleName, typically as an
+	// index into a name table built once per system.
+	Name uint32
 }
+
+// RuleSystem is implemented by systems that enumerate enabled transitions as
+// Rule records and fire them through one switch, instead of allocating a
+// Fire closure per enabled transition per state. Every model in this
+// repository does; the exploration kernel speaks only this vocabulary, and
+// reaches a plain System (one that offers Transitions alone) through Rules.
+//
+// The three methods must agree with Transitions: the same transitions in
+// the same order, RuleName equal to Transition.Name, FireRule computing
+// what Transition.Fire computes (ErrWildcard included). A RuleSystem gets
+// that for free by implementing Transitions as AppendTransitions(sys, nil,
+// s). A wrapper that embeds a RuleSystem and overrides Transitions must
+// override these too, or hide them: the kernel prefers the records and
+// would silently bypass the override.
+type RuleSystem interface {
+	System
+	// AppendRules appends one record per transition enabled in s to dst and
+	// returns the extended slice. It must not retain dst or s, and
+	// allocates nothing beyond growing dst.
+	AppendRules(dst []Rule, s State) []Rule
+	// FireRule computes the successor of src under r, one of the records
+	// AppendRules appended for src. src is not modified; the successor is
+	// owned by the caller. It returns ErrWildcard (possibly wrapped) when
+	// the rule reaches an unassigned hole.
+	FireRule(src State, r Rule, env *Env) (State, error)
+	// RuleName returns the transition's name (see Transition.Name). The
+	// kernel asks only when something shows the name — a trace node, an
+	// error message, a fairness requirement's Taken — so it should be a
+	// table lookup, and may format only for names that cannot be tabled.
+	RuleName(r Rule) string
+}
+
+// AppendTransitions is the records-to-closures half of the adapter between
+// the two forms: it appends sys's enabled transitions in s to dst as
+// closure-valued Transitions, each Fire calling FireRule(s, r, env). It is
+// how a RuleSystem implements the minimal API (System.Transitions); it
+// allocates a closure per transition, which is exactly what the record form
+// exists to avoid, so nothing on the exploration path calls it.
+func AppendTransitions(sys RuleSystem, dst []Transition, s State) []Transition {
+	for _, r := range sys.AppendRules(make([]Rule, 0, 16), s) {
+		r := r
+		dst = append(dst, Transition{
+			Name: sys.RuleName(r),
+			Fire: func(env *Env) (State, error) { return sys.FireRule(s, r, env) },
+		})
+	}
+	return dst
+}
+
+// Rules is the closures-to-records half: it returns the RuleSystem one
+// exploration worker drives sys through. A system that implements
+// RuleSystem is returned as is (it is stateless, and every worker may
+// share it) unless viaTransitions asks for the reference path; any other
+// system, and every system on the reference path, is wrapped so that
+// AppendRules calls Transitions and numbers the closures it got. The
+// wrapper remembers the last enumeration — its records are valid until its
+// next AppendRules, names included — so each worker needs its own.
+func Rules(sys System, viaTransitions bool) RuleSystem {
+	if rs, ok := sys.(RuleSystem); ok && !viaTransitions {
+		return rs
+	}
+	return &closureRules{System: sys}
+}
+
+// closureRules drives a System's closure-valued Transitions as records.
+type closureRules struct {
+	System
+	trs []Transition // the transitions of the state last enumerated
+}
+
+func (c *closureRules) AppendRules(dst []Rule, s State) []Rule {
+	c.trs = c.System.Transitions(s)
+	for i := range c.trs {
+		dst = append(dst, Rule{Name: uint32(i)})
+	}
+	return dst
+}
+
+func (c *closureRules) FireRule(_ State, r Rule, env *Env) (State, error) {
+	return c.trs[r.Name].Fire(env)
+}
+
+func (c *closureRules) RuleName(r Rule) string { return c.trs[r.Name].Name }
 
 // Env is the execution environment a transition fires in. It is the bridge
 // between the model and the synthesis engine: models call Choose at each

@@ -191,6 +191,18 @@ func (f *flat) TryInsert(fp statespace.Fingerprint) bool {
 
 func (f *flat) Len() int { return f.t.len() }
 
+// Reset implements Resetter. A table still at its first size is cleared and
+// kept; one that grew is dropped, so the next run's table grows — and
+// reports its footprint — exactly as a new store's would.
+func (f *flat) Reset() {
+	if len(f.t.slots) > flatInitialSlots {
+		f.t = flatTable{}
+		return
+	}
+	clear(f.t.slots)
+	f.t = flatTable{slots: f.t.slots}
+}
+
 func (f *flat) Stats() Stats {
 	return Stats{Backend: Flat.String(), States: f.Len(), Bytes: f.t.bytes(), Exact: true, Grows: f.t.grows}
 }

@@ -214,6 +214,17 @@ type LevelMarker interface {
 	EndLevel() error
 }
 
+// Resetter is implemented by backends that can be emptied in place: a
+// checker session (mc.Session) Resets the store of its previous check
+// instead of building the next one. After Reset the store is
+// indistinguishable from a new one — same answers, same Stats — it only
+// got there without allocating. Backends for which that is not cheap (they
+// own files, or a fixed multi-megabyte array) don't implement it and are
+// rebuilt.
+type Resetter interface {
+	Reset()
+}
+
 // Dumper is implemented by exact backends that can enumerate every admitted
 // fingerprint without disturbing the store — the checkpoint writer's
 // snapshot hook. yield is called once per fingerprint in unspecified order;
