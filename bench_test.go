@@ -371,17 +371,15 @@ func BenchmarkVisitedKeyFingerprint(b *testing.B) {
 
 // --- Visited-set backend ablation (experiments E12, E13) ---
 //
-// The pluggable storage layer (internal/visited) on the zoo's stress
-// entry: the complete 4-cache MSI protocol, unreduced (105,752 states) so
-// the visited set rather than canonicalization dominates. visitedB/state
-// is each backend's measured in-RAM footprint per state; bitstate runs
-// against a fixed 16 MiB budget and reports its omission-probability
-// estimate; spill runs against a deliberately tiny 256 KiB in-RAM tier —
-// well below the ~846 KiB of fingerprints — so most of the set lives in
-// sorted run files (spilledB/state) and the rows price the exactness-
-// under-bounded-RAM trade against bitstate's lossy fixed budget (E13).
-// The CI workflow uploads all BenchmarkVisited* rows in the benchstat
-// artifact.
+// The storage layer (internal/visited) on the zoo's stress entry: the
+// complete 4-cache MSI protocol, unreduced (105,752 states) so the visited
+// set rather than canonicalization dominates. visitedB/state is each
+// backend's measured in-RAM footprint per state; spill runs against a
+// deliberately tiny 256 KiB in-RAM tier — well below the ~846 KiB of
+// fingerprints — so most of the set lives in sorted run files
+// (spilledB/state) and the rows price bounded RAM against the flat table
+// (E13). The CI workflow uploads all BenchmarkVisited* rows in the
+// benchstat artifact.
 
 // visitedBench explores the stress entry once per iteration on the given
 // backend and driver.
@@ -395,11 +393,10 @@ func visitedBench(b *testing.B, kind visited.Kind, workers int) {
 	var last *mc.Result
 	for i := 0; i < b.N; i++ {
 		res, err := mc.Check(sys, mc.Options{
-			Workers:    workers,
-			Visited:    kind,
-			BitstateMB: 16,
-			SpillMem:   256 << 10,
-			SpillDir:   b.TempDir(),
+			Workers:  workers,
+			Visited:  kind,
+			SpillMem: 256 << 10,
+			SpillDir: b.TempDir(),
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -411,32 +408,23 @@ func visitedBench(b *testing.B, kind visited.Kind, workers int) {
 	}
 	b.ReportMetric(float64(last.Space.States), "states")
 	b.ReportMetric(float64(last.Space.VisitedBytes)/float64(last.Space.States), "visitedB/state")
-	if !last.Exact {
-		b.ReportMetric(last.Space.OmissionProb, "p(omit)")
-	}
 	if last.Space.SpilledBytes > 0 {
 		b.ReportMetric(float64(last.Space.SpilledBytes)/float64(last.Space.States), "spilledB/state")
 	}
 }
 
-func BenchmarkVisitedMap(b *testing.B)      { visitedBench(b, visited.Map, 1) }
-func BenchmarkVisitedFlat(b *testing.B)     { visitedBench(b, visited.Flat, 1) }
-func BenchmarkVisitedBitstate(b *testing.B) { visitedBench(b, visited.Bitstate, 1) }
-func BenchmarkVisitedSpill(b *testing.B)    { visitedBench(b, visited.Spill, 1) }
+func BenchmarkVisitedFlat(b *testing.B)  { visitedBench(b, visited.Flat, 1) }
+func BenchmarkVisitedSpill(b *testing.B) { visitedBench(b, visited.Spill, 1) }
 
-func BenchmarkVisitedMapParallel(b *testing.B)  { visitedBench(b, visited.Map, parallelWorkers()) }
-func BenchmarkVisitedFlatParallel(b *testing.B) { visitedBench(b, visited.Flat, parallelWorkers()) }
-func BenchmarkVisitedBitstateParallel(b *testing.B) {
-	visitedBench(b, visited.Bitstate, parallelWorkers())
-}
+func BenchmarkVisitedFlatParallel(b *testing.B)  { visitedBench(b, visited.Flat, parallelWorkers()) }
 func BenchmarkVisitedSpillParallel(b *testing.B) { visitedBench(b, visited.Spill, parallelWorkers()) }
 
 // --- Canonical fingerprinting (experiment E14) ---
 //
 // The keying pipeline in isolation and end to end: formatted Key() strings
-// hashed with OfString (the pre-E14 scheme, kept behind Options.StringKeys)
-// against ts.KeyAppender binary encodings hashed straight off a reusable
-// buffer with OfBytes. BenchmarkCanonicalize* additionally covers the
+// hashed with OfString (the pre-E14 scheme, now only the fallback for
+// states without an encoding) against ts.KeyAppender binary encodings
+// hashed straight off a reusable buffer with OfBytes. BenchmarkCanonicalize* additionally covers the
 // symmetry canonicalizer: its scratch state (one pooled permuted clone +
 // two key buffers instead of a deep clone and a string per permutation)
 // keeps BenchmarkCanonicalize at 0 allocs/op, and its tie-class
@@ -466,7 +454,7 @@ func fingerprintBenchState() *msi.State {
 
 var fingerprintSink statespace.Fingerprint
 
-// BenchmarkFingerprintString is the legacy keying unit: format the key
+// BenchmarkFingerprintString is the Key-string keying unit: format the key
 // string, hash it, drop it (one-plus allocations per state).
 func BenchmarkFingerprintString(b *testing.B) {
 	s := fingerprintBenchState()
@@ -561,14 +549,14 @@ func BenchmarkCanonicalize(b *testing.B) {
 }
 
 // keyingBench explores the complete MSI protocol once per iteration under
-// the given keying path and symmetry setting (the E14 end-to-end rows).
-func keyingBench(b *testing.B, stringKeys, sym bool) {
+// the given symmetry setting (the E14 end-to-end rows).
+func keyingBench(b *testing.B, sym bool) {
 	b.Helper()
 	sys := msi.New(msi.Config{Caches: *benchCaches, Variant: msi.Complete})
 	b.ReportAllocs()
 	var last *mc.Result
 	for i := 0; i < b.N; i++ {
-		res, err := mc.Check(sys, mc.Options{Symmetry: sym, StringKeys: stringKeys})
+		res, err := mc.Check(sys, mc.Options{Symmetry: sym})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -580,10 +568,8 @@ func keyingBench(b *testing.B, stringKeys, sym bool) {
 	b.ReportMetric(float64(last.Space.States), "states")
 }
 
-func BenchmarkKeyingAppendSymOn(b *testing.B)  { keyingBench(b, false, true) }
-func BenchmarkKeyingStringSymOn(b *testing.B)  { keyingBench(b, true, true) }
-func BenchmarkKeyingAppendSymOff(b *testing.B) { keyingBench(b, false, false) }
-func BenchmarkKeyingStringSymOff(b *testing.B) { keyingBench(b, true, false) }
+func BenchmarkKeyingAppendSymOn(b *testing.B)  { keyingBench(b, true) }
+func BenchmarkKeyingAppendSymOff(b *testing.B) { keyingBench(b, false) }
 
 // BenchmarkSynthPeterson covers the second domain end to end.
 func BenchmarkSynthPeterson(b *testing.B) {

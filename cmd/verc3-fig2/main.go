@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	verc3-fig2 [-visited flat|map|spill] [-bitstate-mb N] [-spill-mem-mb N]
+//	verc3-fig2 [-visited flat|spill] [-spill-mem-mb N]
 //	           [-spill-dir DIR] [-timeout D] [-progress] [-metrics-addr ADDR]
 //	           [-report FILE] [-cpuprofile FILE] [-memprofile FILE] [-stats]
 //
@@ -62,6 +62,7 @@ func main() {
 	var mcOpt mc.Options
 	cf.ApplyMC(&mcOpt, backend)
 	ctx, stop := cf.Context("verc3-fig2")
+	allocs := cf.Allocs()
 	res, err := core.SynthesizeCtx(ctx, g, core.Config{
 		Mode: core.ModePrune,
 		MC:   mcOpt,
@@ -82,7 +83,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "verc3-fig2:", err)
 		exit(2)
 	}
+	allocs(&res.Stats.Space)
 
+	allocs = cf.Allocs()
 	naive, err := core.SynthesizeCtx(ctx, g, core.Config{Mode: core.ModeNaive, MC: mcOpt, Obs: tel.Collector()})
 	stop()
 	if err != nil {
@@ -90,6 +93,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "verc3-fig2:", err)
 		exit(2)
 	}
+	allocs(&naive.Stats.Space)
 	aborted := res.Stats.Aborted || naive.Stats.Aborted
 	abortCause := res.Stats.AbortCause
 	if abortCause == "" {
@@ -123,7 +127,7 @@ func main() {
 		verdict, code = "aborted", 3
 	}
 	if err := tel.Finish(&cliutil.RunSummary{
-		Verdict: verdict, Exact: true, Space: agg,
+		Verdict: verdict, Space: agg,
 		Aborted: aborted, AbortCause: abortCause,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "verc3-fig2:", err)

@@ -9,7 +9,7 @@
 //	verc3-report report.json...           summarize each report
 //	verc3-report -validate report.json... schema-check only (quiet)
 //
-// Only the current schema (version 2) validates; a file of any other
+// Only the current schema (version 3) validates; a file of any other
 // version is rejected with a message naming it. The summary surfaces the
 // abort/resume fields (aborted, abort_cause, resumed) when present.
 //
@@ -61,7 +61,7 @@ func summarize(path string, r *obs.Report) {
 	}
 	fmt.Printf(" (%s %s/%s, GOMAXPROCS=%d, %s)\n",
 		r.GoVersion, r.GOOS, r.GOARCH, r.GOMAXPROCS, r.Start.Format(time.RFC3339))
-	fmt.Printf("  verdict:  %s (exact=%v) in %v\n", r.Verdict, r.Exact, elapsed.Round(time.Millisecond))
+	fmt.Printf("  verdict:  %s in %v\n", r.Verdict, elapsed.Round(time.Millisecond))
 	if r.Aborted {
 		fmt.Printf("  aborted:  %s\n", r.AbortCause)
 	}

@@ -7,7 +7,7 @@
 //
 //	verc3-synth -system msi-small [-caches 2] [-mode prune|naive]
 //	            [-workers 4] [-mc-workers 1] [-style full|trace] [-max-eval N]
-//	            [-liveness] [-visited flat|map|spill] [-spill-mem-mb N]
+//	            [-liveness] [-visited flat|spill] [-spill-mem-mb N]
 //	            [-spill-dir DIR] [-timeout D] [-progress] [-metrics-addr ADDR]
 //	            [-report FILE] [-cpuprofile FILE] [-memprofile FILE]
 //	            [-stats] [-v]
@@ -140,6 +140,7 @@ func main() {
 
 	ctx, stop := cf.Context("verc3-synth")
 	start := time.Now()
+	allocs := cf.Allocs()
 	res, err := core.SynthesizeCtx(ctx, sys, cfg)
 	stop()
 	if err != nil {
@@ -147,6 +148,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "verc3-synth:", err)
 		exit(2)
 	}
+	allocs(&res.Stats.Space)
 	st := res.Stats
 	out := tel.Status()
 	fmt.Fprintf(out, "system:           %s\n", sys.Name())
@@ -194,7 +196,7 @@ func main() {
 		code = 3
 	}
 	if err := tel.Finish(&cliutil.RunSummary{
-		Verdict: verdict, Exact: true, Space: st.Space,
+		Verdict: verdict, Space: st.Space,
 		Aborted: st.Aborted, AbortCause: st.AbortCause,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "verc3-synth:", err)

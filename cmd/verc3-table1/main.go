@@ -12,7 +12,7 @@
 // Usage:
 //
 //	verc3-table1 [-caches 2] [-workers 4] [-mc-workers 1] [-naive-large-max 20000]
-//	             [-full] [-skip-naive] [-visited flat|map|spill]
+//	             [-full] [-skip-naive] [-visited flat|spill]
 //	             [-spill-mem-mb N] [-spill-dir DIR] [-timeout D] [-stats]
 //	             [-progress] [-metrics-addr ADDR] [-report FILE]
 //	             [-cpuprofile FILE] [-memprofile FILE]
@@ -114,6 +114,7 @@ func main() {
 		start := time.Now()
 		mcOpt := mc.Options{Symmetry: true}
 		cf.ApplyMC(&mcOpt, backend)
+		allocs := cf.Allocs()
 		res, err := core.SynthesizeCtx(ctx, sys, core.Config{
 			Mode:           r.mode,
 			Workers:        r.workers,
@@ -129,6 +130,7 @@ func main() {
 		}
 		r.res = res
 		r.elapsed = time.Since(start)
+		allocs(&res.Stats.Space)
 		aggSpace.Merge(res.Stats.Space)
 		if res.Stats.Aborted {
 			aborted, abortCause = true, res.Stats.AbortCause
@@ -219,7 +221,7 @@ func main() {
 		verdict, code = "aborted", 3
 	}
 	if err := tel.Finish(&cliutil.RunSummary{
-		Verdict: verdict, Exact: true, Space: aggSpace,
+		Verdict: verdict, Space: aggSpace,
 		Aborted: aborted, AbortCause: abortCause,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "verc3-table1:", err)

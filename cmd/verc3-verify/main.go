@@ -8,8 +8,7 @@
 //
 //	verc3-verify -system msi-complete [-caches 3] [-symmetry=false] [-states]
 //	             [-liveness] [-dfs] [-workers N] [-no-trace] [-stats]
-//	             [-visited flat|map|bitstate|spill]
-//	             [-bitstate-mb N] [-spill-mem-mb N] [-spill-dir DIR]
+//	             [-visited flat|spill] [-spill-mem-mb N] [-spill-dir DIR]
 //	             [-timeout D] [-checkpoint-dir DIR] [-resume] [-checkpoint-every D]
 //	             [-progress] [-metrics-addr ADDR] [-report FILE]
 //	             [-cpuprofile FILE] [-memprofile FILE]
@@ -26,8 +25,8 @@
 // from the newest snapshot, reproducing the uninterrupted run's verdict
 // and counts bit-identically. Saves are throttled so checkpointing costs
 // at most ~5% of wall-clock; -checkpoint-every overrides the spacing
-// (negative = every boundary). Checkpointing requires BFS order, an exact
-// visited backend and -no-trace.
+// (negative = every boundary). Checkpointing requires BFS order and
+// -no-trace.
 //
 // -spec loads the system from a JSON model spec (see internal/spec and the
 // committed examples under examples/specs/) instead of the compiled-in
@@ -41,8 +40,10 @@
 //
 // With -liveness, systems declaring liveness goals additionally run the
 // nested-DFS accepting-cycle search after the safety pass; violations
-// render as lasso counterexamples (stem + cycle). Liveness needs an exact
-// visited backend, so -liveness -visited bitstate is refused.
+// render as lasso counterexamples (stem + cycle).
+//
+// -stats prints the exploration memory profile, with the heap allocations
+// the whole run made.
 package main
 
 import (
@@ -57,7 +58,6 @@ import (
 	"verc3/internal/mc"
 	"verc3/internal/trace"
 	"verc3/internal/ts"
-	"verc3/internal/visited"
 	"verc3/internal/zoo"
 )
 
@@ -66,7 +66,7 @@ func main() {
 		system   = flag.String("system", "msi-complete", "system to verify ("+strings.Join(zoo.Names(), ", ")+")")
 		caches   = flag.Int("caches", 0, "MSI cache count (0 = default 3)")
 		symmetry = flag.Bool("symmetry", true, "enable scalarset symmetry reduction")
-		liveness = flag.Bool("liveness", false, "after the safety pass, check declared liveness goals with nested DFS (needs an exact visited backend)")
+		liveness = flag.Bool("liveness", false, "after the safety pass, check declared liveness goals with nested DFS")
 		states   = flag.Bool("states", false, "print states along the counterexample trace")
 		dfs      = flag.Bool("dfs", false, "use depth-first search (traces not minimal)")
 		maxSt    = flag.Int("max-states", 0, "state cap (0 = unlimited)")
@@ -99,15 +99,6 @@ func main() {
 	backend, err := cf.Backend()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "verc3-verify:", err)
-		os.Exit(2)
-	}
-
-	if *liveness && backend == visited.Bitstate {
-		fmt.Fprintf(os.Stderr,
-			"verc3-verify: -liveness cannot run on the bitstate backend: nested DFS relies on\n"+
-				"exact membership answers, and bitstate hashing may drop states (a false \"seen\"\n"+
-				"would silently close a cycle that does not exist). Use an exact backend:\n\n"+
-				"\tverc3-verify -system %s -liveness -visited flat|map|spill\n", *system)
 		os.Exit(2)
 	}
 
@@ -163,6 +154,7 @@ func main() {
 	}
 	ctx, stop := cf.Context("verc3-verify")
 	start := time.Now()
+	allocs := cf.Allocs()
 	res, err := mc.CheckCtx(ctx, sys, opt)
 	stop()
 	if err != nil {
@@ -170,6 +162,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "verc3-verify:", err)
 		exit(2)
 	}
+	allocs(&res.Space)
 	// The whole human-readable summary stages into the telemetry Status
 	// buffer and lands in one flush inside Finish, after the -progress
 	// status line is gone — no interleaving with sampler repaints.
@@ -194,10 +187,6 @@ func main() {
 		fmt.Fprintf(st, "ndfs:        %d blue + %d red product states\n", res.Space.LiveStates, res.Space.RedStates)
 	}
 	fmt.Fprintf(st, "elapsed:     %v\n", time.Since(start).Round(time.Millisecond))
-	if !res.Exact {
-		fmt.Fprintf(st, "exact:       false (bitstate storage; p(state omitted) ~ %.2g — counts are lower bounds)\n",
-			res.Space.OmissionProb)
-	}
 	if cf.Stats {
 		fmt.Fprintf(st, "space:       %s\n", res.Space)
 	}
@@ -216,7 +205,7 @@ func main() {
 		}
 	}
 	if err := tel.Finish(&cliutil.RunSummary{
-		Verdict: res.Verdict.String(), Exact: res.Exact, Space: res.Space,
+		Verdict: res.Verdict.String(), Space: res.Space,
 		Aborted: res.Verdict == mc.Aborted, AbortCause: abortCause, Resumed: res.Resumed,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "verc3-verify:", err)

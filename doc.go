@@ -24,21 +24,19 @@
 //     work distributor that hands each expansion a stable worker index for
 //     per-worker scratch, the optional parent-linked trace store, and the
 //     Stats memory profile.
-//   - internal/visited — pluggable visited-set storage behind one Store
-//     interface: Go maps (lock-striped shards), a Robin Hood
-//     open-addressing fingerprint table (the default, 15/16 load cap), a
-//     disk-spilling two-level store (exact with bounded RAM: the flat
-//     tier overflows to sorted runs merged at BFS level boundaries), and
-//     a SPIN-style bitstate tier with a fixed memory budget and a
-//     reported omission-probability estimate.
+//   - internal/visited — visited-set storage behind one Store interface,
+//     two exact backends: a Robin Hood open-addressing fingerprint table
+//     (the default, 15/16 load cap) and a disk-spilling two-level store
+//     (bounded RAM: the flat tier overflows to sorted runs merged at BFS
+//     level boundaries).
 //   - internal/symmetry — scalarset canonicalization (goroutine-safe), used
 //     for symmetry reduction of states implementing ts.Permutable. The
 //     Fingerprint hot path minimizes binary encodings over pooled
 //     scratch — one Clone that PermuteInto overwrites per permutation, plus
 //     two key buffers — at zero steady-state allocations, sorting the agents
 //     (ts.AgentComparer) and permuting only within ties instead of
-//     trying all N!; the string Key path remains for traces and the
-//     keying ablation.
+//     trying all N!; the string Key path remains for traces and as the
+//     exhaustive reference.
 //   - internal/faultfs — the filesystem seam under the spill backend and
 //     the checkpoint writer: a small FS/File interface over the real OS,
 //     a deterministic fault injector for tests (planned errors, short
@@ -78,8 +76,8 @@
 // cliutil.CommonFlags: -spec loads the system from a JSON model spec
 // (verc3-verify refuses sketch specs, pointing at verc3-synth; the
 // fixed-workload tools refuse the flag entirely), -stats prints the
-// memory profile, -visited flat|map|bitstate|spill selects the
-// visited-set backend, sized with -bitstate-mb / -spill-mem-mb /
+// memory profile and the heap allocations of the whole run, -visited
+// flat|spill selects the visited-set backend, sized with -spill-mem-mb /
 // -spill-dir, -timeout puts a wall-clock deadline on the run (expiry —
 // like SIGINT/SIGTERM — cancels cooperatively: partial stats, profiles
 // and -report still flush, exit code 3), verc3-verify's -checkpoint-dir
@@ -107,20 +105,22 @@
 // solution with traces on, so fingerprint collisions during the traceless
 // search cannot survive into the results unnoticed.
 //
-// # Visited-set backends
+// # Visited-set backends and exactness
 //
-// Where the fingerprints live is pluggable (mc.Options.Visited): the exact
-// backends — flat open addressing (default), Go maps, and the
-// disk-spilling two-level store, which keeps RAM near a fixed tier budget
-// while the bulk of the set lives in sorted run files — are
+// Where the fingerprints live is mc.Options.Visited: flat open addressing
+// (default) or the disk-spilling two-level store, which keeps RAM near a
+// fixed tier budget while the bulk of the set lives in sorted run files.
+// Both admit exactly the distinct fingerprints offered, so they are
 // interchangeable bit-for-bit and differ only in measured bytes per state
-// and where those bytes live, while the bitstate tier caps memory at a
-// fixed budget and reports Result.Exact=false with a quantified omission
-// probability. Expansion ownership is exact everywhere: even under
-// bitstate, racing parallel inserts of one fingerprint have exactly one
-// winner (a single-CAS completion rule), so reported state and transition
-// counts are exact for the space explored. Synthesis dispatches require
-// an exact backend and the final re-verification always runs on one.
+// and where those bytes live; racing parallel inserts of one fingerprint
+// have exactly one winner. What remains probabilistic is the fingerprint
+// itself: two distinct states sharing 64 bits would merge. The exactness
+// oracle in internal/ts/tstest re-explores by exact state identity and
+// fails on any such merge; the test suite runs it over every zoo entry and
+// spec, every candidate the Table I syntheses dispatch, and the
+// 1,930,178-state unreduced 5-cache MSI walk, so those results are exact.
+// Other runs carry the birthday-bound risk (about 3·10⁻⁸ at a million
+// states).
 //
 // # Zero-allocation keying
 //
@@ -136,9 +136,7 @@
 // arrangements within tie classes — agents whose local data compares
 // equal — are encoded and compared, 3.75 per offered successor instead of
 // 120 on the 5-cache MSI protocol, with fingerprints bit-identical to the
-// exhaustive search (E19). mc.Options.StringKeys forces the legacy
-// formatted-string path, which always searches all N!, for differential
-// tests and the E14 ablation.
+// exhaustive search (E19).
 //
 // # Successor lifecycle
 //
@@ -190,10 +188,8 @@
 // over the same fingerprint/visited/recycling substrate as the safety
 // pass. Violations surface as lasso counterexamples: a stem into a cycle
 // that repeats forever, rendered by internal/trace with cycle markers and
-// replay-validated in the differential tests. Because nested DFS needs
-// exact "seen before" answers, the lossy bitstate backend is refused
-// (mc.ErrLivenessInexact); a liveness failure prunes synthesis candidates
-// exactly like a safety failure. Token-ring and Peterson pass their
+// replay-validated in the differential tests. A liveness failure prunes
+// synthesis candidates exactly like a safety failure. Token-ring and Peterson pass their
 // goals; the complete MSI protocol is a pinned true positive (no network
 // fairness is declared, so a writer can starve behind undelivered
 // messages), and the msi-fair zoo entry is the same protocol plus

@@ -1,6 +1,8 @@
 package cliutil
 
 import (
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -17,14 +19,14 @@ func TestFirstNegative(t *testing.T) {
 	if err := FirstNegative(
 		IntFlag{"-workers", 0},
 		IntFlag{"-max-states", 8},
-		IntFlag{"-bitstate-mb", 64},
+		IntFlag{"-spill-mem-mb", 64},
 	); err != nil {
 		t.Errorf("all valid: %v", err)
 	}
 	err := FirstNegative(
 		IntFlag{"-workers", 4},
 		IntFlag{"-max-states", -1},
-		IntFlag{"-bitstate-mb", -3},
+		IntFlag{"-spill-mem-mb", -3},
 	)
 	if err == nil {
 		t.Fatal("negative -max-states accepted")
@@ -33,7 +35,7 @@ func TestFirstNegative(t *testing.T) {
 	if !strings.Contains(msg, "-max-states") || !strings.Contains(msg, "-1") {
 		t.Errorf("error does not name the first offender: %q", msg)
 	}
-	if strings.Contains(msg, "-bitstate-mb") {
+	if strings.Contains(msg, "-spill-mem-mb") {
 		t.Errorf("error names a later flag: %q", msg)
 	}
 	if !strings.Contains(msg, "default") {
@@ -96,5 +98,27 @@ func TestStartProfilesBadPath(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "-cpuprofile") {
 		t.Errorf("error does not name the flag: %v", err)
+	}
+}
+
+// TestRemovedBackendsRejected: the map and bitstate backends and the
+// -bitstate-mb flag are gone, and asking for them is an error that lists
+// the backends there are.
+func TestRemovedBackendsRejected(t *testing.T) {
+	defer func(saved *flag.FlagSet) { flag.CommandLine = saved }(flag.CommandLine)
+	for _, args := range [][]string{{"-visited", "map"}, {"-visited", "bitstate"}, {"-bitstate-mb", "4"}} {
+		var usage strings.Builder
+		flag.CommandLine = flag.NewFlagSet("verc3-test", flag.ContinueOnError)
+		flag.CommandLine.SetOutput(&usage)
+		cf := RegisterCommon()
+		err := flag.CommandLine.Parse(args)
+		msg := usage.String() // a flag the set does not define: the error comes with the usage
+		if err == nil {
+			_, err = cf.Backend()
+			msg = fmt.Sprint(err)
+		}
+		if err == nil || !strings.Contains(msg, "flat") || !strings.Contains(msg, "spill") {
+			t.Errorf("%v: err = %v, want a rejection listing flat, spill (got %q)", args, err, msg)
+		}
 	}
 }

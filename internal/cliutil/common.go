@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 	"time"
 
 	"verc3/internal/mc"
 	"verc3/internal/spec"
+	"verc3/internal/statespace"
 	"verc3/internal/visited"
 )
 
@@ -24,7 +26,6 @@ type CommonFlags struct {
 	Spec        string // -spec: load the system from a JSON model spec
 	Stats       bool   // -stats
 	Visited     string // -visited (parse with Backend)
-	BitstateMB  int    // -bitstate-mb
 	SpillMemMB  int    // -spill-mem-mb
 	SpillDir    string // -spill-dir
 	CPUProfile  string // -cpuprofile
@@ -46,8 +47,7 @@ func RegisterCommon() *CommonFlags {
 	c := &CommonFlags{}
 	flag.StringVar(&c.Spec, "spec", "", "load the system from a verc3_model_v1 JSON model spec file instead of the compiled-in zoo")
 	flag.BoolVar(&c.Stats, "stats", false, "print the exploration memory profile (peak frontier, trace store, allocations)")
-	flag.StringVar(&c.Visited, "visited", "flat", "visited-set backend: flat (open addressing), map, bitstate (lossy, fixed memory; the synthesis tools refuse it), or spill (exact, RAM-bounded, overflows to disk)")
-	flag.IntVar(&c.BitstateMB, "bitstate-mb", 0, "bitstate bit-array budget in MiB (0 = default 64; -visited bitstate only)")
+	flag.StringVar(&c.Visited, "visited", "flat", "visited-set backend: flat (open addressing) or spill (RAM-bounded, overflows to disk)")
 	flag.IntVar(&c.SpillMemMB, "spill-mem-mb", 0, "spill backend's in-RAM tier budget in MiB (0 = default 64; -visited spill only)")
 	flag.StringVar(&c.SpillDir, "spill-dir", "", "parent directory for spill run files (\"\" = OS temp dir; -visited spill only)")
 	flag.StringVar(&c.CPUProfile, "cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
@@ -64,7 +64,6 @@ func RegisterCommon() *CommonFlags {
 // the binary's historical flag order.
 func (c *CommonFlags) Validate(extra ...IntFlag) error {
 	if err := FirstNegative(append(extra,
-		IntFlag{Name: "-bitstate-mb", Value: int64(c.BitstateMB)},
 		IntFlag{Name: "-spill-mem-mb", Value: int64(c.SpillMemMB)},
 	)...); err != nil {
 		return err
@@ -125,7 +124,7 @@ type CheckpointFlags struct {
 // RegisterCheckpoint declares the checkpoint flags on the default FlagSet.
 func RegisterCheckpoint() *CheckpointFlags {
 	c := &CheckpointFlags{}
-	flag.StringVar(&c.Dir, "checkpoint-dir", "", "snapshot the run into this directory at BFS level boundaries (atomic commit; at most one checkpoint is kept). Requires BFS order, an exact visited backend, and -trace off")
+	flag.StringVar(&c.Dir, "checkpoint-dir", "", "snapshot the run into this directory at BFS level boundaries (atomic commit; at most one checkpoint is kept). Requires BFS order and -no-trace")
 	flag.BoolVar(&c.Resume, "resume", false, "seed the run from the newest checkpoint under -checkpoint-dir instead of the initial states (fresh start when none exists)")
 	flag.DurationVar(&c.Every, "checkpoint-every", 0, "minimum spacing between checkpoint saves (0 = adaptive: at least 250ms and 20x the previous save's cost, bounding overhead near 5%; negative = save at every level boundary)")
 	return c
@@ -152,16 +151,32 @@ func (c *CommonFlags) Backend() (visited.Kind, error) {
 }
 
 // ApplyMC fills the model-checker options derived from the common block:
-// backend selection and sizing, memory statistics, and phase
-// labels (only when a CPU profile is being taken — the labels cost a
-// goroutine-label store per phase switch).
+// backend selection and sizing, and phase labels (only when a CPU profile
+// is being taken — the labels cost a goroutine-label store per phase
+// switch).
 func (c *CommonFlags) ApplyMC(opt *mc.Options, backend visited.Kind) {
-	opt.MemStats = c.Stats
 	opt.Visited = backend
-	opt.BitstateMB = c.BitstateMB
 	opt.SpillMem = int64(c.SpillMemMB) << 20
 	opt.SpillDir = c.SpillDir
 	opt.ProfileLabels = c.CPUProfile != ""
+}
+
+// Allocs starts counting heap allocations for -stats: call it before the
+// run and the returned function after, on the run's profile, which it
+// fills with the allocations made in between (Mallocs, AllocBytes). It is
+// one runtime.ReadMemStats pair around the whole run — each read stops the
+// world, so nothing inside the run pays for it — and a no-op without
+// -stats.
+func (c *CommonFlags) Allocs() func(*statespace.Stats) {
+	if !c.Stats {
+		return func(*statespace.Stats) {}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	return func(s *statespace.Stats) {
+		runtime.ReadMemStats(&after)
+		s.Mallocs, s.AllocBytes = after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+	}
 }
 
 // LoadSpec loads and compiles the -spec file. It returns (nil, nil) when

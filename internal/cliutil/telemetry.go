@@ -29,10 +29,9 @@ type TelemetryOptions struct {
 // RunSummary carries the run outcome Finish folds into the -report file.
 type RunSummary struct {
 	Verdict string
-	Exact   bool
 	// Aborted marks a run cut short (cancel, timeout, contained panic);
 	// AbortCause carries the rendered cause. Resumed marks a run seeded
-	// from a checkpoint. All three land in the version-2 report schema.
+	// from a checkpoint.
 	Aborted    bool
 	AbortCause string
 	Resumed    bool
@@ -156,7 +155,6 @@ func (t *Telemetry) Finish(sum *RunSummary) error {
 	}
 	if sum != nil && t.report != nil {
 		t.report.Verdict = sum.Verdict
-		t.report.Exact = sum.Exact
 		t.report.Aborted = sum.Aborted
 		t.report.AbortCause = sum.AbortCause
 		t.report.Resumed = sum.Resumed

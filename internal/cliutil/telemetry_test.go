@@ -65,14 +65,14 @@ func TestTelemetryReport(t *testing.T) {
 	}
 	col.Count(obs.CStates, 42)
 	col.MarkTimeline()
-	if err := tel.Finish(&RunSummary{Verdict: "success", Exact: true}); err != nil {
+	if err := tel.Finish(&RunSummary{Verdict: "success"}); err != nil {
 		t.Fatal(err)
 	}
 	r, err := obs.ReadReport(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Tool != "cliutil-test" || r.System != "unit" || r.Verdict != "success" || !r.Exact {
+	if r.Tool != "cliutil-test" || r.System != "unit" || r.Verdict != "success" {
 		t.Errorf("report identity: %+v", r)
 	}
 	if r.Final.Counters[obs.CStates] != 42 {

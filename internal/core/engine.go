@@ -13,7 +13,6 @@ import (
 	"verc3/internal/obs"
 	"verc3/internal/statespace"
 	"verc3/internal/ts"
-	"verc3/internal/visited"
 )
 
 // Mode selects the synthesis strategy.
@@ -93,11 +92,11 @@ type Config struct {
 	// check run one worker.
 	MCWorkers int
 	// MC carries the base model-checker options (symmetry, state caps,
-	// deadlock checking, search order, MemStats for Stats.Space allocation
-	// counters, visited-set backend). Env, Usage, RecordTrace and Workers
-	// are managed by the engine and must be left zero (set Config.MCWorkers
-	// for intra-check parallelism; trace recording is off during the search
-	// and on for the final per-solution re-verification).
+	// deadlock checking, search order, visited-set backend). Env, Usage,
+	// RecordTrace and Workers are managed by the engine and must be left
+	// zero (set Config.MCWorkers for intra-check parallelism; trace
+	// recording is off during the search and on for the final per-solution
+	// re-verification).
 	//
 	// MC.Liveness extends every dispatch with the nested-DFS liveness
 	// phase: candidates whose completions admit an accepting lasso fail
@@ -108,14 +107,6 @@ type Config struct {
 	// failures carry an all-ones UsageMask and are never
 	// trace-generalized. Re-verification runs with the same option, so a
 	// winner is re-confirmed on the liveness axis too.
-	//
-	// MC.Visited must be an exact backend: synthesis dispatches run on the
-	// flat table by default (the zero value); the disk-spilling tier is
-	// equally acceptable (exact, just RAM-bounded), while the lossy
-	// bitstate backend is rejected — an omitted state flips verdicts in
-	// both directions (a missed violation is caught by re-verification,
-	// but a spuriously unreached goal would insert an unsound pruning
-	// pattern that silently prunes correct candidates).
 	MC mc.Options
 	// MaxEvaluations, when positive, stops synthesis after that many
 	// model-checker dispatches (Stats.Truncated is set). Used to run scaled
@@ -218,13 +209,12 @@ type Stats struct {
 	// Elapsed is the wall-clock synthesis time.
 	Elapsed time.Duration
 	// Space aggregates the exploration memory profiles of all model-checker
-	// dispatches: States/Transitions/TraceNodes and the allocation counters
-	// sum over dispatches, while PeakFrontier and BytesRetained report the
-	// largest single dispatch — a per-dispatch peak, not a process
-	// high-water mark (with Workers > 1, concurrent dispatches' footprints
-	// coexist and the allocation counters also overlap; see
-	// statespace.Stats). Synthesis runs traceless, so TraceNodes counts
-	// only the final per-solution re-verification runs.
+	// dispatches: States/Transitions/TraceNodes sum over dispatches, while
+	// PeakFrontier and BytesRetained report the largest single dispatch — a
+	// per-dispatch peak, not a process high-water mark (with Workers > 1,
+	// concurrent dispatches' footprints coexist; see statespace.Stats).
+	// Synthesis runs traceless, so TraceNodes counts only the final
+	// per-solution re-verification runs.
 	Space statespace.Stats
 }
 
@@ -366,9 +356,6 @@ func SynthesizeCtx(ctx context.Context, sys ts.System, cfg Config) (*Result, err
 	if cfg.MC.Obs != nil {
 		return nil, fmt.Errorf("core: Config.MC.Obs is managed by the engine; set Config.Obs")
 	}
-	if !cfg.MC.Visited.Exact() {
-		return nil, fmt.Errorf("core: visited backend %q is lossy; synthesis dispatches need an exact backend (flat, map, or spill)", cfg.MC.Visited)
-	}
 	if cfg.MCWorkers <= 0 {
 		cfg.MCWorkers = 1
 	}
@@ -415,10 +402,7 @@ func SynthesizeCtx(ctx context.Context, sys ts.System, cfg Config) (*Result, err
 // re-check does not come back Success is removed from the results — the
 // traceless search was fooled (a fingerprint collision merged states under
 // this candidate), and the documented guarantee is that such a candidate
-// cannot survive into Result.Solutions. Re-verification always runs on an
-// exact visited backend, whatever backed the search — Synthesize rejects
-// lossy dispatch backends today, and this pins the invariant even if that
-// changes.
+// cannot survive into Result.Solutions.
 func (e *engine) reverify() {
 	e.solMu.Lock()
 	defer e.solMu.Unlock()
@@ -427,9 +411,6 @@ func (e *engine) reverify() {
 		opt := e.cfg.MC
 		opt.Env = ts.NewEnv(rc)
 		opt.RecordTrace = true
-		if !opt.Visited.Exact() {
-			opt.Visited = visited.Flat
-		}
 		res, err := mc.CheckCtx(e.ctx, e.sys, opt)
 		if err != nil {
 			e.fatal.CompareAndSwap(nil, &errBox{err: err})

@@ -54,8 +54,11 @@ import (
 )
 
 const (
-	// ckptVersion is the on-disk checkpoint schema version.
-	ckptVersion = 1
+	// ckptVersion is the on-disk checkpoint schema version. Version 2
+	// dropped the string_keys identity field with the string keying path:
+	// a version-1 checkpoint is refused rather than resumed under keying it
+	// does not record.
+	ckptVersion = 2
 	// ckptPrefix names committed checkpoint directories (suffix: zero-padded
 	// frontier depth, so lexicographic order is depth order).
 	ckptPrefix = "ckpt-d"
@@ -73,11 +76,10 @@ const (
 // shares the keying scheme, so a checkpoint taken at one resumes at
 // another.
 type ckptMeta struct {
-	Version    int    `json:"version"`
-	System     string `json:"system"`
-	Symmetry   bool   `json:"symmetry"`
-	StringKeys bool   `json:"string_keys"`
-	Backend    string `json:"backend"`
+	Version  int    `json:"version"`
+	System   string `json:"system"`
+	Symmetry bool   `json:"symmetry"`
+	Backend  string `json:"backend"`
 
 	// Depth is the BFS depth of every frontier state in the snapshot.
 	Depth          int    `json:"depth"`
@@ -96,7 +98,6 @@ type checkpointer struct {
 	fs    faultfs.FS
 	dir   string
 	dec   ts.KeyDecoder
-	dump  visited.Dumper
 	o     *obs.Collector
 	meta0 ckptMeta // identity template; save/load copy and compare it
 
@@ -140,12 +141,10 @@ func (cp *checkpointer) due() bool {
 // newCheckpointer validates the run's checkpoint eligibility and builds
 // the writer; (nil, nil) when checkpointing is off. The gates exist
 // because a checkpoint must round-trip: states need a binary encoding
-// (ts.KeyAppender) the system can decode back (ts.KeyDecoder), the store
-// must be able to enumerate its fingerprints losslessly (visited.Dumper —
-// bitstate cannot), level boundaries must exist (BFS), and the snapshot
-// cannot carry what it does not contain (trace parent chains, usage
-// masks).
-func newCheckpointer(sys ts.System, opt Options, store visited.Store) (*checkpointer, error) {
+// (ts.KeyAppender) the system can decode back (ts.KeyDecoder), level
+// boundaries must exist (BFS), and the snapshot cannot carry what it does
+// not contain (trace parent chains, usage masks).
+func newCheckpointer(sys ts.System, opt Options) (*checkpointer, error) {
 	if opt.CheckpointDir == "" {
 		return nil, nil
 	}
@@ -157,13 +156,6 @@ func newCheckpointer(sys ts.System, opt Options, store visited.Store) (*checkpoi
 	}
 	if opt.Usage != nil {
 		return nil, fmt.Errorf("mc: checkpointing is incompatible with usage tracking (masks are not snapshotted)")
-	}
-	if !opt.Visited.Exact() {
-		return nil, fmt.Errorf("mc: checkpointing requires an exact visited backend, not %q", opt.Visited)
-	}
-	dump, ok := store.(visited.Dumper)
-	if !ok {
-		return nil, fmt.Errorf("mc: visited backend %q cannot enumerate fingerprints for checkpointing", opt.Visited)
 	}
 	dec, ok := sys.(ts.KeyDecoder)
 	if !ok {
@@ -178,16 +170,14 @@ func newCheckpointer(sys ts.System, opt Options, store visited.Store) (*checkpoi
 		fs:       faultfs.Or(opt.FS),
 		dir:      opt.CheckpointDir,
 		dec:      dec,
-		dump:     dump,
 		o:        opt.Obs,
 		every:    opt.CheckpointEvery,
 		lastSave: time.Now(),
 		meta0: ckptMeta{
-			Version:    ckptVersion,
-			System:     sys.Name(),
-			Symmetry:   opt.Symmetry,
-			StringKeys: opt.StringKeys,
-			Backend:    opt.Visited.String(),
+			Version:  ckptVersion,
+			System:   sys.Name(),
+			Symmetry: opt.Symmetry,
+			Backend:  opt.Visited.String(),
 		},
 	}
 	if err := cp.retry(faultfs.OpMkdirAll, func() error { return cp.fs.MkdirAll(cp.dir, 0o755) }); err != nil {
@@ -227,10 +217,10 @@ func (cp *checkpointer) retry(op faultfs.Op, f func() error) error {
 
 // --- Writing -----------------------------------------------------------
 
-// save writes one checkpoint and commits it atomically. meta must be a
-// copy of meta0 with the run fields filled in; frontier yields the
+// save writes one checkpoint of store and commits it atomically. meta must
+// be a copy of meta0 with the run fields filled in; frontier yields the
 // snapshot's frontier states in their resume order.
-func (cp *checkpointer) save(meta ckptMeta, frontier func(yield func(ts.State) error) error) error {
+func (cp *checkpointer) save(store visited.Store, meta ckptMeta, frontier func(yield func(ts.State) error) error) error {
 	start := time.Now()
 	defer func() {
 		// Feed the throttle even on a failed save: a struggling disk is the
@@ -247,7 +237,7 @@ func (cp *checkpointer) save(meta ckptMeta, frontier func(yield func(ts.State) e
 	}
 	err := cp.writeFile(filepath.Join(tmp, "visited.bin"), func(emit func([]byte) error) error {
 		var rec [8]byte
-		return cp.dump.DumpFingerprints(func(fp statespace.Fingerprint) error {
+		return store.DumpFingerprints(func(fp statespace.Fingerprint) error {
 			binary.LittleEndian.PutUint64(rec[:], uint64(fp))
 			return emit(rec[:])
 		})
@@ -391,12 +381,10 @@ func (cp *checkpointer) latest() (string, *ckptMeta, error) {
 	if meta.Version != ckptVersion {
 		return "", nil, fmt.Errorf("mc: checkpoint %s: version %d, want %d", path, meta.Version, ckptVersion)
 	}
-	if meta.System != cp.meta0.System || meta.Symmetry != cp.meta0.Symmetry ||
-		meta.StringKeys != cp.meta0.StringKeys || meta.Backend != cp.meta0.Backend {
+	if meta.System != cp.meta0.System || meta.Symmetry != cp.meta0.Symmetry || meta.Backend != cp.meta0.Backend {
 		return "", nil, fmt.Errorf(
-			"mc: checkpoint %s was taken for system=%s symmetry=%v stringkeys=%v backend=%s; this run is system=%s symmetry=%v stringkeys=%v backend=%s",
-			path, meta.System, meta.Symmetry, meta.StringKeys, meta.Backend,
-			cp.meta0.System, cp.meta0.Symmetry, cp.meta0.StringKeys, cp.meta0.Backend)
+			"mc: checkpoint %s was taken for system=%s symmetry=%v backend=%s; this run is system=%s symmetry=%v backend=%s",
+			path, meta.System, meta.Symmetry, meta.Backend, cp.meta0.System, cp.meta0.Symmetry, cp.meta0.Backend)
 	}
 	return path, &meta, nil
 }
@@ -577,7 +565,7 @@ func (e *explorer) checkpoint(level []item) error {
 	meta.PeakFrontier = e.peak
 	meta.FrontierLen = len(level)
 	meta.VisitedLen = e.visited.Len()
-	return e.ckpt.save(meta, func(yield func(ts.State) error) error {
+	return e.ckpt.save(e.visited, meta, func(yield func(ts.State) error) error {
 		for i := range level {
 			if err := yield(level[i].state); err != nil {
 				return err

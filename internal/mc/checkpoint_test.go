@@ -3,9 +3,11 @@ package mc_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -67,9 +69,8 @@ func (c *cpSys) DecodeKey(data []byte) (ts.State, []byte, error) {
 
 const cpTreeN = 4095 // full tree: depth 11, widest level 2048
 
-// ckptConfig crosses the two exact backends that matter (flat in-RAM,
-// spill with a budget small enough to actually hit disk) with both
-// drivers.
+// ckptConfig crosses the two backends (flat in-RAM, spill with a budget
+// small enough to actually hit disk) with one and four workers.
 type ckptConfig struct {
 	name    string
 	workers int
@@ -256,6 +257,49 @@ func TestCheckpointIdentityMismatch(t *testing.T) {
 	}
 }
 
+// TestCheckpointRefusesVersion1: a checkpoint in the version-1 schema —
+// the one that still recorded a string_keys identity field — must be
+// refused by its version, not resumed under keying it does not describe.
+func TestCheckpointRefusesVersion1(t *testing.T) {
+	dir := t.TempDir()
+	ctx, cancel := context.WithCancelCause(context.Background())
+	var n atomic.Int64
+	killed := &cpSys{name: "cptree", n: cpTreeN, hook: func() {
+		if n.Add(1) == 1000 {
+			cancel(errors.New("killed by harness"))
+		}
+	}}
+	if _, err := mc.CheckCtx(ctx, killed, mc.Options{CheckpointDir: dir, CheckpointEvery: -1}); err != nil {
+		t.Fatal(err)
+	}
+	cancel(nil)
+	ents, err := os.ReadDir(dir)
+	if err != nil || len(ents) != 1 {
+		t.Fatalf("want exactly one committed checkpoint, got %v (%v)", ents, err)
+	}
+	path := filepath.Join(dir, ents[0].Name(), "meta.json")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var meta map[string]any
+	if err := json.Unmarshal(raw, &meta); err != nil {
+		t.Fatal(err)
+	}
+	meta["version"], meta["string_keys"] = 1, false
+	if raw, err = json.Marshal(meta); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = mc.Check(&cpSys{name: "cptree", n: cpTreeN},
+		mc.Options{CheckpointDir: dir, CheckpointEvery: -1, Resume: true})
+	if err == nil || !strings.Contains(err.Error(), "version 1, want 2") {
+		t.Fatalf("err = %v, want a refusal naming version 1", err)
+	}
+}
+
 // TestCheckpointGating pins the refusals: every configuration the
 // snapshot format cannot represent must be an upfront error, not a
 // silently wrong checkpoint.
@@ -268,7 +312,6 @@ func TestCheckpointGating(t *testing.T) {
 	}{
 		{"trace", mc.Options{CheckpointDir: "x", CheckpointEvery: -1, RecordTrace: true}, "trace"},
 		{"dfs", mc.Options{CheckpointDir: "x", CheckpointEvery: -1, Order: mc.DFS}, "BFS"},
-		{"bitstate", mc.Options{CheckpointDir: "x", CheckpointEvery: -1, Visited: visited.Bitstate}, "exact"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := mc.Check(sys(), tc.opt)

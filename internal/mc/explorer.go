@@ -9,6 +9,7 @@ import (
 
 	"verc3/internal/obs"
 	"verc3/internal/statespace"
+	"verc3/internal/symmetry"
 	"verc3/internal/ts"
 	"verc3/internal/visited"
 )
@@ -174,7 +175,10 @@ func (e *explorer) init(sys ts.System, opt Options) {
 		e.goals = gr.Goals()
 	}
 	e.quies, _ = sys.(ts.QuiescentReporter)
-	canon := newCanon(sys, opt)
+	var canon *symmetry.Canonicalizer
+	if opt.Symmetry {
+		canon = symmetry.For(sys)
+	}
 	// One backing array for the goal flags: the run's merged view first,
 	// then each worker's own.
 	g := len(e.goals)
@@ -182,7 +186,7 @@ func (e *explorer) init(sys ts.System, opt Options) {
 	e.goalHit, hits = hits[:g:g], hits[g:]
 	for i := range e.all {
 		w := &e.all[i]
-		w.key = keyer{canon: canon, legacy: opt.StringKeys}
+		w.key = keyer{canon: canon}
 		w.rs = ts.Rules(sys, opt.FreshTransitions)
 		w.ow = opt.Obs.NewWorker()
 		w.goalHit, hits = hits[:g:g], hits[g:]
@@ -226,7 +230,7 @@ func (e *explorer) begin(ctx context.Context, env *ts.Env, usage UsageTracker) e
 		e.visited = visited.NewConcurrent(visitedConfig(e.opt))
 	}
 	var err error
-	if e.ckpt, err = newCheckpointer(e.sys, e.opt, e.visited); err != nil {
+	if e.ckpt, err = newCheckpointer(e.sys, e.opt); err != nil {
 		_ = closeStore(e.visited) // nothing was inserted; the checkpointer's error is the one to report
 	}
 	return err
@@ -659,11 +663,8 @@ func (e *explorer) finish() {
 	res.Space.States = vs.States
 	res.Space.VisitedBytes = vs.Bytes
 	res.Space.Backend = vs.Backend
-	res.Space.Inexact = !vs.Exact
-	res.Space.OmissionProb = vs.OmissionProb
 	res.Space.SpilledBytes = vs.SpilledBytes
 	res.Space.SpillRuns = vs.SpillRuns
-	res.Exact = vs.Exact
 	res.Space.SetRetained(unsafe.Sizeof(item{}), e.traces.NodeBytes())
 	switch {
 	case res.Failure != nil:

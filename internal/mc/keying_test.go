@@ -1,52 +1,50 @@
 package mc_test
 
-// Differential tests for the binary keying pipeline: the ts.KeyAppender
-// appender path and the legacy Key()-string path (Options.StringKeys) must
-// explore identical state spaces, and the appender path must hit the PR's
-// pinned allocation bar. The CI workflow runs everything matching
-// TestZooEquivalence as a dedicated job step.
+// The keying pipeline against exact state identity: every worker count and
+// symmetry setting must explore the same space, and the exactness oracle
+// (internal/ts/tstest) must find that no two distinct states of any zoo
+// entry or committed spec share the fingerprint the kernel keys them by.
+// The CI workflow runs everything matching TestZooEquivalence as a
+// dedicated job step, and TestZooAppendKeyConsistency in its "Exactness
+// oracle" step.
 
 import (
-	"bytes"
+	"path/filepath"
+	"runtime/debug"
 	"testing"
 
 	"verc3/internal/mc"
+	"verc3/internal/msi"
+	"verc3/internal/spec"
 	"verc3/internal/ts"
+	"verc3/internal/ts/tstest"
 	"verc3/internal/zoo"
 )
 
-// TestZooEquivalenceKeying is the invariance check for the zero-allocation
-// keying refactor: for every registered system, every combination of driver
-// (1 and 8 workers), symmetry on/off, and keying path (binary appender vs
-// legacy formatted strings) must report the same verdict and exploration
-// statistics. The two paths hash different bytes — and under symmetry may
-// even canonicalize an orbit to different representatives — but the orbit
-// partition they induce is identical, so every count must match.
+// TestZooEquivalenceKeying is the invariance check for the keying pipeline
+// across worker counts: for every registered system, 1 and 8 workers must report
+// the same verdict and exploration statistics under each symmetry setting.
+// Exact state identity is TestZooAppendKeyConsistency's reference.
 func TestZooEquivalenceKeying(t *testing.T) {
 	for _, name := range zoo.Names() {
 		t.Run(name, func(t *testing.T) {
 			type combo struct {
 				workers  int
 				symmetry bool
-				strings  bool
 			}
 			base := map[bool]*mc.Result{} // per symmetry setting
-			for _, cb := range []combo{
-				{1, true, false}, {1, true, true}, {8, true, false}, {8, true, true},
-				{1, false, false}, {1, false, true}, {8, false, false}, {8, false, true},
-			} {
+			for _, cb := range []combo{{1, true}, {8, true}, {1, false}, {8, false}} {
 				sys, err := zoo.Get(name, zoo.Params{Caches: 2})
 				if err != nil {
 					t.Fatal(err)
 				}
 				res, err := mc.Check(sys, mc.Options{
-					Symmetry:   cb.symmetry,
-					StringKeys: cb.strings,
-					Env:        ts.NewEnv(wildcardChooser{}), // complete models never call Choose
-					Workers:    cb.workers,
+					Symmetry: cb.symmetry,
+					Env:      ts.NewEnv(wildcardChooser{}), // complete models never call Choose
+					Workers:  cb.workers,
 				})
 				if err != nil {
-					t.Fatalf("workers=%d symmetry=%v strings=%v: %v", cb.workers, cb.symmetry, cb.strings, err)
+					t.Fatalf("workers=%d symmetry=%v: %v", cb.workers, cb.symmetry, err)
 				}
 				if base[cb.symmetry] == nil {
 					base[cb.symmetry] = res
@@ -54,92 +52,98 @@ func TestZooEquivalenceKeying(t *testing.T) {
 				}
 				want := base[cb.symmetry]
 				if res.Verdict != want.Verdict {
-					t.Errorf("workers=%d symmetry=%v strings=%v: verdict %v, want %v",
-						cb.workers, cb.symmetry, cb.strings, res.Verdict, want.Verdict)
+					t.Errorf("workers=%d symmetry=%v: verdict %v, want %v",
+						cb.workers, cb.symmetry, res.Verdict, want.Verdict)
 				}
-				if res.Stats.VisitedStates != want.Stats.VisitedStates {
-					t.Errorf("workers=%d symmetry=%v strings=%v: states %d, want %d",
-						cb.workers, cb.symmetry, cb.strings, res.Stats.VisitedStates, want.Stats.VisitedStates)
-				}
-				if res.Stats.FiredTransitions != want.Stats.FiredTransitions {
-					t.Errorf("workers=%d symmetry=%v strings=%v: transitions %d, want %d",
-						cb.workers, cb.symmetry, cb.strings, res.Stats.FiredTransitions, want.Stats.FiredTransitions)
-				}
-				if res.Stats.MaxDepth != want.Stats.MaxDepth {
-					t.Errorf("workers=%d symmetry=%v strings=%v: depth %d, want %d",
-						cb.workers, cb.symmetry, cb.strings, res.Stats.MaxDepth, want.Stats.MaxDepth)
-				}
-				if res.Stats.WildcardAborts != want.Stats.WildcardAborts {
-					t.Errorf("workers=%d symmetry=%v strings=%v: aborts %d, want %d",
-						cb.workers, cb.symmetry, cb.strings, res.Stats.WildcardAborts, want.Stats.WildcardAborts)
+				if res.Stats != want.Stats {
+					t.Errorf("workers=%d symmetry=%v: stats %+v, want %+v",
+						cb.workers, cb.symmetry, res.Stats, want.Stats)
 				}
 			}
 		})
 	}
 }
 
-// TestZooAppendKeyConsistency walks the reachable states of every
-// registered system and checks the binary/string keying agreement the
-// pipeline's soundness rests on: every zoo state implements
-// ts.KeyAppender, and over the collected population AppendKey-equality
-// coincides exactly with Key-equality (same partition in both directions).
-// The per-model encoders are hand-written, so this is the test that
-// catches a field omitted from one encoding but present in the other.
+// TestZooAppendKeyConsistency runs the exactness oracle over every zoo
+// entry (at 2 caches) and every committed spec, with symmetry off and on,
+// under two candidates: every hole a wildcard, and every hole its first
+// action (so sketches whose behaviour is entirely behind holes still reach
+// a real population). The oracle re-explores each by exact identity and
+// fails on any fingerprint shared by two identities, and — symmetry off,
+// with tstest.Oracle.Keys — on any pair of states whose AppendKey and Key
+// equalities disagree, which is what catches a field a hand-written encoder
+// forgot. The oracle stops where the kernel's one-worker search stops, so
+// on every run the kernel's state count and depth must equal the oracle's:
+// the kernel counted exactly the distinct states there are.
 func TestZooAppendKeyConsistency(t *testing.T) {
+	systems := map[string]func() ts.System{}
 	for _, name := range zoo.Names() {
-		t.Run(name, func(t *testing.T) {
+		systems[name] = func() ts.System {
 			sys, err := zoo.Get(name, zoo.Params{Caches: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Resolve every hole to its first action so sketches whose
-			// behaviour is entirely behind holes (fig2, token-ring-sketch)
-			// still yield a real population to compare.
-			env := ts.NewEnv(firstActionChooser{})
-			const cap = 2000
-			seen := map[string][]byte{}  // Key -> encoding
-			byEnc := map[string]string{} // encoding -> Key
-			var frontier []ts.State
-			note := func(s ts.State) {
-				a, ok := s.(ts.KeyAppender)
-				if !ok {
-					t.Fatalf("state %T does not implement ts.KeyAppender", s)
-				}
-				k := s.Key()
-				enc := a.AppendKey(nil)
-				if prev, dup := seen[k]; dup {
-					if !bytes.Equal(prev, enc) {
-						t.Fatalf("key %q encoded two ways: %x vs %x", k, prev, enc)
-					}
-					return
-				}
-				if otherKey, dup := byEnc[string(enc)]; dup && otherKey != k {
-					t.Fatalf("keys %q and %q share encoding %x", otherKey, k, enc)
-				}
-				seen[k] = enc
-				byEnc[string(enc)] = k
-				frontier = append(frontier, s)
+			return sys
+		}
+	}
+	for _, file := range []string{"mutex.json", "mutex-sketch.json", "tokenring.json"} {
+		systems["spec/"+file] = func() ts.System {
+			m, err := spec.LoadFile(filepath.Join("../../examples/specs", file))
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, s := range sys.Initial() {
-				note(s)
-			}
-			for len(frontier) > 0 && len(seen) < cap {
-				s := frontier[len(frontier)-1]
-				frontier = frontier[:len(frontier)-1]
-				for _, tr := range sys.Transitions(s) {
-					next, err := tr.Fire(env)
+			return m.System()
+		}
+	}
+	for name, build := range systems {
+		t.Run(name, func(t *testing.T) {
+			for _, symmetry := range []bool{false, true} {
+				oracle := tstest.New(t)
+				oracle.Keys = true
+				// A complete run that never consulted a hole under the
+				// wildcard candidate explores the same space under any other,
+				// so the first-action candidate runs only where it may differ.
+				for _, chooser := range []ts.Chooser{wildcardChooser{}, firstActionChooser{}} {
+					got := oracle.Explore(build(), ts.NewEnv(chooser), symmetry)
+					res, err := mc.Check(build(), mc.Options{Symmetry: symmetry, Env: ts.NewEnv(chooser)})
 					if err != nil {
-						t.Fatalf("fire %q: %v", tr.Name, err)
+						t.Fatal(err)
 					}
-					note(next)
+					if res.Stats.VisitedStates != got.States || res.Stats.MaxDepth != got.Depth {
+						t.Errorf("symmetry=%v %T: mc.Check (%v) %d states to depth %d, oracle %d to depth %d", symmetry,
+							chooser, res.Verdict, res.Stats.VisitedStates, res.Stats.MaxDepth, got.States, got.Depth)
+					}
+					if res.Verdict != mc.Failure && res.Stats.WildcardAborts == 0 {
+						break
+					}
 				}
+				t.Logf("symmetry=%v: %d distinct identities, no fingerprint merges", symmetry, oracle.Identities())
 			}
-			if len(seen) < 2 {
-				t.Fatalf("walk collected only %d states", len(seen))
-			}
-			t.Logf("%d states: AppendKey partition matches Key partition", len(seen))
 		})
 	}
+}
+
+// TestExactnessOracleUnreducedWalk runs the exactness oracle over the
+// largest space the repository pins: the complete MSI protocol at 5 caches
+// without symmetry reduction, which the benchmark's verify-raw workloads
+// explore. It must reach exactly the 1,930,178 states to depth 43 that the
+// checker reports (bench/expected.json), and no two of them may share a
+// fingerprint — so those counts are exact, not just likely. Only without
+// -short and without the race detector: it holds every state's encoding,
+// about 0.4 GB with its tables. Those hold no pointers, so collecting
+// garbage more often than usual costs little and keeps the peak near that
+// live size instead of twice it.
+func TestExactnessOracleUnreducedWalk(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("1.93M-state exact re-exploration; run without -short and -race")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(25))
+	oracle := tstest.New(t)
+	got := oracle.Explore(msi.New(msi.Config{Caches: 5, Variant: msi.Complete}), nil, false)
+	if want := (tstest.Result{States: 1930178, Depth: 43}); got != want {
+		t.Errorf("oracle reached %+v, want %+v", got, want)
+	}
+	t.Logf("%d distinct identities to depth %d, no fingerprint merges", oracle.Identities(), got.Depth)
 }
 
 // firstActionChooser resolves every hole to its first action, turning a
@@ -147,63 +151,3 @@ func TestZooAppendKeyConsistency(t *testing.T) {
 type firstActionChooser struct{}
 
 func (firstActionChooser) Choose(string, []string) (int, error) { return 0, nil }
-
-// TestAppenderAllocReduction pins the tentpole's headline number the way
-// TestNoTraceMemoryReduction pinned PR 2's: on msi-complete with symmetry
-// reduction on (the synthesis configuration, where the canonicalizer used
-// to deep-clone and re-format the state N!−1 times per offered successor),
-// the binary appender path must allocate at least 60% less per state than
-// the legacy string path. Measured with Options.MemStats, so the run is
-// sequential and nothing else allocates concurrently.
-func TestAppenderAllocReduction(t *testing.T) {
-	run := func(strings bool) *mc.Result {
-		sys, err := zoo.Get("msi-complete", zoo.Params{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := mc.Check(sys, mc.Options{Symmetry: true, StringKeys: strings, MemStats: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Verdict != mc.Success {
-			t.Fatalf("strings=%v: verdict %v", strings, res.Verdict)
-		}
-		return res
-	}
-	legacy, appender := run(true), run(false)
-	if legacy.Stats.VisitedStates != appender.Stats.VisitedStates {
-		t.Fatalf("state counts diverge: legacy %d, appender %d",
-			legacy.Stats.VisitedStates, appender.Stats.VisitedStates)
-	}
-	states := float64(legacy.Stats.VisitedStates)
-	perLegacy := float64(legacy.Space.Mallocs) / states
-	perAppender := float64(appender.Space.Mallocs) / states
-	t.Logf("mallocs per state: string keys %.1f, appender %.1f (%.0f%% reduction)",
-		perLegacy, perAppender, 100*(1-perAppender/perLegacy))
-	if perAppender > 0.4*perLegacy {
-		t.Errorf("mallocs/state with appender = %.1f, want <= 40%% of string-key %.1f", perAppender, perLegacy)
-	}
-}
-
-// TestStringKeysOptionForcesLegacyPath sanity-checks the ablation knob
-// itself: with StringKeys set the run must allocate roughly what the
-// appender path saves (a formatted key per offered state), so the flag is
-// actually measuring the legacy pipeline and not silently ignored. A
-// cheap guard: allocations differ by at least 2x between the two paths.
-func TestStringKeysOptionForcesLegacyPath(t *testing.T) {
-	run := func(strings bool) uint64 {
-		sys, err := zoo.Get("msi-complete", zoo.Params{Caches: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := mc.Check(sys, mc.Options{Symmetry: true, StringKeys: strings, MemStats: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Space.Mallocs
-	}
-	legacy, appender := run(true), run(false)
-	if legacy < 2*appender {
-		t.Errorf("StringKeys run allocated %d vs appender %d — legacy path not exercised?", legacy, appender)
-	}
-}

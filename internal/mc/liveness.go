@@ -37,14 +37,12 @@
 //
 // The search stores only 64-bit fingerprints of product states — the
 // system state's binary encoding (ts.KeyAppender, same pipeline as the
-// safety kernel; Options.StringKeys falls back to hashing Key()) extended
-// with the monitor and copy bytes — in two visited.Store instances (the
-// blue "done" set and the red "confirmed cycle-free" set), plus a cyan
-// map for the states on the outer DFS stack. Lossy backends are rejected
-// up front (ErrLivenessInexact): a bitstate omission could both hide a
-// real cycle and fabricate a spurious one. Successors are enumerated and
-// fired as ts.Rule records and recycled like the safety kernel's: rejected
-// product successors and popped stack states return to the system's pool.
+// safety kernel, with the same Key() fallback) extended with the monitor
+// and copy bytes — in two visited.Store instances (the blue "done" set and
+// the red "confirmed cycle-free" set), plus a cyan map for the states on
+// the outer DFS stack. Successors are enumerated and fired as ts.Rule
+// records and recycled like the safety kernel's: rejected product
+// successors and popped stack states return to the system's pool.
 //
 // Symmetry reduction is deliberately NOT applied to product keys even when
 // Options.Symmetry is set: liveness predicates are typically per-process
@@ -60,8 +58,8 @@
 // for cycles detected by the nested search, and the closing transition's
 // fired successor — which revisits the state at FailureInfo.CycleStart —
 // is appended as the final trace step. Because the search is sequential
-// and deterministic, the same lasso is reported across visited backends
-// and keying paths, which the zoo-wide differential harness pins.
+// and deterministic, the same lasso is reported across visited backends,
+// which the zoo-wide differential harness pins.
 package mc
 
 import (
@@ -74,13 +72,6 @@ import (
 	"verc3/internal/ts"
 	"verc3/internal/visited"
 )
-
-// ErrLivenessInexact is returned (wrapped) by Check when Options.Liveness
-// is combined with a lossy visited backend. An omitted product state can
-// hide a real accepting cycle or close a spurious one, so the nested-DFS
-// phase refuses to run rather than report an unsound verdict — the same
-// policy synthesis applies to its dispatch backends.
-var ErrLivenessInexact = errors.New("liveness checking (nested DFS) needs an exact visited backend (flat, map, or spill)")
 
 // lsucc is one product successor awaiting processing: a fired system state
 // (owned exclusively by this entry) with its monitor state, fairness copy,
@@ -380,16 +371,14 @@ func (l *liveChecker) nextCopy(src *lframe, rule string) uint8 {
 // fingerprint hashes the product state (s, q, c): the system state's
 // canonical encoding extended with the monitor and copy bytes. The hot
 // path appends the ts.KeyAppender binary encoding plus two bytes into the
-// reusable scratch buffer and hashes in place; Options.StringKeys and
-// appender-less states fall back to an incremental hash of the Key()
-// string. No symmetry canonicalization — see the package comment.
+// reusable scratch buffer and hashes in place; appender-less states fall
+// back to an incremental hash of the Key() string. No symmetry
+// canonicalization — see the package comment.
 func (l *liveChecker) fingerprint(s ts.State, q, c uint8) statespace.Fingerprint {
-	if !l.opt.StringKeys {
-		if a, ok := s.(ts.KeyAppender); ok {
-			l.buf = a.AppendKey(l.buf[:0])
-			l.buf = append(l.buf, q, c)
-			return statespace.OfBytes(l.buf)
-		}
+	if a, ok := s.(ts.KeyAppender); ok {
+		l.buf = a.AppendKey(l.buf[:0])
+		l.buf = append(l.buf, q, c)
+		return statespace.OfBytes(l.buf)
 	}
 	h := statespace.NewHasher()
 	h.AddString(s.Key())

@@ -1,7 +1,6 @@
 package mc_test
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -9,7 +8,6 @@ import (
 	"verc3/internal/dsl"
 	"verc3/internal/mc"
 	"verc3/internal/ts"
-	"verc3/internal/visited"
 	"verc3/internal/zoo"
 )
 
@@ -193,33 +191,4 @@ func TestLivenessZooVerdicts(t *testing.T) {
 		}
 		replayLasso(t, sys, res.Failure)
 	})
-}
-
-// TestBitstateRejectedForLiveness mirrors TestBitstateRejectedForSynthesis:
-// the NDFS phase must refuse lossy visited backends with a typed error
-// rather than report an unsound verdict, while every exact backend works.
-func TestBitstateRejectedForLiveness(t *testing.T) {
-	sys, err := zoo.Get("token-ring", zoo.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = mc.Check(sys, mc.Options{Liveness: true, Visited: visited.Bitstate})
-	if err == nil {
-		t.Fatal("bitstate accepted for liveness checking")
-	}
-	if !errors.Is(err, mc.ErrLivenessInexact) {
-		t.Fatalf("error %v does not wrap ErrLivenessInexact", err)
-	}
-	if !strings.Contains(err.Error(), "lossy") {
-		t.Fatalf("error %q should explain the backend is lossy", err)
-	}
-	for _, kind := range []visited.Kind{visited.Flat, visited.Map, visited.Spill} {
-		res, cerr := mc.Check(sys, mc.Options{Liveness: true, Visited: kind})
-		if cerr != nil {
-			t.Fatalf("%v backend rejected: %v", kind, cerr)
-		}
-		if res.Verdict != mc.Success {
-			t.Fatalf("%v backend: verdict = %v, want Success", kind, res.Verdict)
-		}
-	}
 }

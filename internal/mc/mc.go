@@ -18,21 +18,18 @@
 // encoding lands in a reusable buffer and the fingerprint comes straight
 // off it (statespace.OfBytes). Because every worker count and search order
 // dedupes through the same fingerprints, complete explorations report
-// identical reachable-state counts under all of them; Options.StringKeys
-// forces the legacy string path for differential testing.
+// identical reachable-state counts under all of them.
 //
-// Where the fingerprints live is pluggable (Options.Visited, package
-// internal/visited): a Robin Hood open-addressing table (the default), Go
-// maps (the original backend), a disk-spilling two-level store that keeps
-// RAM near Options.SpillMem while sorted fingerprint runs hold the bulk
-// on disk (merged at every BFS level boundary), or a
-// SPIN-style bitstate array with a fixed memory budget
-// (Options.BitstateMB). The exact backends are interchangeable
-// bit-for-bit; bitstate can omit states, so Result.Exact reports false
-// and Result.Space carries its omission-probability estimate. TryInsert
-// doubles as the expansion-ownership claim and every backend admits
-// exactly one of any set of racing inserts, so state and transition counts
-// are exact for the explored space under all backends at any worker count.
+// Where the fingerprints live is Options.Visited (package
+// internal/visited): a Robin Hood open-addressing table (the default) or a
+// disk-spilling two-level store that keeps RAM near Options.SpillMem while
+// sorted fingerprint runs hold the bulk on disk (merged at every BFS level
+// boundary). Both admit exactly the distinct fingerprints offered, and
+// TryInsert doubles as the expansion-ownership claim — exactly one of any
+// set of racing inserts wins — so the two are interchangeable bit-for-bit
+// at any worker count. That two distinct states never share a fingerprint
+// is what the exactness oracle (internal/ts/tstest) checks for the runs
+// the test suite pins.
 //
 // # Trace-optional exploration
 //
@@ -114,17 +111,15 @@
 // goals — the weak-fairness copies construction. Violations are lassos:
 // FailLiveness failures carry a stem-plus-cycle trace (FailureInfo.
 // CycleStart) whose replay closes a real cycle. The phase shares the
-// fingerprint pipeline, visited backends (exact only; see
-// ErrLivenessInexact) and successor recycling with the safety kernel, and
-// reports its own counters in Result.Space (LiveStates, RedStates,
-// CycleLen). See liveness.go.
+// fingerprint pipeline, visited backends and successor recycling with the
+// safety kernel, and reports its own counters in Result.Space (LiveStates,
+// RedStates, CycleLen). See liveness.go.
 package mc
 
 import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"time"
 
 	"verc3/internal/faultfs"
@@ -266,19 +261,10 @@ type Result struct {
 	// (Options.Resume) rather than the system's initial states; its Stats
 	// include the checkpointed prefix.
 	Resumed bool
-	// Exact reports that the visited-set backend was lossless (flat, map):
-	// every distinct fingerprint offered was admitted, so state counts are
-	// exact and a Success verdict covers the full reachable space. False
-	// under the bitstate backend, which can silently omit states —
-	// Space.OmissionProb estimates the per-state risk. Note goal checking
-	// is affected in both directions under an inexact backend: an omitted
-	// state can also manifest as a spurious goal failure.
-	Exact bool
 	// Space is the memory profile of the exploration: visited-set size,
 	// frontier high-water mark, trace-store nodes (always 0 with
 	// RecordTrace off) and the structural bytes-retained estimate. The
-	// allocation counters (Mallocs/AllocBytes) are populated only under
-	// Options.MemStats.
+	// checker leaves the allocation counters (Mallocs/AllocBytes) zero.
 	Space statespace.Stats
 }
 
@@ -350,15 +336,10 @@ type Options struct {
 	// (Options.Usage) always run one worker.
 	Workers int
 	// Visited selects the visited-set storage backend (internal/visited).
-	// The zero value is visited.Flat, the open-addressing table; Map is
-	// the original Go-map backend (exact, interchangeable with Flat);
-	// Spill overflows the flat tier to sorted disk runs, keeping RAM
-	// bounded by SpillMem while staying exact; Bitstate trades exactness
-	// for a fixed memory budget — see Result.Exact.
+	// The zero value is visited.Flat, the open-addressing table; Spill
+	// overflows the flat tier to sorted disk runs, keeping RAM bounded by
+	// SpillMem. Both are exact and interchangeable.
 	Visited visited.Kind
-	// BitstateMB is the bitstate backend's bit-array budget in MiB
-	// (0 = visited.DefaultBitstateMB). Ignored by exact backends.
-	BitstateMB int
 	// SpillMem is the spill backend's in-RAM tier budget in bytes
 	// (0 = visited.DefaultSpillMem). Ignored by other backends.
 	SpillMem int64
@@ -372,7 +353,7 @@ type Options struct {
 	// directory, committed atomically by rename (see checkpoint.go). "" —
 	// the default — disables checkpointing. Requires a system whose states
 	// implement ts.KeyAppender and that itself implements ts.KeyDecoder,
-	// BFS order, an exact visited backend, and RecordTrace/Usage off.
+	// BFS order, and RecordTrace/Usage off.
 	CheckpointDir string
 	// CheckpointEvery throttles how often level boundaries actually save.
 	// Zero — the default — is the adaptive policy: a boundary saves only
@@ -392,21 +373,6 @@ type Options struct {
 	// writer (nil = the real OS). Fault-injection tests plug a
 	// faultfs.Injector in here; production code leaves it nil.
 	FS faultfs.FS
-	// MemStats additionally collects allocation counters
-	// (runtime.ReadMemStats deltas) into Result.Space. ReadMemStats stops
-	// the world, so leave this off in the synthesis inner loop; the cmd/
-	// tools set it for their -stats flag. The deltas are process-global:
-	// they attribute cleanly only when nothing else allocates during the
-	// run (concurrent synthesis dispatches inflate each other's counts).
-	MemStats bool
-	// StringKeys routes fingerprinting through the legacy path — a
-	// formatted Key() string per offered state (canonicalized over string
-	// comparison under Symmetry) hashed with OfString — instead of the
-	// allocation-free ts.KeyAppender binary encodings. Exploration results
-	// are identical either way (the zoo keying-equivalence test pins this);
-	// the flag exists for differential testing and the E14 keying ablation,
-	// not for production use.
-	StringKeys bool
 	// NoRecycle disables successor recycling: the checker never hands states
 	// back to a ts.Recycler system, so every successor is built fresh. Exploration results are
 	// identical either way (the zoo recycling-equivalence test pins this);
@@ -428,10 +394,7 @@ type Options struct {
 	// (ts.LivenessReporter) after a safety pass that found no violation:
 	// a sequential nested-DFS cycle search per goal over the product with
 	// the goal's negated Büchi monitor (and, for Fair goals, the weak-
-	// fairness copies). Requires an exact visited backend — Check returns
-	// ErrLivenessInexact under bitstate, whose omissions could hide a real
-	// cycle or fabricate a spurious one. The liveness phase keys product
-	// states without symmetry reduction even when Symmetry is set (the
+	// fairness copies). The liveness phase keys product states without symmetry reduction even when Symmetry is set (the
 	// safety pass still reduces): per-process predicates like "process i
 	// holds the token" are not permutation-invariant, so cycle detection
 	// on the quotient graph would be unsound. See internal/mc/liveness.go.
@@ -497,13 +460,6 @@ func (s *Session) Check(ctx context.Context, env *ts.Env, usage UsageTracker) (*
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if e.opt.Liveness && !e.opt.Visited.Exact() {
-		return nil, fmt.Errorf("mc: visited backend %q is lossy; %w", e.opt.Visited, ErrLivenessInexact)
-	}
-	var before runtime.MemStats
-	if e.opt.MemStats {
-		runtime.ReadMemStats(&before)
-	}
 	// The safety pass, then — under Options.Liveness — the nested-DFS
 	// liveness phase on its non-failing result. An aborted safety pass skips
 	// the liveness phase: its product search is rooted in the same (now
@@ -520,12 +476,6 @@ func (s *Session) Check(ctx context.Context, env *ts.Env, usage UsageTracker) (*
 	if e.pool != nil {
 		h, m := e.pool.PoolStats()
 		res.Space.PoolHits, res.Space.PoolMisses = h-e.hits0, m-e.misses0
-	}
-	if e.opt.MemStats {
-		var after runtime.MemStats
-		runtime.ReadMemStats(&after)
-		res.Space.Mallocs = after.Mallocs - before.Mallocs
-		res.Space.AllocBytes = after.TotalAlloc - before.TotalAlloc
 	}
 	return res, nil
 }
@@ -548,12 +498,11 @@ func CheckCtx(ctx context.Context, sys ts.System, opt Options) (*Result, error) 
 // to the spill backend.
 func visitedConfig(opt Options) visited.Config {
 	return visited.Config{
-		Kind:       opt.Visited,
-		BitstateMB: opt.BitstateMB,
-		SpillMem:   opt.SpillMem,
-		SpillDir:   opt.SpillDir,
-		FS:         opt.FS,
-		OnRetry:    ioRetryHook(opt.Obs),
+		Kind:     opt.Visited,
+		SpillMem: opt.SpillMem,
+		SpillDir: opt.SpillDir,
+		FS:       opt.FS,
+		OnRetry:  ioRetryHook(opt.Obs),
 	}
 }
 
@@ -568,51 +517,24 @@ func closeStore(store visited.Store) error {
 	return nil
 }
 
-// newCanon builds the symmetry canonicalizer when enabled and applicable.
-func newCanon(sys ts.System, opt Options) *symmetry.Canonicalizer {
-	if !opt.Symmetry {
-		return nil
-	}
-	if p, ok := anyPermutable(sys); ok {
-		return symmetry.NewCanonicalizer(p.NumAgents())
-	}
-	return nil
-}
-
-func anyPermutable(sys ts.System) (ts.Permutable, bool) {
-	for _, s := range sys.Initial() {
-		if p, ok := s.(ts.Permutable); ok {
-			return p, true
-		}
-	}
-	return nil, false
-}
-
 // keyer is the per-worker fingerprinting scratch: the canonicalizer handle
 // plus a reusable encoding buffer for the no-symmetry appender path. Every
 // worker owns one — never shared, never locked — so the traceless
-// synthesis regime fingerprints without allocating at all. The zero value (nil canon) keys without
-// symmetry reduction.
+// synthesis regime fingerprints without allocating at all. The zero value
+// (nil canon) keys without symmetry reduction.
 type keyer struct {
-	canon  *symmetry.Canonicalizer
-	legacy bool   // Options.StringKeys: format and hash Key() strings instead
-	buf    []byte // reusable AppendKey buffer (canon == nil path)
+	canon *symmetry.Canonicalizer
+	buf   []byte // reusable AppendKey buffer (canon == nil path)
 }
 
 // fingerprint returns the 64-bit fingerprint of s's canonical encoding —
 // the keying scheme shared by every run (which is what makes reachable-
-// state counts comparable across widths and orders). The hot path appends s's
-// binary encoding into the keyer's reusable buffer (or the canonicalizer's
-// pooled scratch under symmetry) and hashes it in place; states without
-// ts.KeyAppender, and runs forcing Options.StringKeys, fall back to
-// hashing the formatted Key() string.
+// state counts comparable across widths and orders). The hot path appends
+// s's binary encoding into the keyer's reusable buffer (or the
+// canonicalizer's pooled scratch under symmetry) and hashes it in place;
+// states without ts.KeyAppender fall back to hashing the formatted Key()
+// string.
 func (k *keyer) fingerprint(s ts.State) statespace.Fingerprint {
-	if k.legacy {
-		if k.canon != nil {
-			return statespace.OfString(k.canon.Key(s))
-		}
-		return statespace.OfString(s.Key())
-	}
 	if k.canon != nil {
 		return k.canon.Fingerprint(s)
 	}

@@ -144,7 +144,6 @@ func TestObsTimelineLevelMarks(t *testing.T) {
 		}
 		r := obs.NewReport("mc-test", "msi-complete-4")
 		r.Verdict = res.Verdict.String()
-		r.Exact = res.Exact
 		r.Space = res.Space
 		r.Finish(col)
 		if err := r.Validate(); err != nil {
@@ -231,19 +230,12 @@ func TestTelemetryAllocRegression(t *testing.T) {
 	col := obs.New()
 	prog := obs.NewProgress(io.Discard)
 	sampler := col.StartSampler(2*time.Millisecond, prog.Sample)
-	res, err := mc.Check(sys, mc.Options{
-		Symmetry: true,
-		MemStats: true,
-		Obs:      col,
-	})
+	res, mallocs := checkMallocs(t, sys, mc.Options{Symmetry: true, Obs: col})
 	sampler.Stop()
-	if err != nil {
-		t.Fatal(err)
-	}
 	if res.Verdict != mc.Success {
 		t.Fatalf("verdict %v", res.Verdict)
 	}
-	perState := float64(res.Space.Mallocs) / float64(res.Stats.VisitedStates)
+	perState := float64(mallocs) / float64(res.Stats.VisitedStates)
 	t.Logf("telemetry on: %.1f mallocs/state over %d states", perState, res.Stats.VisitedStates)
 	if perState > 1.5 && !raceEnabled {
 		t.Errorf("mallocs/state = %.1f with telemetry enabled, want <= 1.5", perState)

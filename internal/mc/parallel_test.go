@@ -6,7 +6,6 @@ import (
 	"verc3/internal/mc"
 	"verc3/internal/toy"
 	"verc3/internal/ts"
-	"verc3/internal/visited"
 	"verc3/internal/zoo"
 )
 
@@ -210,51 +209,6 @@ func TestParallelGoalVerdicts(t *testing.T) {
 	}
 	if res.Failure.UsageMask != ^uint64(0) {
 		t.Error("goal failures must conservatively involve every hole")
-	}
-}
-
-// TestParallelBitstateExactCounts is the driver-level regression test for
-// the bitstate duplicate-admission race: a wide diamond graph funnels 40
-// concurrently expanded states into one shared successor, so every level
-// worker races to claim the same fingerprint. Under the old
-// any-of-K-bits-was-clear rule two workers could both win, double-expand
-// the shared state and inflate States and Transitions; the single-CAS
-// ownership rule admits exactly one, so the parallel bitstate counts must
-// equal the sequential exact baseline on every iteration (the budget is
-// ample, so no omissions interfere). Run with -race.
-func TestParallelBitstateExactCounts(t *testing.T) {
-	build := func() *toy.Graph {
-		//  0 → 1..40 → 41 → 42: forty racing claims on fp(41).
-		g := &toy.Graph{SysName: "funnel", Init: []int{0}}
-		g.Nodes = append(g.Nodes, toy.Node{})
-		for i := 1; i <= 40; i++ {
-			g.Nodes[0].Plain = append(g.Nodes[0].Plain, i)
-			g.Nodes = append(g.Nodes, toy.Node{Plain: []int{41}})
-		}
-		g.Nodes = append(g.Nodes, toy.Node{Plain: []int{42}}, toy.Node{})
-		return g
-	}
-	base, err := mc.Check(build(), mc.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Verdict != mc.Success || base.Stats.VisitedStates != 43 || base.Stats.FiredTransitions != 81 {
-		t.Fatalf("baseline: %v / %d states / %d transitions",
-			base.Verdict, base.Stats.VisitedStates, base.Stats.FiredTransitions)
-	}
-	for i := 0; i < 50; i++ {
-		res, err := mc.Check(build(), mc.Options{Workers: 8, Visited: visited.Bitstate, BitstateMB: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Stats.VisitedStates != base.Stats.VisitedStates {
-			t.Fatalf("iter %d: bitstate parallel States = %d, want exact %d",
-				i, res.Stats.VisitedStates, base.Stats.VisitedStates)
-		}
-		if res.Stats.FiredTransitions != base.Stats.FiredTransitions {
-			t.Fatalf("iter %d: bitstate parallel Transitions = %d, want exact %d",
-				i, res.Stats.FiredTransitions, base.Stats.FiredTransitions)
-		}
 	}
 }
 

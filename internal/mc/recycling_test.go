@@ -10,6 +10,7 @@ package mc_test
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -249,34 +250,30 @@ func TestParallelRecycleStress(t *testing.T) {
 // buys. Under -race only the ceiling is skipped (see raceEnabled): the runs,
 // their verdicts and the pool-engagement check still happen.
 func TestLifecycleAllocRegression(t *testing.T) {
-	run := func(noRecycle, fresh bool) *mc.Result {
+	run := func(noRecycle, fresh bool) (*mc.Result, uint64) {
 		sys, err := zoo.Get("msi-complete", zoo.Params{Caches: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := mc.Check(sys, mc.Options{
+		res, mallocs := checkMallocs(t, sys, mc.Options{
 			Symmetry:         true,
-			MemStats:         true,
 			NoRecycle:        noRecycle,
 			FreshTransitions: fresh,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		if res.Verdict != mc.Success {
 			t.Fatalf("noRecycle=%v fresh=%v: verdict %v", noRecycle, fresh, res.Verdict)
 		}
-		return res
+		return res, mallocs
 	}
-	full := run(false, false)
+	full, mallocs := run(false, false)
 	states := float64(full.Stats.VisitedStates)
-	perState := float64(full.Space.Mallocs) / states
+	perState := float64(mallocs) / states
 	for _, arm := range []struct {
 		noRecycle, fresh bool
 		label            string
 	}{{false, true, "recycle-only"}, {true, false, "append-only"}, {true, true, "neither"}} {
-		r := run(arm.noRecycle, arm.fresh)
-		t.Logf("%s: %.1f mallocs/state", arm.label, float64(r.Space.Mallocs)/states)
+		_, m := run(arm.noRecycle, arm.fresh)
+		t.Logf("%s: %.1f mallocs/state", arm.label, float64(m)/states)
 	}
 	t.Logf("full lifecycle: %.1f mallocs/state (pool %d hits / %d misses, %d recycled)",
 		perState, full.Space.PoolHits, full.Space.PoolMisses, full.Space.Recycled)
@@ -287,4 +284,19 @@ func TestLifecycleAllocRegression(t *testing.T) {
 		t.Errorf("pool counters empty (hits=%d recycled=%d) — lifecycle not engaged?",
 			full.Space.PoolHits, full.Space.Recycled)
 	}
+}
+
+// checkMallocs runs one check of sys and returns its result with the heap
+// allocations made meanwhile, from one runtime.ReadMemStats pair around the
+// call. The count is process-wide, so callers keep other goroutines quiet.
+func checkMallocs(t *testing.T, sys ts.System, opt mc.Options) (*mc.Result, uint64) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := mc.Check(sys, opt)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, after.Mallocs - before.Mallocs
 }

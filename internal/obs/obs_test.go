@@ -373,7 +373,6 @@ func TestReportWriteReadValidate(t *testing.T) {
 
 	r := NewReport("verc3-test", "msi-complete")
 	r.Verdict = "success"
-	r.Exact = true
 	r.Space = statespace.Stats{States: 50, Transitions: 200}
 	r.Options = map[string]string{"symmetry": "true"}
 	r.Finish(c)
@@ -401,7 +400,7 @@ func TestReportWriteReadValidate(t *testing.T) {
 
 	// Corrupt variants must be rejected.
 	bad := *r
-	for _, v := range []int{ReportVersion + 1, 1} { // a future schema, and the retired v1
+	for _, v := range []int{ReportVersion + 1, 1, 2} { // a future schema, and the retired v1 and v2
 		bad.Version = v
 		if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", v)) {
 			t.Errorf("version %d: err = %v, want a rejection naming the version", v, err)

@@ -15,9 +15,10 @@ import (
 // downstream tooling (EXPERIMENTS.md regeneration, the CI artifact check,
 // the future verc3d job store) fails loudly instead of reading garbage.
 // Version 2 added the abort/resume fields (Aborted, AbortCause, Resumed)
-// and the failure-model event kinds; no binary has written version 1 since,
-// and Validate no longer accepts it.
-const ReportVersion = 2
+// and the failure-model event kinds. Version 3 dropped the exact field
+// with the lossy visited backend it flagged: a version-2 reader would take
+// its absence for false. Validate accepts only the current version.
+const ReportVersion = 3
 
 // Report is the machine-readable end-of-run record written by the CLIs'
 // -report flag: environment, effective options, verdict, the full
@@ -38,7 +39,6 @@ type Report struct {
 	// report is reproducible without the invoking command line.
 	Options map[string]string `json:"options,omitempty"`
 	Verdict string            `json:"verdict"`
-	Exact   bool              `json:"exact"`
 	// Aborted reports that the run was cut short — cancelled, timed out,
 	// or stopped by a contained panic — and its stats are a partial view.
 	// AbortCause carries the rendered cancel cause or panic value.

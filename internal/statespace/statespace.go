@@ -3,10 +3,10 @@
 // work distributor for breadth-first search over several workers, an
 // optional parent-linked trace store, a memory profile (Stats) of an
 // exploration run, and a ring-buffer queue (the frontier of the
-// benchmark's independent reference walk, bench/walk.go). The visited-set storage
-// itself is pluggable and lives in the sibling package internal/visited
-// (map, flat open-addressing, and SPIN-style bitstate backends), all keyed
-// by this package's Fingerprint.
+// benchmark's independent reference walk, bench/walk.go). The visited-set
+// storage itself lives in the sibling package internal/visited (a flat
+// open-addressing table and a disk-spilling two-level store), keyed by this
+// package's Fingerprint.
 //
 // The package is deliberately independent of the modelling layer (it knows
 // nothing about ts.State): the checker canonicalizes a state to its
@@ -33,9 +33,13 @@
 // speed: two distinct states colliding on all 64 bits would merge in the
 // visited set (Murphi's hash compaction makes the same trade). By the
 // birthday bound (≈ n²/2⁶⁵) a million-state exploration has a collision
-// probability around 3·10⁻⁸. The synthesis engine additionally re-checks
-// every reported solution with trace recording on, so a collision during
-// the traceless search cannot smuggle a wrong candidate into the results.
+// probability around 3·10⁻⁸. For the runs the test suite pins — every zoo
+// entry and spec, the Table I syntheses with every candidate they
+// dispatch, and the 1,930,178-state 5-cache MSI walk — the exactness
+// oracle in internal/ts/tstest re-explores by exact state identity and
+// shows that no two distinct states shared a fingerprint, so those results
+// are exact. Any other run stays probabilistic. The synthesis engine
+// additionally re-checks every reported solution with trace recording on.
 package statespace
 
 // Fingerprint is the 64-bit FNV-1a hash of a state's canonical key. Every
@@ -59,7 +63,7 @@ func OfString(s string) Fingerprint {
 // OfBytes fingerprints a canonical binary state encoding (FNV-1a, 64-bit).
 // It is the allocation-free sibling of OfString: OfBytes(b) ==
 // OfString(string(b)) for every b, so the appender keying path and the
-// legacy string path hash identical content to identical fingerprints.
+// Key-string fallback hash identical content to identical fingerprints.
 func OfBytes(b []byte) Fingerprint {
 	h := NewHasher()
 	h.Add(b)

@@ -39,14 +39,13 @@ type Stats struct {
 	// trace-off runs of the same system are directly comparable.
 	BytesRetained int64 `json:"bytes_retained"`
 	// VisitedBytes is the visited-set backend's measured storage footprint
-	// (internal/visited Store.Stats().Bytes): exact array sizes for the flat and
-	// bitstate backends, a documented geometry model for the map backend.
-	// Unlike the seed's 8-bytes-per-state estimate it includes the ~2×
-	// structural overhead of map storage and the slack of power-of-two
-	// tables. Zero when no backend reported (hand-built Stats).
+	// (internal/visited Store.Stats().Bytes): slot arrays and stripe structs
+	// for the flat backend, tier tables plus fence index for spill. Unlike
+	// the seed's 8-bytes-per-state estimate it includes the slack of
+	// power-of-two tables. Zero when no backend reported (hand-built Stats).
 	VisitedBytes int64 `json:"visited_bytes"`
-	// Backend names the visited-set backend ("flat", "map", "bitstate",
-	// "spill"; "mixed" after merging runs with different backends).
+	// Backend names the visited-set backend ("flat", "spill"; "mixed" after
+	// merging runs with different backends).
 	Backend string `json:"backend"`
 	// SpilledBytes is the spill backend's on-disk footprint: the summed
 	// size of its sorted fingerprint run files at the end of the run.
@@ -57,22 +56,12 @@ type Stats struct {
 	// SpillRuns is the spill backend's live run-file count at the end of
 	// the run (1 after a level-boundary merge). Zero for other backends.
 	SpillRuns int `json:"spill_runs,omitempty"`
-	// Inexact reports that the visited set was lossy (bitstate): states
-	// may have been omitted, so States/Transitions are lower bounds and a
-	// clean verdict is probabilistic. The zero value (exact) matches every
-	// backend except bitstate.
-	Inexact bool `json:"inexact,omitempty"`
-	// OmissionProb is the lossy backend's end-of-run estimate of the
-	// probability that a never-seen state was reported as visited (see
-	// visited.Stats.OmissionProb). Zero for exact backends.
-	OmissionProb float64 `json:"omission_prob,omitempty"`
-	// Mallocs and AllocBytes are runtime.ReadMemStats deltas over the run
-	// (heap allocation count and cumulative bytes). Populated only when the
-	// caller asked for them (mc.Options.MemStats): ReadMemStats stops the
-	// world and has no place in the synthesis inner loop. The counters are
-	// process-global, so they are only attributable to this run when
-	// nothing else allocates concurrently — with cross-candidate synthesis
-	// workers, each dispatch's delta includes its neighbours' allocations.
+	// Mallocs and AllocBytes are runtime.ReadMemStats deltas (heap
+	// allocation count and cumulative bytes). The checker never fills them —
+	// ReadMemStats stops the world — so they are zero unless a caller
+	// brackets its run with one pair of reads, as the cmd/ tools do for
+	// -stats. The counters are process-global: they cover everything the
+	// process allocated between the two reads.
 	Mallocs    uint64 `json:"mallocs,omitempty"`
 	AllocBytes uint64 `json:"alloc_bytes,omitempty"`
 	// PoolHits and PoolMisses are the successor pool's traffic over the run
@@ -145,10 +134,6 @@ func (s *Stats) Merge(o Stats) {
 	case o.Backend != "" && o.Backend != s.Backend:
 		s.Backend = "mixed"
 	}
-	s.Inexact = s.Inexact || o.Inexact
-	if o.OmissionProb > s.OmissionProb {
-		s.OmissionProb = o.OmissionProb
-	}
 	s.Mallocs += o.Mallocs
 	s.AllocBytes += o.AllocBytes
 	s.PoolHits += o.PoolHits
@@ -170,9 +155,6 @@ func (s Stats) String() string {
 	}
 	if s.SpilledBytes > 0 {
 		out += fmt.Sprintf(" spilled=%s/%d-runs", humanBytes(s.SpilledBytes), s.SpillRuns)
-	}
-	if s.Inexact {
-		out += fmt.Sprintf(" INEXACT p(omit)~%.2g", s.OmissionProb)
 	}
 	if s.Mallocs > 0 {
 		out += fmt.Sprintf(" allocs=%d (%s)", s.Mallocs, humanBytes(int64(s.AllocBytes)))

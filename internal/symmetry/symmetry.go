@@ -149,6 +149,18 @@ func NewCanonicalizer(n int) *Canonicalizer {
 	return &Canonicalizer{n: n}
 }
 
+// For returns the canonicalizer for the agents of sys — sized by its first
+// initial state that is ts.Permutable — or nil when no initial state is,
+// and there is nothing to reduce.
+func For(sys ts.System) *Canonicalizer {
+	for _, s := range sys.Initial() {
+		if p, ok := s.(ts.Permutable); ok {
+			return NewCanonicalizer(p.NumAgents())
+		}
+	}
+	return nil
+}
+
 // get checks a scratch out of the pool, building one sized to the
 // scalarset — a single backing array for the three index slices — when the
 // pool is empty.
@@ -244,9 +256,10 @@ func Permuted(s ts.Permutable, perm []int) ts.State {
 // over all permutations of s's agents. If s does not implement
 // ts.Permutable, its plain key is returned.
 //
-// This is the string tier of the keying pipeline — the path traces, tools
-// and the legacy-keying ablation use, and the reference the differential
-// tests hold the exploration path against: it tries every permutation,
+// This is the string tier of the keying pipeline — the path traces and
+// tools use, the identity the exactness oracle (internal/ts/tstest) keys
+// symmetric states by, and the reference the differential tests hold the
+// exploration path against: it tries every permutation,
 // whatever the state says about its agents. The exploration hot path uses
 // Fingerprint instead, which never materializes a string.
 func (c *Canonicalizer) Key(s ts.State) string {

@@ -185,7 +185,7 @@ func TestFingerprintOrbitInvariance(t *testing.T) {
 }
 
 // TestFingerprintFallsBackToStringKey checks states without ts.KeyAppender
-// hash exactly what the legacy path hashes: OfString of the canonical Key.
+// hash exactly what the Key-string tier gives: OfString of the canonical Key.
 func TestFingerprintFallsBackToStringKey(t *testing.T) {
 	c := symmetry.NewCanonicalizer(4)
 	s := &vecState{vals: []int{3, 1, 2, 1}}

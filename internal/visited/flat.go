@@ -204,11 +204,10 @@ func (f *flat) Reset() {
 }
 
 func (f *flat) Stats() Stats {
-	return Stats{Backend: Flat.String(), States: f.Len(), Bytes: f.t.bytes(), Exact: true, Grows: f.t.grows}
+	return Stats{Backend: Flat.String(), States: f.Len(), Bytes: f.t.bytes(), Grows: f.t.grows}
 }
 
-// DumpFingerprints implements Dumper: the single-goroutine table is walked
-// in place.
+// DumpFingerprints walks the single-goroutine table in place.
 func (f *flat) DumpFingerprints(yield func(fp statespace.Fingerprint) error) error {
 	return f.t.each(func(fp uint64) error { return yield(statespace.Fingerprint(fp)) })
 }
@@ -259,7 +258,6 @@ func (s *stripedFlat) Len() int { return int(s.count.Load()) }
 func (s *stripedFlat) Stats() Stats {
 	st := Stats{
 		Backend: Flat.String(),
-		Exact:   true,
 		Bytes:   int64(len(s.stripes)) * int64(unsafe.Sizeof(stripe{})),
 	}
 	for i := range s.stripes {
@@ -273,8 +271,7 @@ func (s *stripedFlat) Stats() Stats {
 	return st
 }
 
-// DumpFingerprints implements Dumper: each stripe is walked under its own
-// lock. The snapshot is stripe-consistent, which suffices at the quiescent
+// DumpFingerprints walks each stripe under its own lock. The snapshot is stripe-consistent, which suffices at the quiescent
 // points (level boundaries) where checkpoints are taken.
 func (s *stripedFlat) DumpFingerprints(yield func(fp statespace.Fingerprint) error) error {
 	for i := range s.stripes {

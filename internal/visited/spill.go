@@ -152,10 +152,9 @@ func (w *runWriter) abort() {
 // runs on disk, merged and deduplicated at BFS level boundaries
 // (LevelMarker). TryInsert stays exact — a fingerprint admitted once is
 // rejected forever, whether it currently lives in RAM or on disk — so the
-// backend serves the memory-bounded-but-exact regime the lossy bitstate
-// tier cannot: peak RAM is the fixed tier budget plus the fence index
-// (8 bytes per 2KiB spilled) while the state count is bounded only by
-// disk.
+// backend serves the memory-bounded-but-exact regime: peak RAM is the
+// fixed tier budget plus the fence index (8 bytes per 2KiB spilled) while
+// the state count is bounded only by disk.
 //
 // The "bounded RAM" claim is steady-state: during a flush the drained
 // fingerprint slice coexists with the (deliberately retained) tier
@@ -439,10 +438,9 @@ func (c *runCursor) advance() error {
 	return nil
 }
 
-// DumpFingerprints implements Dumper: the RAM tier's stripes are walked
-// under their locks, then every disk run is streamed front to back. The
-// structural read lock is held throughout so no flush can move residents
-// between tiers mid-dump. A fingerprint that was spilled and speculatively
+// DumpFingerprints walks the RAM tier's stripes under their locks, then
+// streams every disk run front to back. The structural read lock is held
+// throughout so no flush can move residents between tiers mid-dump. A fingerprint that was spilled and speculatively
 // re-admitted to RAM (see TryInsert) is yielded from both tiers; consumers
 // re-insert through TryInsert, which deduplicates, so the double report is
 // harmless.
@@ -514,7 +512,6 @@ func (s *spill) Stats() Stats {
 	st := Stats{
 		Backend: Spill.String(),
 		States:  s.Len(),
-		Exact:   true,
 		Bytes:   int64(len(s.stripes)) * int64(unsafe.Sizeof(stripe{})),
 	}
 	for i := range s.stripes {

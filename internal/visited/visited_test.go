@@ -1,42 +1,48 @@
 package visited
 
 import (
+	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"unsafe"
 
 	"verc3/internal/statespace"
 )
 
-// fpOf derives the i-th test fingerprint. mix is a bijection (splitmix64's
-// finalizer), so distinct i yield distinct fingerprints by construction.
+// mix is the splitmix64 finalizer, a bijection on 64-bit words.
+func mix(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xBF58476D1CE4E5B9
+	x ^= x >> 27
+	x *= 0x94D049BB133111EB
+	x ^= x >> 31
+	return x
+}
+
+// fpOf derives the i-th test fingerprint. mix is a bijection, so distinct i
+// yield distinct fingerprints by construction.
 func fpOf(i int) statespace.Fingerprint {
 	return statespace.Fingerprint(mix(uint64(i) + 1))
 }
 
-// TestKindStringParse round-trips every backend name through ParseKind.
+// TestKindStringParse round-trips every backend name through ParseKind, and
+// checks that an unknown name is refused with the list of backends.
 func TestKindStringParse(t *testing.T) {
-	for _, k := range []Kind{Flat, Map, Bitstate, Spill} {
+	for _, k := range []Kind{Flat, Spill} {
 		got, err := ParseKind(k.String())
 		if err != nil || got != k {
 			t.Errorf("ParseKind(%q) = %v, %v", k.String(), got, err)
 		}
 	}
-	if _, err := ParseKind("disk"); err == nil {
-		t.Error("ParseKind accepted an unknown backend")
-	}
-	if Bitstate.Exact() || !Flat.Exact() || !Map.Exact() || !Spill.Exact() {
-		t.Error("Exact() flags wrong")
+	if _, err := ParseKind("disk"); err == nil || !strings.Contains(err.Error(), "flat, spill") {
+		t.Errorf("ParseKind(disk) = %v, want a refusal listing flat, spill", err)
 	}
 }
 
 // TestStoreContract checks the Store contract on every backend in both
 // flavours: first TryInsert of a fingerprint reports true, duplicates
-// report false, Len counts admissions, and the self-report is coherent.
-// The bitstate budget is large enough here that omissions are (for this
-// deterministic fingerprint population) absent, so even the inexact
-// backend must behave exactly.
+// report false, Len counts admissions, DumpFingerprints yields exactly the
+// admitted set, and the self-report is coherent.
 func TestStoreContract(t *testing.T) {
 	const n = 5000
 	build := map[string]func(Config) Store{
@@ -44,11 +50,11 @@ func TestStoreContract(t *testing.T) {
 		"concurrent": NewConcurrent,
 	}
 	for flavour, mk := range build {
-		for _, kind := range []Kind{Flat, Map, Bitstate, Spill} {
+		for _, kind := range []Kind{Flat, Spill} {
 			t.Run(flavour+"/"+kind.String(), func(t *testing.T) {
 				// The spill budget is tiny so this test exercises the disk
 				// tier too (n×8 bytes is far beyond 8KiB of RAM).
-				s := mk(Config{Kind: kind, BitstateMB: 1, SpillMem: 8 << 10, SpillDir: t.TempDir()})
+				s := mk(Config{Kind: kind, SpillMem: 8 << 10, SpillDir: t.TempDir()})
 				defer closeIfCloser(t, s)
 				for i := 0; i < n; i++ {
 					if !s.TryInsert(fpOf(i)) {
@@ -61,8 +67,23 @@ func TestStoreContract(t *testing.T) {
 				if s.Len() != n {
 					t.Fatalf("Len = %d, want %d", s.Len(), n)
 				}
+				dumped := map[statespace.Fingerprint]bool{}
+				if err := s.DumpFingerprints(func(fp statespace.Fingerprint) error {
+					dumped[fp] = true
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < n; i++ {
+					if !dumped[fpOf(i)] {
+						t.Fatalf("DumpFingerprints missed admitted fingerprint %d", i)
+					}
+				}
+				if len(dumped) != n {
+					t.Errorf("DumpFingerprints yielded %d distinct fingerprints, want %d", len(dumped), n)
+				}
 				st := s.Stats()
-				if st.Backend != kind.String() || st.States != n || st.Bytes <= 0 || st.Exact != kind.Exact() {
+				if st.Backend != kind.String() || st.States != n || st.Bytes <= 0 {
 					t.Errorf("Stats = %+v", st)
 				}
 			})
@@ -197,16 +218,13 @@ func TestFlatRobinHoodInvariant(t *testing.T) {
 	}
 }
 
-// TestStripePadding pins the cache-line layout of the concurrent
-// variants' striped structs: both must be a whole number of 64-byte lines
-// so neighbouring locks never false-share, and Stats().Bytes must account
-// the full padded struct.
+// TestStripePadding pins the cache-line layout of the concurrent variant's
+// striped struct: it must be a whole number of 64-byte lines so
+// neighbouring locks never false-share, and Stats().Bytes must account the
+// full padded struct.
 func TestStripePadding(t *testing.T) {
 	if sz := unsafe.Sizeof(stripe{}); sz%64 != 0 {
 		t.Errorf("stripe size %d is not a multiple of a cache line", sz)
-	}
-	if sz := unsafe.Sizeof(shard{}); sz%64 != 0 {
-		t.Errorf("shard size %d is not a multiple of a cache line", sz)
 	}
 	// An empty striped store's footprint is exactly its stripe array.
 	s := newStripedFlat()
@@ -261,55 +279,6 @@ func TestStripedFlatStatsSinglePass(t *testing.T) {
 	}
 }
 
-// TestBitstateBudget pins the fixed-memory contract: the array is sized by
-// BitstateMB and never grows, whatever is inserted.
-func TestBitstateBudget(t *testing.T) {
-	b := newBitstate(Config{Kind: Bitstate, BitstateMB: 1})
-	want := int64(1 << 20) // 1 MiB of bits = 2²³ bits = 2²⁰ bytes
-	if got := b.Stats().Bytes; got != want {
-		t.Fatalf("Bytes = %d, want %d", got, want)
-	}
-	for i := 0; i < 200000; i++ {
-		b.TryInsert(fpOf(i))
-	}
-	if got := b.Stats().Bytes; got != want {
-		t.Errorf("Bytes grew to %d", got)
-	}
-	if b.Len() > 200000 {
-		t.Errorf("Len = %d exceeds inserts", b.Len())
-	}
-}
-
-// TestBitstateOmissionRate drives a deliberately small bit array to a fill
-// where omissions are plentiful and checks the reported estimate brackets
-// the measured rate: OmissionProb is the end-of-run risk, so it must upper-
-// bound the measured (run-averaged) rate without being wildly above it.
-func TestBitstateOmissionRate(t *testing.T) {
-	const n = 20000
-	b := newBitstateBits(1<<16, 3)
-	for i := 0; i < n; i++ {
-		b.TryInsert(fpOf(i))
-	}
-	omitted := n - b.Len()
-	measured := float64(omitted) / n
-	est := b.OmissionProb()
-	t.Logf("omitted %d/%d (rate %.4f), estimate %.4f, bits set %d/%d",
-		omitted, n, measured, est, b.ones.Load(), b.nbits)
-	if omitted == 0 {
-		t.Fatal("no omissions at 3×20000 hashes into 65536 bits; harness broken")
-	}
-	if measured > est {
-		t.Errorf("measured rate %.4f above the end-of-run estimate %.4f", measured, est)
-	}
-	if measured < est/8 {
-		t.Errorf("measured rate %.4f implausibly far below estimate %.4f", measured, est)
-	}
-	st := b.Stats()
-	if st.OmissionProb != est || st.BitsSet != b.ones.Load() || st.Exact {
-		t.Errorf("Stats = %+v", st)
-	}
-}
-
 // concurrentWins races workers over a shared key population and returns
 // the total number of TryInsert wins (the -race test for the concurrent
 // variants: exactly one winner per fingerprint for exact backends).
@@ -345,7 +314,6 @@ func TestConcurrentExactBackends(t *testing.T) {
 	)
 	for name, s := range map[string]Store{
 		"striped-flat": NewConcurrent(Config{Kind: Flat}),
-		"sharded-map":  NewConcurrent(Config{Kind: Map}),
 		// The tiny budget forces the spill backend through flushes and
 		// merges mid-race, so the claim also covers disk-resident lookups.
 		"spill": NewConcurrent(Config{Kind: Spill, SpillMem: 8 << 10, SpillDir: t.TempDir()}),
@@ -360,82 +328,22 @@ func TestConcurrentExactBackends(t *testing.T) {
 	}
 }
 
-// TestConcurrentBitstate: the lossy backend under the same race. Since
-// freshness became the single-CAS completion rule, racing inserts of one
-// fingerprint have exactly one winner, so the win total is exact unless a
-// fingerprint is omitted outright — and at this fill (~0.07% of the
-// budget) this deterministic population has no omissions.
-func TestConcurrentBitstate(t *testing.T) {
-	const (
-		workers = 8
-		keys    = 20000
-	)
-	s := NewConcurrent(Config{Kind: Bitstate, BitstateMB: 1})
-	total := concurrentWins(s, workers, keys)
-	if total != keys {
-		t.Errorf("bitstate wins = %d, want exactly %d", total, keys)
-	}
-	if s.Len() != total {
-		t.Errorf("Len = %d, wins = %d", s.Len(), total)
-	}
-}
-
-// TestBitstateExactOwnershipOneFingerprint is the -race regression test
-// for the duplicate-admission bug: many goroutines hammer a single
-// fingerprint on a fresh store, over many rounds, and every round must
-// produce exactly one winner. Under the old any-of-K-bits-was-clear rule
-// two racers could each set a disjoint subset of the K bits and both be
-// admitted; the single-CAS completion rule makes that impossible.
-func TestBitstateExactOwnershipOneFingerprint(t *testing.T) {
-	const (
-		workers = 16
-		rounds  = 300
-	)
-	for r := 0; r < rounds; r++ {
-		b := newBitstate(Config{Kind: Bitstate, BitstateMB: 1})
-		fp := fpOf(r)
-		var (
-			start sync.WaitGroup
-			done  sync.WaitGroup
-			wins  atomic.Int64
-		)
-		start.Add(1)
-		for w := 0; w < workers; w++ {
-			done.Add(1)
-			go func() {
-				defer done.Done()
-				start.Wait() // maximize the simultaneous first-insert race
-				if b.TryInsert(fp) {
-					wins.Add(1)
-				}
-			}()
-		}
-		start.Done()
-		done.Wait()
-		if n := wins.Load(); n != 1 {
-			t.Fatalf("round %d: %d winners for one fingerprint, want exactly 1", r, n)
-		}
-	}
-}
-
-// BenchmarkTryInsert isolates the insert hot path per backend (sequential
-// flavours; a fresh store per iteration, 64k distinct fingerprints).
+// BenchmarkTryInsert isolates the sequential Flat insert hot path: a fresh
+// store per iteration, 64k distinct fingerprints.
 func BenchmarkTryInsert(b *testing.B) {
 	const n = 1 << 16
 	fps := make([]statespace.Fingerprint, n)
 	for i := range fps {
 		fps[i] = fpOf(i)
 	}
-	for _, kind := range []Kind{Flat, Map, Bitstate} {
-		b.Run(kind.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s := New(Config{Kind: kind, BitstateMB: 1})
-				for _, fp := range fps {
-					s.TryInsert(fp)
-				}
+	b.Run(Flat.String(), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s := New(Config{})
+			for _, fp := range fps {
+				s.TryInsert(fp)
 			}
-			b.ReportMetric(float64(n), "inserts/op")
-		})
-	}
+		}
+		b.ReportMetric(float64(n), "inserts/op")
+	})
 }

@@ -77,7 +77,7 @@ func (wildcardChooser) Choose(string, []string) (int, error) { return 0, ts.ErrW
 
 // TestStressEntryPinsFourCaches checks the msi-complete-4 stress entry is
 // the 4-cache protocol regardless of Params (it exists to give benchmarks
-// and the bitstate budget test a fixed large configuration).
+// and the stress tests a fixed large configuration).
 func TestStressEntryPinsFourCaches(t *testing.T) {
 	stress, err := zoo.Get("msi-complete-4", zoo.Params{Caches: 2})
 	if err != nil {
