@@ -19,11 +19,11 @@
 //     storage, so Clone, CopyFrom and PermuteInto results can each be
 //     overwritten in place.
 //   - internal/statespace — the exploration substrate: 64-bit FNV-1a state
-//     fingerprints (OfString / allocation-free OfBytes / incremental
-//     Hasher), a ring-buffer frontier queue, a level-synchronous parallel
-//     work distributor that hands each expansion a stable worker index for
-//     per-worker scratch, the optional parent-linked trace store, and the
-//     Stats memory profile.
+//     fingerprints (OfString / allocation-free OfBytes), a ring-buffer
+//     frontier queue, a level-synchronous parallel work distributor that
+//     hands each expansion a stable worker index for per-worker scratch,
+//     the optional parent-linked trace store, and the Stats memory
+//     profile.
 //   - internal/visited — visited-set storage behind one Store interface,
 //     two exact backends: a Robin Hood open-addressing fingerprint table
 //     (the default, 15/16 load cap) and a disk-spilling two-level store
@@ -185,8 +185,8 @@
 // checker negates each goal into a Büchi monitor, products it with the
 // system (fairness via Choueka counter copies) and runs a nested DFS
 // (blue search for accepting states, red search for cycles through them)
-// over the same fingerprint/visited/recycling substrate as the safety
-// pass. Violations surface as lasso counterexamples: a stem into a cycle
+// on the safety kernel's own worker — its successors, keys, recycling,
+// cancellation polls and panic containment. Violations surface as lasso counterexamples: a stem into a cycle
 // that repeats forever, rendered by internal/trace with cycle markers and
 // replay-validated in the differential tests. A liveness failure prunes
 // synthesis candidates exactly like a safety failure. Token-ring and Peterson pass their

@@ -1,5 +1,5 @@
-// Cancellation and panic containment for the exploration kernel and the
-// liveness phase.
+// Cancellation and panic containment for the exploration kernel, whose
+// worker the liveness phase runs on.
 //
 // A run can be cut short in two ways. Cooperative cancellation: the
 // context threaded through CheckCtx is polled at the start of every BFS

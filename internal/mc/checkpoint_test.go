@@ -115,8 +115,16 @@ func assertSameRun(t *testing.T, label string, got, want *mc.Result) {
 
 // TestCheckpointResumeBitIdentical is the kill-and-resume harness: for
 // each backend × driver configuration, kill the run at several points —
-// before the first checkpoint, mid-tree, near the end — then resume and
-// demand the uninterrupted run's verdict and counts exactly.
+// before the first checkpoint, mid-tree, one level from the end — then
+// resume and demand the uninterrupted run's verdict and counts exactly.
+//
+// The kill points come from cptree's level structure: level k holds 2^k
+// states and starts after 2^k − 1 expansions, and each kill lands in the
+// middle of level 0, 7, 9 or 10. So at least one level boundary, where
+// every worker polls the context, follows every kill, and the run must
+// abort. (A kill in the leaf level, 11, may be followed by no poll at all:
+// several workers can each finish their last chunk without reaching the
+// per-worker poll stride, and the run then rightly ends in Success.)
 func TestCheckpointResumeBitIdentical(t *testing.T) {
 	for _, cfg := range ckptConfigs() {
 		t.Run(cfg.name, func(t *testing.T) {
@@ -127,7 +135,8 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 			if baseline.Verdict != mc.Success || baseline.Stats.VisitedStates != cpTreeN {
 				t.Fatalf("baseline: %v, %d states", baseline.Verdict, baseline.Stats.VisitedStates)
 			}
-			for _, kill := range []int64{1, 200, 1000, 3000} {
+			for _, level := range []int{0, 7, 9, 10} {
+				kill := int64(1)<<level - 1 + int64(1)<<level/2 + 1
 				dir := t.TempDir()
 
 				ctx, cancel := context.WithCancelCause(context.Background())
@@ -159,7 +168,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 					t.Fatalf("resume@%d: %v", kill, err)
 				}
 				assertSameRun(t, fmt.Sprintf("resume@%d", kill), resumed, baseline)
-				if kill >= 1000 && !resumed.Resumed {
+				if level > 0 && !resumed.Resumed {
 					t.Errorf("resume@%d: Resumed = false after a mid-tree kill", kill)
 				}
 			}

@@ -411,9 +411,12 @@ func TestNoTraceMemoryReduction(t *testing.T) {
 // TestZooEquivalenceLiveness is the differential harness for the nested-DFS
 // liveness driver: for every zoo entry carrying liveness goals, the verdict,
 // cycle presence, and the NDFS product-state counts must be identical across
-// visited backends (flat/spill) × symmetry on/off. The symmetry axis is the
-// sharp one: the NDFS phase deliberately keys raw product encodings even when the
-// safety pass reduces, so its counts must not move when symmetry flips.
+// visited backends (flat/spill) × symmetry on/off × 1 or 4 workers × BFS or
+// DFS order. The symmetry axis is the sharp one: the NDFS phase deliberately
+// keys raw product encodings even when the safety pass reduces, so its counts
+// must not move when symmetry flips. The worker and order axes are there
+// because the phase runs on worker 0 of whatever session the safety pass
+// built, and must not see what that pass left in it.
 // Failing entries must additionally report byte-identical lassos whose
 // replay re-fires the recorded transition names and closes the cycle — the
 // fingerprint-collision detector, mirroring PR 2's re-verification
@@ -437,16 +440,23 @@ func TestZooEquivalenceLiveness(t *testing.T) {
 			type combo struct {
 				backend  visited.Kind
 				symmetry bool
+				workers  int
+				order    mc.SearchOrder
 			}
 			var combos []combo
 			for _, backend := range []visited.Kind{visited.Flat, visited.Spill} {
 				for _, symmetry := range []bool{false, true} {
-					combos = append(combos, combo{backend, symmetry})
+					for _, workers := range []int{1, 4} {
+						for _, order := range []mc.SearchOrder{mc.BFS, mc.DFS} {
+							combos = append(combos, combo{backend, symmetry, workers, order})
+						}
+					}
 				}
 			}
 			var base *mc.Result
 			for _, cb := range combos {
-				tag := fmt.Sprintf("visited=%v symmetry=%v", cb.backend, cb.symmetry)
+				tag := fmt.Sprintf("visited=%v symmetry=%v workers=%d order=%s",
+					cb.backend, cb.symmetry, cb.workers, [...]string{"bfs", "dfs"}[cb.order])
 				sys, err := zoo.Get(name, zoo.Params{Caches: 2})
 				if err != nil {
 					t.Fatal(err)
@@ -457,6 +467,8 @@ func TestZooEquivalenceLiveness(t *testing.T) {
 					Env:         ts.NewEnv(wildcardChooser{}), // complete models never call Choose
 					Visited:     cb.backend,
 					Symmetry:    cb.symmetry,
+					Workers:     cb.workers,
+					Order:       cb.order,
 					SpillMem:    1, // floor: force flushes on even tiny spaces
 					SpillDir:    t.TempDir(),
 				})

@@ -33,7 +33,8 @@ type item struct {
 // plain integers that explorer.sum folds into the Result while no worker is
 // running (level boundaries and the end of the run). The struct is padded
 // so neighbouring workers' per-transition counter writes never false-share.
-// A session keeps its workers, buffers included, from one check to the next.
+// A session keeps its workers, buffers included, from one check to the next,
+// and the liveness phase runs on worker 0 once the safety pass is over.
 //
 // The recycling side needs no free-list here: the models pool through
 // sync.Pool, whose per-P private caches already give each worker goroutine
@@ -103,6 +104,10 @@ func grow(buf []item, n int) []item {
 // expansion-ownership claim: every backend admits at most one of any set of
 // racing inserts of a fingerprint, so every admitted state is checked and
 // expanded exactly once and the counts are exact at any width.
+//
+// The nested-DFS liveness phase (liveness.go) is not a second kernel: it
+// draws successors (fire), keys, recycling, cancellation polls and panic
+// containment from this one, on worker 0, and folds its tallies through sum.
 //
 // An explorer belongs to a Session and serves its checks one after another.
 // The first block of fields is resolved once per session; the second is a
@@ -401,12 +406,12 @@ func (e *explorer) dfs(w *worker) (stop bool, err error) {
 }
 
 // contain is deferred by every function that calls into model code
-// (Transitions, Fire, an invariant, Key): a panic out of the model is
-// converted into an abort carrying the offending state's key and the
-// panicking stack instead of crashing the process, and *stop is raised so
-// the other workers drain. It must be the deferred function itself for
-// recover to see the panic, and a worker goroutine's panic cannot cross
-// into its parent — hence per function, not once per run.
+// (Transitions, Fire, an invariant, Key, a liveness goal): a panic out of
+// the model is converted into an abort carrying the offending state's key
+// and the panicking stack instead of crashing the process, and *stop is
+// raised so the other workers drain. It must be the deferred function
+// itself for recover to see the panic, and a worker goroutine's panic
+// cannot cross into its parent — hence per function, not once per run.
 func (e *explorer) contain(w *worker, stop *bool) {
 	if p := recover(); p != nil {
 		e.abort(panicAbort(p, w.cur))
@@ -505,11 +510,8 @@ func (e *explorer) checkState(w *worker, it item) bool {
 // fresh successors onto w's output. stop reports that the run should end:
 // violation, cancellation or state cap (each recorded in res), or err.
 func (e *explorer) expand(w *worker, it item) (stop bool, err error) {
-	if w.poll++; w.poll >= cancelPollStride {
-		w.poll = 0
-		if e.cancelled() {
-			return true, nil
-		}
+	if e.poll(w) {
+		return true, nil
 	}
 	// The probe adds this worker's own admissions to the total as of the
 	// last level boundary: exact with one worker; several workers may each
@@ -535,16 +537,14 @@ func (e *explorer) expand(w *worker, it item) (stop bool, err error) {
 		}
 		e.labels.set(obs.PhaseFire)
 		sw.Mark()
-		next, ferr := w.rs.FireRule(it.state, r, e.env)
+		next, ferr := e.fire(w, it.state, r)
 		sw.Lap(obs.PhaseFire)
 		if ferr != nil {
-			if errors.Is(ferr, ts.ErrWildcard) {
-				w.aborts++
-				w.ow.Inc(obs.CAborts)
-				blocked++
-				continue
-			}
-			return true, fmt.Errorf("mc: transition %q from state %q: %w", w.rs.RuleName(r), it.state.Key(), ferr)
+			return true, fmt.Errorf("mc: %w", ferr)
+		}
+		if next == nil {
+			blocked++
+			continue
 		}
 		w.fired++
 		w.ow.Inc(obs.CTransitions)
@@ -590,6 +590,33 @@ func (e *explorer) expand(w *worker, it item) (stop bool, err error) {
 		e.recycle(w, it.state)
 	}
 	return false, nil
+}
+
+// fire fires rule r from s on worker w. A branch aborted at a wildcard hole
+// is counted on w and returns a nil state and no error; any other model
+// error comes back naming the transition and its source state.
+func (e *explorer) fire(w *worker, s ts.State, r ts.Rule) (next ts.State, err error) {
+	next, err = w.rs.FireRule(s, r, e.env)
+	if err == nil {
+		return next, nil
+	}
+	if errors.Is(err, ts.ErrWildcard) {
+		w.aborts++
+		w.ow.Inc(obs.CAborts)
+		return nil, nil
+	}
+	return nil, fmt.Errorf("transition %q from state %q: %w", w.rs.RuleName(r), s.Key(), err)
+}
+
+// poll is the cooperative cancellation probe of every search loop: once
+// per cancelPollStride calls on w it polls the context, recording the abort
+// when it is done.
+func (e *explorer) poll(w *worker) bool {
+	if w.poll++; w.poll < cancelPollStride {
+		return false
+	}
+	w.poll = 0
+	return e.cancelled()
 }
 
 // sum folds every worker's tallies into the run totals and refreshes each

@@ -1,7 +1,7 @@
 // Liveness checking: a sequential nested-DFS accepting-cycle search over
 // the product of the system's state graph with each liveness goal's negated
-// Büchi monitor (Courcoubetis–Vardi–Wolper, with the Schwoon–Esparza
-// early-detection refinement in the outer search).
+// Büchi monitor (Courcoubetis–Vardi–Wolper–Yannakakis, with the
+// Schwoon–Esparza early-detection refinement in the outer search).
 //
 // # Negated monitors
 //
@@ -33,16 +33,26 @@
 // is precisely weak fairness. With n=0 the construction degenerates to the
 // plain product.
 //
-// # Sharing the exploration substrate
+// # What the phase shares with the safety kernel
 //
-// The search stores only 64-bit fingerprints of product states — the
-// system state's binary encoding (ts.KeyAppender, same pipeline as the
-// safety kernel, with the same Key() fallback) extended with the monitor
-// and copy bytes — in two visited.Store instances (the blue "done" set and
-// the red "confirmed cycle-free" set), plus a cyan map for the states on
-// the outer DFS stack. Successors are enumerated and fired as ts.Rule
-// records and recycled like the safety kernel's: rejected product
-// successors and popped stack states return to the system's pool.
+// The phase runs on the session's worker 0 once the safety pass has
+// finished and no worker is running, and takes from it everything that is
+// not the search itself: the rule buffer and the system as records
+// (AppendRules), explorer.fire (the one FireRule call site, which counts
+// wildcard branches), the keyer (its product form: the system state's
+// encoding extended with the monitor and copy bytes), explorer.recycle
+// (rejected product successors and popped stack states return to the pool
+// and count toward Space.Recycled), the cancellation poll and its stride,
+// panic containment through explorer.contain with the state being expanded,
+// and the telemetry stage. Its wildcard and recycle tallies fold into the
+// Result through explorer.sum like the safety pass's, and a recorded abort
+// becomes the Aborted verdict once, at the end of the phase.
+//
+// What stays its own is the search: the monitors and the fairness copies
+// above, the blue/cyan/red colouring — two visited.Store instances (the blue
+// "done" set and the red "confirmed cycle-free" set) plus a cyan map for
+// the states on the outer DFS stack, all keyed by product fingerprint — and
+// lasso assembly.
 //
 // Symmetry reduction is deliberately NOT applied to product keys even when
 // Options.Symmetry is set: liveness predicates are typically per-process
@@ -59,12 +69,11 @@
 // fired successor — which revisits the state at FailureInfo.CycleStart —
 // is appended as the final trace step. Because the search is sequential
 // and deterministic, the same lasso is reported across visited backends,
-// which the zoo-wide differential harness pins.
+// worker counts and search orders, which the zoo-wide differential harness
+// pins.
 package mc
 
 import (
-	"context"
-	"errors"
 	"fmt"
 
 	"verc3/internal/obs"
@@ -73,9 +82,9 @@ import (
 	"verc3/internal/visited"
 )
 
-// lsucc is one product successor awaiting processing: a fired system state
-// (owned exclusively by this entry) with its monitor state, fairness copy,
-// product fingerprint and acceptance.
+// lsucc is one product state: a system state (owned exclusively by this
+// entry) with the transition that led into it, its monitor state, fairness
+// copy, product fingerprint and acceptance.
 type lsucc struct {
 	state ts.State
 	rule  string
@@ -87,38 +96,21 @@ type lsucc struct {
 // lframe is one frame of the blue or red DFS stack. succs is nil until the
 // frame is first expanded; next indexes the successor to process.
 type lframe struct {
-	state ts.State
-	rule  string // transition that led into this frame's state
-	fp    statespace.Fingerprint
-	q, c  uint8
-	acc   bool
+	lsucc
 	succs []lsucc
 	next  int
 }
 
-// liveChecker runs the per-goal nested DFS. One instance serves all goals
-// of a run; the per-goal color stores are rebuilt in checkGoal (acceptance
-// differs per goal, so product fingerprints are not comparable across
-// goals).
+// liveChecker runs the per-goal nested DFS on worker w of explorer e. One
+// instance serves all goals of a run; the per-goal colour stores are
+// rebuilt in checkGoal (acceptance differs per goal, so product
+// fingerprints are not comparable across goals).
 type liveChecker struct {
-	sys ts.System
-	opt Options
-	ctx context.Context
-	env *ts.Env
-	res *Result
-	// rs is the system as records (see ts.Rules), rules the enumeration
-	// buffer, recycler the system's pool (nil: none, or Options.NoRecycle).
+	e *explorer
+	w *worker
 	// names says whether anything will read a successor's transition name:
 	// a recorded lasso, or a fairness requirement's Taken.
-	rs       ts.RuleSystem
-	rules    []ts.Rule
-	recycler ts.Recycler
-	names    bool
-	// pollN counts expansions toward the next cooperative cancellation
-	// check; cur is the product frame's system state currently being
-	// expanded, for panic containment's state-key report.
-	pollN int
-	cur   ts.State
+	names bool
 
 	goal ts.LivenessGoal
 	fair []ts.Fairness // active requirements (nil when goal is not Fair)
@@ -129,25 +121,15 @@ type liveChecker struct {
 	stack []lframe                       // blue (outer) stack
 	rst   []lframe                       // red (inner) stack
 
-	buf      []byte // product-key scratch (appender path)
-	admitted int    // blue insertions, for the MaxStates cap
-	capHit   bool
-	// ow stages the phase's telemetry (nil when Options.Obs is unset):
-	// CBlue/CRed product admissions, plus CAborts, which mirrors
-	// Stats.WildcardAborts and so keeps accumulating here. The phase's
-	// firings and recycles are deliberately NOT counted into
-	// CTransitions/CRecycled — those mirror the safety pass's
-	// statespace.Stats, and this phase reports its exploration separately
-	// (LiveStates/RedStates).
-	ow *obs.Worker
+	admitted int // blue insertions, for the MaxStates cap
 }
 
 // checkLiveness runs the nested-DFS phase over every liveness goal of e's
 // system, in the context and environment of e's current check, updating
-// res in place: the first violated goal flips the verdict to Failure with
-// a FailLiveness lasso. Called only after a safety pass that did not fail;
-// a no-op when the system reports no goals.
-func checkLiveness(e *explorer, res *Result) error {
+// e.res in place: the first violated goal flips the verdict to Failure
+// with a FailLiveness lasso. Called only after a safety pass that did not
+// fail or abort; a no-op when the system reports no goals.
+func checkLiveness(e *explorer) error {
 	lr, ok := e.sys.(ts.LivenessReporter)
 	if !ok {
 		return nil
@@ -156,91 +138,53 @@ func checkLiveness(e *explorer, res *Result) error {
 	if len(goals) == 0 {
 		return nil
 	}
-	ctx := e.ctx
-	l := &liveChecker{
-		sys: e.sys, opt: e.opt, ctx: ctx, env: e.env, res: res,
-		rs:       ts.Rules(e.sys, e.opt.FreshTransitions),
-		recycler: e.recycler,
-		ow:       e.opt.Obs.NewWorker(),
-	}
-	if ctx.Err() != nil {
-		// The deadline expired between the safety pass and this phase.
-		l.abort(cancelAbort(ctx))
-		return nil
-	}
-	for _, g := range goals {
-		failed, err := l.checkGoalSafe(g)
-		if err != nil {
-			return err
-		}
-		if failed || res.Verdict == Aborted {
-			return nil
+	l := &liveChecker{e: e, w: &e.workers[0]}
+	var err error
+	// The deadline may have expired between the safety pass and this phase.
+	if !e.cancelled() {
+		for _, g := range goals {
+			var stop bool
+			if stop, err = l.checkGoal(g); stop || err != nil {
+				break
+			}
 		}
 	}
-	if l.capHit {
-		res.CapHit = true
-	}
-	// No cycle found, but branches were dropped (wildcard holes) or the
-	// product-state cap cut the search short: the pass is inconclusive,
-	// exactly like the safety phase's downgrades.
-	if (res.CapHit || res.WildcardHit) && res.Verdict == Success {
+	e.sum()
+	l.w.ow.Flush()
+	res := e.res
+	res.Space.Recycled = e.recycled
+	switch {
+	case res.Verdict == Failure: // a lasso, recorded by failLasso
+	case res.Abort != nil:
+		res.Verdict = Aborted
+	case res.CapHit || res.WildcardHit:
+		// No cycle found, but branches were dropped (wildcard holes) or the
+		// product-state cap cut the search short: the pass is inconclusive,
+		// exactly like the safety phase's downgrades.
 		res.Verdict = Unknown
 	}
-	return nil
+	return err
 }
 
-// abort marks the liveness phase cut short. It only runs on a non-failing
-// result (checkLiveness's precondition), so there is no failure to outrank.
-func (l *liveChecker) abort(info *AbortInfo) {
-	l.res.Abort = info
-	l.res.Verdict = Aborted
-}
-
-// pollCancel is the nested-DFS cancellation probe, sharing the safety
-// kernel's stride; it reports whether the search should stop, having
-// recorded the abort.
-func (l *liveChecker) pollCancel() bool {
-	if l.res.Verdict == Aborted {
-		return true
-	}
-	if l.pollN++; l.pollN < cancelPollStride {
-		return false
-	}
-	l.pollN = 0
-	if l.ctx.Err() != nil {
-		l.abort(cancelAbort(l.ctx))
-		return true
-	}
-	return false
-}
-
-// checkGoalSafe runs one goal's search with panic containment: a panic out
-// of the model (or a goal predicate) aborts the run with the offending
-// state's key instead of crashing; checkGoal's deferred cleanup — color
-// stores, space accounting — still runs during the unwind.
-func (l *liveChecker) checkGoalSafe(g ts.LivenessGoal) (failed bool, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			l.abort(panicAbort(p, l.cur))
-			failed, err = false, nil
-		}
-	}()
-	return l.checkGoal(g)
-}
-
-// checkGoal runs one goal's accepting-cycle search. It reports whether the
-// goal failed (res already updated with the lasso).
-func (l *liveChecker) checkGoal(g ts.LivenessGoal) (failed bool, err error) {
+// checkGoal runs one goal's accepting-cycle search and reports whether the
+// phase should stop: the goal failed (res already updated with the lasso),
+// the run was cancelled, or a panic out of the model or a goal predicate
+// was contained — whose abort carries the key of the state being expanded.
+// The colour stores are closed and counted on every way out, the unwind of
+// a contained panic included.
+func (l *liveChecker) checkGoal(g ts.LivenessGoal) (stop bool, err error) {
+	e := l.e
+	defer e.contain(l.w, &stop)
 	l.goal = g
 	l.fair = nil
 	if g.Fair {
-		if fr, ok := l.sys.(ts.FairnessReporter); ok {
+		if fr, ok := e.sys.(ts.FairnessReporter); ok {
 			l.fair = fr.WeakFairness()
 		}
 	}
-	l.names = l.opt.RecordTrace || len(l.fair) > 0
-	l.blue = visited.New(visitedConfig(l.opt))
-	l.red = visited.New(visitedConfig(l.opt))
+	l.names = e.opt.RecordTrace || len(l.fair) > 0
+	l.blue = visited.New(visitedConfig(e.opt))
+	l.red = visited.New(visitedConfig(e.opt))
 	defer func() {
 		if cerr := closeStore(l.blue); err == nil {
 			err = cerr
@@ -248,36 +192,31 @@ func (l *liveChecker) checkGoal(g ts.LivenessGoal) (failed bool, err error) {
 		if cerr := closeStore(l.red); err == nil {
 			err = cerr
 		}
-		l.res.Space.LiveStates += l.blue.Len()
-		l.res.Space.RedStates += l.red.Len()
+		e.res.Space.LiveStates += l.blue.Len()
+		e.res.Space.RedStates += l.red.Len()
 		l.blue, l.red = nil, nil
-		l.ow.Flush()
 	}()
 	l.cyan = make(map[statespace.Fingerprint]int)
-	l.stack = l.stack[:0]
-	l.rst = l.rst[:0]
 
-	for _, s0 := range l.sys.Initial() {
+	for _, s0 := range e.sys.Initial() {
 		// The negated monitor may start in several states (the LeadsTo
 		// automaton can guess the violation begins immediately); each gets
 		// its own product root, and extras Clone the system state so every
 		// entry owns its storage and can be recycled on its own.
-		first := true
-		for _, q0 := range l.monitorInit(s0) {
+		l.w.cur = s0
+		for i, q0 := range l.monitorInit(s0) {
 			s := s0
-			if !first {
+			if i > 0 {
 				s = s0.Clone()
 			}
-			first = false
-			root := l.product(s, "", q0, l.initCopy(q0, s))
-			if lasso, found, err := l.dfsBlue(root); err != nil {
-				return false, err
+			if lasso, found, err := l.dfsBlue(l.product(s, "", q0, 0)); err != nil {
+				return true, err
 			} else if found {
 				l.failLasso(lasso)
 				return true, nil
 			}
-			if l.res.Verdict == Aborted {
-				return false, nil
+			if e.res.Abort != nil {
+				return true, nil
 			}
 		}
 	}
@@ -336,15 +275,11 @@ func (l *liveChecker) accepting(s ts.State, q, c uint8) bool {
 	return q == qPend
 }
 
-// initCopy is the fairness copy of an initial product state: always 0 (the
-// counter only starts moving after an accepting state is passed).
-func (l *liveChecker) initCopy(uint8, ts.State) uint8 { return 0 }
-
 // nextCopy advances the fairness copy counter across the step src →(rule)→
-// target. From copy 0 the counter starts a round iff src is accepting; from
-// copy i ∈ 1..n it advances (wrapping n → 0) iff requirement i is
-// discharged at this step: not enabled at src, or the fired rule is one of
-// its transitions.
+// target. A product root starts at copy 0. From copy 0 the counter starts
+// a round iff src is accepting; from copy i ∈ 1..n it advances (wrapping
+// n → 0) iff requirement i is discharged at this step: not enabled at src,
+// or the fired rule is one of its transitions.
 func (l *liveChecker) nextCopy(src *lframe, rule string) uint8 {
 	n := len(l.fair)
 	if n == 0 {
@@ -368,31 +303,14 @@ func (l *liveChecker) nextCopy(src *lframe, rule string) uint8 {
 
 // --- Product construction ---------------------------------------------
 
-// fingerprint hashes the product state (s, q, c): the system state's
-// canonical encoding extended with the monitor and copy bytes. The hot
-// path appends the ts.KeyAppender binary encoding plus two bytes into the
-// reusable scratch buffer and hashes in place; appender-less states fall
-// back to an incremental hash of the Key() string. No symmetry
-// canonicalization — see the package comment.
-func (l *liveChecker) fingerprint(s ts.State, q, c uint8) statespace.Fingerprint {
-	if a, ok := s.(ts.KeyAppender); ok {
-		l.buf = a.AppendKey(l.buf[:0])
-		l.buf = append(l.buf, q, c)
-		return statespace.OfBytes(l.buf)
-	}
-	h := statespace.NewHasher()
-	h.AddString(s.Key())
-	h.AddByte(q)
-	h.AddByte(c)
-	return h.Sum()
-}
-
-// product assembles a stack frame for the product state (s, q, c).
-func (l *liveChecker) product(s ts.State, rule string, q, c uint8) lframe {
-	return lframe{
+// product assembles the product state (s, q, c) reached by rule, keyed by
+// the worker's keyer without symmetry canonicalization (see the package
+// comment).
+func (l *liveChecker) product(s ts.State, rule string, q, c uint8) lsucc {
+	return lsucc{
 		state: s,
 		rule:  rule,
-		fp:    l.fingerprint(s, q, c),
+		fp:    l.w.key.product(s, q, c),
 		q:     q,
 		c:     c,
 		acc:   l.accepting(s, q, c),
@@ -406,31 +324,28 @@ func (l *liveChecker) product(s ts.State, rule string, q, c uint8) lframe {
 // states with no product successor (dead monitor branches) are recycled
 // immediately.
 func (l *liveChecker) expand(f *lframe) ([]lsucc, error) {
-	l.cur = f.state // panic containment reports this state's key
-	l.ow.Tick()
-	l.rules = l.rs.AppendRules(l.rules[:0], f.state)
+	e, w := l.e, l.w
+	w.cur = f.state
+	w.ow.Tick()
+	w.rules = w.rs.AppendRules(w.rules[:0], f.state)
 	var succs []lsucc
 	var qs [2]uint8
-	for _, r := range l.rules {
-		next, ferr := l.rs.FireRule(f.state, r, l.env)
-		if ferr != nil {
-			if errors.Is(ferr, ts.ErrWildcard) {
-				l.res.WildcardHit = true
-				l.res.Stats.WildcardAborts++
-				l.ow.Inc(obs.CAborts)
-				continue
-			}
-			return nil, fmt.Errorf("mc: liveness goal %q: transition %q from state %q: %w",
-				l.goal.Name, l.rs.RuleName(r), f.state.Key(), ferr)
+	for _, r := range w.rules {
+		next, err := e.fire(w, f.state, r)
+		if err != nil {
+			return nil, fmt.Errorf("mc: liveness goal %q: %w", l.goal.Name, err)
+		}
+		if next == nil {
+			continue // a wildcard branch
 		}
 		name := ""
 		if l.names {
-			name = l.rs.RuleName(r)
+			name = w.rs.RuleName(r)
 		}
 		c := l.nextCopy(f, name)
 		qlist := l.monitorStep(qs[:0], f.q, next)
 		if len(qlist) == 0 {
-			l.recycle(next)
+			e.recycle(w, next)
 			continue
 		}
 		for i, q := range qlist {
@@ -438,25 +353,13 @@ func (l *liveChecker) expand(f *lframe) ([]lsucc, error) {
 			if i > 0 {
 				s = next.Clone()
 			}
-			succs = append(succs, lsucc{
-				state: s,
-				rule:  name,
-				fp:    l.fingerprint(s, q, c),
-				q:     q,
-				c:     c,
-				acc:   l.accepting(s, q, c),
-			})
+			succs = append(succs, l.product(s, name, q, c))
 		}
 	}
-	return succs, nil
-}
-
-// recycle hands a dead state back to the system's pool (a no-op when the
-// system does not pool or Options.NoRecycle is set).
-func (l *liveChecker) recycle(s ts.State) {
-	if l.recycler != nil {
-		l.recycler.Recycle(s)
+	if succs == nil {
+		succs = []lsucc{} // expanded with no successors, unlike a nil succs
 	}
+	return succs, nil
 }
 
 // --- Nested DFS --------------------------------------------------------
@@ -472,69 +375,73 @@ type lasso struct {
 	closing    lsucc
 }
 
+// step is the one move both searches make on their top frame f: it polls
+// for cancellation (stop: the abort is recorded) and returns f's next
+// successor, expanding f on first use, or nil once f is exhausted.
+func (l *liveChecker) step(f *lframe) (t *lsucc, stop bool, err error) {
+	if l.e.poll(l.w) {
+		return nil, true, nil
+	}
+	if f.succs == nil {
+		if f.succs, err = l.expand(f); err != nil {
+			return nil, true, err
+		}
+	}
+	if f.next == len(f.succs) {
+		return nil, false, nil
+	}
+	f.next++
+	return &f.succs[f.next-1], false, nil
+}
+
 // dfsBlue is the outer search: an iterative post-order DFS that seeds the
 // nested red search at accepting states on pop, with the Schwoon–Esparza
 // early check on every edge into the cyan (on-stack) set — if either
 // endpoint is accepting, the stack already closes an accepting cycle and
 // no nested search is needed.
-func (l *liveChecker) dfsBlue(root lframe) (lasso, bool, error) {
+func (l *liveChecker) dfsBlue(root lsucc) (lasso, bool, error) {
+	e, w := l.e, l.w
 	if !l.blue.TryInsert(root.fp) {
 		return lasso{}, false, nil // reached by an earlier root
 	}
 	l.admitted++
-	l.ow.Inc(obs.CBlue)
+	w.ow.Inc(obs.CBlue)
 	l.cyan[root.fp] = 0
-	l.stack = append(l.stack[:0], root)
+	l.stack = append(l.stack[:0], lframe{lsucc: root})
 	for len(l.stack) > 0 {
-		if l.opt.MaxStates > 0 && l.admitted > l.opt.MaxStates {
-			l.capHit = true
-			return lasso{}, false, nil
-		}
-		if l.pollCancel() {
+		if e.opt.MaxStates > 0 && l.admitted > e.opt.MaxStates {
+			e.res.CapHit = true
 			return lasso{}, false, nil
 		}
 		f := &l.stack[len(l.stack)-1]
-		if f.succs == nil && f.next == 0 {
-			succs, err := l.expand(f)
-			if err != nil {
-				return lasso{}, false, err
-			}
-			f.succs = succs
-			if succs == nil {
-				f.succs = []lsucc{} // distinguish "expanded, none" from "unexpanded"
-			}
+		t, stop, err := l.step(f)
+		if stop {
+			return lasso{}, false, err
 		}
-		if f.next < len(f.succs) {
-			t := f.succs[f.next]
-			f.next++
+		if t != nil {
 			if at, onStack := l.cyan[t.fp]; onStack {
 				if f.acc || t.acc {
-					return lasso{cycleStart: at, closing: t}, true, nil
+					return lasso{cycleStart: at, closing: *t}, true, nil
 				}
-				l.recycle(t.state)
+				e.recycle(w, t.state)
 				continue
 			}
 			if !l.blue.TryInsert(t.fp) {
-				l.recycle(t.state) // already fully explored
+				e.recycle(w, t.state) // already fully explored
 				continue
 			}
 			l.admitted++
-			l.ow.Inc(obs.CBlue)
+			w.ow.Inc(obs.CBlue)
 			l.cyan[t.fp] = len(l.stack)
-			l.stack = append(l.stack, lframe{
-				state: t.state, rule: t.rule, fp: t.fp, q: t.q, c: t.c, acc: t.acc,
-			})
+			l.stack = append(l.stack, lframe{lsucc: *t})
 			continue
 		}
 		// Post-order: seed the nested search at accepting states while the
 		// frame is still cyan, so a cycle back into the stack is caught.
 		if f.acc {
 			cyc, found, err := l.dfsRed(f)
-			if err != nil {
-				return lasso{}, false, err
-			}
-			if found {
-				return cyc, true, nil
+			if found || err != nil {
+				return cyc, found, err
 			}
 		}
 		delete(l.cyan, f.fp)
@@ -542,7 +449,7 @@ func (l *liveChecker) dfsBlue(root lframe) (lasso, bool, error) {
 		l.stack = l.stack[:len(l.stack)-1]
 		// Nothing references a popped state: counterexamples are built
 		// from live stacks only, so its storage returns to the pool.
-		l.recycle(popped.state)
+		e.recycle(w, popped.state)
 	}
 	return lasso{}, false, nil
 }
@@ -554,49 +461,36 @@ func (l *liveChecker) dfsBlue(root lframe) (lasso, bool, error) {
 // re-searched (the classical CVWY invariant: earlier, deeper seeds have
 // already exonerated them).
 func (l *liveChecker) dfsRed(seed *lframe) (lasso, bool, error) {
+	e, w := l.e, l.w
 	if l.red.TryInsert(seed.fp) {
-		l.ow.Inc(obs.CRed)
+		w.ow.Inc(obs.CRed)
 	}
 	// The seed frame shares its state with the blue stack; the red stack's
 	// copy must never be recycled on pop.
-	l.rst = append(l.rst[:0], lframe{state: seed.state, fp: seed.fp, q: seed.q, c: seed.c, acc: seed.acc})
+	l.rst = append(l.rst[:0], lframe{lsucc: seed.lsucc})
 	for len(l.rst) > 0 {
-		if l.pollCancel() {
-			return lasso{}, false, nil
+		t, stop, err := l.step(&l.rst[len(l.rst)-1])
+		if stop {
+			return lasso{}, false, err
 		}
-		f := &l.rst[len(l.rst)-1]
-		if f.succs == nil && f.next == 0 {
-			succs, err := l.expand(f)
-			if err != nil {
-				return lasso{}, false, err
-			}
-			f.succs = succs
-			if succs == nil {
-				f.succs = []lsucc{}
-			}
-		}
-		if f.next < len(f.succs) {
-			t := f.succs[f.next]
-			f.next++
+		if t != nil {
 			if at, onStack := l.cyan[t.fp]; onStack {
 				rest := make([]lframe, len(l.rst)-1)
 				copy(rest, l.rst[1:])
-				return lasso{cycleStart: at, rest: rest, closing: t}, true, nil
+				return lasso{cycleStart: at, rest: rest, closing: *t}, true, nil
 			}
 			if !l.red.TryInsert(t.fp) {
-				l.recycle(t.state)
+				e.recycle(w, t.state)
 				continue
 			}
-			l.ow.Inc(obs.CRed)
-			l.rst = append(l.rst, lframe{
-				state: t.state, rule: t.rule, fp: t.fp, q: t.q, c: t.c, acc: t.acc,
-			})
+			w.ow.Inc(obs.CRed)
+			l.rst = append(l.rst, lframe{lsucc: *t})
 			continue
 		}
 		popped := l.rst[len(l.rst)-1]
 		l.rst = l.rst[:len(l.rst)-1]
 		if len(l.rst) > 0 { // rst[0] is the seed: owned by the blue stack
-			l.recycle(popped.state)
+			e.recycle(w, popped.state)
 		}
 	}
 	return lasso{}, false, nil
@@ -607,14 +501,15 @@ func (l *liveChecker) dfsRed(seed *lframe) (lasso, bool, error) {
 // blue stack (stem + cycle prefix), red path (cycle suffix), and the
 // closing step, whose state revisits Trace[CycleStart].State.
 func (l *liveChecker) failLasso(cyc lasso) {
-	l.res.Verdict = Failure
+	res := l.e.res
+	res.Verdict = Failure
 	fi := &FailureInfo{
 		Kind:       FailLiveness,
 		Name:       l.goal.Name,
 		UsageMask:  ^uint64(0),
 		CycleStart: cyc.cycleStart,
 	}
-	if l.opt.RecordTrace {
+	if l.e.opt.RecordTrace {
 		steps := make([]TraceStep, 0, len(l.stack)+len(cyc.rest)+1)
 		for i := range l.stack {
 			steps = append(steps, TraceStep{Rule: l.stack[i].rule, State: l.stack[i].state})
@@ -625,6 +520,6 @@ func (l *liveChecker) failLasso(cyc lasso) {
 		steps = append(steps, TraceStep{Rule: cyc.closing.rule, State: cyc.closing.state})
 		fi.Trace = steps
 	}
-	l.res.Space.CycleLen = len(l.stack) + len(cyc.rest) + 1 - (cyc.cycleStart + 1)
-	l.res.Failure = fi
+	res.Space.CycleLen = len(l.stack) + len(cyc.rest) + 1 - (cyc.cycleStart + 1)
+	res.Failure = fi
 }

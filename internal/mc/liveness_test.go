@@ -2,11 +2,14 @@ package mc_test
 
 import (
 	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"verc3/internal/dsl"
 	"verc3/internal/mc"
+	"verc3/internal/spec"
+	"verc3/internal/statespace"
 	"verc3/internal/ts"
 	"verc3/internal/zoo"
 )
@@ -145,6 +148,101 @@ func TestLivenessToy(t *testing.T) {
 			t.Fatalf("got %v/%v, want the invariant failure", res.Verdict, res.Failure)
 		}
 	})
+}
+
+// livenessPin is what one liveness check answers, in absolute numbers:
+// verdict and failing goal, the NDFS product-state counts, the lasso's shape,
+// the run's wildcard aborts, and a fingerprint of the lasso's (rule,
+// encoding) sequence.
+type livenessPin struct {
+	verdict              mc.Verdict
+	goal                 string
+	live, red            int
+	cycleLen, cycleStart int
+	steps, aborts        int
+	lasso                statespace.Fingerprint
+}
+
+func pinOf(res *mc.Result) livenessPin {
+	p := livenessPin{
+		verdict:  res.Verdict,
+		live:     res.Space.LiveStates,
+		red:      res.Space.RedStates,
+		cycleLen: res.Space.CycleLen,
+		aborts:   res.Stats.WildcardAborts,
+	}
+	if f := res.Failure; f != nil && f.Kind == mc.FailLiveness {
+		p.goal, p.cycleStart, p.steps = f.Name, f.CycleStart, len(f.Trace)
+		var buf []byte
+		for _, st := range f.Trace {
+			buf = append(buf, st.Rule...)
+			buf = append(buf, 0)
+			buf = st.State.(ts.KeyAppender).AppendKey(buf)
+			buf = append(buf, 0)
+		}
+		p.lasso = statespace.OfBytes(buf)
+	}
+	return p
+}
+
+// TestLivenessPinnedAnswers pins the nested-DFS answers in absolute values:
+// every zoo entry the equivalence harness runs with liveness goals (at 2
+// caches, sketches under the all-wildcard chooser) and the committed
+// liveness specs, one sequential traced check each on the flat table. The
+// other liveness harnesses compare configurations with each other; this one
+// compares the search with itself across changes to the kernel it runs on.
+func TestLivenessPinnedAnswers(t *testing.T) {
+	const writeStall = "cache0-write-completes"
+	want := map[string]livenessPin{
+		"token-ring":        {verdict: mc.Success, live: 90, red: 54},
+		"token-ring-sketch": {verdict: mc.Unknown, live: 5, red: 2, aborts: 8},
+		"peterson":          {verdict: mc.Success, live: 145, red: 85},
+		"peterson-sketch":   {verdict: mc.Unknown, live: 14, red: 6, aborts: 32},
+		"msi-complete": {verdict: mc.Failure, goal: writeStall, live: 50, red: 5,
+			cycleLen: 2, cycleStart: 43, steps: 46, lasso: 0x6f1a61674630dc8d},
+		"msi-fair": {verdict: mc.Success, live: 1780, red: 1092},
+		"msi-small": {verdict: mc.Failure, goal: writeStall, live: 37, red: 6,
+			cycleLen: 2, cycleStart: 6, steps: 9, aborts: 51, lasso: 0x292bf5e40975faea},
+		"msi-large": {verdict: mc.Failure, goal: writeStall, live: 37, red: 6,
+			cycleLen: 2, cycleStart: 6, steps: 9, aborts: 51, lasso: 0x292bf5e40975faea},
+		"spec/tokenring.json": {verdict: mc.Success, live: 90, red: 54},
+		"spec/mutex.json":     {verdict: mc.Success, live: 145, red: 85},
+	}
+	systems := map[string]func() ts.System{}
+	for _, name := range []string{"token-ring", "token-ring-sketch", "peterson", "peterson-sketch",
+		"msi-complete", "msi-fair", "msi-small", "msi-large"} {
+		systems[name] = func() ts.System {
+			sys, err := zoo.Get(name, zoo.Params{Caches: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sys
+		}
+	}
+	for _, file := range []string{"tokenring.json", "mutex.json"} {
+		systems["spec/"+file] = func() ts.System {
+			m, err := spec.LoadFile(filepath.Join("../../examples/specs", file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m.System()
+		}
+	}
+	for name, build := range systems {
+		t.Run(name, func(t *testing.T) {
+			res, err := mc.Check(build(), mc.Options{
+				Liveness:    true,
+				RecordTrace: true,
+				Env:         ts.NewEnv(wildcardChooser{}), // complete models never call Choose
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := pinOf(res); got != want[name] {
+				t.Errorf("got  %#v\nwant %#v", got, want[name])
+			}
+		})
+	}
 }
 
 // TestLivenessZooVerdicts pins the three zoo liveness answers the issue

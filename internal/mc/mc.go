@@ -110,10 +110,15 @@
 // the state graph with the goal's negated Büchi monitor and — for Fair
 // goals — the weak-fairness copies construction. Violations are lassos:
 // FailLiveness failures carry a stem-plus-cycle trace (FailureInfo.
-// CycleStart) whose replay closes a real cycle. The phase shares the
-// fingerprint pipeline, visited backends and successor recycling with the
-// safety kernel, and reports its own counters in Result.Space (LiveStates,
-// RedStates, CycleLen). See liveness.go.
+// CycleStart) whose replay closes a real cycle. The phase runs on the
+// session's worker 0 once the safety pass is over and shares by
+// construction what is not the search: successors (the worker's rule
+// buffer and explorer.fire), keys (the keyer's product form), recycling,
+// the cancellation poll, panic containment and telemetry; its wildcard and
+// recycle tallies fold into Stats and Space like the safety pass's. Its
+// own are the monitors, the fairness copies, the blue/cyan/red colouring
+// and lasso assembly, and the counters LiveStates, RedStates and CycleLen
+// in Result.Space. See liveness.go.
 package mc
 
 import (
@@ -394,10 +399,14 @@ type Options struct {
 	// (ts.LivenessReporter) after a safety pass that found no violation:
 	// a sequential nested-DFS cycle search per goal over the product with
 	// the goal's negated Büchi monitor (and, for Fair goals, the weak-
-	// fairness copies). The liveness phase keys product states without symmetry reduction even when Symmetry is set (the
-	// safety pass still reduces): per-process predicates like "process i
-	// holds the token" are not permutation-invariant, so cycle detection
-	// on the quotient graph would be unsound. See internal/mc/liveness.go.
+	// fairness copies), run on the safety kernel's worker 0 with its
+	// successors, keys, recycling, cancellation polls and panic
+	// containment. Its wildcard aborts and recycles count in Stats and
+	// Space like the safety pass's. The phase keys product states without
+	// symmetry reduction even when Symmetry is set (the safety pass still
+	// reduces): per-process predicates like "process i holds the token"
+	// are not permutation-invariant, so cycle detection on the quotient
+	// graph would be unsound. See internal/mc/liveness.go.
 	Liveness bool
 	// Obs optionally publishes live telemetry into a collector: states /
 	// transitions / duplicates / recycled counters on the hot path (staged
@@ -469,7 +478,7 @@ func (s *Session) Check(ctx context.Context, env *ts.Env, usage UsageTracker) (*
 		return nil, err
 	}
 	if e.opt.Liveness && res.Verdict != Failure && res.Verdict != Aborted {
-		if err := checkLiveness(e, res); err != nil {
+		if err := checkLiveness(e); err != nil {
 			return nil, err
 		}
 	}
@@ -530,19 +539,32 @@ type keyer struct {
 // fingerprint returns the 64-bit fingerprint of s's canonical encoding —
 // the keying scheme shared by every run (which is what makes reachable-
 // state counts comparable across widths and orders). The hot path appends
-// s's binary encoding into the keyer's reusable buffer (or the
-// canonicalizer's pooled scratch under symmetry) and hashes it in place;
-// states without ts.KeyAppender fall back to hashing the formatted Key()
-// string.
+// s's encoding into the keyer's reusable buffer (or the canonicalizer's
+// pooled scratch under symmetry) and hashes it in place.
 func (k *keyer) fingerprint(s ts.State) statespace.Fingerprint {
 	if k.canon != nil {
 		return k.canon.Fingerprint(s)
 	}
+	k.buf = appendKey(k.buf[:0], s)
+	return statespace.OfBytes(k.buf)
+}
+
+// product fingerprints the liveness product state (s, q, c): s's own
+// encoding, never canonicalized (see liveness.go), extended with the
+// monitor and fairness-copy bytes.
+func (k *keyer) product(s ts.State, q, c uint8) statespace.Fingerprint {
+	k.buf = append(appendKey(k.buf[:0], s), q, c)
+	return statespace.OfBytes(k.buf)
+}
+
+// appendKey appends s's encoding to dst: its ts.KeyAppender bytes, or the
+// bytes of its formatted Key() for states without an appender — which hash
+// as the Key string does, since OfBytes(b) == OfString(string(b)).
+func appendKey(dst []byte, s ts.State) []byte {
 	if a, ok := s.(ts.KeyAppender); ok {
-		k.buf = a.AppendKey(k.buf[:0])
-		return statespace.OfBytes(k.buf)
+		return a.AppendKey(dst)
 	}
-	return statespace.OfString(s.Key())
+	return append(dst, s.Key()...)
 }
 
 // tracePath converts a trace-store parent chain into initial→violation

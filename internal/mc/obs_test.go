@@ -78,7 +78,9 @@ func TestZooObsSnapshotMatchesStats(t *testing.T) {
 
 // TestZooObsLivenessCounters pins the NDFS arm of the identity: the blue
 // and red product admissions streamed during the liveness phase must equal
-// the LiveStates/RedStates totals the phase reports in Stats.
+// the LiveStates/RedStates totals the phase reports in Stats, and the
+// recycle and wildcard-abort counters — which both passes feed — must equal
+// Space.Recycled and Stats.WildcardAborts with the phase's share included.
 func TestZooObsLivenessCounters(t *testing.T) {
 	for _, name := range zoo.Names() {
 		if name == "msi-complete-4" {
@@ -111,6 +113,9 @@ func TestZooObsLivenessCounters(t *testing.T) {
 			}
 			if got, want := s.Counters[obs.CAborts], uint64(res.Stats.WildcardAborts); got != want {
 				t.Errorf("aborts counter %d, stats %d", got, want)
+			}
+			if got, want := s.Counters[obs.CRecycled], res.Space.Recycled; got != want {
+				t.Errorf("recycled counter %d, stats %d", got, want)
 			}
 		})
 	}

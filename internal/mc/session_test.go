@@ -63,7 +63,9 @@ func outcomeOf(t *testing.T, res *mc.Result, err error) outcome {
 // time, what a one-shot Check of that candidate on a system of its own
 // returns — verdict, failure (kind, name, usage mask, trace), Stats and
 // every Space figure but the pool's — with traces on and off, on the flat
-// table (cleared between checks) and the spill tier (rebuilt).
+// table (cleared between checks) and the spill tier (rebuilt), and with the
+// liveness phase off and on: Peterson has goals, and the nested DFS runs on
+// the session's own worker after each safety pass.
 func TestSessionReuseIsInvisible(t *testing.T) {
 	candidates := []struct {
 		name string
@@ -80,29 +82,34 @@ func TestSessionReuseIsInvisible(t *testing.T) {
 	for _, backend := range []visited.Kind{visited.Flat, visited.Spill} {
 		for _, record := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%v/trace=%v", backend, record), func(t *testing.T) {
-				opt := mc.Options{Visited: backend, RecordTrace: record, SpillMem: 1, SpillDir: t.TempDir()}
-				sess := mc.NewSession(mutex.New(true), opt)
-				for round := 0; round < 2; round++ {
-					for _, c := range candidates {
-						ck := &candidate{pick: c.pick}
-						res, err := sess.Check(context.Background(), ts.NewEnv(ck), ck)
-						got := outcomeOf(t, res, err)
+				for _, live := range []bool{false, true} {
+					opt := mc.Options{Visited: backend, RecordTrace: record, Liveness: live, SpillMem: 1, SpillDir: t.TempDir()}
+					sess := mc.NewSession(mutex.New(true), opt)
+					for round := 0; round < 2; round++ {
+						for _, c := range candidates {
+							ck := &candidate{pick: c.pick}
+							res, err := sess.Check(context.Background(), ts.NewEnv(ck), ck)
+							got := outcomeOf(t, res, err)
 
-						ref := &candidate{pick: c.pick}
-						one := opt
-						one.Env, one.Usage = ts.NewEnv(ref), ref
-						res, err = mc.Check(mutex.New(true), one)
-						want := outcomeOf(t, res, err)
+							ref := &candidate{pick: c.pick}
+							one := opt
+							one.Env, one.Usage = ts.NewEnv(ref), ref
+							res, err = mc.Check(mutex.New(true), one)
+							want := outcomeOf(t, res, err)
 
-						if want.res.Verdict != c.want {
-							t.Fatalf("%s: one-shot verdict %v, want %v", c.name, want.res.Verdict, c.want)
-						}
-						if record && c.name == "wrong-turn" && len(want.trace) == 0 {
-							t.Fatalf("%s: no counterexample recorded", c.name)
-						}
-						if !reflect.DeepEqual(got, want) {
-							t.Errorf("round %d, %s: session and one-shot check differ\n session: %+v %+v\n one-shot: %+v %+v",
-								round, c.name, got.res, got.res.Failure, want.res, want.res.Failure)
+							if want.res.Verdict != c.want {
+								t.Fatalf("%s liveness=%v: one-shot verdict %v, want %v", c.name, live, want.res.Verdict, c.want)
+							}
+							if live && c.want != mc.Failure && want.res.Space.LiveStates == 0 {
+								t.Fatalf("%s: liveness phase did not run", c.name)
+							}
+							if record && c.name == "wrong-turn" && len(want.trace) == 0 {
+								t.Fatalf("%s: no counterexample recorded", c.name)
+							}
+							if !reflect.DeepEqual(got, want) {
+								t.Errorf("round %d, %s liveness=%v: session and one-shot check differ\n session: %+v %+v\n one-shot: %+v %+v",
+									round, c.name, live, got.res, got.res.Failure, want.res, want.res.Failure)
+							}
 						}
 					}
 				}

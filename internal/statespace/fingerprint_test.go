@@ -24,45 +24,6 @@ func TestOfBytesMatchesOfString(t *testing.T) {
 	}
 }
 
-// TestHasherIncremental checks that any split of the input across
-// Add/AddByte/AddString calls yields the one-shot fingerprint.
-func TestHasherIncremental(t *testing.T) {
-	content := "c0:M dir:{owner=1} net=[Data@2]"
-	want := statespace.OfString(content)
-
-	h := statespace.NewHasher()
-	h.AddString(content)
-	if got := h.Sum(); got != want {
-		t.Errorf("AddString whole: %x, want %x", got, want)
-	}
-
-	h = statespace.NewHasher()
-	for i := 0; i < len(content); i++ {
-		h.AddByte(content[i])
-	}
-	if got := h.Sum(); got != want {
-		t.Errorf("AddByte-wise: %x, want %x", got, want)
-	}
-
-	for split := 0; split <= len(content); split++ {
-		h = statespace.NewHasher()
-		h.Add([]byte(content[:split]))
-		h.AddString(content[split:])
-		if got := h.Sum(); got != want {
-			t.Errorf("split at %d: %x, want %x", split, got, want)
-		}
-	}
-
-	// Sum is a read: feeding more content afterwards keeps accumulating.
-	h = statespace.NewHasher()
-	h.AddString(content[:3])
-	_ = h.Sum()
-	h.AddString(content[3:])
-	if got := h.Sum(); got != want {
-		t.Errorf("Sum mid-stream disturbed the state: %x, want %x", got, want)
-	}
-}
-
 // TestFingerprintDeterministicAndDistinct checks OfString is stable and
 // collision-free over a realistic population of state keys.
 func TestFingerprintDeterministicAndDistinct(t *testing.T) {

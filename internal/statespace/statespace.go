@@ -15,8 +15,9 @@
 // OfString (the two agree byte-for-byte on the same content), and stores
 // only the fingerprint. Dropping per-state key materialization removes the
 // dominant allocation of the exploration hot path and shrinks the visited
-// set to 8 bytes of payload per state; Hasher additionally supports
-// fingerprinting content that arrives in pieces without concatenating it.
+// set to 8 bytes of payload per state. Content that arrives in pieces — a
+// liveness product state is the system state's encoding plus its monitor
+// bytes — is appended into one reusable buffer and hashed with OfBytes.
 //
 // Exploration is trace-optional. The frontier carries states directly and
 // each level's buffer is recycled for the level after next, so with
@@ -54,59 +55,20 @@ const (
 )
 
 // OfString fingerprints a canonical state key (FNV-1a, 64-bit).
-func OfString(s string) Fingerprint {
-	h := NewHasher()
-	h.AddString(s)
-	return h.Sum()
-}
+func OfString(s string) Fingerprint { return fnv1a(s) }
 
 // OfBytes fingerprints a canonical binary state encoding (FNV-1a, 64-bit).
 // It is the allocation-free sibling of OfString: OfBytes(b) ==
 // OfString(string(b)) for every b, so the appender keying path and the
 // Key-string fallback hash identical content to identical fingerprints.
-func OfBytes(b []byte) Fingerprint {
-	h := NewHasher()
-	h.Add(b)
-	return h.Sum()
-}
+func OfBytes(b []byte) Fingerprint { return fnv1a(b) }
 
-// Hasher is an incremental 64-bit FNV-1a fingerprint accumulator for
-// content that arrives in pieces: feeding it the concatenation of any
-// sequence of Add/AddByte/AddString calls yields exactly OfBytes/OfString
-// of the concatenated content. (The methods are deliberately not the
-// io.Writer family — they return nothing, cannot fail, and must never
-// force a caller through an interface.) The zero value is NOT ready; start
-// from NewHasher (FNV's offset basis is non-zero).
-type Hasher struct{ h uint64 }
-
-// NewHasher returns a Hasher primed with the FNV-1a offset basis.
-func NewHasher() Hasher { return Hasher{h: fnvOffset64} }
-
-// Add folds b into the running fingerprint.
-func (h *Hasher) Add(b []byte) {
-	x := h.h
+// fnv1a is the one FNV-1a loop behind OfString and OfBytes.
+func fnv1a[T string | []byte](b T) Fingerprint {
+	h := uint64(fnvOffset64)
 	for i := 0; i < len(b); i++ {
-		x ^= uint64(b[i])
-		x *= fnvPrime64
+		h ^= uint64(b[i])
+		h *= fnvPrime64
 	}
-	h.h = x
+	return Fingerprint(h)
 }
-
-// AddByte folds a single byte into the running fingerprint.
-func (h *Hasher) AddByte(b byte) {
-	h.h = (h.h ^ uint64(b)) * fnvPrime64
-}
-
-// AddString folds s into the running fingerprint.
-func (h *Hasher) AddString(s string) {
-	x := h.h
-	for i := 0; i < len(s); i++ {
-		x ^= uint64(s[i])
-		x *= fnvPrime64
-	}
-	h.h = x
-}
-
-// Sum returns the fingerprint of everything written so far. The hasher
-// remains usable (Sum is a read).
-func (h *Hasher) Sum() Fingerprint { return Fingerprint(h.h) }

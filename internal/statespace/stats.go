@@ -66,10 +66,11 @@ type Stats struct {
 	AllocBytes uint64 `json:"alloc_bytes,omitempty"`
 	// PoolHits and PoolMisses are the successor pool's traffic over the run
 	// (ts.PoolReporter delta): Fire clones served from recycled storage vs
-	// built fresh. Recycled counts the states the checker handed back
-	// (rejected duplicates, and in traceless mode expanded states). All zero
-	// when the system does not pool or recycling was disabled
-	// (mc.Options.NoRecycle).
+	// built fresh. Recycled counts the states the checker handed back to
+	// the pool: rejected duplicates, expanded states in traceless mode, and
+	// the liveness phase's rejected product successors, dead monitor
+	// branches and popped stack states. All zero when the system does not
+	// pool or recycling was disabled (mc.Options.NoRecycle).
 	PoolHits   uint64 `json:"pool_hits,omitempty"`
 	PoolMisses uint64 `json:"pool_misses,omitempty"`
 	Recycled   uint64 `json:"recycled,omitempty"`
