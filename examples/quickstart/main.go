@@ -54,6 +54,18 @@ func (s *state) Key() string {
 	return fmt.Sprintf("%d|%d,%d|%v,%v", s.Phase, s.Votes[0], s.Votes[1], s.Applied[0], s.Applied[1])
 }
 
+// AppendKey is the binary encoding the checker fingerprints: Key's fields,
+// one byte each.
+func (s *state) AppendKey(dst []byte) []byte {
+	b := func(v bool) byte {
+		if v {
+			return 1
+		}
+		return 0
+	}
+	return append(dst, byte(s.Phase), byte(s.Votes[0]), byte(s.Votes[1]), b(s.Applied[0]), b(s.Applied[1]))
+}
+
 func (s *state) Clone() ts.State { cp := *s; return &cp }
 
 // system implements ts.System. sketch selects holes vs. the fixed solution.

@@ -23,6 +23,9 @@ type bombState string
 
 func (s bombState) Key() string     { return string(s) }
 func (s bombState) Clone() ts.State { return s }
+func (s bombState) AppendKey(d []byte) []byte {
+	return append(d, s...)
+}
 
 func (bomb) Name() string        { return "bomb" }
 func (bomb) Initial() []ts.State { return []ts.State{bombState("init")} }

@@ -18,6 +18,13 @@ type counter struct {
 
 func (c *counter) Key() string     { return fmt.Sprintf("%d/%v", c.V, c.Done) }
 func (c *counter) Clone() ts.State { cp := *c; return &cp }
+func (c *counter) AppendKey(d []byte) []byte {
+	done := byte(0)
+	if c.Done {
+		done = 1
+	}
+	return append(d, byte(c.V), done)
+}
 
 // TestRuleGuardAndAction checks guard gating and in-place mutation on a
 // clone.

@@ -2,6 +2,7 @@ package mc_test
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -29,6 +30,9 @@ type chainState int
 
 func (s chainState) Key() string     { return fmt.Sprintf("c%d", int(s)) }
 func (s chainState) Clone() ts.State { return s }
+func (s chainState) AppendKey(d []byte) []byte {
+	return binary.AppendUvarint(d, uint64(s))
+}
 
 func newChain(n int) *chain { return &chain{n: n, panicAt: -1} }
 

@@ -161,11 +161,6 @@ func newCheckpointer(sys ts.System, opt Options) (*checkpointer, error) {
 	if !ok {
 		return nil, fmt.Errorf("mc: system %q does not implement ts.KeyDecoder; cannot checkpoint its frontier", sys.Name())
 	}
-	if inits := sys.Initial(); len(inits) > 0 {
-		if _, ok := inits[0].(ts.KeyAppender); !ok {
-			return nil, fmt.Errorf("mc: system %q states lack ts.KeyAppender binary encodings; cannot checkpoint", sys.Name())
-		}
-	}
 	cp := &checkpointer{
 		fs:       faultfs.Or(opt.FS),
 		dir:      opt.CheckpointDir,
@@ -245,11 +240,7 @@ func (cp *checkpointer) save(store visited.Store, meta ckptMeta, frontier func(y
 	if err == nil {
 		err = cp.writeFile(filepath.Join(tmp, "frontier.bin"), func(emit func([]byte) error) error {
 			return frontier(func(s ts.State) error {
-				a, ok := s.(ts.KeyAppender)
-				if !ok {
-					return fmt.Errorf("frontier state %q lacks ts.KeyAppender", safeKey(s))
-				}
-				cp.enc = a.AppendKey(cp.enc[:0])
+				cp.enc = s.AppendKey(cp.enc[:0])
 				return emit(cp.enc)
 			})
 		})

@@ -9,12 +9,11 @@
 // # Keying scheme and visited-set backends
 //
 // Every exploration shares one keying scheme (internal/statespace): a
-// state's canonical encoding — its ts.KeyAppender binary encoding appended
-// into per-worker scratch (canonicalized over all agent permutations when
-// Options.Symmetry is on, see internal/symmetry), falling back to the
-// formatted Key() string for states without an appender — is hashed to a
-// 64-bit FNV-1a fingerprint, and only the fingerprint is stored. On the
-// appender path nothing per-state is allocated to key a state: the
+// state's canonical encoding — its AppendKey binary encoding appended into
+// per-worker scratch (canonicalized over all agent permutations when
+// Options.Symmetry is on, see internal/symmetry) — is hashed to a 64-bit
+// FNV-1a fingerprint, and only the fingerprint is stored. Nothing
+// per-state is allocated to key a state: the
 // encoding lands in a reusable buffer and the fingerprint comes straight
 // off it (statespace.OfBytes). Because every worker count and search order
 // dedupes through the same fingerprints, complete explorations report
@@ -356,9 +355,8 @@ type Options struct {
 	// level boundary the visited fingerprints, the frontier states and the
 	// run statistics are snapshotted into a versioned subdirectory of this
 	// directory, committed atomically by rename (see checkpoint.go). "" —
-	// the default — disables checkpointing. Requires a system whose states
-	// implement ts.KeyAppender and that itself implements ts.KeyDecoder,
-	// BFS order, and RecordTrace/Usage off.
+	// the default — disables checkpointing. Requires a system that
+	// implements ts.KeyDecoder, BFS order, and RecordTrace/Usage off.
 	CheckpointDir string
 	// CheckpointEvery throttles how often level boundaries actually save.
 	// Zero — the default — is the adaptive policy: a boundary saves only
@@ -545,7 +543,7 @@ func (k *keyer) fingerprint(s ts.State) statespace.Fingerprint {
 	if k.canon != nil {
 		return k.canon.Fingerprint(s)
 	}
-	k.buf = appendKey(k.buf[:0], s)
+	k.buf = s.AppendKey(k.buf[:0])
 	return statespace.OfBytes(k.buf)
 }
 
@@ -553,18 +551,8 @@ func (k *keyer) fingerprint(s ts.State) statespace.Fingerprint {
 // encoding, never canonicalized (see liveness.go), extended with the
 // monitor and fairness-copy bytes.
 func (k *keyer) product(s ts.State, q, c uint8) statespace.Fingerprint {
-	k.buf = append(appendKey(k.buf[:0], s), q, c)
+	k.buf = append(s.AppendKey(k.buf[:0]), q, c)
 	return statespace.OfBytes(k.buf)
-}
-
-// appendKey appends s's encoding to dst: its ts.KeyAppender bytes, or the
-// bytes of its formatted Key() for states without an appender — which hash
-// as the Key string does, since OfBytes(b) == OfString(string(b)).
-func appendKey(dst []byte, s ts.State) []byte {
-	if a, ok := s.(ts.KeyAppender); ok {
-		return a.AppendKey(dst)
-	}
-	return append(dst, s.Key()...)
 }
 
 // tracePath converts a trace-store parent chain into initial→violation

@@ -120,6 +120,9 @@ type intState int
 
 func (s intState) Key() string     { return string(rune('a' + s)) }
 func (s intState) Clone() ts.State { return s }
+func (s intState) AppendKey(d []byte) []byte {
+	return append(d, byte(s))
+}
 
 func (*sinkSystem) Name() string        { return "sink" }
 func (*sinkSystem) Initial() []ts.State { return []ts.State{intState(0)} }

@@ -10,9 +10,9 @@
 //
 // The package is deliberately independent of the modelling layer (it knows
 // nothing about ts.State): the checker canonicalizes a state to its
-// canonical encoding — a reusable binary buffer when the state implements
-// ts.KeyAppender, its Key string otherwise — fingerprints it with OfBytes /
-// OfString (the two agree byte-for-byte on the same content), and stores
+// canonical encoding — the state's AppendKey bytes in a reusable buffer —
+// fingerprints it with OfBytes (which agrees with OfString byte-for-byte
+// on the same content), and stores
 // only the fingerprint. Dropping per-state key materialization removes the
 // dominant allocation of the exploration hot path and shrinks the visited
 // set to 8 bytes of payload per state. Content that arrives in pieces — a

@@ -28,7 +28,6 @@ import (
 // the unwrapped type), so Fingerprint searches all N! permutations.
 type exhaustive struct {
 	ts.Permutable
-	ts.KeyAppender
 }
 
 // counted counts the encodings one Fingerprint call compares: the state
@@ -36,14 +35,13 @@ type exhaustive struct {
 // for every other arrangement.
 type counted struct {
 	ts.Permutable
-	ts.KeyAppender
 	ts.AgentComparer
 	tried *int
 }
 
 func (c counted) AppendKey(dst []byte) []byte {
 	*c.tried++
-	return c.KeyAppender.AppendKey(dst)
+	return c.Permutable.AppendKey(dst)
 }
 
 func (c counted) PermuteInto(dst ts.State, perm []int) {
@@ -106,11 +104,11 @@ func TestFingerprintTriesOnlyTiePermutations(t *testing.T) {
 		}
 		c := symmetry.NewCanonicalizer(n)
 		tried := 0
-		got := c.Fingerprint(counted{s, s, s, &tried})
+		got := c.Fingerprint(counted{s, s, &tried})
 		if tried != want {
 			t.Fatalf("%v: compared %d encodings, tie classes %v allow %d", s, tried, classes, want)
 		}
-		if full := c.Fingerprint(exhaustive{s, s}); got != full {
+		if full := c.Fingerprint(exhaustive{s}); got != full {
 			t.Fatalf("%v: pruned fingerprint %x, exhaustive %x", s, got, full)
 		}
 		if again := c.Fingerprint(symmetry.Permuted(s, rng.Perm(n))); again != got {
@@ -269,11 +267,11 @@ func walkOffered(t *testing.T, sys ts.System, env *ts.Env, capped bool) (states,
 			canon = symmetry.NewCanonicalizer(n)
 		}
 		offered++
-		fp := canon.Fingerprint(counted{s, s, s, &tried})
+		fp := canon.Fingerprint(counted{s, s, &tried})
 		if plain := canon.Fingerprint(s); plain != fp {
 			t.Fatalf("counting changed the fingerprint: %x vs %x", fp, plain)
 		}
-		if full := canon.Fingerprint(exhaustive{s, s}); full != fp {
+		if full := canon.Fingerprint(exhaustive{s}); full != fp {
 			t.Fatalf("pruned fingerprint %x, exhaustive %x\n state: %v", fp, full, st)
 		}
 		perm := rng.Perm(n)

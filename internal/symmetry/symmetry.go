@@ -294,17 +294,12 @@ func (c *Canonicalizer) Key(s ts.State) string {
 //
 // In steady state the call allocates nothing: per-call scratch — the
 // arrangement, the Clone that PermuteInto overwrites, the two encoding
-// buffers — is pooled on the canonicalizer. States without ts.KeyAppender
-// fall back to the string path (OfString ∘ Key).
+// buffers — is pooled on the canonicalizer.
 func (c *Canonicalizer) Fingerprint(s ts.State) statespace.Fingerprint {
-	a, appends := s.(ts.KeyAppender)
-	if !appends {
-		return statespace.OfString(c.Key(s))
-	}
 	p, ok := s.(ts.Permutable)
 	if !ok {
 		sc := c.get()
-		sc.best = a.AppendKey(sc.best[:0])
+		sc.best = s.AppendKey(sc.best[:0])
 		fp := statespace.OfBytes(sc.best)
 		c.pool.Put(sc)
 		return fp
@@ -315,16 +310,15 @@ func (c *Canonicalizer) Fingerprint(s ts.State) statespace.Fingerprint {
 	if sc.dst == nil {
 		sc.dst = p.Clone()
 	}
-	dstAppender := sc.dst.(ts.KeyAppender) // Clone keeps the concrete type
 	// Only the first arrangement can be the identity (it is whenever the
 	// agents are already in order), and then s encodes as it stands.
 	sorted := Identity(sc.arr.perm)
 	best, cur := sc.best[:0], sc.cur
 	for first := true; first || sc.arr.next(); first = false {
-		pa := a
+		pa := s
 		if !(first && sorted) {
 			p.PermuteInto(sc.dst, sc.arr.perm)
-			pa = dstAppender
+			pa = sc.dst
 		}
 		cur = pa.AppendKey(cur[:0])
 		if first || bytes.Compare(cur, best) < 0 {

@@ -73,6 +73,13 @@ func (v *vecState) Key() string {
 func (v *vecState) Clone() ts.State {
 	return &vecState{vals: append([]int(nil), v.vals...)}
 }
+func (v *vecState) AppendKey(dst []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(v.vals)))
+	for _, val := range v.vals {
+		dst = binary.AppendVarint(dst, int64(val))
+	}
+	return dst
+}
 func (v *vecState) NumAgents() int { return len(v.vals) }
 func (v *vecState) PermuteInto(dst ts.State, perm []int) {
 	d := dst.(*vecState)
@@ -116,8 +123,9 @@ func TestOrbitSize(t *testing.T) {
 // plainState does not implement Permutable.
 type plainState struct{ k string }
 
-func (p plainState) Key() string     { return p.k }
-func (p plainState) Clone() ts.State { return p }
+func (p plainState) Key() string               { return p.k }
+func (p plainState) AppendKey(d []byte) []byte { return append(d, p.k...) }
+func (p plainState) Clone() ts.State           { return p }
 
 // TestNonPermutableFallsBack checks non-permutable states keep their key.
 func TestNonPermutableFallsBack(t *testing.T) {
@@ -140,17 +148,9 @@ func TestNegativePanics(t *testing.T) {
 	symmetry.Permutations(-1)
 }
 
-// appendVecState extends vecState with ts.KeyAppender, the binary keying
-// capability.
+// appendVecState is vecState under a second concrete type, for the tests
+// that fingerprint through the binary path.
 type appendVecState struct{ vecState }
-
-func (v *appendVecState) AppendKey(dst []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(v.vals)))
-	for _, val := range v.vals {
-		dst = binary.AppendVarint(dst, int64(val))
-	}
-	return dst
-}
 
 func (v *appendVecState) Clone() ts.State {
 	return &appendVecState{vecState{vals: append([]int(nil), v.vals...)}}
@@ -181,20 +181,6 @@ func TestFingerprintOrbitInvariance(t *testing.T) {
 			t.Fatalf("distinct multisets %v and %v share fingerprint %x", prev, vals, want)
 		}
 		seen[want] = vals
-	}
-}
-
-// TestFingerprintFallsBackToStringKey checks states without ts.KeyAppender
-// hash exactly what the Key-string tier gives: OfString of the canonical Key.
-func TestFingerprintFallsBackToStringKey(t *testing.T) {
-	c := symmetry.NewCanonicalizer(4)
-	s := &vecState{vals: []int{3, 1, 2, 1}}
-	if got, want := c.Fingerprint(s), statespace.OfString(c.Key(s)); got != want {
-		t.Errorf("permutable fallback: %x, want OfString(Key) %x", got, want)
-	}
-	p := plainState{k: "plain"}
-	if got, want := c.Fingerprint(p), statespace.OfString("plain"); got != want {
-		t.Errorf("non-permutable fallback: %x, want %x", got, want)
 	}
 }
 

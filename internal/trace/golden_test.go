@@ -43,9 +43,10 @@ func golden(t *testing.T, name, got string) {
 // stable String rendering so ShowStates output is pinned too.
 type counter struct{ v int8 }
 
-func (s *counter) Key() string     { return string(rune('0' + s.v)) }
-func (s *counter) Clone() ts.State { cp := *s; return &cp }
-func (s *counter) String() string  { return "counter=" + s.Key() }
+func (s *counter) Key() string               { return string(rune('0' + s.v)) }
+func (s *counter) Clone() ts.State           { cp := *s; return &cp }
+func (s *counter) AppendKey(d []byte) []byte { return append(d, byte(s.v)) }
+func (s *counter) String() string            { return "counter=" + s.Key() }
 
 // TestGoldenSafetyTrace pins the multi-line rendering of an invariant
 // violation: header, initial-state line, numbered steps, state lines.

@@ -16,12 +16,12 @@
 // deduplication, and a private copy (Clone) so rule actions can mutate
 // freely.
 //
-// Keying has two tiers. Key() string is the mandatory, human-readable
-// canonical encoding — it is what counterexample traces show and what the
-// checker falls back to. States that additionally implement KeyAppender
-// provide a compact binary encoding appended into a caller-owned buffer,
-// which is what the exploration hot path fingerprints: no string is ever
-// materialized per visited state. Symmetric states implement Permutable —
+// Every state keys itself twice. Key() string is the human-readable
+// canonical encoding — it is what counterexample traces show. AppendKey
+// (KeyAppender, part of State) is a compact binary encoding appended into a
+// caller-owned buffer, which is what the checker, the canonicalizer and the
+// checkpoint writer fingerprint: no string is ever materialized per visited
+// state, and there is no string fallback. Symmetric states implement Permutable —
 // the canonicalizer renames one reusable Clone in place, once per
 // permutation it tries — and can further implement AgentComparer so it
 // sorts the agents first and tries only the permutations that keep the
@@ -106,8 +106,12 @@ var ErrWildcard = errors.New("ts: wildcard hole encountered")
 // their keys are equal. Models with symmetric agents additionally implement
 // Permutable so the checker can canonicalize keys up to agent permutation.
 type State interface {
-	// Key returns the canonical encoding of the state. It must be
-	// deterministic and injective on the reachable state space.
+	// AppendKey is the binary encoding the checker fingerprints (see
+	// KeyAppender): every state has one.
+	KeyAppender
+	// Key returns the canonical human-readable encoding of the state, what
+	// traces and tools show. It must be deterministic and injective on the
+	// reachable state space.
 	Key() string
 	// Clone returns a copy of the same concrete type that owns all of its
 	// mutable storage: nothing written to the copy — by a rule action,
@@ -115,12 +119,13 @@ type State interface {
 	Clone() State
 }
 
-// KeyAppender is optionally implemented by states that can encode themselves
-// in binary without allocating. AppendKey appends a compact encoding of the
-// state to dst and returns the extended buffer, exactly like
-// strconv.AppendInt grows its destination: the caller owns the buffer and
-// reuses it across states, so the exploration hot path fingerprints states
-// with zero per-state allocations (see statespace.OfBytes).
+// KeyAppender is the binary half of a state's keying, part of every State.
+// AppendKey appends a compact encoding of the state to dst and returns the
+// extended buffer, exactly like strconv.AppendInt grows its destination: the
+// caller owns the buffer and reuses it across states, so the exploration hot
+// path fingerprints states with zero per-state allocations (see
+// statespace.OfBytes). There is no string fallback: the checker, the
+// canonicalizer and the checkpoint writer key every state by these bytes.
 //
 // The encoding must satisfy the same contract as Key, restated in binary:
 // deterministic, and injective wherever Key is — two states with distinct

@@ -61,13 +61,15 @@ func TestNilEnvPanics(t *testing.T) {
 // poolState and foreignState are two concrete state types for the pool test.
 type poolState struct{ v int }
 
-func (s *poolState) Key() string     { return "" }
-func (s *poolState) Clone() ts.State { cp := *s; return &cp }
+func (s *poolState) Key() string               { return "" }
+func (s *poolState) AppendKey(d []byte) []byte { return d }
+func (s *poolState) Clone() ts.State           { cp := *s; return &cp }
 
 type foreignState struct{}
 
-func (foreignState) Key() string     { return "" }
-func (foreignState) Clone() ts.State { return foreignState{} }
+func (foreignState) Key() string               { return "" }
+func (foreignState) AppendKey(d []byte) []byte { return d }
+func (foreignState) Clone() ts.State           { return foreignState{} }
 
 // TestPoolRecyclesOnlyItsOwnType: every Get is counted as a hit or a miss,
 // a hit hands back a state that was recycled, and a state of another type

@@ -38,9 +38,8 @@ import (
 // one behind a wildcard). So on a correct checker its state count and
 // depth are the checker's, whatever the verdict.
 //
-// A state's identity is its ts.KeyAppender encoding (its Key string if it
-// has none) or, under symmetry, its canonical Key over every permutation of
-// its agents (symmetry.Canonicalizer.Key, the exhaustive reference). Each
+// A state's identity is its AppendKey encoding or, under symmetry, its
+// canonical Key over every permutation of its agents (symmetry.Canonicalizer.Key, the exhaustive reference). Each
 // offered state's identity is compared byte for byte with the identity
 // already holding its fingerprint — the fingerprint the checker keys it by:
 // statespace.OfBytes of the encoding, or Canonicalizer.Fingerprint. An
@@ -182,12 +181,7 @@ func (o *Oracle) identify(s ts.State) statespace.Fingerprint {
 		o.buf = append(o.buf[:0], o.canon.Key(s)...)
 		return o.canon.Fingerprint(s)
 	}
-	a, ok := s.(ts.KeyAppender)
-	if !ok {
-		o.buf = append(o.buf[:0], s.Key()...)
-		return statespace.OfBytes(o.buf) // = OfString of the Key
-	}
-	o.buf = a.AppendKey(o.buf[:0])
+	o.buf = s.AppendKey(o.buf[:0])
 	fp := statespace.OfBytes(o.buf)
 	if o.Keys {
 		o.buf = append(o.buf[:0], s.Key()...)
