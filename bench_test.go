@@ -586,27 +586,22 @@ func BenchmarkSynthPeterson(b *testing.B) {
 
 // --- Successor lifecycle ablation (experiment E15) ---
 //
-// The pooled-clone recycling and allocation-free enumeration protocol
-// (ts.Recycler / ts.StateCopier / ts.RuleSystem) on the complete
-// 3-cache MSI exploration, in the synthesis configuration (symmetry on,
-// traceless, flat backend). Options.NoRecycle and Options.FreshTransitions
-// switch each half off independently; allocs/op across the four rows is the
-// ablation table in EXPERIMENTS.md E15. All rows land in the CI benchstat
-// artifact via -benchmem.
+// The pooled-clone recycling protocol (ts.Recycler / ts.StateCopier) on
+// the complete 3-cache MSI exploration, in the synthesis configuration
+// (symmetry on, traceless, flat backend), with enumeration into rule
+// records. Options.NoRecycle switches recycling off; allocs/op across the
+// two rows is the ablation table in EXPERIMENTS.md E15. Both rows land in
+// the CI benchstat artifact via -benchmem.
 
-// lifecycleBench explores the complete 3-cache protocol once per iteration
-// under the given lifecycle knobs.
-func lifecycleBench(b *testing.B, noRecycle, freshTrs bool) {
+// lifecycleBench explores the complete 3-cache protocol once per iteration,
+// with or without recycling.
+func lifecycleBench(b *testing.B, noRecycle bool) {
 	b.Helper()
 	sys := msi.New(msi.Config{Caches: 3, Variant: msi.Complete})
 	b.ReportAllocs()
 	var last *mc.Result
 	for i := 0; i < b.N; i++ {
-		res, err := mc.Check(sys, mc.Options{
-			Symmetry:         true,
-			NoRecycle:        noRecycle,
-			FreshTransitions: freshTrs,
-		})
+		res, err := mc.Check(sys, mc.Options{Symmetry: true, NoRecycle: noRecycle})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -622,20 +617,12 @@ func lifecycleBench(b *testing.B, noRecycle, freshTrs bool) {
 	}
 }
 
-// BenchmarkLifecycleFull is the shipping configuration: recycling on,
-// appender enumeration on.
-func BenchmarkLifecycleFull(b *testing.B) { lifecycleBench(b, false, false) }
+// BenchmarkLifecycleFull is the shipping configuration: recycling on.
+func BenchmarkLifecycleFull(b *testing.B) { lifecycleBench(b, false) }
 
-// BenchmarkLifecycleNoRecycle keeps appender enumeration but clones every
-// successor fresh (the recycling half of the ablation).
-func BenchmarkLifecycleNoRecycle(b *testing.B) { lifecycleBench(b, true, false) }
-
-// BenchmarkLifecycleFreshEnum keeps recycling but enumerates through the
-// legacy Transitions path (per-expansion slice + formatted names).
-func BenchmarkLifecycleFreshEnum(b *testing.B) { lifecycleBench(b, false, true) }
-
-// BenchmarkLifecycleOff disables both: the PR 5 baseline.
-func BenchmarkLifecycleOff(b *testing.B) { lifecycleBench(b, true, true) }
+// BenchmarkLifecycleNoRecycle clones every successor fresh (the recycling
+// ablation).
+func BenchmarkLifecycleNoRecycle(b *testing.B) { lifecycleBench(b, true) }
 
 // --- Liveness checking (experiment E16) ---
 //

@@ -143,8 +143,8 @@
 // The allocations keying left behind were per transition: a Fire closure
 // for every enabled transition of every expanded state, and a deep clone
 // of the source for every one fired, most of which die as visited-set
-// duplicates microseconds later. Both are gone. Models implement
-// ts.RuleSystem: enabled transitions are ts.Rule records — rule id,
+// duplicates microseconds later. Both are gone. ts.System is a rule-record
+// contract: enabled transitions are ts.Rule records — rule id,
 // agent, message index, name index; twelve pointer-free bytes — appended
 // into a buffer the expanding worker owns and fired through one
 // FireRule(src, rule, env) switch, with names looked up in tables built
@@ -158,11 +158,11 @@
 // the pool through ts.Recycler: every rejected duplicate, plus —
 // traceless — each expanded state once its rules have fired and whatever
 // the frontier still holds when a run ends at a violation. States that
-// reach trace nodes or counterexamples escape the pool forever.
-// Closure-valued ts.System.Transitions remains the minimal API a small
-// model is written against (examples/quickstart); ts.AppendTransitions
-// derives it from the records and ts.Rules drives it as records, which is
-// also what mc.Options.FreshTransitions forces for differential tests.
+// reach trace nodes or counterexamples escape the pool forever. Records
+// are the only model contract; a small model need not write them by hand,
+// because internal/dsl builds them from guarded rules (examples/quickstart).
+// The one closure form left is the msi model's transition appender, which
+// the repository benchmark's layer walk (bench/walk.go) enumerates through.
 //
 // One level up, mc.Session keeps what a check needs beyond its Result —
 // the kernel, its workers' key, rule and frontier buffers, the
@@ -172,9 +172,8 @@
 // candidate. mc.Check is NewSession(...).Check(...): there is one path.
 // Together: 8.4 -> 0.3 mallocs/state on the unreduced 5-cache MSI walk,
 // 375 -> 5 mallocs per synthesis dispatch on MSI-large (pinned <= 1.5 and
-// <= 20 by regression tests; mc.Options.NoRecycle and FreshTransitions
-// are the ablation knobs, and -stats reports pool hit/miss/recycled
-// counts).
+// <= 20 by regression tests; mc.Options.NoRecycle is the ablation knob,
+// and -stats reports pool hit/miss/recycled counts).
 //
 // # Liveness checking
 //

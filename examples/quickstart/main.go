@@ -28,6 +28,7 @@ import (
 	"log"
 
 	"verc3/internal/core"
+	"verc3/internal/dsl"
 	"verc3/internal/mc"
 	"verc3/internal/spec"
 	"verc3/internal/ts"
@@ -68,97 +69,63 @@ func (s *state) AppendKey(dst []byte) []byte {
 
 func (s *state) Clone() ts.State { cp := *s; return &cp }
 
-// system implements ts.System. sketch selects holes vs. the fixed solution.
-type system struct{ sketch bool }
-
-func (sys *system) Name() string { return "two-phase-commit" }
-
-func (sys *system) Initial() []ts.State {
-	return []ts.State{&state{Votes: [2]int8{-1, -1}}}
-}
-
 // decideActions is the designer-provided action library for both holes.
 var decideActions = []string{"commit", "abort"}
 
-func (sys *system) Transitions(s ts.State) []ts.Transition {
-	st := s.(*state)
-	var trs []ts.Transition
+// build declares the protocol on a dsl.Builder, which turns guarded rules
+// into a ts.System. sketch selects holes vs. the fixed solution.
+func build(sketch bool) ts.System {
+	b := dsl.NewBuilder("two-phase-commit", &state{Votes: [2]int8{-1, -1}})
 
 	// Workers vote (nondeterministically yes or no).
 	for w := 0; w < 2; w++ {
-		w := w
-		if st.Phase == collecting && st.Votes[w] == -1 {
-			for _, vote := range []int8{0, 1} {
-				vote := vote
-				trs = append(trs, ts.Transition{
-					Name: fmt.Sprintf("worker %d votes %d", w, vote),
-					Fire: func(*ts.Env) (ts.State, error) {
-						ns := st.Clone().(*state)
-						ns.Votes[w] = vote
-						return ns, nil
-					},
-				})
-			}
+		for vote := int8(0); vote <= 1; vote++ {
+			b.Rule(fmt.Sprintf("worker %d votes %d", w, vote),
+				func(s *state) bool { return s.Phase == collecting && s.Votes[w] == -1 },
+				func(s *state, _ *ts.Env) error { s.Votes[w] = vote; return nil })
 		}
 	}
 
 	// Coordinator decides once all votes are in. The decision in each case
-	// is a synthesis hole.
-	if st.Phase == collecting && st.Votes[0] != -1 && st.Votes[1] != -1 {
-		allYes := st.Votes[0] == 1 && st.Votes[1] == 1
-		hole, correct := "decide-on-any-no", 1 // abort
-		if allYes {
-			hole, correct = "decide-on-all-yes", 0 // commit
-		}
-		trs = append(trs, ts.Transition{
-			Name: "coordinator decides (" + hole + ")",
-			Fire: func(env *ts.Env) (ts.State, error) {
+	// is a synthesis hole; correct is the action the complete model takes.
+	allYes := func(s *state) bool { return s.Votes[0] == 1 && s.Votes[1] == 1 }
+	decide := func(hole string, onAllYes bool, correct int) {
+		b.Rule("coordinator decides ("+hole+")",
+			func(s *state) bool {
+				return s.Phase == collecting && s.Votes[0] != -1 && s.Votes[1] != -1 && allYes(s) == onAllYes
+			},
+			func(s *state, env *ts.Env) error {
 				act := correct
-				if sys.sketch {
+				if sketch {
 					var err error
 					if act, err = env.Choose(hole, decideActions); err != nil {
-						return nil, err
+						return err
 					}
 				}
-				ns := st.Clone().(*state)
 				if act == 0 {
-					ns.Phase = committed
-					ns.Applied = [2]bool{true, true}
+					s.Phase = committed
+					s.Applied = [2]bool{true, true}
 				} else {
-					ns.Phase = aborted
+					s.Phase = aborted
 				}
-				return ns, nil
-			},
-		})
+				return nil
+			})
 	}
-	return trs
-}
+	decide("decide-on-all-yes", true, 0) // commit
+	decide("decide-on-any-no", false, 1) // abort
 
-func (sys *system) Invariants() []ts.Invariant {
-	return []ts.Invariant{
-		{Name: "commit-needs-unanimous-yes", Holds: func(s ts.State) bool {
-			st := s.(*state)
-			return st.Phase != committed || (st.Votes[0] == 1 && st.Votes[1] == 1)
-		}},
-		{Name: "apply-only-on-commit", Holds: func(s ts.State) bool {
-			st := s.(*state)
-			return st.Phase == committed || (!st.Applied[0] && !st.Applied[1])
-		}},
-	}
-}
-
-// Goals: a degenerate always-abort coordinator is safe but useless; require
-// that a commit is reachable.
-func (sys *system) Goals() []ts.ReachGoal {
-	return []ts.ReachGoal{{
-		Name:  "some-commit-happens",
-		Holds: func(s ts.State) bool { return s.(*state).Phase == committed },
-	}}
-}
-
-// Quiescent: decided states are terminal by design, not deadlocks.
-func (sys *system) Quiescent(s ts.State) bool {
-	return s.(*state).Phase != collecting
+	b.Invariant("commit-needs-unanimous-yes", func(s *state) bool {
+		return s.Phase != committed || allYes(s)
+	})
+	b.Invariant("apply-only-on-commit", func(s *state) bool {
+		return s.Phase == committed || (!s.Applied[0] && !s.Applied[1])
+	})
+	// A degenerate always-abort coordinator is safe but useless; require
+	// that a commit is reachable.
+	b.Goal("some-commit-happens", func(s *state) bool { return s.Phase == committed })
+	// Decided states are terminal by design, not deadlocks.
+	b.Quiescent(func(s *state) bool { return s.Phase != collecting })
+	return b.System()
 }
 
 // specDoc is the same two-phase-commit sketch as a verc3_model_v1 model
@@ -203,14 +170,14 @@ const specDoc = `{
 
 func main() {
 	// Step 1: verify the complete (hole-free) protocol.
-	res, err := mc.Check(&system{sketch: false}, mc.Options{RecordTrace: true})
+	res, err := mc.Check(build(false), mc.Options{RecordTrace: true})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("complete model: verdict=%s states=%d\n", res.Verdict, res.Stats.VisitedStates)
 
 	// Step 2: synthesize the sketch.
-	out, err := core.Synthesize(&system{sketch: true}, core.Config{Mode: core.ModePrune})
+	out, err := core.Synthesize(build(true), core.Config{Mode: core.ModePrune})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -222,7 +189,7 @@ func main() {
 
 	// Step 3: the same sketch as data. spec.Parse validates the document
 	// (errors carry the JSON path of the offender) and compiles it onto
-	// the same substrate the hand-written system runs on; the compiled
+	// the same dsl substrate the Go-built system runs on; the compiled
 	// sketch synthesizes through the identical engine.
 	m, err := spec.Parse([]byte(specDoc))
 	if err != nil {

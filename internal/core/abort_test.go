@@ -29,21 +29,23 @@ func (s bombState) AppendKey(d []byte) []byte {
 
 func (bomb) Name() string        { return "bomb" }
 func (bomb) Initial() []ts.State { return []ts.State{bombState("init")} }
-func (bomb) Transitions(s ts.State) []ts.Transition {
+func (bomb) AppendRules(dst []ts.Rule, s ts.State) []ts.Rule {
 	if s.(bombState) != "init" {
-		return nil
+		return dst
 	}
-	return []ts.Transition{{Name: "h", Fire: func(env *ts.Env) (ts.State, error) {
-		a, err := env.Choose("h", []string{"ok", "bug"})
-		if err != nil {
-			return nil, err
-		}
-		if a == 1 {
-			panic("injected model bug")
-		}
-		return bombState("done"), nil
-	}}}
+	return append(dst, ts.Rule{})
 }
+func (bomb) FireRule(_ ts.State, _ ts.Rule, env *ts.Env) (ts.State, error) {
+	a, err := env.Choose("h", []string{"ok", "bug"})
+	if err != nil {
+		return nil, err
+	}
+	if a == 1 {
+		panic("injected model bug")
+	}
+	return bombState("done"), nil
+}
+func (bomb) RuleName(ts.Rule) string    { return "h" }
 func (bomb) Invariants() []ts.Invariant { return nil }
 func (bomb) Quiescent(ts.State) bool    { return true }
 

@@ -307,9 +307,9 @@ func (e *engine) checker(w, mcWorkers int) *checker {
 
 // Synthesize completes the holes of the skeleton system sys.
 //
-// sys must be stateless: Transitions and all guards/actions may be invoked
-// concurrently (from Workers goroutines) and must derive successors only by
-// cloning, never by mutating shared structures.
+// sys must be stateless: AppendRules, FireRule and all guards/actions may
+// be invoked concurrently (from Workers goroutines) and must derive
+// successors only by cloning, never by mutating shared structures.
 //
 // Every model-checker dispatch of the search runs with trace recording off:
 // pruning needs only verdicts and usage masks, so candidates explore in the

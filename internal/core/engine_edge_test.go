@@ -122,31 +122,30 @@ func TestMCStateCapDuringSynthesis(t *testing.T) {
 // hostileSystem redeclares a hole with a different arity mid-search: the
 // engine must surface a hard error, not mislabel candidates. It borrows a
 // toy graph's states and properties through a named field, not by embedding
-// it: the graph is a ts.RuleSystem, and promoting its AppendRules/FireRule
-// would have the checker enumerate the graph's rules and bypass the
-// Transitions below (see the ts.RuleSystem docs).
+// it, so none of the graph's optional capabilities (quiescence, goals) is
+// promoted.
 type hostileSystem struct{ g toy.Graph }
 
 func (h *hostileSystem) Name() string               { return h.g.Name() }
 func (h *hostileSystem) Initial() []ts.State        { return h.g.Initial() }
 func (h *hostileSystem) Invariants() []ts.Invariant { return h.g.Invariants() }
 
-func (h *hostileSystem) Transitions(s ts.State) []ts.Transition {
-	return []ts.Transition{{
-		Name: "bad",
-		Fire: func(env *ts.Env) (ts.State, error) {
-			k := s.Key()
-			acts := []string{"a", "b"}
-			if k != "n0" {
-				acts = []string{"a"}
-			}
-			if _, err := env.Choose("h", acts); err != nil {
-				return nil, err
-			}
-			return s.Clone(), nil
-		},
-	}}
+func (h *hostileSystem) AppendRules(dst []ts.Rule, _ ts.State) []ts.Rule {
+	return append(dst, ts.Rule{})
 }
+
+func (h *hostileSystem) FireRule(s ts.State, _ ts.Rule, env *ts.Env) (ts.State, error) {
+	acts := []string{"a", "b"}
+	if s.Key() != "n0" {
+		acts = []string{"a"}
+	}
+	if _, err := env.Choose("h", acts); err != nil {
+		return nil, err
+	}
+	return s.Clone(), nil
+}
+
+func (h *hostileSystem) RuleName(ts.Rule) string { return "bad" }
 
 func TestInconsistentHoleArityFails(t *testing.T) {
 	h := &hostileSystem{g: toy.Graph{

@@ -1,11 +1,12 @@
 // Package dsl is a lightweight, Murphi-flavoured frontend over internal/ts
 // — the "more ergonomic frontend DSL" the paper lists as future work.
 //
-// Instead of implementing the five-method ts.System interface by hand, a
-// model declares guarded rules, rulesets (rules replicated over a parameter
-// range, like Murphi's `ruleset i: cid do … end`), invariants, reach goals,
-// liveness goals (EventuallyAlways / LeadsTo, with Fair weak-fairness
-// declarations) on a Builder. Rule actions mutate a typed clone of the state in place — the
+// Instead of implementing ts.System by hand — a rule-record enumerator, a
+// FireRule switch and a name table — a model declares guarded rules,
+// rulesets (rules replicated over a parameter range, like Murphi's
+// `ruleset i: cid do … end`), invariants, reach goals, liveness goals
+// (EventuallyAlways / LeadsTo, with Fair weak-fairness declarations) on a
+// Builder. Rule actions mutate a typed clone of the state in place — the
 // builder handles cloning, so the usual "Clone then cast then mutate then
 // return" boilerplate disappears:
 //
@@ -20,13 +21,12 @@
 // and return its error (wildcard aborts propagate through).
 //
 // The builder never wraps states — the S values a model mutates are exactly
-// the ts.States the checker sees — so every optional state capability passes
-// straight through: a state type that implements ts.KeyAppender keeps the
-// allocation-free binary fingerprinting path, and one that implements
-// ts.Permutable keeps symmetry reduction, with no declaration on the Builder
-// (internal/tokenring's ring implements KeyAppender this way). What the
-// builder relies on is the ts ownership rule: S.Clone returns an S that
-// shares no mutable storage with its receiver.
+// the ts.States the checker sees — so the checker fingerprints S's own
+// AppendKey, and every optional state capability passes straight through: a
+// state type that implements ts.Permutable keeps symmetry reduction, with
+// no declaration on the Builder. What the builder relies on is the ts
+// ownership rule: S.Clone returns an S that shares no mutable storage with
+// its receiver (checked at rule-firing time to be an S).
 //
 // The successor lifecycle passes through the same way: when S implements
 // ts.StateCopier, rule actions fire on clones drawn from a ts.Pool of
@@ -34,11 +34,10 @@
 // not, Recycle quietly drops states and every clone is fresh.
 //
 // A Builder's rules are data — a guard, an action and an instance count each
-// — so built systems implement ts.RuleSystem directly: enumeration appends
-// one ts.Rule per enabled instance and firing indexes the rule table, with
-// no closure per transition. Rule and RuleSet names are formatted once at
-// registration; a Choice name is formatted when it is asked for (the
-// alternative set is data-dependent and unbounded).
+// — so enumeration appends one ts.Rule per enabled instance and firing
+// indexes the rule table, with no closure per transition. Rule and RuleSet
+// names are formatted once at registration; a Choice name is formatted when
+// it is asked for (the alternative set is data-dependent and unbounded).
 package dsl
 
 import (
@@ -47,14 +46,8 @@ import (
 	"verc3/internal/ts"
 )
 
-// Mutable is the state contract for the builder: a ts.State whose Clone
-// returns the same concrete type (enforced at rule-firing time).
-type Mutable interface {
-	ts.State
-}
-
 // Builder accumulates rules and properties, then freezes into a ts.System.
-type Builder[S Mutable] struct {
+type Builder[S ts.State] struct {
 	name    string
 	initial []ts.State
 	rules   []rule[S]
@@ -74,7 +67,7 @@ type Builder[S Mutable] struct {
 // a RuleSet one per parameter in [0, n), a Choice one per alternative
 // enabled(s) lists. A ts.Rule names a rule by its index in Builder.rules
 // (ID) and the instance (Msg).
-type rule[S Mutable] struct {
+type rule[S ts.State] struct {
 	n      int
 	guard  func(S, int) bool // nil: always enabled
 	action func(S, int, *ts.Env) error
@@ -87,7 +80,7 @@ type rule[S Mutable] struct {
 }
 
 // NewBuilder starts a system with one or more initial states.
-func NewBuilder[S Mutable](name string, initial ...S) *Builder[S] {
+func NewBuilder[S ts.State](name string, initial ...S) *Builder[S] {
 	if len(initial) == 0 {
 		panic("dsl: need at least one initial state")
 	}
@@ -222,7 +215,7 @@ func (b *Builder[S]) System() ts.System {
 	return &built[S]{b: b}
 }
 
-type built[S Mutable] struct{ b *Builder[S] }
+type built[S ts.State] struct{ b *Builder[S] }
 
 // Name implements ts.System.
 func (x *built[S]) Name() string { return x.b.name }
@@ -239,13 +232,7 @@ func (x *built[S]) Initial() []ts.State {
 	return out
 }
 
-// Transitions implements ts.System: the minimal, closure-valued API, through
-// the ts adapter.
-func (x *built[S]) Transitions(s ts.State) []ts.Transition {
-	return ts.AppendTransitions(x, nil, s)
-}
-
-// AppendRules implements ts.RuleSystem: the rules in registration order,
+// AppendRules implements ts.System: the rules in registration order,
 // each rule's enabled instances in instance order.
 func (x *built[S]) AppendRules(dst []ts.Rule, s ts.State) []ts.Rule {
 	st := s.(S)
@@ -266,7 +253,7 @@ func (x *built[S]) AppendRules(dst []ts.Rule, s ts.State) []ts.Rule {
 	return dst
 }
 
-// RuleName implements ts.RuleSystem.
+// RuleName implements ts.System.
 func (x *built[S]) RuleName(r ts.Rule) string {
 	if ru := &x.b.rules[r.ID]; ru.enabled != nil {
 		return fmt.Sprintf(ru.pattern, int(r.Msg))
@@ -274,7 +261,7 @@ func (x *built[S]) RuleName(r ts.Rule) string {
 	return x.b.names[r.Name]
 }
 
-// FireRule implements ts.RuleSystem: the rule's action runs on a clone of
+// FireRule implements ts.System: the rule's action runs on a clone of
 // src, which goes straight back to the pool when the action aborts.
 func (x *built[S]) FireRule(src ts.State, r ts.Rule, env *ts.Env) (ts.State, error) {
 	ns := x.b.clone(src.(S))

@@ -57,14 +57,15 @@ func TestRuleSetExpansion(t *testing.T) {
 	b.RuleSet(3, "bump%d", func(s *counter, i int) bool { return i != 1 },
 		func(s *counter, i int, _ *ts.Env) error { s.V += i; return nil })
 	sys := b.System()
-	trs := sys.Transitions(sys.Initial()[0])
-	if len(trs) != 2 {
-		t.Fatalf("instances = %d, want 2 (guard filters i=1)", len(trs))
+	init := sys.Initial()[0]
+	rules := sys.AppendRules(nil, init)
+	if len(rules) != 2 {
+		t.Fatalf("instances = %d, want 2 (guard filters i=1)", len(rules))
 	}
-	if trs[0].Name != "bump0" || trs[1].Name != "bump2" {
-		t.Errorf("names = %s, %s", trs[0].Name, trs[1].Name)
+	if a, b := sys.RuleName(rules[0]), sys.RuleName(rules[1]); a != "bump0" || b != "bump2" {
+		t.Errorf("names = %s, %s", a, b)
 	}
-	next, err := trs[1].Fire(nil)
+	next, err := sys.FireRule(init, rules[1], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,9 +84,8 @@ func TestChoiceExpansion(t *testing.T) {
 		return []int{1, 2, 3}
 	}, func(s *counter, alt int, _ *ts.Env) error { s.V = alt; return nil })
 	sys := b.System()
-	trs := sys.Transitions(sys.Initial()[0])
-	if len(trs) != 3 {
-		t.Fatalf("alternatives = %d, want 3", len(trs))
+	if rules := sys.AppendRules(nil, sys.Initial()[0]); len(rules) != 3 {
+		t.Fatalf("alternatives = %d, want 3", len(rules))
 	}
 }
 

@@ -6,7 +6,7 @@
 // level (of every range of one, with several workers) and every
 // cancelPollStride expansions per worker, so a -timeout deadline or a
 // SIGINT-driven cancel stops the search within a bounded amount of work.
-// Panic containment: a panic out of model code (Transitions, Fire, an
+// Panic containment: a panic out of model code (AppendRules, FireRule, an
 // invariant, Key) is recovered on the goroutine it happened on instead of
 // crashing the process. Either way the run returns normally — error-free —
 // with Verdict == Aborted and a non-nil Result.Abort describing why,

@@ -17,12 +17,12 @@ import (
 	"verc3/internal/ts"
 )
 
-// chain is a parametric linear system 0 → 1 → … → n-1 whose Transitions
+// chain is a parametric linear system 0 → 1 → … → n-1 whose AppendRules
 // calls an optional hook — the tests' window into "model code is running
 // now" — and can be armed to panic at a chosen state.
 type chain struct {
 	n       int
-	panicAt int // state value whose Transitions panics (-1 = never)
+	panicAt int // state value whose AppendRules panics (-1 = never)
 	hook    func(v int)
 }
 
@@ -38,7 +38,7 @@ func newChain(n int) *chain { return &chain{n: n, panicAt: -1} }
 
 func (c *chain) Name() string        { return "chain" }
 func (c *chain) Initial() []ts.State { return []ts.State{chainState(0)} }
-func (c *chain) Transitions(s ts.State) []ts.Transition {
+func (c *chain) AppendRules(dst []ts.Rule, s ts.State) []ts.Rule {
 	v := int(s.(chainState))
 	if c.hook != nil {
 		c.hook(v)
@@ -47,12 +47,14 @@ func (c *chain) Transitions(s ts.State) []ts.Transition {
 		panic(fmt.Sprintf("model bug at %d", v))
 	}
 	if v+1 >= c.n {
-		return nil
+		return dst
 	}
-	return []ts.Transition{{Name: "step", Fire: func(*ts.Env) (ts.State, error) {
-		return chainState(v + 1), nil
-	}}}
+	return append(dst, ts.Rule{})
 }
+func (c *chain) FireRule(src ts.State, _ ts.Rule, _ *ts.Env) (ts.State, error) {
+	return src.(chainState) + 1, nil
+}
+func (c *chain) RuleName(ts.Rule) string    { return "step" }
 func (c *chain) Invariants() []ts.Invariant { return nil }
 func (c *chain) Quiescent(ts.State) bool    { return true }
 

@@ -41,22 +41,22 @@ type cpSys struct {
 
 func (c *cpSys) Name() string        { return c.name }
 func (c *cpSys) Initial() []ts.State { return []ts.State{cpState(0)} }
-func (c *cpSys) Transitions(s ts.State) []ts.Transition {
+func (c *cpSys) AppendRules(dst []ts.Rule, s ts.State) []ts.Rule {
 	if c.hook != nil {
 		c.hook()
 	}
 	v := int32(s.(cpState))
-	var out []ts.Transition
 	for _, ch := range [2]int32{2*v + 1, 2*v + 2} {
 		if ch < c.n {
-			ch := ch
-			out = append(out, ts.Transition{Name: "child", Fire: func(*ts.Env) (ts.State, error) {
-				return cpState(ch), nil
-			}})
+			dst = append(dst, ts.Rule{Msg: ch})
 		}
 	}
-	return out
+	return dst
 }
+func (c *cpSys) FireRule(_ ts.State, r ts.Rule, _ *ts.Env) (ts.State, error) {
+	return cpState(r.Msg), nil
+}
+func (c *cpSys) RuleName(ts.Rule) string    { return "child" }
 func (c *cpSys) Invariants() []ts.Invariant { return nil }
 func (c *cpSys) Quiescent(ts.State) bool    { return true }
 func (c *cpSys) DecodeKey(data []byte) (ts.State, []byte, error) {
@@ -444,8 +444,8 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 	for depth := 0; depth < 2 && len(frontier) > 0; depth++ {
 		var next []ts.State
 		for _, s := range frontier {
-			for _, tr := range sys.Transitions(s) {
-				ns, err := tr.Fire(nil)
+			for _, r := range sys.AppendRules(nil, s) {
+				ns, err := sys.FireRule(s, r, nil)
 				if err != nil {
 					continue
 				}

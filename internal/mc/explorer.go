@@ -41,10 +41,8 @@ type item struct {
 // a lock-free local free-list.
 type worker struct {
 	key keyer
-	// rs is the system as this worker enumerates and fires it — the system
-	// itself, or this worker's own ts.Rules adapter — and rules the buffer
-	// it enumerates into, truncated per expansion.
-	rs    ts.RuleSystem
+	// rules is the buffer this worker enumerates into, truncated per
+	// expansion.
 	rules []ts.Rule
 	// ow stages this worker's telemetry counters (nil when Options.Obs is
 	// unset; every method no-ops on nil).
@@ -192,7 +190,6 @@ func (e *explorer) init(sys ts.System, opt Options) {
 	for i := range e.all {
 		w := &e.all[i]
 		w.key = keyer{canon: canon}
-		w.rs = ts.Rules(sys, opt.FreshTransitions)
 		w.ow = opt.Obs.NewWorker()
 		w.goalHit, hits = hits[:g:g], hits[g:]
 	}
@@ -406,7 +403,7 @@ func (e *explorer) dfs(w *worker) (stop bool, err error) {
 }
 
 // contain is deferred by every function that calls into model code
-// (Transitions, Fire, an invariant, Key, a liveness goal): a panic out of
+// (AppendRules, FireRule, an invariant, Key, a liveness goal): a panic out of
 // the model is converted into an abort carrying the offending state's key
 // and the panicking stack instead of crashing the process, and *stop is
 // raised so the other workers drain. It must be the deferred function
@@ -527,7 +524,7 @@ func (e *explorer) expand(w *worker, it item) (stop bool, err error) {
 	defer sw.Done()
 	e.labels.set(obs.PhaseEnumerate)
 	sw.Mark()
-	w.rules = w.rs.AppendRules(w.rules[:0], it.state)
+	w.rules = e.sys.AppendRules(w.rules[:0], it.state)
 	sw.Lap(obs.PhaseEnumerate)
 	usage := e.usage
 	succs, blocked := 0, 0
@@ -558,7 +555,7 @@ func (e *explorer) expand(w *worker, it item) (stop bool, err error) {
 		}
 		child := item{state: next, mask: mask}
 		if e.opt.RecordTrace {
-			child.node = e.traces.Add(next, w.rs.RuleName(r), it.node)
+			child.node = e.traces.Add(next, e.sys.RuleName(r), it.node)
 		}
 		w.maxDepth = max(w.maxDepth, e.depth+1)
 		if e.checkState(w, child) {
@@ -596,7 +593,7 @@ func (e *explorer) expand(w *worker, it item) (stop bool, err error) {
 // is counted on w and returns a nil state and no error; any other model
 // error comes back naming the transition and its source state.
 func (e *explorer) fire(w *worker, s ts.State, r ts.Rule) (next ts.State, err error) {
-	next, err = w.rs.FireRule(s, r, e.env)
+	next, err = e.sys.FireRule(s, r, e.env)
 	if err == nil {
 		return next, nil
 	}
@@ -605,7 +602,7 @@ func (e *explorer) fire(w *worker, s ts.State, r ts.Rule) (next ts.State, err er
 		w.ow.Inc(obs.CAborts)
 		return nil, nil
 	}
-	return nil, fmt.Errorf("transition %q from state %q: %w", w.rs.RuleName(r), s.Key(), err)
+	return nil, fmt.Errorf("transition %q from state %q: %w", e.sys.RuleName(r), s.Key(), err)
 }
 
 // poll is the cooperative cancellation probe of every search loop: once

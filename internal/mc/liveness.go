@@ -327,7 +327,7 @@ func (l *liveChecker) expand(f *lframe) ([]lsucc, error) {
 	e, w := l.e, l.w
 	w.cur = f.state
 	w.ow.Tick()
-	w.rules = w.rs.AppendRules(w.rules[:0], f.state)
+	w.rules = e.sys.AppendRules(w.rules[:0], f.state)
 	var succs []lsucc
 	var qs [2]uint8
 	for _, r := range w.rules {
@@ -340,7 +340,7 @@ func (l *liveChecker) expand(f *lframe) ([]lsucc, error) {
 		}
 		name := ""
 		if l.names {
-			name = w.rs.RuleName(r)
+			name = e.sys.RuleName(r)
 		}
 		c := l.nextCopy(f, name)
 		qlist := l.monitorStep(qs[:0], f.q, next)

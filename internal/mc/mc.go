@@ -88,11 +88,10 @@
 // thousands of small checks goes (see Session).
 //
 // Enabled transitions reach the kernel as ts.Rule records: a worker asks
-// its ts.RuleSystem (the system itself, or ts.Rules' view of a system that
-// only offers closure-valued Transitions) to append the records of the
-// state it expands into its own buffer, fires each through FireRule, and
-// asks RuleName only for a trace node or an error message. Nothing is
-// allocated per transition.
+// the system to append the records of the state it expands into the
+// worker's own buffer, fires each through FireRule, and asks RuleName only
+// for a trace node or an error message. Nothing is allocated per
+// transition.
 //
 // # Verdicts
 //
@@ -331,7 +330,7 @@ type Options struct {
 	// <= 1 mean one. One worker runs inline on the caller's goroutine and is
 	// deterministic, with minimal BFS counterexamples. More spread every
 	// level over that many goroutines and dedupe through a lock-striped
-	// visited set, which requires the system's Transitions/Fire — and any
+	// visited set, which requires the system's AppendRules/FireRule — and any
 	// Chooser behind Env — to be safe for concurrent use (complete models
 	// and internal/core's chooser are). Their counterexample traces are
 	// valid replays but not guaranteed minimal; verdicts and the counts of
@@ -381,12 +380,6 @@ type Options struct {
 	// identical either way (the zoo recycling-equivalence test pins this);
 	// the flag exists for differential testing and the E15 ablation.
 	NoRecycle bool
-	// FreshTransitions enumerates through the minimal API even when the
-	// system is a ts.RuleSystem: every expansion calls Transitions (a fresh
-	// slice of closures, which a rule system builds with the ts adapter) and
-	// the kernel drives those through ts.Rules, as it does for a system that
-	// offers nothing else. For differential testing and the E15 ablation.
-	FreshTransitions bool
 	// ProfileLabels wraps the kernel's inner-loop phases (enumerate / fire
 	// / key / insert) in runtime/pprof goroutine labels so -cpuprofile
 	// output attributes hot-path time by phase. Costs one label switch per

@@ -126,13 +126,15 @@ func (s intState) AppendKey(d []byte) []byte {
 
 func (*sinkSystem) Name() string        { return "sink" }
 func (*sinkSystem) Initial() []ts.State { return []ts.State{intState(0)} }
-func (*sinkSystem) Transitions(s ts.State) []ts.Transition {
+func (*sinkSystem) AppendRules(dst []ts.Rule, s ts.State) []ts.Rule {
 	if s.(intState) == 0 {
-		return []ts.Transition{{Name: "go", Fire: func(*ts.Env) (ts.State, error) { return intState(1), nil }}}
+		return append(dst, ts.Rule{})
 	}
-	return nil
+	return dst
 }
-func (*sinkSystem) Invariants() []ts.Invariant { return nil }
+func (*sinkSystem) FireRule(ts.State, ts.Rule, *ts.Env) (ts.State, error) { return intState(1), nil }
+func (*sinkSystem) RuleName(ts.Rule) string                               { return "go" }
+func (*sinkSystem) Invariants() []ts.Invariant                            { return nil }
 
 // TestQuiescentSinkIsNotDeadlock checks QuiescentReporter suppresses the
 // deadlock report (toy terminal nodes are quiescent).

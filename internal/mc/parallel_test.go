@@ -120,11 +120,11 @@ func replayTrace(t *testing.T, sys ts.System, f *mc.FailureInfo) ts.State {
 	cur := f.Trace[0].State
 	for i, step := range f.Trace[1:] {
 		matched := false
-		for _, tr := range sys.Transitions(cur) {
-			if tr.Name != step.Rule {
+		for _, r := range sys.AppendRules(nil, cur) {
+			if sys.RuleName(r) != step.Rule {
 				continue
 			}
-			next, err := tr.Fire(nil)
+			next, err := sys.FireRule(cur, r, nil)
 			if err != nil {
 				t.Fatalf("step %d: firing %q: %v", i+1, step.Rule, err)
 			}
@@ -179,7 +179,7 @@ func TestParallelTraceValidity(t *testing.T) {
 			t.Fatalf("got %v / %+v, want deadlock", res.Verdict, res.Failure)
 		}
 		last := replayTrace(t, sys, res.Failure)
-		if len(sys.Transitions(last)) != 0 {
+		if len(sys.AppendRules(nil, last)) != 0 {
 			t.Error("deadlock trace does not end in a sink state")
 		}
 	})

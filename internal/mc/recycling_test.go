@@ -1,9 +1,8 @@
 package mc_test
 
 // Differential and safety tests for the successor lifecycle (ts.Recycler /
-// ts.StateCopier / ts.RuleSystem): recycling and the record enumeration
-// path must be pure optimizations — identical exploration results with
-// them on or off — and recycled storage must never
+// ts.StateCopier): recycling must be a pure optimization — identical
+// exploration results with it on or off — and recycled storage must never
 // be reachable from anything the checker hands back (trace nodes,
 // counterexample rendering). The CI workflow runs everything matching
 // TestZooEquivalence as a dedicated job step with -count=1.
@@ -23,11 +22,10 @@ import (
 
 // TestZooEquivalenceRecycling is the invariance check for the successor
 // lifecycle: for every registered system, every combination of driver (1
-// and 8 workers), symmetry, trace recording, recycling (Options.NoRecycle)
-// and enumeration path (Options.FreshTransitions) must report the same
-// verdict and exploration statistics. Recycling changes which storage a
-// successor lands in and the enumeration path changes what form transitions
-// are listed in, but neither may change what is explored.
+// and 8 workers), symmetry, trace recording and recycling
+// (Options.NoRecycle) must report the same verdict and exploration
+// statistics. Recycling changes which storage a successor lands in, but it
+// may not change what is explored.
 func TestZooEquivalenceRecycling(t *testing.T) {
 	for _, name := range zoo.Names() {
 		t.Run(name, func(t *testing.T) {
@@ -36,19 +34,14 @@ func TestZooEquivalenceRecycling(t *testing.T) {
 				symmetry  bool
 				trace     bool
 				noRecycle bool
-				freshTrs  bool
 			}
 			var combos []combo
 			for _, w := range []int{1, 8} {
 				for _, sym := range []bool{false, true} {
 					for _, trace := range []bool{false, true} {
 						for _, nr := range []bool{false, true} {
-							combos = append(combos, combo{w, sym, trace, nr, false})
+							combos = append(combos, combo{w, sym, trace, nr})
 						}
-						// Enumeration-path axis, folded in once per
-						// (worker, symmetry, trace) setting with recycling
-						// on — the E15 "fresh enumeration" arm.
-						combos = append(combos, combo{w, sym, trace, false, true})
 					}
 				}
 			}
@@ -59,15 +52,14 @@ func TestZooEquivalenceRecycling(t *testing.T) {
 					t.Fatal(err)
 				}
 				res, err := mc.Check(sys, mc.Options{
-					Symmetry:         cb.symmetry,
-					RecordTrace:      cb.trace,
-					NoRecycle:        cb.noRecycle,
-					FreshTransitions: cb.freshTrs,
-					Env:              ts.NewEnv(wildcardChooser{}), // complete models never call Choose
-					Workers:          cb.workers,
+					Symmetry:    cb.symmetry,
+					RecordTrace: cb.trace,
+					NoRecycle:   cb.noRecycle,
+					Env:         ts.NewEnv(wildcardChooser{}), // complete models never call Choose
+					Workers:     cb.workers,
 				})
-				tag := fmt.Sprintf("workers=%d symmetry=%v trace=%v noRecycle=%v fresh=%v",
-					cb.workers, cb.symmetry, cb.trace, cb.noRecycle, cb.freshTrs)
+				tag := fmt.Sprintf("workers=%d symmetry=%v trace=%v noRecycle=%v",
+					cb.workers, cb.symmetry, cb.trace, cb.noRecycle)
 				if err != nil {
 					t.Fatalf("%s: %v", tag, err)
 				}
@@ -99,9 +91,8 @@ func TestZooEquivalenceRecycling(t *testing.T) {
 // boundedNet wraps the MSI system with an extra invariant that fails once
 // the network holds a few messages, forcing a counterexample deep enough
 // that its trace spans several pooled allocations. Embedding the concrete
-// *msi.System keeps the whole lifecycle method set (Recycler, PoolReporter,
-// the RuleSystem methods) promoted, so recycling and record enumeration stay
-// active under the wrapper.
+// *msi.System keeps the whole lifecycle method set (Recycler, PoolReporter)
+// promoted, so recycling stays active under the wrapper.
 type boundedNet struct{ *msi.System }
 
 func (b boundedNet) Invariants() []ts.Invariant {
@@ -245,36 +236,27 @@ func TestParallelRecycleStress(t *testing.T) {
 // successors must keep it at or below 1.5 mallocs per visited state.
 // Measured at 0.4 — the check's fixed cost and the pool filling up, spread
 // over 1,097 states — against ~5 when transitions were closures; the bar
-// leaves headroom for runtime noise, not for regressions. The ablation
-// arms are logged so a local run shows what each half of the protocol
-// buys. Under -race only the ceiling is skipped (see raceEnabled): the runs,
-// their verdicts and the pool-engagement check still happen.
+// leaves headroom for runtime noise, not for regressions. The no-recycle
+// arm is logged so a local run shows what recycling buys. Under -race only
+// the ceiling is skipped (see raceEnabled): the runs, their verdicts and the
+// pool-engagement check still happen.
 func TestLifecycleAllocRegression(t *testing.T) {
-	run := func(noRecycle, fresh bool) (*mc.Result, uint64) {
+	run := func(noRecycle bool) (*mc.Result, uint64) {
 		sys, err := zoo.Get("msi-complete", zoo.Params{Caches: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, mallocs := checkMallocs(t, sys, mc.Options{
-			Symmetry:         true,
-			NoRecycle:        noRecycle,
-			FreshTransitions: fresh,
-		})
+		res, mallocs := checkMallocs(t, sys, mc.Options{Symmetry: true, NoRecycle: noRecycle})
 		if res.Verdict != mc.Success {
-			t.Fatalf("noRecycle=%v fresh=%v: verdict %v", noRecycle, fresh, res.Verdict)
+			t.Fatalf("noRecycle=%v: verdict %v", noRecycle, res.Verdict)
 		}
 		return res, mallocs
 	}
-	full, mallocs := run(false, false)
+	full, mallocs := run(false)
 	states := float64(full.Stats.VisitedStates)
 	perState := float64(mallocs) / states
-	for _, arm := range []struct {
-		noRecycle, fresh bool
-		label            string
-	}{{false, true, "recycle-only"}, {true, false, "append-only"}, {true, true, "neither"}} {
-		_, m := run(arm.noRecycle, arm.fresh)
-		t.Logf("%s: %.1f mallocs/state", arm.label, float64(m)/states)
-	}
+	_, m := run(true)
+	t.Logf("no recycling: %.1f mallocs/state", float64(m)/states)
 	t.Logf("full lifecycle: %.1f mallocs/state (pool %d hits / %d misses, %d recycled)",
 		perState, full.Space.PoolHits, full.Space.PoolMisses, full.Space.Recycled)
 	if perState > 1.5 && !raceEnabled {

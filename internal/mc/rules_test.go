@@ -1,16 +1,15 @@
 package mc_test
 
-// The ts.RuleSystem contract, zoo-wide: the records a model enumerates and
-// fires must be the transitions its closure-valued minimal API offers —
-// same names, same order, same successors, same wildcard aborts — since
-// the kernel explores through the former and everything written against
-// ts.System sees the latter.
+// The ts.System rule contract, zoo-wide: the laws the kernel relies on when
+// it enumerates a state's records into a reused buffer, fires each one
+// once and names one only when something shows it.
 
 import (
 	"bytes"
 	"errors"
 	"hash/fnv"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"verc3/internal/spec"
@@ -34,13 +33,14 @@ func (c partialChooser) Choose(hole string, actions []string) (int, error) {
 	return a, nil
 }
 
-// TestZooRulesMatchClosures walks a breadth-first prefix of every zoo entry
-// and committed spec under a few partial candidates and, at every state,
-// holds the three enumerations against each other: the system's own records
-// (AppendRules, FireRule, RuleName), its closure-valued Transitions (built
-// from the records by ts.AppendTransitions) and the records ts.Rules makes
-// of those closures again (the Options.FreshTransitions path).
-func TestZooRulesMatchClosures(t *testing.T) {
+// TestZooRuleLaws walks a breadth-first prefix of every zoo entry and
+// committed spec under a few partial candidates and, at every state, checks
+// the laws the kernel relies on: AppendRules appends after whatever the
+// buffer already holds without touching it; two enumerations give equal
+// records with equal names; firing a record twice gives byte-equal
+// successors, or two wildcard aborts; and firing leaves the source state's
+// encoding unchanged.
+func TestZooRuleLaws(t *testing.T) {
 	systems := map[string]func() ts.System{}
 	for _, name := range zoo.Names() {
 		name := name
@@ -59,20 +59,13 @@ func TestZooRulesMatchClosures(t *testing.T) {
 		}
 		systems["spec/"+file] = m.System
 	}
-	enc := func(s ts.State) []byte { return s.(ts.KeyAppender).AppendKey(nil) }
+	enc := func(s ts.State) []byte { return s.AppendKey(nil) }
+	sentinel := []ts.Rule{{ID: 0xffff, Agent: -1, Msg: -1, Name: 0xffffffff}, {ID: 7, Agent: 3, Msg: 5, Name: 11}}
 	for name, build := range systems {
 		t.Run(name, func(t *testing.T) {
 			fired, aborted := 0, 0
 			for seed := partialChooser(0); seed < 4; seed++ {
 				sys := build()
-				rs, ok := sys.(ts.RuleSystem)
-				if !ok {
-					t.Fatalf("%T does not implement ts.RuleSystem", sys)
-				}
-				via := ts.Rules(sys, true)
-				if via == rs {
-					t.Fatalf("ts.Rules(sys, true) returned the system itself")
-				}
 				env := ts.NewEnv(seed)
 				seen := map[string]bool{}
 				var queue []ts.State
@@ -83,42 +76,42 @@ func TestZooRulesMatchClosures(t *testing.T) {
 				for head := 0; head < len(queue) && head < 300; head++ {
 					s := queue[head]
 					before := enc(s)
-					rules := rs.AppendRules(nil, s)
-					trs := sys.Transitions(s)
-					again := via.AppendRules(nil, s)
-					if len(trs) != len(rules) || len(again) != len(rules) {
-						t.Fatalf("state %q: %d rules, %d transitions, %d rules of transitions", s.Key(), len(rules), len(trs), len(again))
+					buf := append(make([]ts.Rule, 0, 64), sentinel...)
+					rules := sys.AppendRules(buf, s)
+					if !slices.Equal(buf, sentinel) || !slices.Equal(rules[:len(sentinel)], sentinel) {
+						t.Fatalf("state %q: AppendRules overwrote the buffer's prefix", s.Key())
+					}
+					rules = rules[len(sentinel):]
+					again := sys.AppendRules(nil, s)
+					if !slices.Equal(again, rules) {
+						t.Fatalf("state %q: enumerated %v, then %v", s.Key(), rules, again)
 					}
 					for i, r := range rules {
-						name := rs.RuleName(r)
-						if trs[i].Name != name || via.RuleName(again[i]) != name {
-							t.Fatalf("state %q, transition %d: rule %q, closure %q, rule of closure %q",
-								s.Key(), i, name, trs[i].Name, via.RuleName(again[i]))
+						name := sys.RuleName(r)
+						if other := sys.RuleName(again[i]); other != name {
+							t.Fatalf("state %q, %v: named %q, then %q", s.Key(), r, name, other)
 						}
-						a, errA := rs.FireRule(s, r, env)
-						b, errB := trs[i].Fire(env)
-						c, errC := via.FireRule(s, again[i], env)
-						if errA != nil || errB != nil || errC != nil {
-							for _, err := range []error{errA, errB, errC} {
-								if !errors.Is(err, ts.ErrWildcard) {
-									t.Fatalf("state %q, %q: errors %v / %v / %v, want three wildcard aborts", s.Key(), name, errA, errB, errC)
-								}
+						a, errA := sys.FireRule(s, r, env)
+						b, errB := sys.FireRule(s, r, env)
+						if !bytes.Equal(before, enc(s)) {
+							t.Fatalf("firing %q moved the source state %q", name, s.Key())
+						}
+						if errA != nil || errB != nil {
+							if !errors.Is(errA, ts.ErrWildcard) || !errors.Is(errB, ts.ErrWildcard) {
+								t.Fatalf("state %q, %q: errors %v / %v, want two wildcard aborts", s.Key(), name, errA, errB)
 							}
 							aborted++
 							continue
 						}
 						fired++
 						ea := enc(a)
-						if !bytes.Equal(ea, enc(b)) || !bytes.Equal(ea, enc(c)) {
-							t.Fatalf("state %q, %q: successors %q / %q / %q", s.Key(), name, a.Key(), b.Key(), c.Key())
+						if !bytes.Equal(ea, enc(b)) {
+							t.Fatalf("state %q, %q: successors %q / %q", s.Key(), name, a.Key(), b.Key())
 						}
 						if k := string(ea); !seen[k] {
 							seen[k] = true
 							queue = append(queue, a)
 						}
-					}
-					if !bytes.Equal(before, enc(s)) {
-						t.Fatalf("firing moved the source state %q", s.Key())
 					}
 				}
 			}

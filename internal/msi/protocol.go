@@ -55,7 +55,7 @@ type Config struct {
 	Fair bool
 }
 
-// System implements ts.RuleSystem for the MSI protocol, plus successor
+// System implements ts.System for the MSI protocol, plus successor
 // pooling (ts.Recycler and ts.PoolReporter through the embedded pool):
 // enabled transitions are ts.Rule records, FireRule draws its clones from
 // the pool, and names come from a table shared by every System of the same
@@ -444,20 +444,22 @@ func (sys *System) Initial() []ts.State {
 	return []ts.State{sys.succ(&sys.initial)}
 }
 
-// Transitions implements ts.System: the minimal, closure-valued API, through
-// the ts adapter.
-func (sys *System) Transitions(s ts.State) []ts.Transition {
-	return ts.AppendTransitions(sys, nil, s)
-}
-
-// AppendTransitions is Transitions appended into a caller-owned buffer: the
-// form the repository benchmark's layer walk enumerates through. The
-// exploration kernel uses AppendRules and FireRule.
+// AppendTransitions appends the transitions enabled in s to dst as
+// closures, each Fire calling FireRule(s, r, env). It is the form the
+// repository benchmark's layer walk enumerates through, and the only closure
+// code left; the exploration kernel uses AppendRules and FireRule.
 func (sys *System) AppendTransitions(dst []ts.Transition, s ts.State) []ts.Transition {
-	return ts.AppendTransitions(sys, dst, s)
+	for _, r := range sys.AppendRules(make([]ts.Rule, 0, 16), s) {
+		r := r
+		dst = append(dst, ts.Transition{
+			Name: sys.RuleName(r),
+			Fire: func(env *ts.Env) (ts.State, error) { return sys.FireRule(s, r, env) },
+		})
+	}
+	return dst
 }
 
-// AppendRules implements ts.RuleSystem: the issue and store rules of every
+// AppendRules implements ts.System: the issue and store rules of every
 // cache, in cache order, then one delivery per in-flight message its
 // receiver does not stall, in network order.
 func (sys *System) AppendRules(dst []ts.Rule, s ts.State) []ts.Rule {
@@ -523,10 +525,10 @@ func (sys *System) AppendRules(dst []ts.Rule, s ts.State) []ts.Rule {
 	return dst
 }
 
-// RuleName implements ts.RuleSystem.
+// RuleName implements ts.System.
 func (sys *System) RuleName(r ts.Rule) string { return sys.names.all[r.Name] }
 
-// FireRule implements ts.RuleSystem. A hole rule resolves its holes before
+// FireRule implements ts.System. A hole rule resolves its holes before
 // anything is cloned, so a branch aborted at a wildcard never touches the
 // pool; a delivery removes its message, does the data plumbing and runs
 // the receiver's handler against the source state's view of the receiver.

@@ -140,7 +140,7 @@ func (s *State) String() string {
 		s.PCs[0], s.Flag[0], s.PCs[1], s.Flag[1], s.Turn, s.VisitedCrit)
 }
 
-// System implements ts.RuleSystem plus successor pooling (ts.Recycler and
+// System implements ts.System plus successor pooling (ts.Recycler and
 // ts.PoolReporter through the embedded pool). Sketch selects whether the
 // three actions are holes (true) or fixed to Peterson's correct choices
 // (false).
@@ -209,13 +209,7 @@ func (sys *System) choose(env *ts.Env, hole string, acts []string, correct int) 
 	return env.Choose(hole, acts)
 }
 
-// Transitions implements ts.System: the minimal, closure-valued API, through
-// the ts adapter.
-func (sys *System) Transitions(s ts.State) []ts.Transition {
-	return ts.AppendTransitions(sys, nil, s)
-}
-
-// AppendRules implements ts.RuleSystem: each process offers the rule of its
+// AppendRules implements ts.System: each process offers the rule of its
 // program counter, Wait only when its entry condition holds.
 func (sys *System) AppendRules(dst []ts.Rule, s ts.State) []ts.Rule {
 	st := s.(*State)
@@ -229,10 +223,10 @@ func (sys *System) AppendRules(dst []ts.Rule, s ts.State) []ts.Rule {
 	return dst
 }
 
-// RuleName implements ts.RuleSystem.
+// RuleName implements ts.System.
 func (sys *System) RuleName(r ts.Rule) string { return ruleNames[r.Name] }
 
-// FireRule implements ts.RuleSystem. Holes are resolved before cloning, so
+// FireRule implements ts.System. Holes are resolved before cloning, so
 // an aborted (wildcard) branch never touches the pool.
 func (sys *System) FireRule(src ts.State, r ts.Rule, env *ts.Env) (ts.State, error) {
 	st := src.(*State)

@@ -13,9 +13,9 @@ import (
 type Phase int
 
 const (
-	// PhaseEnumerate is transition enumeration (ts.RuleSystem.AppendRules).
+	// PhaseEnumerate is transition enumeration (ts.System.AppendRules).
 	PhaseEnumerate Phase = iota
-	// PhaseFire is successor construction (ts.RuleSystem.FireRule).
+	// PhaseFire is successor construction (ts.System.FireRule).
 	PhaseFire
 	// PhaseKey is canonical encoding plus fingerprinting.
 	PhaseKey

@@ -549,7 +549,7 @@ func equalStrings(a, b []string) bool {
 // stateLike is the constraint the generic system builder instantiates over:
 // the two concrete state types (plain and symmetric).
 type stateLike interface {
-	dsl.Mutable
+	ts.State
 	specCore
 }
 

@@ -210,8 +210,8 @@ func TestSpecAppendKey(t *testing.T) {
 				continue
 			}
 			seen[k] = true
-			for _, tr := range sys.Transitions(s) {
-				succ, err := tr.Fire(ts.NewEnv(nil))
+			for _, r := range sys.AppendRules(nil, s) {
+				succ, err := sys.FireRule(s, r, ts.NewEnv(nil))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -293,10 +293,11 @@ func walkOffered(t *testing.T, sys ts.System, env *ts.Env, capped bool) (states,
 		offer(st)
 	}
 	for head := 0; head < len(frontier) && !(capped && offered > 20000); head++ {
-		for _, tr := range sys.Transitions(frontier[head]) {
-			next, err := tr.Fire(env)
+		s := frontier[head]
+		for _, r := range sys.AppendRules(nil, s) {
+			next, err := sys.FireRule(s, r, env)
 			if err != nil {
-				t.Fatalf("fire %q: %v", tr.Name, err)
+				t.Fatalf("fire %q: %v", sys.RuleName(r), err)
 			}
 			offer(next)
 		}

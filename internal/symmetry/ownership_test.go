@@ -47,10 +47,11 @@ func population(t *testing.T, sys ts.System, limit int) (states []ts.State, encs
 		offer(s)
 	}
 	for head := 0; head < len(states) && len(states) < limit; head++ {
-		for _, tr := range sys.Transitions(states[head]) {
-			next, err := tr.Fire(env)
+		s := states[head]
+		for _, r := range sys.AppendRules(nil, s) {
+			next, err := sys.FireRule(s, r, env)
 			if err != nil {
-				t.Fatalf("fire %q: %v", tr.Name, err)
+				t.Fatalf("fire %q: %v", sys.RuleName(r), err)
 			}
 			offer(next)
 		}

@@ -37,7 +37,7 @@ type Node struct {
 	Goal bool
 }
 
-// Graph is a toy synthesis problem. It implements ts.RuleSystem (plus
+// Graph is a toy synthesis problem. It implements ts.System (plus
 // quiescence and goal reporting) and is safe for concurrent use: all state
 // lives in the immutable node table. States are shared immortal values drawn
 // from a table built on first use, so the Graph deliberately does not
@@ -119,13 +119,7 @@ func (g *Graph) Initial() []ts.State {
 	return out
 }
 
-// Transitions implements ts.System: the minimal, closure-valued API, through
-// the ts adapter.
-func (g *Graph) Transitions(s ts.State) []ts.Transition {
-	return ts.AppendTransitions(g, nil, s)
-}
-
-// AppendRules implements ts.RuleSystem: the node's hole, then its plain
+// AppendRules implements ts.System: the node's hole, then its plain
 // edges.
 func (g *Graph) AppendRules(dst []ts.Rule, s ts.State) []ts.Rule {
 	g.tables()
@@ -142,10 +136,10 @@ func (g *Graph) AppendRules(dst []ts.Rule, s ts.State) []ts.Rule {
 	return dst
 }
 
-// RuleName implements ts.RuleSystem.
+// RuleName implements ts.System.
 func (g *Graph) RuleName(r ts.Rule) string { return g.names[r.Name] }
 
-// FireRule implements ts.RuleSystem, returning pre-boxed states.
+// FireRule implements ts.System, returning pre-boxed states.
 func (g *Graph) FireRule(src ts.State, r ts.Rule, env *ts.Env) (ts.State, error) {
 	n := &g.Nodes[src.(state).id]
 	if r.ID == rulePlain {

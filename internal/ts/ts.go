@@ -3,18 +3,17 @@
 // concurrent systems in plain Go.
 //
 // A system is described by implementing the System interface: it supplies a
-// set of initial states and, for every state, the set of enabled transitions
-// (as closures; RuleSystem is the same thing as data, and what the models in
-// this repository implement — see "Successor lifecycle").
-// Transitions fire lazily so that the synthesis layer (internal/core) can
-// interpose "holes" whose actions are chosen by the synthesizer; firing a
-// transition whose hole is still unassigned (a wildcard) aborts just that
-// execution branch.
+// set of initial states and, for every state, its enabled transitions as
+// Rule records, which it fires through one FireRule (see "Successor
+// lifecycle"). Small models need not implement it by hand: internal/dsl
+// builds one from guarded rules. Transitions fire lazily so that the
+// synthesis layer (internal/core) can interpose "holes" whose actions are
+// chosen by the synthesizer; firing a transition whose hole is still
+// unassigned (a wildcard) aborts just that execution branch.
 //
 // States are explicit: every state must be able to produce a canonical
-// encoding of itself (Key) used by the model checker for visited-set
-// deduplication, and a private copy (Clone) so rule actions can mutate
-// freely.
+// encoding of itself, which the model checker deduplicates visited states
+// by, and a private copy (Clone) so rule actions can mutate freely.
 //
 // Every state keys itself twice. Key() string is the human-readable
 // canonical encoding — it is what counterexample traces show. AppendKey
@@ -44,18 +43,15 @@
 // conventions that keep its two kinds of per-transition data out of the
 // heap.
 //
-// Enabled transitions are records, not closures. A RuleSystem appends one
-// Rule — rule id, agent, message index, name index; twelve pointer-free
-// bytes — per enabled transition into a buffer the calling worker owns and
+// Enabled transitions are records, not closures. A System appends one Rule
+// — rule id, agent, message index, name index; twelve pointer-free bytes —
+// per enabled transition into a buffer the calling worker owns and
 // truncates per expansion, and fires one through FireRule(src, rule, env).
 // The records belong to that worker and mean something only next to the
 // state they were enumerated from, while it is unmodified: a message index
 // is a position in that state's network. The kernel fires a state's records
 // before it recycles the state and never keeps one. Names are looked up by
-// RuleName, from tables built once, when something shows them. The
-// closure-valued Transitions stays as the minimal API a small model is
-// written against; AppendTransitions derives it from the records, and Rules
-// lets the kernel drive a Transitions-only system as if it had records.
+// RuleName, from tables built once, when something shows them.
 //
 // Successors come from a pool. FireRule deep-copies the source state once
 // per offered transition, and in a dense state space most successors are
@@ -94,7 +90,7 @@ package ts
 
 import "errors"
 
-// ErrWildcard is returned by a transition's Fire when the execution reached a
+// ErrWildcard is returned by FireRule when the execution reached a
 // synthesis hole whose current action is the wildcard (default) action. The
 // model checker treats the branch as unexplorable and records that a wildcard
 // was encountered; the final verdict for such a run can be at best "unknown".
@@ -102,9 +98,10 @@ var ErrWildcard = errors.New("ts: wildcard hole encountered")
 
 // State is an explicit protocol state.
 //
-// Key must be a canonical encoding: two states are identical if and only if
-// their keys are equal. Models with symmetric agents additionally implement
-// Permutable so the checker can canonicalize keys up to agent permutation.
+// Key and AppendKey must be canonical encodings: two states are identical
+// if and only if their keys are equal. Models with symmetric agents
+// additionally implement Permutable so the checker can canonicalize keys up
+// to agent permutation.
 type State interface {
 	// AppendKey is the binary encoding the checker fingerprints (see
 	// KeyAppender): every state has one.
@@ -163,12 +160,11 @@ type KeyDecoder interface {
 // Permutable is implemented by states containing scalarset-like symmetric
 // agent identifiers (e.g. cache IDs). The model checker uses it for
 // symmetry reduction: the canonical representative of a state is the
-// renaming with the lexicographically smallest encoding (AppendKey on the
-// exploration path, Key on the string tier). The canonicalizer keeps one
-// Clone per worker as scratch and renames into it, so trying a permutation
-// allocates nothing. Which permutations it has to try to find the minimum
-// is narrowed by the optional AgentComparer; without it, it tries all
-// NumAgents()!.
+// renaming with the lexicographically smallest AppendKey encoding. The
+// canonicalizer keeps one Clone per worker as scratch and renames into it,
+// so trying a permutation allocates nothing. Which permutations it has to
+// try to find the minimum is narrowed by the optional AgentComparer;
+// without it, it tries all NumAgents()!.
 type Permutable interface {
 	State
 	// NumAgents reports the size of the symmetric scalarset.
@@ -183,10 +179,10 @@ type Permutable interface {
 	PermuteInto(dst State, perm []int)
 }
 
-// AgentComparer is optionally implemented by Permutable states that also
-// implement KeyAppender, to tell the symmetry canonicalizer which
-// permutations can possibly produce the smallest encoding. CompareAgents
-// orders the agents of the receiver by their agent-local data; the
+// AgentComparer is optionally implemented by Permutable states to tell the
+// symmetry canonicalizer which permutations can possibly produce the
+// smallest encoding. CompareAgents orders the agents of the receiver by
+// their agent-local data; the
 // canonicalizer sorts the agents by it and tries only the arrangements
 // that keep them in non-decreasing order — the agents that compare equal
 // (a tie class) are the only ones it still has to try in every order, so
@@ -247,9 +243,8 @@ type StateCopier interface {
 // copies.
 //
 // The caller contract: s must have been obtained from this system's
-// Initial or FireRule (or a Transition's Fire), and nothing — trace node,
-// frontier entry, scratch, a rule record or transition closure yet to be
-// fired — may still reference it. After Recycle the
+// Initial or FireRule, and nothing — trace node, frontier entry, scratch, a
+// rule record yet to be fired — may still reference it. After Recycle the
 // state's storage may be overwritten at any time. Recycle must be safe for
 // concurrent use (a multi-worker run recycles from every worker). Pool is
 // the implementation every pooling model in this repo uses.
@@ -266,10 +261,10 @@ type PoolReporter interface {
 	PoolStats() (hits, misses uint64)
 }
 
-// Rule is one enabled transition of a state, as data: what a RuleSystem
-// appends per enabled rule instead of a Transition closure. It is
-// fixed-width and pointer-free, so a worker's rule buffer is recycled across
-// expansions without the garbage collector ever looking inside. The fields
+// Rule is one enabled transition of a state, as data: what a System's
+// AppendRules appends per enabled rule. It is fixed-width and pointer-free,
+// so a worker's rule buffer is recycled across expansions without the
+// garbage collector ever looking inside. The fields
 // mean what the system that appended the record says they mean; the kernel
 // only hands records back to that system's FireRule and RuleName.
 //
@@ -291,89 +286,6 @@ type Rule struct {
 	// index into a name table built once per system.
 	Name uint32
 }
-
-// RuleSystem is implemented by systems that enumerate enabled transitions as
-// Rule records and fire them through one switch, instead of allocating a
-// Fire closure per enabled transition per state. Every model in this
-// repository does; the exploration kernel speaks only this vocabulary, and
-// reaches a plain System (one that offers Transitions alone) through Rules.
-//
-// The three methods must agree with Transitions: the same transitions in
-// the same order, RuleName equal to Transition.Name, FireRule computing
-// what Transition.Fire computes (ErrWildcard included). A RuleSystem gets
-// that for free by implementing Transitions as AppendTransitions(sys, nil,
-// s). A wrapper that embeds a RuleSystem and overrides Transitions must
-// override these too, or hide them: the kernel prefers the records and
-// would silently bypass the override.
-type RuleSystem interface {
-	System
-	// AppendRules appends one record per transition enabled in s to dst and
-	// returns the extended slice. It must not retain dst or s, and
-	// allocates nothing beyond growing dst.
-	AppendRules(dst []Rule, s State) []Rule
-	// FireRule computes the successor of src under r, one of the records
-	// AppendRules appended for src. src is not modified; the successor is
-	// owned by the caller. It returns ErrWildcard (possibly wrapped) when
-	// the rule reaches an unassigned hole.
-	FireRule(src State, r Rule, env *Env) (State, error)
-	// RuleName returns the transition's name (see Transition.Name). The
-	// kernel asks only when something shows the name — a trace node, an
-	// error message, a fairness requirement's Taken — so it should be a
-	// table lookup, and may format only for names that cannot be tabled.
-	RuleName(r Rule) string
-}
-
-// AppendTransitions is the records-to-closures half of the adapter between
-// the two forms: it appends sys's enabled transitions in s to dst as
-// closure-valued Transitions, each Fire calling FireRule(s, r, env). It is
-// how a RuleSystem implements the minimal API (System.Transitions); it
-// allocates a closure per transition, which is exactly what the record form
-// exists to avoid, so nothing on the exploration path calls it.
-func AppendTransitions(sys RuleSystem, dst []Transition, s State) []Transition {
-	for _, r := range sys.AppendRules(make([]Rule, 0, 16), s) {
-		r := r
-		dst = append(dst, Transition{
-			Name: sys.RuleName(r),
-			Fire: func(env *Env) (State, error) { return sys.FireRule(s, r, env) },
-		})
-	}
-	return dst
-}
-
-// Rules is the closures-to-records half: it returns the RuleSystem one
-// exploration worker drives sys through. A system that implements
-// RuleSystem is returned as is (it is stateless, and every worker may
-// share it) unless viaTransitions asks for the reference path; any other
-// system, and every system on the reference path, is wrapped so that
-// AppendRules calls Transitions and numbers the closures it got. The
-// wrapper remembers the last enumeration — its records are valid until its
-// next AppendRules, names included — so each worker needs its own.
-func Rules(sys System, viaTransitions bool) RuleSystem {
-	if rs, ok := sys.(RuleSystem); ok && !viaTransitions {
-		return rs
-	}
-	return &closureRules{System: sys}
-}
-
-// closureRules drives a System's closure-valued Transitions as records.
-type closureRules struct {
-	System
-	trs []Transition // the transitions of the state last enumerated
-}
-
-func (c *closureRules) AppendRules(dst []Rule, s State) []Rule {
-	c.trs = c.System.Transitions(s)
-	for i := range c.trs {
-		dst = append(dst, Rule{Name: uint32(i)})
-	}
-	return dst
-}
-
-func (c *closureRules) FireRule(_ State, r Rule, env *Env) (State, error) {
-	return c.trs[r.Name].Fire(env)
-}
-
-func (c *closureRules) RuleName(r Rule) string { return c.trs[r.Name].Name }
 
 // Env is the execution environment a transition fires in. It is the bridge
 // between the model and the synthesis engine: models call Choose at each
@@ -408,10 +320,10 @@ func (e *Env) Choose(hole string, actions []string) (int, error) {
 	return e.chooser.Choose(hole, actions)
 }
 
-// Transition is a single enabled transition of a state. Fire computes the
-// successor; it must not mutate the originating state (models typically
-// Clone first). Fire returns ErrWildcard (possibly wrapped) when the branch
-// hits an unassigned hole.
+// Transition is an enabled transition as a closure: the form in which the
+// msi model hands the repository benchmark's layer walk (bench/walk.go) its
+// transitions, and nothing else. Fire computes the successor as FireRule
+// would.
 type Transition struct {
 	// Name identifies the transition for traces, e.g. "cache0: recv Data in IS_D".
 	Name string
@@ -438,15 +350,31 @@ type ReachGoal struct {
 }
 
 // System is a complete description of a finite-state transition system.
+// It enumerates the transitions enabled in a state as Rule records and
+// fires them through one switch, so exploring a state allocates no closure
+// per enabled transition (see "Successor lifecycle" in the package
+// comment). Guards are evaluated eagerly by AppendRules; actions run lazily
+// in FireRule.
 type System interface {
 	// Name identifies the system in reports.
 	Name() string
 	// Initial returns the initial states. Must be non-empty.
 	Initial() []State
-	// Transitions enumerates the transitions enabled in s. Guards are
-	// evaluated eagerly (an entry is only returned if its guard holds);
-	// actions run lazily in Fire.
-	Transitions(s State) []Transition
+	// AppendRules appends one record per transition enabled in s to dst and
+	// returns the extended slice. It must not retain dst or s, and
+	// allocates nothing beyond growing dst.
+	AppendRules(dst []Rule, s State) []Rule
+	// FireRule computes the successor of src under r, one of the records
+	// AppendRules appended for src. src is not modified; the successor is
+	// owned by the caller. It returns ErrWildcard (possibly wrapped) when
+	// the rule reaches an unassigned hole.
+	FireRule(src State, r Rule, env *Env) (State, error)
+	// RuleName returns the transition's name for traces, e.g. "cache0: recv
+	// Data in IS_D"; names are unique per system. The kernel asks only when
+	// something shows the name — a trace node, an error message, a fairness
+	// requirement's Taken — so it should be a table lookup, and may format
+	// only for names that cannot be tabled.
+	RuleName(r Rule) string
 	// Invariants returns the safety properties of the system.
 	Invariants() []Invariant
 }
@@ -533,7 +461,7 @@ type Fairness struct {
 	Enabled func(s State) bool
 	// Taken reports whether firing the named transition discharges the
 	// requirement (transition names are unique per system; see
-	// Transition.Name).
+	// System.RuleName).
 	Taken func(rule string) bool
 }
 

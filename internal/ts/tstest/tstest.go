@@ -29,14 +29,15 @@ import (
 // explorations — the candidates of a synthesis run — are checked for
 // merges against each other as well as within themselves.
 //
-// It walks breadth-first through the minimal API only — Initial, then
-// Transitions and Fire — with none of the checker's machinery: no rule
-// records, keyer, visited store or pool. It takes the steps the checker's
-// one-worker BFS takes, in the same order, and stops where that search
-// stops: at the first state that violates an invariant and at the first
-// deadlock (a state that is not quiescent and has no successor, not even
-// one behind a wildcard). So on a correct checker its state count and
-// depth are the checker's, whatever the verdict.
+// It walks breadth-first through the system's own methods only — Initial,
+// then AppendRules, FireRule and RuleName — with none of the checker's
+// machinery: no keyer, visited store, reused rule buffer or pool. It takes
+// the steps the checker's one-worker BFS takes, in the same order, and
+// stops where that search stops: at the first state that violates an
+// invariant and at the first deadlock (a state that is not quiescent and
+// has no successor, not even one behind a wildcard). So on a correct
+// checker its state count and depth are the checker's, whatever the
+// verdict.
 //
 // A state's identity is its AppendKey encoding or, under symmetry, its
 // canonical Key over every permutation of its agents (symmetry.Canonicalizer.Key, the exhaustive reference). Each
@@ -134,14 +135,14 @@ func (o *Oracle) Explore(sys ts.System, env *ts.Env, reduce bool) Result {
 		next = nil
 		for _, s := range level {
 			succs, blocked := 0, 0
-			for _, tr := range sys.Transitions(s) {
-				succ, err := tr.Fire(env)
+			for _, r := range sys.AppendRules(nil, s) {
+				succ, err := sys.FireRule(s, r, env)
 				if errors.Is(err, ts.ErrWildcard) {
 					blocked++
 					continue
 				}
 				if err != nil {
-					o.tb.Fatalf("tstest: %s: transition %q from %q: %v", sys.Name(), tr.Name, s.Key(), err)
+					o.tb.Fatalf("tstest: %s: transition %q from %q: %v", sys.Name(), sys.RuleName(r), s.Key(), err)
 				}
 				succs++
 				if offer(succ, depth) {
