@@ -12,9 +12,10 @@ package verc3_test
 // Notes on scale: benchmarks default to 2 caches so the whole suite runs in
 // minutes. The MSI-large naive row evaluates 102,102,525 candidates when run
 // to completion (the paper's C++ took 8.8 hours); the benchmark samples
-// -table1.naive.max dispatches and reports per-candidate cost, from which
-// cmd/verc3-table1 extrapolates. Custom metrics: evaluated (model-checker
-// dispatches), patterns (pruning patterns), solutions, and states/op.
+// -table1.naive.max dispatches and reports per-candidate cost, the same
+// extrapolation verc3-synth -mode naive -max-eval N prints. Custom metrics:
+// evaluated (model-checker dispatches), patterns (pruning patterns),
+// solutions, and states/op.
 
 import (
 	"flag"

@@ -32,6 +32,10 @@
 // a machine-readable run report, including the structured round and
 // solution events, at exit.
 //
+// A -mode naive run cut short by -max-eval also prints an extrapolated
+// time for the whole candidate space (elapsed / evaluated × candidates);
+// that is how Table I's MSI-large naive row is reproduced (EXPERIMENTS.md).
+//
 // With -liveness, every candidate dispatch additionally runs the nested-DFS
 // accepting-cycle search, so candidates that are safe but starve a liveness
 // goal are pruned too; winners are re-verified under the same option.
@@ -142,6 +146,7 @@ func main() {
 	start := time.Now()
 	allocs := cf.Allocs()
 	res, err := core.SynthesizeCtx(ctx, sys, cfg)
+	elapsed := time.Since(start)
 	stop()
 	if err != nil {
 		tel.Finish(nil)
@@ -172,7 +177,11 @@ func main() {
 	if st.Truncated {
 		fmt.Fprintf(out, "NOTE: truncated by -max-eval=%d\n", *maxEval)
 	}
-	fmt.Fprintf(out, "elapsed:          %v\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(out, "elapsed:          %v\n", elapsed.Round(time.Millisecond))
+	if cfg.Mode == core.ModeNaive && st.Truncated {
+		full := time.Duration(float64(elapsed) / float64(st.Evaluated) * float64(st.CandidateSpace))
+		fmt.Fprintf(out, "extrapolated:     ~%v for all %d candidates\n", full.Round(time.Millisecond), st.CandidateSpace)
+	}
 	if cf.Stats {
 		fmt.Fprintf(out, "space:            %s\n", st.Space)
 	}

@@ -67,26 +67,27 @@
 //     examples/specs/ are pinned equivalent to their hand-written twins.
 //   - internal/msi, internal/mutex, internal/tokenring, internal/toy — the
 //     case studies — over internal/network, the unordered interconnect;
-//     internal/trace renders counterexamples; internal/zoo is the named
-//     system registry (with sketch metadata and runtime registration for
-//     loaded specs) behind the command-line tools.
+//     internal/trace renders counterexamples; internal/zoo is the fixed
+//     table of named systems (with sketch metadata) behind the
+//     command-line tools.
 //
-// Command-line tools are under cmd/ (verc3-verify, verc3-synth,
-// verc3-table1, verc3-fig2; their shared flag block lives in
-// cliutil.CommonFlags: -spec loads the system from a JSON model spec
-// (verc3-verify refuses sketch specs, pointing at verc3-synth; the
-// fixed-workload tools refuse the flag entirely), -stats prints the
-// memory profile and the heap allocations of the whole run, -visited
-// flat|spill selects the visited-set backend, sized with -spill-mem-mb /
-// -spill-dir, -timeout puts a wall-clock deadline on the run (expiry —
-// like SIGINT/SIGTERM — cancels cooperatively: partial stats, profiles
-// and -report still flush, exit code 3), verc3-verify's -checkpoint-dir
-// / -resume / -checkpoint-every snapshot and resume long runs, and
-// -cpuprofile / -memprofile write pprof profiles —
-// which also turns on per-phase goroutine labels (mc-phase =
+// The command-line tools are cmd/verc3-verify and cmd/verc3-synth
+// (cmd/verc3-report reads the -report files they write); the paper's
+// Table I and Figure 2 are verc3-synth runs (EXPERIMENTS.md lists the
+// command lines), and runnable demos live under examples/. The two tools'
+// shared flag block lives in cliutil.CommonFlags: -spec loads the system
+// from a JSON model spec (verc3-verify refuses sketch specs, pointing at
+// verc3-synth), -stats prints the memory profile and the heap allocations
+// of the whole run, -visited flat|spill selects the visited-set backend,
+// sized with -spill-mem-mb / -spill-dir, -timeout puts a wall-clock
+// deadline on the run (expiry — like SIGINT/SIGTERM — cancels
+// cooperatively: partial stats, profiles and -report still flush, exit
+// code 3), verc3-verify's -checkpoint-dir / -resume / -checkpoint-every
+// snapshot and resume long runs, and -cpuprofile / -memprofile write pprof
+// profiles — which also turns on per-phase goroutine labels (mc-phase =
 // enumerate/fire/key/insert) so profiles split the exploration loop by
-// phase; negative sizing or parallelism values are rejected up front
-// rather than silently clamped) and runnable demos under examples/.
+// phase. Negative sizing or parallelism values are rejected up front
+// rather than silently clamped.
 // The repository benchmark lives in bench/ (go run ./bench; declared by
 // BENCHMARK.json): six paper-scale workloads, end to end and layer by
 // layer, whose end-to-end JSON CI archives per commit.
@@ -216,8 +217,8 @@
 // faults retry with capped backoff, hard faults go sticky and surface
 // instead of corrupting the run. See DESIGN.md "Failure model".
 //
-// The benchmark harness in bench_test.go regenerates every table and
-// figure of the paper's evaluation plus this repo's ablations (worker
+// The benchmark harness in bench_test.go times every table and figure of
+// the paper's evaluation plus this repo's ablations (worker
 // counts, visited-set keying and backends, trace on/off memory, the
 // keying pipeline); see DESIGN.md for the experiment index and
 // EXPERIMENTS.md for paper-versus-measured results.

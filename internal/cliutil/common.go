@@ -189,26 +189,6 @@ func (c *CommonFlags) LoadSpec() (*spec.Model, error) {
 	return spec.LoadFile(c.Spec)
 }
 
-// RefuseSpec exits with a friendly error when -spec was passed to a
-// fixed-workload tool (verc3-fig2, verc3-table1): the message points
-// sketch specs at verc3-synth and complete specs at verc3-verify, the
-// same redirect verc3-verify itself gives for sketches. workload names
-// what the tool regenerates ("the fixed Figure 2 workload"). A no-op
-// when -spec is off.
-func RefuseSpec(tool, workload string, c *CommonFlags) {
-	if c.Spec == "" {
-		return
-	}
-	target := "verc3-verify"
-	if m, err := spec.LoadFile(c.Spec); err == nil && m.Sketch() {
-		target = "verc3-synth"
-	}
-	fmt.Fprintf(os.Stderr,
-		"%s: this tool regenerates %s and takes no -spec.\nRun the spec model through the general tools instead:\n\n\t%s -spec %s\n",
-		tool, workload, target, c.Spec)
-	os.Exit(2)
-}
-
 // Start bundles the startup sequence every binary repeats: pprof
 // profiles, the profiled exit wrapper, and telemetry. The returned exit
 // function is valid even on error — callers report the error under their

@@ -130,8 +130,8 @@ type Config struct {
 	// OnEvaluate, when non-nil, receives an Event after every model-checker
 	// dispatch. With Workers > 1 events arrive concurrently (the callback
 	// must be safe) and pattern/hole counts reflect a racy snapshot; with
-	// one worker the stream is the exact evaluation order, which is how the
-	// paper's Figure 2 run table is regenerated.
+	// one worker the stream is the exact evaluation order, which is how
+	// TestFigure2RunTable pins the paper's Figure 2 run table.
 	OnEvaluate func(Event)
 }
 
@@ -715,7 +715,7 @@ func (e *engine) enumerateRound(sizes []int) {
 	// (rounds with fewer candidates than Workers) become intra-check
 	// workers, but MCWorkers budget never inflates the cross-candidate
 	// pool — Workers=1 keeps the deterministic dispatch order that
-	// OnEvaluate and the Figure 2 regeneration rely on, and MCWorkers<=1
+	// OnEvaluate and TestFigure2RunTable rely on, and MCWorkers<=1
 	// keeps every dispatch on one exploration worker as documented.
 	workers, mcw := e.cfg.Workers, 1
 	if uint64(workers) > total {

@@ -30,9 +30,6 @@ func TestOnEvaluateSequentialOrder(t *testing.T) {
 	seen := map[string]bool{}
 	var succ, fail, unk int64
 	for _, ev := range events {
-		k := strings.Trim(strings.Join(strings.Fields(
-			strings.ReplaceAll(strings.Trim(string(rune(len(ev.Assign)))+" ", " "), "\x00", "")), ","), " ")
-		_ = k // candidate identity below
 		key := ""
 		for _, a := range ev.Assign {
 			key += string(rune('0' + a))

@@ -3,6 +3,8 @@ package core_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"verc3/internal/core"
@@ -35,13 +37,58 @@ func TestFigure2Pruning(t *testing.T) {
 			t.Fatalf("solution = %v (%s), want %v", got, res.Describe(0), want)
 		}
 	}
-	// The paper's run table inserts 5 pruning patterns (runs 2, 4, 6, 7, 9).
+	// The paper's run table inserts 5 pruning patterns; TestFigure2RunTable
+	// pins which runs insert them.
 	if got, want := res.Stats.Patterns, 5; got != want {
 		t.Errorf("patterns = %d, want %d", got, want)
 	}
 	// Nominal candidate space with wildcards: 4·3·3·3 = 108.
 	if got, want := res.Stats.CandidateSpace, uint64(108); got != want {
 		t.Errorf("candidate space = %d, want %d", got, want)
+	}
+}
+
+// TestFigure2RunTable pins the paper's Figure 2 run table: at one worker the
+// OnEvaluate stream is the evaluation order, and each run is rendered as its
+// candidate in the paper's notation (i@X for a bound hole, i@? for a hole
+// discovered but not yet bound), verdict, and the pattern and hole counts
+// after the run. Pruning patterns are inserted by runs 2, 4, 6, 7 and 9.
+func TestFigure2RunTable(t *testing.T) {
+	var events []core.Event
+	res, err := core.Synthesize(toy.Figure2(), core.Config{
+		Mode:       core.ModePrune,
+		Workers:    1,
+		OnEvaluate: func(ev core.Event) { events = append(events, ev) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"1 ⟨1@?⟩ unknown 0 1",
+		"2 ⟨1@A⟩ failure 1 1",
+		"3 ⟨1@B, 2@?⟩ unknown 1 2",
+		"4 ⟨1@C, 2@?⟩ failure 2 2",
+		"5 ⟨1@B, 2@A, 3@?⟩ unknown 2 3",
+		"6 ⟨1@B, 2@B, 3@?⟩ failure 3 3",
+		"7 ⟨1@B, 2@A, 3@A⟩ failure 4 3",
+		"8 ⟨1@B, 2@A, 3@B, 4@?⟩ unknown 4 4",
+		"9 ⟨1@B, 2@A, 3@B, 4@A⟩ failure 5 4",
+		"10 ⟨1@B, 2@A, 3@B, 4@B⟩ success 5 4",
+	}
+	got := make([]string, len(events))
+	for i, ev := range events {
+		holes := make([]string, ev.Holes)
+		for h := range holes {
+			act := "?"
+			if h < len(ev.Assign) {
+				act = res.HoleActions[h][ev.Assign[h]]
+			}
+			holes[h] = fmt.Sprintf("%d@%s", h+1, act)
+		}
+		got[i] = fmt.Sprintf("%d ⟨%s⟩ %s %d %d", i+1, strings.Join(holes, ", "), ev.Verdict, ev.Patterns, ev.Holes)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("run table:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 

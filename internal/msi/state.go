@@ -36,6 +36,7 @@ package msi
 import (
 	"encoding/binary"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"verc3/internal/network"
@@ -148,20 +149,33 @@ type State struct {
 	Err string
 }
 
-// Key implements ts.State.
+// Key implements ts.State: each cache as "St.Data.Acks|", then
+// "DSt.Owner.Pending.Sharers.Mem|", "GGhost|", the network's Key and, for
+// an error state, "|E:" and the error. Traces, error text and the
+// exactness oracle compare this text; TestKeyTextMatchesFmt pins it.
 func (s *State) Key() string {
-	var b strings.Builder
-	b.Grow(64 + 8*len(s.Caches))
+	b := make([]byte, 0, 64+8*len(s.Caches))
 	for _, c := range s.Caches {
-		fmt.Fprintf(&b, "%d.%d.%d|", c.St, c.Data, c.Acks)
+		b = appendDotted(b, int64(c.St), int64(c.Data), int64(c.Acks))
 	}
-	fmt.Fprintf(&b, "D%d.%d.%d.%d.%d|G%d|", s.Dir.St, s.Dir.Owner, s.Dir.Pending, s.Dir.Sharers, s.Dir.Mem, s.Ghost)
-	b.WriteString(s.Net.Key())
+	b = appendDotted(append(b, 'D'), int64(s.Dir.St), int64(s.Dir.Owner), int64(s.Dir.Pending), int64(s.Dir.Sharers), int64(s.Dir.Mem))
+	b = appendDotted(append(b, 'G'), int64(s.Ghost))
+	b = append(b, s.Net.Key()...)
 	if s.Err != "" {
-		b.WriteString("|E:")
-		b.WriteString(s.Err)
+		b = append(append(b, "|E:"...), s.Err...)
 	}
-	return b.String()
+	return string(b)
+}
+
+// appendDotted appends vs in decimal, joined by '.' and closed by '|'.
+func appendDotted(b []byte, vs ...int64) []byte {
+	for i, v := range vs {
+		if i > 0 {
+			b = append(b, '.')
+		}
+		b = strconv.AppendInt(b, v, 10)
+	}
+	return append(b, '|')
 }
 
 // AppendKey implements ts.KeyAppender: the binary sibling of Key. Every

@@ -1,13 +1,17 @@
 package msi_test
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"verc3/internal/msi"
 	"verc3/internal/network"
 	"verc3/internal/symmetry"
+	"verc3/internal/ts"
 )
 
 // randomState builds a structurally plausible random MSI state.
@@ -116,6 +120,82 @@ func TestKeyDistinguishesFields(t *testing.T) {
 		}
 	}
 }
+
+// TestKeyTextMatchesFmt: Key is built with strconv into one buffer; on every
+// state reachable in msi-complete and msi-large (holes left as wildcards)
+// at 2 and 3 caches, and on each of those states poisoned with an error,
+// it must equal, byte for byte, the fmt form it replaced — the trace
+// goldens and the exactness oracle compare these strings.
+func TestKeyTextMatchesFmt(t *testing.T) {
+	for _, v := range []msi.Variant{msi.Complete, msi.Large} {
+		for _, caches := range []int{2, 3} {
+			sys := msi.New(msi.Config{Caches: caches, Variant: v})
+			env := ts.NewEnv(wildcardChooser{})
+			seen := map[string]bool{}
+			queue := sys.Initial()
+			var rules []ts.Rule
+			for len(queue) > 0 {
+				st := queue[0]
+				queue = queue[1:]
+				k := string(st.AppendKey(nil))
+				if seen[k] {
+					continue
+				}
+				seen[k] = true
+				s := st.(*msi.State)
+				checkKeyText(t, s)
+				poisoned := s.Clone().(*msi.State)
+				poisoned.Err = "unhandled"
+				checkKeyText(t, poisoned)
+				rules = sys.AppendRules(rules[:0], st)
+				for _, r := range rules {
+					next, err := sys.FireRule(st, r, env)
+					if errors.Is(err, ts.ErrWildcard) {
+						continue
+					}
+					if err != nil {
+						t.Fatalf("%v/%d: %s: %v", v, caches, sys.RuleName(r), err)
+					}
+					queue = append(queue, next)
+				}
+			}
+			t.Logf("%v at %d caches: %d states", v, caches, len(seen))
+		}
+	}
+}
+
+// checkKeyText compares s.Key, and each in-flight message's Key, with the
+// fmt forms they were built with before.
+func checkKeyText(t *testing.T, s *msi.State) {
+	t.Helper()
+	var b strings.Builder
+	for _, c := range s.Caches {
+		fmt.Fprintf(&b, "%d.%d.%d|", c.St, c.Data, c.Acks)
+	}
+	fmt.Fprintf(&b, "D%d.%d.%d.%d.%d|G%d|", s.Dir.St, s.Dir.Owner, s.Dir.Pending, s.Dir.Sharers, s.Dir.Mem, s.Ghost)
+	for i, m := range s.Net.Messages() {
+		want := fmt.Sprintf("%s,%d,%d,%d,%d,%d", m.Type, m.Src, m.Dst, m.Req, m.Cnt, m.Val)
+		if got := m.Key(); got != want {
+			t.Fatalf("message Key = %q, want %q", got, want)
+		}
+		if i > 0 {
+			b.WriteByte(';')
+		}
+		b.WriteString(want)
+	}
+	if s.Err != "" {
+		b.WriteString("|E:")
+		b.WriteString(s.Err)
+	}
+	if got, want := s.Key(), b.String(); got != want {
+		t.Fatalf("Key = %q, want %q", got, want)
+	}
+}
+
+// wildcardChooser leaves every hole unassigned.
+type wildcardChooser struct{}
+
+func (wildcardChooser) Choose(string, []string) (int, error) { return 0, ts.ErrWildcard }
 
 // TestConfigValidation: cache-count bounds panic loudly.
 func TestConfigValidation(t *testing.T) {

@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -36,9 +37,17 @@ type Msg struct {
 	Val  int
 }
 
-// Key returns the canonical encoding of the message.
-func (m Msg) Key() string {
-	return fmt.Sprintf("%s,%d,%d,%d,%d,%d", m.Type, m.Src, m.Dst, m.Req, m.Cnt, m.Val)
+// Key returns the canonical encoding of the message: the type and the five
+// integer fields in decimal, comma-separated.
+func (m Msg) Key() string { return string(m.appendText(nil)) }
+
+// appendText appends m's Key text to b.
+func (m Msg) appendText(b []byte) []byte {
+	b = append(b, m.Type...)
+	for _, v := range [...]int{m.Src, m.Dst, m.Req, m.Cnt, m.Val} {
+		b = strconv.AppendInt(append(b, ','), int64(v), 10)
+	}
+	return b
 }
 
 // AppendKey appends the message's compact binary encoding to dst: the type
@@ -173,16 +182,17 @@ func (n Net) Any(pred func(Msg) bool) bool {
 	return false
 }
 
-// Key returns the canonical encoding of the whole network.
+// Key returns the canonical encoding of the whole network: the messages'
+// Keys in canonical order, joined by ';'.
 func (n Net) Key() string {
-	var b strings.Builder
+	var b []byte
 	for i, m := range n.msgs {
 		if i > 0 {
-			b.WriteByte(';')
+			b = append(b, ';')
 		}
-		b.WriteString(m.Key())
+		b = m.appendText(b)
 	}
-	return b.String()
+	return string(b)
 }
 
 // AppendKey appends the network's compact binary encoding to dst: a uvarint

@@ -241,41 +241,3 @@ func solutionString(res *core.Result, i int) string {
 	sort.Strings(parts)
 	return strings.Join(parts, ",")
 }
-
-// TestSpecZooRegistration exercises the zoo's dynamic registry: a loaded
-// spec model registered at runtime resolves through zoo.Get like a
-// compiled-in entry, reports sketchness, and unregisters cleanly.
-func TestSpecZooRegistration(t *testing.T) {
-	m := loadSpec(t, "tokenring.json")
-	name := "spec-tokenring-test"
-	if err := zoo.Register(name, func(zoo.Params) ts.System { return m.System() }, m.Sketch()); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { zoo.Unregister(name) })
-
-	if err := zoo.Register(name, func(zoo.Params) ts.System { return m.System() }, false); err == nil {
-		t.Fatal("duplicate Register succeeded")
-	}
-	if err := zoo.Register("token-ring", func(zoo.Params) ts.System { return m.System() }, false); err == nil {
-		t.Fatal("Register over a compiled-in entry succeeded")
-	}
-	sys, err := zoo.Get(name, zoo.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sys.Name() != "token-ring" {
-		t.Errorf("system name %q, want token-ring", sys.Name())
-	}
-	if zoo.IsSketch(name) {
-		t.Error("registered complete model reported as sketch")
-	}
-	found := false
-	for _, n := range zoo.Names() {
-		if n == name {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("zoo.Names() misses dynamically registered %q", name)
-	}
-}

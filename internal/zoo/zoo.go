@@ -1,14 +1,13 @@
-// Package zoo registers the built-in systems so the command-line tools can
-// select them by name. Beyond the compiled-in table, Register adds entries
-// at runtime — the hook the spec frontend uses to make loaded model files
-// (internal/spec) sit beside compiled-in systems.
+// Package zoo names the built-in systems so the command-line tools and the
+// repository benchmark can select them by name. The table is fixed at
+// compile time; model files load through -spec (internal/spec) instead.
 package zoo
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
-	"sync"
 
 	"verc3/internal/msi"
 	"verc3/internal/mutex"
@@ -23,7 +22,7 @@ type Params struct {
 	Caches int
 }
 
-// entry is one registered system: its constructor, and whether it is a
+// entry is one named system: its constructor, and whether it is a
 // synthesis sketch (its transitions contain holes, so it can only be
 // explored under a synthesis chooser — plain model checking must refuse it
 // rather than let ts.Env.Choose panic).
@@ -32,11 +31,8 @@ type entry struct {
 	sketch bool
 }
 
-// mu guards builders: the compiled-in table is fixed, but Register and
-// Unregister mutate it at runtime.
-var mu sync.RWMutex
-
-// builders maps system names to their registry entries.
+// builders maps system names to their entries. Nothing writes it after
+// init, so Get, IsSketch and Names read it without a lock.
 var builders = map[string]entry{
 	"msi-complete": {build: func(p Params) ts.System {
 		return msi.New(msi.Config{Caches: p.Caches, Variant: msi.Complete})
@@ -68,34 +64,9 @@ var builders = map[string]entry{
 	"token-ring-sketch": {sketch: true, build: func(Params) ts.System { return tokenring.New(true) }},
 }
 
-// Register adds a system at runtime (e.g. one loaded from a spec file).
-// Names must not collide with an existing entry, compiled-in or dynamic.
-func Register(name string, build func(Params) ts.System, sketch bool) error {
-	if name == "" || build == nil {
-		return fmt.Errorf("zoo: Register needs a name and a constructor")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if _, dup := builders[name]; dup {
-		return fmt.Errorf("zoo: system %q is already registered", name)
-	}
-	builders[name] = entry{build: build, sketch: sketch}
-	return nil
-}
-
-// Unregister removes a dynamically registered system. Removing a name that
-// is not registered is a no-op.
-func Unregister(name string) {
-	mu.Lock()
-	defer mu.Unlock()
-	delete(builders, name)
-}
-
 // Get builds the named system.
 func Get(name string, p Params) (ts.System, error) {
-	mu.RLock()
 	e, ok := builders[name]
-	mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("unknown system %q (available: %s)", name, strings.Join(Names(), ", "))
 	}
@@ -106,33 +77,8 @@ func Get(name string, p Params) (ts.System, error) {
 // skeleton with unassigned holes that only the synthesis engine can
 // resolve. Unknown names report false (Get is where names are validated).
 func IsSketch(name string) bool {
-	mu.RLock()
-	defer mu.RUnlock()
 	return builders[name].sketch
 }
 
-// SketchNames lists the registered sketch systems in sorted order.
-func SketchNames() []string {
-	mu.RLock()
-	defer mu.RUnlock()
-	out := make([]string, 0, len(builders))
-	for n, e := range builders {
-		if e.sketch {
-			out = append(out, n)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Names lists the registered system names in sorted order.
-func Names() []string {
-	mu.RLock()
-	defer mu.RUnlock()
-	out := make([]string, 0, len(builders))
-	for n := range builders {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
+// Names lists the system names in sorted order.
+func Names() []string { return slices.Sorted(maps.Keys(builders)) }
