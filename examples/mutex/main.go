@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -52,7 +53,7 @@ func main() {
 	// Show what goes wrong with the classic mistake: turn := me.
 	fmt.Println("\nwhy turn:=me is wrong — the minimal counterexample:")
 	bad := core.FixedChooser{"turn-write": "me", "exit-flag": "clear", "after-crit": "Idle"}
-	r, err := mc.Check(mutex.New(true), mc.Options{Env: ts.NewEnv(bad), RecordTrace: true})
+	r, err := mc.NewSession(mutex.New(true), mc.Options{RecordTrace: true}).Check(context.Background(), ts.NewEnv(bad), nil)
 	if err != nil {
 		log.Fatal(err)
 	}

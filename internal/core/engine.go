@@ -68,8 +68,12 @@ type Config struct {
 	PruneStyle PruneStyle
 	// Workers is the number of parallel synthesis workers (default 1):
 	// cross-candidate parallelism, one model-checker run per candidate.
-	// ModeNaive is inherently sequential (its candidate vector grows during
-	// enumeration) and requires Workers <= 1.
+	// A round's workers claim candidates one at a time from the round's
+	// one odometer, so each claim is matched against every pattern the
+	// dispatches before it inserted; one worker claims and dispatches on
+	// the caller's goroutine, in odometer order. ModeNaive is inherently
+	// sequential (its candidate vector grows during enumeration) and
+	// requires Workers <= 1.
 	Workers int
 	// MCWorkers is the number of intra-check exploration workers handed to
 	// the embedded model checker per dispatch (0 or 1 = sequential). The
@@ -88,15 +92,16 @@ type Config struct {
 	// discovered in a scheduling-dependent order inside a run, so hole
 	// indices (and Solution.Assign vectors) are only stable up to
 	// renaming; compare solutions by hole name. Note
-	// PruneTraceGeneralized installs a usage tracker, which makes each
-	// check run one worker.
+	// PruneTraceGeneralized hands every check a usage tracker, which makes
+	// each check run one worker.
 	MCWorkers int
 	// MC carries the base model-checker options (symmetry, state caps,
-	// deadlock checking, search order, visited-set backend). Env, Usage,
-	// RecordTrace and Workers are managed by the engine and must be left
-	// zero (set Config.MCWorkers for intra-check parallelism; trace
-	// recording is off during the search and on for the final per-solution
-	// re-verification).
+	// search order, visited-set backend). RecordTrace and Workers are
+	// managed by the engine and must be left zero (set Config.MCWorkers for
+	// intra-check parallelism; trace recording is off during the search and
+	// on for the final per-solution re-verification). A check's chooser
+	// environment and usage tracker are not options: the engine hands them
+	// to each check of its sessions (mc.Session.Check).
 	//
 	// MC.Liveness extends every dispatch with the nested-DFS liveness
 	// phase: candidates whose completions admit an accepting lasso fail
@@ -181,7 +186,8 @@ type Stats struct {
 	// (Table I "Evaluated").
 	Evaluated int64
 	// Skipped counts concrete candidates ruled out by pruning patterns
-	// without model checking.
+	// without model checking. Saturates at MaxInt64: a round over many
+	// holes can skip more candidates than an int64 counts.
 	Skipped int64
 	// Patterns is the number of pruning patterns inserted
 	// (Table I "Pruning Patterns").
@@ -251,7 +257,7 @@ type engine struct {
 	checkers []*checker
 
 	evaluated  atomic.Int64
-	skipped    atomic.Int64
+	skipped    int64 // see skip
 	successes  atomic.Int64
 	failures   atomic.Int64
 	unknowns   atomic.Int64
@@ -344,8 +350,8 @@ func SynthesizeCtx(ctx context.Context, sys ts.System, cfg Config) (*Result, err
 	if cfg.Mode == ModeNaive && cfg.Workers > 1 {
 		return nil, fmt.Errorf("core: ModeNaive is sequential; got Workers=%d", cfg.Workers)
 	}
-	if cfg.MC.Env != nil || cfg.MC.Usage != nil || cfg.MC.RecordTrace {
-		return nil, fmt.Errorf("core: Config.MC must not set Env, Usage or RecordTrace")
+	if cfg.MC.RecordTrace {
+		return nil, fmt.Errorf("core: Config.MC must not set RecordTrace")
 	}
 	if cfg.MC.Workers != 0 {
 		return nil, fmt.Errorf("core: Config.MC.Workers is managed by the engine; set Config.MCWorkers")
@@ -409,9 +415,8 @@ func (e *engine) reverify() {
 	for key, sol := range e.solutions {
 		rc := &runChooser{reg: e.reg, assign: sol.Assign, naive: e.cfg.Mode == ModeNaive}
 		opt := e.cfg.MC
-		opt.Env = ts.NewEnv(rc)
 		opt.RecordTrace = true
-		res, err := mc.CheckCtx(e.ctx, e.sys, opt)
+		res, err := mc.NewSession(e.sys, opt).Check(e.ctx, ts.NewEnv(rc), nil)
 		if err != nil {
 			e.fatal.CompareAndSwap(nil, &errBox{err: err})
 			return
@@ -698,18 +703,10 @@ func (e *engine) runPrune() (rounds int, err error) {
 
 // enumerateRound exhausts all combinations over the prefix sizes, splitting
 // the Workers×MCWorkers budget between cross-candidate workers and
-// per-dispatch exploration workers (see SplitParallelism).
+// per-dispatch exploration workers (see SplitParallelism). Every worker
+// claims its candidates from the round's one cursor; one worker runs the
+// claim loop inline, so its dispatches follow odometer order exactly.
 func (e *engine) enumerateRound(sizes []int) {
-	total := spaceSize(sizes)
-	if total >= math.MaxUint64/2 {
-		// The candidate space does not fit in index arithmetic (spaceSize
-		// saturates and stride products would wrap). Fall back to the
-		// index-free odometer: such spaces are only traversable at all
-		// because pruning skips almost everything, so the lost parallel
-		// chunking is irrelevant next to correctness.
-		e.enumerateOdometer(sizes, e.cfg.MCWorkers)
-		return
-	}
 	// Budget flows one way only, and only for callers that opted into
 	// intra-check parallelism (MCWorkers > 1): idle cross-candidate slots
 	// (rounds with fewer candidates than Workers) become intra-check
@@ -718,43 +715,73 @@ func (e *engine) enumerateRound(sizes []int) {
 	// OnEvaluate and TestFigure2RunTable rely on, and MCWorkers<=1
 	// keeps every dispatch on one exploration worker as documented.
 	workers, mcw := e.cfg.Workers, 1
-	if uint64(workers) > total {
+	if total := spaceSize(sizes); uint64(workers) > total {
 		workers = int(total)
 	}
 	if e.cfg.MCWorkers > 1 {
 		workers, mcw = SplitParallelism(e.cfg.Workers*e.cfg.MCWorkers, workers)
 	}
+	cur := &cursor{e: e, sizes: sizes, next: make([]int, len(sizes))}
+	work := func(w int) {
+		assign := make([]int, len(sizes))
+		for cur.claim(assign) && e.admit() {
+			e.dispatch(w, assign, mcw)
+		}
+	}
 	if workers <= 1 {
-		e.enumerateRange(0, 0, total, sizes, mcw)
+		work(0)
 		return
-	}
-	var cursor atomic.Uint64
-	chunk := total / uint64(workers*16)
-	if chunk == 0 {
-		chunk = 1
-	}
-	if chunk > 65536 {
-		chunk = 65536
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for !e.stop.Load() {
-				hi := cursor.Add(chunk)
-				lo := hi - chunk
-				if lo >= total {
-					return
-				}
-				if hi > total {
-					hi = total
-				}
-				e.enumerateRange(w, lo, hi, sizes, mcw)
-			}
+			work(w)
 		}(w)
 	}
 	wg.Wait()
+}
+
+// cursor is one round's odometer, shared by all of the round's workers.
+type cursor struct {
+	e     *engine
+	mu    sync.Mutex
+	sizes []int
+	next  []int // the candidate the next claim looks at first
+	done  bool  // the odometer wrapped
+}
+
+// claim copies into assign the next candidate of the round that no pattern
+// matches and reports true; false once the round is exhausted or the run
+// has stopped. A match at digit d skips the rest of the subtree below d,
+// adding what it skipped to Stats.Skipped. A candidate is matched when it
+// is claimed, so it meets every pattern inserted before then.
+func (c *cursor) claim(assign []int) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for !c.done && !c.e.stop.Load() {
+		matched, d := c.e.patterns.Match(c.next)
+		if !matched {
+			copy(assign, c.next)
+			c.done = !incr(c.next, c.sizes)
+			return true
+		}
+		c.e.skip(subtreeLeft(c.next, c.sizes, d))
+		c.done = !advanceAt(c.next, c.sizes, d)
+	}
+	return false
+}
+
+// skip adds n pruned candidates to Stats.Skipped, saturating at MaxInt64,
+// and counts in the collector exactly what it added. Only a round cursor
+// calls it, under its lock, and rounds run one after another.
+func (e *engine) skip(n uint64) {
+	if room := uint64(math.MaxInt64 - e.skipped); n > room {
+		n = room
+	}
+	e.skipped += int64(n)
+	e.cfg.Obs.Count(obs.CSkipped, n)
 }
 
 // SplitParallelism splits a total core budget between cross-candidate
@@ -776,57 +803,6 @@ func SplitParallelism(budget, pendingCandidates int) (workers, mcWorkers int) {
 		workers = pendingCandidates
 	}
 	return workers, budget / workers
-}
-
-// enumerateOdometer walks the whole prefix space without numeric indices,
-// skipping pruned subtrees by direct digit advancement. Sequential; used
-// only when the space size overflows uint64.
-func (e *engine) enumerateOdometer(sizes []int, mcWorkers int) {
-	assign := make([]int, len(sizes))
-	for !e.stop.Load() {
-		if matched, d := e.patterns.Match(assign); matched {
-			e.skipped.Add(1) // subtree sizes are uncountable here; count events
-			e.cfg.Obs.Count(obs.CSkipped, 1)
-			if d < 0 {
-				return // empty pattern: everything is pruned
-			}
-			if !advanceAt(assign, sizes, d) {
-				return
-			}
-			continue
-		}
-		if !e.admit() {
-			return
-		}
-		e.dispatch(0, assign, mcWorkers)
-		if !incr(assign, sizes) {
-			return
-		}
-	}
-}
-
-// enumerateRange evaluates candidate indices [lo, hi) as cross-candidate
-// worker w, skipping pruned subtrees.
-func (e *engine) enumerateRange(w int, lo, hi uint64, sizes []int, mcWorkers int) {
-	assign := make([]int, len(sizes))
-	for idx := lo; idx < hi && !e.stop.Load(); {
-		decode(idx, sizes, assign)
-		if matched, d := e.patterns.Match(assign); matched {
-			next := subtreeEnd(idx, sizes, d)
-			if next > hi {
-				next = hi
-			}
-			e.skipped.Add(int64(next - idx))
-			e.cfg.Obs.Count(obs.CSkipped, next-idx)
-			idx = next
-			continue
-		}
-		if !e.admit() {
-			return
-		}
-		e.dispatch(w, assign, mcWorkers)
-		idx++
-	}
 }
 
 func (e *engine) result(rounds int, elapsed time.Duration) *Result {
@@ -859,7 +835,7 @@ func (e *engine) result(rounds int, elapsed time.Duration) *Result {
 		Holes:              len(holes),
 		CandidateSpace:     space,
 		Evaluated:          e.evaluated.Load(),
-		Skipped:            e.skipped.Load(),
+		Skipped:            e.skipped,
 		Patterns:           e.patterns.Len(),
 		Successes:          e.successes.Load(),
 		Failures:           e.failures.Load(),

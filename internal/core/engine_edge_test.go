@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -8,6 +9,7 @@ import (
 
 	"verc3/internal/core"
 	"verc3/internal/mc"
+	"verc3/internal/obs"
 	"verc3/internal/toy"
 	"verc3/internal/ts"
 	"verc3/internal/visited"
@@ -169,6 +171,25 @@ func TestManyHolesBeyondMaskWidth(t *testing.T) {
 		}
 		if res.Stats.Holes != 70 {
 			t.Errorf("style %v: holes = %d", style, res.Stats.Holes)
+		}
+	}
+}
+
+// TestSkippedSaturates: the 70-hole chain's last rounds skip far more than
+// 2^63 candidates, so Stats.Skipped saturates at MaxInt64 instead of
+// wrapping negative, and the collector counts exactly what Stats reports.
+func TestSkippedSaturates(t *testing.T) {
+	for _, style := range []core.PruneStyle{core.PruneFullVector, core.PruneTraceGeneralized} {
+		col := obs.New()
+		res, err := core.Synthesize(toy.Chain(70, 2), core.Config{Mode: core.ModePrune, PruneStyle: style, Obs: col})
+		if err != nil {
+			t.Fatalf("style %v: %v", style, err)
+		}
+		if res.Stats.Skipped != math.MaxInt64 {
+			t.Errorf("style %v: Skipped = %d, want MaxInt64", style, res.Stats.Skipped)
+		}
+		if got := col.Snapshot().Counters[obs.CSkipped]; got != uint64(res.Stats.Skipped) {
+			t.Errorf("style %v: skipped counter %d, stats %d", style, got, res.Stats.Skipped)
 		}
 	}
 }

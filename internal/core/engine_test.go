@@ -361,7 +361,8 @@ func TestNaiveRejectsWorkers(t *testing.T) {
 	}
 }
 
-// TestConfigRejectsManagedMCFields checks Env/Usage/RecordTrace are refused.
+// TestConfigRejectsManagedMCFields checks RecordTrace is refused: the engine
+// turns it on only for the final re-verification.
 func TestConfigRejectsManagedMCFields(t *testing.T) {
 	_, err := core.Synthesize(toy.Figure2(), core.Config{MC: mc.Options{RecordTrace: true}})
 	if err == nil {

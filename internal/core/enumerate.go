@@ -6,7 +6,10 @@ import "math"
 // over the prefix of non-wildcard holes, with the first-discovered hole as
 // the most significant digit. This matches the paper's worked example
 // (Fig. 2): hole 1 advances slowest, newly discovered holes are appended as
-// least-significant digits.
+// least-significant digits. A round walks its candidates as one odometer
+// (cursor), and a pattern match at digit d skips the rest of the subtree
+// below it by advancing at d (advanceAt): no candidate is ever named by a
+// number, so rounds whose space overflows a uint64 walk like small ones.
 
 // radices returns the per-hole action counts for the first k discovered
 // holes.
@@ -45,33 +48,20 @@ func spaceSizePlusWildcard(holes []*holeInfo) uint64 {
 	return spaceSize(sizes)
 }
 
-// decode writes the mixed-radix digits of idx into assign (len(sizes)
-// digits, most significant first).
-func decode(idx uint64, sizes []int, assign []int) {
-	for i := len(sizes) - 1; i >= 0; i-- {
-		s := uint64(sizes[i])
-		assign[i] = int(idx % s)
-		idx /= s
+// subtreeLeft returns how many candidates, assign included, remain in
+// odometer order in the subtree that shares assign's digits 0..d: the
+// subtree's size less assign's offset in it. Saturates at math.MaxUint64
+// like spaceSize.
+func subtreeLeft(assign, sizes []int, d int) uint64 {
+	size := spaceSize(sizes[d+1:])
+	if size == math.MaxUint64 {
+		return size
 	}
-}
-
-// stride returns the size of the subtree below digit position d: the number
-// of consecutive indices sharing digits 0..d. For d == -1 (a match at the
-// root, i.e. an empty pattern) the stride is the whole space.
-func stride(sizes []int, d int) uint64 {
-	st := uint64(1)
+	off := uint64(0)
 	for i := d + 1; i < len(sizes); i++ {
-		st *= uint64(sizes[i])
+		off = off*uint64(sizes[i]) + uint64(assign[i])
 	}
-	return st
-}
-
-// subtreeEnd returns the first index after idx whose digit at position d
-// differs, i.e. the end of the pruned subtree when a pattern match became
-// certain at digit d.
-func subtreeEnd(idx uint64, sizes []int, d int) uint64 {
-	st := stride(sizes, d)
-	return (idx/st + 1) * st
+	return size - off
 }
 
 // incr advances assign (mixed-radix, least-significant digit last) by one.
@@ -82,9 +72,10 @@ func incr(assign []int, sizes []int) bool {
 }
 
 // advanceAt zeroes the digits below position d and increments at d (with
-// carry towards more significant digits): the odometer equivalent of
-// subtreeEnd, usable when the candidate space does not fit in a uint64. It
-// reports false when the odometer wraps.
+// carry towards more significant digits): the first candidate past the
+// subtree that shares digits 0..d with assign. d == -1 (a match at the
+// root, i.e. an empty pattern) wraps at once. It reports false when the
+// odometer wraps.
 func advanceAt(assign []int, sizes []int, d int) bool {
 	for i := d + 1; i < len(assign); i++ {
 		assign[i] = 0

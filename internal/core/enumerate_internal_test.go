@@ -1,105 +1,81 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 )
 
-// TestDecodeIncrAgree: decoding consecutive indices equals repeated
-// odometer increments (hole 0 most significant, as in Figure 2).
-func TestDecodeIncrAgree(t *testing.T) {
+// TestRoundCursorProperty: draining a round cursor claims, in odometer
+// order, exactly the candidates no pattern matches, and counts every other
+// candidate as skipped; four workers draining it claim the same multiset.
+func TestRoundCursorProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(5)
-		sizes := make([]int, n)
+		sizes := make([]int, 1+rng.Intn(5))
 		for i := range sizes {
 			sizes[i] = 1 + rng.Intn(4)
 		}
-		total := spaceSize(sizes)
-		odo := make([]int, n)
-		dec := make([]int, n)
-		for idx := uint64(0); idx < total; idx++ {
-			decode(idx, sizes, dec)
-			for i := range odo {
-				if odo[i] != dec[i] {
-					return false
+		tbl := newPatternTable()
+		for n := rng.Intn(6); n > 0; n-- {
+			pat := make([]int, rng.Intn(len(sizes)+1))
+			for i := range pat {
+				pat[i] = rng.Intn(sizes[i])
+				if rng.Intn(4) == 0 {
+					pat[i] = Wildcard
 				}
 			}
-			if !incr(odo, sizes) && idx != total-1 {
-				return false // wrapped early
+			tbl.Insert(pat)
+		}
+		var want [][]int
+		for c := make([]int, len(sizes)); ; {
+			if matched, _ := tbl.Match(c); !matched {
+				want = append(want, append([]int(nil), c...))
 			}
+			if !incr(c, sizes) {
+				break
+			}
+		}
+		drain := func(workers int) (claimed [][]int, skipped int64) {
+			e := &engine{patterns: tbl}
+			cur := &cursor{e: e, sizes: sizes, next: make([]int, len(sizes))}
+			var mu sync.Mutex
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for assign := make([]int, len(sizes)); cur.claim(assign); {
+						mu.Lock()
+						claimed = append(claimed, append([]int(nil), assign...))
+						mu.Unlock()
+					}
+				}()
+			}
+			wg.Wait()
+			return claimed, e.skipped
+		}
+		one, skipped := drain(1)
+		if !reflect.DeepEqual(one, want) || uint64(skipped)+uint64(len(one)) != spaceSize(sizes) {
+			t.Logf("sizes %v: claimed %v (skipped %d), want %v", sizes, one, skipped, want)
+			return false
+		}
+		four, skipped4 := drain(4)
+		sort.Slice(four, func(i, j int) bool { return fmt.Sprint(four[i]) < fmt.Sprint(four[j]) })
+		sorted := append([][]int(nil), want...)
+		sort.Slice(sorted, func(i, j int) bool { return fmt.Sprint(sorted[i]) < fmt.Sprint(sorted[j]) })
+		if !reflect.DeepEqual(four, sorted) || skipped4 != skipped {
+			t.Logf("sizes %v: four workers claimed %v (skipped %d), want %v (skipped %d)", sizes, four, skipped4, sorted, skipped)
+			return false
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSubtreeEnd checks skip arithmetic: the next index after a match at
-// depth d is the first one whose digits 0..d differ.
-func TestSubtreeEnd(t *testing.T) {
-	sizes := []int{3, 2, 4}
-	// idx 13 = (1, 1, 1); subtree at depth 1 covers (1,1,*): ends at 16.
-	if got := subtreeEnd(13, sizes, 1); got != 16 {
-		t.Errorf("subtreeEnd(13, d=1) = %d, want 16", got)
-	}
-	// depth 0: (1,*,*) ends at 16 too (1*8..2*8).
-	if got := subtreeEnd(13, sizes, 0); got != 16 {
-		t.Errorf("subtreeEnd(13, d=0) = %d, want 16", got)
-	}
-	// depth -1 (root match): everything is pruned.
-	if got := subtreeEnd(13, sizes, -1); got != 24 {
-		t.Errorf("subtreeEnd(13, d=-1) = %d, want 24", got)
-	}
-	// depth 2 (deepest digit): stride 1.
-	if got := subtreeEnd(13, sizes, 2); got != 14 {
-		t.Errorf("subtreeEnd(13, d=2) = %d, want 14", got)
-	}
-}
-
-// TestSubtreeEndProperty: every index in [idx, subtreeEnd) shares digits
-// 0..d with idx, and subtreeEnd itself does not.
-func TestSubtreeEndProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(4)
-		sizes := make([]int, n)
-		for i := range sizes {
-			sizes[i] = 1 + rng.Intn(3)
-		}
-		total := spaceSize(sizes)
-		idx := uint64(rng.Int63n(int64(total)))
-		d := rng.Intn(n)
-		end := subtreeEnd(idx, sizes, d)
-		base := make([]int, n)
-		decode(idx, sizes, base)
-		cur := make([]int, n)
-		for j := idx; j < end && j < total; j++ {
-			decode(j, sizes, cur)
-			for i := 0; i <= d; i++ {
-				if cur[i] != base[i] {
-					return false
-				}
-			}
-		}
-		if end < total {
-			decode(end, sizes, cur)
-			same := true
-			for i := 0; i <= d; i++ {
-				if cur[i] != base[i] {
-					same = false
-				}
-			}
-			if same {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"verc3/internal/mc"
@@ -53,6 +54,5 @@ func VerifySolution(sys ts.System, r *Result, i int, opt mc.Options) (*mc.Result
 	if i < 0 || i >= len(r.Solutions) {
 		return nil, fmt.Errorf("core: solution index %d out of range (%d solutions)", i, len(r.Solutions))
 	}
-	opt.Env = ts.NewEnv(r.Assignment(i))
-	return mc.Check(sys, opt)
+	return mc.NewSession(sys, opt).Check(context.Background(), ts.NewEnv(r.Assignment(i)), nil)
 }

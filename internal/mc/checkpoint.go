@@ -143,8 +143,8 @@ func (cp *checkpointer) due() bool {
 // because a checkpoint must round-trip: states need a binary encoding
 // (ts.KeyAppender) the system can decode back (ts.KeyDecoder), level
 // boundaries must exist (BFS), and the snapshot cannot carry what it does
-// not contain (trace parent chains, usage masks).
-func newCheckpointer(sys ts.System, opt Options) (*checkpointer, error) {
+// not contain (trace parent chains, the masks of a check's usage tracker).
+func newCheckpointer(sys ts.System, opt Options, usage UsageTracker) (*checkpointer, error) {
 	if opt.CheckpointDir == "" {
 		return nil, nil
 	}
@@ -154,7 +154,7 @@ func newCheckpointer(sys ts.System, opt Options) (*checkpointer, error) {
 	if opt.RecordTrace {
 		return nil, fmt.Errorf("mc: checkpointing is incompatible with trace recording (parent chains are not snapshotted)")
 	}
-	if opt.Usage != nil {
+	if usage != nil {
 		return nil, fmt.Errorf("mc: checkpointing is incompatible with usage tracking (masks are not snapshotted)")
 	}
 	dec, ok := sys.(ts.KeyDecoder)

@@ -329,6 +329,14 @@ func TestCheckpointGating(t *testing.T) {
 			}
 		})
 	}
+	t.Run("usage-tracker", func(t *testing.T) {
+		// The tracker arrives with the check, not with the session's options.
+		sess := mc.NewSession(sys(), mc.Options{CheckpointDir: t.TempDir(), CheckpointEvery: -1})
+		_, err := sess.Check(context.Background(), nil, nopUsage{})
+		if err == nil || !strings.Contains(err.Error(), "usage tracking") {
+			t.Fatalf("err = %v, want usage-tracking refusal", err)
+		}
+	})
 	t.Run("no-decoder", func(t *testing.T) {
 		// chain states have no binary encodings at all.
 		_, err := mc.Check(newChain(10), mc.Options{CheckpointDir: t.TempDir(), CheckpointEvery: -1})

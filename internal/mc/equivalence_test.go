@@ -36,12 +36,11 @@ func TestZooEquivalenceTraceOnOff(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := mc.Check(sys, mc.Options{
+				res, err := checkEnv(sys, mc.Options{
 					Symmetry:    true,
-					Env:         ts.NewEnv(wildcardChooser{}), // complete models never call Choose
 					Workers:     cb.workers,
 					RecordTrace: cb.record,
-				})
+				}, ts.NewEnv(wildcardChooser{}), nil)
 				if err != nil {
 					t.Fatalf("workers=%d record=%v: %v", cb.workers, cb.record, err)
 				}
@@ -106,14 +105,13 @@ func TestZooEquivalenceVisitedBackends(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := mc.Check(sys, mc.Options{
+				res, err := checkEnv(sys, mc.Options{
 					Symmetry: true,
-					Env:      ts.NewEnv(wildcardChooser{}), // complete models never call Choose
 					Workers:  cb.workers,
 					Visited:  cb.backend,
 					SpillMem: 1, // floor: force flushes on even tiny spaces
 					SpillDir: t.TempDir(),
-				})
+				}, ts.NewEnv(wildcardChooser{}), nil)
 				if err != nil {
 					t.Fatalf("workers=%d visited=%v: %v", cb.workers, cb.backend, err)
 				}
@@ -163,14 +161,13 @@ func TestZooEquivalenceDFS(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := mc.Check(sys, mc.Options{
+				res, err := checkEnv(sys, mc.Options{
 					Symmetry: true,
-					Env:      ts.NewEnv(wildcardChooser{}), // complete models never call Choose
 					Order:    order,
 					Visited:  backend,
 					SpillMem: 1, // floor: force flushes on even tiny spaces
 					SpillDir: t.TempDir(),
-				})
+				}, ts.NewEnv(wildcardChooser{}), nil)
 				if err != nil {
 					t.Fatalf("order=%v visited=%v: %v", order, backend, err)
 				}
@@ -461,17 +458,16 @@ func TestZooEquivalenceLiveness(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := mc.Check(sys, mc.Options{
+				res, err := checkEnv(sys, mc.Options{
 					Liveness:    true,
 					RecordTrace: true,
-					Env:         ts.NewEnv(wildcardChooser{}), // complete models never call Choose
 					Visited:     cb.backend,
 					Symmetry:    cb.symmetry,
 					Workers:     cb.workers,
 					Order:       cb.order,
 					SpillMem:    1, // floor: force flushes on even tiny spaces
 					SpillDir:    t.TempDir(),
-				})
+				}, ts.NewEnv(wildcardChooser{}), nil)
 				if err != nil {
 					t.Fatalf("%s: %v", tag, err)
 				}

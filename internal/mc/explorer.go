@@ -232,7 +232,7 @@ func (e *explorer) begin(ctx context.Context, env *ts.Env, usage UsageTracker) e
 		e.visited = visited.NewConcurrent(visitedConfig(e.opt))
 	}
 	var err error
-	if e.ckpt, err = newCheckpointer(e.sys, e.opt); err != nil {
+	if e.ckpt, err = newCheckpointer(e.sys, e.opt, usage); err != nil {
 		_ = closeStore(e.visited) // nothing was inserted; the checkpointer's error is the one to report
 	}
 	return err
@@ -568,7 +568,7 @@ func (e *explorer) expand(w *worker, it item) (stop bool, err error) {
 		}
 		w.push(child)
 	}
-	if succs == 0 && !e.opt.NoDeadlock && blocked == 0 {
+	if succs == 0 && blocked == 0 {
 		// With blocked > 0 all outgoing behaviour hides behind wildcards:
 		// not provably a deadlock; the Unknown verdict (WildcardHit) covers
 		// it, and the expansion completes normally below.

@@ -38,11 +38,10 @@ func TestZooEquivalenceKeying(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := mc.Check(sys, mc.Options{
+				res, err := checkEnv(sys, mc.Options{
 					Symmetry: cb.symmetry,
-					Env:      ts.NewEnv(wildcardChooser{}), // complete models never call Choose
 					Workers:  cb.workers,
-				})
+				}, ts.NewEnv(wildcardChooser{}), nil)
 				if err != nil {
 					t.Fatalf("workers=%d symmetry=%v: %v", cb.workers, cb.symmetry, err)
 				}
@@ -105,7 +104,7 @@ func TestZooAppendKeyConsistency(t *testing.T) {
 				// so the first-action candidate runs only where it may differ.
 				for _, chooser := range []ts.Chooser{wildcardChooser{}, firstActionChooser{}} {
 					got := oracle.Explore(build(), ts.NewEnv(chooser), symmetry)
-					res, err := mc.Check(build(), mc.Options{Symmetry: symmetry, Env: ts.NewEnv(chooser)})
+					res, err := checkEnv(build(), mc.Options{Symmetry: symmetry}, ts.NewEnv(chooser), nil)
 					if err != nil {
 						t.Fatal(err)
 					}

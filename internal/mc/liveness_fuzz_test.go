@@ -21,9 +21,9 @@ type fgraph struct {
 	terminalOK bool
 }
 
-// decodeFGraph reads a graph from fuzz bytes: node count, adjacency rows,
+// readFGraph reads a graph from fuzz bytes: node count, adjacency rows,
 // predicate masks, goal kind. Returns false when data is too short.
-func decodeFGraph(data []byte) (fgraph, bool) {
+func readFGraph(data []byte) (fgraph, bool) {
 	var g fgraph
 	if len(data) < 1 {
 		return g, false
@@ -150,7 +150,7 @@ func FuzzLassoReplay(f *testing.F) {
 	// Leads-to answered: 0(P)→1(Q)→1. The pending branch dies at Q.
 	f.Add([]byte{0, 0b10, 0b10, 0b01, 0b10, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, ok := decodeFGraph(data)
+		g, ok := readFGraph(data)
 		if !ok {
 			return
 		}

@@ -230,11 +230,10 @@ func TestLivenessPinnedAnswers(t *testing.T) {
 	}
 	for name, build := range systems {
 		t.Run(name, func(t *testing.T) {
-			res, err := mc.Check(build(), mc.Options{
+			res, err := checkEnv(build(), mc.Options{
 				Liveness:    true,
 				RecordTrace: true,
-				Env:         ts.NewEnv(wildcardChooser{}), // complete models never call Choose
-			})
+			}, ts.NewEnv(wildcardChooser{}), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

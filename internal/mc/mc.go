@@ -73,19 +73,21 @@
 // Options.Order is how the frontier is walked. BFS goes level by level, the
 // workers' outputs becoming the next level, from two buffers that are
 // recycled for the whole run. DFS runs one worker's output as a stack over
-// the same expand. DFS order and usage tracking (Options.Usage: one tracker
-// brackets one firing at a time) always run one worker, whatever Workers
-// says.
+// the same expand. DFS order and usage tracking (Session.Check's tracker:
+// one tracker brackets one firing at a time) always run one worker,
+// whatever Workers says.
 //
 // # Sessions
 //
 // The kernel lives in a Session: NewSession resolves what every check of a
 // system under fixed options shares and builds the workers, and each
 // Session.Check resets them — buffers truncated, tallies zeroed, the flat
-// visited table cleared in place — and explores. Check and CheckCtx are a
-// session used once. The synthesis engine gives each of its workers a
-// session of its own, which is where the per-check fixed cost of tens of
-// thousands of small checks goes (see Session).
+// visited table cleared in place — and explores. A check's environment
+// (the chooser that resolves a skeleton's holes) and usage tracker are
+// arguments of Session.Check, not options; Check and CheckCtx are a
+// session used once, on a complete model. The synthesis engine gives each
+// of its workers a session of its own, which is where the per-check fixed
+// cost of tens of thousands of small checks goes (see Session).
 //
 // Enabled transitions reach the kernel as ts.Rule records: a worker asks
 // the system to append the records of the state it expands into the
@@ -298,21 +300,14 @@ const (
 	DFS
 )
 
-// Options configures a model-checking run. The zero value checks a complete
-// model with symmetry reduction off, deadlock checking on, no state cap.
+// Options configures a model-checking run. The zero value checks with
+// symmetry reduction off, deadlock checking on, no state cap. A check's
+// environment and usage tracker are not options: they are per check, and
+// Session.Check takes them.
 type Options struct {
-	// Env is the execution environment handed to transitions (nil for
-	// complete models). Per check: Check and CheckCtx pass it on to
-	// Session.Check, NewSession ignores it.
-	Env *ts.Env
-	// Usage optionally tracks per-firing hole usage (see UsageTracker). Per
-	// check, like Env.
-	Usage UsageTracker
 	// Symmetry enables scalarset symmetry reduction for states implementing
 	// ts.Permutable.
 	Symmetry bool
-	// NoDeadlock disables deadlock detection.
-	NoDeadlock bool
 	// MaxStates caps the number of visited states (0 = unlimited). Hitting
 	// the cap downgrades a would-be success to Unknown. One worker stops at
 	// the first expansion past the cap; several workers each count their
@@ -336,7 +331,7 @@ type Options struct {
 	// valid replays but not guaranteed minimal; verdicts and the counts of
 	// complete explorations are identical at every width because all dedupe
 	// by the same canonical-key fingerprint. DFS order and usage tracking
-	// (Options.Usage) always run one worker.
+	// (a Session.Check tracker) always run one worker.
 	Workers int
 	// Visited selects the visited-set storage backend (internal/visited).
 	// The zero value is visited.Flat, the open-addressing table; Spill
@@ -355,7 +350,8 @@ type Options struct {
 	// run statistics are snapshotted into a versioned subdirectory of this
 	// directory, committed atomically by rename (see checkpoint.go). "" —
 	// the default — disables checkpointing. Requires a system that
-	// implements ts.KeyDecoder, BFS order, and RecordTrace/Usage off.
+	// implements ts.KeyDecoder, BFS order, RecordTrace off and checks
+	// without a usage tracker.
 	CheckpointDir string
 	// CheckpointEvery throttles how often level boundaries actually save.
 	// Zero — the default — is the adaptive policy: a boundary saves only
@@ -428,8 +424,9 @@ type Session struct {
 	e explorer
 }
 
-// NewSession prepares sys for repeated checking under opt. Options.Env and
-// Options.Usage are ignored: they are per check, and Check takes them.
+// NewSession prepares sys for repeated checking under opt. What differs
+// from check to check — the environment and the usage tracker — Check
+// takes.
 func NewSession(sys ts.System, opt Options) *Session {
 	s := new(Session)
 	s.e.init(sys, opt)
@@ -486,11 +483,12 @@ func Check(sys ts.System, opt Options) (*Result, error) {
 	return CheckCtx(context.Background(), sys, opt)
 }
 
-// CheckCtx is one check of a session made for it: see Session.Check for the
-// contract, with Options.Env and Options.Usage as the check's environment
-// and tracker.
+// CheckCtx is one check of a session made for it, of a complete model: no
+// environment, no usage tracker. See Session.Check for the contract; a
+// skeleton with holes is checked through a session, whose Check takes the
+// environment that resolves them.
 func CheckCtx(ctx context.Context, sys ts.System, opt Options) (*Result, error) {
-	return NewSession(sys, opt).Check(ctx, opt.Env, opt.Usage)
+	return NewSession(sys, opt).Check(ctx, nil, nil)
 }
 
 // visitedConfig maps checker options onto the storage layer's config,
@@ -557,17 +555,4 @@ func tracePath(n *statespace.TraceNode[ts.State]) []TraceStep {
 		out[i] = TraceStep{Rule: link.Rule, State: link.State}
 	}
 	return out
-}
-
-// VisitedStates re-explores sys and returns the number of reachable states;
-// convenience for reports and tests on complete models.
-func VisitedStates(sys ts.System, symmetryOn bool) (int, error) {
-	r, err := Check(sys, Options{Symmetry: symmetryOn})
-	if err != nil {
-		return 0, err
-	}
-	if r.Verdict == Failure {
-		return r.Stats.VisitedStates, fmt.Errorf("mc: %s: %s %q violated", sys.Name(), r.Failure.Kind, r.Failure.Name)
-	}
-	return r.Stats.VisitedStates, nil
 }

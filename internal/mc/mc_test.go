@@ -148,17 +148,6 @@ func TestQuiescentSinkIsNotDeadlock(t *testing.T) {
 	}
 }
 
-// TestNoDeadlockOption checks deadlock detection can be disabled.
-func TestNoDeadlockOption(t *testing.T) {
-	res, err := mc.Check(&sinkSystem{}, mc.Options{NoDeadlock: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Verdict != mc.Success {
-		t.Fatalf("verdict = %v, want success with NoDeadlock", res.Verdict)
-	}
-}
-
 // TestGoalFailure checks an unreached goal fails a complete exploration.
 func TestGoalFailure(t *testing.T) {
 	g := line(3, false)
@@ -188,6 +177,12 @@ func TestGoalReached(t *testing.T) {
 	}
 }
 
+// checkEnv is one check of a fresh session with env as the environment and
+// usage as the tracker: mc.Check for models with holes.
+func checkEnv(sys ts.System, opt mc.Options, env *ts.Env, usage mc.UsageTracker) (*mc.Result, error) {
+	return mc.NewSession(sys, opt).Check(context.Background(), env, usage)
+}
+
 // wildcardChooser makes every hole a wildcard.
 type wildcardChooser struct{}
 
@@ -197,7 +192,7 @@ func (wildcardChooser) Choose(string, []string) (int, error) { return 0, ts.ErrW
 // and suppress both deadlock and goal verdicts.
 func TestUnknownOnWildcard(t *testing.T) {
 	g := toy.Figure2()
-	res, err := mc.Check(g, mc.Options{Env: ts.NewEnv(wildcardChooser{})})
+	res, err := checkEnv(g, mc.Options{}, ts.NewEnv(wildcardChooser{}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +225,7 @@ func (errChooser) Choose(string, []string) (int, error) {
 // TestModelErrorPropagates checks non-wildcard Fire errors become Check
 // errors, not verdicts.
 func TestModelErrorPropagates(t *testing.T) {
-	_, err := mc.Check(toy.Figure2(), mc.Options{Env: ts.NewEnv(errChooser{})})
+	_, err := checkEnv(toy.Figure2(), mc.Options{}, ts.NewEnv(errChooser{}), nil)
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("err = %v, want boom", err)
 	}
@@ -241,17 +236,6 @@ func TestNoInitialStates(t *testing.T) {
 	g := &toy.Graph{SysName: "empty"}
 	if _, err := mc.Check(g, mc.Options{}); err == nil {
 		t.Fatal("want error for no initial states")
-	}
-}
-
-// TestVisitedStatesHelper checks the convenience wrapper.
-func TestVisitedStatesHelper(t *testing.T) {
-	n, err := mc.VisitedStates(line(7, false), false)
-	if err != nil || n != 7 {
-		t.Fatalf("got %d, %v", n, err)
-	}
-	if _, err := mc.VisitedStates(line(3, true), false); err == nil {
-		t.Fatal("want error for failing system")
 	}
 }
 
@@ -318,7 +302,7 @@ func TestCheckFixedAllocs(t *testing.T) {
 	}
 	sess := mc.NewSession(g, mc.Options{})
 	steady := testing.AllocsPerRun(200, func() { check(sess.Check(context.Background(), nil, nopUsage{})) })
-	oneShot := testing.AllocsPerRun(200, func() { check(mc.Check(g, mc.Options{Usage: nopUsage{}})) })
+	oneShot := testing.AllocsPerRun(200, func() { check(checkEnv(g, mc.Options{}, nil, nopUsage{})) })
 	t.Logf("%.0f allocations per session check, %.0f per one-shot Check", steady, oneShot)
 	if steady > 4 && !raceEnabled {
 		t.Errorf("a session's check allocates %.0f times on a ten-state system, want <= 4", steady)

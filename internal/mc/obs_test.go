@@ -33,12 +33,11 @@ func TestZooObsSnapshotMatchesStats(t *testing.T) {
 				}
 				inits := len(sys.Initial())
 				col := obs.New()
-				res, err := mc.Check(sys, mc.Options{
+				res, err := checkEnv(sys, mc.Options{
 					Symmetry: true,
-					Env:      ts.NewEnv(wildcardChooser{}), // complete models never call Choose
 					Workers:  workers,
 					Obs:      col,
-				})
+				}, ts.NewEnv(wildcardChooser{}), nil)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -95,12 +94,11 @@ func TestZooObsLivenessCounters(t *testing.T) {
 				t.Skip("no liveness goals")
 			}
 			col := obs.New()
-			res, err := mc.Check(sys, mc.Options{
+			res, err := checkEnv(sys, mc.Options{
 				Liveness: true,
 				Symmetry: true,
-				Env:      ts.NewEnv(wildcardChooser{}),
 				Obs:      col,
-			})
+			}, ts.NewEnv(wildcardChooser{}), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

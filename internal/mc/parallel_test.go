@@ -12,17 +12,17 @@ import (
 // checkBoth runs the same system/options through the sequential and the
 // parallel driver and returns both results. buildSys is called once per
 // driver so the two runs share no mutable state.
-func checkBoth(t *testing.T, buildSys func() ts.System, opt mc.Options, workers int) (seq, par *mc.Result) {
+func checkBoth(t *testing.T, buildSys func() ts.System, opt mc.Options, env *ts.Env, workers int) (seq, par *mc.Result) {
 	t.Helper()
 	seqOpt := opt
 	seqOpt.Workers = 1
-	seq, err := mc.Check(buildSys(), seqOpt)
+	seq, err := checkEnv(buildSys(), seqOpt, env, nil)
 	if err != nil {
 		t.Fatalf("sequential: %v", err)
 	}
 	parOpt := opt
 	parOpt.Workers = workers
-	par, err = mc.Check(buildSys(), parOpt)
+	par, err = checkEnv(buildSys(), parOpt, env, nil)
 	if err != nil {
 		t.Fatalf("parallel: %v", err)
 	}
@@ -47,11 +47,7 @@ func TestParallelMatchesSequentialOnZoo(t *testing.T) {
 				}
 				return sys
 			}
-			opt := mc.Options{
-				Symmetry: true,
-				Env:      ts.NewEnv(wildcardChooser{}), // complete models never call Choose
-			}
-			seq, par := checkBoth(t, build, opt, 8)
+			seq, par := checkBoth(t, build, mc.Options{Symmetry: true}, ts.NewEnv(wildcardChooser{}), 8)
 			if seq.Verdict != par.Verdict {
 				t.Fatalf("verdict: sequential %v vs parallel %v", seq.Verdict, par.Verdict)
 			}
@@ -89,7 +85,7 @@ func TestParallelMatchesSequentialMSI3(t *testing.T) {
 			}
 			return sys
 		}
-		seq, par := checkBoth(t, build, mc.Options{Symmetry: symmetry}, 8)
+		seq, par := checkBoth(t, build, mc.Options{Symmetry: symmetry}, nil, 8)
 		if seq.Verdict != par.Verdict || seq.Stats.VisitedStates != par.Stats.VisitedStates {
 			t.Errorf("symmetry=%v: sequential %v/%d vs parallel %v/%d", symmetry,
 				seq.Verdict, seq.Stats.VisitedStates, par.Verdict, par.Stats.VisitedStates)
@@ -227,7 +223,7 @@ func TestParallelMaxStatesCap(t *testing.T) {
 // TestParallelModelErrorPropagates checks non-wildcard Fire errors surface
 // as Check errors from the parallel driver too.
 func TestParallelModelErrorPropagates(t *testing.T) {
-	_, err := mc.Check(toy.Figure2(), mc.Options{Workers: 4, Env: ts.NewEnv(errChooser{})})
+	_, err := checkEnv(toy.Figure2(), mc.Options{Workers: 4}, ts.NewEnv(errChooser{}), nil)
 	if err == nil {
 		t.Fatal("want error")
 	}
@@ -318,7 +314,7 @@ func TestUsageTrackingRunsOneWorker(t *testing.T) {
 	}
 	run := func(workers int) *mc.Result {
 		ch := &maskChooser{holes: map[string]uint{"A": 0, "B": 1}}
-		res, err := mc.Check(build(), mc.Options{Workers: workers, RecordTrace: true, Env: ts.NewEnv(ch), Usage: ch})
+		res, err := checkEnv(build(), mc.Options{Workers: workers, RecordTrace: true}, ts.NewEnv(ch), ch)
 		if err != nil {
 			t.Fatal(err)
 		}

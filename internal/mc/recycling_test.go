@@ -51,13 +51,12 @@ func TestZooEquivalenceRecycling(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := mc.Check(sys, mc.Options{
+				res, err := checkEnv(sys, mc.Options{
 					Symmetry:    cb.symmetry,
 					RecordTrace: cb.trace,
 					NoRecycle:   cb.noRecycle,
-					Env:         ts.NewEnv(wildcardChooser{}), // complete models never call Choose
 					Workers:     cb.workers,
-				})
+				}, ts.NewEnv(wildcardChooser{}), nil)
 				tag := fmt.Sprintf("workers=%d symmetry=%v trace=%v noRecycle=%v",
 					cb.workers, cb.symmetry, cb.trace, cb.noRecycle)
 				if err != nil {
@@ -154,7 +153,7 @@ func TestRecycledStorageNeverAliasesTraces(t *testing.T) {
 		// violated and the checker records a minimal counterexample.
 		sys := mutex.New(true)
 		env := ts.NewEnv(wrongTurnChooser{})
-		res, err := mc.Check(sys, mc.Options{RecordTrace: true, Env: env})
+		res, err := checkEnv(sys, mc.Options{RecordTrace: true}, env, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +162,7 @@ func TestRecycledStorageNeverAliasesTraces(t *testing.T) {
 		}
 		before := render(res.Failure.Trace)
 		for i := 0; i < 3; i++ {
-			if _, err := mc.Check(sys, mc.Options{Env: env}); err != nil {
+			if _, err := checkEnv(sys, mc.Options{}, env, nil); err != nil {
 				t.Fatal(err)
 			}
 		}

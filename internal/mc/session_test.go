@@ -92,9 +92,7 @@ func TestSessionReuseIsInvisible(t *testing.T) {
 							got := outcomeOf(t, res, err)
 
 							ref := &candidate{pick: c.pick}
-							one := opt
-							one.Env, one.Usage = ts.NewEnv(ref), ref
-							res, err = mc.Check(mutex.New(true), one)
+							res, err = checkEnv(mutex.New(true), opt, ts.NewEnv(ref), ref)
 							want := outcomeOf(t, res, err)
 
 							if want.res.Verdict != c.want {
@@ -137,7 +135,7 @@ func TestSessionReuseAcrossTableGrowth(t *testing.T) {
 	for _, c := range choosers {
 		res, err := sess.Check(context.Background(), ts.NewEnv(c), nil)
 		got := outcomeOf(t, res, err)
-		res, err = mc.Check(build(), mc.Options{Env: ts.NewEnv(c)})
+		res, err = checkEnv(build(), mc.Options{}, ts.NewEnv(c), nil)
 		want := outcomeOf(t, res, err)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("candidate %v: session and one-shot check differ\n session:  %+v %+v\n one-shot: %+v %+v",

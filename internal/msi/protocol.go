@@ -430,7 +430,7 @@ func (sys *System) DirID() int { return sys.dirID }
 // checkpoint taken from a differently-sized instance is rejected instead
 // of silently misparsed.
 func (sys *System) DecodeKey(data []byte) (ts.State, []byte, error) {
-	s, rest, err := decodeState(data, sys.cfg.Caches)
+	s, rest, err := parseState(data, sys.cfg.Caches)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -198,12 +198,12 @@ func (s *State) AppendKey(dst []byte) []byte {
 }
 
 // DecodeKey implements ts.KeyDecoder on the system (see protocol.go for
-// the method's receiver): decodeState is the inverse of State.AppendKey,
+// the method's receiver): parseState is the inverse of State.AppendKey,
 // consuming exactly one state from the front of data. The byte-for-byte
 // round-trip (decode ∘ encode = identity) is what pins checkpointed
 // frontiers to bit-identical resumed exploration; FuzzCheckpointRoundTrip
 // hammers both directions.
-func decodeState(data []byte, wantCaches int) (*State, []byte, error) {
+func parseState(data []byte, wantCaches int) (*State, []byte, error) {
 	if len(data) < 1 {
 		return nil, nil, fmt.Errorf("msi: truncated state (no cache count)")
 	}

@@ -1,6 +1,7 @@
 package msi_test
 
 import (
+	"context"
 	"sort"
 	"strings"
 	"testing"
@@ -264,7 +265,7 @@ func TestWrongCandidatesFailForTheRightReasons(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			sys := msi.New(msi.Config{Caches: 2, Variant: msi.Small})
-			res, err := mc.Check(sys, mc.Options{Symmetry: true, Env: ts.NewEnv(tc.chooser), RecordTrace: true})
+			res, err := mc.NewSession(sys, mc.Options{Symmetry: true, RecordTrace: true}).Check(context.Background(), ts.NewEnv(tc.chooser), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -285,7 +286,7 @@ func TestWrongCandidatesFailForTheRightReasons(t *testing.T) {
 // skeleton is success (sanity for the dissection chooser).
 func TestCorrectCandidateVerifies(t *testing.T) {
 	sys := msi.New(msi.Config{Caches: 2, Variant: msi.Small})
-	res, err := mc.Check(sys, mc.Options{Symmetry: true, Env: ts.NewEnv(correctSmall)})
+	res, err := mc.NewSession(sys, mc.Options{Symmetry: true}).Check(context.Background(), ts.NewEnv(correctSmall), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ package spec_test
 // step.
 
 import (
+	"context"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -74,14 +75,13 @@ func TestSpecEquivalence(t *testing.T) {
 			} {
 				opt := mc.Options{
 					Symmetry: true,
-					Env:      ts.NewEnv(wildcardChooser{}),
 					Workers:  cb.workers,
 					Visited:  cb.backend,
 					SpillMem: 1, // floor: force flushes on even tiny spaces
 					SpillDir: t.TempDir(),
 				}
 				hand := check(t, pair.zoo, opt)
-				got, err := mc.Check(m.System(), opt)
+				got, err := checkWildcard(m.System(), opt)
 				if err != nil {
 					t.Fatalf("workers=%d visited=%v: %v", cb.workers, cb.backend, err)
 				}
@@ -97,13 +97,12 @@ func TestSpecEquivalence(t *testing.T) {
 					Liveness:    true,
 					RecordTrace: true,
 					Symmetry:    true,
-					Env:         ts.NewEnv(wildcardChooser{}),
 					Visited:     backend,
 					SpillMem:    1,
 					SpillDir:    t.TempDir(),
 				}
 				hand := check(t, pair.zoo, opt)
-				got, err := mc.Check(m.System(), opt)
+				got, err := checkWildcard(m.System(), opt)
 				if err != nil {
 					t.Fatalf("liveness visited=%v: %v", backend, err)
 				}
@@ -141,13 +140,19 @@ func TestSpecEquivalence(t *testing.T) {
 	}
 }
 
+// checkWildcard checks sys under an all-wildcard environment, so sketch
+// twins explore the same deterministic sub-space.
+func checkWildcard(sys ts.System, opt mc.Options) (*mc.Result, error) {
+	return mc.NewSession(sys, opt).Check(context.Background(), ts.NewEnv(wildcardChooser{}), nil)
+}
+
 func check(t *testing.T, zooName string, opt mc.Options) *mc.Result {
 	t.Helper()
 	sys, err := zoo.Get(zooName, zoo.Params{Caches: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := mc.Check(sys, opt)
+	res, err := checkWildcard(sys, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

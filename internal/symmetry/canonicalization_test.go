@@ -9,6 +9,7 @@ package symmetry_test
 // as a dedicated step.
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -232,7 +233,7 @@ func TestZooEquivalenceCanonicalization(t *testing.T) {
 				if e.sketch {
 					continue
 				}
-				res, err := mc.Check(sys, mc.Options{Symmetry: true, Env: env})
+				res, err := mc.NewSession(sys, mc.Options{Symmetry: true}).Check(context.Background(), env, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,6 +1,7 @@
 package toy_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -110,14 +111,14 @@ func TestFigure2UniqueCompletion(t *testing.T) {
 	// Correct: 1@B(1), 2@A(0), 3@B(1), 4@B(1) — not a constant assignment,
 	// so use a map chooser.
 	correct := mapChooser{"1": 1, "2": 0, "3": 1, "4": 1}
-	res, err := mc.Check(g, mc.Options{Env: ts.NewEnv(correct)})
+	res, err := mc.NewSession(g, mc.Options{}).Check(context.Background(), ts.NewEnv(correct), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Verdict != mc.Success {
 		t.Fatalf("correct completion: verdict %v", res.Verdict)
 	}
-	res, err = mc.Check(g, mc.Options{Env: ts.NewEnv(fixed(0))})
+	res, err = mc.NewSession(g, mc.Options{}).Check(context.Background(), ts.NewEnv(fixed(0)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package zoo_test
 
 import (
+	"context"
 	"slices"
 	"testing"
 
@@ -49,10 +50,9 @@ func TestSketchMetadata(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := mc.Check(sys, mc.Options{
+		res, err := mc.NewSession(sys, mc.Options{
 			Symmetry: true,
-			Env:      ts.NewEnv(wildcardChooser{}),
-		})
+		}).Check(context.Background(), ts.NewEnv(wildcardChooser{}), nil)
 		if err != nil {
 			t.Fatalf("%s: %v", n, err)
 		}
