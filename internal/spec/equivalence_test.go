@@ -1,16 +1,18 @@
 package spec_test
 
-// Differential tests pinning spec-loaded systems to their hand-written zoo
-// twins: every committed spec under examples/specs must explore the exact
-// same state space — verdict, state count, transition count, depth, wildcard
-// aborts, and the NDFS liveness counters — across both drivers and the
-// {flat, spill} visited backends. This is the contract that lets the spec
-// frontend replace compiled-in models without changing a single reported
-// number. The CI workflow runs everything matching TestSpec as a dedicated
-// step.
+// Absolute pins for the committed specs under examples/specs. Every
+// driver × visited backend × symmetry combination must report the same
+// verdict, state count, transition count, depth and wildcard aborts, and
+// the same nested-DFS counters; synthesis on the two sketches must
+// discover the same holes, learn the same patterns and find the same
+// solutions in every mode. The numbers are the ones the hand-written Go
+// models of Peterson's algorithm and the token ring gave before the zoo
+// was built from these files. The CI workflow runs everything matching
+// TestSpec as a dedicated step.
 
 import (
 	"context"
+	"fmt"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -33,14 +35,34 @@ type wildcardChooser struct{}
 
 func (wildcardChooser) Choose(string, []string) (int, error) { return 0, ts.ErrWildcard }
 
-// pairs maps every committed spec to its hand-written zoo twin.
-var pairs = []struct {
-	file string
-	zoo  string
+// counts is one safety run's pinned answer.
+type counts struct {
+	verdict                            mc.Verdict
+	states, transitions, depth, aborts int
+}
+
+// pins maps every committed spec to its pinned answers: safety without and
+// with symmetry reduction, then the liveness run's live and red states and
+// wildcard aborts (without and with symmetry; only aborts differ).
+var pins = []struct {
+	file, zoo   string
+	plain, sym  counts
+	live, red   int
+	liveAborts  [2]int
+	liveVerdict mc.Verdict
 }{
-	{"mutex.json", "peterson"},
-	{"mutex-sketch.json", "peterson-sketch"},
-	{"tokenring.json", "token-ring"},
+	{"mutex.json", "peterson",
+		counts{mc.Success, 30, 50, 8, 0}, counts{mc.Success, 16, 27, 8, 0},
+		145, 85, [2]int{0, 0}, mc.Success},
+	{"mutex-sketch.json", "peterson-sketch",
+		counts{mc.Unknown, 4, 4, 2, 4}, counts{mc.Unknown, 3, 3, 2, 3},
+		14, 6, [2]int{32, 31}, mc.Unknown},
+	{"tokenring.json", "token-ring",
+		counts{mc.Success, 12, 12, 11, 0}, counts{mc.Success, 12, 12, 11, 0},
+		90, 54, [2]int{0, 0}, mc.Success},
+	{"tokenring-sketch.json", "token-ring-sketch",
+		counts{mc.Unknown, 1, 0, 0, 1}, counts{mc.Unknown, 1, 0, 0, 1},
+		5, 2, [2]int{8, 8}, mc.Unknown},
 }
 
 func loadSpec(t *testing.T, file string) *spec.Model {
@@ -52,86 +74,74 @@ func loadSpec(t *testing.T, file string) *spec.Model {
 	return m
 }
 
-// TestSpecEquivalence is the acceptance gate for the spec frontend: for
-// every committed spec, the compiled system and its zoo twin report
-// identical exploration statistics under every driver × backend combination,
-// and identical nested-DFS numbers on the liveness axis.
+// checkWildcard checks sys under an all-wildcard environment, so sketches
+// explore their deterministic hole-free sub-space.
+func checkWildcard(t *testing.T, sys ts.System, opt mc.Options) *mc.Result {
+	t.Helper()
+	res, err := mc.NewSession(sys, opt).Check(context.Background(), ts.NewEnv(wildcardChooser{}), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestSpecEquivalence checks every committed spec against its pins under
+// {1, 8} workers × {flat, spill} × symmetry {off, on}, and its liveness
+// counters under {flat, spill} × symmetry {off, on}. The spec's zoo entry
+// must give the same answers.
 func TestSpecEquivalence(t *testing.T) {
-	for _, pair := range pairs {
-		pair := pair
-		t.Run(pair.file, func(t *testing.T) {
-			m := loadSpec(t, pair.file)
-			if got, want := m.Sketch(), zoo.IsSketch(pair.zoo); got != want {
-				t.Fatalf("Sketch() = %v, zoo.IsSketch(%q) = %v", got, pair.zoo, want)
+	files, err := filepath.Glob(filepath.Join(specDir, "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != len(pins) {
+		t.Fatalf("%d committed specs, %d pinned: pin every spec", len(files), len(pins))
+	}
+	for _, p := range pins {
+		p := p
+		t.Run(p.file, func(t *testing.T) {
+			m := loadSpec(t, p.file)
+			if got, want := m.Sketch(), zoo.IsSketch(p.zoo); got != want {
+				t.Fatalf("Sketch() = %v, zoo.IsSketch(%q) = %v", got, p.zoo, want)
 			}
-
-			type combo struct {
-				workers int
-				backend visited.Kind
+			hand, err := zoo.Get(p.zoo, zoo.Params{})
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, cb := range []combo{
-				{1, visited.Flat}, {1, visited.Spill},
-				{8, visited.Flat}, {8, visited.Spill},
-			} {
-				opt := mc.Options{
-					Symmetry: true,
-					Workers:  cb.workers,
-					Visited:  cb.backend,
-					SpillMem: 1, // floor: force flushes on even tiny spaces
-					SpillDir: t.TempDir(),
-				}
-				hand := check(t, pair.zoo, opt)
-				got, err := checkWildcard(m.System(), opt)
-				if err != nil {
-					t.Fatalf("workers=%d visited=%v: %v", cb.workers, cb.backend, err)
-				}
-				tag := "safety"
-				compareRuns(t, tag, cb.workers, cb.backend, got, hand)
-			}
-
-			if len(m.Spec().Liveness) == 0 {
-				return
-			}
-			for _, backend := range []visited.Kind{visited.Flat, visited.Spill} {
-				opt := mc.Options{
-					Liveness:    true,
-					RecordTrace: true,
-					Symmetry:    true,
-					Visited:     backend,
-					SpillMem:    1,
-					SpillDir:    t.TempDir(),
-				}
-				hand := check(t, pair.zoo, opt)
-				got, err := checkWildcard(m.System(), opt)
-				if err != nil {
-					t.Fatalf("liveness visited=%v: %v", backend, err)
-				}
-				compareRuns(t, "liveness", 1, backend, got, hand)
-				if got.Space.LiveStates != hand.Space.LiveStates || got.Space.RedStates != hand.Space.RedStates {
-					t.Errorf("visited=%v: ndfs states %d+%dred, want %d+%dred", backend,
-						got.Space.LiveStates, got.Space.RedStates, hand.Space.LiveStates, hand.Space.RedStates)
-				}
-				if got.Space.CycleLen != hand.Space.CycleLen {
-					t.Errorf("visited=%v: cycle length %d, want %d", backend, got.Space.CycleLen, hand.Space.CycleLen)
-				}
-				gotCycle := got.Failure != nil && len(got.Failure.Trace) > 0
-				handCycle := hand.Failure != nil && len(hand.Failure.Trace) > 0
-				if gotCycle != handCycle {
-					t.Errorf("visited=%v: cycle presence %v, want %v", backend, gotCycle, handCycle)
-				}
-				if gotCycle && handCycle {
-					if got.Failure.Name != hand.Failure.Name || got.Failure.CycleStart != hand.Failure.CycleStart ||
-						len(got.Failure.Trace) != len(hand.Failure.Trace) {
-						t.Errorf("visited=%v: lasso %q start=%d steps=%d, want %q start=%d steps=%d", backend,
-							got.Failure.Name, got.Failure.CycleStart, len(got.Failure.Trace),
-							hand.Failure.Name, hand.Failure.CycleStart, len(hand.Failure.Trace))
-					} else {
-						for i, step := range got.Failure.Trace {
-							if step.Rule != hand.Failure.Trace[i].Rule {
-								t.Errorf("visited=%v: lasso diverges at step %d: %q vs %q", backend,
-									i, step.Rule, hand.Failure.Trace[i].Rule)
-								break
+			for _, sys := range []ts.System{m.System(), hand} {
+				for si, sym := range []bool{false, true} {
+					want := []counts{p.plain, p.sym}[si]
+					for _, workers := range []int{1, 8} {
+						for _, backend := range []visited.Kind{visited.Flat, visited.Spill} {
+							res := checkWildcard(t, sys, mc.Options{
+								Symmetry: sym,
+								Workers:  workers,
+								Visited:  backend,
+								SpillMem: 1, // floor: force flushes on even tiny spaces
+								SpillDir: t.TempDir(),
+							})
+							got := counts{res.Verdict, res.Stats.VisitedStates, res.Stats.FiredTransitions,
+								res.Stats.MaxDepth, res.Stats.WildcardAborts}
+							if got != want {
+								t.Errorf("%s symmetry=%v workers=%d visited=%v: %+v, want %+v",
+									sys.Name(), sym, workers, backend, got, want)
 							}
+						}
+					}
+					for _, backend := range []visited.Kind{visited.Flat, visited.Spill} {
+						res := checkWildcard(t, sys, mc.Options{
+							Liveness:    true,
+							RecordTrace: true,
+							Symmetry:    sym,
+							Visited:     backend,
+							SpillMem:    1,
+							SpillDir:    t.TempDir(),
+						})
+						got := fmt.Sprintf("%v %d/%d aborts=%d cycle=%d", res.Verdict,
+							res.Space.LiveStates, res.Space.RedStates, res.Stats.WildcardAborts, res.Space.CycleLen)
+						want := fmt.Sprintf("%v %d/%d aborts=%d cycle=0", p.liveVerdict, p.live, p.red, p.liveAborts[si])
+						if got != want {
+							t.Errorf("%s liveness symmetry=%v visited=%v: %s, want %s", sys.Name(), sym, backend, got, want)
 						}
 					}
 				}
@@ -140,96 +150,79 @@ func TestSpecEquivalence(t *testing.T) {
 	}
 }
 
-// checkWildcard checks sys under an all-wildcard environment, so sketch
-// twins explore the same deterministic sub-space.
-func checkWildcard(sys ts.System, opt mc.Options) (*mc.Result, error) {
-	return mc.NewSession(sys, opt).Check(context.Background(), ts.NewEnv(wildcardChooser{}), nil)
-}
-
-func check(t *testing.T, zooName string, opt mc.Options) *mc.Result {
-	t.Helper()
-	sys, err := zoo.Get(zooName, zoo.Params{Caches: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := checkWildcard(sys, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
-func compareRuns(t *testing.T, tag string, workers int, backend visited.Kind, got, want *mc.Result) {
-	t.Helper()
-	if got.Verdict != want.Verdict {
-		t.Errorf("%s workers=%d visited=%v: verdict %v, want %v", tag, workers, backend, got.Verdict, want.Verdict)
-	}
-	if got.Stats.VisitedStates != want.Stats.VisitedStates {
-		t.Errorf("%s workers=%d visited=%v: states %d, want %d", tag, workers, backend, got.Stats.VisitedStates, want.Stats.VisitedStates)
-	}
-	if got.Stats.FiredTransitions != want.Stats.FiredTransitions {
-		t.Errorf("%s workers=%d visited=%v: transitions %d, want %d", tag, workers, backend, got.Stats.FiredTransitions, want.Stats.FiredTransitions)
-	}
-	if got.Stats.MaxDepth != want.Stats.MaxDepth {
-		t.Errorf("%s workers=%d visited=%v: depth %d, want %d", tag, workers, backend, got.Stats.MaxDepth, want.Stats.MaxDepth)
-	}
-	if got.Stats.WildcardAborts != want.Stats.WildcardAborts {
-		t.Errorf("%s workers=%d visited=%v: aborts %d, want %d", tag, workers, backend, got.Stats.WildcardAborts, want.Stats.WildcardAborts)
-	}
-}
-
-// TestSpecSynthesisEndToEnd runs full synthesis on the committed mutex
-// sketch spec and pins the outcome against the hand-written peterson
-// sketch: same holes in the same discovery order, the same 2·2·2 = 8
-// candidate space, and the single reverified Peterson solution.
+// TestSpecSynthesisEndToEnd runs full synthesis on both committed sketches
+// in every mode, with and without symmetry reduction, and pins the holes in
+// discovery order, the candidates evaluated, the patterns learned, the
+// failures and every reverified solution with its state count.
 func TestSpecSynthesisEndToEnd(t *testing.T) {
-	m := loadSpec(t, "mutex-sketch.json")
-	if !m.Sketch() {
-		t.Fatal("mutex-sketch.json did not load as a sketch")
+	type outcome struct {
+		evaluated, patterns, failures int
 	}
-	run := func(sys ts.System) *core.Result {
-		t.Helper()
-		res, err := core.Synthesize(sys, core.Config{MC: mc.Options{Symmetry: true}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	cases := []struct {
+		file, zoo string
+		holes     string
+		// prune is the outcome under both prune styles, naive under
+		// ModeNaive.
+		prune, naive outcome
+		solutions    string
+		// states is the solutions' verification state count without and
+		// with symmetry.
+		states [2]int
+	}{
+		{"mutex-sketch.json", "peterson-sketch", "turn-write,exit-flag,after-crit",
+			outcome{9, 4, 4}, outcome{8, 0, 7},
+			"after-crit@Idle,exit-flag@clear,turn-write@other", [2]int{30, 16}},
+		{"tokenring-sketch.json", "token-ring-sketch", "after-crit,pass-direction",
+			outcome{5, 1, 1}, outcome{4, 0, 2},
+			"after-crit@pass,pass-direction@next|after-crit@pass,pass-direction@prev", [2]int{12, 12}},
 	}
-	hand, err := zoo.Get("peterson-sketch", zoo.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := run(hand)
-	got := run(m.System())
-
-	if strings.Join(got.HoleNames, ",") != strings.Join(want.HoleNames, ",") {
-		t.Fatalf("holes %v, want %v", got.HoleNames, want.HoleNames)
-	}
-	space := 1
-	for i, acts := range got.HoleActions {
-		space *= len(acts)
-		if strings.Join(acts, ",") != strings.Join(want.HoleActions[i], ",") {
-			t.Errorf("hole %q actions %v, want %v", got.HoleNames[i], acts, want.HoleActions[i])
-		}
-	}
-	if space != 8 {
-		t.Errorf("candidate space %d, want 8", space)
-	}
-	if len(got.Solutions) != 1 || len(want.Solutions) != 1 {
-		t.Fatalf("solutions: spec %d, hand-written %d, want 1 each", len(got.Solutions), len(want.Solutions))
-	}
-	if gotSol, wantSol := solutionString(got, 0), solutionString(want, 0); gotSol != wantSol {
-		t.Errorf("solution %s, want %s", gotSol, wantSol)
-	}
-	if wantSol := "after-crit@Idle,exit-flag@clear,turn-write@other"; solutionString(got, 0) != wantSol {
-		t.Errorf("solution %s, want %s", solutionString(got, 0), wantSol)
-	}
-	if !got.Solutions[0].Reverified {
-		t.Error("spec solution not reverified")
-	}
-	if got.Solutions[0].VisitedStates != want.Solutions[0].VisitedStates {
-		t.Errorf("solution verification states %d, want %d",
-			got.Solutions[0].VisitedStates, want.Solutions[0].VisitedStates)
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.file, func(t *testing.T) {
+			m := loadSpec(t, tc.file)
+			hand, err := zoo.Get(tc.zoo, zoo.Params{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, sys := range []ts.System{m.System(), hand} {
+				for _, cfg := range []core.Config{
+					{Mode: core.ModePrune},
+					{Mode: core.ModePrune, PruneStyle: core.PruneTraceGeneralized},
+					{Mode: core.ModeNaive},
+				} {
+					for si, sym := range []bool{false, true} {
+						cfg.MC = mc.Options{Symmetry: sym}
+						tag := fmt.Sprintf("%s %v/%v symmetry=%v", sys.Name(), cfg.Mode, cfg.PruneStyle, sym)
+						res, err := core.Synthesize(sys, cfg)
+						if err != nil {
+							t.Fatalf("%s: %v", tag, err)
+						}
+						if got := strings.Join(res.HoleNames, ","); got != tc.holes {
+							t.Errorf("%s: holes %s, want %s", tag, got, tc.holes)
+						}
+						want := tc.prune
+						if cfg.Mode == core.ModeNaive {
+							want = tc.naive
+						}
+						if got := (outcome{int(res.Stats.Evaluated), res.Stats.Patterns, int(res.Stats.Failures)}); got != want {
+							t.Errorf("%s: evaluated/patterns/failures %+v, want %+v", tag, got, want)
+						}
+						var sols []string
+						for i, s := range res.Solutions {
+							sols = append(sols, solutionString(res, i))
+							if !s.Reverified || s.VisitedStates != tc.states[si] {
+								t.Errorf("%s: solution %s reverified=%v with %d states, want %d",
+									tag, solutionString(res, i), s.Reverified, s.VisitedStates, tc.states[si])
+							}
+						}
+						sort.Strings(sols)
+						if got := strings.Join(sols, "|"); got != tc.solutions {
+							t.Errorf("%s: solutions %s, want %s", tag, got, tc.solutions)
+						}
+					}
+				}
+			}
+		})
 	}
 }
 
