@@ -26,7 +26,6 @@ import (
 	"verc3/internal/core"
 	"verc3/internal/mc"
 	"verc3/internal/msi"
-	"verc3/internal/mutex"
 	"verc3/internal/network"
 	"verc3/internal/statespace"
 	"verc3/internal/symmetry"
@@ -574,9 +573,13 @@ func BenchmarkKeyingAppendSymOff(b *testing.B) { keyingBench(b, false) }
 
 // BenchmarkSynthPeterson covers the second domain end to end.
 func BenchmarkSynthPeterson(b *testing.B) {
+	sys, err := zoo.Get("peterson-sketch", zoo.Params{})
+	if err != nil {
+		b.Fatal(err)
+	}
 	var last *core.Result
 	for i := 0; i < b.N; i++ {
-		res, err := core.Synthesize(mutex.New(true), core.Config{Mode: core.ModePrune})
+		res, err := core.Synthesize(sys, core.Config{Mode: core.ModePrune})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -63,13 +63,14 @@
 //     fairness declarations, choose holes) loaded with path-carrying
 //     validation errors and compiled onto the dsl Builder, so spec
 //     systems inherit recycling, appender enumeration, allocation-free
-//     binary keying and symmetry. Committed examples under
-//     examples/specs/ are pinned equivalent to their hand-written twins.
-//   - internal/msi, internal/mutex, internal/tokenring, internal/toy — the
-//     case studies — over internal/network, the unordered interconnect;
-//     internal/trace renders counterexamples; internal/zoo is the fixed
-//     table of named systems (with sketch metadata) behind the
-//     command-line tools.
+//     binary keying and symmetry. The committed specs under
+//     examples/specs/ are the only source of Peterson's algorithm and the
+//     token ring, each pinned to absolute answers.
+//   - internal/msi, internal/toy — the hand-written case studies — over
+//     internal/network, the unordered interconnect; internal/trace renders
+//     counterexamples; internal/zoo is the fixed table of named systems
+//     (with sketch metadata) behind the command-line tools, building
+//     peterson, token-ring and their sketches from the embedded specs.
 //
 // The command-line tools are cmd/verc3-verify and cmd/verc3-synth
 // (cmd/verc3-report reads the -report files they write); the paper's

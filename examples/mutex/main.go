@@ -5,7 +5,9 @@
 // to lower the flag on exit, or where to go after the critical section. The
 // synthesizer recovers Peterson's exact choices from the mutual-exclusion
 // invariant, deadlock detection, and two reachability goals; every wrong
-// choice is shown with the property that kills it.
+// choice is shown with the property that kills it. Both systems are the
+// zoo's peterson and peterson-sketch entries, compiled from the committed
+// specs examples/specs/mutex.json and mutex-sketch.json.
 //
 // Run with:
 //
@@ -19,14 +21,23 @@ import (
 
 	"verc3/internal/core"
 	"verc3/internal/mc"
-	"verc3/internal/mutex"
 	"verc3/internal/trace"
 	"verc3/internal/ts"
+	"verc3/internal/zoo"
 )
 
 func main() {
+	complete, err := zoo.Get("peterson", zoo.Params{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	sketch, err := zoo.Get("peterson-sketch", zoo.Params{})
+	if err != nil {
+		log.Fatal(err)
+	}
+
 	// Verify the textbook algorithm first.
-	res, err := mc.Check(mutex.New(false), mc.Options{})
+	res, err := mc.Check(complete, mc.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -34,7 +45,7 @@ func main() {
 
 	// Synthesize the sketch, narrating every candidate evaluation.
 	fmt.Println("synthesizing the sketch (3 holes, 2 actions each):")
-	out, err := core.Synthesize(mutex.New(true), core.Config{
+	out, err := core.Synthesize(sketch, core.Config{
 		Mode: core.ModePrune,
 		OnEvaluate: func(ev core.Event) {
 			fmt.Printf("  candidate %-12s → %s\n", fmt.Sprint(ev.Assign), ev.Verdict)
@@ -53,7 +64,7 @@ func main() {
 	// Show what goes wrong with the classic mistake: turn := me.
 	fmt.Println("\nwhy turn:=me is wrong — the minimal counterexample:")
 	bad := core.FixedChooser{"turn-write": "me", "exit-flag": "clear", "after-crit": "Idle"}
-	r, err := mc.NewSession(mutex.New(true), mc.Options{RecordTrace: true}).Check(context.Background(), ts.NewEnv(bad), nil)
+	r, err := mc.NewSession(sketch, mc.Options{RecordTrace: true}).Check(context.Background(), ts.NewEnv(bad), nil)
 	if err != nil {
 		log.Fatal(err)
 	}

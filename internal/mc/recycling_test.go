@@ -15,7 +15,6 @@ import (
 
 	"verc3/internal/mc"
 	"verc3/internal/msi"
-	"verc3/internal/mutex"
 	"verc3/internal/ts"
 	"verc3/internal/zoo"
 )
@@ -151,7 +150,7 @@ func TestRecycledStorageNeverAliasesTraces(t *testing.T) {
 	t.Run("mutex-sketch", func(t *testing.T) {
 		// Resolve turn-write to the wrong action ("me"): mutual exclusion is
 		// violated and the checker records a minimal counterexample.
-		sys := mutex.New(true)
+		sys := zooSystem(t, "peterson-sketch")
 		env := ts.NewEnv(wrongTurnChooser{})
 		res, err := checkEnv(sys, mc.Options{RecordTrace: true}, env, nil)
 		if err != nil {

@@ -8,9 +8,9 @@ import (
 
 	"verc3/internal/mc"
 	"verc3/internal/msi"
-	"verc3/internal/mutex"
 	"verc3/internal/ts"
 	"verc3/internal/visited"
+	"verc3/internal/zoo"
 )
 
 // candidate is a Peterson-sketch candidate that also tracks usage, the way
@@ -84,7 +84,7 @@ func TestSessionReuseIsInvisible(t *testing.T) {
 			t.Run(fmt.Sprintf("%v/trace=%v", backend, record), func(t *testing.T) {
 				for _, live := range []bool{false, true} {
 					opt := mc.Options{Visited: backend, RecordTrace: record, Liveness: live, SpillMem: 1, SpillDir: t.TempDir()}
-					sess := mc.NewSession(mutex.New(true), opt)
+					sess := mc.NewSession(zooSystem(t, "peterson-sketch"), opt)
 					for round := 0; round < 2; round++ {
 						for _, c := range candidates {
 							ck := &candidate{pick: c.pick}
@@ -92,7 +92,7 @@ func TestSessionReuseIsInvisible(t *testing.T) {
 							got := outcomeOf(t, res, err)
 
 							ref := &candidate{pick: c.pick}
-							res, err = checkEnv(mutex.New(true), opt, ts.NewEnv(ref), ref)
+							res, err = checkEnv(zooSystem(t, "peterson-sketch"), opt, ts.NewEnv(ref), ref)
 							want := outcomeOf(t, res, err)
 
 							if want.res.Verdict != c.want {
@@ -178,4 +178,14 @@ func TestSessionNeverOverwritesReturnedTraces(t *testing.T) {
 	if after := outcomeOf(t, res, nil); !reflect.DeepEqual(after.trace, first.trace) {
 		t.Fatalf("the first counterexample changed under later checks:\n before: %q\n after:  %q", first.trace, after.trace)
 	}
+}
+
+// zooSystem builds the named zoo system.
+func zooSystem(t testing.TB, name string) ts.System {
+	t.Helper()
+	sys, err := zoo.Get(name, zoo.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
 }

@@ -7,8 +7,9 @@ package spec_test
 // discover the same holes, learn the same patterns and find the same
 // solutions in every mode. The numbers are the ones the hand-written Go
 // models of Peterson's algorithm and the token ring gave before the zoo
-// was built from these files. The CI workflow runs everything matching
-// TestSpec as a dedicated step.
+// was built from these files; the zoo-wide harnesses in internal/mc hold
+// the zoo entries to the same answers. The CI workflow runs everything
+// matching TestSpec as a dedicated step.
 
 import (
 	"context"
@@ -23,7 +24,6 @@ import (
 	"verc3/internal/spec"
 	"verc3/internal/ts"
 	"verc3/internal/visited"
-	"verc3/internal/zoo"
 )
 
 const specDir = "../../examples/specs"
@@ -42,27 +42,19 @@ type counts struct {
 }
 
 // pins maps every committed spec to its pinned answers: safety without and
-// with symmetry reduction, then the liveness run's live and red states and
-// wildcard aborts (without and with symmetry; only aborts differ).
+// with symmetry reduction, then the liveness run's live and red states (the
+// same under both settings) and its wildcard aborts without and with
+// symmetry. The liveness verdict is the safety verdict.
 var pins = []struct {
-	file, zoo   string
-	plain, sym  counts
-	live, red   int
-	liveAborts  [2]int
-	liveVerdict mc.Verdict
+	file       string
+	plain, sym counts
+	live, red  int
+	liveAborts [2]int
 }{
-	{"mutex.json", "peterson",
-		counts{mc.Success, 30, 50, 8, 0}, counts{mc.Success, 16, 27, 8, 0},
-		145, 85, [2]int{0, 0}, mc.Success},
-	{"mutex-sketch.json", "peterson-sketch",
-		counts{mc.Unknown, 4, 4, 2, 4}, counts{mc.Unknown, 3, 3, 2, 3},
-		14, 6, [2]int{32, 31}, mc.Unknown},
-	{"tokenring.json", "token-ring",
-		counts{mc.Success, 12, 12, 11, 0}, counts{mc.Success, 12, 12, 11, 0},
-		90, 54, [2]int{0, 0}, mc.Success},
-	{"tokenring-sketch.json", "token-ring-sketch",
-		counts{mc.Unknown, 1, 0, 0, 1}, counts{mc.Unknown, 1, 0, 0, 1},
-		5, 2, [2]int{8, 8}, mc.Unknown},
+	{"mutex.json", counts{mc.Success, 30, 50, 8, 0}, counts{mc.Success, 16, 27, 8, 0}, 145, 85, [2]int{0, 0}},
+	{"mutex-sketch.json", counts{mc.Unknown, 4, 4, 2, 4}, counts{mc.Unknown, 3, 3, 2, 3}, 14, 6, [2]int{32, 31}},
+	{"tokenring.json", counts{mc.Success, 12, 12, 11, 0}, counts{mc.Success, 12, 12, 11, 0}, 90, 54, [2]int{0, 0}},
+	{"tokenring-sketch.json", counts{mc.Unknown, 1, 0, 0, 1}, counts{mc.Unknown, 1, 0, 0, 1}, 5, 2, [2]int{8, 8}},
 }
 
 func loadSpec(t *testing.T, file string) *spec.Model {
@@ -87,8 +79,7 @@ func checkWildcard(t *testing.T, sys ts.System, opt mc.Options) *mc.Result {
 
 // TestSpecEquivalence checks every committed spec against its pins under
 // {1, 8} workers × {flat, spill} × symmetry {off, on}, and its liveness
-// counters under {flat, spill} × symmetry {off, on}. The spec's zoo entry
-// must give the same answers.
+// counters under {flat, spill} × symmetry {off, on}.
 func TestSpecEquivalence(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join(specDir, "*.json"))
 	if err != nil {
@@ -101,48 +92,42 @@ func TestSpecEquivalence(t *testing.T) {
 		p := p
 		t.Run(p.file, func(t *testing.T) {
 			m := loadSpec(t, p.file)
-			if got, want := m.Sketch(), zoo.IsSketch(p.zoo); got != want {
-				t.Fatalf("Sketch() = %v, zoo.IsSketch(%q) = %v", got, p.zoo, want)
+			if got, want := m.Sketch(), p.plain.verdict == mc.Unknown; got != want {
+				t.Fatalf("Sketch() = %v, want %v", got, want)
 			}
-			hand, err := zoo.Get(p.zoo, zoo.Params{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, sys := range []ts.System{m.System(), hand} {
-				for si, sym := range []bool{false, true} {
-					want := []counts{p.plain, p.sym}[si]
-					for _, workers := range []int{1, 8} {
-						for _, backend := range []visited.Kind{visited.Flat, visited.Spill} {
-							res := checkWildcard(t, sys, mc.Options{
-								Symmetry: sym,
-								Workers:  workers,
-								Visited:  backend,
-								SpillMem: 1, // floor: force flushes on even tiny spaces
-								SpillDir: t.TempDir(),
-							})
-							got := counts{res.Verdict, res.Stats.VisitedStates, res.Stats.FiredTransitions,
-								res.Stats.MaxDepth, res.Stats.WildcardAborts}
-							if got != want {
-								t.Errorf("%s symmetry=%v workers=%d visited=%v: %+v, want %+v",
-									sys.Name(), sym, workers, backend, got, want)
-							}
-						}
-					}
+			sys := m.System()
+			for si, sym := range []bool{false, true} {
+				want := []counts{p.plain, p.sym}[si]
+				for _, workers := range []int{1, 8} {
 					for _, backend := range []visited.Kind{visited.Flat, visited.Spill} {
 						res := checkWildcard(t, sys, mc.Options{
-							Liveness:    true,
-							RecordTrace: true,
-							Symmetry:    sym,
-							Visited:     backend,
-							SpillMem:    1,
-							SpillDir:    t.TempDir(),
+							Symmetry: sym,
+							Workers:  workers,
+							Visited:  backend,
+							SpillMem: 1, // floor: force flushes on even tiny spaces
+							SpillDir: t.TempDir(),
 						})
-						got := fmt.Sprintf("%v %d/%d aborts=%d cycle=%d", res.Verdict,
-							res.Space.LiveStates, res.Space.RedStates, res.Stats.WildcardAborts, res.Space.CycleLen)
-						want := fmt.Sprintf("%v %d/%d aborts=%d cycle=0", p.liveVerdict, p.live, p.red, p.liveAborts[si])
+						got := counts{res.Verdict, res.Stats.VisitedStates, res.Stats.FiredTransitions,
+							res.Stats.MaxDepth, res.Stats.WildcardAborts}
 						if got != want {
-							t.Errorf("%s liveness symmetry=%v visited=%v: %s, want %s", sys.Name(), sym, backend, got, want)
+							t.Errorf("symmetry=%v workers=%d visited=%v: %+v, want %+v", sym, workers, backend, got, want)
 						}
+					}
+				}
+				for _, backend := range []visited.Kind{visited.Flat, visited.Spill} {
+					res := checkWildcard(t, sys, mc.Options{
+						Liveness:    true,
+						RecordTrace: true,
+						Symmetry:    sym,
+						Visited:     backend,
+						SpillMem:    1,
+						SpillDir:    t.TempDir(),
+					})
+					got := fmt.Sprintf("%v %d/%d aborts=%d cycle=%d", res.Verdict,
+						res.Space.LiveStates, res.Space.RedStates, res.Stats.WildcardAborts, res.Space.CycleLen)
+					want := fmt.Sprintf("%v %d/%d aborts=%d cycle=0", p.plain.verdict, p.live, p.red, p.liveAborts[si])
+					if got != want {
+						t.Errorf("liveness symmetry=%v visited=%v: %s, want %s", sym, backend, got, want)
 					}
 				}
 			}
@@ -159,8 +144,8 @@ func TestSpecSynthesisEndToEnd(t *testing.T) {
 		evaluated, patterns, failures int
 	}
 	cases := []struct {
-		file, zoo string
-		holes     string
+		file  string
+		holes string
 		// prune is the outcome under both prune styles, naive under
 		// ModeNaive.
 		prune, naive outcome
@@ -169,56 +154,50 @@ func TestSpecSynthesisEndToEnd(t *testing.T) {
 		// with symmetry.
 		states [2]int
 	}{
-		{"mutex-sketch.json", "peterson-sketch", "turn-write,exit-flag,after-crit",
+		{"mutex-sketch.json", "turn-write,exit-flag,after-crit",
 			outcome{9, 4, 4}, outcome{8, 0, 7},
 			"after-crit@Idle,exit-flag@clear,turn-write@other", [2]int{30, 16}},
-		{"tokenring-sketch.json", "token-ring-sketch", "after-crit,pass-direction",
+		{"tokenring-sketch.json", "after-crit,pass-direction",
 			outcome{5, 1, 1}, outcome{4, 0, 2},
 			"after-crit@pass,pass-direction@next|after-crit@pass,pass-direction@prev", [2]int{12, 12}},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.file, func(t *testing.T) {
-			m := loadSpec(t, tc.file)
-			hand, err := zoo.Get(tc.zoo, zoo.Params{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, sys := range []ts.System{m.System(), hand} {
-				for _, cfg := range []core.Config{
-					{Mode: core.ModePrune},
-					{Mode: core.ModePrune, PruneStyle: core.PruneTraceGeneralized},
-					{Mode: core.ModeNaive},
-				} {
-					for si, sym := range []bool{false, true} {
-						cfg.MC = mc.Options{Symmetry: sym}
-						tag := fmt.Sprintf("%s %v/%v symmetry=%v", sys.Name(), cfg.Mode, cfg.PruneStyle, sym)
-						res, err := core.Synthesize(sys, cfg)
-						if err != nil {
-							t.Fatalf("%s: %v", tag, err)
+			sys := loadSpec(t, tc.file).System()
+			for _, cfg := range []core.Config{
+				{Mode: core.ModePrune},
+				{Mode: core.ModePrune, PruneStyle: core.PruneTraceGeneralized},
+				{Mode: core.ModeNaive},
+			} {
+				for si, sym := range []bool{false, true} {
+					cfg.MC = mc.Options{Symmetry: sym}
+					tag := fmt.Sprintf("%v/%v symmetry=%v", cfg.Mode, cfg.PruneStyle, sym)
+					res, err := core.Synthesize(sys, cfg)
+					if err != nil {
+						t.Fatalf("%s: %v", tag, err)
+					}
+					if got := strings.Join(res.HoleNames, ","); got != tc.holes {
+						t.Errorf("%s: holes %s, want %s", tag, got, tc.holes)
+					}
+					want := tc.prune
+					if cfg.Mode == core.ModeNaive {
+						want = tc.naive
+					}
+					if got := (outcome{int(res.Stats.Evaluated), res.Stats.Patterns, int(res.Stats.Failures)}); got != want {
+						t.Errorf("%s: evaluated/patterns/failures %+v, want %+v", tag, got, want)
+					}
+					var sols []string
+					for i, s := range res.Solutions {
+						sols = append(sols, solutionString(res, i))
+						if !s.Reverified || s.VisitedStates != tc.states[si] {
+							t.Errorf("%s: solution %s reverified=%v with %d states, want %d",
+								tag, solutionString(res, i), s.Reverified, s.VisitedStates, tc.states[si])
 						}
-						if got := strings.Join(res.HoleNames, ","); got != tc.holes {
-							t.Errorf("%s: holes %s, want %s", tag, got, tc.holes)
-						}
-						want := tc.prune
-						if cfg.Mode == core.ModeNaive {
-							want = tc.naive
-						}
-						if got := (outcome{int(res.Stats.Evaluated), res.Stats.Patterns, int(res.Stats.Failures)}); got != want {
-							t.Errorf("%s: evaluated/patterns/failures %+v, want %+v", tag, got, want)
-						}
-						var sols []string
-						for i, s := range res.Solutions {
-							sols = append(sols, solutionString(res, i))
-							if !s.Reverified || s.VisitedStates != tc.states[si] {
-								t.Errorf("%s: solution %s reverified=%v with %d states, want %d",
-									tag, solutionString(res, i), s.Reverified, s.VisitedStates, tc.states[si])
-							}
-						}
-						sort.Strings(sols)
-						if got := strings.Join(sols, "|"); got != tc.solutions {
-							t.Errorf("%s: solutions %s, want %s", tag, got, tc.solutions)
-						}
+					}
+					sort.Strings(sols)
+					if got := strings.Join(sols, "|"); got != tc.solutions {
+						t.Errorf("%s: solutions %s, want %s", tag, got, tc.solutions)
 					}
 				}
 			}

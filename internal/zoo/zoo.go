@@ -1,6 +1,8 @@
 // Package zoo names the built-in systems so the command-line tools and the
-// repository benchmark can select them by name. The table is fixed at
-// compile time; model files load through -spec (internal/spec) instead.
+// repository benchmark can select them by name. MSI and the toy systems are
+// Go constructors; Peterson's algorithm and the token ring are compiled from
+// the committed specs under examples/specs, embedded at build time, so each
+// model has one source. Other model files load through -spec instead.
 package zoo
 
 import (
@@ -9,9 +11,9 @@ import (
 	"slices"
 	"strings"
 
+	"verc3/examples/specs"
 	"verc3/internal/msi"
-	"verc3/internal/mutex"
-	"verc3/internal/tokenring"
+	"verc3/internal/spec"
 	"verc3/internal/toy"
 	"verc3/internal/ts"
 )
@@ -22,11 +24,13 @@ type Params struct {
 	Caches int
 }
 
-// entry is one named system: its constructor, and whether it is a
-// synthesis sketch (its transitions contain holes, so it can only be
-// explored under a synthesis chooser — plain model checking must refuse it
-// rather than let ts.Env.Choose panic).
+// entry is one named system: either the embedded spec file it is compiled
+// from, or its constructor and whether it is a synthesis sketch (its
+// transitions contain holes, so it can only be explored under a synthesis
+// chooser — plain model checking must refuse it rather than let
+// ts.Env.Choose panic). A spec knows whether it is a sketch itself.
 type entry struct {
+	spec   string
 	build  func(Params) ts.System
 	sketch bool
 }
@@ -57,11 +61,24 @@ var builders = map[string]entry{
 	"msi-large": {sketch: true, build: func(p Params) ts.System {
 		return msi.New(msi.Config{Caches: p.Caches, Variant: msi.Large})
 	}},
-	"peterson":          {build: func(Params) ts.System { return mutex.New(false) }},
-	"peterson-sketch":   {sketch: true, build: func(Params) ts.System { return mutex.New(true) }},
 	"fig2":              {sketch: true, build: func(Params) ts.System { return toy.Figure2() }},
-	"token-ring":        {build: func(Params) ts.System { return tokenring.New(false) }},
-	"token-ring-sketch": {sketch: true, build: func(Params) ts.System { return tokenring.New(true) }},
+	"peterson":          {spec: "mutex.json"},
+	"peterson-sketch":   {spec: "mutex-sketch.json"},
+	"token-ring":        {spec: "tokenring.json"},
+	"token-ring-sketch": {spec: "tokenring-sketch.json"},
+}
+
+// load parses and compiles an embedded spec file.
+func load(file string) (*spec.Model, error) {
+	data, err := specs.FS.ReadFile(file)
+	if err != nil {
+		return nil, err
+	}
+	m, err := spec.Parse(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", file, err)
+	}
+	return m, nil
 }
 
 // Get builds the named system.
@@ -70,14 +87,27 @@ func Get(name string, p Params) (ts.System, error) {
 	if !ok {
 		return nil, fmt.Errorf("unknown system %q (available: %s)", name, strings.Join(Names(), ", "))
 	}
+	if e.spec != "" {
+		m, err := load(e.spec)
+		if err != nil {
+			return nil, err
+		}
+		return m.System(), nil
+	}
 	return e.build(p), nil
 }
 
 // IsSketch reports whether the named system is a synthesis sketch — a
 // skeleton with unassigned holes that only the synthesis engine can
-// resolve. Unknown names report false (Get is where names are validated).
+// resolve. Unknown names, and specs that fail to load, report false (Get
+// is where both are reported).
 func IsSketch(name string) bool {
-	return builders[name].sketch
+	e := builders[name]
+	if e.spec != "" {
+		m, err := load(e.spec)
+		return err == nil && m.Sketch()
+	}
+	return e.sketch
 }
 
 // Names lists the system names in sorted order.

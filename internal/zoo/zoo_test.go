@@ -94,3 +94,18 @@ func TestStressEntryPinsFourCaches(t *testing.T) {
 		t.Error("stress entry must not be a sketch")
 	}
 }
+
+// TestSpecEntriesNamed checks that each entry compiled from a committed
+// spec reports its zoo name as its system name, so -system and the
+// traces, reports and telemetry labels it produces agree.
+func TestSpecEntriesNamed(t *testing.T) {
+	for _, n := range []string{"peterson", "peterson-sketch", "token-ring", "token-ring-sketch"} {
+		sys, err := zoo.Get(n, zoo.Params{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sys.Name(); got != n {
+			t.Errorf("zoo entry %q builds a system named %q", n, got)
+		}
+	}
+}
