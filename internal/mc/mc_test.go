@@ -311,3 +311,21 @@ func TestCheckFixedAllocs(t *testing.T) {
 		t.Errorf("a one-shot Check allocates %.0f times on a ten-state system, want <= 24", oneShot)
 	}
 }
+
+// TestCheckAllocsPeterson pins the fixed cost of checking a spec-built
+// model: evaluating a compiled guard, action or property allocates
+// nothing, so a one-shot Check of the 30-state peterson entry allocates
+// no more than the hand-written model it replaced did (16).
+func TestCheckAllocsPeterson(t *testing.T) {
+	sys := zooSystem(t, "peterson")
+	allocs := testing.AllocsPerRun(100, func() {
+		res, err := mc.Check(sys, mc.Options{})
+		if err != nil || res.Verdict != mc.Success || res.Stats.VisitedStates != 30 {
+			t.Fatalf("got %v, %v", res, err)
+		}
+	})
+	t.Logf("%.0f allocations per one-shot Check of peterson", allocs)
+	if allocs > 16 && !raceEnabled {
+		t.Errorf("a one-shot Check of peterson allocates %.0f times, want <= 16", allocs)
+	}
+}

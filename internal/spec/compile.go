@@ -28,7 +28,7 @@ type Model struct {
 	holes  map[string][]string // hole name → candidate names
 }
 
-type stmtFn func(e *rtenv, env *ts.Env) error
+type stmtFn func(e rtenv, env *ts.Env) error
 
 type crule struct {
 	name       string
@@ -429,7 +429,7 @@ func (m *Model) compileStmts(c *compiler, path string, stmts []Stmt) ([]stmtFn, 
 	return fns, nil
 }
 
-func runStmts(fns []stmtFn, e *rtenv, env *ts.Env) error {
+func runStmts(fns []stmtFn, e rtenv, env *ts.Env) error {
 	for _, f := range fns {
 		if err := f(e, env); err != nil {
 			return err
@@ -458,7 +458,7 @@ func (m *Model) compileStmt(c *compiler, path string, s *Stmt) (stmtFn, error) {
 		if err != nil {
 			return nil, err
 		}
-		return func(e *rtenv, _ *ts.Env) error {
+		return func(e rtenv, _ *ts.Env) error {
 			v := a.val(e)
 			if a.check != nil {
 				if err := a.check(v); err != nil {
@@ -482,7 +482,7 @@ func (m *Model) compileStmt(c *compiler, path string, s *Stmt) (stmtFn, error) {
 		if err != nil {
 			return nil, err
 		}
-		return func(e *rtenv, env *ts.Env) error {
+		return func(e rtenv, env *ts.Env) error {
 			if cond(e) != 0 {
 				return runStmts(then, e, env)
 			}
@@ -527,7 +527,7 @@ func (m *Model) compileStmt(c *compiler, path string, s *Stmt) (stmtFn, error) {
 		}
 		m.sketch = true
 		hole := ch.Hole
-		return func(e *rtenv, env *ts.Env) error {
+		return func(e rtenv, env *ts.Env) error {
 			idx, err := env.Choose(hole, names)
 			if err != nil {
 				return err
@@ -572,38 +572,27 @@ func buildSys[S stateLike](m *Model, init S) ts.System {
 			var guard func(S, int) bool
 			if r.guard != nil {
 				g := r.guard
-				guard = func(s S, i int) bool {
-					e := rtenv{s: s.core(), i: int64(i)}
-					return g(&e) != 0
-				}
+				guard = func(s S, i int) bool { return g(rtenv{s: s.core(), i: int64(i)}) != 0 }
 			}
 			action := r.action
 			b.RuleSet(m.lay.n, r.name, guard, func(s S, i int, env *ts.Env) error {
-				e := rtenv{s: s.core(), i: int64(i)}
-				return runStmts(action, &e, env)
+				return runStmts(action, rtenv{s: s.core(), i: int64(i)}, env)
 			})
 		} else {
 			var guard func(S) bool
 			if r.guard != nil {
 				g := r.guard
-				guard = func(s S) bool {
-					e := rtenv{s: s.core(), i: -1}
-					return g(&e) != 0
-				}
+				guard = func(s S) bool { return g(rtenv{s: s.core(), i: -1}) != 0 }
 			}
 			action := r.action
 			b.Rule(r.name, guard, func(s S, env *ts.Env) error {
-				e := rtenv{s: s.core(), i: -1}
-				return runStmts(action, &e, env)
+				return runStmts(action, rtenv{s: s.core(), i: -1}, env)
 			})
 		}
 	}
 
 	pred := func(fn valFn, i int64) func(S) bool {
-		return func(s S) bool {
-			e := rtenv{s: s.core(), i: i}
-			return fn(&e) != 0
-		}
+		return func(s S) bool { return fn(rtenv{s: s.core(), i: i}) != 0 }
 	}
 	expand := func(perProcess bool, emit func(i int64, inst func(string) string)) {
 		if perProcess {

@@ -35,15 +35,17 @@ const maxQuantDepth = 8
 
 // rtenv is the runtime evaluation environment: the state under inspection,
 // the ruleset parameter i (-1 outside per-process contexts), and the
-// quantifier binding stack.
+// quantifier binding stack (process numbers, so int16 holds every one up
+// to maxProcesses). It is passed by value: a pointer handed to a closure
+// escapes, and every guard and action would allocate one.
 type rtenv struct {
 	s *specState
 	i int64
-	b [maxQuantDepth]int64
+	b [maxQuantDepth]int16
 }
 
 // valFn evaluates one compiled expression. Booleans are 0/1.
-type valFn func(e *rtenv) int64
+type valFn func(e rtenv) int64
 
 // kind classifies expression and variable types.
 type kind uint8
@@ -503,7 +505,7 @@ func (c *compiler) compile(n node) (*cexpr, error) {
 			t.nullable = true
 		}
 		v := n.val
-		return &cexpr{fn: func(*rtenv) int64 { return v }, typ: t, isConst: true, cval: v}, nil
+		return &cexpr{fn: func(rtenv) int64 { return v }, typ: t, isConst: true, cval: v}, nil
 
 	case *nIdent:
 		return c.ident(n)
@@ -526,7 +528,7 @@ func (c *compiler) compile(n node) (*cexpr, error) {
 		off := int64(vi.off)
 		ifn := idx.fn
 		return &cexpr{
-			fn:  func(e *rtenv) int64 { return int64(e.s.vals[off+ifn(e)]) },
+			fn:  func(e rtenv) int64 { return int64(e.s.vals[off+ifn(e)]) },
 			typ: c.varType(vi),
 		}, nil
 
@@ -541,7 +543,7 @@ func (c *compiler) compile(n node) (*cexpr, error) {
 				return nil, fmt.Errorf("operator ! needs a bool, got %s", x.typ.describe(c.lay))
 			}
 			xf := x.fn
-			out := &cexpr{fn: func(e *rtenv) int64 { return 1 - xf(e) }, typ: vtype{k: kBool, lo: 0, hi: 1}}
+			out := &cexpr{fn: func(e rtenv) int64 { return 1 - xf(e) }, typ: vtype{k: kBool, lo: 0, hi: 1}}
 			foldConst(out, x)
 			return out, nil
 		case "-":
@@ -549,7 +551,7 @@ func (c *compiler) compile(n node) (*cexpr, error) {
 				return nil, fmt.Errorf("operator - needs a number, got %s", x.typ.describe(c.lay))
 			}
 			xf := x.fn
-			out := &cexpr{fn: func(e *rtenv) int64 { return -xf(e) }, typ: vtype{k: kInt, lo: -x.typ.hi, hi: -x.typ.lo}}
+			out := &cexpr{fn: func(e rtenv) int64 { return -xf(e) }, typ: vtype{k: kInt, lo: -x.typ.hi, hi: -x.typ.lo}}
 			foldConst(out, x)
 			return out, nil
 		}
@@ -571,7 +573,7 @@ func (c *compiler) ident(n *nIdent) (*cexpr, error) {
 		if c.bound[d] == n.name {
 			d := d
 			return &cexpr{
-				fn:  func(e *rtenv) int64 { return e.b[d] },
+				fn:  func(e rtenv) int64 { return int64(e.b[d]) },
 				typ: vtype{k: kPid, lo: 0, hi: int64(c.lay.n) - 1},
 			}, nil
 		}
@@ -581,13 +583,13 @@ func (c *compiler) ident(n *nIdent) (*cexpr, error) {
 			return nil, fmt.Errorf(`"i" is only available in per-process rules and properties`)
 		}
 		return &cexpr{
-			fn:  func(e *rtenv) int64 { return e.i },
+			fn:  func(e rtenv) int64 { return e.i },
 			typ: vtype{k: kPid, lo: 0, hi: int64(c.lay.n) - 1},
 		}, nil
 	}
 	if n.name == "N" {
 		v := int64(c.lay.n)
-		return &cexpr{fn: func(*rtenv) int64 { return v }, typ: vtype{k: kInt, lo: v, hi: v}, isConst: true, cval: v}, nil
+		return &cexpr{fn: func(rtenv) int64 { return v }, typ: vtype{k: kInt, lo: v, hi: v}, isConst: true, cval: v}, nil
 	}
 	if vi, ok := c.lay.byName[n.name]; ok {
 		if vi.array {
@@ -595,14 +597,14 @@ func (c *compiler) ident(n *nIdent) (*cexpr, error) {
 		}
 		off := vi.off
 		return &cexpr{
-			fn:  func(e *rtenv) int64 { return int64(e.s.vals[off]) },
+			fn:  func(e rtenv) int64 { return int64(e.s.vals[off]) },
 			typ: c.varType(vi),
 		}, nil
 	}
 	if ev, ok := c.lay.enumVals[n.name]; ok {
 		v := int64(ev.ordinal)
 		return &cexpr{
-			fn:      func(*rtenv) int64 { return v },
+			fn:      func(rtenv) int64 { return v },
 			typ:     vtype{k: kEnum, enum: ev.enum, lo: v, hi: v},
 			isConst: true, cval: v,
 		}, nil
@@ -642,7 +644,7 @@ func foldConst(out *cexpr, in ...*cexpr) {
 		}
 	}
 	out.isConst = true
-	out.cval = out.fn(&rtenv{i: -1})
+	out.cval = out.fn(rtenv{i: -1})
 }
 
 func (c *compiler) binary(n *nBinary) (*cexpr, error) {
@@ -668,14 +670,14 @@ func (c *compiler) binary(n *nBinary) (*cexpr, error) {
 			return nil, fmt.Errorf("operator %s needs bool operands, got %s and %s", n.op, x.typ.describe(c.lay), y.typ.describe(c.lay))
 		}
 		if n.op == "&&" {
-			out = &cexpr{fn: func(e *rtenv) int64 {
+			out = &cexpr{fn: func(e rtenv) int64 {
 				if xf(e) == 0 {
 					return 0
 				}
 				return yf(e)
 			}, typ: boolT}
 		} else {
-			out = &cexpr{fn: func(e *rtenv) int64 {
+			out = &cexpr{fn: func(e rtenv) int64 {
 				if xf(e) != 0 {
 					return 1
 				}
@@ -690,7 +692,7 @@ func (c *compiler) binary(n *nBinary) (*cexpr, error) {
 			return nil, mismatch()
 		}
 		eq := n.op == "=="
-		out = &cexpr{fn: func(e *rtenv) int64 {
+		out = &cexpr{fn: func(e rtenv) int64 {
 			if (xf(e) == yf(e)) == eq {
 				return 1
 			}
@@ -701,7 +703,7 @@ func (c *compiler) binary(n *nBinary) (*cexpr, error) {
 			return nil, mismatch()
 		}
 		op := n.op
-		out = &cexpr{fn: func(e *rtenv) int64 {
+		out = &cexpr{fn: func(e rtenv) int64 {
 			a, b := xf(e), yf(e)
 			var r bool
 			switch op {
@@ -727,13 +729,13 @@ func (c *compiler) binary(n *nBinary) (*cexpr, error) {
 		switch n.op {
 		case "+":
 			t.lo, t.hi = x.typ.lo+y.typ.lo, x.typ.hi+y.typ.hi
-			out = &cexpr{fn: func(e *rtenv) int64 { return xf(e) + yf(e) }, typ: t}
+			out = &cexpr{fn: func(e rtenv) int64 { return xf(e) + yf(e) }, typ: t}
 		case "-":
 			t.lo, t.hi = x.typ.lo-y.typ.hi, x.typ.hi-y.typ.lo
-			out = &cexpr{fn: func(e *rtenv) int64 { return xf(e) - yf(e) }, typ: t}
+			out = &cexpr{fn: func(e rtenv) int64 { return xf(e) - yf(e) }, typ: t}
 		case "*":
 			t.lo, t.hi = mulBounds(x.typ, y.typ)
-			out = &cexpr{fn: func(e *rtenv) int64 { return xf(e) * yf(e) }, typ: t}
+			out = &cexpr{fn: func(e rtenv) int64 { return xf(e) * yf(e) }, typ: t}
 		case "%":
 			// The modulus must be a positive constant so evaluation can never
 			// divide by zero — guards and invariants have no error path.
@@ -745,7 +747,7 @@ func (c *compiler) binary(n *nBinary) (*cexpr, error) {
 			if x.typ.lo < 0 {
 				t.lo = -(m - 1) // Go's % is truncated division: sign follows the dividend
 			}
-			out = &cexpr{fn: func(e *rtenv) int64 { return xf(e) % m }, typ: t}
+			out = &cexpr{fn: func(e rtenv) int64 { return xf(e) % m }, typ: t}
 		}
 		if out.typ.lo < -1<<30 || out.typ.hi > 1<<30 {
 			return nil, fmt.Errorf("arithmetic bounds [%d,%d] too large", out.typ.lo, out.typ.hi)
@@ -798,9 +800,9 @@ func (c *compiler) quant(n *nQuant) (*cexpr, error) {
 	bf := body.fn
 	switch n.fn {
 	case "forall":
-		return &cexpr{fn: func(e *rtenv) int64 {
+		return &cexpr{fn: func(e rtenv) int64 {
 			for j := int64(0); j < nProcs; j++ {
-				e.b[d] = j
+				e.b[d] = int16(j)
 				if bf(e) == 0 {
 					return 0
 				}
@@ -808,9 +810,9 @@ func (c *compiler) quant(n *nQuant) (*cexpr, error) {
 			return 1
 		}, typ: vtype{k: kBool, lo: 0, hi: 1}}, nil
 	case "exists":
-		return &cexpr{fn: func(e *rtenv) int64 {
+		return &cexpr{fn: func(e rtenv) int64 {
 			for j := int64(0); j < nProcs; j++ {
-				e.b[d] = j
+				e.b[d] = int16(j)
 				if bf(e) != 0 {
 					return 1
 				}
@@ -818,10 +820,10 @@ func (c *compiler) quant(n *nQuant) (*cexpr, error) {
 			return 0
 		}, typ: vtype{k: kBool, lo: 0, hi: 1}}, nil
 	case "count":
-		return &cexpr{fn: func(e *rtenv) int64 {
+		return &cexpr{fn: func(e rtenv) int64 {
 			var cnt int64
 			for j := int64(0); j < nProcs; j++ {
-				e.b[d] = j
+				e.b[d] = int16(j)
 				if bf(e) != 0 {
 					cnt++
 				}
@@ -836,7 +838,7 @@ func (c *compiler) quant(n *nQuant) (*cexpr, error) {
 
 // cassign is a compiled "lhs = rhs" statement.
 type cassign struct {
-	slot func(e *rtenv) int // resolved destination slot
+	slot func(e rtenv) int // resolved destination slot
 	val  valFn
 	// Runtime range check (nil when the rhs bounds are statically inside the
 	// variable's range). Assignments run inside Fire, which has an error
@@ -883,13 +885,13 @@ func (c *compiler) compileAssign(path, src string) (*cassign, error) {
 			return nil, specErrf(path, "%v", err)
 		}
 		off, ifn := vi.off, idx.fn
-		a.slot = func(e *rtenv) int { return off + int(ifn(e)) }
+		a.slot = func(e rtenv) int { return off + int(ifn(e)) }
 	} else {
 		if vi.array {
 			return nil, specErrf(path, "variable %q is per-process; index it (e.g. %s[i])", t.text, t.text)
 		}
 		off := vi.off
-		a.slot = func(*rtenv) int { return off }
+		a.slot = func(rtenv) int { return off }
 	}
 	if err := p.expect("="); err != nil {
 		return nil, specErrf(path, "%v", err)

@@ -338,7 +338,7 @@ func checkOracle(t *testing.T, m *Model, src string, r *rand.Rand, states int) b
 		for i := 0; i < m.lay.n; i++ {
 			o := &oracle{lay: m.lay, st: st, i: int64(i)}
 			want := o.eval(n)
-			got := ce.fn(&rtenv{s: s, i: int64(i)})
+			got := ce.fn(rtenv{s: s, i: int64(i)})
 			if got != want {
 				t.Fatalf("%s: %q at i=%d on %v: compiled %d, oracle %d", m.Name(), src, i, s, got, want)
 			}
@@ -573,8 +573,8 @@ func TestSpecPermutationInvariance(t *testing.T) {
 							if i >= 0 {
 								pi = perm[i]
 							}
-							a := p.fn(&rtenv{s: s.(specCore).core(), i: int64(i)})
-							b := p.fn(&rtenv{s: ps.(specCore).core(), i: int64(pi)})
+							a := p.fn(rtenv{s: s.(specCore).core(), i: int64(i)})
+							b := p.fn(rtenv{s: ps.(specCore).core(), i: int64(pi)})
 							if a != b {
 								t.Fatalf("%s at i=%d on %v is %d, at i=%d on %v (perm %v) is %d",
 									p.name, i, s, a, pi, ps, perm, b)
