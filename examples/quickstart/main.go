@@ -15,8 +15,8 @@
 //	verc3-synth  -spec examples/specs/mutex-sketch.json
 //
 // (sketch specs are refused by verc3-verify, which points at verc3-synth;
-// the committed examples under examples/specs/ are pinned byte-for-byte
-// equivalent to their hand-written zoo twins by TestSpecEquivalence).
+// the committed examples under examples/specs/ are also the zoo's
+// peterson and token-ring entries, pinned by TestSpecEquivalence).
 //
 // Run with:
 //

@@ -1,8 +1,10 @@
 // Package spec loads versioned JSON model specifications — the
 // verc3_model_v1 format — and compiles them onto the internal/dsl Builder,
 // so guarded-command systems and synthesis sketches are data instead of
-// compiled-in Go packages (the input format the future verification
-// service needs; ROADMAP "serialized model spec").
+// compiled-in Go packages. The zoo's peterson, peterson-sketch, token-ring
+// and token-ring-sketch entries are compiled from the committed specs under
+// examples/specs (embedded by that directory's package), and the tools load
+// any other spec file with -spec.
 //
 // A spec declares typed state variables (bools, ranged ints, enums, pids,
 // each optionally replicated per process), parameterized rulesets whose
