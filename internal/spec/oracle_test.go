@@ -5,9 +5,10 @@ package spec
 // compiler in expr.go. FuzzExprOracle holds every compiled valFn to it on
 // random in-range states, and TestSpecPermutationInvariance checks the
 // property symmetry reduction relies on — a symmetric spec's guards,
-// actions and properties commute with renaming the processes. The oracle
-// and the committed seed corpus under testdata/fuzz are the spec layer's
-// reference now that no hand-written twin of a spec model exists.
+// actions and properties commute with renaming the processes. No second
+// implementation of a spec model exists to compare with, so the oracle and
+// the committed seed corpus under testdata/fuzz are the spec layer's
+// reference semantics.
 
 import (
 	"fmt"
@@ -304,11 +305,11 @@ func (g *exprGen) numLeaf(depth int) string {
 func (g *exprGen) enum(e, depth int) string {
 	vs := g.varsOf(kEnum, e)
 	consts := g.lay.enums[e]
-	if n := g.pick(len(consts) + len(vs)); n < len(consts) {
+	n := g.pick(len(consts) + len(vs))
+	if n < len(consts) {
 		return consts[n]
-	} else {
-		return g.read(vs[n-len(consts)], depth)
 	}
+	return g.read(vs[n-len(consts)], depth)
 }
 
 func (g *exprGen) quant(fn string, depth int) string {
@@ -321,7 +322,7 @@ func (g *exprGen) quant(fn string, depth int) string {
 
 // checkOracle compiles src against m's layout with i in scope and, if the
 // compiler accepts it, compares the compiled evaluator with the oracle on
-// states random states for every i. It reports whether src compiled.
+// that many random states at every i. It reports whether src compiled.
 func checkOracle(t *testing.T, m *Model, src string, r *rand.Rand, states int) bool {
 	t.Helper()
 	c := &compiler{lay: m.lay, allowI: true}
