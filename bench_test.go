@@ -590,12 +590,12 @@ func BenchmarkSynthPeterson(b *testing.B) {
 
 // --- Successor lifecycle ablation (experiment E15) ---
 //
-// The pooled-clone recycling protocol (ts.Recycler / ts.StateCopier) on
-// the complete 3-cache MSI exploration, in the synthesis configuration
-// (symmetry on, traceless, flat backend), with enumeration into rule
-// records. Options.NoRecycle switches recycling off; allocs/op across the
-// two rows is the ablation table in EXPERIMENTS.md E15. Both rows land in
-// the CI benchstat artifact via -benchmem.
+// The pooled-clone recycling protocol (ts.Recycler and the state's
+// CopyFrom) on the complete 3-cache MSI exploration, in the synthesis
+// configuration (symmetry on, traceless, flat backend), with enumeration
+// into rule records. Options.NoRecycle switches recycling off; allocs/op
+// across the two rows is the ablation table in EXPERIMENTS.md E15. Both
+// rows land in the CI benchstat artifact via -benchmem.
 
 // lifecycleBench explores the complete 3-cache protocol once per iteration,
 // with or without recycling.

@@ -7,8 +7,8 @@
 //
 // The library lives under internal/, lowest layer first:
 //
-//   - internal/ts and internal/dsl — the guarded-command modelling layer: a
-//     Murphi-like embedded DSL in which systems describe initial states,
+//   - internal/ts — the guarded-command modelling contract: a Murphi-like
+//     interface through which systems describe initial states,
 //     enabled transitions, invariants, reachability goals, liveness goals
 //     with weak-fairness constraints (ts.LivenessReporter /
 //     ts.FairnessReporter) and synthesis holes (ts.Env.Choose). States key themselves twice over: the
@@ -61,9 +61,9 @@
 //     model specs (typed variables, guarded-command rulesets in a small
 //     validated expression language, invariants, goals, liveness and
 //     fairness declarations, choose holes) loaded with path-carrying
-//     validation errors and compiled onto the dsl Builder, so spec
-//     systems inherit recycling, appender enumeration, allocation-free
-//     binary keying and symmetry. The committed specs under
+//     validation errors and compiled to a ts.System of the package's own,
+//     with successor recycling, rule-record enumeration, allocation-free
+//     binary keying and, when the spec declares it, symmetry. The committed specs under
 //     examples/specs/ are the only source of Peterson's algorithm and the
 //     token ring, each pinned to absolute answers.
 //   - internal/msi, internal/toy — the hand-written case studies — over
@@ -155,14 +155,14 @@
 // the state it was enumerated from, so the kernel fires a state's records
 // before it lets go of the state and never keeps one. Systems that embed
 // a ts.Pool draw successors from its recycled states (overwritten in
-// place via ts.StateCopier.CopyFrom; the ownership rule is why a pooled
+// place by the state type's own CopyFrom; the ownership rule is why a pooled
 // state never aliases a live one), and the checker returns dead states to
 // the pool through ts.Recycler: every rejected duplicate, plus —
 // traceless — each expanded state once its rules have fired and whatever
 // the frontier still holds when a run ends at a violation. States that
 // reach trace nodes or counterexamples escape the pool forever. Records
 // are the only model contract; a small model need not write them by hand,
-// because internal/dsl builds them from guarded rules (examples/quickstart).
+// because internal/spec compiles them from a JSON spec (examples/quickstart).
 // The one closure form left is the msi model's transition appender, which
 // the repository benchmark's layer walk (bench/walk.go) enumerates through.
 //

@@ -4,40 +4,28 @@ import (
 	"testing"
 
 	"verc3/internal/core"
-	"verc3/internal/dsl"
 	"verc3/internal/mc"
+	"verc3/internal/spec"
 	"verc3/internal/ts"
 )
-
-// hstate is a one-byte holder state for the liveness-pruning sketch.
-type hstate struct{ h int8 }
-
-func (s *hstate) Key() string               { return string(rune('0' + s.h)) }
-func (s *hstate) Clone() ts.State           { cp := *s; return &cp }
-func (s *hstate) CopyFrom(src ts.State)     { *s = *src.(*hstate) }
-func (s *hstate) AppendKey(d []byte) []byte { return append(d, byte(s.h)) }
 
 // holderSketch is a two-process token sketch whose single hole decides
 // whether the holder passes the token on or keeps it. Both completions are
 // safe (no invariant, no deadlock, no reach goal distinguishes them); only
 // the liveness goal "the other process eventually holds" separates them —
 // "keep" spins on a self-loop lasso that never hands the token over.
-func holderSketch() ts.System {
-	b := dsl.NewBuilder[*hstate]("holder-sketch", &hstate{})
-	b.Rule("move", nil, func(s *hstate, env *ts.Env) error {
-		a, err := env.Choose("after-hold", []string{"pass", "keep"})
-		if err != nil {
-			return err
-		}
-		if a == 0 {
-			s.h = 1 - s.h
-		}
-		return nil
-	})
-	b.LeadsTo("p1-eventually-holds", false,
-		func(*hstate) bool { return true },
-		func(s *hstate) bool { return s.h == 1 })
-	return b.System()
+func holderSketch(t *testing.T) ts.System {
+	t.Helper()
+	m, err := spec.Parse([]byte(`{"format": "verc3_model_v1", "name": "holder-sketch",
+	  "vars": [{"name": "h", "type": "int", "min": 0, "max": 1}],
+	  "rules": [{"name": "move", "action": [{"choose": "after-hold", "among": [
+	    {"name": "pass", "do": ["h = 1 - h"]},
+	    {"name": "keep"}]}]}],
+	  "liveness": [{"name": "p1-eventually-holds", "kind": "leads_to", "p": "true", "q": "h == 1"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.System()
 }
 
 // TestSynthesisPrunesOnLiveness pins the liveness verdict axis through the
@@ -51,7 +39,7 @@ func TestSynthesisPrunesOnLiveness(t *testing.T) {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
 			// Without the liveness axis both completions verify clean.
-			res, err := core.Synthesize(holderSketch(), core.Config{Mode: mode})
+			res, err := core.Synthesize(holderSketch(t), core.Config{Mode: mode})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -60,7 +48,7 @@ func TestSynthesisPrunesOnLiveness(t *testing.T) {
 			}
 
 			// With it, only "pass" survives; "keep" fails on the lasso.
-			res, err = core.Synthesize(holderSketch(), core.Config{
+			res, err = core.Synthesize(holderSketch(t), core.Config{
 				Mode: mode,
 				MC:   mc.Options{Liveness: true},
 			})

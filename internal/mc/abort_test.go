@@ -6,12 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"verc3/internal/dsl"
 	"verc3/internal/mc"
 	"verc3/internal/toy"
 	"verc3/internal/ts"
@@ -207,7 +207,7 @@ func TestAbortSkipsGoalVerdict(t *testing.T) {
 func TestAbortSkipsLiveness(t *testing.T) {
 	ctx, cancel := context.WithCancelCause(context.Background())
 	cancel(errors.New("cut short"))
-	res, err := mc.CheckCtx(ctx, fairToy(false), mc.Options{Liveness: true, RecordTrace: true})
+	res, err := mc.CheckCtx(ctx, fairToy(t, false), mc.Options{Liveness: true, RecordTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,29 +221,40 @@ func TestAbortSkipsLiveness(t *testing.T) {
 
 // bigLive builds a long safe chain with an unsatisfiable leads-to goal, big
 // enough that the NDFS phase crosses several cancellation-poll strides.
-// armPanic makes the goal's premise predicate panic partway instead.
-type bigLiveState struct{ v int32 }
-
-func (s *bigLiveState) Key() string           { return fmt.Sprintf("%d", s.v) }
-func (s *bigLiveState) Clone() ts.State       { cp := *s; return &cp }
-func (s *bigLiveState) CopyFrom(src ts.State) { *s = *src.(*bigLiveState) }
-func (s *bigLiveState) AppendKey(d []byte) []byte {
-	return append(d, byte(s.v), byte(s.v>>8), byte(s.v>>16))
+// onPremise, when set, sees the counter each time the goal's premise is
+// evaluated, so a test can cancel or panic partway through.
+func bigLive(t testing.TB, n int, onPremise func(v int)) ts.System {
+	return premiseHook{specSystem(t, fmt.Sprintf(`{"format": "verc3_model_v1", "name": "big-live",
+	  "vars": [{"name": "v", "type": "int", "min": 0, "max": %[1]d}],
+	  "rules": [
+	    {"name": "inc", "guard": "v < %[1]d", "action": ["v = v + 1"]},
+	    {"name": "loop", "guard": "v == %[1]d", "action": ["v = v"]}]}`, n)), onPremise}
 }
 
-func bigLive(n int32, onPremise func(v int32)) ts.System {
-	b := dsl.NewBuilder[*bigLiveState]("big-live", &bigLiveState{})
-	b.Rule("inc", func(s *bigLiveState) bool { return s.v < n }, func(s *bigLiveState, _ *ts.Env) error { s.v++; return nil })
-	b.Rule("loop", func(s *bigLiveState) bool { return s.v == n }, func(*bigLiveState, *ts.Env) error { return nil })
-	b.LeadsTo("never-reached", false,
-		func(s *bigLiveState) bool {
-			if onPremise != nil {
-				onPremise(s.v)
+// premiseHook wraps a spec system to add the one goal a spec cannot state:
+// a leads-to whose premise calls back into the test.
+type premiseHook struct {
+	ts.System
+	onPremise func(v int)
+}
+
+// LivenessGoals implements ts.LivenessReporter.
+func (h premiseHook) LivenessGoals() []ts.LivenessGoal {
+	return []ts.LivenessGoal{{
+		Name: "never-reached",
+		Kind: ts.LeadsTo,
+		P: func(s ts.State) bool {
+			if h.onPremise != nil {
+				v, err := strconv.Atoi(s.Key())
+				if err != nil {
+					panic(err)
+				}
+				h.onPremise(v)
 			}
 			return false
 		},
-		func(*bigLiveState) bool { return false })
-	return b.System()
+		Q: func(ts.State) bool { return false },
+	}}
 }
 
 // TestCancelDuringLiveness: cancellation raised while the NDFS phase is
@@ -251,7 +262,7 @@ func bigLive(n int32, onPremise func(v int32)) ts.System {
 func TestCancelDuringLiveness(t *testing.T) {
 	ctx, cancel := context.WithCancelCause(context.Background())
 	var calls atomic.Int64
-	sys := bigLive(5000, func(int32) {
+	sys := bigLive(t, 5000, func(int) {
 		if calls.Add(1) == 10 {
 			cancel(errors.New("mid-liveness"))
 		}
@@ -271,7 +282,7 @@ func TestCancelDuringLiveness(t *testing.T) {
 // TestPanicDuringLiveness: a panic out of a goal predicate is contained
 // like any other model-code panic, with the product state's key rendered.
 func TestPanicDuringLiveness(t *testing.T) {
-	sys := bigLive(100, func(v int32) {
+	sys := bigLive(t, 100, func(v int) {
 		if v == 7 {
 			panic("predicate bug")
 		}

@@ -2,10 +2,12 @@ package mc_test
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"testing"
 
-	"verc3/internal/dsl"
 	"verc3/internal/mc"
+	"verc3/internal/spec"
 	"verc3/internal/ts"
 )
 
@@ -42,32 +44,57 @@ func readFGraph(data []byte) (fgraph, bool) {
 	return g, true
 }
 
-// system compiles the graph onto the DSL: one rule per edge, every state
-// quiescent (terminal nodes model finite runs, not deadlocks), and the
-// decoded liveness goal. No fairness — the oracle covers raw cycle
-// existence.
-func (g fgraph) system() ts.System {
-	b := dsl.NewBuilder[*lstate]("fuzz-graph", &lstate{})
+// system compiles the graph to a spec over one variable v, the node: one
+// rule per edge, every state quiescent (terminal nodes model finite runs,
+// not deadlocks), and the decoded liveness goal. No fairness — the oracle
+// covers raw cycle existence.
+func (g fgraph) system(t testing.TB) ts.System {
+	lo, hi := 0, g.n-1
+	s := &spec.Spec{
+		Format:    spec.FormatV1,
+		Name:      "fuzz-graph",
+		Vars:      []spec.VarSpec{{Name: "v", Type: "int", Min: &lo, Max: &hi}},
+		Quiescent: "true",
+	}
 	for i := 0; i < g.n; i++ {
 		for j := 0; j < g.n; j++ {
-			if g.adj[i]&(1<<j) == 0 {
-				continue
+			if g.adj[i]&(1<<j) != 0 {
+				s.Rules = append(s.Rules, spec.RuleSpec{
+					Name:   fmt.Sprintf("e%d-%d", i, j),
+					Guard:  fmt.Sprintf("v == %d", i),
+					Action: []spec.Stmt{{Set: fmt.Sprintf("v = %d", j)}},
+				})
 			}
-			i, j := i, j
-			b.Rule(fmt.Sprintf("e%d-%d", i, j),
-				func(s *lstate) bool { return int(s.v) == i },
-				func(s *lstate, _ *ts.Env) error { s.v = int8(j); return nil })
 		}
 	}
-	b.Quiescent(func(*lstate) bool { return true })
-	p := func(s *lstate) bool { return g.pMask&(1<<s.v) != 0 }
-	q := func(s *lstate) bool { return g.qMask&(1<<s.v) != 0 }
-	if g.leadsTo {
-		b.LeadsTo("goal", false, p, q)
-	} else {
-		b.EventuallyAlways("goal", false, p)
+	if len(s.Rules) == 0 {
+		// A spec needs a rule; this one is never enabled.
+		s.Rules = []spec.RuleSpec{{Name: "no-edges", Guard: "false", Action: []spec.Stmt{{Set: "v = 0"}}}}
 	}
-	return b.System()
+	goal := spec.LivenessSpec{Name: "goal", Kind: "eventually_always", P: g.nodeSet(g.pMask)}
+	if g.leadsTo {
+		goal.Kind, goal.Q = "leads_to", g.nodeSet(g.qMask)
+	}
+	s.Liveness = []spec.LivenessSpec{goal}
+	m, err := spec.Compile(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.System()
+}
+
+// nodeSet is a spec predicate that holds exactly at the nodes in mask.
+func (g fgraph) nodeSet(mask byte) string {
+	var terms []string
+	for i := 0; i < g.n; i++ {
+		if mask&(1<<i) != 0 {
+			terms = append(terms, fmt.Sprintf("v == %d", i))
+		}
+	}
+	if len(terms) == 0 {
+		return "false"
+	}
+	return strings.Join(terms, " || ")
 }
 
 // reach returns the set of nodes reachable from the given seed set through
@@ -154,7 +181,7 @@ func FuzzLassoReplay(f *testing.F) {
 		if !ok {
 			return
 		}
-		sys := g.system()
+		sys := g.system(t)
 		res, err := mc.Check(sys, mc.Options{Liveness: true, RecordTrace: true})
 		if err != nil {
 			t.Fatalf("graph %+v: %v", g, err)
@@ -177,7 +204,10 @@ func FuzzLassoReplay(f *testing.F) {
 		cycle := res.Failure.Trace[res.Failure.CycleStart:]
 		witnessed := false
 		for _, step := range cycle {
-			v := step.State.(*lstate).v
+			v, err := strconv.Atoi(step.State.Key())
+			if err != nil {
+				t.Fatal(err)
+			}
 			if !g.leadsTo && g.pMask&(1<<v) == 0 {
 				witnessed = true
 			}

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"verc3/internal/dsl"
 	"verc3/internal/mc"
 	"verc3/internal/spec"
 	"verc3/internal/statespace"
@@ -14,13 +13,15 @@ import (
 	"verc3/internal/zoo"
 )
 
-// lstate is a one-byte counter state for the toy liveness systems.
-type lstate struct{ v int8 }
-
-func (s *lstate) Key() string               { return fmt.Sprintf("%d", s.v) }
-func (s *lstate) Clone() ts.State           { cp := *s; return &cp }
-func (s *lstate) CopyFrom(src ts.State)     { *s = *src.(*lstate) }
-func (s *lstate) AppendKey(d []byte) []byte { return append(d, byte(s.v)) }
+// specSystem compiles an inline spec for the toy liveness systems.
+func specSystem(t testing.TB, doc string) ts.System {
+	t.Helper()
+	m, err := spec.Parse([]byte(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.System()
+}
 
 // replayLasso validates a liveness counterexample end to end: the trace
 // replays through the system's own transition relation (replayTrace), the
@@ -45,19 +46,17 @@ func replayLasso(t *testing.T, sys ts.System, f *mc.FailureInfo) {
 // fairToy is a two-state system where state 0 can loop ("stay") or advance
 // ("go") to the absorbing state 1 ("idle" loop). The leads-to goal 0⇝1
 // fails on the stay-forever lasso — unless the weak-fairness requirement on
-// "go" (continuously enabled at state 0) excludes it.
-func fairToy(fair bool) ts.System {
-	b := dsl.NewBuilder[*lstate]("fair-toy", &lstate{})
-	b.Rule("stay", func(s *lstate) bool { return s.v == 0 }, func(*lstate, *ts.Env) error { return nil })
-	b.Rule("go", func(s *lstate) bool { return s.v == 0 }, func(s *lstate, _ *ts.Env) error { s.v = 1; return nil })
-	b.Rule("idle", func(s *lstate) bool { return s.v == 1 }, func(*lstate, *ts.Env) error { return nil })
-	b.LeadsTo("eventually-done", fair,
-		func(s *lstate) bool { return s.v == 0 },
-		func(s *lstate) bool { return s.v == 1 })
-	b.Fair("go-taken",
-		func(s *lstate) bool { return s.v == 0 },
-		func(rule string) bool { return rule == "go" })
-	return b.System()
+// "go" (continuously enabled at state 0) excludes it. A spec action must
+// change something, so the self-loops are self-assignments.
+func fairToy(t testing.TB, fair bool) ts.System {
+	return specSystem(t, fmt.Sprintf(`{"format": "verc3_model_v1", "name": "fair-toy",
+	  "vars": [{"name": "v", "type": "int", "min": 0, "max": 1}],
+	  "rules": [
+	    {"name": "stay", "guard": "v == 0", "action": ["v = 0"]},
+	    {"name": "go", "guard": "v == 0", "action": ["v = 1"]},
+	    {"name": "idle", "guard": "v == 1", "action": ["v = 1"]}],
+	  "liveness": [{"name": "eventually-done", "kind": "leads_to", "fair": %t, "p": "v == 0", "q": "v == 1"}],
+	  "fairness": [{"name": "go-taken", "enabled": "v == 0", "taken_prefix": "go"}]}`, fair))
 }
 
 // TestLivenessToy pins the NDFS driver's verdicts on minimal systems with
@@ -67,11 +66,13 @@ func TestLivenessToy(t *testing.T) {
 
 	t.Run("eventually-always-pass", func(t *testing.T) {
 		// 0 → 1, then 1 loops: FG(v==1) holds on the only infinite run.
-		b := dsl.NewBuilder[*lstate]("fg-pass", &lstate{})
-		b.Rule("advance", func(s *lstate) bool { return s.v == 0 }, func(s *lstate, _ *ts.Env) error { s.v = 1; return nil })
-		b.Rule("loop", func(s *lstate) bool { return s.v == 1 }, func(*lstate, *ts.Env) error { return nil })
-		b.EventuallyAlways("settles", false, func(s *lstate) bool { return s.v == 1 })
-		res, err := mc.Check(b.System(), opt)
+		sys := specSystem(t, `{"format": "verc3_model_v1", "name": "fg-pass",
+		  "vars": [{"name": "v", "type": "int", "min": 0, "max": 1}],
+		  "rules": [
+		    {"name": "advance", "guard": "v == 0", "action": ["v = 1"]},
+		    {"name": "loop", "guard": "v == 1", "action": ["v = 1"]}],
+		  "liveness": [{"name": "settles", "kind": "eventually_always", "p": "v == 1"}]}`)
+		res, err := mc.Check(sys, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,11 +84,12 @@ func TestLivenessToy(t *testing.T) {
 	t.Run("eventually-always-fail", func(t *testing.T) {
 		// 0 ↔ 1: the run alternates forever, so FG(v==1) is violated by a
 		// cycle that keeps revisiting 0.
-		b := dsl.NewBuilder[*lstate]("fg-fail", &lstate{})
-		b.Rule("up", func(s *lstate) bool { return s.v == 0 }, func(s *lstate, _ *ts.Env) error { s.v = 1; return nil })
-		b.Rule("down", func(s *lstate) bool { return s.v == 1 }, func(s *lstate, _ *ts.Env) error { s.v = 0; return nil })
-		b.EventuallyAlways("settles", false, func(s *lstate) bool { return s.v == 1 })
-		sys := b.System()
+		sys := specSystem(t, `{"format": "verc3_model_v1", "name": "fg-fail",
+		  "vars": [{"name": "v", "type": "int", "min": 0, "max": 1}],
+		  "rules": [
+		    {"name": "up", "guard": "v == 0", "action": ["v = 1"]},
+		    {"name": "down", "guard": "v == 1", "action": ["v = 0"]}],
+		  "liveness": [{"name": "settles", "kind": "eventually_always", "p": "v == 1"}]}`)
 		res, err := mc.Check(sys, opt)
 		if err != nil {
 			t.Fatal(err)
@@ -105,7 +107,7 @@ func TestLivenessToy(t *testing.T) {
 	})
 
 	t.Run("leadsto-unfair-fails", func(t *testing.T) {
-		sys := fairToy(false)
+		sys := fairToy(t, false)
 		res, err := mc.Check(sys, opt)
 		if err != nil {
 			t.Fatal(err)
@@ -125,7 +127,7 @@ func TestLivenessToy(t *testing.T) {
 	t.Run("leadsto-fair-passes", func(t *testing.T) {
 		// Same system; the weak-fairness requirement on "go" excludes the
 		// stay-forever lasso (go is continuously enabled, never taken).
-		res, err := mc.Check(fairToy(true), opt)
+		res, err := mc.Check(fairToy(t, true), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,11 +138,12 @@ func TestLivenessToy(t *testing.T) {
 
 	t.Run("safety-failure-preempts", func(t *testing.T) {
 		// A safety violation short-circuits the liveness phase entirely.
-		b := dsl.NewBuilder[*lstate]("bad", &lstate{})
-		b.Rule("loop", nil, func(*lstate, *ts.Env) error { return nil })
-		b.Invariant("never", func(*lstate) bool { return false })
-		b.EventuallyAlways("unchecked", false, func(*lstate) bool { return true })
-		res, err := mc.Check(b.System(), opt)
+		sys := specSystem(t, `{"format": "verc3_model_v1", "name": "bad",
+		  "vars": [{"name": "v", "type": "int", "min": 0, "max": 1}],
+		  "rules": [{"name": "loop", "action": ["v = v"]}],
+		  "invariants": [{"name": "never", "expr": "false"}],
+		  "liveness": [{"name": "unchecked", "kind": "eventually_always", "p": "true"}]}`)
+		res, err := mc.Check(sys, opt)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,7 @@
 package mc_test
 
-// Differential and safety tests for the successor lifecycle (ts.Recycler /
-// ts.StateCopier): recycling must be a pure optimization — identical
+// Differential and safety tests for the successor lifecycle (ts.Recycler
+// and ts.Pool): recycling must be a pure optimization — identical
 // exploration results with it on or off — and recycled storage must never
 // be reachable from anything the checker hands back (trace nodes,
 // counterexample rendering). The CI workflow runs everything matching

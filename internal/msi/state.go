@@ -43,13 +43,12 @@ import (
 	"verc3/internal/ts"
 )
 
-// A state that drops one of these loses symmetry reduction or successor
-// recycling silently; fail the build instead.
+// A state that drops one of these loses symmetry reduction silently; fail
+// the build instead.
 var (
 	_ ts.Permutable    = (*State)(nil)
 	_ ts.AgentComparer = (*State)(nil)
 	_ ts.KeyAppender   = (*State)(nil)
-	_ ts.StateCopier   = (*State)(nil)
 )
 
 // CacheState enumerates the 7 cache-controller states (3 stable + 4
@@ -136,7 +135,8 @@ type Dir struct {
 }
 
 // State is the global protocol state. It implements ts.State,
-// ts.KeyAppender, ts.StateCopier, ts.Permutable and ts.AgentComparer.
+// ts.KeyAppender, ts.Permutable and ts.AgentComparer, and CopyFrom for the
+// system's successor pool.
 type State struct {
 	Caches []Cache
 	Dir    Dir
@@ -263,10 +263,11 @@ func (s *State) Clone() ts.State {
 	}
 }
 
-// CopyFrom implements ts.StateCopier: Clone into the receiver's own cache
-// array and network message storage, so one of each recirculates through
-// arbitrarily many recycle/CopyFrom cycles while the firing rules mutate
-// the network in place (SendInPlace / RemoveInPlace).
+// CopyFrom is how the system's successor pool overwrites a recycled state:
+// Clone into the receiver's own cache array and network message storage,
+// so one of each recirculates through arbitrarily many recycle/CopyFrom
+// cycles while the firing rules mutate the network in place (SendInPlace /
+// RemoveInPlace).
 func (s *State) CopyFrom(src ts.State) {
 	o := src.(*State)
 	s.Caches = append(s.Caches[:0], o.Caches...)

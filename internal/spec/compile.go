@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"verc3/internal/dsl"
 	"verc3/internal/ts"
 )
 
@@ -544,102 +543,4 @@ func equalStrings(a, b []string) bool {
 		}
 	}
 	return true
-}
-
-// stateLike is the constraint the generic system builder instantiates over:
-// the two concrete state types (plain and symmetric).
-type stateLike interface {
-	ts.State
-	specCore
-}
-
-// System instantiates the model as a fresh ts.System on the dsl Builder.
-// Symmetric models are built over symState (which offers ts.Permutable);
-// plain models over specState, so the checker's capability probing sees
-// exactly what the spec declared.
-func (m *Model) System() ts.System {
-	if m.lay.symmetric {
-		return buildSys[*symState](m, &symState{*m.lay.newState()})
-	}
-	return buildSys[*specState](m, m.lay.newState())
-}
-
-func buildSys[S stateLike](m *Model, init S) ts.System {
-	b := dsl.NewBuilder[S](m.lay.name, init)
-	for ri := range m.rules {
-		r := &m.rules[ri]
-		if r.perProcess {
-			var guard func(S, int) bool
-			if r.guard != nil {
-				g := r.guard
-				guard = func(s S, i int) bool { return g(rtenv{s: s.core(), i: int64(i)}) != 0 }
-			}
-			action := r.action
-			b.RuleSet(m.lay.n, r.name, guard, func(s S, i int, env *ts.Env) error {
-				return runStmts(action, rtenv{s: s.core(), i: int64(i)}, env)
-			})
-		} else {
-			var guard func(S) bool
-			if r.guard != nil {
-				g := r.guard
-				guard = func(s S) bool { return g(rtenv{s: s.core(), i: -1}) != 0 }
-			}
-			action := r.action
-			b.Rule(r.name, guard, func(s S, env *ts.Env) error {
-				return runStmts(action, rtenv{s: s.core(), i: -1}, env)
-			})
-		}
-	}
-
-	pred := func(fn valFn, i int64) func(S) bool {
-		return func(s S) bool { return fn(rtenv{s: s.core(), i: i}) != 0 }
-	}
-	expand := func(perProcess bool, emit func(i int64, inst func(string) string)) {
-		if perProcess {
-			for i := 0; i < m.lay.n; i++ {
-				i := int64(i)
-				emit(i, func(pat string) string { return fmt.Sprintf(pat, i) })
-			}
-		} else {
-			emit(-1, func(pat string) string { return pat })
-		}
-	}
-	for _, p := range m.invs {
-		p := p
-		expand(p.perProcess, func(i int64, inst func(string) string) {
-			b.Invariant(inst(p.name), pred(p.fn, i))
-		})
-	}
-	for _, p := range m.goals {
-		p := p
-		expand(p.perProcess, func(i int64, inst func(string) string) {
-			b.Goal(inst(p.name), pred(p.fn, i))
-		})
-	}
-	for _, l := range m.live {
-		l := l
-		expand(l.perProcess, func(i int64, inst func(string) string) {
-			if l.kind == ts.EventuallyAlways {
-				b.EventuallyAlways(inst(l.name), l.fair, pred(l.p, i))
-			} else {
-				b.LeadsTo(inst(l.name), l.fair, pred(l.p, i), pred(l.q, i))
-			}
-		})
-	}
-	for _, f := range m.fair {
-		f := f
-		expand(f.perProcess, func(i int64, inst func(string) string) {
-			prefix := f.prefix
-			if strings.Contains(prefix, "%d") {
-				prefix = inst(prefix)
-			}
-			b.Fair(inst(f.name), pred(f.enabled, i), func(rule string) bool {
-				return strings.HasPrefix(rule, prefix)
-			})
-		})
-	}
-	if m.quiet != nil {
-		b.Quiescent(pred(m.quiet, -1))
-	}
-	return b.System()
 }

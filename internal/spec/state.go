@@ -90,9 +90,9 @@ func (l *layout) finalize() {
 }
 
 // specState is a compiled model's state: the shared layout plus one int32
-// per slot. It implements ts.State, ts.KeyAppender and ts.StateCopier, so
-// dsl-built systems over it get binary fingerprints and successor recycling
-// for free. The symmetric wrapper symState adds ts.Permutable.
+// per slot. It implements ts.State and ts.KeyAppender, and CopyFrom for the
+// compiled system's successor pool. The symmetric wrapper symState adds
+// ts.Permutable.
 type specState struct {
 	lay  *layout
 	vals []int32
@@ -156,8 +156,8 @@ func (s *specState) Clone() ts.State {
 	return &specState{lay: s.lay, vals: vals}
 }
 
-// CopyFrom implements ts.StateCopier, the capability that opts dsl-built
-// systems into successor recycling.
+// CopyFrom overwrites s with src's values in s's own storage: how the
+// compiled system reuses a recycled state for a firing rule.
 func (s *specState) CopyFrom(src ts.State) {
 	o := src.(specCore).core()
 	s.lay = o.lay
@@ -215,17 +215,16 @@ func (s *specState) renderVal(v *varInfo, val int32) string {
 // models must not offer PermuteInto at all.
 type symState struct{ specState }
 
-// A symState that drops one of these loses symmetry reduction or successor
-// recycling silently; fail the build instead.
+// A symState that drops one of these loses symmetry reduction silently;
+// fail the build instead.
 var (
 	_ ts.Permutable    = (*symState)(nil)
 	_ ts.AgentComparer = (*symState)(nil)
 	_ ts.KeyAppender   = (*symState)(nil)
-	_ ts.StateCopier   = (*symState)(nil)
 )
 
-// Clone implements ts.State, preserving the concrete type (the dsl builder
-// asserts Clone's result back to the state type it was built with).
+// Clone implements ts.State, preserving the concrete type (the compiled
+// system asserts Clone's result back to the state type it runs over).
 func (s *symState) Clone() ts.State {
 	vals := make([]int32, len(s.vals))
 	copy(vals, s.vals)

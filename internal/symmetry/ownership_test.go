@@ -85,7 +85,7 @@ func TestZooCloneIsPrivate(t *testing.T) {
 				if got := c.(ts.KeyAppender).AppendKey(nil); !bytes.Equal(got, encs[i]) {
 					t.Fatalf("Clone of state %d encodes %x, the state %x", i, got, encs[i])
 				}
-				if cp, ok := c.(ts.StateCopier); ok {
+				if cp, ok := c.(interface{ CopyFrom(ts.State) }); ok {
 					cp.CopyFrom(other)
 					wrote++
 					intact("CopyFrom into a Clone", i)

@@ -6,8 +6,8 @@ import (
 	"path/filepath"
 	"testing"
 
-	"verc3/internal/dsl"
 	"verc3/internal/mc"
+	"verc3/internal/spec"
 	"verc3/internal/toy"
 	"verc3/internal/trace"
 	"verc3/internal/ts"
@@ -39,14 +39,18 @@ func golden(t *testing.T, name, got string) {
 	}
 }
 
-// counter is a tiny deterministic state for the golden systems, with a
-// stable String rendering so ShowStates output is pinned too.
-type counter struct{ v int8 }
-
-func (s *counter) Key() string               { return string(rune('0' + s.v)) }
-func (s *counter) Clone() ts.State           { cp := *s; return &cp }
-func (s *counter) AppendKey(d []byte) []byte { return append(d, byte(s.v)) }
-func (s *counter) String() string            { return "counter=" + s.Key() }
+// counterSystem compiles a one-variable spec whose variable is named
+// counter, so ShowStates renders states as "counter=N".
+func counterSystem(t *testing.T, name, rules, props string) ts.System {
+	t.Helper()
+	m, err := spec.Parse([]byte(`{"format": "verc3_model_v1", "name": "` + name + `",
+	  "vars": [{"name": "counter", "type": "int", "min": 0, "max": 2}],
+	  "rules": [` + rules + `]` + props + `}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.System()
+}
 
 // TestGoldenSafetyTrace pins the multi-line rendering of an invariant
 // violation: header, initial-state line, numbered steps, state lines.
@@ -67,11 +71,11 @@ func TestGoldenSafetyTrace(t *testing.T) {
 
 // TestGoldenDeadlockTrace pins the rendering of a deadlock counterexample:
 // a non-quiescent stuck state at the end of a short path (toy graphs treat
-// terminals as quiescent, so this one is built on the DSL, which does not).
+// terminals as quiescent, so this one is a spec without a quiescent predicate).
 func TestGoldenDeadlockTrace(t *testing.T) {
-	b := dsl.NewBuilder[*counter]("wedge", &counter{})
-	b.Rule("step", func(s *counter) bool { return s.v < 2 }, func(s *counter, _ *ts.Env) error { s.v++; return nil })
-	res, err := mc.Check(b.System(), mc.Options{RecordTrace: true})
+	sys := counterSystem(t, "wedge",
+		`{"name": "step", "guard": "counter < 2", "action": ["counter = counter + 1"]}`, "")
+	res, err := mc.Check(sys, mc.Options{RecordTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,15 +86,15 @@ func TestGoldenDeadlockTrace(t *testing.T) {
 }
 
 // lassoFailure produces a deterministic liveness lasso with a 2-step stem
-// and a 2-step cycle: 0 → 1, then 1 ↔ 2 forever, violating FG(v == 0).
+// and a 2-step cycle: 0 → 1, then 1 ↔ 2 forever, violating FG(counter == 0).
 func lassoFailure(t *testing.T) *mc.FailureInfo {
 	t.Helper()
-	b := dsl.NewBuilder[*counter]("lasso", &counter{})
-	b.Rule("warm-up", func(s *counter) bool { return s.v == 0 }, func(s *counter, _ *ts.Env) error { s.v = 1; return nil })
-	b.Rule("ping", func(s *counter) bool { return s.v == 1 }, func(s *counter, _ *ts.Env) error { s.v = 2; return nil })
-	b.Rule("pong", func(s *counter) bool { return s.v == 2 }, func(s *counter, _ *ts.Env) error { s.v = 1; return nil })
-	b.EventuallyAlways("settles-at-zero", false, func(s *counter) bool { return s.v == 0 })
-	res, err := mc.Check(b.System(), mc.Options{Liveness: true, RecordTrace: true})
+	sys := counterSystem(t, "lasso", `
+	  {"name": "warm-up", "guard": "counter == 0", "action": ["counter = 1"]},
+	  {"name": "ping", "guard": "counter == 1", "action": ["counter = 2"]},
+	  {"name": "pong", "guard": "counter == 2", "action": ["counter = 1"]}`,
+		`, "liveness": [{"name": "settles-at-zero", "kind": "eventually_always", "p": "counter == 0"}]`)
+	res, err := mc.Check(sys, mc.Options{Liveness: true, RecordTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,10 +9,11 @@ import (
 // type S wait in it for the next FireRule to overwrite them. A system that
 // embeds a Pool implements Recycler and PoolReporter through it; its
 // FireRule asks Get for storage and either overwrites what it is handed
-// (StateCopier.CopyFrom) or, on a miss, Clones the source. The free list is
-// a sync.Pool, whose per-P lists give each exploration worker a private
-// one; the zero value is an empty pool, and a Pool must not be copied after
-// first use.
+// (S's own CopyFrom: Clone into existing storage, leaving the receiver
+// sharing nothing with the source) or, on a miss, Clones the source. The
+// free list is a sync.Pool, whose per-P lists give each exploration worker
+// a private one; the zero value is an empty pool, and a Pool must not be
+// copied after first use.
 type Pool[S State] struct {
 	free   sync.Pool
 	hits   atomic.Uint64

@@ -5,8 +5,8 @@
 // A system is described by implementing the System interface: it supplies a
 // set of initial states and, for every state, its enabled transitions as
 // Rule records, which it fires through one FireRule (see "Successor
-// lifecycle"). Small models need not implement it by hand: internal/dsl
-// builds one from guarded rules. Transitions fire lazily so that the
+// lifecycle"). Small models need not implement it by hand: internal/spec
+// compiles one from a JSON model spec. Transitions fire lazily so that the
 // synthesis layer (internal/core) can interpose "holes" whose actions are
 // chosen by the synthesizer; firing a transition whose hole is still
 // unassigned (a wildcard) aborts just that execution branch.
@@ -30,8 +30,8 @@
 //
 // One rule covers every way a state is copied: a state owns all of its
 // mutable storage. Clone returns a state that shares none with the
-// receiver, StateCopier.CopyFrom and Permutable.PermuteInto leave their
-// destination sharing none with the source, and so any state may be
+// receiver, a pooling model's CopyFrom and Permutable.PermuteInto leave
+// their destination sharing none with the source, and so any state may be
 // overwritten in place — by a rule action, by the symmetry canonicalizer's
 // scratch, by a pooled successor being reused — without a live state
 // noticing. Only immutable payloads (strings, tables built once at
@@ -60,11 +60,10 @@
 //
 //   - Recycler, implemented by the system, accepts a dead state back
 //     (Recycle) so its storage can seed the next successor.
-//   - StateCopier, implemented by the state, overwrites a recycled state
-//     in place with a new source (the CopyFrom reuse path).
-//   - Pool is the one implementation of the first: a system embeds a
-//     Pool[*itsState] to become a Recycler and a PoolReporter, and draws
-//     successors from Pool.Get (CopyFrom on a hit, Clone on a miss).
+//   - Pool is its one implementation: a system embeds a Pool[*itsState]
+//     to become a Recycler and a PoolReporter, and draws successors from
+//     Pool.Get, overwriting a hit in place with its own state type's
+//     CopyFrom (Clone into existing storage) and Cloning on a miss.
 //
 // Who may recycle: every State returned by Initial or FireRule is owned by
 // the caller, and a caller may hand any such state to Recycle once nothing
@@ -221,26 +220,11 @@ type AgentComparer interface {
 	CompareAgents(i, j int) int
 }
 
-// StateCopier is optionally implemented by states that can overwrite
-// themselves with another state's contents, reusing their own storage —
-// the CopyFrom half of the successor-recycling protocol. src must be a
-// state of the same system (same concrete type and shape).
-//
-// CopyFrom is Clone into existing storage: the receiver must end up
-// sharing no mutable storage with src, because it is about to be mutated
-// by a rule action while src may still sit on the frontier.
-type StateCopier interface {
-	State
-	// CopyFrom makes the receiver equal to src, reusing the receiver's
-	// storage where capacities allow and allocating only to grow.
-	CopyFrom(src State)
-}
-
 // Recycler is optionally implemented by systems that pool successor
 // storage: Recycle accepts a state the caller owns outright and no longer
 // needs, and the system's FireRule draws its clones from the returned
-// storage (via StateCopier.CopyFrom) instead of allocating fresh deep
-// copies.
+// storage (overwriting a recycled state in place) instead of allocating
+// fresh deep copies.
 //
 // The caller contract: s must have been obtained from this system's
 // Initial or FireRule, and nothing — trace node, frontier entry, scratch, a
