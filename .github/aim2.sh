@@ -5,7 +5,7 @@
 #     directory and in total — and, when the commit named by $1 (default
 #     HEAD~1) is in the clone, the same count there and the difference, which
 #     is the "before/after" line a PR text quotes;
-#   - exported identifiers of internal/ts, internal/network,
+#   - exported identifiers of internal/ts, internal/msi,
 #     internal/visited, internal/mc and internal/core: package-level names
 #     as `go doc -short` lists them, plus the exported functions, methods
 #     and interface methods that `go doc -short -all` prints.
@@ -54,7 +54,7 @@ echo '### Aim 2: exported surface'
 echo
 echo '| package | package-level names | functions, methods, interface methods |'
 echo '|---|---:|---:|'
-for p in ts network visited mc core; do
+for p in ts msi visited mc core; do
 	names=$(go doc -short "./internal/$p" | wc -l)
 	funcs=$(go doc -short -all "./internal/$p" | grep -cE '^(func |	[A-Z][A-Za-z0-9]*\()')
 	echo "| \`internal/$p\` | $names | $funcs |"

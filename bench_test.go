@@ -26,7 +26,6 @@ import (
 	"verc3/internal/core"
 	"verc3/internal/mc"
 	"verc3/internal/msi"
-	"verc3/internal/network"
 	"verc3/internal/statespace"
 	"verc3/internal/symmetry"
 	"verc3/internal/toy"
@@ -443,10 +442,10 @@ func fingerprintBenchState() *msi.State {
 			{St: msi.CacheIMAD, Acks: 1},
 		},
 		Dir: msi.Dir{St: msi.DirMS, Owner: 0, Pending: 1, Sharers: 0b0100, Mem: 1},
-		Net: network.New(
-			network.Msg{Type: msi.MsgFwdGetS, Src: 4, Dst: 0, Req: 1, Val: 0},
-			network.Msg{Type: msi.MsgData, Src: 4, Dst: 3, Req: -1, Cnt: 1, Val: 1},
-			network.Msg{Type: msi.MsgInv, Src: 4, Dst: 2, Req: 3, Val: 0},
+		Net: msi.NewNet(
+			msi.Msg{Kind: msi.MsgFwdGetS, Src: 4, Dst: 0, Req: 1, Val: 0},
+			msi.Msg{Kind: msi.MsgData, Src: 4, Dst: 3, Req: -1, Cnt: 1, Val: 1},
+			msi.Msg{Kind: msi.MsgInv, Src: 4, Dst: 2, Req: 3, Val: 0},
 		),
 		Ghost: 1,
 	}
@@ -528,12 +527,12 @@ func BenchmarkCanonicalize(b *testing.B) {
 	} {
 		b.Run(row.name, func(b *testing.B) {
 			s := fingerprintBenchState()
-			dir := len(row.caches)
+			dir := int8(len(row.caches))
 			s.Caches = row.caches
-			s.Net = network.New(
-				network.Msg{Type: msi.MsgFwdGetS, Src: dir, Dst: 0, Req: 1, Val: 0},
-				network.Msg{Type: msi.MsgData, Src: dir, Dst: 3, Req: -1, Cnt: 1, Val: 1},
-				network.Msg{Type: msi.MsgInv, Src: dir, Dst: 2, Req: 3, Val: 0},
+			s.Net = msi.NewNet(
+				msi.Msg{Kind: msi.MsgFwdGetS, Src: dir, Dst: 0, Req: 1, Val: 0},
+				msi.Msg{Kind: msi.MsgData, Src: dir, Dst: 3, Req: -1, Cnt: 1, Val: 1},
+				msi.Msg{Kind: msi.MsgInv, Src: dir, Dst: 2, Req: 3, Val: 0},
 			)
 			canon := symmetry.NewCanonicalizer(len(s.Caches))
 			tried := 0

@@ -66,8 +66,8 @@
 //     binary keying and, when the spec declares it, symmetry. The committed specs under
 //     examples/specs/ are the only source of Peterson's algorithm and the
 //     token ring, each pinned to absolute answers.
-//   - internal/msi, internal/toy — the hand-written case studies — over
-//     internal/network, the unordered interconnect; internal/trace renders
+//   - internal/msi, internal/toy — the hand-written case studies, msi with
+//     its unordered interconnect of six-byte messages; internal/trace renders
 //     counterexamples; internal/zoo is the fixed table of named systems
 //     (with sketch metadata) behind the command-line tools, building
 //     peterson, token-ring and their sketches from the embedded specs.

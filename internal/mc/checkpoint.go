@@ -57,8 +57,11 @@ const (
 	// ckptVersion is the on-disk checkpoint schema version. Version 2
 	// dropped the string_keys identity field with the string keying path:
 	// a version-1 checkpoint is refused rather than resumed under keying it
-	// does not record.
-	ckptVersion = 2
+	// does not record. Version 3 changed the MSI key encoding (a message is
+	// a six-byte record, its type a kind byte), and with it every MSI
+	// fingerprint and frontier file: a version-2 checkpoint is refused
+	// rather than decoded under an encoding it was not written in.
+	ckptVersion = 3
 	// ckptPrefix names committed checkpoint directories (suffix: zero-padded
 	// frontier depth, so lexicographic order is depth order).
 	ckptPrefix = "ckpt-d"

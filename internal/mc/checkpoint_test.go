@@ -270,6 +270,22 @@ func TestCheckpointIdentityMismatch(t *testing.T) {
 // the one that still recorded a string_keys identity field — must be
 // refused by its version, not resumed under keying it does not describe.
 func TestCheckpointRefusesVersion1(t *testing.T) {
+	refusesVersion(t, func(meta map[string]any) {
+		meta["version"], meta["string_keys"] = 1, false
+	}, "version 1, want 3")
+}
+
+// TestCheckpointRefusesVersion2: a version-2 checkpoint has MSI messages
+// encoded with string types, which the six-byte records of version 3 do
+// not decode; it must be refused by its version too.
+func TestCheckpointRefusesVersion2(t *testing.T) {
+	refusesVersion(t, func(meta map[string]any) { meta["version"] = 2 }, "version 2, want 3")
+}
+
+// refusesVersion commits one checkpoint, rewrites its meta.json with edit,
+// and checks resuming from it fails with an error containing want.
+func refusesVersion(t *testing.T, edit func(meta map[string]any), want string) {
+	t.Helper()
 	dir := t.TempDir()
 	ctx, cancel := context.WithCancelCause(context.Background())
 	var n atomic.Int64
@@ -295,7 +311,7 @@ func TestCheckpointRefusesVersion1(t *testing.T) {
 	if err := json.Unmarshal(raw, &meta); err != nil {
 		t.Fatal(err)
 	}
-	meta["version"], meta["string_keys"] = 1, false
+	edit(meta)
 	if raw, err = json.Marshal(meta); err != nil {
 		t.Fatal(err)
 	}
@@ -304,8 +320,8 @@ func TestCheckpointRefusesVersion1(t *testing.T) {
 	}
 	_, err = mc.Check(&cpSys{name: "cptree", n: cpTreeN},
 		mc.Options{CheckpointDir: dir, CheckpointEvery: -1, Resume: true})
-	if err == nil || !strings.Contains(err.Error(), "version 1, want 2") {
-		t.Fatalf("err = %v, want a refusal naming version 1", err)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want a refusal containing %q", err, want)
 	}
 }
 
@@ -472,7 +488,7 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 			t.Fatalf("decoder grew the input: %d leftover of %d", len(rest), len(data))
 		}
 		// Whatever the decoder lets through, a resumed run enumerates: every
-		// message must be of a type the rule and name tables know (the decoder
+		// message must be of a kind the rule and name tables know (the decoder
 		// rejects the rest), whatever else about the state is off.
 		for _, r := range sys.AppendRules(nil, s) {
 			if sys.RuleName(r) == "" {

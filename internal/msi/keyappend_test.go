@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"verc3/internal/msi"
-	"verc3/internal/network"
 	"verc3/internal/statespace"
 	"verc3/internal/symmetry"
 )
@@ -20,9 +19,8 @@ import (
 // structurally valid 3-cache MSI state: every field is drawn from the next
 // input byte (reduced into its range where the model requires it, left
 // nearly raw where Key renders any value), and up to four in-flight
-// messages are built from a mix of real protocol types and raw short
-// strings. The point is coverage of the encoding space, not protocol
-// plausibility.
+// messages are drawn with kinds from the closed set. The point is coverage
+// of the encoding space, not protocol plausibility.
 func stateFromBytes(data []byte) *msi.State {
 	next := func() byte {
 		if len(data) == 0 {
@@ -32,8 +30,6 @@ func stateFromBytes(data []byte) *msi.State {
 		data = data[1:]
 		return b
 	}
-	types := []string{msi.MsgGetS, msi.MsgGetM, msi.MsgFwdGetS, msi.MsgFwdGetM,
-		msi.MsgInv, msi.MsgInvAck, msi.MsgData, msi.MsgAck, "X", "", "Y|;,"}
 	s := &msi.State{Caches: make([]msi.Cache, 3)}
 	for i := range s.Caches {
 		s.Caches[i] = msi.Cache{
@@ -53,30 +49,27 @@ func stateFromBytes(data []byte) *msi.State {
 	if next()%4 == 0 {
 		s.Err = string([]byte{next()%26 + 'a', next()%26 + 'a'})
 	}
-	var msgs []network.Msg
+	var msgs []msi.Msg
 	for n := next() % 5; n > 0; n-- {
-		msgs = append(msgs, network.Msg{
-			Type: types[int(next())%len(types)],
-			Src:  int(next()%6) - 1,
-			Dst:  int(next()%6) - 1,
-			Req:  int(next()%6) - 1,
-			Cnt:  int(next()%5) - 2,
-			Val:  int(next() % 3),
+		msgs = append(msgs, msi.Msg{
+			Kind: msi.MsgKind(next() % 8),
+			Src:  int8(next()%6) - 1,
+			Dst:  int8(next()%6) - 1,
+			Req:  int8(next()%6) - 1,
+			Cnt:  int8(next()%5) - 2,
+			Val:  int8(next() % 3),
 		})
 	}
-	s.Net = network.New(msgs...)
+	s.Net = msi.NewNet(msgs...)
 	return s
 }
 
 // FuzzAppendKeyInjective fuzzes the injectivity direction the checker's
 // soundness needs: two randomized states with distinct Key() strings must
 // produce distinct AppendKey encodings (a shared encoding would merge two
-// distinct states in the visited set). The converse — equal keys implying
-// equal encodings — additionally holds whenever the states' raw fields are
-// equal, which the equal-input seed below exercises; it is deliberately
-// not asserted for arbitrary pairs, because the binary encoding is
-// injective on raw fields even where the delimiter-based Key string can
-// collide (e.g. message Type strings containing commas).
+// distinct states in the visited set). With message kinds a closed set
+// the converse holds too — equal Key() strings, equal encodings — so the
+// two keys are checked to agree both ways.
 func FuzzAppendKeyInjective(f *testing.F) {
 	f.Add([]byte{}, []byte{})
 	f.Add([]byte{1, 2, 3}, []byte{1, 2, 3})
@@ -88,15 +81,15 @@ func FuzzAppendKeyInjective(f *testing.F) {
 		if sa.Key() != sb.Key() && bytes.Equal(ea, eb) {
 			t.Errorf("distinct keys share an encoding:\n key a: %q\n key b: %q\n enc: %x", sa.Key(), sb.Key(), ea)
 		}
-		if bytes.Equal(a, b) && !bytes.Equal(ea, eb) {
-			t.Errorf("equal inputs, distinct encodings: %x vs %x", ea, eb)
+		if sa.Key() == sb.Key() && !bytes.Equal(ea, eb) {
+			t.Errorf("one key, distinct encodings:\n key: %q\n enc a: %x\n enc b: %x", sa.Key(), ea, eb)
 		}
 	})
 }
 
 // FuzzCompareAgents fuzzes the two halves of the ts.AgentComparer contract
-// on randomized states (negative Acks, out-of-range owners and raw message
-// strings included). Equivariance: renaming the caches renames the answer,
+// on randomized states (negative Acks, out-of-range owners and message
+// endpoints included). Equivariance: renaming the caches renames the answer,
 // CompareAgents(π·s, π(i), π(j)) has the sign of CompareAgents(s, i, j).
 // Leading block: the fingerprint the canonicalizer reaches by sorting the
 // caches and permuting within ties is the fingerprint of the smallest
@@ -153,7 +146,7 @@ func TestAppendKeySensitivity(t *testing.T) {
 		return &msi.State{
 			Caches: []msi.Cache{{St: msi.CacheM, Data: 1}, {St: msi.CacheS, Data: 1}, {}},
 			Dir:    msi.Dir{St: msi.DirM, Owner: 0, Pending: msi.None, Sharers: 0b010, Mem: 1},
-			Net:    network.New(network.Msg{Type: msi.MsgData, Src: 0, Dst: 1, Req: -1, Cnt: 2, Val: 1}),
+			Net:    msi.NewNet(msi.Msg{Kind: msi.MsgData, Src: 0, Dst: 1, Req: -1, Cnt: 2, Val: 1}),
 			Ghost:  1,
 		}
 	}
@@ -170,12 +163,12 @@ func TestAppendKeySensitivity(t *testing.T) {
 		"ghost":       func(s *msi.State) { s.Ghost = 0 },
 		"err":         func(s *msi.State) { s.Err = "boom" },
 		"msg type": func(s *msi.State) {
-			s.Net = network.New(network.Msg{Type: msi.MsgInv, Src: 0, Dst: 1, Req: -1, Cnt: 2, Val: 1})
+			s.Net = msi.NewNet(msi.Msg{Kind: msi.MsgInv, Src: 0, Dst: 1, Req: -1, Cnt: 2, Val: 1})
 		},
 		"msg cnt": func(s *msi.State) {
-			s.Net = network.New(network.Msg{Type: msi.MsgData, Src: 0, Dst: 1, Req: -1, Cnt: 1, Val: 1})
+			s.Net = msi.NewNet(msi.Msg{Kind: msi.MsgData, Src: 0, Dst: 1, Req: -1, Cnt: 1, Val: 1})
 		},
-		"msg extra": func(s *msi.State) { s.Net.SendInPlace(network.Msg{Type: msi.MsgAck, Src: 1, Dst: 3, Req: -1}) },
+		"msg extra": func(s *msi.State) { s.Net.SendInPlace(msi.Msg{Kind: msi.MsgAck, Src: 1, Dst: 3, Req: -1}) },
 	}
 	for name, mutate := range mutations {
 		s := base()

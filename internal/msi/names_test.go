@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"verc3/internal/network"
 	"verc3/internal/ts"
 )
 
@@ -39,20 +38,20 @@ func TestNameTablesMatchFmtForms(t *testing.T) {
 				check(nt.issue(i, nameIssueWrite), fmt.Sprintf("c%d: issue write", i))
 				check(nt.issue(i, nameIssueUpgrade), fmt.Sprintf("c%d: issue upgrade", i))
 				check(nt.issue(i, nameStore), fmt.Sprintf("c%d: store", i))
-				for k, mt := range msgTypes {
+				for k, mt := range msgKindNames {
 					for cs := CacheState(0); cs < numCacheStates; cs++ {
-						check(nt.cacheRecvName(i, msgKind(k), cs), fmt.Sprintf("c%d: recv %s in %s", i, mt, cs))
+						check(nt.cacheRecvName(i, MsgKind(k), cs), fmt.Sprintf("c%d: recv %s in %s", i, mt, cs))
 						for j := 0; fair && j <= caches; j++ {
-							check(nt.cacheFromName(i, j, msgKind(k), cs), fmt.Sprintf("c%d: recv %s from %s in %s", i, mt, from(j), cs))
+							check(nt.cacheFromName(i, j, MsgKind(k), cs), fmt.Sprintf("c%d: recv %s from %s in %s", i, mt, from(j), cs))
 						}
 					}
 				}
 			}
-			for k, mt := range msgTypes {
+			for k, mt := range msgKindNames {
 				for ds := DirState(0); ds < numDirStates; ds++ {
-					check(nt.dirRecvName(msgKind(k), ds), fmt.Sprintf("dir: recv %s in %s", mt, ds))
+					check(nt.dirRecvName(MsgKind(k), ds), fmt.Sprintf("dir: recv %s in %s", mt, ds))
 					for j := 0; fair && j < caches; j++ {
-						check(nt.dirFromName(j, msgKind(k), ds), fmt.Sprintf("dir: recv %s from c%d in %s", mt, j, ds))
+						check(nt.dirFromName(j, MsgKind(k), ds), fmt.Sprintf("dir: recv %s from c%d in %s", mt, j, ds))
 					}
 				}
 			}
@@ -81,26 +80,36 @@ func TestNewAllocatesOnlyTheSystem(t *testing.T) {
 }
 
 // TestUnknownMessageTypeIsRejectedAtDecode: the protocol sends eight message
-// types, and a checkpoint is the only other way a message gets into a
-// state. DecodeKey is where a ninth is refused — an error, never a panic —
-// so enumeration never has to name one.
+// kinds, and a checkpoint is the only other way a message gets into a
+// state. DecodeKey is where a kind byte outside the closed set is refused —
+// an error, never a panic — so enumeration never has to name one.
 func TestUnknownMessageTypeIsRejectedAtDecode(t *testing.T) {
 	sys := New(Config{Caches: 2})
 	s := sys.Initial()[0].(*State)
-	s.Net.SendInPlace(network.Msg{Type: MsgGetS, Src: 0, Dst: 2, Req: None})
+	s.Net.SendInPlace(Msg{Kind: MsgGetS, Src: 0, Dst: 2, Req: None})
 	good := s.AppendKey(nil)
 	if _, rest, err := sys.DecodeKey(good); err != nil || len(rest) != 0 {
 		t.Fatalf("well-formed state: rest %d, err %v", len(rest), err)
 	}
-	s.Net.RemoveInPlace(0)
-	s.Net.SendInPlace(network.Msg{Type: "GetX", Src: 0, Dst: 2, Req: None})
-	if st, _, err := sys.DecodeKey(s.AppendKey(nil)); err == nil {
-		t.Fatalf("decoded a message of type GetX: %v", st)
+	// The message's kind byte follows the cache count, the cache triples,
+	// six directory and ghost bytes and the one-byte message count.
+	at := 1 + 3*2 + 6 + 1
+	if good[at] != byte(MsgGetS) {
+		t.Fatalf("byte %d is %d, not the message's kind %d", at, good[at], MsgGetS)
+	}
+	for _, k := range []byte{byte(numMsgKinds), 0x7f, 0xff} {
+		bad := append([]byte(nil), good...)
+		bad[at] = k
+		if st, _, err := sys.DecodeKey(bad); err == nil {
+			t.Fatalf("decoded a message of kind %d: %v", k, st)
+		}
 	}
 	// A hand-built state holding one is a bug in the caller, and loud.
+	s.Net.RemoveInPlace(0)
+	s.Net.SendInPlace(Msg{Kind: numMsgKinds, Src: 0, Dst: 2, Req: None})
 	defer func() {
 		if recover() == nil {
-			t.Error("AppendRules named a GetX delivery instead of panicking")
+			t.Error("AppendRules named a delivery of an unknown kind instead of panicking")
 		}
 	}()
 	sys.AppendRules(nil, ts.State(s))

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"verc3/internal/network"
 	"verc3/internal/ts"
 )
 
@@ -74,13 +73,12 @@ func (sys *System) Invariants() []ts.Invariant {
 			if d.Pending < 0 || int(d.Pending) >= len(st.Caches) {
 				return false
 			}
-			p := int(d.Pending)
-			switch st.Caches[p].St {
+			switch st.Caches[d.Pending].St {
 			case CacheIMAD, CacheIMA, CacheSMW:
 				return true
 			}
-			return st.Net.Any(func(m network.Msg) bool {
-				return m.Type == MsgAck && m.Src == p && m.Dst == sys.dirID
+			return st.Net.has(func(m Msg) bool {
+				return m.Kind == MsgAck && m.Src == d.Pending && m.Dst == sys.dirID
 			})
 		}},
 		{Name: "dir-MS-handshake", Holds: func(s ts.State) bool {
@@ -96,8 +94,8 @@ func (sys *System) Invariants() []ts.Invariant {
 			if st.Caches[st.Dir.Pending].St == CacheISD {
 				return true
 			}
-			return st.Net.Any(func(m network.Msg) bool {
-				return m.Type == MsgData && m.Dst == sys.dirID
+			return st.Net.has(func(m Msg) bool {
+				return m.Kind == MsgData && m.Dst == sys.dirID
 			})
 		}},
 		{Name: "read-handshake", Holds: func(s ts.State) bool {
@@ -106,11 +104,11 @@ func (sys *System) Invariants() []ts.Invariant {
 				if st.Caches[i].St != CacheISD {
 					continue
 				}
-				i := i
-				ok := st.Net.Any(func(m network.Msg) bool {
-					return (m.Type == MsgGetS && m.Src == i) ||
-						(m.Type == MsgData && m.Dst == i) ||
-						(m.Type == MsgFwdGetS && m.Req == i)
+				a := int8(i)
+				ok := st.Net.has(func(m Msg) bool {
+					return (m.Kind == MsgGetS && m.Src == a) ||
+						(m.Kind == MsgData && m.Dst == a) ||
+						(m.Kind == MsgFwdGetS && m.Req == a)
 				})
 				if !ok {
 					return false
@@ -129,12 +127,12 @@ func (sys *System) Invariants() []ts.Invariant {
 				if (st.Dir.St == DirIM || st.Dir.St == DirSM || st.Dir.St == DirMM) && int(st.Dir.Pending) == i {
 					continue
 				}
-				i := i
-				ok := st.Net.Any(func(m network.Msg) bool {
-					return (m.Type == MsgGetM && m.Src == i) ||
-						(m.Type == MsgData && m.Dst == i) ||
-						(m.Type == MsgInvAck && m.Dst == i) ||
-						(m.Type == MsgInv && m.Req == i)
+				a := int8(i)
+				ok := st.Net.has(func(m Msg) bool {
+					return (m.Kind == MsgGetM && m.Src == a) ||
+						(m.Kind == MsgData && m.Dst == a) ||
+						(m.Kind == MsgInvAck && m.Dst == a) ||
+						(m.Kind == MsgInv && m.Req == a)
 				})
 				if !ok {
 					return false
@@ -247,7 +245,7 @@ func (sys *System) WeakFairness() []ts.Fairness {
 	}
 	n := sys.cfg.Caches
 	reqs := make([]ts.Fairness, 0, n*n+n)
-	channel := func(name string, src, dst int, takenPrefix, takenFrom string) {
+	channel := func(name string, src, dst int8, takenPrefix, takenFrom string) {
 		reqs = append(reqs, ts.Fairness{
 			Name: name,
 			Enabled: func(s ts.State) bool {
@@ -255,7 +253,7 @@ func (sys *System) WeakFairness() []ts.Fairness {
 				if st.Err != "" {
 					return false // poisoned states offer no transitions at all
 				}
-				return st.Net.Any(func(m network.Msg) bool {
+				return st.Net.has(func(m Msg) bool {
 					return m.Src == src && m.Dst == dst
 				})
 			},
@@ -265,11 +263,11 @@ func (sys *System) WeakFairness() []ts.Fairness {
 		})
 	}
 	for j := 0; j < n; j++ {
-		channel(fmt.Sprintf("net-c%d-to-dir", j), j, sys.dirID,
+		channel(fmt.Sprintf("net-c%d-to-dir", j), int8(j), sys.dirID,
 			"dir: recv ", fmt.Sprintf(" from c%d in ", j))
 	}
 	for i := 0; i < n; i++ {
-		channel(fmt.Sprintf("net-dir-to-c%d", i), sys.dirID, i,
+		channel(fmt.Sprintf("net-dir-to-c%d", i), sys.dirID, int8(i),
 			fmt.Sprintf("c%d: recv ", i), " from dir in ")
 	}
 	for j := 0; j < n; j++ {
@@ -277,7 +275,7 @@ func (sys *System) WeakFairness() []ts.Fairness {
 			if i == j {
 				continue
 			}
-			channel(fmt.Sprintf("net-c%d-to-c%d", j, i), j, i,
+			channel(fmt.Sprintf("net-c%d-to-c%d", j, i), int8(j), int8(i),
 				fmt.Sprintf("c%d: recv ", i), fmt.Sprintf(" from c%d in ", j))
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"verc3/internal/msi"
-	"verc3/internal/network"
 	"verc3/internal/ts"
 )
 
@@ -139,7 +138,7 @@ func TestHandshakeInvariantsDirect(t *testing.T) {
 		s.Dir.St = msi.DirIM
 		s.Dir.Pending = 0
 		s.Caches[0].St = msi.CacheM
-		s.Net.SendInPlace(network.Msg{Type: msi.MsgAck, Src: 0, Dst: 2, Req: msi.None})
+		s.Net.SendInPlace(msi.Msg{Kind: msi.MsgAck, Src: 0, Dst: 2, Req: msi.None})
 	})
 	if !dir.Holds(acked) {
 		t.Error("dir-handshake must accept an in-flight Ack")
@@ -158,7 +157,7 @@ func TestHandshakeInvariantsDirect(t *testing.T) {
 	covered := mk(2, func(s *msi.State) {
 		s.Caches[1].St = msi.CacheIMA
 		s.Caches[1].Acks = 1
-		s.Net.SendInPlace(network.Msg{Type: msi.MsgInv, Src: 2, Dst: 0, Req: 1})
+		s.Net.SendInPlace(msi.Msg{Kind: msi.MsgInv, Src: 2, Dst: 0, Req: 1})
 	})
 	if !write.Holds(covered) {
 		t.Error("write-handshake must accept in-flight Inv evidence")

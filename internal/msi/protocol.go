@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"sync"
 
-	"verc3/internal/network"
 	"verc3/internal/ts"
 )
 
@@ -65,7 +64,7 @@ type System struct {
 	ts.Pool[*State]
 
 	cfg     Config
-	dirID   int
+	dirID   int8
 	holes   [numRules]bool // the hole rules this variant leaves to the synthesizer
 	names   *nameTable
 	initial State // what Initial copies; its Caches alias invalidCaches and are never written
@@ -118,50 +117,6 @@ const (
 	firstDirRule = ruleDirIGetS
 )
 
-// msgKind indexes the protocol's eight message types in the classification
-// and name tables.
-type msgKind int8
-
-const (
-	kGetS msgKind = iota
-	kGetM
-	kFwdGetS
-	kFwdGetM
-	kInv
-	kInvAck
-	kData
-	kAck
-	numMsgKinds
-)
-
-// msgTypes names the kinds, in kind order.
-var msgTypes = [numMsgKinds]string{MsgGetS, MsgGetM, MsgFwdGetS, MsgFwdGetM, MsgInv, MsgInvAck, MsgData, MsgAck}
-
-// kindOf maps a message type to its kind. The protocol sends only the eight
-// types and DecodeKey rejects any other, so an unknown type (-1) can only
-// be a hand-built state's; enumerating it panics.
-func kindOf(t string) msgKind {
-	switch t {
-	case MsgGetS:
-		return kGetS
-	case MsgGetM:
-		return kGetM
-	case MsgFwdGetS:
-		return kFwdGetS
-	case MsgFwdGetM:
-		return kFwdGetM
-	case MsgInv:
-		return kInv
-	case MsgInvAck:
-		return kInvAck
-	case MsgData:
-		return kData
-	case MsgAck:
-		return kAck
-	}
-	return -1
-}
-
 // cacheRules and dirRules classify a delivery: the rule that handles a
 // message of a kind at a receiver in a state, ruleStall when the receiver
 // stalls it, the receiver's unhandled rule when nothing does. One entry is
@@ -174,33 +129,33 @@ func classify() (c [numCacheStates][numMsgKinds]ruleID, d [numDirStates][numMsgK
 			c[s][k] = ruleCacheUnhandled
 		}
 	}
-	c[CacheISD][kData] = ruleCacheISDData
-	c[CacheISD][kInv] = ruleStall // until Data arrives
-	c[CacheIMAD][kData] = ruleCacheWData
-	c[CacheIMAD][kInvAck] = ruleCacheWInvAck
-	c[CacheIMA][kInvAck] = ruleCacheIMAInvAck
-	c[CacheSMW][kData] = ruleCacheWData
-	c[CacheSMW][kInvAck] = ruleCacheWInvAck
-	c[CacheSMW][kInv] = ruleCacheSMWInv
-	c[CacheS][kInv] = ruleCacheSInv
-	c[CacheM][kFwdGetS] = ruleCacheMFwdGetS
-	c[CacheM][kFwdGetM] = ruleCacheMFwdGetM
+	c[CacheISD][MsgData] = ruleCacheISDData
+	c[CacheISD][MsgInv] = ruleStall // until Data arrives
+	c[CacheIMAD][MsgData] = ruleCacheWData
+	c[CacheIMAD][MsgInvAck] = ruleCacheWInvAck
+	c[CacheIMA][MsgInvAck] = ruleCacheIMAInvAck
+	c[CacheSMW][MsgData] = ruleCacheWData
+	c[CacheSMW][MsgInvAck] = ruleCacheWInvAck
+	c[CacheSMW][MsgInv] = ruleCacheSMWInv
+	c[CacheS][MsgInv] = ruleCacheSInv
+	c[CacheM][MsgFwdGetS] = ruleCacheMFwdGetS
+	c[CacheM][MsgFwdGetM] = ruleCacheMFwdGetM
 
 	for s := range d {
 		for k := range d[s] {
 			d[s][k] = ruleDirUnhandled
 		}
 		if stable := DirState(s) == DirI || DirState(s) == DirS || DirState(s) == DirM; !stable {
-			d[s][kGetS], d[s][kGetM] = ruleStall, ruleStall // serialize: requests wait out transients
+			d[s][MsgGetS], d[s][MsgGetM] = ruleStall, ruleStall // serialize: requests wait out transients
 		}
 	}
-	d[DirI][kGetS], d[DirI][kGetM] = ruleDirIGetS, ruleDirIGetM
-	d[DirS][kGetS], d[DirS][kGetM] = ruleDirSGetS, ruleDirSGetM
-	d[DirM][kGetS], d[DirM][kGetM] = ruleDirMGetS, ruleDirMGetM
-	d[DirIM][kAck] = ruleDirIMAck
-	d[DirSM][kAck] = ruleDirSMAck
-	d[DirMM][kAck] = ruleDirMMAck
-	d[DirMS][kData] = ruleDirMSData
+	d[DirI][MsgGetS], d[DirI][MsgGetM] = ruleDirIGetS, ruleDirIGetM
+	d[DirS][MsgGetS], d[DirS][MsgGetM] = ruleDirSGetS, ruleDirSGetM
+	d[DirM][MsgGetS], d[DirM][MsgGetM] = ruleDirMGetS, ruleDirMGetM
+	d[DirIM][MsgAck] = ruleDirIMAck
+	d[DirSM][MsgAck] = ruleDirSMAck
+	d[DirMM][MsgAck] = ruleDirMMAck
+	d[DirMS][MsgData] = ruleDirMSData
 	return c, d
 }
 
@@ -302,19 +257,19 @@ const (
 
 func (nt *nameTable) issue(i, col int) uint32 { return uint32(i*issueNames + col) }
 
-func (nt *nameTable) cacheRecvName(i int, k msgKind, cs CacheState) uint32 {
+func (nt *nameTable) cacheRecvName(i int, k MsgKind, cs CacheState) uint32 {
 	return uint32(nt.cacheRecv + (i*int(numMsgKinds)+int(k))*int(numCacheStates) + int(cs))
 }
 
-func (nt *nameTable) dirRecvName(k msgKind, ds DirState) uint32 {
+func (nt *nameTable) dirRecvName(k MsgKind, ds DirState) uint32 {
 	return uint32(nt.dirRecv + int(k)*int(numDirStates) + int(ds))
 }
 
-func (nt *nameTable) cacheFromName(i, src int, k msgKind, cs CacheState) uint32 {
+func (nt *nameTable) cacheFromName(i, src int, k MsgKind, cs CacheState) uint32 {
 	return uint32(nt.cacheFrom + ((i*(nt.caches+1)+src)*int(numMsgKinds)+int(k))*int(numCacheStates) + int(cs))
 }
 
-func (nt *nameTable) dirFromName(src int, k msgKind, ds DirState) uint32 {
+func (nt *nameTable) dirFromName(src int, k MsgKind, ds DirState) uint32 {
 	return uint32(nt.dirFrom + (src*int(numMsgKinds)+int(k))*int(numDirStates) + int(ds))
 }
 
@@ -360,8 +315,8 @@ func buildNames(caches int, fair bool) *nameTable {
 		nt.all[nt.issue(i, nameIssueUpgrade)] = agent[i] + ": issue upgrade"
 		nt.all[nt.issue(i, nameStore)] = agent[i] + ": store"
 	}
-	for k, mt := range msgTypes {
-		k := msgKind(k)
+	for k, mt := range msgKindNames {
+		k := MsgKind(k)
 		for cs := CacheState(0); cs < numCacheStates; cs++ {
 			for i := 0; i < caches; i++ {
 				nt.all[nt.cacheRecvName(i, k, cs)] = agent[i] + ": recv " + mt + " in " + cs.String()
@@ -388,7 +343,7 @@ func New(cfg Config) *System {
 	if cfg.Caches < 1 || cfg.Caches > 8 {
 		panic("msi: Caches must be in 1..8 (sharer bitset)")
 	}
-	sys := &System{cfg: cfg, dirID: cfg.Caches, names: namesFor(cfg.Caches, cfg.Fair)}
+	sys := &System{cfg: cfg, dirID: int8(cfg.Caches), names: namesFor(cfg.Caches, cfg.Fair)}
 	sys.initial = State{Caches: invalidCaches[:cfg.Caches], Dir: Dir{St: DirI, Owner: None, Pending: None}}
 	if cfg.Variant == Small || cfg.Variant == Large {
 		sys.holes[ruleCacheISDData] = true
@@ -422,7 +377,7 @@ func (sys *System) Name() string {
 }
 
 // DirID returns the directory's agent index (== number of caches).
-func (sys *System) DirID() int { return sys.dirID }
+func (sys *System) DirID() int { return int(sys.dirID) }
 
 // DecodeKey implements ts.KeyDecoder: the inverse of State.AppendKey,
 // consuming one state from the front of data and returning the remainder.
@@ -481,13 +436,10 @@ func (sys *System) AppendRules(dst []ts.Rule, s ts.State) []ts.Rule {
 			dst = append(dst, ts.Rule{ID: uint16(ruleStore), Agent: a, Name: nt.issue(i, nameStore)})
 		}
 	}
-	msgs := st.Net.Messages()
+	msgs := st.Net.msgs
 	for mi := range msgs {
 		m := &msgs[mi]
-		k := kindOf(m.Type)
-		if k < 0 {
-			panic("msi: message of unknown type " + strconv.Quote(m.Type) + " in the network")
-		}
+		k := m.Kind
 		var id ruleID
 		var name uint32
 		switch {
@@ -497,11 +449,11 @@ func (sys *System) AppendRules(dst []ts.Rule, s ts.State) []ts.Rule {
 				continue
 			}
 			if sys.cfg.Fair && m.Src >= 0 && m.Src < sys.dirID {
-				name = nt.dirFromName(m.Src, k, ds)
+				name = nt.dirFromName(int(m.Src), k, ds)
 			} else {
 				name = nt.dirRecvName(k, ds)
 			}
-		case m.Dst >= 0 && m.Dst < len(st.Caches):
+		case m.Dst >= 0 && int(m.Dst) < len(st.Caches):
 			c := st.Caches[m.Dst]
 			if id = cacheRules[c.St][k]; id == ruleStall {
 				continue
@@ -510,9 +462,9 @@ func (sys *System) AppendRules(dst []ts.Rule, s ts.State) []ts.Rule {
 				id = ruleCacheIMAAckLast
 			}
 			if sys.cfg.Fair && m.Src >= 0 && m.Src <= sys.dirID {
-				name = nt.cacheFromName(m.Dst, m.Src, k, c.St)
+				name = nt.cacheFromName(int(m.Dst), int(m.Src), k, c.St)
 			} else {
-				name = nt.cacheRecvName(m.Dst, k, c.St)
+				name = nt.cacheRecvName(int(m.Dst), k, c.St)
 			}
 		default:
 			// Messages to invalid destinations (a synthesized response picked a
@@ -549,31 +501,31 @@ func (sys *System) FireRule(src ts.State, r ts.Rule, env *ts.Env) (ts.State, err
 	ns := sys.succ(st)
 	switch id {
 	case ruleIssueRead:
-		ns.Net.SendInPlace(network.Msg{Type: MsgGetS, Src: i, Dst: sys.dirID, Req: None})
+		ns.Net.SendInPlace(Msg{Kind: MsgGetS, Src: int8(i), Dst: sys.dirID, Req: None})
 		ns.Caches[i].St = CacheISD
 		return ns, nil
 	case ruleIssueWrite:
-		ns.Net.SendInPlace(network.Msg{Type: MsgGetM, Src: i, Dst: sys.dirID, Req: None})
+		ns.Net.SendInPlace(Msg{Kind: MsgGetM, Src: int8(i), Dst: sys.dirID, Req: None})
 		ns.Caches[i].St = CacheIMAD
 		return ns, nil
 	case ruleIssueUpgrade:
-		ns.Net.SendInPlace(network.Msg{Type: MsgGetM, Src: i, Dst: sys.dirID, Req: None})
+		ns.Net.SendInPlace(Msg{Kind: MsgGetM, Src: int8(i), Dst: sys.dirID, Req: None})
 		ns.Caches[i].St = CacheSMW
 		return ns, nil
 	case ruleStore:
 		sys.store(ns, i)
 		return ns, nil
 	}
-	m := st.Net.Messages()[r.Msg]
+	m := st.Net.msgs[r.Msg]
 	ns.Net.RemoveInPlace(int(r.Msg))
 	if id < firstDirRule {
-		if m.Type == MsgData {
-			ns.Caches[i].Data = int8(m.Val) // data delivery plumbing
+		if m.Kind == MsgData {
+			ns.Caches[i].Data = m.Val // data delivery plumbing
 		}
 		sys.cacheRecv(ns, st.Caches[i], id, i, m, acts)
 	} else {
-		if m.Type == MsgData {
-			ns.Dir.Mem = int8(m.Val) // writeback plumbing
+		if m.Kind == MsgData {
+			ns.Dir.Mem = m.Val // writeback plumbing
 		}
 		sys.dirRecv(ns, st.Dir, id, m, acts)
 	}
@@ -592,17 +544,17 @@ func (sys *System) store(ns *State, i int) {
 
 // applyCacheResp performs a cache response action for cache i reacting to m.
 // ns must own its network storage (every Fire successor does — see succ).
-func (sys *System) applyCacheResp(ns *State, i int, m network.Msg, act int) {
+func (sys *System) applyCacheResp(ns *State, i int, m Msg, act int) {
 	switch act {
 	case cRespNone:
 	case cRespAckDir:
-		ns.Net.SendInPlace(network.Msg{Type: MsgAck, Src: i, Dst: sys.dirID, Req: None})
+		ns.Net.SendInPlace(Msg{Kind: MsgAck, Src: int8(i), Dst: sys.dirID, Req: None})
 	case cRespInvAckReq:
 		tgt := m.Req
 		if tgt < 0 {
 			tgt = m.Src // message carries no requester; fall back to sender
 		}
-		ns.Net.SendInPlace(network.Msg{Type: MsgInvAck, Src: i, Dst: tgt, Req: None})
+		ns.Net.SendInPlace(Msg{Kind: MsgInvAck, Src: int8(i), Dst: tgt, Req: None})
 	default:
 		panic("msi: bad cache response action")
 	}
@@ -637,19 +589,19 @@ func (sys *System) applyDirResp(ns *State, act int) {
 			ns.Err = "dir-resp:data-pend-without-pending"
 			return
 		}
-		ns.Net.SendInPlace(network.Msg{Type: MsgData, Src: sys.dirID, Dst: int(p), Req: None, Val: int(ns.Dir.Mem)})
+		ns.Net.SendInPlace(Msg{Kind: MsgData, Src: sys.dirID, Dst: p, Req: None, Val: ns.Dir.Mem})
 	case dRespFwdGetS:
 		if ns.Dir.Owner < 0 || ns.Dir.Pending < 0 {
 			ns.Err = "dir-resp:fwdgets-unset"
 			return
 		}
-		ns.Net.SendInPlace(network.Msg{Type: MsgFwdGetS, Src: sys.dirID, Dst: int(ns.Dir.Owner), Req: int(ns.Dir.Pending)})
+		ns.Net.SendInPlace(Msg{Kind: MsgFwdGetS, Src: sys.dirID, Dst: ns.Dir.Owner, Req: ns.Dir.Pending})
 	case dRespFwdGetM:
 		if ns.Dir.Owner < 0 || ns.Dir.Pending < 0 {
 			ns.Err = "dir-resp:fwdgetm-unset"
 			return
 		}
-		ns.Net.SendInPlace(network.Msg{Type: MsgFwdGetM, Src: sys.dirID, Dst: int(ns.Dir.Owner), Req: int(ns.Dir.Pending)})
+		ns.Net.SendInPlace(Msg{Kind: MsgFwdGetM, Src: sys.dirID, Dst: ns.Dir.Owner, Req: ns.Dir.Pending})
 	case dRespInvSharers:
 		if ns.Dir.Sharers == 0 {
 			return // vacuous: behaviourally identical to "none"
@@ -660,7 +612,7 @@ func (sys *System) applyDirResp(ns *State, act int) {
 		}
 		for j := range ns.Caches {
 			if ns.Dir.Sharers&(1<<uint(j)) != 0 {
-				ns.Net.SendInPlace(network.Msg{Type: MsgInv, Src: sys.dirID, Dst: j, Req: int(ns.Dir.Pending)})
+				ns.Net.SendInPlace(Msg{Kind: MsgInv, Src: sys.dirID, Dst: int8(j), Req: ns.Dir.Pending})
 			}
 		}
 	default:
@@ -698,18 +650,18 @@ func (sys *System) applyDirNext(ns *State, act int) {
 // cacheRecv is the cache controller: cache i handles m — already removed
 // from ns's network — under rule id. c is the cache as the source state had
 // it; acts are a hole rule's resolved actions.
-func (sys *System) cacheRecv(ns *State, c Cache, id ruleID, i int, m network.Msg, acts [3]int) {
+func (sys *System) cacheRecv(ns *State, c Cache, id ruleID, i int, m Msg, acts [3]int) {
 	switch id {
 	case ruleCacheISDData, ruleCacheIMAAckLast, ruleCacheSMWInv:
 		sys.applyCacheResp(ns, i, m, acts[0])
 		sys.applyCacheNext(ns, i, acts[1])
 	case ruleCacheWData:
-		if int(c.Acks) == m.Cnt {
+		if c.Acks == m.Cnt {
 			// All Inv-Acks (if any) already arrived: complete the write.
 			sys.applyCacheResp(ns, i, m, cRespAckDir)
 			sys.applyCacheNext(ns, i, int(CacheM))
 		} else {
-			ns.Caches[i].Acks = int8(m.Cnt) - c.Acks // still needed
+			ns.Caches[i].Acks = m.Cnt - c.Acks // still needed
 			ns.Caches[i].St = CacheIMA
 		}
 	case ruleCacheWInvAck:
@@ -721,51 +673,51 @@ func (sys *System) cacheRecv(ns *State, c Cache, id ruleID, i int, m network.Msg
 		sys.applyCacheNext(ns, i, int(CacheI))
 	case ruleCacheMFwdGetS:
 		// Data to the requester and writeback to the directory.
-		ns.Net.SendInPlace(network.Msg{Type: MsgData, Src: i, Dst: m.Req, Req: None, Val: int(c.Data)})
-		ns.Net.SendInPlace(network.Msg{Type: MsgData, Src: i, Dst: sys.dirID, Req: None, Val: int(c.Data)})
+		ns.Net.SendInPlace(Msg{Kind: MsgData, Src: int8(i), Dst: m.Req, Req: None, Val: c.Data})
+		ns.Net.SendInPlace(Msg{Kind: MsgData, Src: int8(i), Dst: sys.dirID, Req: None, Val: c.Data})
 		sys.applyCacheNext(ns, i, int(CacheS))
 	case ruleCacheMFwdGetM:
-		ns.Net.SendInPlace(network.Msg{Type: MsgData, Src: i, Dst: m.Req, Req: None, Val: int(c.Data)})
+		ns.Net.SendInPlace(Msg{Kind: MsgData, Src: int8(i), Dst: m.Req, Req: None, Val: c.Data})
 		sys.applyCacheNext(ns, i, int(CacheI))
 	default:
-		ns.Err = "cache-" + c.St.String() + "+" + m.Type
+		ns.Err = "cache-" + c.St.String() + "+" + m.Kind.String()
 	}
 }
 
 // dirRecv is the directory controller: it handles m — already removed from
 // ns's network — under rule id. d is the directory as the source state had
 // it; acts are a hole rule's resolved actions.
-func (sys *System) dirRecv(ns *State, d Dir, id ruleID, m network.Msg, acts [3]int) {
+func (sys *System) dirRecv(ns *State, d Dir, id ruleID, m Msg, acts [3]int) {
 	switch id {
 	case ruleDirIGetS:
-		ns.Net.SendInPlace(network.Msg{Type: MsgData, Src: sys.dirID, Dst: m.Src, Req: None, Val: int(d.Mem)})
+		ns.Net.SendInPlace(Msg{Kind: MsgData, Src: sys.dirID, Dst: m.Src, Req: None, Val: d.Mem})
 		ns.Dir.Sharers = 1 << uint(m.Src)
 		ns.Dir.St = DirS
 	case ruleDirIGetM:
-		ns.Net.SendInPlace(network.Msg{Type: MsgData, Src: sys.dirID, Dst: m.Src, Req: None, Val: int(d.Mem)})
-		ns.Dir.Pending = int8(m.Src)
+		ns.Net.SendInPlace(Msg{Kind: MsgData, Src: sys.dirID, Dst: m.Src, Req: None, Val: d.Mem})
+		ns.Dir.Pending = m.Src
 		ns.Dir.St = DirIM
 	case ruleDirSGetS:
-		ns.Net.SendInPlace(network.Msg{Type: MsgData, Src: sys.dirID, Dst: m.Src, Req: None, Val: int(d.Mem)})
+		ns.Net.SendInPlace(Msg{Kind: MsgData, Src: sys.dirID, Dst: m.Src, Req: None, Val: d.Mem})
 		ns.Dir.Sharers |= 1 << uint(m.Src)
 	case ruleDirSGetM:
-		cnt := 0
+		var cnt int8
 		for j := range ns.Caches {
-			if ns.Dir.Sharers&(1<<uint(j)) != 0 && j != m.Src {
-				ns.Net.SendInPlace(network.Msg{Type: MsgInv, Src: sys.dirID, Dst: j, Req: m.Src})
+			if ns.Dir.Sharers&(1<<uint(j)) != 0 && int8(j) != m.Src {
+				ns.Net.SendInPlace(Msg{Kind: MsgInv, Src: sys.dirID, Dst: int8(j), Req: m.Src})
 				cnt++
 			}
 		}
-		ns.Net.SendInPlace(network.Msg{Type: MsgData, Src: sys.dirID, Dst: m.Src, Req: None, Cnt: cnt, Val: int(d.Mem)})
+		ns.Net.SendInPlace(Msg{Kind: MsgData, Src: sys.dirID, Dst: m.Src, Req: None, Cnt: cnt, Val: d.Mem})
 		ns.Dir.Sharers = 0
-		ns.Dir.Pending = int8(m.Src)
+		ns.Dir.Pending = m.Src
 		ns.Dir.St = DirSM
 	case ruleDirMGetS:
-		ns.Dir.Pending = int8(m.Src)
+		ns.Dir.Pending = m.Src
 		sys.applyDirResp(ns, dRespFwdGetS)
 		ns.Dir.St = DirMS
 	case ruleDirMGetM:
-		ns.Dir.Pending = int8(m.Src)
+		ns.Dir.Pending = m.Src
 		sys.applyDirResp(ns, dRespFwdGetM)
 		ns.Dir.St = DirMM
 	case ruleDirIMAck, ruleDirSMAck:
@@ -788,6 +740,6 @@ func (sys *System) dirRecv(ns *State, d Dir, id ruleID, m network.Msg, acts [3]i
 		ns.Dir.Pending = None
 		ns.Dir.St = DirS
 	default:
-		ns.Err = "dir-" + d.St.String() + "+" + m.Type
+		ns.Err = "dir-" + d.St.String() + "+" + m.Kind.String()
 	}
 }

@@ -39,7 +39,6 @@ import (
 	"strconv"
 	"strings"
 
-	"verc3/internal/network"
 	"verc3/internal/ts"
 )
 
@@ -95,18 +94,6 @@ var dirStateNames = [...]string{"I", "S", "M", "I_M", "S_M", "M_S", "M_M"}
 // String returns the state name.
 func (s DirState) String() string { return dirStateNames[s] }
 
-// Message type names.
-const (
-	MsgGetS    = "GetS"    // cache→dir read request
-	MsgGetM    = "GetM"    // cache→dir write request
-	MsgFwdGetS = "FwdGetS" // dir→owner: send Data to Req and write back
-	MsgFwdGetM = "FwdGetM" // dir→owner: send Data to Req and invalidate
-	MsgInv     = "Inv"     // dir→sharer: invalidate, Inv-Ack the Req
-	MsgInvAck  = "InvAck"  // sharer→requester
-	MsgData    = "Data"    // data response; Cnt = Inv-Acks to expect
-	MsgAck     = "Ack"     // requester→dir: transaction complete (unblock)
-)
-
 // None marks an empty agent field (no owner / no pending requester).
 const None = -1
 
@@ -140,7 +127,7 @@ type Dir struct {
 type State struct {
 	Caches []Cache
 	Dir    Dir
-	Net    network.Net
+	Net    Net
 	// Ghost is the specification variable: the most recently written value.
 	Ghost int8
 	// Err poisons the state when an agent received a message it has no
@@ -150,7 +137,8 @@ type State struct {
 }
 
 // Key implements ts.State: each cache as "St.Data.Acks|", then
-// "DSt.Owner.Pending.Sharers.Mem|", "GGhost|", the network's Key and, for
+// "DSt.Owner.Pending.Sharers.Mem|", "GGhost|", the in-flight messages as "Kind,Src,Dst,Req,Cnt,Val" joined by
+// ';' in canonical order and, for
 // an error state, "|E:" and the error. Traces, error text and the
 // exactness oracle compare this text; TestKeyTextMatchesFmt pins it.
 func (s *State) Key() string {
@@ -160,7 +148,7 @@ func (s *State) Key() string {
 	}
 	b = appendDotted(append(b, 'D'), int64(s.Dir.St), int64(s.Dir.Owner), int64(s.Dir.Pending), int64(s.Dir.Sharers), int64(s.Dir.Mem))
 	b = appendDotted(append(b, 'G'), int64(s.Ghost))
-	b = append(b, s.Net.Key()...)
+	b = s.Net.appendText(b)
 	if s.Err != "" {
 		b = append(append(b, "|E:"...), s.Err...)
 	}
@@ -180,8 +168,8 @@ func appendDotted(b []byte, vs ...int64) []byte {
 
 // AppendKey implements ts.KeyAppender: the binary sibling of Key. Every
 // agent-indexed and protocol field is emitted fixed-width (one byte per
-// int8-ranged field, cache count prefixed), the network as its
-// count-prefixed message encoding, and the error string length-prefixed —
+// int8-ranged field, cache count prefixed), the network as a message count
+// and six bytes per message, and the error string length-prefixed —
 // all self-delimiting, so the encoding is injective on field values
 // wherever Key is injective. The cache triples come first, in cache order:
 // CompareAgents depends on that.
@@ -191,7 +179,7 @@ func (s *State) AppendKey(dst []byte) []byte {
 		dst = append(dst, byte(c.St), byte(c.Data), byte(c.Acks))
 	}
 	dst = append(dst, byte(s.Dir.St), byte(s.Dir.Owner), byte(s.Dir.Pending), s.Dir.Sharers, byte(s.Dir.Mem), byte(s.Ghost))
-	dst = s.Net.AppendKey(dst)
+	dst = s.Net.appendKey(dst)
 	dst = binary.AppendUvarint(dst, uint64(len(s.Err)))
 	dst = append(dst, s.Err...)
 	return dst
@@ -231,14 +219,9 @@ func parseState(data []byte, wantCaches int) (*State, []byte, error) {
 	s.Dir = Dir{St: dst, Owner: int8(data[1]), Pending: int8(data[2]), Sharers: data[3], Mem: int8(data[4])}
 	s.Ghost = int8(data[5])
 	data = data[6:]
-	net, rest, err := network.DecodeNet(data)
+	net, rest, err := decodeNet(data)
 	if err != nil {
 		return nil, nil, fmt.Errorf("msi: %w", err)
-	}
-	for _, m := range net.Messages() {
-		if kindOf(m.Type) < 0 {
-			return nil, nil, fmt.Errorf("msi: message of unknown type %q", m.Type)
-		}
 	}
 	s.Net = net
 	data = rest
@@ -272,7 +255,7 @@ func (s *State) CopyFrom(src ts.State) {
 	o := src.(*State)
 	s.Caches = append(s.Caches[:0], o.Caches...)
 	s.Dir = o.Dir
-	o.Net.CopyInto(&s.Net)
+	o.Net.copyInto(&s.Net)
 	s.Ghost = o.Ghost
 	s.Err = o.Err
 }
@@ -329,7 +312,7 @@ func (s *State) PermuteInto(dst ts.State, perm []int) {
 	d.Dir.Sharers = sh
 	d.Ghost = s.Ghost
 	d.Err = s.Err
-	s.Net.PermuteInto(&d.Net, perm, n)
+	s.Net.permuteInto(&d.Net, perm, n)
 }
 
 // String renders the state for traces.

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"verc3/internal/msi"
-	"verc3/internal/network"
 	"verc3/internal/symmetry"
 	"verc3/internal/ts"
 	"verc3/internal/zoo"
@@ -99,7 +98,7 @@ func TestZooCloneIsPrivate(t *testing.T) {
 					intact("PermuteInto a Clone", i)
 				}
 				if m, ok := c.(*msi.State); ok {
-					m.Net.SendInPlace(network.Msg{Type: msi.MsgAck, Src: 0, Dst: 1, Req: msi.None})
+					m.Net.SendInPlace(msi.Msg{Kind: msi.MsgAck, Src: 0, Dst: 1, Req: msi.None})
 					m.Net.RemoveInPlace(0)
 					wrote++
 					intact("SendInPlace/RemoveInPlace on a Clone's network", i)

@@ -9,7 +9,6 @@ import (
 	"testing/quick"
 
 	"verc3/internal/msi"
-	"verc3/internal/network"
 	"verc3/internal/statespace"
 	"verc3/internal/symmetry"
 	"verc3/internal/ts"
@@ -196,9 +195,9 @@ func TestFingerprintZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool deliberately drops Puts under -race; steady-state allocs are only meaningful without it")
 	}
-	net := network.New(
-		network.Msg{Type: msi.MsgGetS, Src: 1, Dst: 5, Req: -1, Val: 0},
-		network.Msg{Type: msi.MsgData, Src: 5, Dst: 2, Req: -1, Cnt: 1, Val: 1},
+	net := msi.NewNet(
+		msi.Msg{Kind: msi.MsgGetS, Src: 1, Dst: 5, Req: -1, Val: 0},
+		msi.Msg{Kind: msi.MsgData, Src: 5, Dst: 2, Req: -1, Cnt: 1, Val: 1},
 	)
 	for _, tc := range []struct {
 		name   string
