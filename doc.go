@@ -85,10 +85,9 @@
 // cooperatively: partial stats, profiles and -report still flush, exit
 // code 3), verc3-verify's -checkpoint-dir / -resume / -checkpoint-every
 // snapshot and resume long runs, and -cpuprofile / -memprofile write pprof
-// profiles — which also turns on per-phase goroutine labels (mc-phase =
-// enumerate/fire/key/insert) so profiles split the exploration loop by
-// phase. Negative sizing or parallelism values are rejected up front
-// rather than silently clamped.
+// profiles (per-phase attribution of the exploration loop comes from
+// -report's sampled phase timings instead). Negative sizing or parallelism
+// values are rejected up front rather than silently clamped.
 // The repository benchmark lives in bench/ (go run ./bench; declared by
 // BENCHMARK.json): six paper-scale workloads, end to end and layer by
 // layer, whose end-to-end JSON CI archives per commit.
@@ -96,8 +95,8 @@
 // # Trace-optional exploration
 //
 // Exploration is memory-lean by default: the frontier carries (state,
-// usage-mask) entries directly in level buffers that are recycled as the
-// search advances, so a run without mc.Options.RecordTrace retains only
+// usage-mask) entries directly in blocks that go back to a free list as
+// soon as they are expanded, so a run without mc.Options.RecordTrace retains only
 // the 8-byte fingerprint per visited state — the regime every synthesis
 // dispatch runs in. Turning RecordTrace on allocates a parent-linked trace
 // node per state, buying replayable (and, with one worker, minimal)
@@ -167,7 +166,7 @@
 // the repository benchmark's layer walk (bench/walk.go) enumerates through.
 //
 // One level up, mc.Session keeps what a check needs beyond its Result —
-// the kernel, its workers' key, rule and frontier buffers, the
+// the kernel, its workers' key and rule buffers and frontier blocks, the
 // canonicalizer, the goal flags, the flat visited table (cleared in
 // place; a grown table or another backend is rebuilt) — across checks,
 // and each synthesis worker owns one, with one chooser it points at each

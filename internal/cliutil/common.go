@@ -151,14 +151,11 @@ func (c *CommonFlags) Backend() (visited.Kind, error) {
 }
 
 // ApplyMC fills the model-checker options derived from the common block:
-// backend selection and sizing, and phase labels (only when a CPU profile
-// is being taken — the labels cost a goroutine-label store per phase
-// switch).
+// backend selection and sizing.
 func (c *CommonFlags) ApplyMC(opt *mc.Options, backend visited.Kind) {
 	opt.Visited = backend
 	opt.SpillMem = int64(c.SpillMemMB) << 20
 	opt.SpillDir = c.SpillDir
-	opt.ProfileLabels = c.CPUProfile != ""
 }
 
 // Allocs starts counting heap allocations for -stats: call it before the

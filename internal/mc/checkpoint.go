@@ -536,16 +536,16 @@ func (e *explorer) resume(w *worker) (bool, error) {
 	copy(e.goalHit, meta.GoalHit)
 	e.peak = meta.PeakFrontier
 	e.depth = meta.Depth
-	w.out = make([]item, len(states))
-	for i, s := range states {
-		w.out[i] = item{state: s}
+	for _, s := range states {
+		e.push(w, item{state: s})
 	}
 	return true, nil
 }
 
 // checkpoint snapshots the run between levels, when the throttle says a
-// save is due: level is the freshly completed frontier, at e.depth.
-func (e *explorer) checkpoint(level []item) error {
+// save is due: the level just gathered is the frontier, at e.depth, and is
+// written block by block in level order.
+func (e *explorer) checkpoint() error {
 	if e.ckpt == nil || !e.ckpt.due() {
 		return nil
 	}
@@ -557,12 +557,14 @@ func (e *explorer) checkpoint(level []item) error {
 	meta.WildcardHit = e.res.WildcardHit
 	meta.GoalHit = append([]bool(nil), e.goalHit...)
 	meta.PeakFrontier = e.peak
-	meta.FrontierLen = len(level)
+	meta.FrontierLen = e.levelLen
 	meta.VisitedLen = e.visited.Len()
 	return e.ckpt.save(e.visited, meta, func(yield func(ts.State) error) error {
-		for i := range level {
-			if err := yield(level[i].state); err != nil {
-				return err
+		for _, b := range e.level.list {
+			for i := range b {
+				if err := yield(b[i].state); err != nil {
+					return err
+				}
 			}
 		}
 		return nil

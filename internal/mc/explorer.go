@@ -29,16 +29,18 @@ type item struct {
 
 // worker is one exploration worker's private scratch and tallies. Nothing
 // in it is shared: the keyer and rule buffer keep the keying and
-// enumeration hot paths allocation- and lock-free, and the counters are
-// plain integers that explorer.sum folds into the Result while no worker is
+// enumeration hot paths allocation- and lock-free, the environment copy
+// tallies the worker's own pool traffic, the frontier blocks come from its
+// own free list, and the counters are plain integers that explorer.sum folds into the Result while no worker is
 // running (level boundaries and the end of the run). The struct is padded
 // so neighbouring workers' per-transition counter writes never false-share.
-// A session keeps its workers, buffers included, from one check to the next,
-// and the liveness phase runs on worker 0 once the safety pass is over.
+// A session keeps its workers, buffers and frontier blocks included, from
+// one check to the next, and the liveness phase runs on worker 0 once the
+// safety pass is over.
 //
-// The recycling side needs no free-list here: the models pool through
+// The states themselves need no free list here: the models pool through
 // sync.Pool, whose per-P private caches already give each worker goroutine
-// a lock-free local free-list.
+// a lock-free local free list.
 type worker struct {
 	key keyer
 	// rules is the buffer this worker enumerates into, truncated per
@@ -47,9 +49,20 @@ type worker struct {
 	// ow stages this worker's telemetry counters (nil when Options.Obs is
 	// unset; every method no-ops on nil).
 	ow *obs.Worker
-	// out collects the fresh successors this worker admitted: its share of
-	// the next BFS level, or the whole DFS stack.
-	out []item
+	// env is this worker's copy of the check's environment (ts.Env.Fork):
+	// every firing runs in it, and the pool tallies its hits and misses on
+	// it.
+	env ts.Env
+	// out, tip and n are the fresh successors this worker admitted — its
+	// share of the next BFS level, or the whole DFS stack — as full blocks
+	// in out, the block being filled in tip, n entries in all (frontier.go).
+	out blocks
+	tip []item
+	n   int
+	// free holds the empty blocks this worker expanded last or allocated;
+	// allocated counts the entries of the blocks it allocated.
+	free      blocks
+	allocated int
 	// cur is the state being expanded, so a contained panic can report it.
 	cur ts.State
 	// poll counts expansions toward the next cooperative cancellation check.
@@ -63,40 +76,13 @@ type worker struct {
 	_                                 [64]byte
 }
 
-// minFrontierCap is a frontier buffer's first capacity. The ~75-state checks
-// of a synthesis run have levels of mostly 12–24 entries, and a one-shot
-// Check pays for its buffers on every call, so they start small; a session
-// grows them once and keeps them.
-const minFrontierCap = 16
-
-// push appends it to the worker's output, doubling the buffer when full.
-// append's own growth drops toward 1.25× for large slices and would
-// reallocate a wide level about five times over; doubling keeps a run's
-// frontier allocation within 2× of its peak.
-func (w *worker) push(it item) {
-	if len(w.out) == cap(w.out) {
-		w.out = grow(w.out, 1)
-	}
-	w.out = append(w.out, it)
-}
-
-// grow returns buf with room for n more items.
-func grow(buf []item, n int) []item {
-	if len(buf)+n <= cap(buf) {
-		return buf
-	}
-	grown := make([]item, len(buf), max(2*cap(buf), len(buf)+n, minFrontierCap))
-	copy(grown, buf)
-	return grown
-}
-
 // explorer is the safety exploration kernel: one expand / checkState / fail
 // / admit path shared by every configuration. What varies is only how many
 // workers walk the frontier (len(workers), from Options.Workers) and in
 // which order (Options.Order): breadth-first runs level by level, each
-// level spread over the workers — a single worker expands it inline on the
-// caller's goroutine, in item order, touching no atomics — and depth-first
-// runs worker 0's output buffer as a stack.
+// level spread over the workers a block at a time — a single worker expands
+// it inline on the caller's goroutine, in item order, touching no atomics —
+// and depth-first runs worker 0's output as a stack.
 //
 // Successors dedupe through the visited set, whose TryInsert doubles as the
 // expansion-ownership claim: every backend admits at most one of any set of
@@ -109,36 +95,34 @@ func grow(buf []item, n int) []item {
 //
 // An explorer belongs to a Session and serves its checks one after another.
 // The first block of fields is resolved once per session; the second is a
-// check's own and is reset by begin — buffers are truncated and the flat
-// visited table cleared in place, not rebuilt.
+// check's own and is reset by begin — buffers are truncated, frontier
+// blocks wait in the workers' free lists and the flat visited table is
+// cleared in place, not rebuilt.
 type explorer struct {
 	sys      ts.System
 	opt      Options
 	invs     []ts.Invariant
 	goals    []ts.ReachGoal
 	quies    ts.QuiescentReporter
-	recycler ts.Recycler     // nil when the system does not pool, or Options.NoRecycle
-	pool     ts.PoolReporter // nil when the system reports no pool traffic
-	labels   *phaseLabels
+	recycler ts.Recycler                      // nil when the system does not pool, or Options.NoRecycle
 	all      []worker                         // Options.Workers of them; a check runs the first n
 	noTraces *statespace.TraceStore[ts.State] // the disabled store of every traceless check
 
 	ctx   context.Context
-	env   *ts.Env
 	usage UsageTracker
 	ckpt  *checkpointer
-	// hits0 and misses0 are the pool's cumulative counters as the check
-	// began (see Session.Check).
-	hits0, misses0 uint64
 
 	visited visited.Store
 	traces  *statespace.TraceStore[ts.State]
 	workers []worker
-	// level is the BFS level being expanded and depth the search depth of
-	// the entries being expanded — the level's, or under DFS the popped
-	// entry's. Both are read-only while workers run.
-	level []item
-	depth int
+	// level is the BFS level being expanded, levelLen its entries, and
+	// depth the search depth of the entries being expanded — the level's,
+	// or under DFS the popped entry's. A worker that has expanded a level
+	// block nils its slot in level.list and frees it; the rest is read-only
+	// while workers run.
+	level    blocks
+	levelLen int
+	depth    int
 
 	// Run totals, folded from the workers' tallies by sum. admitted mirrors
 	// visited.Len() so the MaxStates probe never touches the store (Len can
@@ -166,14 +150,12 @@ func (e *explorer) init(sys ts.System, opt Options) {
 		sys:      sys,
 		opt:      opt,
 		invs:     sys.Invariants(),
-		labels:   newPhaseLabels(opt),
 		all:      make([]worker, n),
 		noTraces: statespace.NewTraceStore[ts.State](false),
 	}
 	if !opt.NoRecycle {
 		e.recycler, _ = sys.(ts.Recycler)
 	}
-	e.pool, _ = sys.(ts.PoolReporter)
 	if gr, ok := sys.(ts.GoalReporter); ok {
 		e.goals = gr.Goals()
 	}
@@ -206,16 +188,18 @@ func (e *explorer) begin(ctx context.Context, env *ts.Env, usage UsageTracker) e
 	if usage != nil {
 		n = 1
 	}
-	e.ctx, e.env, e.usage = ctx, env, usage
+	e.ctx, e.usage = ctx, usage
 	e.res = new(Result)
 	e.workers = e.all[:n]
-	e.level, e.depth = e.level[:0], 0
+	e.depth = 0
 	e.admitted, e.recycled, e.peak = 0, 0, 0
 	clear(e.goalHit)
 	for i := range e.workers {
-		// The other tallies were zeroed by the last sum of the previous check.
+		// The other tallies were zeroed by the last sum of the previous
+		// check, and its release emptied the frontier.
 		w := &e.workers[i]
-		w.out, w.cur, w.poll, w.maxDepth = w.out[:0], nil, 0, 0
+		w.env = env.Fork()
+		w.cur, w.poll, w.maxDepth = nil, 0, 0
 		clear(w.goalHit)
 	}
 	e.traces = e.noTraces
@@ -245,7 +229,6 @@ func (e *explorer) explore(ctx context.Context, env *ts.Env, usage UsageTracker)
 	}
 	e.opt.Obs.SetGauge(obs.GMaxStates, uint64(e.opt.MaxStates))
 	err := e.run()
-	e.labels.clear()
 	e.finish()
 	if cerr := closeStore(e.visited); err == nil {
 		err = cerr
@@ -293,7 +276,7 @@ func (e *explorer) seed(w *worker) (stop bool, err error) {
 		if e.checkState(w, it) {
 			return true, nil
 		}
-		w.push(it)
+		e.push(w, it)
 	}
 	return false, nil
 }
@@ -304,73 +287,83 @@ func (e *explorer) seed(w *worker) (stop bool, err error) {
 // checkpointer snapshots.
 func (e *explorer) bfs() error {
 	e.gather()
-	for len(e.level) > 0 {
+	for e.levelLen > 0 {
 		if stop, err := e.expandLevel(); stop || err != nil {
 			return err // finish accounts for what the workers hold
 		}
 		e.gather()
-		if len(e.level) == 0 {
+		if e.levelLen == 0 {
 			return nil
 		}
 		e.depth++
-		if err := e.endLevel(len(e.level)); err != nil {
+		if err := e.endLevel(e.levelLen); err != nil {
 			return err
 		}
-		if err := e.checkpoint(e.level); err != nil {
+		if err := e.checkpoint(); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// gather sums the workers' tallies and collects their outputs into the next
-// level. Worker 0's buffer becomes the level and the finished level's
-// buffer becomes worker 0's next output, so a single worker just swaps two
-// buffers that are recycled for the whole session; further workers' outputs
-// are appended behind. The finished level stays in its buffer while the
-// next one fills, so the frontier high-water mark is their coexistence, not
-// either level alone. With several workers the order within a level
-// depends on scheduling; the level structure keeps BFS depth semantics
-// regardless.
+// gather sums the workers' tallies and makes their outputs the next level:
+// worker 0's blocks first, then worker 1's and so on, moved by header —
+// no entry is copied. Every block of the finished level went back to a
+// free list as it was expanded, but the level still counts toward the
+// frontier high-water mark: its entries were held while the next level
+// filled, so the mark is the two levels' coexistence, not either alone —
+// one definition at every width. With several workers the order within a
+// level depends on scheduling; the level structure keeps BFS depth
+// semantics regardless.
 func (e *explorer) gather() {
 	e.sum()
-	w0 := &e.workers[0]
-	done, next := e.level, w0.out
-	w0.out = done[:0]
-	for i := 1; i < len(e.workers); i++ {
+	done := e.levelLen
+	e.level.list, e.levelLen = e.level.list[:0], 0
+	for i := range e.workers {
 		w := &e.workers[i]
-		next = append(grow(next, len(w.out)), w.out...)
-		w.out = w.out[:0]
+		w.flush()
+		for _, b := range w.out.list {
+			e.level.add(b)
+		}
+		clear(w.out.list)
+		w.out.list, e.levelLen, w.n = w.out.list[:0], e.levelLen+w.n, 0
 	}
-	e.peak = max(e.peak, len(done)+len(next))
-	e.level = next
+	e.peak = max(e.peak, done+e.levelLen)
 }
 
-// expandLevel spreads the level over the workers; a single worker (or a
-// single-item level) runs inline on the calling goroutine.
+// expandLevel spreads the level's blocks over the workers, one block per
+// claim; a single worker (or a single-block level) runs inline on the
+// calling goroutine.
 func (e *explorer) expandLevel() (stop bool, err error) {
-	if n := min(len(e.workers), len(e.level)); n > 1 {
-		return statespace.ExpandLevel(n, len(e.level), e.span)
+	n := len(e.level.list)
+	if k := min(len(e.workers), n); k > 1 {
+		return statespace.ExpandLevel(k, n, e.span)
 	}
-	return e.span(0, 0, len(e.level))
+	return e.span(0, 0, n)
 }
 
-// span expands level[lo:hi] in order on worker wi. Each range starts with
-// an unconditional cancellation poll: an already-expired context aborts
-// before any expansion, a deadline cannot slip past a whole level however
-// small the levels are, and a wide level split over several workers cannot
-// leave every one of them short of expand's stride.
+// span expands the level's blocks [lo, hi) in order on worker wi, handing
+// each to wi's free list once its last entry is expanded. Each range starts
+// with an unconditional cancellation poll: an already-expired context
+// aborts before any expansion, a deadline cannot slip past a whole level
+// however small the levels are, and a wide level split over several
+// workers cannot leave every one of them short of expand's stride.
 func (e *explorer) span(wi, lo, hi int) (stop bool, err error) {
 	w := &e.workers[wi]
 	defer e.contain(w, &stop)
 	if e.cancelled() {
 		return true, nil
 	}
-	for i := lo; i < hi; i++ {
-		if stop, err := e.expand(w, e.level[i]); stop || err != nil {
-			return true, err
+	for bi := lo; bi < hi; bi++ {
+		b := e.level.list[bi]
+		for i := range b {
+			if stop, err := e.expand(w, b[i]); stop || err != nil {
+				return true, err
+			}
+			b[i] = item{} // spent: release skips it
 		}
-		e.level[i].state = nil // spent: release skips it
+		e.level.list[bi] = nil
+		w.free.add(b[:0])
 	}
 	return false, nil
 }
@@ -378,23 +371,31 @@ func (e *explorer) span(wi, lo, hi int) (stop bool, err error) {
 // dfs runs w's output as a stack, with the entries' depths on a side stack.
 // DFS has no levels: level-aware backends rely on their own housekeeping,
 // cancellation — past the first poll — on expand's stride, and
-// PeakFrontier is the stack's high-water mark.
+// PeakFrontier is the stack's high-water mark. The entry being expanded is
+// off the stack, so a run that stops during its expansion recycles it here,
+// as release does for the stack.
 func (e *explorer) dfs(w *worker) (stop bool, err error) {
+	var it item
+	defer func() {
+		if stop && it.state != nil && !e.opt.RecordTrace {
+			e.recycle(w, it.state)
+		}
+	}()
 	defer e.contain(w, &stop)
 	if e.cancelled() {
 		return true, nil
 	}
-	e.peak = len(w.out)
-	depths := make([]int, len(w.out))
-	for n := len(w.out) - 1; n >= 0; n = len(w.out) - 1 {
-		it := w.out[n]
-		e.depth = depths[n]
-		w.out, depths = w.out[:n], depths[:n]
+	e.peak = w.n
+	depths := make([]int, w.n)
+	for w.n > 0 {
+		it = w.pop()
+		e.depth = depths[w.n]
+		depths = depths[:w.n]
 		stop, err := e.expand(w, it)
-		for len(depths) < len(w.out) {
+		for len(depths) < w.n {
 			depths = append(depths, e.depth+1)
 		}
-		e.peak = max(e.peak, len(w.out))
+		e.peak = max(e.peak, w.n)
 		if stop || err != nil {
 			return true, err
 		}
@@ -458,11 +459,9 @@ func (e *explorer) fail(kind FailKind, name string, n *statespace.TraceNode[ts.S
 // worker can still reach it — the unconditionally safe recycle point, valid
 // with traces on or off.
 func (e *explorer) admit(w *worker, s ts.State, sw *obs.Stopwatch) bool {
-	e.labels.set(obs.PhaseKey)
 	sw.Mark()
 	fp := w.key.fingerprint(s)
 	sw.Lap(obs.PhaseKey)
-	e.labels.set(obs.PhaseInsert)
 	fresh := e.visited.TryInsert(fp)
 	sw.Lap(obs.PhaseInsert)
 	if !fresh {
@@ -522,7 +521,6 @@ func (e *explorer) expand(w *worker, it item) (stop bool, err error) {
 	w.cur = it.state
 	sw := w.ow.BeginExpansion() // nil on unsampled expansions; Stopwatch is nil-safe
 	defer sw.Done()
-	e.labels.set(obs.PhaseEnumerate)
 	sw.Mark()
 	w.rules = e.sys.AppendRules(w.rules[:0], it.state)
 	sw.Lap(obs.PhaseEnumerate)
@@ -532,7 +530,6 @@ func (e *explorer) expand(w *worker, it item) (stop bool, err error) {
 		if usage != nil {
 			usage.ResetUsage()
 		}
-		e.labels.set(obs.PhaseFire)
 		sw.Mark()
 		next, ferr := e.fire(w, it.state, r)
 		sw.Lap(obs.PhaseFire)
@@ -566,7 +563,7 @@ func (e *explorer) expand(w *worker, it item) (stop bool, err error) {
 			}
 			return true, nil
 		}
-		w.push(child)
+		e.push(w, child)
 	}
 	if succs == 0 && blocked == 0 {
 		// With blocked > 0 all outgoing behaviour hides behind wildcards:
@@ -578,8 +575,8 @@ func (e *explorer) expand(w *worker, it item) (stop bool, err error) {
 		}
 	}
 	// Normal completion. In traceless mode the expanded state is dead: no
-	// trace node references it, its frontier entry is never read again (the
-	// level buffer's copy of the pointer is not dereferenced), and its rule
+	// trace node references it, its frontier entry is never read again (span
+	// zeroes it), and its rule
 	// records are never fired again — so its storage returns to the pool from
 	// the worker that owned its expansion. With traces on it is retained by
 	// its trace node and must escape the pool forever.
@@ -593,7 +590,7 @@ func (e *explorer) expand(w *worker, it item) (stop bool, err error) {
 // is counted on w and returns a nil state and no error; any other model
 // error comes back naming the transition and its source state.
 func (e *explorer) fire(w *worker, s ts.State, r ts.Rule) (next ts.State, err error) {
-	next, err = e.sys.FireRule(s, r, e.env)
+	next, err = e.sys.FireRule(s, r, &w.env)
 	if err == nil {
 		return next, nil
 	}
@@ -638,34 +635,37 @@ func (e *explorer) sum() {
 	e.res.WildcardHit = st.WildcardAborts > 0
 }
 
-// release closes the frontier's books when a run ends, however it ended. A
-// run that stopped mid-level never gathered it: the unexpanded rest of the
-// level and the successors the workers admitted count toward the frontier
-// high-water mark exactly as a gathered level would. And in traceless mode
-// every state those entries hold is owned by the kernel alone — a violation
-// keeps its trace, when it has one, in trace nodes — so they go back to the
-// pool instead of leaking: a synthesis run is mostly checks that end at
-// their first violation, and the next check's first clones are these.
+// release closes the frontier's books when a run ends, however it ended,
+// and hands every block back to a free list. A run that stopped mid-level
+// never gathered it: the level and the successors the workers admitted
+// count toward the frontier high-water mark exactly as a gathered level
+// would. And in traceless mode every state those entries hold is owned by
+// the kernel alone — a violation keeps its trace, when it has one, in trace
+// nodes — so they go back to the pool instead of leaking: a synthesis run
+// is mostly checks that end at their first violation, and the next check's
+// first clones are these.
 func (e *explorer) release() {
-	held := len(e.level)
+	held := e.levelLen
 	for i := range e.workers {
-		held += len(e.workers[i].out)
+		held += e.workers[i].n
 	}
 	e.peak = max(e.peak, held)
-	if e.opt.RecordTrace || e.recycler == nil {
-		return
-	}
 	w0 := &e.workers[0]
-	for _, it := range e.level {
-		if it.state != nil {
-			e.recycle(w0, it.state)
+	for _, b := range e.level.list {
+		if b != nil {
+			e.drop(w0, b)
 		}
 	}
+	clear(e.level.list)
+	e.level.list, e.levelLen = e.level.list[:0], 0
 	for i := range e.workers {
 		w := &e.workers[i]
-		for _, it := range w.out {
-			e.recycle(w, it.state)
+		w.flush()
+		for _, b := range w.out.list {
+			e.drop(w, b)
 		}
+		clear(w.out.list)
+		w.out.list, w.n = w.out.list[:0], 0
 	}
 }
 

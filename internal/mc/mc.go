@@ -64,16 +64,17 @@
 // counterexamples are minimal — the property the paper's candidate pruning
 // relies on, since a minimal trace of a faulty protocol rarely exercises
 // every hole, so its failure generalizes to every candidate sharing the
-// trace's hole subset. Several workers claim chunks of the level from a
-// shared cursor (statespace.ExpandLevel) and dedupe through a lock-striped
-// store; their counts and verdicts are the same, their counterexamples are
+// trace's hole subset. Several workers claim the level's blocks one at a
+// time from a shared cursor (statespace.ExpandLevel) and dedupe through a
+// lock-striped store; their counts and verdicts are the same, their counterexamples are
 // valid replays but not necessarily minimal, and the first violation
 // recorded wins.
 //
 // Options.Order is how the frontier is walked. BFS goes level by level, the
-// workers' outputs becoming the next level, from two buffers that are
-// recycled for the whole run. DFS runs one worker's output as a stack over
-// the same expand. DFS order and usage tracking (Session.Check's tracker:
+// workers' output blocks becoming the next level without a copy, and every
+// block going back to a free list the session keeps as soon as it is
+// expanded (frontier.go). DFS runs one worker's blocks as a stack over the
+// same expand. DFS order and usage tracking (Session.Check's tracker:
 // one tracker brackets one firing at a time) always run one worker,
 // whatever Workers says.
 //
@@ -376,12 +377,6 @@ type Options struct {
 	// identical either way (the zoo recycling-equivalence test pins this);
 	// the flag exists for differential testing and the E15 ablation.
 	NoRecycle bool
-	// ProfileLabels wraps the kernel's inner-loop phases (enumerate / fire
-	// / key / insert) in runtime/pprof goroutine labels so -cpuprofile
-	// output attributes hot-path time by phase. Costs one label switch per
-	// phase transition; leave it off except when profiling (the cmd/ tools
-	// set it alongside -cpuprofile).
-	ProfileLabels bool
 	// Liveness additionally checks the system's liveness goals
 	// (ts.LivenessReporter) after a safety pass that found no violation:
 	// a sequential nested-DFS cycle search per goal over the product with
@@ -410,9 +405,9 @@ type Options struct {
 // the synthesis engine's shape, where tens of thousands of small checks
 // differ only in the candidate the environment's chooser resolves holes to.
 // What a check needs beyond its own Result — the exploration kernel, its
-// workers' key, rule and frontier buffers, the canonicalizer, the goal
-// flags, the flat visited table — is built by NewSession and kept: each
-// Check empties it (the visited table is cleared in place; a backend that
+// workers' key and rule buffers and frontier blocks, the canonicalizer, the
+// goal flags, the flat visited table — is built by NewSession and kept:
+// each Check empties it (the visited table is cleared in place; a backend that
 // cannot be, such as spill, is rebuilt) instead of allocating it again.
 // Reuse is invisible in the results: a session's n-th Check returns what a
 // one-shot Check of the same candidate returns, pool traffic aside, and
@@ -447,12 +442,8 @@ func NewSession(sys ts.System, opt Options) *Session {
 // reported in the Result, not as errors.
 func (s *Session) Check(ctx context.Context, env *ts.Env, usage UsageTracker) (*Result, error) {
 	e := &s.e
-	// The pool baseline is the check's first call into the system, so the
-	// run reports its own delta of the system's cumulative counters. It is
-	// asked of the system the session was given — a wrapper's PoolStats
-	// included — not of a pool resolved once.
-	if e.pool != nil {
-		e.hits0, e.misses0 = e.pool.PoolStats()
+	if ps, ok := e.sys.(poolStatser); ok {
+		ps.PoolStats()
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -470,11 +461,17 @@ func (s *Session) Check(ctx context.Context, env *ts.Env, usage UsageTracker) (*
 			return nil, err
 		}
 	}
-	if e.pool != nil {
-		h, m := e.pool.PoolStats()
-		res.Space.PoolHits, res.Space.PoolMisses = h-e.hits0, m-e.misses0
-	}
+	res.Space.PoolHits, res.Space.PoolMisses = e.poolTraffic()
 	return res, nil
+}
+
+// poolStatser is a system that still answers PoolStats, as msi.System does.
+// Session.Check calls it before anything else and ignores the answer — the
+// pool traffic is tallied per worker — because the call marks where a check
+// begins for anything wrapping the system: the repository benchmark's traced
+// synthesis child times its dispatch spans from it.
+type poolStatser interface {
+	PoolStats() (hits, misses uint64)
 }
 
 // Check explores the reachable state space of sys under opt. It is

@@ -286,8 +286,8 @@ func (nopUsage) Usage() uint64 { return 0 }
 // costs. The system is a ten-state tree explored the way synthesis explores
 // (traceless, usage-tracked, one worker). A session's steady state is the
 // Result and the model's Initial slice — kernel, worker scratch, visited
-// table and frontier buffers are the session's and are reused — with slack
-// for two more; a one-shot Check builds the session first (20 allocations,
+// table and frontier blocks are the session's and are reused — with slack
+// for two more; a one-shot Check builds the session first (19 allocations,
 // 27 before sessions existed) and keeps a ceiling of its own.
 func TestCheckFixedAllocs(t *testing.T) {
 	g := &toy.Graph{SysName: "tree10", Init: []int{0}, Nodes: []toy.Node{

@@ -35,9 +35,8 @@ func (e *explorer) endLevel(frontier int) error {
 // appends a timeline mark, so a snapshot taken at a level boundary or after
 // the run is exact however the run ended. Called only while no worker is
 // running, after sum. store.Stats() is a few loads per backend — fine per
-// level, far too hot per state. The pool figures are gauges, not counters:
-// the underlying ts.PoolReporter totals are per-system and shared across
-// concurrent synthesis dispatches (see obs.GPoolHits).
+// level, far too hot per state. The pool figures are this check's own,
+// summed over its workers' environments (see obs.GPoolHits).
 func (e *explorer) publish(frontier int) {
 	o := e.opt.Obs
 	if o == nil {
@@ -52,10 +51,17 @@ func (e *explorer) publish(frontier int) {
 	o.SetGauge(obs.GVisitedBytes, uint64(vs.Bytes))
 	o.SetGauge(obs.GSpilledBytes, uint64(vs.SpilledBytes))
 	o.SetGauge(obs.GSpillRuns, uint64(vs.SpillRuns))
-	if e.pool != nil {
-		h, m := e.pool.PoolStats()
-		o.SetGauge(obs.GPoolHits, h-e.hits0)
-		o.SetGauge(obs.GPoolMisses, m-e.misses0)
-	}
+	h, m := e.poolTraffic()
+	o.SetGauge(obs.GPoolHits, h)
+	o.SetGauge(obs.GPoolMisses, m)
 	o.MarkTimeline()
+}
+
+// poolTraffic sums the pool hits and misses the check's workers tallied.
+func (e *explorer) poolTraffic() (hits, misses uint64) {
+	for i := range e.workers {
+		h, m := e.workers[i].env.PoolTraffic()
+		hits, misses = hits+h, misses+m
+	}
+	return hits, misses
 }

@@ -263,8 +263,8 @@ func TestParallelPeakFrontierHighWater(t *testing.T) {
 	}}
 	// One definition at every width. The sequential half used to expect 4:
 	// the old sequential driver's ring released each entry as it was
-	// popped. The kernel walks BFS level by level from two recycled
-	// buffers, so a single worker retains exactly what several do.
+	// popped. The kernel counts a finished level with the next one at every
+	// level boundary, so a single worker reports exactly what several do.
 	for _, workers := range []int{4, 1} {
 		res, err := mc.Check(g, mc.Options{Workers: workers})
 		if err != nil {

@@ -89,8 +89,8 @@ func TestZooEquivalenceRecycling(t *testing.T) {
 // boundedNet wraps the MSI system with an extra invariant that fails once
 // the network holds a few messages, forcing a counterexample deep enough
 // that its trace spans several pooled allocations. Embedding the concrete
-// *msi.System keeps the whole lifecycle method set (Recycler, PoolReporter)
-// promoted, so recycling stays active under the wrapper.
+// *msi.System keeps its Recycler method promoted, so recycling stays
+// active under the wrapper.
 type boundedNet struct{ *msi.System }
 
 func (b boundedNet) Invariants() []ts.Invariant {

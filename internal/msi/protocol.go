@@ -55,7 +55,7 @@ type Config struct {
 }
 
 // System implements ts.System for the MSI protocol, plus successor
-// pooling (ts.Recycler and ts.PoolReporter through the embedded pool):
+// pooling (ts.Recycler through the embedded pool):
 // enabled transitions are ts.Rule records, FireRule draws its clones from
 // the pool, and names come from a table shared by every System of the same
 // shape. The tables are immutable and the pool is safe for concurrent use,
@@ -358,10 +358,10 @@ func New(cfg Config) *System {
 }
 
 // succ returns a successor state equal to st, in recycled storage when the
-// pool has any. Either way it owns its network, which is what entitles the
-// firing rule to mutate that in place.
-func (sys *System) succ(st *State) *State {
-	if ns, ok := sys.Get(); ok {
+// pool has any, tallying the pool's answer on env. Either way it owns its
+// network, which is what entitles the firing rule to mutate that in place.
+func (sys *System) succ(st *State, env *ts.Env) *State {
+	if ns, ok := sys.Get(env); ok {
 		ns.CopyFrom(st)
 		return ns
 	}
@@ -375,6 +375,13 @@ func (sys *System) Name() string {
 	}
 	return sys.cfg.Variant.String()
 }
+
+// PoolStats reports no traffic: a check tallies its pool hits and misses
+// per worker, on ts.Env. It is the first call the model checker makes into
+// the system at the start of every check (mc.Session.Check), and stays for
+// that alone: the repository benchmark's traced synthesis child wraps it to
+// mark where each check begins.
+func (sys *System) PoolStats() (hits, misses uint64) { return 0, 0 }
 
 // DirID returns the directory's agent index (== number of caches).
 func (sys *System) DirID() int { return int(sys.dirID) }
@@ -396,7 +403,7 @@ func (sys *System) DecodeKey(data []byte) (ts.State, []byte, error) {
 // memory and ghost 0, empty network — in recycled storage when the pool has
 // any, like every other state the system hands out.
 func (sys *System) Initial() []ts.State {
-	return []ts.State{sys.succ(&sys.initial)}
+	return []ts.State{sys.succ(&sys.initial, nil)}
 }
 
 // AppendTransitions appends the transitions enabled in s to dst as
@@ -498,7 +505,7 @@ func (sys *System) FireRule(src ts.State, r ts.Rule, env *ts.Env) (ts.State, err
 			acts[k] = a
 		}
 	}
-	ns := sys.succ(st)
+	ns := sys.succ(st, env)
 	switch id {
 	case ruleIssueRead:
 		ns.Net.SendInPlace(Msg{Kind: MsgGetS, Src: int8(i), Dst: sys.dirID, Req: None})

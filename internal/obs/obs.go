@@ -37,8 +37,7 @@
 // test pins this).
 //
 // All methods on a nil *Collector and nil *Worker are no-ops, so
-// instrumented code needs no "is telemetry on?" branches — the same idiom
-// as the mc package's pprof phase labels.
+// instrumented code needs no "is telemetry on?" branches.
 package obs
 
 import (
@@ -113,11 +112,11 @@ const (
 	// GMaxStates is the -max-states cap (0 = unlimited); readers derive
 	// "% of cap" from it.
 	GMaxStates
-	// GPoolHits and GPoolMisses are the successor pool's cumulative
-	// traffic delta for the current run. Gauges, not counters: the
-	// underlying ts.PoolReporter counts are per-system and shared across
-	// concurrent synthesis dispatches, so only last-writer-wins
-	// per-run deltas are meaningful.
+	// GPoolHits and GPoolMisses are the successor pool's traffic in the
+	// current check, summed over its workers' own tallies (ts.Env). Gauges,
+	// not counters: concurrent synthesis dispatches may share a collector,
+	// and each publishes its own check's exact figures, the last writer
+	// winning.
 	GPoolHits
 	GPoolMisses
 	// GRound, GHoles, GPatterns and GCandidates describe synthesis

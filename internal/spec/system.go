@@ -38,7 +38,7 @@ type instance struct {
 // system is a compiled model as a ts.System over state type S. Every
 // instance name and property is built once, when the system is; firing
 // draws its copy from the embedded pool, which makes the system a
-// ts.Recycler and a ts.PoolReporter.
+// ts.Recycler.
 type system[S stateLike] struct {
 	ts.Pool[S]
 	name  string
@@ -140,7 +140,7 @@ func (x *system[S]) RuleName(r ts.Rule) string { return x.names[r.Name] }
 // FireRule implements ts.System: the instance's action runs on a copy of
 // src, which goes straight back to the pool when the action aborts.
 func (x *system[S]) FireRule(src ts.State, r ts.Rule, env *ts.Env) (ts.State, error) {
-	ns, ok := x.Get()
+	ns, ok := x.Get(env)
 	if ok {
 		ns.core().CopyFrom(src)
 	} else {

@@ -85,8 +85,8 @@ func TestSystemPerProcessNames(t *testing.T) {
 }
 
 // TestSystemAbortRecycles checks that an action aborted at a wildcard hole
-// hands its copy back to the pool: the next firing reuses it, which
-// PoolStats reports as a hit.
+// hands its copy back to the pool: the next firing reuses it, which the
+// environment tallies as a hit.
 func TestSystemAbortRecycles(t *testing.T) {
 	sys := parse(t, `{"format": "verc3_model_v1", "name": "abort",
 	  "vars": [{"name": "v", "type": "int", "min": 0, "max": 1}],
@@ -103,7 +103,7 @@ func TestSystemAbortRecycles(t *testing.T) {
 			t.Fatalf("firing at a wildcard gave %v, %v; want nil, ErrWildcard", next, err)
 		}
 	}
-	if hits, _ := sys.(ts.PoolReporter).PoolStats(); hits == 0 {
+	if hits, _ := env.PoolTraffic(); hits == 0 {
 		t.Error("no firing reused an aborted copy")
 	}
 }

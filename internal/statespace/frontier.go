@@ -5,11 +5,12 @@ import (
 	"sync/atomic"
 )
 
-// ExpandLevel fans one breadth-first level of n items out over a pool of
+// ExpandLevel fans one breadth-first level of n claims out over a pool of
 // workers.
 //
-// The level is cut into index ranges and expand is called once per range
-// [lo, hi); the caller owns the items and whatever the expansion emits.
+// A claim is one index — the model checker's is a block of up to 1,024
+// states — and expand is called once per claim i with the range [i, i+1);
+// the caller owns the claims and whatever the expansion emits.
 // worker is the index of the executing worker in [0, workers): it is stable
 // for the goroutine making the call, so callers hang per-worker scratch
 // (key buffers, output slices, counters) off it instead of sharing or
@@ -23,7 +24,7 @@ import (
 // deterministic across runs — the level-synchronous structure guarantees
 // BFS depth semantics regardless.
 //
-// workers <= 1 (or a single-item level) is one inline call expand(0, 0, n)
+// workers <= 1 (or a single-claim level) is one inline call expand(0, 0, n)
 // on the calling goroutine, with zero scheduling overhead.
 func ExpandLevel(workers, n int, expand func(worker, lo, hi int) (stop bool, err error)) (stopped bool, err error) {
 	if workers > n {
@@ -37,10 +38,9 @@ func ExpandLevel(workers, n int, expand func(worker, lo, hi int) (stop bool, err
 		return stop || err != nil, err
 	}
 
-	// Workers claim fixed-size chunks of the level via an atomic cursor:
-	// cheap, cache-friendly, and self-balancing when some states have far
-	// more successors than others.
-	chunk := min(max(n/(workers*8), 1), 256)
+	// Workers claim the level one index at a time via an atomic cursor:
+	// cheap, and self-balancing when some claims take far longer than
+	// others.
 	var (
 		cursor   atomic.Int64
 		stopFlag atomic.Bool
@@ -52,12 +52,11 @@ func ExpandLevel(workers, n int, expand func(worker, lo, hi int) (stop bool, err
 		go func(w int) {
 			defer wg.Done()
 			for !stopFlag.Load() {
-				hi := int(cursor.Add(int64(chunk)))
-				lo := hi - chunk
-				if lo >= n {
+				i := int(cursor.Add(1)) - 1
+				if i >= n {
 					return
 				}
-				stop, err := expand(w, lo, min(hi, n))
+				stop, err := expand(w, i, i+1)
 				if err != nil {
 					errOnce.CompareAndSwap(nil, &err)
 				}

@@ -2,8 +2,8 @@ package statespace
 
 // Queue is a growable ring buffer for exploration frontiers: PushBack +
 // PopFront is FIFO (breadth-first order), PushBack + PopBack is LIFO
-// (depth-first order). The checker's own kernel walks level buffers
-// instead (internal/mc); the benchmark's independent reference walk
+// (depth-first order). The checker's own kernel walks lists of recycled
+// blocks instead (internal/mc); the benchmark's independent reference walk
 // (bench/walk.go) runs on this queue. Every pop zeroes the vacated slot,
 // so popped elements become collectible immediately — with trace recording
 // off this is what bounds retained exploration memory to the frontier

@@ -19,10 +19,10 @@
 // liveness product state is the system state's encoding plus its monitor
 // bytes — is appended into one reusable buffer and hashed with OfBytes.
 //
-// Exploration is trace-optional. The frontier carries states directly and
-// each level's buffer is recycled for the level after next, so with
-// counterexample recording off nothing per-state outlives the level after
-// its own except the 8-byte fingerprint — the
+// Exploration is trace-optional. The frontier carries states directly, in
+// blocks that go back to a free list as soon as their last state is
+// expanded, so with counterexample recording off nothing per-state outlives
+// its own expansion except the 8-byte fingerprint — the
 // memory regime of SPIN's and TLC's fingerprint-only modes. Only when the
 // caller wants replayable counterexamples does TraceStore allocate one
 // parent-linked TraceNode per discovered state, restoring the O(states)

@@ -65,8 +65,8 @@ type Stats struct {
 	Mallocs    uint64 `json:"mallocs,omitempty"`
 	AllocBytes uint64 `json:"alloc_bytes,omitempty"`
 	// PoolHits and PoolMisses are the successor pool's traffic over the run
-	// (ts.PoolReporter delta): Fire clones served from recycled storage vs
-	// built fresh. Recycled counts the states the checker handed back to
+	// (the workers' ts.Env tallies): Fire clones served from recycled
+	// storage vs built fresh. Recycled counts the states the checker handed back to
 	// the pool: rejected duplicates, expanded states in traceless mode, and
 	// the liveness phase's rejected product successors, dead monitor
 	// branches and popped stack states. All zero when the system does not

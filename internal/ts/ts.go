@@ -61,9 +61,11 @@
 //   - Recycler, implemented by the system, accepts a dead state back
 //     (Recycle) so its storage can seed the next successor.
 //   - Pool is its one implementation: a system embeds a Pool[*itsState]
-//     to become a Recycler and a PoolReporter, and draws successors from
-//     Pool.Get, overwriting a hit in place with its own state type's
-//     CopyFrom (Clone into existing storage) and Cloning on a miss.
+//     to become a Recycler, and draws successors from Pool.Get, overwriting
+//     a hit in place with its own state type's CopyFrom (Clone into
+//     existing storage) and Cloning on a miss. Get tallies each hit and
+//     miss on the firing's Env, which is how the checker counts pool
+//     traffic per worker.
 //
 // Who may recycle: every State returned by Initial or FireRule is owned by
 // the caller, and a caller may hand any such state to Recycle once nothing
@@ -236,15 +238,6 @@ type Recycler interface {
 	Recycle(s State)
 }
 
-// PoolReporter is optionally implemented alongside Recycler to expose the
-// successor pool's cumulative traffic for statistics: hits counts
-// successors served from recycled storage, misses counts clones built fresh
-// (pool empty — exploration start, or storage still checked out). The
-// checker reports the per-run delta in statespace.Stats.
-type PoolReporter interface {
-	PoolStats() (hits, misses uint64)
-}
-
 // Rule is one enabled transition of a state, as data: what a System's
 // AppendRules appends per enabled rule. It is fixed-width and pointer-free,
 // so a worker's rule buffer is recycled across expansions without the
@@ -274,10 +267,15 @@ type Rule struct {
 // Env is the execution environment a transition fires in. It is the bridge
 // between the model and the synthesis engine: models call Choose at each
 // hole. A nil *Env (plain model checking of a complete model) makes Choose
-// panic, which turns an accidentally-left hole into a loud failure.
+// panic, which turns an accidentally-left hole into a loud failure. An Env
+// also tallies the successor pool's traffic (Pool.Get), so firings that run
+// concurrently each need their own: Fork one per goroutine.
 type Env struct {
 	// chooser is installed by the synthesis engine.
 	chooser Chooser
+	// hits and misses tally the Pool.Get calls made with this environment:
+	// successors served from recycled storage, and clones built fresh.
+	hits, misses uint64
 }
 
 // Chooser resolves synthesis holes. Implementations live in internal/core.
@@ -292,6 +290,20 @@ type Chooser interface {
 // NewEnv wraps a Chooser for use by firing transitions. A nil chooser yields
 // an environment on which Choose panics (complete models never call it).
 func NewEnv(c Chooser) *Env { return &Env{chooser: c} }
+
+// Fork returns an environment with e's chooser and no pool traffic tallied:
+// one per exploration worker, so that each tallies its own. The fork of a
+// nil environment has no chooser.
+func (e *Env) Fork() Env {
+	if e == nil {
+		return Env{}
+	}
+	return Env{chooser: e.chooser}
+}
+
+// PoolTraffic reports the Pool.Get hits and misses tallied on e since it
+// was made or forked.
+func (e *Env) PoolTraffic() (hits, misses uint64) { return e.hits, e.misses }
 
 // Choose resolves the named hole to an action index in [0, len(actions)).
 // It returns ErrWildcard when the synthesizer has the hole at its wildcard

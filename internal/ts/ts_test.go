@@ -71,25 +71,31 @@ func (foreignState) Key() string               { return "" }
 func (foreignState) AppendKey(d []byte) []byte { return d }
 func (foreignState) Clone() ts.State           { return foreignState{} }
 
-// TestPoolRecyclesOnlyItsOwnType: every Get is counted as a hit or a miss,
-// a hit hands back a state that was recycled, and a state of another type
-// never comes out — from several goroutines at once, since every
-// exploration worker shares the system's pool. (sync.Pool may drop any Put,
-// and does so on purpose under -race, so a hit is never guaranteed.)
+// TestPoolRecyclesOnlyItsOwnType: every Get is tallied as a hit or a miss
+// on its goroutine's forked environment, a hit hands back a state that was
+// recycled, and a state of another type never comes out — from several
+// goroutines at once, since every exploration worker shares the system's
+// pool. (sync.Pool may drop any Put, and does so on purpose under -race, so
+// a hit is never guaranteed.)
 func TestPoolRecyclesOnlyItsOwnType(t *testing.T) {
 	var p ts.Pool[*poolState]
-	if _, ok := p.Get(); ok {
+	first := ts.NewEnv(nil).Fork()
+	if _, ok := p.Get(&first); ok {
+		t.Fatal("Get on an empty pool reported a hit")
+	}
+	if _, ok := p.Get(nil); ok {
 		t.Fatal("Get on an empty pool reported a hit")
 	}
 	p.Recycle(foreignState{})
 	const workers, rounds = 4, 500
+	envs := make([]ts.Env, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				s, ok := p.Get()
+				s, ok := p.Get(&envs[w])
 				if !ok {
 					s = &poolState{}
 				} else if s.v != 1 {
@@ -102,11 +108,12 @@ func TestPoolRecyclesOnlyItsOwnType(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	hits, misses := p.PoolStats()
-	if hits+misses != 1+workers*rounds {
-		t.Errorf("hits %d + misses %d, want %d Gets", hits, misses, 1+workers*rounds)
+	for w := range envs {
+		if hits, misses := envs[w].PoolTraffic(); hits+misses != rounds {
+			t.Errorf("worker %d: hits %d + misses %d, want %d Gets", w, hits, misses, rounds)
+		}
 	}
-	if misses == 0 {
-		t.Error("the first Get found the pool empty and must count as a miss")
+	if hits, misses := first.PoolTraffic(); hits != 0 || misses != 1 {
+		t.Errorf("the first Get tallied %d hits and %d misses, want one miss", hits, misses)
 	}
 }

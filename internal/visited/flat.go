@@ -2,7 +2,6 @@ package visited
 
 import (
 	"sync"
-	"sync/atomic"
 	"unsafe"
 
 	"verc3/internal/statespace"
@@ -228,10 +227,10 @@ type stripe struct {
 // stripedFlat is the concurrent Flat variant for multi-worker runs: the
 // fingerprint's low bits select an independent flatTable guarded by its own
 // mutex, so probing and growth never cross a stripe boundary and the
-// critical section is a handful of word comparisons.
+// critical section is a handful of word comparisons. There is no shared
+// state counter for inserts to contend on: Len sums the stripes.
 type stripedFlat struct {
 	stripes []stripe
-	count   atomic.Int64
 }
 
 func newStripedFlat() *stripedFlat {
@@ -243,13 +242,23 @@ func (s *stripedFlat) TryInsert(fp statespace.Fingerprint) bool {
 	st.mu.Lock()
 	fresh := st.t.tryInsert(uint64(fp), flatMinStripeSlots)
 	st.mu.Unlock()
-	if fresh {
-		s.count.Add(1)
-	}
 	return fresh
 }
 
-func (s *stripedFlat) Len() int { return int(s.count.Load()) }
+// Len sums the stripes' sizes, each under its lock: a sweep over the
+// stripes, taken only where a run's counts are settled — at level
+// boundaries and at the end (the kernel mirrors the count for its state
+// cap).
+func (s *stripedFlat) Len() int {
+	n := 0
+	for i := range s.stripes {
+		sp := &s.stripes[i]
+		sp.mu.Lock()
+		n += sp.t.len()
+		sp.mu.Unlock()
+	}
+	return n
+}
 
 // Stats snapshots every stripe in a single locked pass, so the reported
 // States/Bytes/Grows triple is stripe-consistent: a stripe that grows

@@ -130,7 +130,9 @@ type Store interface {
 	// most one of any set of racing inserts of the same fingerprint is
 	// told it was first, for every backend.
 	TryInsert(fp statespace.Fingerprint) bool
-	// Len returns the number of fingerprints admitted.
+	// Len returns the number of fingerprints admitted. Like Stats it may
+	// lock every stripe in turn, so it too belongs between levels or after
+	// the run.
 	Len() int
 	// Stats returns the full self-report, footprint included. It may lock
 	// every stripe in turn: call it between levels or after the run, not on
