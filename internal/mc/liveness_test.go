@@ -2,13 +2,13 @@ package mc_test
 
 import (
 	"fmt"
+	"hash/fnv"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"verc3/internal/mc"
 	"verc3/internal/spec"
-	"verc3/internal/statespace"
 	"verc3/internal/ts"
 	"verc3/internal/zoo"
 )
@@ -157,15 +157,17 @@ func TestLivenessToy(t *testing.T) {
 // verdict and failing goal, the NDFS product-state counts, the lasso's shape,
 // the run's wildcard aborts, and a fingerprint of the lasso's (rule, Key
 // text) sequence. Hashing the Key text rather than the binary AppendKey
-// bytes keeps the pin independent of the key encoding, so a change of
-// encoding must leave it alone.
+// bytes keeps the pin independent of the key encoding, and hashing it with
+// the standard library's 64-bit FNV-1a rather than statespace.OfBytes keeps
+// it independent of the checker's fingerprint function: a change of either
+// must leave it alone.
 type livenessPin struct {
 	verdict              mc.Verdict
 	goal                 string
 	live, red            int
 	cycleLen, cycleStart int
 	steps, aborts        int
-	lasso                statespace.Fingerprint
+	lasso                uint64
 }
 
 func pinOf(res *mc.Result) livenessPin {
@@ -178,14 +180,14 @@ func pinOf(res *mc.Result) livenessPin {
 	}
 	if f := res.Failure; f != nil && f.Kind == mc.FailLiveness {
 		p.goal, p.cycleStart, p.steps = f.Name, f.CycleStart, len(f.Trace)
-		var buf []byte
+		h := fnv.New64a()
 		for _, st := range f.Trace {
-			buf = append(buf, st.Rule...)
-			buf = append(buf, 0)
-			buf = append(buf, st.State.Key()...)
-			buf = append(buf, 0)
+			h.Write([]byte(st.Rule))
+			h.Write([]byte{0})
+			h.Write([]byte(st.State.Key()))
+			h.Write([]byte{0})
 		}
-		p.lasso = statespace.OfBytes(buf)
+		p.lasso = h.Sum64()
 	}
 	return p
 }
