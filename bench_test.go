@@ -363,7 +363,7 @@ func BenchmarkVisitedKeyFingerprint(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		visited := make(map[statespace.Fingerprint]struct{}, 1024)
 		for _, k := range keys {
-			visited[statespace.OfString(string(append([]byte(nil), k...)))] = struct{}{}
+			visited[statespace.OfBytes(append([]byte(nil), k...))] = struct{}{}
 		}
 	}
 }
@@ -421,12 +421,12 @@ func BenchmarkVisitedSpillParallel(b *testing.B) { visitedBench(b, visited.Spill
 // --- Canonical fingerprinting (experiment E14) ---
 //
 // The keying pipeline in isolation and end to end: formatted Key() strings
-// hashed with OfString (the pre-E14 scheme, now only the fallback for
-// states without an encoding) against ts.KeyAppender binary encodings
-// hashed straight off a reusable buffer with OfBytes. BenchmarkCanonicalize* additionally covers the
-// symmetry canonicalizer: its scratch state (one pooled permuted clone +
-// two key buffers instead of a deep clone and a string per permutation)
-// keeps BenchmarkCanonicalize at 0 allocs/op, and its tie-class
+// converted and hashed with OfBytes (the pre-E14 scheme) against
+// ts.KeyAppender binary encodings hashed straight off a reusable buffer.
+// BenchmarkCanonicalize* additionally covers the symmetry canonicalizer:
+// its scratch state (one pooled permuted clone + two key buffers instead
+// of a deep clone and a string per permutation) keeps
+// BenchmarkCanonicalize at 0 allocs/op, and its tie-class
 // enumeration (E19) makes the cost of a call follow the state's ties, not
 // N! — the perms/op column. All rows land in the CI benchstat artifact via
 // -benchmem.
@@ -459,7 +459,7 @@ func BenchmarkFingerprintString(b *testing.B) {
 	s := fingerprintBenchState()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		fingerprintSink = statespace.OfString(s.Key())
+		fingerprintSink = statespace.OfBytes([]byte(s.Key()))
 	}
 }
 
@@ -483,7 +483,7 @@ func BenchmarkCanonicalizeString(b *testing.B) {
 	canon := symmetry.NewCanonicalizer(len(s.Caches))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		fingerprintSink = statespace.OfString(canon.Key(s))
+		fingerprintSink = statespace.OfBytes([]byte(canon.Key(s)))
 	}
 }
 

@@ -18,9 +18,10 @@
 //     ownership rule covers every copy: a state owns all of its mutable
 //     storage, so Clone, CopyFrom and PermuteInto results can each be
 //     overwritten in place.
-//   - internal/statespace — the exploration substrate: 64-bit FNV-1a state
-//     fingerprints (OfString / allocation-free OfBytes), a ring-buffer
-//     frontier queue, a level-synchronous parallel work distributor that
+//   - internal/statespace — the exploration substrate: 64-bit state
+//     fingerprints (OfBytes, a fixed word-at-a-time multiply hash that
+//     allocates nothing), a ring-buffer frontier queue, a
+//     level-synchronous parallel work distributor that
 //     hands each expansion a stable worker index for per-worker scratch,
 //     the optional parent-linked trace store, and the Stats memory
 //     profile.

@@ -60,8 +60,12 @@ const (
 	// does not record. Version 3 changed the MSI key encoding (a message is
 	// a six-byte record, its type a kind byte), and with it every MSI
 	// fingerprint and frontier file: a version-2 checkpoint is refused
-	// rather than decoded under an encoding it was not written in.
-	ckptVersion = 3
+	// rather than decoded under an encoding it was not written in. Version 4
+	// replaced the FNV-1a fingerprint with statespace.OfBytes's
+	// word-at-a-time hash: a version-3 checkpoint's stored fingerprints
+	// would match no state's new fingerprint, so its visited set would
+	// silently deduplicate nothing, and it is refused.
+	ckptVersion = 4
 	// ckptPrefix names committed checkpoint directories (suffix: zero-padded
 	// frontier depth, so lexicographic order is depth order).
 	ckptPrefix = "ckpt-d"

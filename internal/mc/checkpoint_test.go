@@ -272,14 +272,22 @@ func TestCheckpointIdentityMismatch(t *testing.T) {
 func TestCheckpointRefusesVersion1(t *testing.T) {
 	refusesVersion(t, func(meta map[string]any) {
 		meta["version"], meta["string_keys"] = 1, false
-	}, "version 1, want 3")
+	}, "version 1, want 4")
 }
 
 // TestCheckpointRefusesVersion2: a version-2 checkpoint has MSI messages
 // encoded with string types, which the six-byte records of version 3 do
 // not decode; it must be refused by its version too.
 func TestCheckpointRefusesVersion2(t *testing.T) {
-	refusesVersion(t, func(meta map[string]any) { meta["version"] = 2 }, "version 2, want 3")
+	refusesVersion(t, func(meta map[string]any) { meta["version"] = 2 }, "version 2, want 4")
+}
+
+// TestCheckpointRefusesVersion3: a version-3 checkpoint stores fingerprints
+// of the FNV-1a hash, which no state hashes to any more; resumed, its
+// visited set would deduplicate nothing against new states, so it must be
+// refused by its version.
+func TestCheckpointRefusesVersion3(t *testing.T) {
+	refusesVersion(t, func(meta map[string]any) { meta["version"] = 3 }, "version 3, want 4")
 }
 
 // refusesVersion commits one checkpoint, rewrites its meta.json with edit,

@@ -9,6 +9,7 @@ package mc_test
 // oracle" step.
 
 import (
+	"math"
 	"path/filepath"
 	"runtime/debug"
 	"testing"
@@ -143,6 +144,60 @@ func TestExactnessOracleUnreducedWalk(t *testing.T) {
 		t.Errorf("oracle reached %+v, want %+v", got, want)
 	}
 	t.Logf("%d distinct identities to depth %d, no fingerprint merges", oracle.Identities(), got.Depth)
+}
+
+// TestFingerprintSpread checks the fingerprints of the 105,752 unreduced
+// msi-complete-4 states spread evenly over both places the visited table
+// reads them: the concurrent table's 64 stripes (the low six bits) and the
+// homes of a 1,024-slot table (the top ten bits). Each histogram must pass
+// a chi-square test of uniformity at a one-sided p of about 10⁻⁶: a
+// fingerprint whose top or low bits do not depend on the whole key crowds
+// some buckets and fails it.
+func TestFingerprintSpread(t *testing.T) {
+	if testing.Short() {
+		t.Skip("explores 105,752 states")
+	}
+	oracle := tstest.New(t)
+	got := oracle.Explore(msi.New(msi.Config{Caches: 4, Variant: msi.Complete}), nil, false)
+	if got.States != 105752 {
+		t.Fatalf("oracle reached %d states, want 105752", got.States)
+	}
+	fps := oracle.Fingerprints()
+	stripes, homes := make([]int, 64), make([]int, 1<<10)
+	for _, fp := range fps {
+		stripes[fp&63]++
+		homes[fp>>54]++
+	}
+	for _, h := range []struct {
+		name   string
+		counts []int
+	}{{"stripes (low 6 bits)", stripes}, {"homes (top 10 bits)", homes}} {
+		stat, bound := chiSquare(h.counts, len(fps)), chiSquareBound(len(h.counts)-1)
+		t.Logf("%s: chi-square %.1f over %d buckets, bound %.1f", h.name, stat, len(h.counts), bound)
+		if stat > bound {
+			t.Errorf("%s: chi-square %.1f over %d buckets exceeds %.1f", h.name, stat, len(h.counts), bound)
+		}
+	}
+}
+
+// chiSquare is Pearson's statistic of counts, n items in all, against the
+// uniform distribution.
+func chiSquare(counts []int, n int) float64 {
+	want := float64(n) / float64(len(counts))
+	var stat float64
+	for _, c := range counts {
+		d := float64(c) - want
+		stat += d * d / want
+	}
+	return stat
+}
+
+// chiSquareBound is the chi-square quantile at df degrees of freedom with
+// one-sided tail probability about 10⁻⁶ (z = 4.75), by the Wilson–Hilferty
+// approximation.
+func chiSquareBound(df int) float64 {
+	v := 2 / (9 * float64(df))
+	return float64(df) * math.Pow(1-v+4.75*math.Sqrt(v), 3)
 }
 
 // firstActionChooser resolves every hole to its first action, turning a

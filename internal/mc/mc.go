@@ -12,12 +12,12 @@
 // state's canonical encoding — its AppendKey binary encoding appended into
 // per-worker scratch (canonicalized over all agent permutations when
 // Options.Symmetry is on, see internal/symmetry) — is hashed to a 64-bit
-// FNV-1a fingerprint, and only the fingerprint is stored. Nothing
-// per-state is allocated to key a state: the
-// encoding lands in a reusable buffer and the fingerprint comes straight
-// off it (statespace.OfBytes). Because every worker count and search order
-// dedupes through the same fingerprints, complete explorations report
-// identical reachable-state counts under all of them.
+// fingerprint by a fixed word-at-a-time multiply hash, and only the
+// fingerprint is stored. Nothing per-state is allocated to key a state:
+// the encoding lands in a reusable buffer and the fingerprint comes
+// straight off it (statespace.OfBytes). Because every worker count and
+// search order dedupes through the same fingerprints, complete
+// explorations report identical reachable-state counts under all of them.
 //
 // Where the fingerprints live is Options.Visited (package
 // internal/visited): a Robin Hood open-addressing table (the default) or a

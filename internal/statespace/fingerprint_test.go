@@ -2,41 +2,99 @@ package statespace_test
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"testing"
 
 	"verc3/internal/statespace"
 )
 
-// TestOfBytesMatchesOfString pins the contract the keying pipeline rests
-// on: the binary appender path (OfBytes over an encoding buffer) and the
-// string path (OfString) hash identical content to identical fingerprints,
-// so switching a model to ts.KeyAppender can never change dedupe results
-// for the same encoded bytes.
-func TestOfBytesMatchesOfString(t *testing.T) {
-	cases := []string{"", "a", "msi|c0:M.1.0|net=[]", string([]byte{0, 255, 0, 1})}
-	for i := 0; i < 100; i++ {
-		cases = append(cases, fmt.Sprintf("state-%d|%b", i*7919, i))
+// goldenInput is the source of TestFingerprintGolden's inputs: each is a
+// prefix of it. 59 bytes is MSI's mean key length.
+const goldenInput = "msi|c0:M.1.0|c1:I|c2:S.1|dir:MS.o0.p1.s0100|net=[gs.4>0.10]"
+
+// TestFingerprintGolden pins OfBytes on fixed inputs: the empty input, a
+// tail alone (7), exactly one word (8), a word and a one-byte tail (9), one
+// two-lane round (16) and MSI's mean key length (59). Checkpoints store
+// fingerprints, so changing any of these values changes what a stored
+// visited set means: it requires a ckptVersion bump in internal/mc.
+func TestFingerprintGolden(t *testing.T) {
+	if len(goldenInput) != 59 {
+		t.Fatalf("golden input is %d bytes, want 59", len(goldenInput))
 	}
-	for _, s := range cases {
-		if got, want := statespace.OfBytes([]byte(s)), statespace.OfString(s); got != want {
-			t.Errorf("OfBytes(%q) = %x, OfString = %x", s, got, want)
+	want := map[int]statespace.Fingerprint{
+		0:  0x56418a307cb2bb49,
+		7:  0xc6976f28a0ff36f2,
+		8:  0x4b71644e7e156a9e,
+		9:  0xbe60a71e55dde5d9,
+		16: 0x248dd0da497c5bfa,
+		59: 0xe86be68df2111dcb,
+	}
+	for n, fp := range want {
+		if got := statespace.OfBytes([]byte(goldenInput[:n])); got != fp {
+			t.Errorf("OfBytes(%q) = %#x, want %#x", goldenInput[:n], uint64(got), uint64(fp))
 		}
 	}
 }
 
-// TestFingerprintDeterministicAndDistinct checks OfString is stable and
+// TestFingerprintBitSensitivity flips every bit of inputs of every length
+// from 0 to 40 — whole two-lane rounds, a lone word, and every tail length —
+// and requires each flip to change the fingerprint, and a trailing zero byte
+// too: the zero-padded tail word must not hide the length. Both an all-zero
+// input and a patterned one are tried.
+func TestFingerprintBitSensitivity(t *testing.T) {
+	for n := 0; n <= 40; n++ {
+		for _, pattern := range []byte{0, 0x5b} {
+			b := make([]byte, n)
+			for i := range b {
+				b[i] = pattern * byte(i+1)
+			}
+			fp := statespace.OfBytes(b)
+			if got := statespace.OfBytes(append(b[:n:n], 0)); got == fp {
+				t.Errorf("len %d pattern %#x: appending a zero byte leaves %#x", n, pattern, uint64(fp))
+			}
+			for i := 0; i < 8*n; i++ {
+				b[i/8] ^= 1 << (i % 8)
+				if got := statespace.OfBytes(b); got == fp {
+					t.Errorf("len %d pattern %#x: flipping bit %d leaves %#x", n, pattern, i, uint64(fp))
+				}
+				b[i/8] ^= 1 << (i % 8)
+			}
+		}
+	}
+}
+
+// TestFingerprintDeterministicAndDistinct checks OfBytes is stable and
 // collision-free over a realistic population of state keys.
 func TestFingerprintDeterministicAndDistinct(t *testing.T) {
 	seen := make(map[statespace.Fingerprint]string, 100000)
 	for i := 0; i < 100000; i++ {
 		k := fmt.Sprintf("cache%d:M dir:{owner=%d,sharers=%b} net=[%d]", i%7, i%5, i, i)
-		fp := statespace.OfString(k)
-		if fp != statespace.OfString(k) {
-			t.Fatalf("OfString(%q) not deterministic", k)
+		fp := statespace.OfBytes([]byte(k))
+		if fp != statespace.OfBytes([]byte(k)) {
+			t.Fatalf("OfBytes(%q) not deterministic", k)
 		}
 		if prev, dup := seen[fp]; dup && prev != k {
 			t.Fatalf("collision: %q and %q -> %x", prev, k, fp)
 		}
 		seen[fp] = k
+	}
+}
+
+var fingerprintSink statespace.Fingerprint
+
+// BenchmarkOfBytes hashes 1,024 pseudo-random keys of 55 to 64 bytes
+// (MSI's mean key is 59 bytes) in turn: the hash alone, without the
+// encoding that feeds it.
+func BenchmarkOfBytes(b *testing.B) {
+	r := rand.New(rand.NewPCG(1, 2))
+	keys := make([][]byte, 1024)
+	for i := range keys {
+		keys[i] = make([]byte, 55+r.IntN(10))
+		for j := range keys[i] {
+			keys[i][j] = byte(r.Uint32())
+		}
+	}
+	for i := 0; b.Loop(); i++ {
+		fingerprintSink = statespace.OfBytes(keys[i&1023])
 	}
 }

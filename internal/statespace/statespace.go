@@ -11,13 +11,13 @@
 // The package is deliberately independent of the modelling layer (it knows
 // nothing about ts.State): the checker canonicalizes a state to its
 // canonical encoding — the state's AppendKey bytes in a reusable buffer —
-// fingerprints it with OfBytes (which agrees with OfString byte-for-byte
-// on the same content), and stores
-// only the fingerprint. Dropping per-state key materialization removes the
-// dominant allocation of the exploration hot path and shrinks the visited
-// set to 8 bytes of payload per state. Content that arrives in pieces — a
-// liveness product state is the system state's encoding plus its monitor
-// bytes — is appended into one reusable buffer and hashed with OfBytes.
+// fingerprints it with OfBytes (a fixed, unseeded word-at-a-time multiply
+// hash), and stores only the fingerprint. Dropping per-state key
+// materialization removes the dominant allocation of the exploration hot
+// path and shrinks the visited set to 8 bytes of payload per state.
+// Content that arrives in pieces — a liveness product state is the system
+// state's encoding plus its monitor bytes — is appended into one reusable
+// buffer and hashed with OfBytes.
 //
 // Exploration is trace-optional. The frontier carries states directly, in
 // blocks that go back to a free list as soon as their last state is
@@ -43,32 +43,78 @@
 // additionally re-checks every reported solution with trace recording on.
 package statespace
 
-// Fingerprint is the 64-bit FNV-1a hash of a state's canonical key. Every
-// exploration keys its visited set by Fingerprint, whatever its worker
-// count or search order, so all dedupe — and therefore count — states
-// identically.
-type Fingerprint uint64
-
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
+import (
+	"encoding/binary"
+	"math/bits"
 )
 
-// OfString fingerprints a canonical state key (FNV-1a, 64-bit).
-func OfString(s string) Fingerprint { return fnv1a(s) }
+// Fingerprint is the 64-bit hash (OfBytes) of a state's canonical
+// encoding. Every exploration keys its visited set by Fingerprint, whatever
+// its worker count or search order, so all dedupe — and therefore count —
+// states identically.
+type Fingerprint uint64
 
-// OfBytes fingerprints a canonical binary state encoding (FNV-1a, 64-bit).
-// It is the allocation-free sibling of OfString: OfBytes(b) ==
-// OfString(string(b)) for every b, so the appender keying path and the
-// Key-string fallback hash identical content to identical fingerprints.
-func OfBytes(b []byte) Fingerprint { return fnv1a(b) }
+// The hash's constants: fpSeed0/fpSeed1 start the two lanes (each
+// combined with the input length), fpWord0/fpWord1 are xored into the words
+// each lane reads, and fpFold joins the lanes. They are wyhash's published
+// constants (odd, 32 of 64 bits set), fixed here rather than drawn per
+// process: checkpoints store fingerprints, so a run resumed in another
+// process must hash every state exactly as the run that wrote them.
+const (
+	fpSeed0 = 0xa0761d6478bd642f
+	fpSeed1 = 0xe7037ed1a0b428db
+	fpWord0 = 0x8ebc6af09c88c6e3
+	fpWord1 = 0x589965cc75374cc3
+	fpFold  = 0x1d8e4e27c47d124f
+)
 
-// fnv1a is the one FNV-1a loop behind OfString and OfBytes.
-func fnv1a[T string | []byte](b T) Fingerprint {
-	h := uint64(fnvOffset64)
-	for i := 0; i < len(b); i++ {
-		h ^= uint64(b[i])
-		h *= fnvPrime64
+// OfBytes fingerprints a canonical binary state encoding. It reads b eight
+// little-endian bytes at a time into two independent lanes — words
+// alternate between them, so consecutive multiplies do not wait on each
+// other — and mixes each word into its lane with a 128-bit multiply folded
+// to 64 bits (hi ^ lo, as wyhash does). The length is in both lanes' seeds
+// and a final ≤7-byte tail is read as one zero-padded word, so b and
+// append(b, 0) hash apart. The lanes are folded together and avalanched,
+// so every output bit depends on every input bit: the visited table takes
+// slot homes from the top bits and stripes from the low ones. OfBytes
+// allocates nothing and is a pure function of b's content.
+func OfBytes(b []byte) Fingerprint {
+	n := uint64(len(b))
+	h0, h1 := fpSeed0^n, fpSeed1^n
+	for ; len(b) >= 16; b = b[16:] {
+		h0 = mix(binary.LittleEndian.Uint64(b)^fpWord0, h0)
+		h1 = mix(binary.LittleEndian.Uint64(b[8:])^fpWord1, h1)
 	}
-	return Fingerprint(h)
+	if len(b) >= 8 {
+		h0 = mix(binary.LittleEndian.Uint64(b)^fpWord0, h0)
+		b = b[8:]
+	}
+	if len(b) > 0 {
+		h1 = mix(tailWord(b)^fpWord1, h1)
+	}
+	return Fingerprint(avalanche(mix(h0^fpFold, h1)))
+}
+
+// mix is the 128-bit multiply folded to 64 bits.
+func mix(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	return hi ^ lo
+}
+
+// tailWord reads the 1–7 bytes of b as one little-endian word padded with
+// zeros, by two overlapping reads (the overlap ors equal bits together).
+func tailWord(b []byte) uint64 {
+	r := len(b)
+	if r >= 4 {
+		return uint64(binary.LittleEndian.Uint32(b)) | uint64(binary.LittleEndian.Uint32(b[r-4:]))<<(8*(r-4))
+	}
+	return uint64(b[0]) | uint64(b[r/2])<<(8*(r/2)) | uint64(b[r-1])<<(8*(r-1))
+}
+
+// avalanche is the splitmix64 finalizer: a bijection whose every output bit
+// depends on every input bit.
+func avalanche(x uint64) uint64 {
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
 }

@@ -95,6 +95,16 @@ type Result struct {
 // owned by one identity — over every exploration so far.
 func (o *Oracle) Identities() int { return len(o.owner) }
 
+// Fingerprints returns every fingerprint the table holds, in no particular
+// order.
+func (o *Oracle) Fingerprints() []statespace.Fingerprint {
+	fps := make([]statespace.Fingerprint, 0, len(o.owner))
+	for fp := range o.owner {
+		fps = append(fps, fp)
+	}
+	return fps
+}
+
 // Explore walks the states of sys reachable under env, dropping firings
 // that fail with ts.ErrWildcard as the checker does, and returns what it
 // reached. With reduce set, states are identified up to agent permutation

@@ -1,6 +1,7 @@
 package visited
 
 import (
+	"math/bits"
 	"sync"
 	"unsafe"
 
@@ -15,10 +16,6 @@ const (
 	// flatMinStripeSlots keeps the per-stripe tables of the concurrent
 	// variant tiny until they actually fill.
 	flatMinStripeSlots = 32
-	// fibMix is 2⁶⁴/φ, the Fibonacci-hashing multiplier: slot indices come
-	// from the top bits of fp*fibMix, decorrelating the probe sequence
-	// from the low fingerprint bits that pick the stripe.
-	fibMix = 0x9E3779B97F4A7C15
 )
 
 // flatTable is the open-addressing core shared by the sequential and the
@@ -39,11 +36,15 @@ type flatTable struct {
 	grows   int
 }
 
-// home returns fp's preferred slot index: bits 32..32+b of fp*fibMix for a
-// table of 2^b slots (b <= 32 always holds — 2³² slots would be a 32GiB
-// stripe), which are well mixed regardless of the fingerprint's low bits.
+// home returns fp's preferred slot index in a table of mask+1 slots: fp's
+// top bits. Fingerprints arrive avalanched (statespace.OfBytes), so those
+// bits are uniform on their own, and independent of the low bits that pick
+// the stripe. Homes taken from the top bits also keep a table in nearly
+// ascending fingerprint order, so growth rehashes in one sequential sweep
+// and a drained spill tier reaches its sort as one nearly ascending run
+// per stripe.
 func home(fp uint64, mask int) int {
-	return int((fp * fibMix) >> 32 & uint64(mask))
+	return int(fp >> bits.LeadingZeros64(uint64(mask)))
 }
 
 // dist returns how far the occupant of slot i sits from its home slot.

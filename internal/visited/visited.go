@@ -128,7 +128,11 @@ type Store interface {
 	// TryInsert admits fp and reports whether it was absent — i.e. the
 	// caller is the first to visit this state and owns its expansion. At
 	// most one of any set of racing inserts of the same fingerprint is
-	// told it was first, for every backend.
+	// told it was first, for every backend. fp must be avalanched, as
+	// statespace.OfBytes's are: the tables take a slot's home from its top
+	// bits and a stripe from its low bits as they stand, so structured
+	// fingerprints (counters, unmixed keys) would crowd a few slots. Any
+	// fingerprint stays correct, only the probes get longer.
 	TryInsert(fp statespace.Fingerprint) bool
 	// Len returns the number of fingerprints admitted. Like Stats it may
 	// lock every stripe in turn, so it too belongs between levels or after
