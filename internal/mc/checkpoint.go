@@ -394,6 +394,9 @@ func (cp *checkpointer) load(store visited.Store) (*ckptMeta, []ts.State, error)
 	if err != nil || meta == nil {
 		return meta, nil, err
 	}
+	// The fingerprints come back in the slot order they were dumped in;
+	// tables already at their final size take them in one sequential fill.
+	store.Reserve(meta.VisitedLen)
 	n := 0
 	err = cp.eachFingerprint(filepath.Join(path, "visited.bin"), func(fp uint64) error {
 		store.TryInsert(statespace.Fingerprint(fp))

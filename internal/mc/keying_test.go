@@ -149,9 +149,9 @@ func TestExactnessOracleUnreducedWalk(t *testing.T) {
 // TestFingerprintSpread checks the fingerprints of the 105,752 unreduced
 // msi-complete-4 states spread evenly over both places the visited table
 // reads them: the concurrent table's 64 stripes (the low six bits) and the
-// homes of a 1,024-slot table (the top ten bits). Each histogram must pass
+// homes of a 1,024-slot table (bits 32 to 41). Each histogram must pass
 // a chi-square test of uniformity at a one-sided p of about 10⁻⁶: a
-// fingerprint whose top or low bits do not depend on the whole key crowds
+// fingerprint whose home or low bits do not depend on the whole key crowds
 // some buckets and fails it.
 func TestFingerprintSpread(t *testing.T) {
 	if testing.Short() {
@@ -166,12 +166,12 @@ func TestFingerprintSpread(t *testing.T) {
 	stripes, homes := make([]int, 64), make([]int, 1<<10)
 	for _, fp := range fps {
 		stripes[fp&63]++
-		homes[fp>>54]++
+		homes[fp>>32&1023]++
 	}
 	for _, h := range []struct {
 		name   string
 		counts []int
-	}{{"stripes (low 6 bits)", stripes}, {"homes (top 10 bits)", homes}} {
+	}{{"stripes (low 6 bits)", stripes}, {"homes (bits 32-41)", homes}} {
 		stat, bound := chiSquare(h.counts, len(fps)), chiSquareBound(len(h.counts)-1)
 		t.Logf("%s: chi-square %.1f over %d buckets, bound %.1f", h.name, stat, len(h.counts), bound)
 		if stat > bound {

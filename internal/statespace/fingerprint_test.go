@@ -1,6 +1,7 @@
 package statespace_test
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand/v2"
 	"testing"
@@ -12,50 +13,73 @@ import (
 // prefix of it. 59 bytes is MSI's mean key length.
 const goldenInput = "msi|c0:M.1.0|c1:I|c2:S.1|dir:MS.o0.p1.s0100|net=[gs.4>0.10]"
 
+// laneWords returns n bytes holding the hash's word constants at every
+// position the lanes read them from: fpWord0 (0x8ebc6af09c88c6e3) at the
+// offsets lane 0 reads, fpWord1 (0x589965cc75374cc3) at lane 1's. Each such
+// word xors to zero against its constant: a chaining whose word factor held
+// no lane state would zero that factor there and lose the lane's earlier
+// words.
+func laneWords(n int) []byte {
+	b := make([]byte, (n+15)/16*16)
+	for i := 0; i < len(b); i += 16 {
+		binary.LittleEndian.PutUint64(b[i:], 0x8ebc6af09c88c6e3)
+		binary.LittleEndian.PutUint64(b[i+8:], 0x589965cc75374cc3)
+	}
+	return b[:n]
+}
+
 // TestFingerprintGolden pins OfBytes on fixed inputs: the empty input, a
 // tail alone (7), exactly one word (8), a word and a one-byte tail (9), one
-// two-lane round (16) and MSI's mean key length (59). Checkpoints store
-// fingerprints, so changing any of these values changes what a stored
-// visited set means: it requires a ckptVersion bump in internal/mc.
+// two-lane round (16), MSI's mean key length (59), and two rounds of the
+// lane constants (laneWords(32)). Checkpoints store fingerprints, so
+// changing any of these values changes what a stored visited set means: it
+// requires a ckptVersion bump in internal/mc.
 func TestFingerprintGolden(t *testing.T) {
 	if len(goldenInput) != 59 {
 		t.Fatalf("golden input is %d bytes, want 59", len(goldenInput))
 	}
 	want := map[int]statespace.Fingerprint{
 		0:  0x56418a307cb2bb49,
-		7:  0xc6976f28a0ff36f2,
-		8:  0x4b71644e7e156a9e,
-		9:  0xbe60a71e55dde5d9,
-		16: 0x248dd0da497c5bfa,
-		59: 0xe86be68df2111dcb,
+		7:  0xa42f43f1d310f4ad,
+		8:  0x17b513a48fab5db3,
+		9:  0x268bc75efcabac6c,
+		16: 0xc45c5bb3f2cab302,
+		59: 0x3f420fe8a86af672,
 	}
 	for n, fp := range want {
 		if got := statespace.OfBytes([]byte(goldenInput[:n])); got != fp {
 			t.Errorf("OfBytes(%q) = %#x, want %#x", goldenInput[:n], uint64(got), uint64(fp))
 		}
 	}
+	if got, fp := statespace.OfBytes(laneWords(32)), statespace.Fingerprint(0x9a4fc0b68bc8db24); got != fp {
+		t.Errorf("OfBytes(laneWords(32)) = %#x, want %#x", uint64(got), uint64(fp))
+	}
 }
 
 // TestFingerprintBitSensitivity flips every bit of inputs of every length
 // from 0 to 40 — whole two-lane rounds, a lone word, and every tail length —
 // and requires each flip to change the fingerprint, and a trailing zero byte
-// too: the zero-padded tail word must not hide the length. Both an all-zero
-// input and a patterned one are tried.
+// too: the zero-padded tail word must not hide the length. An all-zero
+// input, a patterned one and the lane constants (laneWords) are tried; in
+// the last, a flip in one word must survive the later words that equal
+// their lane's constant.
 func TestFingerprintBitSensitivity(t *testing.T) {
 	for n := 0; n <= 40; n++ {
-		for _, pattern := range []byte{0, 0x5b} {
-			b := make([]byte, n)
-			for i := range b {
-				b[i] = pattern * byte(i+1)
+		for _, pattern := range []int{0, 0x5b, -1} {
+			b := laneWords(n)
+			if pattern >= 0 {
+				for i := range b {
+					b[i] = byte(pattern) * byte(i+1)
+				}
 			}
 			fp := statespace.OfBytes(b)
 			if got := statespace.OfBytes(append(b[:n:n], 0)); got == fp {
-				t.Errorf("len %d pattern %#x: appending a zero byte leaves %#x", n, pattern, uint64(fp))
+				t.Errorf("len %d pattern %d: appending a zero byte leaves %#x", n, pattern, uint64(fp))
 			}
 			for i := 0; i < 8*n; i++ {
 				b[i/8] ^= 1 << (i % 8)
 				if got := statespace.OfBytes(b); got == fp {
-					t.Errorf("len %d pattern %#x: flipping bit %d leaves %#x", n, pattern, i, uint64(fp))
+					t.Errorf("len %d pattern %d: flipping bit %d leaves %#x", n, pattern, i, uint64(fp))
 				}
 				b[i/8] ^= 1 << (i % 8)
 			}

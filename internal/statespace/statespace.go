@@ -56,10 +56,11 @@ type Fingerprint uint64
 
 // The hash's constants: fpSeed0/fpSeed1 start the two lanes (each
 // combined with the input length), fpWord0/fpWord1 are xored into the words
-// each lane reads, and fpFold joins the lanes. They are wyhash's published
-// constants (odd, 32 of 64 bits set), fixed here rather than drawn per
-// process: checkpoints store fingerprints, so a run resumed in another
-// process must hash every state exactly as the run that wrote them.
+// each lane reads, and fpFold into the lane's other factor and into the
+// fold that joins the lanes. They are wyhash's published constants (odd,
+// 32 of 64 bits set), fixed here rather than drawn per process: checkpoints
+// store fingerprints, so a run resumed in another process must hash every
+// state exactly as the run that wrote them.
 const (
 	fpSeed0 = 0xa0761d6478bd642f
 	fpSeed1 = 0xe7037ed1a0b428db
@@ -72,25 +73,29 @@ const (
 // little-endian bytes at a time into two independent lanes — words
 // alternate between them, so consecutive multiplies do not wait on each
 // other — and mixes each word into its lane with a 128-bit multiply folded
-// to 64 bits (hi ^ lo, as wyhash does). The length is in both lanes' seeds
-// and a final ≤7-byte tail is read as one zero-padded word, so b and
-// append(b, 0) hash apart. The lanes are folded together and avalanched,
-// so every output bit depends on every input bit: the visited table takes
-// slot homes from the top bits and stripes from the low ones. OfBytes
-// allocates nothing and is a pure function of b's content.
+// to 64 bits (hi ^ lo, as wyhash does). Both factors carry the lane: one
+// is the word xor the lane, the other the lane xor a constant. A factor is
+// zero, and the product forgets the lane's earlier words, only where a
+// word equals the lane's own running value xor a constant, never for a
+// fixed word value. The length is in both lanes' seeds and a final ≤7-byte
+// tail is read as one zero-padded word, so b and append(b, 0) hash apart.
+// The lanes are folded together and avalanched, so the fingerprint's bits
+// are uniform throughout: the visited table takes slot homes from bits 32
+// and up and stripes from the low bits. OfBytes allocates nothing and is a
+// pure function of b's content.
 func OfBytes(b []byte) Fingerprint {
 	n := uint64(len(b))
 	h0, h1 := fpSeed0^n, fpSeed1^n
 	for ; len(b) >= 16; b = b[16:] {
-		h0 = mix(binary.LittleEndian.Uint64(b)^fpWord0, h0)
-		h1 = mix(binary.LittleEndian.Uint64(b[8:])^fpWord1, h1)
+		h0 = mix(binary.LittleEndian.Uint64(b)^fpWord0^h0, h0^fpFold)
+		h1 = mix(binary.LittleEndian.Uint64(b[8:])^fpWord1^h1, h1^fpFold)
 	}
 	if len(b) >= 8 {
-		h0 = mix(binary.LittleEndian.Uint64(b)^fpWord0, h0)
+		h0 = mix(binary.LittleEndian.Uint64(b)^fpWord0^h0, h0^fpFold)
 		b = b[8:]
 	}
 	if len(b) > 0 {
-		h1 = mix(tailWord(b)^fpWord1, h1)
+		h1 = mix(tailWord(b)^fpWord1^h1, h1^fpFold)
 	}
 	return Fingerprint(avalanche(mix(h0^fpFold, h1)))
 }

@@ -1,7 +1,6 @@
 package visited
 
 import (
-	"math/bits"
 	"sync"
 	"unsafe"
 
@@ -36,15 +35,19 @@ type flatTable struct {
 	grows   int
 }
 
-// home returns fp's preferred slot index in a table of mask+1 slots: fp's
-// top bits. Fingerprints arrive avalanched (statespace.OfBytes), so those
-// bits are uniform on their own, and independent of the low bits that pick
-// the stripe. Homes taken from the top bits also keep a table in nearly
-// ascending fingerprint order, so growth rehashes in one sequential sweep
-// and a drained spill tier reaches its sort as one nearly ascending run
-// per stripe.
+// home returns fp's preferred slot index in a table of mask+1 slots: as
+// many of fp's bits from bit 32 up as the table needs (b <= 32 always holds
+// for a table of 2^b slots — 2³² slots would be a 32GiB stripe).
+// Fingerprints arrive avalanched (statespace.OfBytes), so those bits are
+// uniform on their own, and independent of the low bits that pick the
+// stripe. Growth adds a bit above the old ones, so a rehash moves slot i's
+// occupant to slot i or i+mask+1: two sequential sweeps. The home is not
+// the fingerprint's top bits on purpose: fingerprints read in ascending
+// order (a spill run is sorted) into a table that grows as they come
+// would then arrive in home order, each one walking to the end of a single
+// cluster that grows with it.
 func home(fp uint64, mask int) int {
-	return int(fp >> bits.LeadingZeros64(uint64(mask)))
+	return int(fp>>32) & mask
 }
 
 // dist returns how far the occupant of slot i sits from its home slot.
@@ -120,9 +123,27 @@ func (t *flatTable) reinsert(fp uint64) {
 
 // grow doubles the table and rehashes every occupant.
 func (t *flatTable) grow() {
-	old := t.slots
-	t.slots = make([]uint64, 2*len(old))
 	t.grows++
+	t.resize(2 * len(t.slots))
+}
+
+// reserve sizes t for n occupants ahead of their inserts — the size
+// growth would reach for them — rehashing any it already holds. It never
+// shrinks t, and inserts past n still grow it.
+func (t *flatTable) reserve(n, minSlots int) {
+	size := max(len(t.slots), minSlots)
+	for 16*n > 15*size {
+		size *= 2
+	}
+	if size > len(t.slots) {
+		t.resize(size)
+	}
+}
+
+// resize moves every occupant into a new table of size slots.
+func (t *flatTable) resize(size int) {
+	old := t.slots
+	t.slots = make([]uint64, size)
 	for _, fp := range old {
 		if fp != 0 {
 			t.reinsert(fp)
@@ -191,6 +212,9 @@ func (f *flat) TryInsert(fp statespace.Fingerprint) bool {
 
 func (f *flat) Len() int { return f.t.len() }
 
+// Reserve sizes the table for n fingerprints.
+func (f *flat) Reserve(n int) { f.t.reserve(n, flatInitialSlots) }
+
 // Reset implements Resetter. A table still at its first size is cleared and
 // kept; one that grew is dropped, so the next run's table grows — and
 // reports its footprint — exactly as a new store's would.
@@ -244,6 +268,19 @@ func (s *stripedFlat) TryInsert(fp statespace.Fingerprint) bool {
 	fresh := st.t.tryInsert(uint64(fp), flatMinStripeSlots)
 	st.mu.Unlock()
 	return fresh
+}
+
+// Reserve sizes each stripe for its share of n, with a sixteenth to spare
+// because the low bits fill stripes unevenly (a stripe that still
+// overflows grows as usual).
+func (s *stripedFlat) Reserve(n int) {
+	per := n/flatStripes + n/(16*flatStripes) + 16
+	for i := range s.stripes {
+		sp := &s.stripes[i]
+		sp.mu.Lock()
+		sp.t.reserve(per, flatMinStripeSlots)
+		sp.mu.Unlock()
+	}
 }
 
 // Len sums the stripes' sizes, each under its lock: a sweep over the

@@ -262,6 +262,18 @@ func (s *spill) TryInsert(fp statespace.Fingerprint) bool {
 	return fresh
 }
 
+// Reserve sizes the RAM tier: each stripe for its share of n, up to the
+// flush threshold, which is as far as a stripe ever fills before it
+// spills.
+func (s *spill) Reserve(n int) {
+	per := min(n/spillStripes+n/(16*spillStripes)+16, s.flushAt)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := range s.stripes {
+		s.stripes[i].t.reserve(per, flatMinStripeSlots)
+	}
+}
+
 // runsContain probes every live run. Caller holds the read lock.
 func (s *spill) runsContain(fp uint64) bool {
 	bufp := spillBlockPool.Get().(*[]byte)

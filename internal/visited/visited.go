@@ -129,8 +129,8 @@ type Store interface {
 	// caller is the first to visit this state and owns its expansion. At
 	// most one of any set of racing inserts of the same fingerprint is
 	// told it was first, for every backend. fp must be avalanched, as
-	// statespace.OfBytes's are: the tables take a slot's home from its top
-	// bits and a stripe from its low bits as they stand, so structured
+	// statespace.OfBytes's are: the tables take a slot's home from bits 32
+	// and up and a stripe from the low bits as they stand, so structured
 	// fingerprints (counters, unmixed keys) would crowd a few slots. Any
 	// fingerprint stays correct, only the probes get longer.
 	TryInsert(fp statespace.Fingerprint) bool
@@ -149,6 +149,15 @@ type Store interface {
 	// backend's own I/O, stops the walk and is returned. Call it where no
 	// insert runs concurrently (a level boundary).
 	DumpFingerprints(yield func(fp statespace.Fingerprint) error) error
+	// Reserve sizes the store for n fingerprints before they are inserted.
+	// A checkpoint resume calls it with the saved count, then reads the
+	// set back in the order DumpFingerprints wrote it: slot order. Read
+	// into tables that start small and grow, slot order sends runs of
+	// neighbouring fingerprints to neighbouring homes and piles them into
+	// long clusters; read into tables already at their final size it is a
+	// sequential fill (TestFlatReloadProbes). Reserve changes no answer
+	// and never shrinks a store. Call it where no insert runs concurrently.
+	Reserve(n int)
 }
 
 // LevelMarker is implemented by backends that reorganize storage at BFS
