@@ -11,7 +11,7 @@
 //
 // Only the current schema (version 3) validates; a file of any other
 // version is rejected with a message naming it. The summary surfaces the
-// abort/resume fields (aborted, abort_cause, resumed) when present.
+// abort fields (aborted, abort_cause) when present.
 //
 // Exit status is 0 when every report parses and validates, 1 otherwise.
 package main
@@ -64,9 +64,6 @@ func summarize(path string, r *obs.Report) {
 	fmt.Printf("  verdict:  %s in %v\n", r.Verdict, elapsed.Round(time.Millisecond))
 	if r.Aborted {
 		fmt.Printf("  aborted:  %s\n", r.AbortCause)
-	}
-	if r.Resumed {
-		fmt.Printf("  resumed:  true (run seeded from a checkpoint; counts include the prefix)\n")
 	}
 	states := r.Final.Counters[obs.CStates]
 	rate := 0.0

@@ -9,8 +9,7 @@
 //	verc3-verify -system msi-complete [-caches 3] [-symmetry=false] [-states]
 //	             [-liveness] [-dfs] [-workers N] [-no-trace] [-stats]
 //	             [-visited flat|spill] [-spill-mem-mb N] [-spill-dir DIR]
-//	             [-timeout D] [-checkpoint-dir DIR] [-resume] [-checkpoint-every D]
-//	             [-progress] [-metrics-addr ADDR] [-report FILE]
+//	             [-timeout D] [-progress] [-metrics-addr ADDR] [-report FILE]
 //	             [-cpuprofile FILE] [-memprofile FILE]
 //	verc3-verify -spec examples/specs/tokenring.json [-liveness] [...]
 //
@@ -19,14 +18,6 @@
 // "aborted" (exit code 3), partial statistics are printed, and profiles,
 // -report and spill cleanup still happen. A second signal exits
 // immediately.
-//
-// -checkpoint-dir snapshots the run at BFS level boundaries (atomically
-// committed; at most one checkpoint is kept) and -resume seeds the run
-// from the newest snapshot, reproducing the uninterrupted run's verdict
-// and counts bit-identically. Saves are throttled so checkpointing costs
-// at most ~5% of wall-clock; -checkpoint-every overrides the spacing
-// (negative = every boundary). Checkpointing requires BFS order and
-// -no-trace.
 //
 // -spec loads the system from a JSON model spec (see internal/spec and the
 // committed examples under examples/specs/) instead of the compiled-in
@@ -74,7 +65,6 @@ func main() {
 		noTrace  = flag.Bool("no-trace", false, "skip trace recording (fingerprint-only memory; failures carry no counterexample)")
 	)
 	cf := cliutil.RegisterCommon()
-	ck := cliutil.RegisterCheckpoint()
 	flag.Parse()
 
 	if err := cf.Validate(
@@ -83,16 +73,6 @@ func main() {
 		cliutil.IntFlag{Name: "-workers", Value: int64(*workers)},
 	); err != nil {
 		fmt.Fprintln(os.Stderr, "verc3-verify:", err)
-		os.Exit(2)
-	}
-	if err := ck.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "verc3-verify:", err)
-		os.Exit(2)
-	}
-	if ck.Dir != "" && !*noTrace {
-		fmt.Fprintln(os.Stderr,
-			"verc3-verify: -checkpoint-dir requires -no-trace: checkpoints snapshot only\n"+
-				"fingerprints and the frontier, so trace parent chains cannot survive a resume.")
 		os.Exit(2)
 	}
 
@@ -148,7 +128,6 @@ func main() {
 		Liveness:    *liveness,
 	}
 	cf.ApplyMC(&opt, backend)
-	ck.ApplyMC(&opt)
 	if *dfs {
 		opt.Order = mc.DFS
 	}
@@ -177,9 +156,6 @@ func main() {
 			fmt.Fprintf(st, "panic state: %s\n", res.Abort.StateKey)
 		}
 	}
-	if res.Resumed {
-		fmt.Fprintf(st, "resumed:     true (seeded from checkpoint; counts include the checkpointed prefix)\n")
-	}
 	fmt.Fprintf(st, "states:      %d\n", res.Stats.VisitedStates)
 	fmt.Fprintf(st, "transitions: %d\n", res.Stats.FiredTransitions)
 	fmt.Fprintf(st, "max depth:   %d\n", res.Stats.MaxDepth)
@@ -206,7 +182,7 @@ func main() {
 	}
 	if err := tel.Finish(&cliutil.RunSummary{
 		Verdict: res.Verdict.String(), Space: res.Space,
-		Aborted: res.Verdict == mc.Aborted, AbortCause: abortCause, Resumed: res.Resumed,
+		Aborted: res.Verdict == mc.Aborted, AbortCause: abortCause,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "verc3-verify:", err)
 		if code == 0 {

@@ -38,8 +38,8 @@
 //     (ts.AgentComparer) and permuting only within ties instead of
 //     trying all N!; the string Key path remains for traces and as the
 //     exhaustive reference.
-//   - internal/faultfs — the filesystem seam under the spill backend and
-//     the checkpoint writer: a small FS/File interface over the real OS,
+//   - internal/faultfs — the filesystem seam under the spill backend: a
+//     small FS/File interface over the real OS,
 //     a deterministic fault injector for tests (planned errors, short
 //     writes, transient glitches per operation), and the shared
 //     transient-retry policy (capped backoff; hard faults never retried).
@@ -52,9 +52,8 @@
 //     plus an opt-in nested-DFS liveness pass (mc.Options.Liveness) that
 //     checks declared ts.LivenessGoal properties under weak fairness and
 //     reports violations as lasso counterexamples (stem + cycle).
-//     Runs are cancellable (mc.CheckCtx), contain model-code panics as
-//     diagnosable Aborted verdicts, and can checkpoint at BFS level
-//     boundaries and resume bit-identically (Options.CheckpointDir).
+//     Runs are cancellable (mc.CheckCtx) and contain model-code panics as
+//     diagnosable Aborted verdicts.
 //   - internal/core — the paper's contribution: synthesis by lazy hole
 //     discovery and candidate pruning, with cross-candidate and intra-check
 //     parallelism sharing one budget (core.SplitParallelism).
@@ -84,10 +83,9 @@
 // sized with -spill-mem-mb / -spill-dir, -timeout puts a wall-clock
 // deadline on the run (expiry — like SIGINT/SIGTERM — cancels
 // cooperatively: partial stats, profiles and -report still flush, exit
-// code 3), verc3-verify's -checkpoint-dir / -resume / -checkpoint-every
-// snapshot and resume long runs, and -cpuprofile / -memprofile write pprof
-// profiles (per-phase attribution of the exploration loop comes from
-// -report's sampled phase timings instead). Negative sizing or parallelism
+// code 3), and -cpuprofile / -memprofile write pprof profiles (per-phase
+// attribution of the exploration loop comes from -report's sampled phase
+// timings instead). Negative sizing or parallelism
 // values are rejected up front rather than silently clamped.
 // The repository benchmark lives in bench/ (go run ./bench; declared by
 // BENCHMARK.json): six paper-scale workloads, end to end and layer by
@@ -209,14 +207,12 @@
 // Aborted verdict carrying the offending state's key and the stack; in
 // synthesis a
 // panicking candidate is counted as a failed candidate (Stats.Panicked)
-// — never a pruning pattern — and the search continues. BFS runs with
-// mc.Options.CheckpointDir snapshot visited + frontier + statistics at
-// level boundaries (atomic rename commit, at most one snapshot kept,
-// save frequency throttled to ~5% overhead) and Resume restores them
-// bit-identically, across worker counts and backends. All spill and
-// checkpoint I/O goes through the internal/faultfs seam: transient
-// faults retry with capped backoff, hard faults go sticky and surface
-// instead of corrupting the run. See DESIGN.md "Failure model".
+// — never a pruning pattern — and the search continues. A run is not
+// snapshotted to disk: the longest workload takes seconds, so an
+// interrupted run is simply run again. All spill I/O goes through the
+// internal/faultfs seam: transient faults retry with capped backoff, hard
+// faults go sticky and surface instead of corrupting the run. See
+// DESIGN.md "Failure model".
 //
 // The benchmark harness in bench_test.go times every table and figure of
 // the paper's evaluation plus this repo's ablations (worker

@@ -113,38 +113,6 @@ func (c *CommonFlags) Context(tool string) (context.Context, func()) {
 	}
 }
 
-// CheckpointFlags is the flag block of the binaries that support
-// level-boundary checkpoint/resume (verc3-verify today).
-type CheckpointFlags struct {
-	Dir    string        // -checkpoint-dir
-	Resume bool          // -resume
-	Every  time.Duration // -checkpoint-every
-}
-
-// RegisterCheckpoint declares the checkpoint flags on the default FlagSet.
-func RegisterCheckpoint() *CheckpointFlags {
-	c := &CheckpointFlags{}
-	flag.StringVar(&c.Dir, "checkpoint-dir", "", "snapshot the run into this directory at BFS level boundaries (atomic commit; at most one checkpoint is kept). Requires BFS order and -no-trace")
-	flag.BoolVar(&c.Resume, "resume", false, "seed the run from the newest checkpoint under -checkpoint-dir instead of the initial states (fresh start when none exists)")
-	flag.DurationVar(&c.Every, "checkpoint-every", 0, "minimum spacing between checkpoint saves (0 = adaptive: at least 250ms and 20x the previous save's cost, bounding overhead near 5%; negative = save at every level boundary)")
-	return c
-}
-
-// Validate refuses -resume without a checkpoint directory to resume from.
-func (c *CheckpointFlags) Validate() error {
-	if c.Resume && c.Dir == "" {
-		return fmt.Errorf("flag -resume: requires -checkpoint-dir (nowhere to resume from)")
-	}
-	return nil
-}
-
-// ApplyMC fills the model-checker checkpoint options.
-func (c *CheckpointFlags) ApplyMC(opt *mc.Options) {
-	opt.CheckpointDir = c.Dir
-	opt.Resume = c.Resume
-	opt.CheckpointEvery = c.Every
-}
-
 // Backend parses the -visited flag.
 func (c *CommonFlags) Backend() (visited.Kind, error) {
 	return visited.ParseKind(c.Visited)

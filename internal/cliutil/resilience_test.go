@@ -6,8 +6,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"verc3/internal/mc"
 )
 
 // TestTimeoutValidation: negative -timeout is a usage error; zero and
@@ -23,31 +21,6 @@ func TestTimeoutValidation(t *testing.T) {
 	err := c.Validate()
 	if err == nil || !strings.Contains(err.Error(), "-timeout") {
 		t.Fatalf("negative timeout: err = %v, want -timeout usage error", err)
-	}
-}
-
-// TestCheckpointFlagsValidation: -resume without -checkpoint-dir has
-// nowhere to resume from and must be refused.
-func TestCheckpointFlagsValidation(t *testing.T) {
-	for _, c := range []CheckpointFlags{{}, {Dir: "d"}, {Dir: "d", Resume: true}} {
-		if err := c.Validate(); err != nil {
-			t.Errorf("%+v: %v", c, err)
-		}
-	}
-	c := CheckpointFlags{Resume: true}
-	err := c.Validate()
-	if err == nil || !strings.Contains(err.Error(), "-checkpoint-dir") {
-		t.Fatalf("bare -resume: err = %v, want -checkpoint-dir refusal", err)
-	}
-}
-
-// TestCheckpointFlagsApplyMC checks the flag pair lands in the checker
-// options verbatim.
-func TestCheckpointFlagsApplyMC(t *testing.T) {
-	var opt mc.Options
-	(&CheckpointFlags{Dir: "/ckpts", Resume: true, Every: -1}).ApplyMC(&opt)
-	if opt.CheckpointDir != "/ckpts" || !opt.Resume || opt.CheckpointEvery != -1 {
-		t.Fatalf("ApplyMC gave %+v", opt)
 	}
 }
 
@@ -84,8 +57,8 @@ func TestContextTimeout(t *testing.T) {
 	}
 }
 
-// TestRunSummaryAbortFieldsReachReport: Finish must fold the abort/resume
-// outcome into the version-2 report.
+// TestRunSummaryAbortFieldsReachReport: Finish must fold the abort
+// outcome into the report.
 func TestRunSummaryAbortFieldsReachReport(t *testing.T) {
 	dir := t.TempDir()
 	path := dir + "/r.json"
@@ -93,10 +66,10 @@ func TestRunSummaryAbortFieldsReachReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tel.Finish(&RunSummary{Verdict: "aborted", Aborted: true, AbortCause: "received interrupt", Resumed: true}); err != nil {
+	if err := tel.Finish(&RunSummary{Verdict: "aborted", Aborted: true, AbortCause: "received interrupt"}); err != nil {
 		t.Fatal(err)
 	}
-	if !tel.report.Aborted || tel.report.AbortCause != "received interrupt" || !tel.report.Resumed {
+	if !tel.report.Aborted || tel.report.AbortCause != "received interrupt" {
 		t.Fatalf("report = %+v, abort fields did not land", tel.report)
 	}
 }

@@ -30,11 +30,9 @@ type TelemetryOptions struct {
 type RunSummary struct {
 	Verdict string
 	// Aborted marks a run cut short (cancel, timeout, contained panic);
-	// AbortCause carries the rendered cause. Resumed marks a run seeded
-	// from a checkpoint.
+	// AbortCause carries the rendered cause.
 	Aborted    bool
 	AbortCause string
-	Resumed    bool
 	Space      statespace.Stats
 }
 
@@ -157,7 +155,6 @@ func (t *Telemetry) Finish(sum *RunSummary) error {
 		t.report.Verdict = sum.Verdict
 		t.report.Aborted = sum.Aborted
 		t.report.AbortCause = sum.AbortCause
-		t.report.Resumed = sum.Resumed
 		t.report.Space = sum.Space
 		t.report.Finish(t.col)
 		if err := t.report.Write(t.opt.ReportPath); err != nil && first == nil {

@@ -162,17 +162,15 @@ func TestSynthesizeCancelMidSearch(t *testing.T) {
 	}
 }
 
-// TestSynthesizeRejectsPerRunMCOptions: checkpointing and the checker's
-// own obs hook are per-run concerns the engine manages itself; smuggling
-// them in through Config.MC is a configuration error.
+// TestSynthesizeRejectsPerRunMCOptions: the checker's own obs hook is a
+// per-run concern the engine manages itself; smuggling it in through
+// Config.MC is a configuration error.
 func TestSynthesizeRejectsPerRunMCOptions(t *testing.T) {
 	cases := []struct {
 		name string
 		mc   mc.Options
 		want string
 	}{
-		{"checkpoint-dir", mc.Options{CheckpointDir: "d"}, "per-run"},
-		{"resume", mc.Options{Resume: true}, "per-run"},
 		{"mc-obs", mc.Options{Obs: obs.New()}, "Config.Obs"},
 	}
 	for _, tc := range cases {

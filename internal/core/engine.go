@@ -356,9 +356,6 @@ func SynthesizeCtx(ctx context.Context, sys ts.System, cfg Config) (*Result, err
 	if cfg.MC.Workers != 0 {
 		return nil, fmt.Errorf("core: Config.MC.Workers is managed by the engine; set Config.MCWorkers")
 	}
-	if cfg.MC.CheckpointDir != "" || cfg.MC.Resume {
-		return nil, fmt.Errorf("core: Config.MC must not set CheckpointDir or Resume; checkpointing is per-run, not per-dispatch")
-	}
 	if cfg.MC.Obs != nil {
 		return nil, fmt.Errorf("core: Config.MC.Obs is managed by the engine; set Config.Obs")
 	}

@@ -1,10 +1,9 @@
 // Package faultfs puts an injectable filesystem seam under the pieces of
-// verc3 that touch disk: the Spill visited backend's run files and the
-// checkpoint writer. Production code talks to the FS interface; the OS
-// implementation is a thin passthrough to the os package, and the
-// Injector wraps any FS to deterministically fail the Nth operation,
-// truncate writes, or report ENOSPC — the substrate for the fault-injection
-// test tables and the crash-resume harness.
+// verc3 that touch disk: the Spill visited backend's run files. Production
+// code talks to the FS interface; the OS implementation is a thin
+// passthrough to the os package, and the Injector wraps any FS to
+// deterministically fail the Nth operation, truncate writes, or report
+// ENOSPC — the substrate for the fault-injection test tables.
 //
 // The seam distinguishes transient faults (worth retrying with capped
 // backoff — see Retry) from hard faults (sticky: the caller surfaces them
@@ -16,33 +15,26 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"os"
 	"sync"
 	"syscall"
 	"time"
 )
 
-// File is the subset of *os.File the spill and checkpoint writers need.
+// File is the subset of *os.File the spill writer needs.
 type File interface {
 	io.Writer
 	io.ReaderAt
 	io.Closer
-	Sync() error
-	Name() string
 }
 
 // FS abstracts the filesystem operations under the disk-backed stores.
 // All paths are interpreted as the os package would.
 type FS interface {
 	Create(name string) (File, error)
-	Open(name string) (File, error)
 	MkdirTemp(dir, pattern string) (string, error)
-	MkdirAll(path string, perm fs.FileMode) error
-	Rename(oldpath, newpath string) error
 	Remove(name string) error
 	RemoveAll(path string) error
-	ReadDir(name string) ([]fs.DirEntry, error)
 }
 
 // OS is the real filesystem. A nil FS everywhere defaults to it.
@@ -51,13 +43,9 @@ var OS FS = osFS{}
 type osFS struct{}
 
 func (osFS) Create(name string) (File, error)              { return os.Create(name) }
-func (osFS) Open(name string) (File, error)                { return os.Open(name) }
 func (osFS) MkdirTemp(dir, pattern string) (string, error) { return os.MkdirTemp(dir, pattern) }
-func (osFS) MkdirAll(path string, perm fs.FileMode) error  { return os.MkdirAll(path, perm) }
-func (osFS) Rename(oldpath, newpath string) error          { return os.Rename(oldpath, newpath) }
 func (osFS) Remove(name string) error                      { return os.Remove(name) }
 func (osFS) RemoveAll(path string) error                   { return os.RemoveAll(path) }
-func (osFS) ReadDir(name string) ([]fs.DirEntry, error)    { return os.ReadDir(name) }
 
 // Or returns f, or OS when f is nil — the one-liner every consumer uses
 // to default its FS field.
@@ -124,8 +112,8 @@ func Retry(attempts int, onRetry func(attempt int, err error), op func() error) 
 	return err
 }
 
-// DefaultRetries is the attempt budget the spill and checkpoint writers
-// pass to Retry for idempotent operations.
+// DefaultRetries is the attempt budget the spill writer passes to Retry
+// for idempotent operations.
 const DefaultRetries = 4
 
 // Op names the filesystem operation an Injector fault report refers to.
@@ -133,17 +121,12 @@ type Op string
 
 const (
 	OpCreate    Op = "create"
-	OpOpen      Op = "open"
 	OpMkdirTemp Op = "mkdirtemp"
-	OpMkdirAll  Op = "mkdirall"
-	OpRename    Op = "rename"
 	OpRemove    Op = "remove"
 	OpRemoveAll Op = "removeall"
-	OpReadDir   Op = "readdir"
 	OpWrite     Op = "write"
 	OpReadAt    Op = "readat"
 	OpClose     Op = "close"
-	OpSync      Op = "sync"
 )
 
 // Fault describes one injected failure: after Skip fault-eligible
@@ -260,36 +243,11 @@ func (in *Injector) Create(name string) (File, error) {
 	return &injFile{in: in, f: f}, nil
 }
 
-func (in *Injector) Open(name string) (File, error) {
-	if err := in.check(OpOpen); err != nil {
-		return nil, err
-	}
-	f, err := in.Under.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	return &injFile{in: in, f: f}, nil
-}
-
 func (in *Injector) MkdirTemp(dir, pattern string) (string, error) {
 	if err := in.check(OpMkdirTemp); err != nil {
 		return "", err
 	}
 	return in.Under.MkdirTemp(dir, pattern)
-}
-
-func (in *Injector) MkdirAll(path string, perm fs.FileMode) error {
-	if err := in.check(OpMkdirAll); err != nil {
-		return err
-	}
-	return in.Under.MkdirAll(path, perm)
-}
-
-func (in *Injector) Rename(oldpath, newpath string) error {
-	if err := in.check(OpRename); err != nil {
-		return err
-	}
-	return in.Under.Rename(oldpath, newpath)
 }
 
 func (in *Injector) Remove(name string) error {
@@ -304,13 +262,6 @@ func (in *Injector) RemoveAll(path string) error {
 		return err
 	}
 	return in.Under.RemoveAll(path)
-}
-
-func (in *Injector) ReadDir(name string) ([]fs.DirEntry, error) {
-	if err := in.check(OpReadDir); err != nil {
-		return nil, err
-	}
-	return in.Under.ReadDir(name)
 }
 
 type injFile struct {
@@ -353,15 +304,6 @@ func (jf *injFile) Close() error {
 	}
 	return jf.f.Close()
 }
-
-func (jf *injFile) Sync() error {
-	if err := jf.in.check(OpSync); err != nil {
-		return err
-	}
-	return jf.f.Sync()
-}
-
-func (jf *injFile) Name() string { return jf.f.Name() }
 
 // WriteFull writes all of p through f, continuing after short writes the
 // way io.Writer contracts normally guarantee but injected faults violate

@@ -19,24 +19,16 @@ func TestOSPassthrough(t *testing.T) {
 	if _, err := f.Write([]byte("hello")); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	g, err := OS.Open(name)
-	if err != nil {
-		t.Fatal(err)
-	}
 	buf := make([]byte, 5)
-	if _, err := g.ReadAt(buf, 0); err != nil {
+	if _, err := f.ReadAt(buf, 0); err != nil {
 		t.Fatal(err)
 	}
 	if string(buf) != "hello" {
 		t.Fatalf("read %q", buf)
 	}
-	g.Close()
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
 	if err := OS.Remove(name); err != nil {
 		t.Fatal(err)
 	}
@@ -47,20 +39,21 @@ func TestOSPassthrough(t *testing.T) {
 
 func TestInjectorFailsNthOp(t *testing.T) {
 	dir := t.TempDir()
-	// Workload: create, write, write, sync, close = 5 eligible ops.
+	// Workload: create, write, write, readat, close = 5 eligible ops.
 	workload := func(in *Injector) error {
-		f, err := in.Create(filepath.Join(dir, "w.bin"))
+		name := filepath.Join(dir, "w.bin")
+		f, err := in.Create(name)
 		if err != nil {
 			return err
 		}
-		defer os.Remove(f.Name())
+		defer os.Remove(name)
 		for i := 0; i < 2; i++ {
 			if _, err := f.Write([]byte("abcdefgh")); err != nil {
 				f.Close()
 				return err
 			}
 		}
-		if err := f.Sync(); err != nil {
+		if _, err := f.ReadAt(make([]byte, 8), 0); err != nil {
 			f.Close()
 			return err
 		}

@@ -110,7 +110,6 @@ type explorer struct {
 
 	ctx   context.Context
 	usage UsageTracker
-	ckpt  *checkpointer
 
 	visited visited.Store
 	traces  *statespace.TraceStore[ts.State]
@@ -181,7 +180,7 @@ func (e *explorer) init(sys ts.System, opt Options) {
 // and tallies, and an empty visited set — the one of the previous check
 // when its backend can be emptied in place (visited.Resetter), a new one
 // otherwise.
-func (e *explorer) begin(ctx context.Context, env *ts.Env, usage UsageTracker) error {
+func (e *explorer) begin(ctx context.Context, env *ts.Env, usage UsageTracker) {
 	n := len(e.all)
 	// Usage tracking brackets each firing with ResetUsage/Usage on one
 	// tracker, so it needs a single worker (as does DFS: see init).
@@ -215,18 +214,11 @@ func (e *explorer) begin(ctx context.Context, env *ts.Env, usage UsageTracker) e
 	} else {
 		e.visited = visited.NewConcurrent(visitedConfig(e.opt))
 	}
-	var err error
-	if e.ckpt, err = newCheckpointer(e.sys, e.opt, usage); err != nil {
-		_ = closeStore(e.visited) // nothing was inserted; the checkpointer's error is the one to report
-	}
-	return err
 }
 
 // explore runs the safety pass of a check.
 func (e *explorer) explore(ctx context.Context, env *ts.Env, usage UsageTracker) (*Result, error) {
-	if err := e.begin(ctx, env, usage); err != nil {
-		return nil, err
-	}
+	e.begin(ctx, env, usage)
 	e.opt.Obs.SetGauge(obs.GMaxStates, uint64(e.opt.MaxStates))
 	err := e.run()
 	e.finish()
@@ -244,17 +236,11 @@ func (e *explorer) explore(ctx context.Context, env *ts.Env, usage UsageTracker)
 // — is recorded in res by the time run returns; finish settles the verdict.
 func (e *explorer) run() error {
 	w := &e.workers[0]
-	resumed, err := e.resume(w)
-	if err != nil {
+	if stop, err := e.seed(w); stop || err != nil {
 		return err
 	}
-	if !resumed {
-		if stop, err := e.seed(w); stop || err != nil {
-			return err
-		}
-	}
 	if e.opt.Order == DFS {
-		_, err = e.dfs(w)
+		_, err := e.dfs(w)
 		return err
 	}
 	return e.bfs()
@@ -283,8 +269,7 @@ func (e *explorer) seed(w *worker) (stop bool, err error) {
 
 // bfs is the level-synchronous walk. Between levels no worker is running,
 // so that is where tallies are summed, level-aware backends reorganize
-// (spill merges its run files), telemetry is published and the
-// checkpointer snapshots.
+// (spill merges its run files) and telemetry is published.
 func (e *explorer) bfs() error {
 	e.gather()
 	for e.levelLen > 0 {
@@ -297,9 +282,6 @@ func (e *explorer) bfs() error {
 		}
 		e.depth++
 		if err := e.endLevel(e.levelLen); err != nil {
-			return err
-		}
-		if err := e.checkpoint(); err != nil {
 			return err
 		}
 	}

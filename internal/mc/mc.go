@@ -48,8 +48,8 @@
 // One kernel (explorer, in explorer.go) runs every safety exploration: one
 // expand — enumerate, fire, key, admit, check, recycle, with the usage-mask
 // bracket and the deadlock test — one checkState and fail, one abort path
-// for cancellation, contained model panics and the state cap, one
-// checkpoint/resume pair and one telemetry boundary. Two things vary.
+// for cancellation, contained model panics and the state cap, and one
+// telemetry boundary. Two things vary.
 //
 // Options.Workers is how many workers walk a BFS level. Each owns a scratch
 // struct — fingerprinting buffer, rule buffer, telemetry stage, the
@@ -58,17 +58,16 @@
 // — so nothing on the expansion path is shared but the visited set. The
 // counters are summed into the Result between levels and at the end of the
 // run, when no worker is running; that is also where level-aware backends
-// reorganize, telemetry is published and checkpoints are taken. One worker
-// expands each level inline on the caller's goroutine, in frontier order,
-// over a store without locks: the run is deterministic and its BFS
-// counterexamples are minimal — the property the paper's candidate pruning
-// relies on, since a minimal trace of a faulty protocol rarely exercises
-// every hole, so its failure generalizes to every candidate sharing the
-// trace's hole subset. Several workers claim the level's blocks one at a
-// time from a shared cursor (statespace.ExpandLevel) and dedupe through a
-// lock-striped store; their counts and verdicts are the same, their counterexamples are
-// valid replays but not necessarily minimal, and the first violation
-// recorded wins.
+// reorganize and telemetry is published. One worker expands each level
+// inline on the caller's goroutine, in frontier order, over a store without
+// locks: the run is deterministic and its BFS counterexamples are minimal —
+// the property the paper's candidate pruning relies on, since a minimal
+// trace of a faulty protocol rarely exercises every hole, so its failure
+// generalizes to every candidate sharing the trace's hole subset. Several
+// workers claim the level's blocks one at a time from a shared cursor
+// (statespace.ExpandLevel) and dedupe through a lock-striped store; their
+// counts and verdicts are the same, their counterexamples are valid replays
+// but not necessarily minimal, and the first violation recorded wins.
 //
 // Options.Order is how the frontier is walked. BFS goes level by level, the
 // workers' output blocks becoming the next level without a copy, and every
@@ -126,7 +125,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"time"
 
 	"verc3/internal/faultfs"
 	"verc3/internal/obs"
@@ -263,10 +261,6 @@ type Result struct {
 	// outranks an abort (a violation found before the cancel fired is still
 	// a violation); an abort outranks the wildcard/cap downgrades.
 	Abort *AbortInfo
-	// Resumed reports that the run was seeded from a committed checkpoint
-	// (Options.Resume) rather than the system's initial states; its Stats
-	// include the checkpointed prefix.
-	Resumed bool
 	// Space is the memory profile of the exploration: visited-set size,
 	// frontier high-water mark, trace-store nodes (always 0 with
 	// RecordTrace off) and the structural bytes-retained estimate. The
@@ -346,31 +340,9 @@ type Options struct {
 	// ("" = the OS temp dir); a per-run subdirectory is created lazily and
 	// removed when the run finishes. Ignored by other backends.
 	SpillDir string
-	// CheckpointDir enables level-boundary checkpointing: at every BFS
-	// level boundary the visited fingerprints, the frontier states and the
-	// run statistics are snapshotted into a versioned subdirectory of this
-	// directory, committed atomically by rename (see checkpoint.go). "" —
-	// the default — disables checkpointing. Requires a system that
-	// implements ts.KeyDecoder, BFS order, RecordTrace off and checks
-	// without a usage tracker.
-	CheckpointDir string
-	// CheckpointEvery throttles how often level boundaries actually save.
-	// Zero — the default — is the adaptive policy: a boundary saves only
-	// when at least max(250ms, 20× the previous save's cost) has elapsed
-	// since the last save, which bounds checkpoint overhead at roughly 5%
-	// of wall-clock regardless of model size (E18). A positive duration
-	// replaces the 250ms floor with a fixed minimum spacing (the 20× cost
-	// rule still applies); a negative value saves at every level boundary
-	// — the crash-harness setting, not a production one.
-	CheckpointEvery time.Duration
-	// Resume seeds the run from the newest committed checkpoint under
-	// CheckpointDir instead of the system's initial states (a fresh start
-	// when none exists). A resumed run reproduces the uninterrupted run's
-	// verdict and state/transition/depth counts bit-identically.
-	Resume bool
-	// FS is the filesystem seam under the spill backend and the checkpoint
-	// writer (nil = the real OS). Fault-injection tests plug a
-	// faultfs.Injector in here; production code leaves it nil.
+	// FS is the filesystem seam under the spill backend (nil = the real
+	// OS). Fault-injection tests plug a faultfs.Injector in here;
+	// production code leaves it nil.
 	FS faultfs.FS
 	// NoRecycle disables successor recycling: the checker never hands states
 	// back to a ts.Recycler system, so every successor is built fresh. Exploration results are
@@ -438,8 +410,8 @@ func NewSession(sys ts.System, opt Options) *Session {
 //
 // The error return is reserved for malformed models (no initial states,
 // transition errors other than ts.ErrWildcard) and I/O failures of the
-// spill and checkpoint layers; property violations — and aborts — are
-// reported in the Result, not as errors.
+// spill layer; property violations — and aborts — are reported in the
+// Result, not as errors.
 func (s *Session) Check(ctx context.Context, env *ts.Env, usage UsageTracker) (*Result, error) {
 	e := &s.e
 	if ps, ok := e.sys.(poolStatser); ok {
@@ -498,6 +470,23 @@ func visitedConfig(opt Options) visited.Config {
 		SpillDir: opt.SpillDir,
 		FS:       opt.FS,
 		OnRetry:  ioRetryHook(opt.Obs),
+	}
+}
+
+// ioRetryHook adapts a collector into the visited/faultfs retry callback,
+// surfacing every retried transient I/O failure as a structured event.
+func ioRetryHook(o *obs.Collector) func(op string, attempt int, err error) {
+	if o == nil {
+		return nil
+	}
+	return func(op string, attempt int, err error) {
+		o.Event(obs.Event{
+			Kind:  obs.EventIORetry,
+			Op:    op,
+			Round: attempt,
+			Cause: err.Error(),
+			Text:  fmt.Sprintf("io retry %d (%s): %v", attempt, op, err),
+		})
 	}
 }
 

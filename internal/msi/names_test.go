@@ -79,33 +79,13 @@ func TestNewAllocatesOnlyTheSystem(t *testing.T) {
 	}
 }
 
-// TestUnknownMessageTypeIsRejectedAtDecode: the protocol sends eight message
-// kinds, and a checkpoint is the only other way a message gets into a
-// state. DecodeKey is where a kind byte outside the closed set is refused —
-// an error, never a panic — so enumeration never has to name one.
-func TestUnknownMessageTypeIsRejectedAtDecode(t *testing.T) {
+// TestAppendRulesPanicsOnUnknownMessageKind: the protocol sends eight
+// message kinds, so enumeration never has to name another. A hand-built
+// state holding one is a bug in the caller, and loud: AppendRules panics
+// rather than name a delivery of it.
+func TestAppendRulesPanicsOnUnknownMessageKind(t *testing.T) {
 	sys := New(Config{Caches: 2})
 	s := sys.Initial()[0].(*State)
-	s.Net.SendInPlace(Msg{Kind: MsgGetS, Src: 0, Dst: 2, Req: None})
-	good := s.AppendKey(nil)
-	if _, rest, err := sys.DecodeKey(good); err != nil || len(rest) != 0 {
-		t.Fatalf("well-formed state: rest %d, err %v", len(rest), err)
-	}
-	// The message's kind byte follows the cache count, the cache triples,
-	// six directory and ghost bytes and the one-byte message count.
-	at := 1 + 3*2 + 6 + 1
-	if good[at] != byte(MsgGetS) {
-		t.Fatalf("byte %d is %d, not the message's kind %d", at, good[at], MsgGetS)
-	}
-	for _, k := range []byte{byte(numMsgKinds), 0x7f, 0xff} {
-		bad := append([]byte(nil), good...)
-		bad[at] = k
-		if st, _, err := sys.DecodeKey(bad); err == nil {
-			t.Fatalf("decoded a message of kind %d: %v", k, st)
-		}
-	}
-	// A hand-built state holding one is a bug in the caller, and loud.
-	s.Net.RemoveInPlace(0)
 	s.Net.SendInPlace(Msg{Kind: numMsgKinds, Src: 0, Dst: 2, Req: None})
 	defer func() {
 		if recover() == nil {

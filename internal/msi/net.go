@@ -176,38 +176,6 @@ func (n Net) appendKey(dst []byte) []byte {
 	return dst
 }
 
-// decodeNet decodes a network from the front of data — the inverse of
-// appendKey — returning the unconsumed remainder. Malformed input, a kind
-// outside the closed set included, yields an error, never a panic:
-// checkpoint files cross a process boundary. The decoded Net owns its
-// storage. The message order is taken as-is (appendKey emits canonical
-// order, so a round-trip is bit-identical); out-of-order input is
-// re-canonicalized rather than rejected.
-func decodeNet(data []byte) (Net, []byte, error) {
-	cnt, n := binary.Uvarint(data)
-	if n <= 0 || cnt > uint64((len(data)-n)/msgBytes) {
-		return Net{}, nil, fmt.Errorf("truncated network")
-	}
-	data = data[n:]
-	msgs := make([]Msg, cnt)
-	sorted := true
-	for i := range msgs {
-		r := data[:msgBytes]
-		if MsgKind(r[0]) >= numMsgKinds {
-			return Net{}, nil, fmt.Errorf("message of unknown kind %d", r[0])
-		}
-		msgs[i] = Msg{Kind: MsgKind(r[0]), Src: int8(r[1]), Dst: int8(r[2]), Req: int8(r[3]), Cnt: int8(r[4]), Val: int8(r[5])}
-		if i > 0 && less(msgs[i], msgs[i-1]) {
-			sorted = false
-		}
-		data = data[msgBytes:]
-	}
-	if !sorted {
-		sort.Slice(msgs, func(i, j int) bool { return less(msgs[i], msgs[j]) })
-	}
-	return Net{msgs: msgs}, data, nil
-}
-
 // Copy returns a Net equal to n with message storage of its own.
 func (n Net) Copy() Net {
 	return Net{msgs: append([]Msg(nil), n.msgs...)}

@@ -255,8 +255,7 @@ func TestMsgKindOrderIsNameOrder(t *testing.T) {
 
 // TestMsgAppendKeyInjective checks every message over all eight kinds, agent
 // fields in [-1, 8] and small counts and values: each encodes to exactly
-// msgBytes bytes, no two share an encoding, and decoding gives the message
-// back.
+// msgBytes bytes, and no two share an encoding.
 func TestMsgAppendKeyInjective(t *testing.T) {
 	seen := make(map[[msgBytes]byte]Msg)
 	for k := MsgKind(0); k < numMsgKinds; k++ {
@@ -275,10 +274,6 @@ func TestMsgAppendKeyInjective(t *testing.T) {
 								t.Fatalf("%v and %v share the encoding %x", prev, m, rec)
 							}
 							seen[rec] = m
-							n, rest, err := decodeNet(enc)
-							if err != nil || len(rest) != 0 || n.Len() != 1 || n.msgs[0] != m {
-								t.Fatalf("%v decodes to %v (rest %d, err %v)", m, n.msgs, len(rest), err)
-							}
 						}
 					}
 				}

@@ -386,19 +386,6 @@ func (sys *System) PoolStats() (hits, misses uint64) { return 0, 0 }
 // DirID returns the directory's agent index (== number of caches).
 func (sys *System) DirID() int { return int(sys.dirID) }
 
-// DecodeKey implements ts.KeyDecoder: the inverse of State.AppendKey,
-// consuming one state from the front of data and returning the remainder.
-// It validates the cache count against the system's configuration, so a
-// checkpoint taken from a differently-sized instance is rejected instead
-// of silently misparsed.
-func (sys *System) DecodeKey(data []byte) (ts.State, []byte, error) {
-	s, rest, err := parseState(data, sys.cfg.Caches)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s, rest, nil
-}
-
 // Initial implements ts.System: all caches Invalid, directory Invalid,
 // memory and ghost 0, empty network — in recycled storage when the pool has
 // any, like every other state the system hands out.

@@ -185,55 +185,6 @@ func (s *State) AppendKey(dst []byte) []byte {
 	return dst
 }
 
-// DecodeKey implements ts.KeyDecoder on the system (see protocol.go for
-// the method's receiver): parseState is the inverse of State.AppendKey,
-// consuming exactly one state from the front of data. The byte-for-byte
-// round-trip (decode ∘ encode = identity) is what pins checkpointed
-// frontiers to bit-identical resumed exploration; FuzzCheckpointRoundTrip
-// hammers both directions.
-func parseState(data []byte, wantCaches int) (*State, []byte, error) {
-	if len(data) < 1 {
-		return nil, nil, fmt.Errorf("msi: truncated state (no cache count)")
-	}
-	nc := int(data[0])
-	data = data[1:]
-	if wantCaches >= 0 && nc != wantCaches {
-		return nil, nil, fmt.Errorf("msi: state encodes %d caches, system has %d", nc, wantCaches)
-	}
-	if len(data) < 3*nc+6 {
-		return nil, nil, fmt.Errorf("msi: truncated state (want %d agent bytes, have %d)", 3*nc+6, len(data))
-	}
-	s := &State{Caches: make([]Cache, nc)}
-	for i := range s.Caches {
-		st := CacheState(int8(data[0]))
-		if st < 0 || st >= numCacheStates {
-			return nil, nil, fmt.Errorf("msi: cache %d has invalid state %d", i, st)
-		}
-		s.Caches[i] = Cache{St: st, Data: int8(data[1]), Acks: int8(data[2])}
-		data = data[3:]
-	}
-	dst := DirState(int8(data[0]))
-	if dst < 0 || dst >= numDirStates {
-		return nil, nil, fmt.Errorf("msi: invalid directory state %d", dst)
-	}
-	s.Dir = Dir{St: dst, Owner: int8(data[1]), Pending: int8(data[2]), Sharers: data[3], Mem: int8(data[4])}
-	s.Ghost = int8(data[5])
-	data = data[6:]
-	net, rest, err := decodeNet(data)
-	if err != nil {
-		return nil, nil, fmt.Errorf("msi: %w", err)
-	}
-	s.Net = net
-	data = rest
-	el, n := binary.Uvarint(data)
-	if n <= 0 || el > uint64(len(data)-n) {
-		return nil, nil, fmt.Errorf("msi: truncated error string")
-	}
-	data = data[n:]
-	s.Err = string(data[:el])
-	return s, data[el:], nil
-}
-
 // Clone implements ts.State: the copy has its own cache array and its own
 // network storage.
 func (s *State) Clone() ts.State {

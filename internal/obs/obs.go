@@ -542,13 +542,8 @@ const (
 	// panicked; the candidate is recorded as failed and the search
 	// continues.
 	EventCandidatePanic EventKind = "candidate-panic"
-	// EventCheckpoint marks a committed level-boundary checkpoint (Depth
-	// and States describe the snapshot).
-	EventCheckpoint EventKind = "checkpoint"
-	// EventResume marks a run seeded from a committed checkpoint.
-	EventResume EventKind = "resume"
 	// EventIORetry records one retried transient I/O failure in the spill
-	// or checkpoint writers (Op names the operation, Round the attempt).
+	// writer (Op names the operation, Round the attempt).
 	EventIORetry EventKind = "io-retry"
 )
 
@@ -566,12 +561,10 @@ type Event struct {
 	Solution   string    `json:"solution,omitempty"`
 	States     int       `json:"states,omitempty"`
 	// Cause carries an abort's cancel cause or panic value; State the
-	// offending state's rendered key (abort/candidate-panic); Depth the
-	// checkpointed level (checkpoint/resume); Op the retried filesystem
-	// operation (io-retry).
+	// offending state's rendered key (abort/candidate-panic); Op the
+	// retried filesystem operation (io-retry).
 	Cause string `json:"cause,omitempty"`
 	State string `json:"state,omitempty"`
-	Depth int    `json:"depth,omitempty"`
 	Op    string `json:"op,omitempty"`
 	Text  string `json:"text"`
 }

@@ -14,10 +14,13 @@ import (
 // reader could misparse; Validate rejects versions it does not know so
 // downstream tooling (EXPERIMENTS.md regeneration, the CI artifact check,
 // the future verc3d job store) fails loudly instead of reading garbage.
-// Version 2 added the abort/resume fields (Aborted, AbortCause, Resumed)
+// Version 2 added the abort fields (Aborted, AbortCause), a resumed flag
 // and the failure-model event kinds. Version 3 dropped the exact field
 // with the lossy visited backend it flagged: a version-2 reader would take
-// its absence for false. Validate accepts only the current version.
+// its absence for false. The resumed flag and the checkpoint and resume
+// events went later, with checkpointing, and without a bump: the flag was
+// omitempty, and its absence reads as "not resumed", which is true of
+// every run. Validate accepts only the current version.
 const ReportVersion = 3
 
 // Report is the machine-readable end-of-run record written by the CLIs'
@@ -44,9 +47,6 @@ type Report struct {
 	// AbortCause carries the rendered cancel cause or panic value.
 	Aborted    bool   `json:"aborted,omitempty"`
 	AbortCause string `json:"abort_cause,omitempty"`
-	// Resumed reports that the run was seeded from a committed checkpoint
-	// rather than the system's initial states.
-	Resumed bool `json:"resumed,omitempty"`
 	// Space is the run's full memory/exploration profile — for synthesis
 	// runs, the engine's cross-dispatch aggregate.
 	Space    statespace.Stats             `json:"space"`

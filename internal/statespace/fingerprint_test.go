@@ -31,9 +31,9 @@ func laneWords(n int) []byte {
 // TestFingerprintGolden pins OfBytes on fixed inputs: the empty input, a
 // tail alone (7), exactly one word (8), a word and a one-byte tail (9), one
 // two-lane round (16), MSI's mean key length (59), and two rounds of the
-// lane constants (laneWords(32)). Checkpoints store fingerprints, so
-// changing any of these values changes what a stored visited set means: it
-// requires a ckptVersion bump in internal/mc.
+// lane constants (laneWords(32)). Changing any of these values changes
+// which states can merge, so the exactness oracle's zero-merge runs must be
+// repeated with the new hash before the values are updated.
 func TestFingerprintGolden(t *testing.T) {
 	if len(goldenInput) != 59 {
 		t.Fatalf("golden input is %d bytes, want 59", len(goldenInput))

@@ -67,18 +67,6 @@ func (q *Queue[T]) PopBack() (v T, ok bool) {
 	return v, true
 }
 
-// Each calls f on every queued element in FIFO order (front to back)
-// without consuming the queue. A non-nil error from f stops the walk and
-// is returned.
-func (q *Queue[T]) Each(f func(v T) error) error {
-	for i := 0; i < q.n; i++ {
-		if err := f(q.buf[(q.head+i)%len(q.buf)]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // shrinkMin is the buffer size below which the queue never shrinks: halving
 // tiny buffers saves nothing and defeats the growth amortization.
 const shrinkMin = 64

@@ -115,57 +115,6 @@ func TestQueueMixedOps(t *testing.T) {
 	}
 }
 
-// TestQueueEach checks the non-consuming FIFO walk checkpointing relies
-// on: pop order and Each order must agree even when the ring has wrapped,
-// the walk must not consume, and an error from the callback stops it.
-func TestQueueEach(t *testing.T) {
-	var q Queue[int]
-	// Wrap the ring so Each has to chase head around the buffer edge.
-	for i := 0; i < 20; i++ {
-		q.PushBack(i)
-	}
-	for i := 0; i < 15; i++ {
-		q.PopFront()
-	}
-	for i := 20; i < 40; i++ {
-		q.PushBack(i)
-	}
-	var walked []int
-	if err := q.Each(func(v int) error { walked = append(walked, v); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if q.Len() != 25 {
-		t.Fatalf("Each consumed the queue: Len = %d", q.Len())
-	}
-	for i, v := range walked {
-		if want := 15 + i; v != want {
-			t.Fatalf("walked[%d] = %d, want %d", i, v, want)
-		}
-	}
-	// The walk order must be exactly the pop order.
-	for i, want := range walked {
-		v, ok := q.PopFront()
-		if !ok || v != want {
-			t.Fatalf("pop #%d = %d, %v, want %d (Each/pop order diverged)", i, v, ok, want)
-		}
-	}
-	// An error stops the walk where it happened.
-	q.PushBack(1)
-	q.PushBack(2)
-	calls := 0
-	errStop := errTest("stop")
-	if err := q.Each(func(int) error { calls++; return errStop }); err != errStop {
-		t.Fatalf("Each error = %v, want errStop", err)
-	}
-	if calls != 1 {
-		t.Fatalf("callback ran %d times after erroring, want 1", calls)
-	}
-}
-
-type errTest string
-
-func (e errTest) Error() string { return string(e) }
-
 // TestQueueShrinksWhenDrained checks the ring returns memory while a run is
 // still going: grow wide, drain to below quarter fill, and the buffer must
 // halve (repeatedly, down toward shrinkMin) while preserving FIFO contents.

@@ -58,9 +58,10 @@ type Fingerprint uint64
 // combined with the input length), fpWord0/fpWord1 are xored into the words
 // each lane reads, and fpFold into the lane's other factor and into the
 // fold that joins the lanes. They are wyhash's published constants (odd,
-// 32 of 64 bits set), fixed here rather than drawn per process: checkpoints
-// store fingerprints, so a run resumed in another process must hash every
-// state exactly as the run that wrote them.
+// 32 of 64 bits set), fixed here rather than drawn per process, so a state
+// has the same fingerprint in every run: the exactness oracle's zero-merge
+// identity counts and the golden values in fingerprint_test.go are pinned,
+// and a run on one machine reproduces a run on another bit for bit.
 const (
 	fpSeed0 = 0xa0761d6478bd642f
 	fpSeed1 = 0xe7037ed1a0b428db

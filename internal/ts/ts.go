@@ -18,9 +18,9 @@
 // Every state keys itself twice. Key() string is the human-readable
 // canonical encoding — it is what counterexample traces show. AppendKey
 // (KeyAppender, part of State) is a compact binary encoding appended into a
-// caller-owned buffer, which is what the checker, the canonicalizer and the
-// checkpoint writer fingerprint: no string is ever materialized per visited
-// state, and there is no string fallback. Symmetric states implement Permutable —
+// caller-owned buffer, which is what the checker and the canonicalizer
+// fingerprint: no string is ever materialized per visited state, and there
+// is no string fallback. Symmetric states implement Permutable —
 // the canonicalizer renames one reusable Clone in place, once per
 // permutation it tries — and can further implement AgentComparer so it
 // sorts the agents first and tries only the permutations that keep the
@@ -122,8 +122,8 @@ type State interface {
 // extended buffer, exactly like strconv.AppendInt grows its destination: the
 // caller owns the buffer and reuses it across states, so the exploration hot
 // path fingerprints states with zero per-state allocations (see
-// statespace.OfBytes). There is no string fallback: the checker, the
-// canonicalizer and the checkpoint writer key every state by these bytes.
+// statespace.OfBytes). There is no string fallback: the checker and the
+// canonicalizer key every state by these bytes.
 //
 // The encoding must satisfy the same contract as Key, restated in binary:
 // deterministic, and injective wherever Key is — two states with distinct
@@ -137,25 +137,6 @@ type KeyAppender interface {
 	// extended slice. It must not retain dst and must not allocate beyond
 	// growing dst.
 	AppendKey(dst []byte) []byte
-}
-
-// KeyDecoder is optionally implemented by systems whose AppendKey
-// encodings can be decoded back into states. It is the inverse the
-// checkpoint/resume machinery needs: a BFS frontier is persisted as the
-// concatenation of its states' AppendKey encodings, and DecodeKey
-// rebuilds the states on resume. Because AppendKey encodings are
-// self-delimiting, DecodeKey consumes exactly one state from the front of
-// data and returns the remainder.
-//
-// The round-trip contract: for every reachable state s,
-// DecodeKey(s.AppendKey(nil)) yields a state whose AppendKey re-encodes
-// to the identical bytes (and whose Key equals s.Key). Malformed input
-// must return an error — never panic — since checkpoint files cross a
-// process boundary.
-type KeyDecoder interface {
-	// DecodeKey decodes one state from the front of data and returns the
-	// state and the unconsumed remainder.
-	DecodeKey(data []byte) (State, []byte, error)
 }
 
 // Permutable is implemented by states containing scalarset-like symmetric

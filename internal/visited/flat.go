@@ -127,19 +127,6 @@ func (t *flatTable) grow() {
 	t.resize(2 * len(t.slots))
 }
 
-// reserve sizes t for n occupants ahead of their inserts — the size
-// growth would reach for them — rehashing any it already holds. It never
-// shrinks t, and inserts past n still grow it.
-func (t *flatTable) reserve(n, minSlots int) {
-	size := max(len(t.slots), minSlots)
-	for 16*n > 15*size {
-		size *= 2
-	}
-	if size > len(t.slots) {
-		t.resize(size)
-	}
-}
-
 // resize moves every occupant into a new table of size slots.
 func (t *flatTable) resize(size int) {
 	old := t.slots
@@ -169,26 +156,6 @@ func (t *flatTable) drain(dst []uint64) []uint64 {
 	return dst
 }
 
-// each calls yield on every stored fingerprint (sideband zero included)
-// without disturbing the table — drain's non-destructive sibling, used by
-// the checkpoint writer to snapshot a live visited set. A non-nil error
-// from yield stops the walk and is returned.
-func (t *flatTable) each(yield func(fp uint64) error) error {
-	if t.hasZero {
-		if err := yield(0); err != nil {
-			return err
-		}
-	}
-	for _, fp := range t.slots {
-		if fp != 0 {
-			if err := yield(fp); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 func (t *flatTable) len() int {
 	n := t.used
 	if t.hasZero {
@@ -212,9 +179,6 @@ func (f *flat) TryInsert(fp statespace.Fingerprint) bool {
 
 func (f *flat) Len() int { return f.t.len() }
 
-// Reserve sizes the table for n fingerprints.
-func (f *flat) Reserve(n int) { f.t.reserve(n, flatInitialSlots) }
-
 // Reset implements Resetter. A table still at its first size is cleared and
 // kept; one that grew is dropped, so the next run's table grows — and
 // reports its footprint — exactly as a new store's would.
@@ -229,11 +193,6 @@ func (f *flat) Reset() {
 
 func (f *flat) Stats() Stats {
 	return Stats{Backend: Flat.String(), States: f.Len(), Bytes: f.t.bytes(), Grows: f.t.grows}
-}
-
-// DumpFingerprints walks the single-goroutine table in place.
-func (f *flat) DumpFingerprints(yield func(fp statespace.Fingerprint) error) error {
-	return f.t.each(func(fp uint64) error { return yield(statespace.Fingerprint(fp)) })
 }
 
 // stripe is one lock-striped sub-table of the concurrent Flat variant,
@@ -270,19 +229,6 @@ func (s *stripedFlat) TryInsert(fp statespace.Fingerprint) bool {
 	return fresh
 }
 
-// Reserve sizes each stripe for its share of n, with a sixteenth to spare
-// because the low bits fill stripes unevenly (a stripe that still
-// overflows grows as usual).
-func (s *stripedFlat) Reserve(n int) {
-	per := n/flatStripes + n/(16*flatStripes) + 16
-	for i := range s.stripes {
-		sp := &s.stripes[i]
-		sp.mu.Lock()
-		sp.t.reserve(per, flatMinStripeSlots)
-		sp.mu.Unlock()
-	}
-}
-
 // Len sums the stripes' sizes, each under its lock: a sweep over the
 // stripes, taken only where a run's counts are settled — at level
 // boundaries and at the end (the kernel mirrors the count for its state
@@ -316,19 +262,4 @@ func (s *stripedFlat) Stats() Stats {
 		sp.mu.Unlock()
 	}
 	return st
-}
-
-// DumpFingerprints walks each stripe under its own lock. The snapshot is stripe-consistent, which suffices at the quiescent
-// points (level boundaries) where checkpoints are taken.
-func (s *stripedFlat) DumpFingerprints(yield func(fp statespace.Fingerprint) error) error {
-	for i := range s.stripes {
-		sp := &s.stripes[i]
-		sp.mu.Lock()
-		err := sp.t.each(func(fp uint64) error { return yield(statespace.Fingerprint(fp)) })
-		sp.mu.Unlock()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -262,18 +262,6 @@ func (s *spill) TryInsert(fp statespace.Fingerprint) bool {
 	return fresh
 }
 
-// Reserve sizes the RAM tier: each stripe for its share of n, up to the
-// flush threshold, which is as far as a stripe ever fills before it
-// spills.
-func (s *spill) Reserve(n int) {
-	per := min(n/spillStripes+n/(16*spillStripes)+16, s.flushAt)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := range s.stripes {
-		s.stripes[i].t.reserve(per, flatMinStripeSlots)
-	}
-}
-
 // runsContain probes every live run. Caller holds the read lock.
 func (s *spill) runsContain(fp uint64) bool {
 	bufp := spillBlockPool.Get().(*[]byte)
@@ -447,42 +435,6 @@ func (c *runCursor) advance() error {
 	c.cur = binary.LittleEndian.Uint64(c.buf[c.pos:])
 	c.pos += 8
 	c.ok = true
-	return nil
-}
-
-// DumpFingerprints walks the RAM tier's stripes under their locks, then
-// streams every disk run front to back. The structural read lock is held
-// throughout so no flush can move residents between tiers mid-dump. A fingerprint that was spilled and speculatively
-// re-admitted to RAM (see TryInsert) is yielded from both tiers; consumers
-// re-insert through TryInsert, which deduplicates, so the double report is
-// harmless.
-func (s *spill) DumpFingerprints(yield func(fp statespace.Fingerprint) error) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for i := range s.stripes {
-		sp := &s.stripes[i]
-		sp.mu.Lock()
-		err := sp.t.each(func(fp uint64) error { return yield(statespace.Fingerprint(fp)) })
-		sp.mu.Unlock()
-		if err != nil {
-			return err
-		}
-	}
-	for _, r := range s.runs {
-		c := runCursor{r: r}
-		for {
-			if err := s.retry(faultfs.OpReadAt, c.advance); err != nil {
-				s.fail(err)
-				return err
-			}
-			if !c.ok {
-				break
-			}
-			if err := yield(statespace.Fingerprint(c.cur)); err != nil {
-				return err
-			}
-		}
-	}
 	return nil
 }
 

@@ -142,22 +142,6 @@ type Store interface {
 	// every stripe in turn: call it between levels or after the run, not on
 	// the insert path.
 	Stats() Stats
-	// DumpFingerprints calls yield on every admitted fingerprint, in
-	// unspecified order and possibly more than once (re-inserting through
-	// TryInsert deduplicates), without disturbing the store — the checkpoint
-	// writer's snapshot hook. A non-nil error from yield, or from the
-	// backend's own I/O, stops the walk and is returned. Call it where no
-	// insert runs concurrently (a level boundary).
-	DumpFingerprints(yield func(fp statespace.Fingerprint) error) error
-	// Reserve sizes the store for n fingerprints before they are inserted.
-	// A checkpoint resume calls it with the saved count, then reads the
-	// set back in the order DumpFingerprints wrote it: slot order. Read
-	// into tables that start small and grow, slot order sends runs of
-	// neighbouring fingerprints to neighbouring homes and piles them into
-	// long clusters; read into tables already at their final size it is a
-	// sequential fill (TestFlatReloadProbes). Reserve changes no answer
-	// and never shrinks a store. Call it where no insert runs concurrently.
-	Reserve(n int)
 }
 
 // LevelMarker is implemented by backends that reorganize storage at BFS

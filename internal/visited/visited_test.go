@@ -41,8 +41,7 @@ func TestKindStringParse(t *testing.T) {
 
 // TestStoreContract checks the Store contract on every backend in both
 // flavours: first TryInsert of a fingerprint reports true, duplicates
-// report false, Len counts admissions, DumpFingerprints yields exactly the
-// admitted set, and the self-report is coherent.
+// report false, Len counts admissions, and the self-report is coherent.
 func TestStoreContract(t *testing.T) {
 	const n = 5000
 	build := map[string]func(Config) Store{
@@ -66,21 +65,6 @@ func TestStoreContract(t *testing.T) {
 				}
 				if s.Len() != n {
 					t.Fatalf("Len = %d, want %d", s.Len(), n)
-				}
-				dumped := map[statespace.Fingerprint]bool{}
-				if err := s.DumpFingerprints(func(fp statespace.Fingerprint) error {
-					dumped[fp] = true
-					return nil
-				}); err != nil {
-					t.Fatal(err)
-				}
-				for i := 0; i < n; i++ {
-					if !dumped[fpOf(i)] {
-						t.Fatalf("DumpFingerprints missed admitted fingerprint %d", i)
-					}
-				}
-				if len(dumped) != n {
-					t.Errorf("DumpFingerprints yielded %d distinct fingerprints, want %d", len(dumped), n)
 				}
 				st := s.Stats()
 				if st.Backend != kind.String() || st.States != n || st.Bytes <= 0 {
@@ -216,97 +200,6 @@ func TestFlatRobinHoodInvariant(t *testing.T) {
 			t.Fatalf("slot %d: displacement %d after predecessor's %d", i, d, dp)
 		}
 	}
-}
-
-// TestFlatReloadProbes reads a full store's DumpFingerprints back into a
-// fresh one, one insert at a time, as a checkpoint resume does: Reserve
-// first, then the fingerprints in dump order, which is slot order. It
-// bounds the slots those inserts walk by the walk of the same fingerprints
-// inserted in generation order, which no home function follows, into a
-// store that grows as they come. Without the Reserve, the fresh tables
-// start small and slot order sends runs of neighbouring fingerprints to
-// neighbouring homes, piling them into clusters far longer than the load
-// explains. Each dump is also read into the other flavour, as a resume
-// under another worker count does.
-func TestFlatReloadProbes(t *testing.T) {
-	// 120,000 fingerprints fill 2¹⁷ slots to 0.92, as the unreduced
-	// 5-cache MSI walk's 1,930,178 states fill 2²¹.
-	const n = 120000
-	type flavour struct {
-		name     string
-		minSlots int
-		mk       func() (Store, func(fp uint64) *flatTable)
-	}
-	flavours := []flavour{
-		{"sequential", flatInitialSlots, func() (Store, func(uint64) *flatTable) {
-			f := newFlat()
-			return f, func(uint64) *flatTable { return &f.t }
-		}},
-		{"concurrent", flatMinStripeSlots, func() (Store, func(uint64) *flatTable) {
-			s := newStripedFlat()
-			return s, func(fp uint64) *flatTable { return &s.stripes[fp&(flatStripes-1)].t }
-		}},
-	}
-	gen := make([]uint64, n)
-	for i := range gen {
-		gen[i] = uint64(fpOf(i))
-	}
-	walk := func(to flavour, order []uint64, reserve bool) int {
-		dst, table := to.mk()
-		if reserve {
-			dst.Reserve(len(order))
-		}
-		walked := 0
-		for _, fp := range order {
-			walked += probedInsert(table(fp), fp, to.minSlots)
-		}
-		if dst.Len() != n {
-			t.Fatalf("%s: reloaded %d fingerprints, want %d", to.name, dst.Len(), n)
-		}
-		return walked
-	}
-	for _, from := range flavours {
-		src, _ := from.mk()
-		for _, fp := range gen {
-			src.TryInsert(statespace.Fingerprint(fp))
-		}
-		var dump []uint64
-		err := src.DumpFingerprints(func(fp statespace.Fingerprint) error {
-			dump = append(dump, uint64(fp))
-			return nil
-		})
-		if err != nil || len(dump) != n {
-			t.Fatalf("%s dump: %d fingerprints, %v", from.name, len(dump), err)
-		}
-		for _, to := range flavours {
-			base, reload := walk(to, gen, false), walk(to, dump, true)
-			t.Logf("%s into %s: %d inserts walk %d slots in generation order, %d reserved in dump order",
-				from.name, to.name, n, base, reload)
-			if reload > base {
-				t.Errorf("%s into %s: the reserved reload walks %d slots, more than the %d of generation order",
-					from.name, to.name, reload, base)
-			}
-		}
-	}
-}
-
-// probedInsert inserts fp into t as tryInsert does and returns how many
-// occupied slots the insert walks: it grows t first if the insert would,
-// then counts the slots from fp's home to the first empty one, where every
-// Robin Hood insert of a new fingerprint ends.
-func probedInsert(t *flatTable, fp uint64, minSlots int) int {
-	if t.slots != nil && 16*(t.used+1) > 15*len(t.slots) {
-		t.grow()
-	}
-	walked := 0
-	if t.slots != nil && fp != 0 {
-		mask := len(t.slots) - 1
-		for i := home(fp, mask); t.slots[i] != 0; i = (i + 1) & mask {
-			walked++
-		}
-	}
-	t.tryInsert(fp, minSlots)
-	return walked
 }
 
 // TestStripePadding pins the cache-line layout of the concurrent variant's
