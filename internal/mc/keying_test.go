@@ -10,11 +10,13 @@ package mc_test
 
 import (
 	"math"
+	"path/filepath"
 	"runtime/debug"
 	"testing"
 
 	"verc3/internal/mc"
 	"verc3/internal/msi"
+	"verc3/internal/spec"
 	"verc3/internal/ts"
 	"verc3/internal/ts/tstest"
 	"verc3/internal/zoo"
@@ -63,8 +65,7 @@ func TestZooEquivalenceKeying(t *testing.T) {
 }
 
 // TestZooAppendKeyConsistency runs the exactness oracle over every zoo
-// entry (at 2 caches; the committed specs are zoo entries), with symmetry
-// off and on,
+// entry (at 2 caches) and every committed spec, with symmetry off and on,
 // under two candidates: every hole a wildcard, and every hole its first
 // action (so sketches whose behaviour is entirely behind holes still reach
 // a real population). The oracle re-explores each by exact identity and
@@ -83,6 +84,15 @@ func TestZooAppendKeyConsistency(t *testing.T) {
 				t.Fatal(err)
 			}
 			return sys
+		}
+	}
+	for _, file := range []string{"mutex.json", "mutex-sketch.json", "tokenring.json"} {
+		systems["spec/"+file] = func() ts.System {
+			m, err := spec.LoadFile(filepath.Join("../../examples/specs", file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m.System()
 		}
 	}
 	for name, build := range systems {

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"verc3/internal/mc"
@@ -180,9 +181,15 @@ func specEntry(t *testing.T, name string, m *spec.Model, err error) entry {
 	return entry{name: name, sys: m.System, sketch: m.Sketch()}
 }
 
+// specFileEntry loads one of the committed examples/specs models.
+func specFileEntry(t *testing.T, file string) entry {
+	m, err := spec.LoadFile(filepath.Join("../../examples/specs", file))
+	return specEntry(t, "spec/"+file, m, err)
+}
+
 // TestZooEquivalenceCanonicalization explores every symmetric model there
-// is — the zoo at two caches (the committed specs among it), msi-complete
-// at three to five, and wideSpec — and on every offered successor (not just
+// is — the zoo at two caches, msi-complete at three to five, the committed
+// symmetric specs and wideSpec — and on every offered successor (not just
 // the admitted ones) requires the pruned fingerprint to equal the
 // exhaustive one, and CompareAgents to be equivariant under a random
 // renaming. Complete models must reach exactly the states mc.Check reports,
@@ -198,6 +205,9 @@ func TestZooEquivalenceCanonicalization(t *testing.T) {
 			continue
 		}
 		entries = append(entries, zooEntry(t, "msi-complete", caches))
+	}
+	for _, file := range []string{"mutex.json", "mutex-sketch.json"} {
+		entries = append(entries, specFileEntry(t, file))
 	}
 	wide, err := spec.Parse([]byte(wideSpec))
 	entries = append(entries, specEntry(t, "spec/wide", wide, err))
@@ -233,7 +243,7 @@ func TestZooEquivalenceCanonicalization(t *testing.T) {
 			}
 		})
 	}
-	if covered < 10 {
+	if covered < 12 {
 		t.Errorf("only %d symmetric entries covered; the zoo or the specs stopped offering ts.Permutable", covered)
 	}
 }

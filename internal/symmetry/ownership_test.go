@@ -16,12 +16,15 @@ import (
 	"verc3/internal/zoo"
 )
 
-// everyModel lists every zoo entry at two caches, the committed specs
-// among them.
+// everyModel lists every zoo entry at two caches and the three committed
+// specs.
 func everyModel(t *testing.T) []entry {
 	var entries []entry
 	for _, name := range zoo.Names() {
 		entries = append(entries, zooEntry(t, name, 2))
+	}
+	for _, file := range []string{"mutex.json", "mutex-sketch.json", "tokenring.json"} {
+		entries = append(entries, specFileEntry(t, file))
 	}
 	return entries
 }
@@ -153,7 +156,7 @@ func TestZooPermuteIntoRoundTrip(t *testing.T) {
 			}
 		})
 	}
-	if covered < 6 {
+	if covered < 8 {
 		t.Errorf("only %d symmetric models covered; the zoo or the specs stopped offering ts.Permutable", covered)
 	}
 }
