@@ -28,7 +28,6 @@ import (
 	"verc3/internal/msi"
 	"verc3/internal/statespace"
 	"verc3/internal/symmetry"
-	"verc3/internal/toy"
 	"verc3/internal/ts"
 	"verc3/internal/visited"
 	"verc3/internal/zoo"
@@ -114,9 +113,14 @@ func BenchmarkTable1LargePrune4T(b *testing.B) {
 
 // BenchmarkFig2Prune reproduces the worked example: 10 candidates evaluated.
 func BenchmarkFig2Prune(b *testing.B) {
+	sys, err := zoo.Get("fig2", zoo.Params{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
 	var last *core.Result
 	for i := 0; i < b.N; i++ {
-		res, err := core.Synthesize(toy.Figure2(), core.Config{Mode: core.ModePrune})
+		res, err := core.Synthesize(sys, core.Config{Mode: core.ModePrune})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -127,9 +131,14 @@ func BenchmarkFig2Prune(b *testing.B) {
 
 // BenchmarkFig2Naive is the 24-candidate (nominal) baseline.
 func BenchmarkFig2Naive(b *testing.B) {
+	sys, err := zoo.Get("fig2", zoo.Params{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
 	var last *core.Result
 	for i := 0; i < b.N; i++ {
-		res, err := core.Synthesize(toy.Figure2(), core.Config{Mode: core.ModeNaive})
+		res, err := core.Synthesize(sys, core.Config{Mode: core.ModeNaive})
 		if err != nil {
 			b.Fatal(err)
 		}

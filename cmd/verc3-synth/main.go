@@ -8,9 +8,8 @@
 //	verc3-synth -system msi-small [-caches 2] [-mode prune|naive]
 //	            [-workers 4] [-mc-workers 1] [-style full|trace] [-max-eval N]
 //	            [-liveness] [-visited flat|spill] [-spill-mem-mb N]
-//	            [-spill-dir DIR] [-timeout D] [-progress] [-metrics-addr ADDR]
-//	            [-report FILE] [-cpuprofile FILE] [-memprofile FILE]
-//	            [-stats] [-v]
+//	            [-spill-dir DIR] [-timeout D] [-progress] [-report FILE]
+//	            [-cpuprofile FILE] [-memprofile FILE] [-stats] [-v]
 //	verc3-synth -spec examples/specs/mutex-sketch.json [...]
 //
 // -timeout bounds the search's wall-clock time; SIGINT/SIGTERM cancel it
@@ -27,10 +26,9 @@
 // one verification.
 //
 // -progress renders a live status line on stderr (rounds, candidates
-// evaluated/skipped, pruning patterns, aggregate exploration rate);
-// -metrics-addr serves the same telemetry over HTTP and -report writes
-// a machine-readable run report, including the structured round and
-// solution events, at exit.
+// evaluated/skipped, pruning patterns, aggregate exploration rate), and
+// -report writes a machine-readable run report, including the structured
+// round and solution events, at exit.
 //
 // A -mode naive run cut short by -max-eval also prints an extrapolated
 // time for the whole candidate space (elapsed / evaluated × candidates);

@@ -9,7 +9,7 @@
 //	verc3-verify -system msi-complete [-caches 3] [-symmetry=false] [-states]
 //	             [-liveness] [-dfs] [-workers N] [-no-trace] [-stats]
 //	             [-visited flat|spill] [-spill-mem-mb N] [-spill-dir DIR]
-//	             [-timeout D] [-progress] [-metrics-addr ADDR] [-report FILE]
+//	             [-timeout D] [-progress] [-report FILE]
 //	             [-cpuprofile FILE] [-memprofile FILE]
 //	verc3-verify -spec examples/specs/tokenring.json [-liveness] [...]
 //
@@ -24,10 +24,9 @@
 // zoo; every other flag works the same.
 //
 // -progress renders a live status line on stderr (states/sec, depth,
-// frontier, visited memory, cap %), -metrics-addr serves the same
-// telemetry over HTTP (/metrics Prometheus text, /metrics.json), and
-// -report writes a versioned machine-readable run report at exit
-// (validate or summarize it with verc3-report).
+// frontier, visited memory, cap %), and -report writes a versioned
+// machine-readable run report at exit (validate or summarize it with
+// verc3-report).
 //
 // With -liveness, systems declaring liveness goals additionally run the
 // nested-DFS accepting-cycle search after the safety pass; violations

@@ -64,12 +64,13 @@
 //     validation errors and compiled to a ts.System of the package's own,
 //     with successor recycling, rule-record enumeration, allocation-free
 //     binary keying and, when the spec declares it, symmetry. The committed specs under
-//     examples/specs/ are the only source of Peterson's algorithm and the
-//     token ring, each pinned to absolute answers.
-//   - internal/msi, internal/toy — the hand-written case studies, msi with
-//     its unordered interconnect of six-byte messages; internal/trace renders
+//     examples/specs/ are the only source of the paper's Figure 2 example,
+//     Peterson's algorithm and the token ring, each pinned to absolute
+//     answers.
+//   - internal/msi — the hand-written case study, with its unordered
+//     interconnect of six-byte messages; internal/trace renders
 //     counterexamples; internal/zoo is the fixed table of named systems
-//     (with sketch metadata) behind the command-line tools, building
+//     (with sketch metadata) behind the command-line tools, building fig2,
 //     peterson, token-ring and their sketches from the embedded specs.
 //
 // The command-line tools are cmd/verc3-verify and cmd/verc3-synth

@@ -1,6 +1,6 @@
 // Package specs embeds the committed model specifications, so the zoo
-// builds Peterson's algorithm and the token ring from the same files that
-// -spec, CI and the docs read.
+// builds the paper's Figure 2 example, Peterson's algorithm and the token
+// ring from the same files that -spec, CI and the docs read.
 package specs
 
 import "embed"

@@ -23,16 +23,15 @@ import (
 // the help strings cannot drift apart. Binary-specific flags (-system,
 // -workers, synthesis modes, ...) stay in the binaries.
 type CommonFlags struct {
-	Spec        string // -spec: load the system from a JSON model spec
-	Stats       bool   // -stats
-	Visited     string // -visited (parse with Backend)
-	SpillMemMB  int    // -spill-mem-mb
-	SpillDir    string // -spill-dir
-	CPUProfile  string // -cpuprofile
-	MemProfile  string // -memprofile
-	Progress    bool   // -progress
-	MetricsAddr string // -metrics-addr
-	Report      string // -report
+	Spec       string // -spec: load the system from a JSON model spec
+	Stats      bool   // -stats
+	Visited    string // -visited (parse with Backend)
+	SpillMemMB int    // -spill-mem-mb
+	SpillDir   string // -spill-dir
+	CPUProfile string // -cpuprofile
+	MemProfile string // -memprofile
+	Progress   bool   // -progress
+	Report     string // -report
 	// Timeout is -timeout: the run's wall-clock deadline (0 = none). The
 	// deadline cancels cooperatively — the checker stops at the next poll
 	// with an Aborted verdict, partial statistics intact — rather than
@@ -53,7 +52,6 @@ func RegisterCommon() *CommonFlags {
 	flag.StringVar(&c.CPUProfile, "cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
 	flag.StringVar(&c.MemProfile, "memprofile", "", "write a heap profile to this file at exit (go tool pprof)")
 	flag.BoolVar(&c.Progress, "progress", false, "render a live status line on stderr (EWMA states/sec, depth, frontier, memory)")
-	flag.StringVar(&c.MetricsAddr, "metrics-addr", "", "serve read-only metrics over HTTP on this address (/metrics Prometheus text, /metrics.json)")
 	flag.StringVar(&c.Report, "report", "", "write a machine-readable JSON run report to this file at exit")
 	flag.DurationVar(&c.Timeout, "timeout", 0, "wall-clock deadline for the run (e.g. 90s, 5m; 0 = none); on expiry the run aborts cooperatively, keeping partial stats, profiles and -report")
 	return c
@@ -164,15 +162,5 @@ func (c *CommonFlags) Start(tool, system string) (*Telemetry, func(code int), er
 		return nil, func(code int) { os.Exit(code) }, err
 	}
 	exit := ProfiledExit(tool, stopProf)
-	tel, err := StartTelemetry(TelemetryOptions{
-		Tool:        tool,
-		System:      system,
-		Progress:    c.Progress,
-		MetricsAddr: c.MetricsAddr,
-		ReportPath:  c.Report,
-	})
-	if err != nil {
-		return nil, exit, err
-	}
-	return tel, exit, nil
+	return StartTelemetry(TelemetryOptions{Tool: tool, System: system, Progress: c.Progress, ReportPath: c.Report}), exit, nil
 }

@@ -62,10 +62,7 @@ func TestContextTimeout(t *testing.T) {
 func TestRunSummaryAbortFieldsReachReport(t *testing.T) {
 	dir := t.TempDir()
 	path := dir + "/r.json"
-	tel, err := StartTelemetry(TelemetryOptions{Tool: "t", System: "s", ReportPath: path, Out: discard{}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tel := StartTelemetry(TelemetryOptions{Tool: "t", System: "s", ReportPath: path, Out: discard{}})
 	if err := tel.Finish(&RunSummary{Verdict: "aborted", Aborted: true, AbortCause: "received interrupt"}); err != nil {
 		t.Fatal(err)
 	}

@@ -5,22 +5,19 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 
 	"verc3/internal/obs"
 	"verc3/internal/statespace"
 )
 
-// TelemetryOptions configures StartTelemetry from the three telemetry
-// flags every cmd/ binary exposes (-progress, -metrics-addr, -report).
+// TelemetryOptions configures StartTelemetry from the two telemetry flags
+// every cmd/ binary exposes (-progress, -report).
 type TelemetryOptions struct {
-	Tool        string // binary name, for log prefixes and the report
-	System      string // system under test ("" for multi-system tools)
-	Progress    bool   // -progress: live status line on stderr
-	MetricsAddr string // -metrics-addr: read-only HTTP endpoint ("" = off)
-	ReportPath  string // -report: end-of-run JSON report path ("" = off)
+	Tool       string // binary name, for log prefixes and the report
+	System     string // system under test ("" for multi-system tools)
+	Progress   bool   // -progress: live status line on stderr
+	ReportPath string // -report: end-of-run JSON report path ("" = off)
 	// Out overrides the summary destination (default os.Stdout); tests
 	// point it at a buffer.
 	Out io.Writer
@@ -38,10 +35,9 @@ type RunSummary struct {
 
 // Telemetry owns a binary's live-observability machinery: the shared
 // obs.Collector (nil when every telemetry flag is off, so the hot paths
-// pay nothing), the stderr progress renderer and its sampler, the
-// -metrics-addr HTTP server, the pending -report, and the single
-// buffered Status writer through which the binary's human-readable
-// summary flows.
+// pay nothing), the stderr progress renderer and its sampler, the pending
+// -report, and the single buffered Status writer through which the
+// binary's human-readable summary flows.
 //
 // The Status writer is the fix for the old interleaving bug: tools used
 // to fmt.Printf summary fragments while background goroutines (sampler
@@ -54,8 +50,6 @@ type Telemetry struct {
 	col     *obs.Collector
 	prog    *obs.Progress
 	sampler *obs.Sampler
-	srv     *http.Server
-	addr    string
 	status  *bufio.Writer
 	report  *obs.Report
 	done    bool
@@ -63,15 +57,15 @@ type Telemetry struct {
 
 // StartTelemetry wires the telemetry flags. Call it after flag.Parse
 // (the -report Options map is captured via flag.VisitAll). The returned
-// Telemetry is never nil; with all three features off it degrades to
-// just the buffered Status writer and a nil Collector.
-func StartTelemetry(opt TelemetryOptions) (*Telemetry, error) {
+// Telemetry is never nil; with both features off it degrades to just the
+// buffered Status writer and a nil Collector.
+func StartTelemetry(opt TelemetryOptions) *Telemetry {
 	if opt.Out == nil {
 		opt.Out = os.Stdout
 	}
 	t := &Telemetry{opt: opt, status: bufio.NewWriter(opt.Out)}
-	if !opt.Progress && opt.MetricsAddr == "" && opt.ReportPath == "" {
-		return t, nil
+	if !opt.Progress && opt.ReportPath == "" {
+		return t
 	}
 	t.col = obs.New()
 	if opt.ReportPath != "" {
@@ -82,37 +76,19 @@ func StartTelemetry(opt TelemetryOptions) (*Telemetry, error) {
 	if opt.Progress {
 		t.prog = obs.NewProgress(os.Stderr)
 	}
-	// The sampler feeds both the status line and the report timeline;
-	// a bare -metrics-addr needs neither (scrapes snapshot on demand).
-	if opt.Progress || opt.ReportPath != "" {
-		var onSample func(prev, cur obs.Snapshot)
-		if t.prog != nil {
-			onSample = t.prog.Sample
-		}
-		t.sampler = t.col.StartSampler(obs.DefaultSampleInterval, onSample)
+	// The sampler feeds both the status line and the report timeline.
+	var onSample func(prev, cur obs.Snapshot)
+	if t.prog != nil {
+		onSample = t.prog.Sample
 	}
-	if opt.MetricsAddr != "" {
-		ln, err := net.Listen("tcp", opt.MetricsAddr)
-		if err != nil {
-			t.sampler.Stop()
-			return nil, fmt.Errorf("-metrics-addr: %w", err)
-		}
-		t.srv = &http.Server{Handler: obs.MetricsHandler(t.col)}
-		t.addr = ln.Addr().String()
-		go t.srv.Serve(ln)
-		t.Logf("%s: serving metrics on http://%s/metrics", opt.Tool, t.addr)
-	}
-	return t, nil
+	t.sampler = t.col.StartSampler(obs.DefaultSampleInterval, onSample)
+	return t
 }
 
 // Collector returns the run's collector — nil when telemetry is off,
 // which every consumer (mc.Options.Obs, core.Config.Obs) accepts at
 // zero cost.
 func (t *Telemetry) Collector() *obs.Collector { return t.col }
-
-// Addr returns the metrics server's resolved listen address ("" when
-// -metrics-addr is off) — the bound port, even for ":0" requests.
-func (t *Telemetry) Addr() string { return t.addr }
 
 // Status returns the buffered summary writer. Everything written here
 // appears atomically when Finish flushes it; nothing before.
@@ -130,11 +106,10 @@ func (t *Telemetry) Logf(format string, args ...any) {
 }
 
 // Finish tears the telemetry down in output-safe order — stop the
-// sampler, erase the status line, close the metrics server, flush the
-// staged summary — and then, when sum is non-nil and -report was
-// requested, writes the run report. A nil sum (error paths) performs
-// teardown and flush only, since a report without a verdict would fail
-// validation anyway. Finish is idempotent.
+// sampler, erase the status line, flush the staged summary — and then,
+// when sum is non-nil and -report was requested, writes the run report.
+// A nil sum (error paths) performs teardown and flush only, since a report
+// without a verdict would fail validation anyway. Finish is idempotent.
 func (t *Telemetry) Finish(sum *RunSummary) error {
 	if t.done {
 		return nil
@@ -143,9 +118,6 @@ func (t *Telemetry) Finish(sum *RunSummary) error {
 	t.sampler.Stop()
 	if t.prog != nil {
 		t.prog.Clear()
-	}
-	if t.srv != nil {
-		t.srv.Close()
 	}
 	var first error
 	if err := t.status.Flush(); err != nil {

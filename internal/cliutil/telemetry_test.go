@@ -3,28 +3,21 @@ package cliutil
 import (
 	"bytes"
 	"io"
-	"net/http"
 	"path/filepath"
-	"strings"
 	"testing"
+	"time"
 
 	"verc3/internal/obs"
 )
 
 // TestTelemetryOff pins the zero-cost contract: with every telemetry
-// flag off there is no collector, no sampler, no server — only the
-// buffered Status writer, which holds its content until Finish.
+// flag off there is no collector and no sampler — only the buffered
+// Status writer, which holds its content until Finish.
 func TestTelemetryOff(t *testing.T) {
 	var out bytes.Buffer
-	tel, err := StartTelemetry(TelemetryOptions{Tool: "test", Out: &out})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tel := StartTelemetry(TelemetryOptions{Tool: "test", Out: &out})
 	if tel.Collector() != nil {
 		t.Error("telemetry off, but a collector was allocated")
-	}
-	if tel.Addr() != "" {
-		t.Errorf("telemetry off, but metrics bound to %q", tel.Addr())
 	}
 	io.WriteString(tel.Status(), "summary line\n")
 	if out.Len() != 0 {
@@ -53,12 +46,9 @@ func TestTelemetryOff(t *testing.T) {
 func TestTelemetryReport(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "report.json")
 	var out bytes.Buffer
-	tel, err := StartTelemetry(TelemetryOptions{
+	tel := StartTelemetry(TelemetryOptions{
 		Tool: "cliutil-test", System: "unit", ReportPath: path, Out: &out,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	col := tel.Collector()
 	if col == nil {
 		t.Fatal("-report set but no collector")
@@ -83,42 +73,29 @@ func TestTelemetryReport(t *testing.T) {
 	}
 }
 
-// TestTelemetryMetricsInFlight scrapes the -metrics-addr endpoint while
-// the run is still live: every counter family must already be present
-// (zero or not) so dashboards see a stable schema from the first scrape.
+// TestTelemetryMetricsInFlight reads the run's collector while the run is
+// still live: a count and a phase timing published mid-run are already
+// visible, with every other counter present at zero.
 func TestTelemetryMetricsInFlight(t *testing.T) {
-	tel, err := StartTelemetry(TelemetryOptions{
-		Tool: "cliutil-test", MetricsAddr: "127.0.0.1:0", Out: io.Discard,
+	tel := StartTelemetry(TelemetryOptions{
+		Tool: "cliutil-test", ReportPath: filepath.Join(t.TempDir(), "report.json"), Out: io.Discard,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer tel.Finish(nil)
-	tel.Collector().Count(obs.CStates, 7)
-	resp, err := http.Get("http://" + tel.Addr() + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	col := tel.Collector()
+	col.Count(obs.CStates, 7)
+	col.ObservePhase(obs.PhaseFire, 3*time.Microsecond)
+	s := col.Snapshot()
+	if s.Counters[obs.CStates] != 7 || s.Counters[obs.CTransitions] != 0 {
+		t.Errorf("in-flight snapshot: states %d, transitions %d, want 7 and 0",
+			s.Counters[obs.CStates], s.Counters[obs.CTransitions])
 	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
+	if s.ElapsedNS <= 0 {
+		t.Errorf("in-flight snapshot elapsed = %d ns", s.ElapsedNS)
 	}
-	text := string(body)
-	for _, family := range []string{
-		"verc3_states_total 7",
-		"verc3_transitions_total 0",
-		"verc3_elapsed_seconds",
-		"verc3_phase_seconds_count",
-	} {
-		if !strings.Contains(text, family) {
-			t.Errorf("/metrics missing %q", family)
-		}
+	if got := col.Phases()[obs.PhaseFire.String()].Count; got != 1 {
+		t.Errorf("fire phase count = %d, want 1", got)
 	}
 	if err := tel.Finish(nil); err != nil {
 		t.Fatal(err)
-	}
-	if _, err := http.Get("http://" + tel.Addr() + "/metrics"); err == nil {
-		t.Error("metrics server still serving after Finish")
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"verc3/internal/core"
 	"verc3/internal/mc"
 	"verc3/internal/obs"
-	"verc3/internal/toy"
 	"verc3/internal/ts"
 )
 
@@ -103,7 +102,7 @@ func TestCandidatePanicContained(t *testing.T) {
 func TestSynthesizePreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancelCause(context.Background())
 	cancel(errors.New("cut short"))
-	res, err := core.SynthesizeCtx(ctx, toy.Figure2(), core.Config{Mode: core.ModePrune})
+	res, err := core.SynthesizeCtx(ctx, figure2(t), core.Config{Mode: core.ModePrune})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +130,7 @@ func TestSynthesizeCancelMidSearch(t *testing.T) {
 	ctx, cancel := context.WithCancelCause(context.Background())
 	defer cancel(nil)
 	col := obs.New()
-	res, err := core.SynthesizeCtx(ctx, toy.Figure2(), core.Config{
+	res, err := core.SynthesizeCtx(ctx, figure2(t), core.Config{
 		Mode: core.ModePrune,
 		Obs:  col,
 		OnEvaluate: func(core.Event) {
@@ -175,7 +174,7 @@ func TestSynthesizeRejectsPerRunMCOptions(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := core.Synthesize(toy.Figure2(), core.Config{MC: tc.mc})
+			_, err := core.Synthesize(figure2(t), core.Config{MC: tc.mc})
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("err = %v, want mention of %q", err, tc.want)
 			}

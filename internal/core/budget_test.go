@@ -10,7 +10,6 @@ import (
 	"verc3/internal/core"
 	"verc3/internal/mc"
 	"verc3/internal/msi"
-	"verc3/internal/toy"
 )
 
 // TestSplitParallelism pins the budget-splitting policy: cross-candidate
@@ -44,7 +43,7 @@ func TestSplitParallelism(t *testing.T) {
 // TestMCWorkersRejectedOnMCOptions checks the engine owns the model
 // checker's worker knob.
 func TestMCWorkersRejectedOnMCOptions(t *testing.T) {
-	_, err := core.Synthesize(toy.Figure2(), core.Config{MC: mc.Options{Workers: 4}})
+	_, err := core.Synthesize(figure2(t), core.Config{MC: mc.Options{Workers: 4}})
 	if err == nil || !strings.Contains(err.Error(), "MCWorkers") {
 		t.Fatalf("err = %v, want MC.Workers rejection pointing at Config.MCWorkers", err)
 	}

@@ -10,8 +10,8 @@ import (
 	"verc3/internal/core"
 	"verc3/internal/mc"
 	"verc3/internal/obs"
-	"verc3/internal/toy"
 	"verc3/internal/ts"
+	"verc3/internal/ts/tstest"
 	"verc3/internal/visited"
 )
 
@@ -19,7 +19,7 @@ import (
 // exact evaluation order, candidates never repeat, and counters match.
 func TestOnEvaluateSequentialOrder(t *testing.T) {
 	var events []core.Event
-	res, err := core.Synthesize(toy.Figure2(), core.Config{
+	res, err := core.Synthesize(figure2(t), core.Config{
 		Mode:       core.ModePrune,
 		OnEvaluate: func(ev core.Event) { events = append(events, ev) },
 	})
@@ -67,7 +67,7 @@ func TestOnEvaluateSequentialOrder(t *testing.T) {
 func TestOnEvaluateParallelSafe(t *testing.T) {
 	var mu sync.Mutex
 	count := 0
-	res, err := core.Synthesize(toy.Chain(6, 3), core.Config{
+	res, err := core.Synthesize(tstest.Chain(6, 3).System(), core.Config{
 		Mode:    core.ModePrune,
 		Workers: 4,
 		OnEvaluate: func(core.Event) {
@@ -86,7 +86,7 @@ func TestOnEvaluateParallelSafe(t *testing.T) {
 
 // TestMaxEvaluationsParallel: the cap holds under concurrency.
 func TestMaxEvaluationsParallel(t *testing.T) {
-	res, err := core.Synthesize(toy.Chain(8, 3), core.Config{
+	res, err := core.Synthesize(tstest.Chain(8, 3).System(), core.Config{
 		Mode: core.ModePrune, Workers: 4, MaxEvaluations: 7,
 	})
 	if err != nil {
@@ -103,7 +103,7 @@ func TestMaxEvaluationsParallel(t *testing.T) {
 // TestMCStateCapDuringSynthesis: per-run caps downgrade runs to unknown;
 // synthesis completes without false solutions.
 func TestMCStateCapDuringSynthesis(t *testing.T) {
-	res, err := core.Synthesize(toy.Chain(4, 2), core.Config{
+	res, err := core.Synthesize(tstest.Chain(4, 2).System(), core.Config{
 		Mode: core.ModePrune,
 		MC:   mc.Options{MaxStates: 2}, // every run gets capped
 	})
@@ -119,39 +119,41 @@ func TestMCStateCapDuringSynthesis(t *testing.T) {
 }
 
 // hostileSystem redeclares a hole with a different arity mid-search: the
-// engine must surface a hard error, not mislabel candidates. It borrows a
-// toy graph's states and properties through a named field, not by embedding
-// it, so none of the graph's optional capabilities (quiescence, goals) is
-// promoted.
-type hostileSystem struct{ g toy.Graph }
+// engine must surface a hard error, not mislabel candidates. It has two
+// initial states and one rule, which offers hole h two actions from the
+// first state and one from the second.
+type hostileSystem struct{}
 
-func (h *hostileSystem) Name() string               { return h.g.Name() }
-func (h *hostileSystem) Initial() []ts.State        { return h.g.Initial() }
-func (h *hostileSystem) Invariants() []ts.Invariant { return h.g.Invariants() }
+// hostileState is one of hostileSystem's two states.
+type hostileState byte
 
-func (h *hostileSystem) AppendRules(dst []ts.Rule, _ ts.State) []ts.Rule {
+func (s hostileState) Key() string                 { return string(rune('a' + s)) }
+func (s hostileState) Clone() ts.State             { return s }
+func (s hostileState) AppendKey(dst []byte) []byte { return append(dst, byte(s)) }
+
+func (hostileSystem) Name() string               { return "hostile" }
+func (hostileSystem) Initial() []ts.State        { return []ts.State{hostileState(0), hostileState(1)} }
+func (hostileSystem) Invariants() []ts.Invariant { return nil }
+
+func (hostileSystem) AppendRules(dst []ts.Rule, _ ts.State) []ts.Rule {
 	return append(dst, ts.Rule{})
 }
 
-func (h *hostileSystem) FireRule(s ts.State, _ ts.Rule, env *ts.Env) (ts.State, error) {
+func (hostileSystem) FireRule(s ts.State, _ ts.Rule, env *ts.Env) (ts.State, error) {
 	acts := []string{"a", "b"}
-	if s.Key() != "n0" {
+	if s.(hostileState) != 0 {
 		acts = []string{"a"}
 	}
 	if _, err := env.Choose("h", acts); err != nil {
 		return nil, err
 	}
-	return s.Clone(), nil
+	return s, nil
 }
 
-func (h *hostileSystem) RuleName(ts.Rule) string { return "bad" }
+func (hostileSystem) RuleName(ts.Rule) string { return "bad" }
 
 func TestInconsistentHoleArityFails(t *testing.T) {
-	h := &hostileSystem{g: toy.Graph{
-		SysName: "hostile", Init: []int{0, 1},
-		Nodes: []toy.Node{{}, {}},
-	}}
-	_, err := core.Synthesize(h, core.Config{Mode: core.ModePrune})
+	_, err := core.Synthesize(hostileSystem{}, core.Config{Mode: core.ModePrune})
 	if err == nil || !strings.Contains(err.Error(), "redeclared") {
 		t.Fatalf("err = %v, want redeclaration error", err)
 	}
@@ -160,7 +162,7 @@ func TestInconsistentHoleArityFails(t *testing.T) {
 // TestManyHolesBeyondMaskWidth: >64 holes must still synthesize correctly
 // (usage masks saturate; trace-generalized falls back to full-vector).
 func TestManyHolesBeyondMaskWidth(t *testing.T) {
-	g := toy.Chain(70, 2)
+	g := tstest.Chain(70, 2).System()
 	for _, style := range []core.PruneStyle{core.PruneFullVector, core.PruneTraceGeneralized} {
 		res, err := core.Synthesize(g, core.Config{Mode: core.ModePrune, PruneStyle: style})
 		if err != nil {
@@ -181,7 +183,7 @@ func TestManyHolesBeyondMaskWidth(t *testing.T) {
 func TestSkippedSaturates(t *testing.T) {
 	for _, style := range []core.PruneStyle{core.PruneFullVector, core.PruneTraceGeneralized} {
 		col := obs.New()
-		res, err := core.Synthesize(toy.Chain(70, 2), core.Config{Mode: core.ModePrune, PruneStyle: style, Obs: col})
+		res, err := core.Synthesize(tstest.Chain(70, 2).System(), core.Config{Mode: core.ModePrune, PruneStyle: style, Obs: col})
 		if err != nil {
 			t.Fatalf("style %v: %v", style, err)
 		}
@@ -198,7 +200,7 @@ func TestSkippedSaturates(t *testing.T) {
 // and solutions (no map-iteration nondeterminism leaking out).
 func TestDeterministicSequentialRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	g := toy.Random(rng, 5)
+	g := tstest.Random(rng, 5).System()
 	a, err := core.Synthesize(g, core.Config{Mode: core.ModePrune})
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +218,7 @@ func TestDeterministicSequentialRuns(t *testing.T) {
 // TestSolutionAssignCopied: mutating a returned solution must not corrupt
 // engine internals (defensive copying).
 func TestSolutionAssignCopied(t *testing.T) {
-	res, err := core.Synthesize(toy.Figure2(), core.Config{Mode: core.ModePrune})
+	res, err := core.Synthesize(figure2(t), core.Config{Mode: core.ModePrune})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +239,7 @@ func TestSolutionAssignCopied(t *testing.T) {
 func TestSynthesisBackendsAgree(t *testing.T) {
 	var counts []int64
 	for _, kind := range []visited.Kind{visited.Flat, visited.Spill} {
-		res, err := core.Synthesize(toy.Figure2(), core.Config{
+		res, err := core.Synthesize(figure2(t), core.Config{
 			Mode: core.ModePrune,
 			MC:   mc.Options{Visited: kind, SpillMem: 1, SpillDir: t.TempDir()},
 		})

@@ -9,14 +9,27 @@ import (
 
 	"verc3/internal/core"
 	"verc3/internal/mc"
-	"verc3/internal/toy"
+	"verc3/internal/ts"
+	"verc3/internal/ts/tstest"
+	"verc3/internal/zoo"
 )
+
+// figure2 is the paper's Figure 2 worked example: the zoo's fig2 entry,
+// compiled from examples/specs/fig2.json.
+func figure2(t testing.TB) ts.System {
+	t.Helper()
+	sys, err := zoo.Get("fig2", zoo.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
 
 // TestFigure2Pruning reproduces the paper's Figure 2 worked example: with
 // candidate pruning only 10 candidates are evaluated, versus 24 with naive
 // enumeration, and exactly one solution exists: ⟨1@B, 2@A, 3@B, 4@B⟩.
 func TestFigure2Pruning(t *testing.T) {
-	g := toy.Figure2()
+	g := figure2(t)
 	res, err := core.Synthesize(g, core.Config{Mode: core.ModePrune})
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +68,7 @@ func TestFigure2Pruning(t *testing.T) {
 // after the run. Pruning patterns are inserted by runs 2, 4, 6, 7 and 9.
 func TestFigure2RunTable(t *testing.T) {
 	var events []core.Event
-	res, err := core.Synthesize(toy.Figure2(), core.Config{
+	res, err := core.Synthesize(figure2(t), core.Config{
 		Mode:       core.ModePrune,
 		Workers:    1,
 		OnEvaluate: func(ev core.Event) { events = append(events, ev) },
@@ -99,7 +112,7 @@ func TestFigure2RunTable(t *testing.T) {
 // re-enumerated), so it dispatches 16 of the 24. On the MSI case study all
 // holes are discovered in the first run and the two notions coincide.
 func TestFigure2Naive(t *testing.T) {
-	g := toy.Figure2()
+	g := figure2(t)
 	res, err := core.Synthesize(g, core.Config{Mode: core.ModeNaive})
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +131,7 @@ func TestFigure2Naive(t *testing.T) {
 // TestFigure2Parallel checks that parallel pruning synthesis finds the same
 // solution set.
 func TestFigure2Parallel(t *testing.T) {
-	g := toy.Figure2()
+	g := figure2(t)
 	res, err := core.Synthesize(g, core.Config{Mode: core.ModePrune, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -128,11 +141,11 @@ func TestFigure2Parallel(t *testing.T) {
 	}
 }
 
-// bruteForce computes the ground-truth success set of a toy graph by
+// bruteForce computes the ground-truth success set of a test graph by
 // enumerating every total assignment of the graph's holes and simulating
 // reachability directly (no model checker, no pruning): a candidate succeeds
 // iff no bad node is reachable and all goal nodes are reachable.
-func bruteForce(g *toy.Graph) (holes []string, arity map[string]int, successes []map[string]int) {
+func bruteForce(g *tstest.Graph) (holes []string, arity map[string]int, successes []map[string]int) {
 	arity = map[string]int{}
 	for _, n := range g.Nodes {
 		if n.Hole != "" {
@@ -165,9 +178,9 @@ func bruteForce(g *toy.Graph) (holes []string, arity map[string]int, successes [
 }
 
 // simulate runs plain reachability for one total assignment.
-func simulate(g *toy.Graph, assign map[string]int) bool {
+func simulate(g *tstest.Graph, assign map[string]int) bool {
 	seen := make([]bool, len(g.Nodes))
-	stack := append([]int(nil), g.Init...)
+	stack := []int{g.Init}
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -199,7 +212,7 @@ func simulate(g *toy.Graph, assign map[string]int) bool {
 //     is a ground-truth success;
 //   - completeness: every ground-truth success is consistent with some
 //     reported solution.
-func checkAgainstBruteForce(t *testing.T, g *toy.Graph, res *core.Result, label string) {
+func checkAgainstBruteForce(t *testing.T, g *tstest.Graph, res *core.Result, label string) {
 	t.Helper()
 	holes, arity, successes := bruteForce(g)
 
@@ -280,10 +293,11 @@ func TestRandomSystemsAgainstBruteForce(t *testing.T) {
 	}
 	for seed := 0; seed < n; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
-		g := toy.Random(rng, 2+rng.Intn(5))
+		g := tstest.Random(rng, 2+rng.Intn(5))
+		sys := g.System()
 		for _, cfg := range configs {
 			label := fmt.Sprintf("seed=%d mode=%v style=%v workers=%d", seed, cfg.Mode, cfg.PruneStyle, cfg.Workers)
-			res, err := core.Synthesize(g, cfg)
+			res, err := core.Synthesize(sys, cfg)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -301,7 +315,7 @@ func TestPruningWinsOnFailureHeavyChains(t *testing.T) {
 	for _, tc := range []struct{ holes, arity int }{
 		{4, 2}, {4, 3}, {6, 2}, {6, 3}, {8, 2},
 	} {
-		g := toy.Chain(tc.holes, tc.arity)
+		g := tstest.Chain(tc.holes, tc.arity).System()
 		naive, err := core.Synthesize(g, core.Config{Mode: core.ModeNaive})
 		if err != nil {
 			t.Fatal(err)
@@ -340,7 +354,7 @@ func TestPruningWinsOnFailureHeavyChains(t *testing.T) {
 
 // TestTruncation checks MaxEvaluations stops synthesis and flags the result.
 func TestTruncation(t *testing.T) {
-	g := toy.Figure2()
+	g := figure2(t)
 	res, err := core.Synthesize(g, core.Config{Mode: core.ModeNaive, MaxEvaluations: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -355,7 +369,7 @@ func TestTruncation(t *testing.T) {
 
 // TestNaiveRejectsWorkers checks the naive/parallel validation.
 func TestNaiveRejectsWorkers(t *testing.T) {
-	_, err := core.Synthesize(toy.Figure2(), core.Config{Mode: core.ModeNaive, Workers: 2})
+	_, err := core.Synthesize(figure2(t), core.Config{Mode: core.ModeNaive, Workers: 2})
 	if err == nil {
 		t.Fatal("want error for naive+workers")
 	}
@@ -364,7 +378,7 @@ func TestNaiveRejectsWorkers(t *testing.T) {
 // TestConfigRejectsManagedMCFields checks RecordTrace is refused: the engine
 // turns it on only for the final re-verification.
 func TestConfigRejectsManagedMCFields(t *testing.T) {
-	_, err := core.Synthesize(toy.Figure2(), core.Config{MC: mc.Options{RecordTrace: true}})
+	_, err := core.Synthesize(figure2(t), core.Config{MC: mc.Options{RecordTrace: true}})
 	if err == nil {
 		t.Fatal("want error for RecordTrace in Config.MC")
 	}
@@ -373,14 +387,10 @@ func TestConfigRejectsManagedMCFields(t *testing.T) {
 // TestInherentlyFaultySkeleton: a skeleton whose empty candidate already
 // fails has no solutions and stops quickly.
 func TestInherentlyFaultySkeleton(t *testing.T) {
-	g := &toy.Graph{
-		SysName: "faulty",
-		Init:    []int{0},
-		Nodes: []toy.Node{
-			{Plain: []int{1}},
-			{Bad: true},
-		},
-	}
+	g := (&tstest.Graph{Name: "faulty", Nodes: []tstest.Node{
+		{Plain: []int{1}},
+		{Bad: true},
+	}}).System()
 	res, err := core.Synthesize(g, core.Config{Mode: core.ModePrune})
 	if err != nil {
 		t.Fatal(err)
@@ -395,14 +405,10 @@ func TestInherentlyFaultySkeleton(t *testing.T) {
 
 // TestCompleteModel: a hole-free correct model yields one (empty) solution.
 func TestCompleteModel(t *testing.T) {
-	g := &toy.Graph{
-		SysName: "complete",
-		Init:    []int{0},
-		Nodes: []toy.Node{
-			{Plain: []int{1}},
-			{},
-		},
-	}
+	g := (&tstest.Graph{Name: "complete", Nodes: []tstest.Node{
+		{Plain: []int{1}},
+		{},
+	}}).System()
 	for _, mode := range []core.Mode{core.ModePrune, core.ModeNaive} {
 		res, err := core.Synthesize(g, core.Config{Mode: mode})
 		if err != nil {

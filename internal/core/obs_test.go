@@ -7,7 +7,6 @@ import (
 	"verc3/internal/core"
 	"verc3/internal/mc"
 	"verc3/internal/obs"
-	"verc3/internal/toy"
 )
 
 // TestSynthesisEvents pins the structured progress stream on the Figure 2
@@ -17,7 +16,7 @@ import (
 func TestSynthesisEvents(t *testing.T) {
 	col := obs.New()
 	var events []obs.Event
-	res, err := core.Synthesize(toy.Figure2(), core.Config{
+	res, err := core.Synthesize(figure2(t), core.Config{
 		Mode: core.ModePrune,
 		Obs:  col,
 		Events: func(ev obs.Event) {
@@ -92,7 +91,7 @@ func TestSynthesisEvents(t *testing.T) {
 // TestSynthesisRejectsMCObs pins the managed-field contract: the collector
 // goes in Config.Obs, never Config.MC.Obs.
 func TestSynthesisRejectsMCObs(t *testing.T) {
-	_, err := core.Synthesize(toy.Figure2(), core.Config{
+	_, err := core.Synthesize(figure2(t), core.Config{
 		MC: mc.Options{Obs: obs.New()},
 	})
 	if err == nil || !strings.Contains(err.Error(), "MC.Obs") {

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"verc3/internal/core"
-	"verc3/internal/toy"
 )
 
 // TestSolutionsReverified checks both modes re-verify every reported
@@ -16,7 +15,7 @@ import (
 // search itself contributes none.
 func TestSolutionsReverified(t *testing.T) {
 	for _, mode := range []core.Mode{core.ModePrune, core.ModeNaive} {
-		res, err := core.Synthesize(toy.Figure2(), core.Config{Mode: mode})
+		res, err := core.Synthesize(figure2(t), core.Config{Mode: mode})
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
@@ -39,7 +38,7 @@ func TestSolutionsReverified(t *testing.T) {
 // the aggregate state count must equal TotalVisitedStates plus the states
 // of the per-solution re-verification runs.
 func TestSpaceAggregatesAcrossDispatches(t *testing.T) {
-	res, err := core.Synthesize(toy.Figure2(), core.Config{Mode: core.ModePrune})
+	res, err := core.Synthesize(figure2(t), core.Config{Mode: core.ModePrune})
 	if err != nil {
 		t.Fatal(err)
 	}

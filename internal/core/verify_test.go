@@ -6,14 +6,13 @@ import (
 
 	"verc3/internal/core"
 	"verc3/internal/mc"
-	"verc3/internal/toy"
 	"verc3/internal/ts"
 )
 
 // TestVerifySolutionRoundTrip: every reported solution re-verifies as
 // success through the public API.
 func TestVerifySolutionRoundTrip(t *testing.T) {
-	g := toy.Figure2()
+	g := figure2(t)
 	res, err := core.Synthesize(g, core.Config{Mode: core.ModePrune})
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +48,7 @@ func TestFixedChooserSemantics(t *testing.T) {
 
 // TestAssignmentExport checks the solution → map rendering.
 func TestAssignmentExport(t *testing.T) {
-	g := toy.Figure2()
+	g := figure2(t)
 	res, err := core.Synthesize(g, core.Config{Mode: core.ModePrune})
 	if err != nil {
 		t.Fatal(err)

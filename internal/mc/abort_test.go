@@ -13,8 +13,8 @@ import (
 	"time"
 
 	"verc3/internal/mc"
-	"verc3/internal/toy"
 	"verc3/internal/ts"
+	"verc3/internal/ts/tstest"
 )
 
 // chain is a parametric linear system 0 → 1 → … → n-1 whose AppendRules
@@ -170,8 +170,8 @@ func TestFailureOutranksCancellation(t *testing.T) {
 		cancel(errors.New("too late"))
 		// A bad initial state: the failure is recorded during admission,
 		// before the first cancellation poll can abort.
-		g := &toy.Graph{SysName: "badinit", Init: []int{0}, Nodes: []toy.Node{{Bad: true}}}
-		res, err := mc.CheckCtx(ctx, g, opt)
+		g := &tstest.Graph{Name: "badinit", Nodes: []tstest.Node{{Bad: true}}}
+		res, err := mc.CheckCtx(ctx, g.System(), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,10 +190,10 @@ func TestFailureOutranksCancellation(t *testing.T) {
 func TestAbortSkipsGoalVerdict(t *testing.T) {
 	ctx, cancel := context.WithCancelCause(context.Background())
 	cancel(errors.New("cut short"))
-	g := &toy.Graph{SysName: "goal-abort", Init: []int{0}, Nodes: []toy.Node{
+	g := &tstest.Graph{Name: "goal-abort", Nodes: []tstest.Node{
 		{Plain: []int{1}}, {}, {Goal: true}, // node 2 unreachable
 	}}
-	res, err := mc.CheckCtx(ctx, g, mc.Options{})
+	res, err := mc.CheckCtx(ctx, g.System(), mc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

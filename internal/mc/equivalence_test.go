@@ -9,9 +9,9 @@ import (
 	"testing"
 
 	"verc3/internal/mc"
-	"verc3/internal/toy"
 	"verc3/internal/trace"
 	"verc3/internal/ts"
+	"verc3/internal/ts/tstest"
 	"verc3/internal/visited"
 	"verc3/internal/zoo"
 )
@@ -308,7 +308,7 @@ func TestSpillStressBoundedRAM(t *testing.T) {
 // with a nil trace (the memory saving must not change the verdict).
 func TestZooEquivalenceFailureReplay(t *testing.T) {
 	for _, workers := range []int{1, 8} {
-		g := line(6, true)
+		g := line(6, true).System()
 		res, err := mc.Check(g, mc.Options{RecordTrace: true, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
@@ -323,7 +323,7 @@ func TestZooEquivalenceFailureReplay(t *testing.T) {
 			}
 		}
 
-		off, err := mc.Check(line(6, true), mc.Options{Workers: workers})
+		off, err := mc.Check(line(6, true).System(), mc.Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -345,12 +345,12 @@ func TestZooEquivalenceFailureReplay(t *testing.T) {
 func TestZooEquivalenceTraceFormatGolden(t *testing.T) {
 	//     0 → 1 → 2 → 3(bad)
 	//     0 ----------→ 3 (direct)
-	g := &toy.Graph{SysName: "twopaths", Init: []int{0}, Nodes: []toy.Node{
+	g := (&tstest.Graph{Name: "twopaths", Nodes: []tstest.Node{
 		{Plain: []int{1, 3}},
 		{Plain: []int{2}},
 		{Plain: []int{3}},
 		{Bad: true},
-	}}
+	}}).System()
 	res, err := mc.Check(g, mc.Options{RecordTrace: true})
 	if err != nil {
 		t.Fatal(err)
@@ -360,9 +360,9 @@ func TestZooEquivalenceTraceFormatGolden(t *testing.T) {
 	}
 	const want = "invariant violation: no-bad-state\n" +
 		"  0. (initial state)\n" +
-		"     n0\n" +
+		"     v=0\n" +
 		"  1. n0→n3\n" +
-		"     n3\n"
+		"     v=3\n"
 	if got := trace.Format(res.Failure, trace.Options{ShowStates: true}); got != want {
 		t.Errorf("trace rendering changed:\n got: %q\nwant: %q", got, want)
 	}

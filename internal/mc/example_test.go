@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"verc3/internal/mc"
-	"verc3/internal/toy"
+	"verc3/internal/ts/tstest"
 )
 
 // ExampleCheck model-checks a four-state chain whose terminal state
@@ -13,13 +13,13 @@ import (
 // false the same run would retain only 8 bytes per state and report
 // Failure without a trace.
 func ExampleCheck() {
-	g := &toy.Graph{SysName: "demo", Init: []int{0}, Nodes: []toy.Node{
+	g := &tstest.Graph{Name: "demo", Nodes: []tstest.Node{
 		{Plain: []int{1}},
 		{Plain: []int{2}},
 		{Plain: []int{3}},
 		{Bad: true},
 	}}
-	res, err := mc.Check(g, mc.Options{RecordTrace: true})
+	res, err := mc.Check(g.System(), mc.Options{RecordTrace: true})
 	if err != nil {
 		panic(err)
 	}
@@ -37,8 +37,8 @@ func ExampleCheck() {
 	// verdict: failure
 	// states: 4
 	// violated: no-bad-state
-	//   start n0
-	//   n0→n1 gives n1
-	//   n1→n2 gives n2
-	//   n2→n3 gives n3
+	//   start 0
+	//   n0→n1 gives 1
+	//   n1→n2 gives 2
+	//   n2→n3 gives 3
 }

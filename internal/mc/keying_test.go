@@ -10,13 +10,11 @@ package mc_test
 
 import (
 	"math"
-	"path/filepath"
 	"runtime/debug"
 	"testing"
 
 	"verc3/internal/mc"
 	"verc3/internal/msi"
-	"verc3/internal/spec"
 	"verc3/internal/ts"
 	"verc3/internal/ts/tstest"
 	"verc3/internal/zoo"
@@ -65,7 +63,8 @@ func TestZooEquivalenceKeying(t *testing.T) {
 }
 
 // TestZooAppendKeyConsistency runs the exactness oracle over every zoo
-// entry (at 2 caches) and every committed spec, with symmetry off and on,
+// entry (at 2 caches; the spec-built entries reach every committed spec),
+// with symmetry off and on,
 // under two candidates: every hole a wildcard, and every hole its first
 // action (so sketches whose behaviour is entirely behind holes still reach
 // a real population). The oracle re-explores each by exact identity and
@@ -84,15 +83,6 @@ func TestZooAppendKeyConsistency(t *testing.T) {
 				t.Fatal(err)
 			}
 			return sys
-		}
-	}
-	for _, file := range []string{"mutex.json", "mutex-sketch.json", "tokenring.json"} {
-		systems["spec/"+file] = func() ts.System {
-			m, err := spec.LoadFile(filepath.Join("../../examples/specs", file))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return m.System()
 		}
 	}
 	for name, build := range systems {

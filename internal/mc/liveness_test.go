@@ -3,7 +3,6 @@ package mc_test
 import (
 	"fmt"
 	"hash/fnv"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -194,8 +193,8 @@ func pinOf(res *mc.Result) livenessPin {
 
 // TestLivenessPinnedAnswers pins the nested-DFS answers in absolute values:
 // every zoo entry the equivalence harness runs with liveness goals (at 2
-// caches, sketches under the all-wildcard chooser) and the committed
-// liveness specs, one sequential traced check each on the flat table. The
+// caches, sketches under the all-wildcard chooser), one sequential traced
+// check each on the flat table. The
 // other liveness harnesses compare configurations with each other; this one
 // compares the search with itself across changes to the kernel it runs on.
 func TestLivenessPinnedAnswers(t *testing.T) {
@@ -212,8 +211,6 @@ func TestLivenessPinnedAnswers(t *testing.T) {
 			cycleLen: 2, cycleStart: 6, steps: 9, aborts: 51, lasso: 0xa305a57e740d0326},
 		"msi-large": {verdict: mc.Failure, goal: writeStall, live: 37, red: 6,
 			cycleLen: 2, cycleStart: 6, steps: 9, aborts: 51, lasso: 0xa305a57e740d0326},
-		"spec/tokenring.json": {verdict: mc.Success, live: 90, red: 54},
-		"spec/mutex.json":     {verdict: mc.Success, live: 145, red: 85},
 	}
 	systems := map[string]func() ts.System{}
 	for _, name := range []string{"token-ring", "token-ring-sketch", "peterson", "peterson-sketch",
@@ -224,15 +221,6 @@ func TestLivenessPinnedAnswers(t *testing.T) {
 				t.Fatal(err)
 			}
 			return sys
-		}
-	}
-	for _, file := range []string{"tokenring.json", "mutex.json"} {
-		systems["spec/"+file] = func() ts.System {
-			m, err := spec.LoadFile(filepath.Join("../../examples/specs", file))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return m.System()
 		}
 	}
 	for name, build := range systems {

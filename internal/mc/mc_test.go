@@ -7,15 +7,15 @@ import (
 	"testing"
 
 	"verc3/internal/mc"
-	"verc3/internal/toy"
 	"verc3/internal/ts"
+	"verc3/internal/ts/tstest"
 )
 
 // line builds a linear graph 0 → 1 → … → n-1 with optional bad terminal.
-func line(n int, badLast bool) *toy.Graph {
-	g := &toy.Graph{SysName: "line", Init: []int{0}}
+func line(n int, badLast bool) *tstest.Graph {
+	g := &tstest.Graph{Name: "line"}
 	for i := 0; i < n; i++ {
-		node := toy.Node{}
+		node := tstest.Node{}
 		if i+1 < n {
 			node.Plain = []int{i + 1}
 		}
@@ -29,7 +29,7 @@ func line(n int, badLast bool) *toy.Graph {
 
 // TestSuccessOnSafeSystem checks the plain happy path.
 func TestSuccessOnSafeSystem(t *testing.T) {
-	res, err := mc.Check(line(5, false), mc.Options{})
+	res, err := mc.Check(line(5, false).System(), mc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestSuccessOnSafeSystem(t *testing.T) {
 // TestInvariantFailureWithTrace checks the counterexample trace is complete
 // and ordered initial → violation.
 func TestInvariantFailureWithTrace(t *testing.T) {
-	res, err := mc.Check(line(4, true), mc.Options{RecordTrace: true})
+	res, err := mc.Check(line(4, true).System(), mc.Options{RecordTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,8 +60,8 @@ func TestInvariantFailureWithTrace(t *testing.T) {
 	if res.Failure.Trace[0].Rule != "" {
 		t.Error("first step should be the initial state")
 	}
-	if res.Failure.Trace[3].State.Key() != "n3" {
-		t.Errorf("last state = %s, want n3", res.Failure.Trace[3].State.Key())
+	if res.Failure.Trace[3].State.Key() != "3" {
+		t.Errorf("last state = %s, want 3", res.Failure.Trace[3].State.Key())
 	}
 }
 
@@ -71,12 +71,12 @@ func TestInvariantFailureWithTrace(t *testing.T) {
 func TestBFSTraceMinimality(t *testing.T) {
 	//     0 → 1 → 2 → 3(bad)
 	//     0 ----------→ 3 (direct)
-	g := &toy.Graph{SysName: "twopaths", Init: []int{0}, Nodes: []toy.Node{
+	g := (&tstest.Graph{Name: "twopaths", Nodes: []tstest.Node{
 		{Plain: []int{1, 3}},
 		{Plain: []int{2}},
 		{Plain: []int{3}},
 		{Bad: true},
-	}}
+	}}).System()
 	res, err := mc.Check(g, mc.Options{RecordTrace: true})
 	if err != nil {
 		t.Fatal(err)
@@ -99,10 +99,7 @@ func TestBFSTraceMinimality(t *testing.T) {
 
 // TestDeadlockDetection checks a non-quiescent sink is reported.
 func TestDeadlockDetection(t *testing.T) {
-	// Node 1 has a hole with zero... use a graph where a node has no edges
-	// but is NOT quiescent: toy marks hole-less edge-less nodes quiescent,
-	// so build the deadlock via a hole node with a wildcard-free chooser?
-	// Simpler: a custom system.
+	// Graph terminals are quiescent, so the stuck state is a custom system.
 	sys := &sinkSystem{}
 	res, err := mc.Check(sys, mc.Options{RecordTrace: true})
 	if err != nil {
@@ -136,10 +133,15 @@ func (*sinkSystem) FireRule(ts.State, ts.Rule, *ts.Env) (ts.State, error) { retu
 func (*sinkSystem) RuleName(ts.Rule) string                               { return "go" }
 func (*sinkSystem) Invariants() []ts.Invariant                            { return nil }
 
+// emptySystem is sinkSystem without initial states: a malformed model.
+type emptySystem struct{ sinkSystem }
+
+func (emptySystem) Initial() []ts.State { return nil }
+
 // TestQuiescentSinkIsNotDeadlock checks QuiescentReporter suppresses the
-// deadlock report (toy terminal nodes are quiescent).
+// deadlock report (graph terminals are quiescent).
 func TestQuiescentSinkIsNotDeadlock(t *testing.T) {
-	res, err := mc.Check(line(3, false), mc.Options{})
+	res, err := mc.Check(line(3, false).System(), mc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,8 +153,8 @@ func TestQuiescentSinkIsNotDeadlock(t *testing.T) {
 // TestGoalFailure checks an unreached goal fails a complete exploration.
 func TestGoalFailure(t *testing.T) {
 	g := line(3, false)
-	g.Nodes = append(g.Nodes, toy.Node{Goal: true}) // unreachable node 3
-	res, err := mc.Check(g, mc.Options{})
+	g.Nodes = append(g.Nodes, tstest.Node{Goal: true}) // unreachable node 3
+	res, err := mc.Check(g.System(), mc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +170,7 @@ func TestGoalFailure(t *testing.T) {
 func TestGoalReached(t *testing.T) {
 	g := line(3, false)
 	g.Nodes[2].Goal = true
-	res, err := mc.Check(g, mc.Options{})
+	res, err := mc.Check(g.System(), mc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,8 +193,7 @@ func (wildcardChooser) Choose(string, []string) (int, error) { return 0, ts.ErrW
 // TestUnknownOnWildcard checks wildcard aborts downgrade success to unknown
 // and suppress both deadlock and goal verdicts.
 func TestUnknownOnWildcard(t *testing.T) {
-	g := toy.Figure2()
-	res, err := checkEnv(g, mc.Options{}, ts.NewEnv(wildcardChooser{}), nil)
+	res, err := checkEnv(zooSystem(t, "fig2"), mc.Options{}, ts.NewEnv(wildcardChooser{}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestUnknownOnWildcard(t *testing.T) {
 
 // TestMaxStatesCap checks the cap downgrades to unknown.
 func TestMaxStatesCap(t *testing.T) {
-	res, err := mc.Check(line(100, false), mc.Options{MaxStates: 10})
+	res, err := mc.Check(line(100, false).System(), mc.Options{MaxStates: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +226,7 @@ func (errChooser) Choose(string, []string) (int, error) {
 // TestModelErrorPropagates checks non-wildcard Fire errors become Check
 // errors, not verdicts.
 func TestModelErrorPropagates(t *testing.T) {
-	_, err := checkEnv(toy.Figure2(), mc.Options{}, ts.NewEnv(errChooser{}), nil)
+	_, err := checkEnv(zooSystem(t, "fig2"), mc.Options{}, ts.NewEnv(errChooser{}), nil)
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("err = %v, want boom", err)
 	}
@@ -233,19 +234,18 @@ func TestModelErrorPropagates(t *testing.T) {
 
 // TestNoInitialStates checks the malformed-model error.
 func TestNoInitialStates(t *testing.T) {
-	g := &toy.Graph{SysName: "empty"}
-	if _, err := mc.Check(g, mc.Options{}); err == nil {
+	if _, err := mc.Check(&emptySystem{}, mc.Options{}); err == nil {
 		t.Fatal("want error for no initial states")
 	}
 }
 
 // TestDFSExploresAll checks DFS visits the same state count on a safe system.
 func TestDFSExploresAll(t *testing.T) {
-	bfs, err := mc.Check(line(9, false), mc.Options{})
+	bfs, err := mc.Check(line(9, false).System(), mc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dfs, err := mc.Check(line(9, false), mc.Options{Order: mc.DFS})
+	dfs, err := mc.Check(line(9, false).System(), mc.Options{Order: mc.DFS})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,11 +290,11 @@ func (nopUsage) Usage() uint64 { return 0 }
 // for two more; a one-shot Check builds the session first (19 allocations,
 // 27 before sessions existed) and keeps a ceiling of its own.
 func TestCheckFixedAllocs(t *testing.T) {
-	g := &toy.Graph{SysName: "tree10", Init: []int{0}, Nodes: []toy.Node{
+	g := (&tstest.Graph{Name: "tree10", Nodes: []tstest.Node{
 		{Plain: []int{1, 2, 3}},
 		{Plain: []int{4, 5}}, {Plain: []int{6, 7}}, {Plain: []int{8, 9}},
 		{}, {}, {}, {}, {}, {Goal: true},
-	}}
+	}}).System()
 	check := func(res *mc.Result, err error) {
 		if err != nil || res.Verdict != mc.Success || res.Stats.VisitedStates != 10 {
 			t.Fatalf("got %v, %v", res, err)

@@ -7,7 +7,6 @@ package mc_test
 
 import (
 	"io"
-	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -180,8 +179,8 @@ func TestObsTimelineLevelMarks(t *testing.T) {
 
 // BenchmarkExploreTelemetryOff/On price the telemetry stack on the
 // msi-complete-4 exploration (the E17 ablation): Off is the plain check,
-// On runs the full -progress + -metrics-addr stack — collector, 100 ms
-// sampler, progress renderer, live HTTP metrics server. The two must
+// On runs the full -progress stack — collector, 100 ms sampler, progress
+// renderer. The two must
 // stay within a few percent of each other; EXPERIMENTS.md E17 quotes
 // the measured gap.
 func BenchmarkExploreTelemetryOff(b *testing.B) {
@@ -203,8 +202,6 @@ func benchExplore(b *testing.B, telemetry bool) {
 		prog := obs.NewProgress(io.Discard)
 		sampler := col.StartSampler(obs.DefaultSampleInterval, prog.Sample)
 		defer sampler.Stop()
-		srv := httptest.NewServer(obs.MetricsHandler(col))
-		defer srv.Close()
 		opt.Obs = col
 	}
 	b.ReportAllocs()

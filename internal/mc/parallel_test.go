@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"verc3/internal/mc"
-	"verc3/internal/toy"
 	"verc3/internal/ts"
+	"verc3/internal/ts/tstest"
 	"verc3/internal/zoo"
 )
 
@@ -144,22 +144,23 @@ func TestParallelTraceValidity(t *testing.T) {
 	t.Run("invariant", func(t *testing.T) {
 		// A wide two-layer graph with one bad state buried in the second
 		// layer, so many workers race while the violation is found.
-		g := &toy.Graph{SysName: "wide", Init: []int{0}}
-		g.Nodes = append(g.Nodes, toy.Node{})
+		g := &tstest.Graph{Name: "wide"}
+		g.Nodes = append(g.Nodes, tstest.Node{})
 		for i := 1; i <= 40; i++ {
 			g.Nodes[0].Plain = append(g.Nodes[0].Plain, i)
-			g.Nodes = append(g.Nodes, toy.Node{Plain: []int{41}})
+			g.Nodes = append(g.Nodes, tstest.Node{Plain: []int{41}})
 		}
-		g.Nodes = append(g.Nodes, toy.Node{Plain: []int{42}}, toy.Node{Bad: true})
-		res, err := mc.Check(g, mc.Options{RecordTrace: true, Workers: 8})
+		g.Nodes = append(g.Nodes, tstest.Node{Plain: []int{42}}, tstest.Node{Bad: true})
+		sys := g.System()
+		res, err := mc.Check(sys, mc.Options{RecordTrace: true, Workers: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Verdict != mc.Failure || res.Failure.Kind != mc.FailInvariant {
 			t.Fatalf("got %v / %+v, want invariant failure", res.Verdict, res.Failure)
 		}
-		last := replayTrace(t, g, res.Failure)
-		for _, inv := range g.Invariants() {
+		last := replayTrace(t, sys, res.Failure)
+		for _, inv := range sys.Invariants() {
 			if inv.Name == res.Failure.Name && inv.Holds(last) {
 				t.Errorf("final trace state does not violate %q", res.Failure.Name)
 			}
@@ -187,7 +188,7 @@ func TestParallelTraceValidity(t *testing.T) {
 func TestParallelGoalVerdicts(t *testing.T) {
 	reached := line(3, false)
 	reached.Nodes[2].Goal = true
-	res, err := mc.Check(reached, mc.Options{Workers: 4})
+	res, err := mc.Check(reached.System(), mc.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,8 +196,8 @@ func TestParallelGoalVerdicts(t *testing.T) {
 		t.Fatalf("reached goal: verdict = %v", res.Verdict)
 	}
 	unreached := line(3, false)
-	unreached.Nodes = append(unreached.Nodes, toy.Node{Goal: true}) // unreachable
-	res, err = mc.Check(unreached, mc.Options{Workers: 4})
+	unreached.Nodes = append(unreached.Nodes, tstest.Node{Goal: true}) // unreachable
+	res, err = mc.Check(unreached.System(), mc.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +212,7 @@ func TestParallelGoalVerdicts(t *testing.T) {
 // TestParallelMaxStatesCap checks the cap downgrades a parallel run to
 // unknown, same as the sequential driver.
 func TestParallelMaxStatesCap(t *testing.T) {
-	res, err := mc.Check(line(100, false), mc.Options{MaxStates: 10, Workers: 4})
+	res, err := mc.Check(line(100, false).System(), mc.Options{MaxStates: 10, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +224,7 @@ func TestParallelMaxStatesCap(t *testing.T) {
 // TestParallelModelErrorPropagates checks non-wildcard Fire errors surface
 // as Check errors from the parallel driver too.
 func TestParallelModelErrorPropagates(t *testing.T) {
-	_, err := checkEnv(toy.Figure2(), mc.Options{Workers: 4}, ts.NewEnv(errChooser{}), nil)
+	_, err := checkEnv(zooSystem(t, "fig2"), mc.Options{Workers: 4}, ts.NewEnv(errChooser{}), nil)
 	if err == nil {
 		t.Fatal("want error")
 	}
@@ -233,7 +234,7 @@ func TestParallelModelErrorPropagates(t *testing.T) {
 // order ignores Workers and keeps the deterministic sequential driver (its
 // non-minimal-trace ablation semantics depend on traversal order).
 func TestParallelDFSFallsBackToSequential(t *testing.T) {
-	res, err := mc.Check(line(9, false), mc.Options{Order: mc.DFS, Workers: 8})
+	res, err := mc.Check(line(9, false).System(), mc.Options{Order: mc.DFS, Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,12 +256,12 @@ func TestParallelPeakFrontierHighWater(t *testing.T) {
 	//     1     2
 	//    / \   / \
 	//   3   4 5   6   (terminals; quiescent, so no deadlock)
-	g := &toy.Graph{SysName: "tree", Init: []int{0}, Nodes: []toy.Node{
+	g := (&tstest.Graph{Name: "tree", Nodes: []tstest.Node{
 		{Plain: []int{1, 2}},
 		{Plain: []int{3, 4}},
 		{Plain: []int{5, 6}},
 		{}, {}, {}, {},
-	}}
+	}}).System()
 	// One definition at every width. The sequential half used to expect 4:
 	// the old sequential driver's ring released each entry as it was
 	// popped. The kernel counts a finished level with the next one at every
@@ -303,14 +304,14 @@ func (c *maskChooser) Usage() uint64 { return c.used }
 // the minimal trace consults A only. (Under -race a run that did spread a
 // tracked exploration over workers would also trip the detector here.)
 func TestUsageTrackingRunsOneWorker(t *testing.T) {
-	build := func() *toy.Graph {
-		return &toy.Graph{SysName: "two-holes", Init: []int{0}, Nodes: []toy.Node{
+	build := func() ts.System {
+		return (&tstest.Graph{Name: "two-holes", Nodes: []tstest.Node{
 			{Plain: []int{1, 2}},
-			{Hole: "A", Acts: []string{"x"}, To: []int{3}},
-			{Hole: "B", Acts: []string{"y"}, To: []int{4}},
+			{Hole: "A", Acts: []string{"x", "x2"}, To: []int{3, 3}},
+			{Hole: "B", Acts: []string{"y", "y2"}, To: []int{4, 4}},
 			{Bad: true},
 			{Plain: []int{3}},
-		}}
+		}}).System()
 	}
 	run := func(workers int) *mc.Result {
 		ch := &maskChooser{holes: map[string]uint{"A": 0, "B": 1}}

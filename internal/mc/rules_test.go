@@ -8,11 +8,9 @@ import (
 	"bytes"
 	"errors"
 	"hash/fnv"
-	"path/filepath"
 	"slices"
 	"testing"
 
-	"verc3/internal/spec"
 	"verc3/internal/ts"
 	"verc3/internal/zoo"
 )
@@ -33,8 +31,9 @@ func (c partialChooser) Choose(hole string, actions []string) (int, error) {
 	return a, nil
 }
 
-// TestZooRuleLaws walks a breadth-first prefix of every zoo entry and
-// committed spec under a few partial candidates and, at every state, checks
+// TestZooRuleLaws walks a breadth-first prefix of every zoo entry (and so
+// of every committed spec) under a few partial candidates and, at every
+// state, checks
 // the laws the kernel relies on: AppendRules appends after whatever the
 // buffer already holds without touching it; two enumerations give equal
 // records with equal names; firing a record twice gives byte-equal
@@ -51,13 +50,6 @@ func TestZooRuleLaws(t *testing.T) {
 			}
 			return sys
 		}
-	}
-	for _, file := range []string{"mutex.json", "mutex-sketch.json", "tokenring.json"} {
-		m, err := spec.LoadFile(filepath.Join("../../examples/specs", file))
-		if err != nil {
-			t.Fatal(err)
-		}
-		systems["spec/"+file] = m.System
 	}
 	enc := func(s ts.State) []byte { return s.AppendKey(nil) }
 	sentinel := []ts.Rule{{ID: 0xffff, Agent: -1, Msg: -1, Name: 0xffffffff}, {ID: 7, Agent: 3, Msg: 5, Name: 11}}

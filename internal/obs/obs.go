@@ -1,9 +1,8 @@
 // Package obs is the live-telemetry layer of VerC3: the exploration
 // kernel, the nested-DFS liveness pass and the synthesis engine publish
 // counters, gauges, phase timings and progress events into a Collector,
-// and readers — the CLIs' -progress renderer, the -metrics-addr HTTP
-// endpoint, the -report run report, and (later) the verc3d daemon — pull
-// immutable Snapshots back out while the run is still in flight.
+// and readers — the CLIs' -progress renderer and the -report run report —
+// pull immutable Snapshots back out while the run is still in flight.
 //
 // # Counter sharding and the hot-path contract
 //
@@ -81,7 +80,7 @@ const (
 	NumCounters
 )
 
-// counterNames are the wire names (JSON, Prometheus `verc3_<name>_total`).
+// counterNames are the wire names in JSON.
 var counterNames = [NumCounters]string{
 	"states", "transitions", "duplicates", "wildcard_aborts", "recycled",
 	"ndfs_blue", "ndfs_red", "evaluated", "skipped", "solutions",
@@ -131,7 +130,7 @@ const (
 	NumGauges
 )
 
-// gaugeNames are the wire names (JSON, Prometheus `verc3_<name>`).
+// gaugeNames are the wire names in JSON.
 var gaugeNames = [NumGauges]string{
 	"depth", "frontier", "visited_bytes", "spilled_bytes", "spill_runs",
 	"max_states", "pool_hits", "pool_misses", "round", "holes", "patterns",

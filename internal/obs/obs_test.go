@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
-	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -298,65 +296,6 @@ func TestRenderLineSections(t *testing.T) {
 		if !strings.Contains(line, want) {
 			t.Errorf("line %q missing %q", line, want)
 		}
-	}
-}
-
-func TestMetricsHandler(t *testing.T) {
-	c := New()
-	w := c.NewWorker()
-	w.Add(CStates, 41)
-	w.Flush()
-	c.SetGauge(GDepth, 7)
-	c.ObservePhase(PhaseFire, 3*time.Microsecond)
-	srv := httptest.NewServer(MetricsHandler(c))
-	defer srv.Close()
-
-	resp, err := srv.Client().Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	text := string(body)
-	// Every counter family must be served, zero or not.
-	for _, n := range counterNames {
-		if !strings.Contains(text, "verc3_"+n+"_total") {
-			t.Errorf("/metrics missing counter family %s", n)
-		}
-	}
-	for _, n := range gaugeNames {
-		if !strings.Contains(text, "verc3_"+n) {
-			t.Errorf("/metrics missing gauge family %s", n)
-		}
-	}
-	for _, want := range []string{
-		"verc3_states_total 41",
-		"verc3_depth 7",
-		`verc3_phase_seconds_count{phase="fire"} 1`,
-		`verc3_phase_seconds_bucket{phase="fire",le="+Inf"} 1`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("/metrics missing %q", want)
-		}
-	}
-
-	resp, err = srv.Client().Get(srv.URL + "/metrics.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Snapshot Snapshot                     `json:"snapshot"`
-		Phases   map[string]HistogramSnapshot `json:"phases"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if doc.Snapshot.Counters[CStates] != 41 {
-		t.Errorf("json snapshot states = %d, want 41", doc.Snapshot.Counters[CStates])
-	}
-	if doc.Phases["fire"].Count != 1 {
-		t.Errorf("json phases fire count = %d, want 1", doc.Phases["fire"].Count)
 	}
 }
 

@@ -6,8 +6,8 @@ package spec_test
 // the same nested-DFS counters; synthesis on the two sketches must
 // discover the same holes, learn the same patterns and find the same
 // solutions in every mode. The numbers are the ones the hand-written Go
-// models of Peterson's algorithm and the token ring gave before the zoo
-// was built from these files; the zoo-wide harnesses in internal/mc hold
+// models of Figure 2, Peterson's algorithm and the token ring gave before
+// the zoo was built from these files; the zoo-wide harnesses in internal/mc hold
 // the zoo entries to the same answers. The CI workflow runs everything
 // matching TestSpec as a dedicated step.
 
@@ -51,6 +51,7 @@ var pins = []struct {
 	live, red  int
 	liveAborts [2]int
 }{
+	{"fig2.json", counts{mc.Unknown, 1, 0, 0, 1}, counts{mc.Unknown, 1, 0, 0, 1}, 0, 0, [2]int{1, 1}},
 	{"mutex.json", counts{mc.Success, 30, 50, 8, 0}, counts{mc.Success, 16, 27, 8, 0}, 145, 85, [2]int{0, 0}},
 	{"mutex-sketch.json", counts{mc.Unknown, 4, 4, 2, 4}, counts{mc.Unknown, 3, 3, 2, 3}, 14, 6, [2]int{32, 31}},
 	{"tokenring.json", counts{mc.Success, 12, 12, 11, 0}, counts{mc.Success, 12, 12, 11, 0}, 90, 54, [2]int{0, 0}},

@@ -1,10 +1,10 @@
 // Package spec loads versioned JSON model specifications — the
 // verc3_model_v1 format — and compiles each into a ts.System of this
 // package's own (system.go), so guarded-command systems and synthesis
-// sketches are data instead of compiled-in Go packages. The zoo's peterson, peterson-sketch, token-ring
-// and token-ring-sketch entries are compiled from the committed specs under
-// examples/specs (embedded by that directory's package), and the tools load
-// any other spec file with -spec.
+// sketches are data instead of compiled-in Go packages. Every zoo entry but
+// MSI's — fig2, peterson, peterson-sketch, token-ring and token-ring-sketch —
+// is compiled from a committed spec under examples/specs (embedded by that
+// directory's package), and the tools load any other spec file with -spec.
 //
 // A spec declares typed state variables (bools, ranged ints, enums, pids,
 // each optionally replicated per process), parameterized rulesets whose

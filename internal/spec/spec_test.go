@@ -142,6 +142,17 @@ func TestSpecErrorPaths(t *testing.T) {
 			}`,
 			path: "rules[0].action[0].among",
 			msg:  "rules[0].action[0].among: a hole needs at least two candidates"},
+		{name: "hole redeclared with other candidates",
+			doc: `{
+				"format": "verc3_model_v1", "name": "m",
+				"vars": [{"name": "x", "type": "bool"}],
+				"rules": [
+					{"name": "a", "action": [{"choose": "h", "among": [{"name": "on", "do": ["x = true"]}, {"name": "off", "do": ["x = false"]}]}]},
+					{"name": "b", "action": [{"choose": "h", "among": [{"name": "on", "do": ["x = true"]}, {"name": "keep", "do": ["x = x"]}]}]}
+				]
+			}`,
+			path: "rules[1].action[0].among",
+			msg:  "rules[1].action[0].among: hole \"h\" previously declared candidates {on, off}, here {on, keep} — all sites of a hole must agree"},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -8,9 +8,9 @@ import (
 
 	"verc3/internal/mc"
 	"verc3/internal/spec"
-	"verc3/internal/toy"
 	"verc3/internal/trace"
 	"verc3/internal/ts"
+	"verc3/internal/ts/tstest"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files with current output")
@@ -55,10 +55,10 @@ func counterSystem(t *testing.T, name, rules, props string) ts.System {
 // TestGoldenSafetyTrace pins the multi-line rendering of an invariant
 // violation: header, initial-state line, numbered steps, state lines.
 func TestGoldenSafetyTrace(t *testing.T) {
-	g := &toy.Graph{SysName: "t", Init: []int{0}, Nodes: []toy.Node{
+	g := &tstest.Graph{Name: "t", Nodes: []tstest.Node{
 		{Plain: []int{1}}, {Plain: []int{2}}, {Bad: true},
 	}}
-	res, err := mc.Check(g, mc.Options{RecordTrace: true})
+	res, err := mc.Check(g.System(), mc.Options{RecordTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestGoldenSafetyTrace(t *testing.T) {
 }
 
 // TestGoldenDeadlockTrace pins the rendering of a deadlock counterexample:
-// a non-quiescent stuck state at the end of a short path (toy graphs treat
+// a non-quiescent stuck state at the end of a short path (test graphs treat
 // terminals as quiescent, so this one is a spec without a quiescent predicate).
 func TestGoldenDeadlockTrace(t *testing.T) {
 	sys := counterSystem(t, "wedge",

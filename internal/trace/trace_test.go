@@ -5,17 +5,17 @@ import (
 	"testing"
 
 	"verc3/internal/mc"
-	"verc3/internal/toy"
 	"verc3/internal/trace"
+	"verc3/internal/ts/tstest"
 )
 
-// failure builds a real FailureInfo by checking a failing toy graph.
+// failure builds a real FailureInfo by checking a failing test graph.
 func failure(t *testing.T) *mc.FailureInfo {
 	t.Helper()
-	g := &toy.Graph{SysName: "t", Init: []int{0}, Nodes: []toy.Node{
+	g := &tstest.Graph{Name: "t", Nodes: []tstest.Node{
 		{Plain: []int{1}}, {Plain: []int{2}}, {Bad: true},
 	}}
-	res, err := mc.Check(g, mc.Options{RecordTrace: true})
+	res, err := mc.Check(g.System(), mc.Options{RecordTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,6 @@
 // Package tstest holds test helpers for ts.System implementations and for
-// the checker that explores them.
+// the checker that explores them: Graph, small hole graphs compiled to
+// specs, and the exactness oracle.
 //
 // Its exactness oracle answers the one question the checker's keying
 // cannot answer about itself. The checker stores a 64-bit fingerprint per

@@ -1,8 +1,10 @@
 // Package zoo names the built-in systems so the command-line tools and the
-// repository benchmark can select them by name. MSI and the toy systems are
-// Go constructors; Peterson's algorithm and the token ring are compiled from
-// the committed specs under examples/specs, embedded at build time, so each
-// model has one source. Other model files load through -spec instead.
+// repository benchmark can select them by name. MSI is a Go constructor;
+// every other entry — the paper's Figure 2 example, Peterson's algorithm
+// and the token ring — is compiled from a committed spec under
+// examples/specs, embedded at build time, so each model family has one
+// frontend and each model one source. Other model files load through -spec
+// instead.
 package zoo
 
 import (
@@ -14,7 +16,6 @@ import (
 	"verc3/examples/specs"
 	"verc3/internal/msi"
 	"verc3/internal/spec"
-	"verc3/internal/toy"
 	"verc3/internal/ts"
 )
 
@@ -61,7 +62,7 @@ var builders = map[string]entry{
 	"msi-large": {sketch: true, build: func(p Params) ts.System {
 		return msi.New(msi.Config{Caches: p.Caches, Variant: msi.Large})
 	}},
-	"fig2":              {sketch: true, build: func(Params) ts.System { return toy.Figure2() }},
+	"fig2":              {spec: "fig2.json"},
 	"peterson":          {spec: "mutex.json"},
 	"peterson-sketch":   {spec: "mutex-sketch.json"},
 	"token-ring":        {spec: "tokenring.json"},
