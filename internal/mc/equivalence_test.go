@@ -1,14 +1,18 @@
 package mc_test
 
-// Cross-driver, cross-configuration equivalence tests for the
-// trace-optional exploration representation. The CI workflow runs
-// everything matching TestZooEquivalence as a dedicated job step.
+// The zoo-wide differential harness: each TestZooEquivalence… test owns one
+// configuration axis, lists the option rows it runs, and hands them to
+// zooDiff, which checks every zoo entry in each row and compares the result
+// with the one-worker BFS flat run. Between them the tests run each
+// combination once. The CI workflow runs everything matching
+// TestZooEquivalence as a dedicated job step.
 
 import (
 	"fmt"
 	"testing"
 
 	"verc3/internal/mc"
+	"verc3/internal/obs"
 	"verc3/internal/trace"
 	"verc3/internal/ts"
 	"verc3/internal/ts/tstest"
@@ -16,181 +20,121 @@ import (
 	"verc3/internal/zoo"
 )
 
-// TestZooEquivalenceTraceOnOff is the headline invariance check for the
-// trace-optional refactor: for every registered system, every combination
-// of driver (1 and 8 workers) and RecordTrace on/off must report the same
-// verdict and the same exploration statistics — the trace store is
-// bookkeeping only and must never influence the search. Sketch systems are
-// explored under an all-wildcard environment (every hole aborts its
-// branch), which still explores a deterministic sub-space.
-func TestZooEquivalenceTraceOnOff(t *testing.T) {
+// zooRun checks the named zoo entry at two caches under an all-wildcard
+// environment, in which a sketch explores a deterministic sub-space (every
+// hole aborts its branch). A spill row gets a RAM budget at the floor and
+// its own directory, so even the zoo's small spaces cross the disk tier and
+// the per-level merges; a row's collector stands for a fresh one. zooRun
+// returns the system and the options it checked.
+func zooRun(t *testing.T, name string, opt mc.Options) (ts.System, mc.Options, *mc.Result) {
+	t.Helper()
+	sys, err := zoo.Get(name, zoo.Params{Caches: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opt.Visited == visited.Spill {
+		opt.SpillMem, opt.SpillDir = 1, t.TempDir()
+	}
+	if opt.Obs != nil {
+		opt.Obs = obs.New()
+	}
+	res, err := checkEnv(sys, opt, ts.NewEnv(wildcardChooser{}), nil)
+	if err != nil {
+		t.Fatalf("%s: %v", describe(opt), err)
+	}
+	return sys, opt, res
+}
+
+// describe names a row by the axes the differential tests vary.
+func describe(opt mc.Options) string {
+	return fmt.Sprintf("workers=%d symmetry=%v trace=%v noRecycle=%v visited=%v dfs=%v obs=%v liveness=%v",
+		opt.Workers, opt.Symmetry, opt.RecordTrace, opt.NoRecycle, opt.Visited, opt.Order == mc.DFS, opt.Obs != nil, opt.Liveness)
+}
+
+// zooBases holds the one-worker BFS flat run of each zoo entry at each
+// symmetry setting, made once per test binary by the first row that needs
+// it. The tests that share it do not run in parallel.
+var zooBases = map[string]*mc.Result{}
+
+// zooDiff checks every zoo entry in each of rows, calls check (when not
+// nil) on each result, and requires the verdict and Stats of the base at
+// the row's symmetry setting — depth aside for a DFS row, which visits in
+// another order; a DFS row runs only where the base passes, since a failing
+// or wildcard-cut search stops at an order-dependent point. Every run must
+// also count its states in Space, keep one trace node per state exactly
+// when it records traces, and report the backend it ran on with a positive
+// footprint.
+func zooDiff(t *testing.T, rows []mc.Options, check func(*testing.T, ts.System, mc.Options, *mc.Result)) {
 	for _, name := range zoo.Names() {
 		t.Run(name, func(t *testing.T) {
-			type combo struct {
-				workers int
-				record  bool
-			}
-			var base *mc.Result
-			for _, cb := range []combo{{1, false}, {1, true}, {8, false}, {8, true}} {
-				sys, err := zoo.Get(name, zoo.Params{Caches: 2})
-				if err != nil {
-					t.Fatal(err)
+			for _, row := range rows {
+				base, key := mc.Options{Symmetry: row.Symmetry, Workers: 1}, fmt.Sprint(name, row.Symmetry)
+				if zooBases[key] == nil {
+					_, _, zooBases[key] = zooRun(t, name, base)
 				}
-				res, err := checkEnv(sys, mc.Options{
-					Symmetry:    true,
-					Workers:     cb.workers,
-					RecordTrace: cb.record,
-				}, ts.NewEnv(wildcardChooser{}), nil)
-				if err != nil {
-					t.Fatalf("workers=%d record=%v: %v", cb.workers, cb.record, err)
+				want, res := zooBases[key], zooBases[key]
+				if row.Order == mc.DFS && want.Verdict != mc.Success {
+					t.Skipf("BFS verdict %v: not a complete passing entry", want.Verdict)
 				}
-				if !cb.record && res.Space.TraceNodes != 0 {
-					t.Errorf("workers=%d: %d trace nodes allocated with RecordTrace off", cb.workers, res.Space.TraceNodes)
+				if row != base {
+					var sys ts.System
+					sys, row, res = zooRun(t, name, row)
+					if check != nil {
+						check(t, sys, row, res)
+					}
 				}
-				if cb.record && res.Space.TraceNodes != res.Stats.VisitedStates {
-					t.Errorf("workers=%d: %d trace nodes for %d states with RecordTrace on",
-						cb.workers, res.Space.TraceNodes, res.Stats.VisitedStates)
+				tag, nodes := describe(row), 0
+				if row.RecordTrace {
+					nodes = res.Stats.VisitedStates
 				}
-				if res.Space.States != res.Stats.VisitedStates {
-					t.Errorf("workers=%d record=%v: Space.States=%d vs VisitedStates=%d",
-						cb.workers, cb.record, res.Space.States, res.Stats.VisitedStates)
+				if res.Space.States != res.Stats.VisitedStates || res.Space.TraceNodes != nodes {
+					t.Errorf("%s: Space counts %d states and %d trace nodes for %d states",
+						tag, res.Space.States, res.Space.TraceNodes, res.Stats.VisitedStates)
 				}
-				if base == nil {
-					base = res
-					continue
+				if res.Space.Backend != row.Visited.String() || res.Space.VisitedBytes <= 0 {
+					t.Errorf("%s: Space.Backend = %q, VisitedBytes = %d", tag, res.Space.Backend, res.Space.VisitedBytes)
 				}
-				if res.Verdict != base.Verdict {
-					t.Errorf("workers=%d record=%v: verdict %v, want %v", cb.workers, cb.record, res.Verdict, base.Verdict)
+				got, exp := res.Stats, want.Stats
+				if row.Order == mc.DFS {
+					got.MaxDepth, exp.MaxDepth = 0, 0
 				}
-				if res.Stats.VisitedStates != base.Stats.VisitedStates {
-					t.Errorf("workers=%d record=%v: states %d, want %d", cb.workers, cb.record, res.Stats.VisitedStates, base.Stats.VisitedStates)
-				}
-				if res.Stats.FiredTransitions != base.Stats.FiredTransitions {
-					t.Errorf("workers=%d record=%v: transitions %d, want %d", cb.workers, cb.record, res.Stats.FiredTransitions, base.Stats.FiredTransitions)
-				}
-				if res.Stats.MaxDepth != base.Stats.MaxDepth {
-					t.Errorf("workers=%d record=%v: depth %d, want %d", cb.workers, cb.record, res.Stats.MaxDepth, base.Stats.MaxDepth)
-				}
-				if res.Stats.WildcardAborts != base.Stats.WildcardAborts {
-					t.Errorf("workers=%d record=%v: aborts %d, want %d", cb.workers, cb.record, res.Stats.WildcardAborts, base.Stats.WildcardAborts)
+				if res.Verdict != want.Verdict || got != exp {
+					t.Errorf("%s: %v %+v, want %v %+v", tag, res.Verdict, got, want.Verdict, exp)
 				}
 			}
 		})
 	}
 }
 
-// TestZooEquivalenceVisitedBackends is the invariance check for the
-// visited-set storage: for every registered system, both backends (flat
-// open addressing and the disk-spilling two-level store) at 1 and 8
-// workers must report the same verdict and exploration statistics — the
-// storage layer decides memory layout, never search semantics. Every run
-// must also self-report its backend with a positive measured footprint.
-// The spill runs get a RAM budget at the floor, so even the zoo's small
-// spaces cross the disk tier and the per-level merges. That the flat
-// sequential run counts what exact state identity counts is
-// TestZooAppendKeyConsistency's job (the exactness oracle).
+// TestZooEquivalenceTraceOnOff: the trace store is bookkeeping only and
+// must never influence the search, at either width and symmetry setting.
+func TestZooEquivalenceTraceOnOff(t *testing.T) {
+	zooDiff(t, []mc.Options{
+		{Symmetry: true, Workers: 1, RecordTrace: true}, {Symmetry: true, Workers: 8, RecordTrace: true},
+		{Workers: 1, RecordTrace: true}, {Workers: 8, RecordTrace: true},
+	}, nil)
+}
+
+// TestZooEquivalenceVisitedBackends: the storage layer decides memory
+// layout, never search semantics, so the spill tier explores what the flat
+// table does at 1 and 8 workers. That the flat sequential run counts what
+// exact state identity counts is TestZooAppendKeyConsistency's job (the
+// exactness oracle).
 func TestZooEquivalenceVisitedBackends(t *testing.T) {
-	for _, name := range zoo.Names() {
-		t.Run(name, func(t *testing.T) {
-			type combo struct {
-				workers int
-				backend visited.Kind
-			}
-			var base *mc.Result
-			for _, cb := range []combo{
-				{1, visited.Flat}, {1, visited.Spill},
-				{8, visited.Flat}, {8, visited.Spill},
-			} {
-				sys, err := zoo.Get(name, zoo.Params{Caches: 2})
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := checkEnv(sys, mc.Options{
-					Symmetry: true,
-					Workers:  cb.workers,
-					Visited:  cb.backend,
-					SpillMem: 1, // floor: force flushes on even tiny spaces
-					SpillDir: t.TempDir(),
-				}, ts.NewEnv(wildcardChooser{}), nil)
-				if err != nil {
-					t.Fatalf("workers=%d visited=%v: %v", cb.workers, cb.backend, err)
-				}
-				if res.Space.Backend != cb.backend.String() {
-					t.Errorf("workers=%d visited=%v: Space.Backend = %q", cb.workers, cb.backend, res.Space.Backend)
-				}
-				if res.Space.VisitedBytes <= 0 {
-					t.Errorf("workers=%d visited=%v: VisitedBytes = %d", cb.workers, cb.backend, res.Space.VisitedBytes)
-				}
-				if base == nil {
-					base = res
-					continue
-				}
-				if res.Verdict != base.Verdict {
-					t.Errorf("workers=%d visited=%v: verdict %v, want %v", cb.workers, cb.backend, res.Verdict, base.Verdict)
-				}
-				if res.Stats.VisitedStates != base.Stats.VisitedStates {
-					t.Errorf("workers=%d visited=%v: states %d, want %d", cb.workers, cb.backend, res.Stats.VisitedStates, base.Stats.VisitedStates)
-				}
-				if res.Stats.FiredTransitions != base.Stats.FiredTransitions {
-					t.Errorf("workers=%d visited=%v: transitions %d, want %d", cb.workers, cb.backend, res.Stats.FiredTransitions, base.Stats.FiredTransitions)
-				}
-				if res.Stats.MaxDepth != base.Stats.MaxDepth {
-					t.Errorf("workers=%d visited=%v: depth %d, want %d", cb.workers, cb.backend, res.Stats.MaxDepth, base.Stats.MaxDepth)
-				}
-				if res.Stats.WildcardAborts != base.Stats.WildcardAborts {
-					t.Errorf("workers=%d visited=%v: aborts %d, want %d", cb.workers, cb.backend, res.Stats.WildcardAborts, base.Stats.WildcardAborts)
-				}
-			}
-		})
-	}
+	zooDiff(t, []mc.Options{
+		{Symmetry: true, Workers: 1, Visited: visited.Spill}, {Symmetry: true, Workers: 8, Visited: visited.Spill},
+	}, nil)
 }
 
 // TestZooEquivalenceDFS puts search order on the differential axis: DFS
-// runs the same expand as BFS, as a stack instead of levels, so on every
-// zoo entry that BFS explores completely and passes, DFS must report the
-// same verdict, state count and transition count — on the flat table and
-// through the spill tier, which DFS never tells about level boundaries and
-// which must therefore bound its run files by itself. (Depth is order-
-// dependent and failing or wildcard-cut entries stop at order-dependent
-// points, so neither is compared.)
+// runs the same expand as BFS, as a stack instead of levels, so it must
+// count the same states and transitions — on the flat table and through
+// the spill tier, which DFS never tells about level boundaries and which
+// must therefore bound its run files by itself.
 func TestZooEquivalenceDFS(t *testing.T) {
-	for _, name := range zoo.Names() {
-		t.Run(name, func(t *testing.T) {
-			run := func(order mc.SearchOrder, backend visited.Kind) *mc.Result {
-				sys, err := zoo.Get(name, zoo.Params{Caches: 2})
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := checkEnv(sys, mc.Options{
-					Symmetry: true,
-					Order:    order,
-					Visited:  backend,
-					SpillMem: 1, // floor: force flushes on even tiny spaces
-					SpillDir: t.TempDir(),
-				}, ts.NewEnv(wildcardChooser{}), nil)
-				if err != nil {
-					t.Fatalf("order=%v visited=%v: %v", order, backend, err)
-				}
-				return res
-			}
-			base := run(mc.BFS, visited.Flat)
-			if base.Verdict != mc.Success {
-				t.Skipf("BFS verdict %v: not a complete passing entry", base.Verdict)
-			}
-			for _, backend := range []visited.Kind{visited.Flat, visited.Spill} {
-				res := run(mc.DFS, backend)
-				if res.Verdict != base.Verdict {
-					t.Errorf("dfs visited=%v: verdict %v, want %v", backend, res.Verdict, base.Verdict)
-				}
-				if res.Stats.VisitedStates != base.Stats.VisitedStates {
-					t.Errorf("dfs visited=%v: states %d, want %d", backend, res.Stats.VisitedStates, base.Stats.VisitedStates)
-				}
-				if res.Stats.FiredTransitions != base.Stats.FiredTransitions {
-					t.Errorf("dfs visited=%v: transitions %d, want %d", backend, res.Stats.FiredTransitions, base.Stats.FiredTransitions)
-				}
-			}
-		})
-	}
+	zooDiff(t, []mc.Options{
+		{Symmetry: true, Workers: 1, Order: mc.DFS}, {Symmetry: true, Workers: 1, Order: mc.DFS, Visited: visited.Spill},
+	}, nil)
 }
 
 // TestFlatVisitedBytesReduction pins the flat backend's measured
@@ -212,11 +156,7 @@ func TestZooEquivalenceDFS(t *testing.T) {
 // TestZooEquivalenceVisitedBackends; this test is only about bytes.
 func TestFlatVisitedBytesReduction(t *testing.T) {
 	run := func(workers int) float64 {
-		sys, err := zoo.Get("msi-complete", zoo.Params{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := mc.Check(sys, mc.Options{Symmetry: true, Workers: workers})
+		res, err := mc.Check(zooSystem(t, "msi-complete"), mc.Options{Symmetry: true, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,14 +194,7 @@ func TestSpillStressBoundedRAM(t *testing.T) {
 	if testing.Short() {
 		t.Skip("~100k-state exploration with disk I/O; run without -short")
 	}
-	build := func() ts.System {
-		sys, err := zoo.Get("msi-complete-4", zoo.Params{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sys
-	}
-	flat, err := mc.Check(build(), mc.Options{})
+	flat, err := mc.Check(zooSystem(t, "msi-complete-4"), mc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +203,7 @@ func TestSpillStressBoundedRAM(t *testing.T) {
 	}
 	const budget = 256 << 10
 	for _, workers := range []int{1, 8} {
-		sp, err := mc.Check(build(), mc.Options{
+		sp, err := mc.Check(zooSystem(t, "msi-complete-4"), mc.Options{
 			Workers:  workers,
 			Visited:  visited.Spill,
 			SpillMem: budget,
@@ -374,21 +307,8 @@ func TestZooEquivalenceTraceFormatGolden(t *testing.T) {
 // state than the trace-recording configuration (which matches what the
 // pre-refactor node table always paid, trace or no trace).
 func TestNoTraceMemoryReduction(t *testing.T) {
-	build := func() ts.System {
-		sys, err := zoo.Get("msi-complete", zoo.Params{Caches: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sys
-	}
-	on, err := mc.Check(build(), mc.Options{Symmetry: true, RecordTrace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	off, err := mc.Check(build(), mc.Options{Symmetry: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, _, on := zooRun(t, "msi-complete", mc.Options{Symmetry: true, RecordTrace: true})
+	_, _, off := zooRun(t, "msi-complete", mc.Options{Symmetry: true})
 	if on.Verdict != mc.Success || off.Verdict != mc.Success {
 		t.Fatalf("verdicts: on=%v off=%v", on.Verdict, off.Verdict)
 	}
@@ -416,16 +336,54 @@ func TestNoTraceMemoryReduction(t *testing.T) {
 // built, and must not see what that pass left in it.
 // Failing entries must additionally report byte-identical lassos whose
 // replay re-fires the recorded transition names and closes the cycle — the
-// fingerprint-collision detector, mirroring PR 2's re-verification
-// rationale.
+// fingerprint-collision detector.
 func TestZooEquivalenceLiveness(t *testing.T) {
+	zooLiveness(t, func(t *testing.T, name string) {
+		var base string
+		for _, backend := range []visited.Kind{visited.Flat, visited.Spill} {
+			for _, symmetry := range []bool{false, true} {
+				for _, workers := range []int{1, 4} {
+					for _, order := range []mc.SearchOrder{mc.BFS, mc.DFS} {
+						sys, row, res := zooRun(t, name, mc.Options{Liveness: true, RecordTrace: true,
+							Visited: backend, Symmetry: symmetry, Workers: workers, Order: order})
+						if res.Verdict == mc.Failure && res.Failure.Kind == mc.FailLiveness && !zoo.IsSketch(name) {
+							replayLasso(t, sys, res.Failure)
+						}
+						if got := lasso(res); base == "" {
+							base = got
+						} else if got != base {
+							t.Errorf("%s:\n got %s\nwant %s", describe(row), got, base)
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// lasso is a liveness run's answer as the differential harness compares it:
+// the verdict, the NDFS product-state counts — which key unreduced product
+// encodings, so they are invariant across every axis, symmetry included —
+// the cycle length and, for a lasso, its goal, cycle start and every step.
+func lasso(res *mc.Result) string {
+	out := fmt.Sprintf("%v ndfs=%d+%dred cycle=%d", res.Verdict, res.Space.LiveStates, res.Space.RedStates, res.Space.CycleLen)
+	if f := res.Failure; f != nil && f.Kind == mc.FailLiveness {
+		out += fmt.Sprintf(" lasso %q start=%d", f.Name, f.CycleStart)
+		for _, step := range f.Trace {
+			out += "\n  " + step.Rule + " :: " + step.State.Key()
+		}
+	}
+	return out
+}
+
+// zooLiveness runs f on every zoo entry that carries liveness goals, bar
+// the 4-cache stress entry, pinned for backend benchmarks, whose liveness
+// product adds nothing the 2-cache run does not.
+func zooLiveness(t *testing.T, f func(t *testing.T, name string)) {
 	for _, name := range zoo.Names() {
 		if name == "msi-complete-4" {
-			// The 4-cache stress entry is pinned for backend benchmarks;
-			// its liveness product adds nothing the 2-cache run doesn't.
 			continue
 		}
-		name := name
 		t.Run(name, func(t *testing.T) {
 			sys, err := zoo.Get(name, zoo.Params{Caches: 2})
 			if err != nil {
@@ -434,85 +392,7 @@ func TestZooEquivalenceLiveness(t *testing.T) {
 			if lr, ok := sys.(ts.LivenessReporter); !ok || len(lr.LivenessGoals()) == 0 {
 				t.Skip("no liveness goals")
 			}
-			type combo struct {
-				backend  visited.Kind
-				symmetry bool
-				workers  int
-				order    mc.SearchOrder
-			}
-			var combos []combo
-			for _, backend := range []visited.Kind{visited.Flat, visited.Spill} {
-				for _, symmetry := range []bool{false, true} {
-					for _, workers := range []int{1, 4} {
-						for _, order := range []mc.SearchOrder{mc.BFS, mc.DFS} {
-							combos = append(combos, combo{backend, symmetry, workers, order})
-						}
-					}
-				}
-			}
-			var base *mc.Result
-			for _, cb := range combos {
-				tag := fmt.Sprintf("visited=%v symmetry=%v workers=%d order=%s",
-					cb.backend, cb.symmetry, cb.workers, [...]string{"bfs", "dfs"}[cb.order])
-				sys, err := zoo.Get(name, zoo.Params{Caches: 2})
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := checkEnv(sys, mc.Options{
-					Liveness:    true,
-					RecordTrace: true,
-					Visited:     cb.backend,
-					Symmetry:    cb.symmetry,
-					Workers:     cb.workers,
-					Order:       cb.order,
-					SpillMem:    1, // floor: force flushes on even tiny spaces
-					SpillDir:    t.TempDir(),
-				}, ts.NewEnv(wildcardChooser{}), nil)
-				if err != nil {
-					t.Fatalf("%s: %v", tag, err)
-				}
-				if res.Verdict == mc.Failure && res.Failure.Kind == mc.FailLiveness && !zoo.IsSketch(name) {
-					replayLasso(t, sys, res.Failure)
-				}
-				if base == nil {
-					base = res
-					continue
-				}
-				if res.Verdict != base.Verdict {
-					t.Errorf("%s: verdict %v, want %v", tag, res.Verdict, base.Verdict)
-				}
-				gotCycle := res.Failure != nil && res.Failure.Kind == mc.FailLiveness
-				wantCycle := base.Failure != nil && base.Failure.Kind == mc.FailLiveness
-				if gotCycle != wantCycle {
-					t.Errorf("%s: cycle presence %v, want %v", tag, gotCycle, wantCycle)
-				}
-				// The NDFS phase keys unreduced product encodings, so its
-				// counts are invariant across every axis — including
-				// symmetry, which only reduces the safety pass.
-				if res.Space.LiveStates != base.Space.LiveStates || res.Space.RedStates != base.Space.RedStates {
-					t.Errorf("%s: ndfs states %d+%dred, want %d+%dred", tag,
-						res.Space.LiveStates, res.Space.RedStates, base.Space.LiveStates, base.Space.RedStates)
-				}
-				if res.Space.CycleLen != base.Space.CycleLen {
-					t.Errorf("%s: cycle length %d, want %d", tag, res.Space.CycleLen, base.Space.CycleLen)
-				}
-				if gotCycle && wantCycle {
-					if res.Failure.Name != base.Failure.Name || res.Failure.CycleStart != base.Failure.CycleStart ||
-						len(res.Failure.Trace) != len(base.Failure.Trace) {
-						t.Errorf("%s: lasso %q start=%d steps=%d, want %q start=%d steps=%d", tag,
-							res.Failure.Name, res.Failure.CycleStart, len(res.Failure.Trace),
-							base.Failure.Name, base.Failure.CycleStart, len(base.Failure.Trace))
-					} else {
-						for i, step := range res.Failure.Trace {
-							if step.Rule != base.Failure.Trace[i].Rule || step.State.Key() != base.Failure.Trace[i].State.Key() {
-								t.Errorf("%s: lasso diverges at step %d: %q/%q vs %q/%q", tag, i,
-									step.Rule, step.State.Key(), base.Failure.Trace[i].Rule, base.Failure.Trace[i].State.Key())
-								break
-							}
-						}
-					}
-				}
-			}
+			f(t, name)
 		})
 	}
 }

@@ -4,8 +4,7 @@ package mc_test
 // symmetry setting must explore the same space, and the exactness oracle
 // (internal/ts/tstest) must find that no two distinct states of any zoo
 // entry or committed spec share the fingerprint the kernel keys them by.
-// The CI workflow runs everything matching TestZooEquivalence as a
-// dedicated job step, and TestZooAppendKeyConsistency in its "Exactness
+// The CI workflow runs TestZooAppendKeyConsistency in its "Exactness
 // oracle" step.
 
 import (
@@ -21,45 +20,12 @@ import (
 )
 
 // TestZooEquivalenceKeying is the invariance check for the keying pipeline
-// across worker counts: for every registered system, 1 and 8 workers must report
-// the same verdict and exploration statistics under each symmetry setting.
-// Exact state identity is TestZooAppendKeyConsistency's reference.
+// across worker counts: 1 and 8 workers must explore the same space under
+// each symmetry setting. Exact state identity is
+// TestZooAppendKeyConsistency's reference. The one-worker rows are the
+// bases every other differential row is compared with.
 func TestZooEquivalenceKeying(t *testing.T) {
-	for _, name := range zoo.Names() {
-		t.Run(name, func(t *testing.T) {
-			type combo struct {
-				workers  int
-				symmetry bool
-			}
-			base := map[bool]*mc.Result{} // per symmetry setting
-			for _, cb := range []combo{{1, true}, {8, true}, {1, false}, {8, false}} {
-				sys, err := zoo.Get(name, zoo.Params{Caches: 2})
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := checkEnv(sys, mc.Options{
-					Symmetry: cb.symmetry,
-					Workers:  cb.workers,
-				}, ts.NewEnv(wildcardChooser{}), nil)
-				if err != nil {
-					t.Fatalf("workers=%d symmetry=%v: %v", cb.workers, cb.symmetry, err)
-				}
-				if base[cb.symmetry] == nil {
-					base[cb.symmetry] = res
-					continue
-				}
-				want := base[cb.symmetry]
-				if res.Verdict != want.Verdict {
-					t.Errorf("workers=%d symmetry=%v: verdict %v, want %v",
-						cb.workers, cb.symmetry, res.Verdict, want.Verdict)
-				}
-				if res.Stats != want.Stats {
-					t.Errorf("workers=%d symmetry=%v: stats %+v, want %+v",
-						cb.workers, cb.symmetry, res.Stats, want.Stats)
-				}
-			}
-		})
-	}
+	zooDiff(t, []mc.Options{{Symmetry: true, Workers: 1}, {Symmetry: true, Workers: 8}, {Workers: 1}, {Workers: 8}}, nil)
 }
 
 // TestZooAppendKeyConsistency runs the exactness oracle over every zoo
@@ -75,18 +41,15 @@ func TestZooEquivalenceKeying(t *testing.T) {
 // on every run the kernel's state count and depth must equal the oracle's:
 // the kernel counted exactly the distinct states there are.
 func TestZooAppendKeyConsistency(t *testing.T) {
-	systems := map[string]func() ts.System{}
 	for _, name := range zoo.Names() {
-		systems[name] = func() ts.System {
-			sys, err := zoo.Get(name, zoo.Params{Caches: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return sys
-		}
-	}
-	for name, build := range systems {
 		t.Run(name, func(t *testing.T) {
+			build := func() ts.System {
+				sys, err := zoo.Get(name, zoo.Params{Caches: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sys
+			}
 			for _, symmetry := range []bool{false, true} {
 				oracle := tstest.New(t)
 				oracle.Keys = true

@@ -6,6 +6,7 @@ package mc_test
 // workflow's race-enabled test step exercises the parallel arms.
 
 import (
+	"fmt"
 	"io"
 	"testing"
 	"time"
@@ -16,61 +17,46 @@ import (
 	"verc3/internal/zoo"
 )
 
-// TestZooObsSnapshotMatchesStats pins the zoo-wide counter identity for
-// both drivers: after any run, the collector's final snapshot must equal
+// TestZooObsSnapshotMatchesStats pins the zoo-wide counter identity at
+// one and eight workers: after any run, the collector's final snapshot must equal
 // the run's statespace.Stats counter for counter — states, transitions,
 // duplicates, aborts, recycles — and, because every offered state is
 // either admitted or a duplicate under an exact uncapped backend,
 // states + duplicates must equal transitions + initial states.
 func TestZooObsSnapshotMatchesStats(t *testing.T) {
-	for _, name := range zoo.Names() {
-		t.Run(name, func(t *testing.T) {
-			for _, workers := range []int{1, 8} {
-				sys, err := zoo.Get(name, zoo.Params{Caches: 2})
-				if err != nil {
-					t.Fatal(err)
-				}
-				inits := len(sys.Initial())
-				col := obs.New()
-				res, err := checkEnv(sys, mc.Options{
-					Symmetry: true,
-					Workers:  workers,
-					Obs:      col,
-				}, ts.NewEnv(wildcardChooser{}), nil)
-				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
-				}
-				s := col.Snapshot()
-				if got, want := s.Counters[obs.CStates], uint64(res.Space.States); got != want {
-					t.Errorf("workers=%d: states counter %d, stats %d", workers, got, want)
-				}
-				if got, want := s.Counters[obs.CTransitions], uint64(res.Stats.FiredTransitions); got != want {
-					t.Errorf("workers=%d: transitions counter %d, stats %d", workers, got, want)
-				}
-				if got, want := s.Counters[obs.CAborts], uint64(res.Stats.WildcardAborts); got != want {
-					t.Errorf("workers=%d: aborts counter %d, stats %d", workers, got, want)
-				}
-				if got, want := s.Counters[obs.CRecycled], res.Space.Recycled; got != want {
-					t.Errorf("workers=%d: recycled counter %d, stats %d", workers, got, want)
-				}
-				if res.Verdict != mc.Failure {
-					// A completed exploration offers every initial state and
-					// every fired successor to the visited set exactly once.
-					// (A failure stops mid-expansion, with the frontier's
-					// successors never offered.)
-					offered := s.Counters[obs.CTransitions] + uint64(inits)
-					if got := s.Counters[obs.CStates] + s.Counters[obs.CDuplicates]; got != offered {
-						t.Errorf("workers=%d: states+duplicates = %d, want offered %d", workers, got, offered)
-					}
-				}
-				if got, want := s.Gauges[obs.GDepth], uint64(res.Stats.MaxDepth); got != want {
-					t.Errorf("workers=%d: depth gauge %d, stats %d", workers, got, want)
-				}
-				if s.Gauges[obs.GVisitedBytes] == 0 {
-					t.Errorf("workers=%d: visited_bytes gauge is zero", workers)
-				}
-			}
-		})
+	rows := []mc.Options{{Symmetry: true, Workers: 1, Obs: obs.New()}, {Symmetry: true, Workers: 8, Obs: obs.New()}}
+	zooDiff(t, rows, func(t *testing.T, sys ts.System, opt mc.Options, res *mc.Result) {
+		s, tag := opt.Obs.Snapshot(), fmt.Sprintf("workers=%d", opt.Workers)
+		counts := map[string][2]uint64{
+			"states":      {s.Counters[obs.CStates], uint64(res.Space.States)},
+			"transitions": {s.Counters[obs.CTransitions], uint64(res.Stats.FiredTransitions)},
+			"aborts":      {s.Counters[obs.CAborts], uint64(res.Stats.WildcardAborts)},
+			"recycled":    {s.Counters[obs.CRecycled], res.Space.Recycled},
+			"depth gauge": {s.Gauges[obs.GDepth], uint64(res.Stats.MaxDepth)},
+		}
+		if res.Verdict != mc.Failure {
+			// A completed exploration offers every initial state and every
+			// fired successor to the visited set exactly once. (A failure
+			// stops mid-expansion, with the frontier's successors never
+			// offered.)
+			counts["states+duplicates"] = [2]uint64{s.Counters[obs.CStates] + s.Counters[obs.CDuplicates],
+				s.Counters[obs.CTransitions] + uint64(len(sys.Initial()))}
+		}
+		sameCounts(t, tag, counts)
+		if s.Gauges[obs.GVisitedBytes] == 0 {
+			t.Errorf("%s: visited_bytes gauge is zero", tag)
+		}
+	})
+}
+
+// sameCounts fails the test for every named pair of counts that differ: the
+// collector's, then the run's.
+func sameCounts(t *testing.T, tag string, counts map[string][2]uint64) {
+	t.Helper()
+	for name, c := range counts {
+		if c[0] != c[1] {
+			t.Errorf("%s: %s %d in the collector, %d in the result", tag, name, c[0], c[1])
+		}
 	}
 }
 
@@ -80,42 +66,16 @@ func TestZooObsSnapshotMatchesStats(t *testing.T) {
 // recycle and wildcard-abort counters — which both passes feed — must equal
 // Space.Recycled and Stats.WildcardAborts with the phase's share included.
 func TestZooObsLivenessCounters(t *testing.T) {
-	for _, name := range zoo.Names() {
-		if name == "msi-complete-4" {
-			continue // pinned for benchmarks; adds nothing over 2 caches
-		}
-		t.Run(name, func(t *testing.T) {
-			sys, err := zoo.Get(name, zoo.Params{Caches: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if lr, ok := sys.(ts.LivenessReporter); !ok || len(lr.LivenessGoals()) == 0 {
-				t.Skip("no liveness goals")
-			}
-			col := obs.New()
-			res, err := checkEnv(sys, mc.Options{
-				Liveness: true,
-				Symmetry: true,
-				Obs:      col,
-			}, ts.NewEnv(wildcardChooser{}), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s := col.Snapshot()
-			if got, want := s.Counters[obs.CBlue], uint64(res.Space.LiveStates); got != want {
-				t.Errorf("blue counter %d, stats %d", got, want)
-			}
-			if got, want := s.Counters[obs.CRed], uint64(res.Space.RedStates); got != want {
-				t.Errorf("red counter %d, stats %d", got, want)
-			}
-			if got, want := s.Counters[obs.CAborts], uint64(res.Stats.WildcardAborts); got != want {
-				t.Errorf("aborts counter %d, stats %d", got, want)
-			}
-			if got, want := s.Counters[obs.CRecycled], res.Space.Recycled; got != want {
-				t.Errorf("recycled counter %d, stats %d", got, want)
-			}
+	zooLiveness(t, func(t *testing.T, name string) {
+		_, opt, res := zooRun(t, name, mc.Options{Liveness: true, Symmetry: true, Obs: obs.New()})
+		s := opt.Obs.Snapshot()
+		sameCounts(t, name, map[string][2]uint64{
+			"blue":     {s.Counters[obs.CBlue], uint64(res.Space.LiveStates)},
+			"red":      {s.Counters[obs.CRed], uint64(res.Space.RedStates)},
+			"aborts":   {s.Counters[obs.CAborts], uint64(res.Stats.WildcardAborts)},
+			"recycled": {s.Counters[obs.CRecycled], res.Space.Recycled},
 		})
-	}
+	})
 }
 
 // TestObsTimelineLevelMarks pins the -report timeline guarantee: on

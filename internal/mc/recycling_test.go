@@ -5,7 +5,9 @@ package mc_test
 // exploration results with it on or off — and recycled storage must never
 // be reachable from anything the checker hands back (trace nodes,
 // counterexample rendering). The CI workflow runs everything matching
-// TestZooEquivalence as a dedicated job step with -count=1.
+// TestZooEquivalence as a dedicated job step with -count=1; the model-level
+// recycling law (a churned pool never moves a held state) is internal/zoo's
+// TestZooConformance.
 
 import (
 	"fmt"
@@ -20,70 +22,20 @@ import (
 )
 
 // TestZooEquivalenceRecycling is the invariance check for the successor
-// lifecycle: for every registered system, every combination of driver (1
-// and 8 workers), symmetry, trace recording and recycling
-// (Options.NoRecycle) must report the same verdict and exploration
-// statistics. Recycling changes which storage a successor lands in, but it
+// lifecycle: with recycling off (Options.NoRecycle), at either width,
+// symmetry setting and trace setting, a check explores what the recycling
+// base does. Recycling changes which storage a successor lands in, but it
 // may not change what is explored.
 func TestZooEquivalenceRecycling(t *testing.T) {
-	for _, name := range zoo.Names() {
-		t.Run(name, func(t *testing.T) {
-			type combo struct {
-				workers   int
-				symmetry  bool
-				trace     bool
-				noRecycle bool
+	var rows []mc.Options
+	for _, workers := range []int{1, 8} {
+		for _, symmetry := range []bool{false, true} {
+			for _, trace := range []bool{false, true} {
+				rows = append(rows, mc.Options{Workers: workers, Symmetry: symmetry, RecordTrace: trace, NoRecycle: true})
 			}
-			var combos []combo
-			for _, w := range []int{1, 8} {
-				for _, sym := range []bool{false, true} {
-					for _, trace := range []bool{false, true} {
-						for _, nr := range []bool{false, true} {
-							combos = append(combos, combo{w, sym, trace, nr})
-						}
-					}
-				}
-			}
-			base := map[bool]*mc.Result{} // per symmetry setting
-			for _, cb := range combos {
-				sys, err := zoo.Get(name, zoo.Params{Caches: 2})
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := checkEnv(sys, mc.Options{
-					Symmetry:    cb.symmetry,
-					RecordTrace: cb.trace,
-					NoRecycle:   cb.noRecycle,
-					Workers:     cb.workers,
-				}, ts.NewEnv(wildcardChooser{}), nil)
-				tag := fmt.Sprintf("workers=%d symmetry=%v trace=%v noRecycle=%v",
-					cb.workers, cb.symmetry, cb.trace, cb.noRecycle)
-				if err != nil {
-					t.Fatalf("%s: %v", tag, err)
-				}
-				if base[cb.symmetry] == nil {
-					base[cb.symmetry] = res
-					continue
-				}
-				want := base[cb.symmetry]
-				if res.Verdict != want.Verdict {
-					t.Errorf("%s: verdict %v, want %v", tag, res.Verdict, want.Verdict)
-				}
-				if res.Stats.VisitedStates != want.Stats.VisitedStates {
-					t.Errorf("%s: states %d, want %d", tag, res.Stats.VisitedStates, want.Stats.VisitedStates)
-				}
-				if res.Stats.FiredTransitions != want.Stats.FiredTransitions {
-					t.Errorf("%s: transitions %d, want %d", tag, res.Stats.FiredTransitions, want.Stats.FiredTransitions)
-				}
-				if res.Stats.MaxDepth != want.Stats.MaxDepth {
-					t.Errorf("%s: depth %d, want %d", tag, res.Stats.MaxDepth, want.Stats.MaxDepth)
-				}
-				if res.Stats.WildcardAborts != want.Stats.WildcardAborts {
-					t.Errorf("%s: aborts %d, want %d", tag, res.Stats.WildcardAborts, want.Stats.WildcardAborts)
-				}
-			}
-		})
+		}
 	}
+	zooDiff(t, rows, nil)
 }
 
 // boundedNet wraps the MSI system with an extra invariant that fails once
@@ -118,60 +70,41 @@ func renderTrace(steps []mc.TraceStep) []string {
 // successor (e.g. a network message slice reused by CopyFrom), the churn
 // would overwrite it and the re-rendered trace would differ.
 func TestRecycledStorageNeverAliasesTraces(t *testing.T) {
-	render := renderTrace
-
-	t.Run("msi", func(t *testing.T) {
-		sys := boundedNet{msi.New(msi.Config{Caches: 2})}
-		res, err := mc.Check(sys, mc.Options{RecordTrace: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Verdict != mc.Failure || res.Failure == nil || len(res.Failure.Trace) == 0 {
-			t.Fatalf("expected an invariant failure with a trace, got %v", res.Verdict)
-		}
-		before := render(res.Failure.Trace)
-		// Churn the same system's pool hard: traceless, recycle-heavy runs
-		// reuse every piece of storage the pool can reach. (The wrapped
-		// system fails its bounded-net invariant each time — a Failure
-		// verdict, not an error.)
-		for i := 0; i < 3; i++ {
-			if _, err := mc.Check(sys, mc.Options{Symmetry: i%2 == 0}); err != nil {
+	for _, tc := range []struct {
+		name  string
+		sys   ts.System
+		env   *ts.Env
+		churn func(i int) mc.Options
+	}{
+		// The wrapped MSI system fails its bounded-net invariant each time
+		// (a Failure verdict, not an error); traceless, recycle-heavy runs
+		// reuse every piece of storage the pool can reach.
+		{"msi", boundedNet{msi.New(msi.Config{Caches: 2})}, nil, func(i int) mc.Options { return mc.Options{Symmetry: i%2 == 0} }},
+		// Resolving turn-write to the wrong action ("me") violates mutual
+		// exclusion, and the checker records a minimal counterexample.
+		{"mutex-sketch", zooSystem(t, "peterson-sketch"), ts.NewEnv(wrongTurnChooser{}), func(int) mc.Options { return mc.Options{} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := checkEnv(tc.sys, mc.Options{RecordTrace: true}, tc.env, nil)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		after := render(res.Failure.Trace)
-		for i := range before {
-			if before[i] != after[i] {
-				t.Fatalf("trace step %d changed after pool churn:\n before: %s\n after:  %s", i, before[i], after[i])
+			if res.Verdict != mc.Failure || res.Failure == nil || len(res.Failure.Trace) == 0 {
+				t.Fatalf("expected a failure with a trace, got %v", res.Verdict)
 			}
-		}
-	})
-
-	t.Run("mutex-sketch", func(t *testing.T) {
-		// Resolve turn-write to the wrong action ("me"): mutual exclusion is
-		// violated and the checker records a minimal counterexample.
-		sys := zooSystem(t, "peterson-sketch")
-		env := ts.NewEnv(wrongTurnChooser{})
-		res, err := checkEnv(sys, mc.Options{RecordTrace: true}, env, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Verdict != mc.Failure || res.Failure == nil || len(res.Failure.Trace) == 0 {
-			t.Fatalf("expected a mutual-exclusion failure with a trace, got %v", res.Verdict)
-		}
-		before := render(res.Failure.Trace)
-		for i := 0; i < 3; i++ {
-			if _, err := checkEnv(sys, mc.Options{}, env, nil); err != nil {
-				t.Fatal(err)
+			before := renderTrace(res.Failure.Trace)
+			for i := 0; i < 3; i++ {
+				if _, err := checkEnv(tc.sys, tc.churn(i), tc.env, nil); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		after := render(res.Failure.Trace)
-		for i := range before {
-			if before[i] != after[i] {
-				t.Fatalf("trace step %d changed after pool churn:\n before: %s\n after:  %s", i, before[i], after[i])
+			for i, after := range renderTrace(res.Failure.Trace) {
+				if before[i] != after {
+					t.Fatalf("trace step %d changed after pool churn:\n before: %s\n after:  %s", i, before[i], after)
+				}
 			}
-		}
-	})
+		})
+	}
 }
 
 // wrongTurnChooser picks Peterson's incorrect turn-write action ("me") and

@@ -3,6 +3,7 @@ package mc_test
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
 	"reflect"
 	"testing"
 
@@ -114,6 +115,21 @@ func TestSessionReuseIsInvisible(t *testing.T) {
 			})
 		}
 	}
+}
+
+// partialChooser is a candidate with gaps: it resolves a hole to an action
+// picked by hashing its name with the seed, or — one time in len(actions)+1
+// — leaves it a wildcard.
+type partialChooser uint32
+
+func (c partialChooser) Choose(hole string, actions []string) (int, error) {
+	h := fnv.New32a()
+	h.Write([]byte(hole))
+	a := int((h.Sum32() ^ uint32(c)*2654435761) % uint32(len(actions)+1))
+	if a == len(actions) {
+		return 0, ts.ErrWildcard
+	}
+	return a, nil
 }
 
 // TestSessionReuseAcrossTableGrowth is the same law where a check outgrows

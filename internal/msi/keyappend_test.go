@@ -3,8 +3,9 @@ package msi_test
 // Tests for the binary keying capabilities of the MSI state: AppendKey's
 // agreement with Key, and CompareAgents' contract with AppendKey — what the
 // zero-allocation canonical fingerprinting pipeline (internal/symmetry)
-// relies on. Clone privacy and PermuteInto are covered zoo-wide
-// (internal/symmetry: TestZooCloneIsPrivate, TestZooPermuteIntoRoundTrip).
+// relies on. Clone privacy, PermuteInto and the successor relation's
+// equivariance under renaming are covered zoo-wide (internal/zoo:
+// TestZooConformance's ownership, renaming and equivariance laws).
 
 import (
 	"bytes"

@@ -383,9 +383,6 @@ func (sys *System) Name() string {
 // mark where each check begins.
 func (sys *System) PoolStats() (hits, misses uint64) { return 0, 0 }
 
-// DirID returns the directory's agent index (== number of caches).
-func (sys *System) DirID() int { return int(sys.dirID) }
-
 // Initial implements ts.System: all caches Invalid, directory Invalid,
 // memory and ghost 0, empty network — in recycled storage when the pool has
 // any, like every other state the system hands out.

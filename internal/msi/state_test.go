@@ -207,9 +207,6 @@ func TestConfigValidation(t *testing.T) {
 	if sys := msi.New(msi.Config{}); len(sys.Initial()[0].(*msi.State).Caches) != 3 {
 		t.Error("default caches != 3")
 	}
-	if msi.New(msi.Config{Caches: 2}).DirID() != 2 {
-		t.Error("DirID != cache count")
-	}
 }
 
 // TestVariantNames pins the display names used in reports.

@@ -47,17 +47,6 @@ func (p Phase) String() string {
 // minutes, far past any single batched phase observation.
 const HistBuckets = 40
 
-// BucketUpperNS is bucket i's inclusive upper bound in nanoseconds.
-func BucketUpperNS(i int) uint64 {
-	if i <= 0 {
-		return 0
-	}
-	if i >= 64 {
-		return ^uint64(0)
-	}
-	return uint64(1)<<uint(i) - 1
-}
-
 // Histogram is a coarse log2-bucketed duration histogram with lock-free
 // atomic buckets. Coarse is the point: power-of-two resolution is plenty
 // to see where time goes, and Observe is two atomic adds plus one

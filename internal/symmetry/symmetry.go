@@ -88,15 +88,6 @@ func Identity(perm []int) bool {
 	return true
 }
 
-// Compose returns the permutation r where r[i] = a[b[i]].
-func Compose(a, b []int) []int {
-	r := make([]int, len(a))
-	for i := range r {
-		r[i] = a[b[i]]
-	}
-	return r
-}
-
 // Invert returns the inverse permutation of perm.
 func Invert(perm []int) []int {
 	r := make([]int, len(perm))

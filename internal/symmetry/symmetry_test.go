@@ -45,17 +45,24 @@ func TestPermutationsCount(t *testing.T) {
 }
 
 // TestComposeInvert checks the group identities p∘p⁻¹ = id and
-// (a∘b)⁻¹ = b⁻¹∘a⁻¹.
+// (a∘b)⁻¹ = b⁻¹∘a⁻¹, where (a∘b)[i] = a[b[i]].
 func TestComposeInvert(t *testing.T) {
+	compose := func(a, b []int) []int {
+		r := make([]int, len(a))
+		for i := range r {
+			r[i] = a[b[i]]
+		}
+		return r
+	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(5)
 		a, b := rng.Perm(n), rng.Perm(n)
-		if !symmetry.Identity(symmetry.Compose(a, symmetry.Invert(a))) {
+		if !symmetry.Identity(compose(a, symmetry.Invert(a))) {
 			return false
 		}
-		lhs := symmetry.Invert(symmetry.Compose(a, b))
-		rhs := symmetry.Compose(symmetry.Invert(b), symmetry.Invert(a))
+		lhs := symmetry.Invert(compose(a, b))
+		rhs := compose(symmetry.Invert(b), symmetry.Invert(a))
 		return fmt.Sprint(lhs) == fmt.Sprint(rhs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -147,18 +154,6 @@ func TestNegativePanics(t *testing.T) {
 	symmetry.Permutations(-1)
 }
 
-// appendVecState is vecState under a second concrete type, for the tests
-// that fingerprint through the binary path.
-type appendVecState struct{ vecState }
-
-func (v *appendVecState) Clone() ts.State {
-	return &appendVecState{vecState{vals: append([]int(nil), v.vals...)}}
-}
-
-func (v *appendVecState) PermuteInto(dst ts.State, perm []int) {
-	v.vecState.PermuteInto(&dst.(*appendVecState).vecState, perm)
-}
-
 // TestFingerprintOrbitInvariance is the binary-path soundness property:
 // every member of a symmetry orbit fingerprints identically, and states
 // with different value multisets (distinct orbits) fingerprint apart.
@@ -169,7 +164,7 @@ func TestFingerprintOrbitInvariance(t *testing.T) {
 		{0, 0, 0, 0}, {1, 0, 0, 0}, {1, 1, 0, 0}, {2, 1, 0, 0},
 		{1, 2, 3, 4}, {4, 4, 4, 1}, {0, 2, 0, 2},
 	} {
-		s := &appendVecState{vecState{vals: vals}}
+		s := &vecState{vals: vals}
 		want := c.Fingerprint(s)
 		for _, p := range symmetry.Permutations(4) {
 			if got := c.Fingerprint(symmetry.Permuted(s, p)); got != want {
@@ -234,34 +229,22 @@ func TestFingerprintZeroAlloc(t *testing.T) {
 // -race (the per-call scratch must never be visible to two workers).
 func TestFingerprintConcurrent(t *testing.T) {
 	c := symmetry.NewCanonicalizer(4)
-	base := &appendVecState{vecState{vals: []int{0, 1, 2, 1}}}
-	want := c.Fingerprint(base)
-	perms := symmetry.Permutations(4)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				p := perms[(w*7+i)%len(perms)]
-				if got := c.Fingerprint(symmetry.Permuted(base, p)); got != want {
-					t.Errorf("worker %d: fingerprint %x, want %x", w, got, want)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
+	orbitConcurrently(t, func(s ts.State) string { return fmt.Sprint(c.Fingerprint(s)) })
 }
 
-// TestCanonicalizerConcurrent exercises the goroutine-safety contract the
-// parallel exploration driver (internal/mc with Options.Workers > 1) relies
-// on: one shared Canonicalizer, many workers canonicalizing members of the
-// same orbit concurrently. Meaningful under -race.
+// TestCanonicalizerConcurrent is the same for the canonical Key: one shared
+// Canonicalizer, many workers canonicalizing members of the same orbit
+// concurrently. Meaningful under -race.
 func TestCanonicalizerConcurrent(t *testing.T) {
 	c := symmetry.NewCanonicalizer(4)
+	orbitConcurrently(t, c.Key)
+}
+
+// orbitConcurrently keys renamings of one state from eight goroutines and
+// requires every key to equal the state's.
+func orbitConcurrently(t *testing.T, key func(ts.State) string) {
 	base := &vecState{vals: []int{0, 1, 2, 1}}
-	want := c.Key(base)
+	want := key(base)
 	perms := symmetry.Permutations(4)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -270,8 +253,8 @@ func TestCanonicalizerConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				p := perms[(w*7+i)%len(perms)]
-				if got := c.Key(symmetry.Permuted(base, p)); got != want {
-					t.Errorf("worker %d: Key = %q, want %q", w, got, want)
+				if got := key(symmetry.Permuted(base, p)); got != want {
+					t.Errorf("worker %d: key %q, want %q", w, got, want)
 					return
 				}
 			}

@@ -66,7 +66,6 @@ func TestGoldenSafetyTrace(t *testing.T) {
 		t.Fatalf("unexpected result %v/%+v", res.Verdict, res.Failure)
 	}
 	golden(t, "safety", trace.Format(res.Failure, trace.Options{ShowStates: true}))
-	golden(t, "safety-summary", trace.Summary(res.Failure)+"\n")
 }
 
 // TestGoldenDeadlockTrace pins the rendering of a deadlock counterexample:
@@ -109,7 +108,6 @@ func lassoFailure(t *testing.T) *mc.FailureInfo {
 func TestGoldenLassoTrace(t *testing.T) {
 	f := lassoFailure(t)
 	golden(t, "lasso", trace.Format(f, trace.Options{ShowStates: true}))
-	golden(t, "lasso-summary", trace.Summary(f)+"\n")
 }
 
 // TestGoldenLassoTruncation pins that MaxSteps elision stops at the cycle:

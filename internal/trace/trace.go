@@ -84,22 +84,3 @@ func stateString(st mc.TraceStep) string {
 	}
 	return st.State.Key()
 }
-
-// Summary returns a one-line description of the failure.
-func Summary(f *mc.FailureInfo) string {
-	if f == nil {
-		return "no failure"
-	}
-	if f.Kind == mc.FailLiveness && len(f.Trace) > 0 {
-		return fmt.Sprintf("%s violation of %q: lasso with %d-step stem and %d-step cycle",
-			f.Kind, f.Name, f.CycleStart, max(0, len(f.Trace)-1-f.CycleStart))
-	}
-	return fmt.Sprintf("%s violation of %q after %d steps", f.Kind, f.Name, max(0, len(f.Trace)-1))
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

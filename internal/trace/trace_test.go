@@ -64,15 +64,3 @@ func TestFormatNilAndGoal(t *testing.T) {
 		t.Error("missing RecordTrace hint")
 	}
 }
-
-// TestSummary pins the one-liner.
-func TestSummary(t *testing.T) {
-	f := failure(t)
-	got := trace.Summary(f)
-	if !strings.Contains(got, "no-bad-state") || !strings.Contains(got, "2 steps") {
-		t.Errorf("Summary = %q", got)
-	}
-	if trace.Summary(nil) != "no failure" {
-		t.Error("nil summary")
-	}
-}

@@ -5,13 +5,11 @@ package zoo_test
 // synthesis counts are pinned per spec file in internal/spec.
 
 import (
-	"bytes"
 	"context"
 	"testing"
 
 	"verc3/internal/core"
 	"verc3/internal/mc"
-	"verc3/internal/symmetry"
 	"verc3/internal/ts"
 	"verc3/internal/zoo"
 )
@@ -97,73 +95,6 @@ func TestWrongTurnBreaksMutex(t *testing.T) {
 	if got.Verdict != mc.Failure || got.Failure.Kind != mc.FailInvariant || got.Failure.Name != "mutual-exclusion" {
 		t.Errorf("turn-write=me: verdict %v, failure %+v; want the mutual-exclusion invariant to fail", got.Verdict, got.Failure)
 	}
-}
-
-// TestAppendKeyMatchesKeyPartition checks binary/string agreement of the
-// Peterson state over a broad population: every state reachable under each
-// of the sketch's 8 completions, and every pid renaming of those.
-// AppendKey-equality must coincide with Key-equality.
-func TestAppendKeyMatchesKeyPartition(t *testing.T) {
-	var population []ts.State
-	for _, tw := range []string{"other", "me"} {
-		for _, ef := range []string{"clear", "keep"} {
-			for _, ac := range []string{"Idle", "Crit"} {
-				env := ts.NewEnv(core.FixedChooser{"turn-write": tw, "exit-flag": ef, "after-crit": ac})
-				population = append(population, reachable(t, get(t, "peterson-sketch"), env)...)
-			}
-		}
-	}
-	perms := symmetry.Permutations(2)
-	for _, s := range population[:len(population):len(population)] {
-		for _, perm := range perms {
-			population = append(population, symmetry.Permuted(s.(ts.Permutable), perm))
-		}
-	}
-
-	byKey := map[string][]byte{}
-	byEnc := map[string]string{}
-	for _, s := range population {
-		k, enc := s.Key(), s.AppendKey(nil)
-		if prev, ok := byKey[k]; ok && !bytes.Equal(prev, enc) {
-			t.Fatalf("key %q encoded two ways", k)
-		}
-		if prevKey, ok := byEnc[string(enc)]; ok && prevKey != k {
-			t.Fatalf("keys %q and %q share encoding %x", prevKey, k, enc)
-		}
-		byKey[k] = enc
-		byEnc[string(enc)] = k
-	}
-	if len(byKey) < 30 {
-		t.Errorf("population has %d distinct states, want at least Peterson's 30", len(byKey))
-	}
-}
-
-// reachable returns every state sys reaches under env, by breadth-first
-// search on Key.
-func reachable(t *testing.T, sys ts.System, env *ts.Env) []ts.State {
-	t.Helper()
-	seen := map[string]bool{}
-	var out []ts.State
-	frontier := sys.Initial()
-	for len(frontier) > 0 {
-		var next []ts.State
-		for _, s := range frontier {
-			if seen[s.Key()] {
-				continue
-			}
-			seen[s.Key()] = true
-			out = append(out, s)
-			for _, r := range sys.AppendRules(nil, s) {
-				succ, err := sys.FireRule(s, r, env)
-				if err != nil {
-					t.Fatal(err)
-				}
-				next = append(next, succ)
-			}
-		}
-		frontier = next
-	}
-	return out
 }
 
 // TestCompleteRingVerifies pins the complete protocol's verdict and state
